@@ -10,8 +10,10 @@ verify  runs one named check suite against a model file and prints the
 
 orbit   integrates the dynamical flow of a model from given initial
         data and prints a trajectory summary with the worst law-of-
-        motion residual.  A trajectory that escapes the declared box or
-        the lightcone ends the run with exit code 1.
+        motion residual.  Non-finite initial data is a usage error (exit
+        code 2); a trajectory that escapes the declared box or the
+        lightcone, or reaches a non-finite state, ends the run with exit
+        code 1.
 
 Models are addressed by file path; the names of the shipped builtin
 models are accepted as a convenience.
@@ -23,6 +25,7 @@ import sys
 import numpy as np
 
 from .einstein import EinsteinPhase, LightconeViolation
+from .modelspec import ValidationError
 from .orbit import BoxExit, integrate_orbit
 from .report import emit_report
 from .suites import resolve_model, run_suite, suite_names
@@ -46,7 +49,7 @@ def _cmd_verify(args) -> int:
         tols = _parse_tols(args.tol)
         report = run_suite(args.model, args.suite, points=args.points,
                            seed=args.seed, tol_overrides=tols)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     sys.stdout.write(emit_report(report, args.report).decode("utf-8"))
@@ -64,12 +67,15 @@ def _cmd_orbit(args) -> int:
             raise ValueError("framework %r does not match model kind %r"
                              % (args.framework, model.kind))
         x0 = np.array(args.x0, float)
+        if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(args.v))):
+            raise ValueError("initial position and velocity must be finite")
         if np.any(x0 < model.box_lo) or np.any(x0 > model.box_hi):
             raise ValueError("initial position lies outside the model box")
         if fw == "einstein":
             EinsteinPhase(model).require_timelike(
                 np.concatenate([x0, args.v]))
-    except (ValueError, FileNotFoundError, LightconeViolation) as exc:
+    except (ValueError, FileNotFoundError, LightconeViolation,
+            ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:

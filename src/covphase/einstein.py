@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import (
-    BinOp, Call, ExprField, Model, Num, Var, inverse_nodes,
+    BinOp, Call, ExprField, Model, Num, Var, compile_fields, inverse_nodes,
 )
 from .smooth import Field, PForm, VectorField, wedge
 
@@ -159,8 +159,23 @@ class EinsteinPhase:
             self._memo["rad"] = acc
         return self._memo["rad"]
 
+    def _radicand_fn(self):
+        if "rad_fn" not in self._memo:
+            self._memo["rad_fn"] = compile_fields([self.radicand()])
+        return self._memo["rad_fn"]
+
+    def _motion_fn(self):
+        """(alpha0, gamma-bar^1..3) compiled into one point function.  It is
+        only called on points require_timelike has passed, where alpha0 is
+        defined."""
+        if "motion_fn" not in self._memo:
+            self._memo["motion_fn"] = compile_fields(
+                [self.alpha0()] + [self.gamma_bar(i) for i in range(1, 4)])
+        return self._memo["motion_fn"]
+
     def require_timelike(self, p) -> None:
-        if self.radicand().value(p) >= 0.0:
+        # written so that a NaN radicand counts as not timelike
+        if not self._radicand_fn()(p)[0] < 0.0:
             raise LightconeViolation(
                 "phase point has a non-timelike chart velocity")
 
@@ -590,23 +605,25 @@ class EinsteinPhase:
         vel = xdot[1:] / xdot[0]
         p = np.concatenate([x, vel])
         self.require_timelike(p)
-        pace = self.alpha0().value(p) * self.c
+        alpha0, *gbar = self._motion_fn()(p)
+        pace = alpha0 * self.c
         out = np.empty(4)
         out[0] = xdot[0] - pace
         for i in range(1, 4):
             accel = (xddot[i] * xdot[0] - xdot[i] * xddot[0]) / xdot[0] ** 2
-            out[i] = accel - pace * self.gamma_bar(i).value(p)
+            out[i] = accel - pace * gbar[i - 1]
         return out
 
     def orbit_rhs(self, state: np.ndarray) -> np.ndarray:
         """Proper-time derivative of (x^lam, x^i_0) under the dynamics."""
         self.require_timelike(state)
-        pace = self.alpha0().value(state) * self.c
+        alpha0, *gbar = self._motion_fn()(state)
+        pace = alpha0 * self.c
         out = np.empty(7)
         out[0] = pace
         for i in range(1, 4):
             out[i] = pace * state[3 + i]
-            out[3 + i] = pace * self.gamma_bar(i).value(state)
+            out[3 + i] = pace * gbar[i - 1]
         return out
 
     # -- observed electric/magnetic splitting --------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .modelspec import (
-    ExprField, Model, Num, Var, inverse_nodes, substitute,
+    ExprField, Model, Num, Var, compile_fields, inverse_nodes, substitute,
 )
 from .smooth import (
     BoxedField, Field, FuncField, PForm, VectorField, directional,
@@ -178,6 +178,14 @@ class GalileiPhase:
             acc = acc + self.Gamma(h, i) * _vel(h)
         self._memo[key] = acc
         return acc
+
+    def gamma_fn(self):
+        """(gamma^1, gamma^2, gamma^3) compiled into one function of a
+        phase point, returning the three values as a list."""
+        if "gamma_fn" not in self._memo:
+            self._memo["gamma_fn"] = compile_fields(
+                [self.gamma(i) for i in range(1, 4)])
+        return self._memo["gamma_fn"]
 
     def dynamical_vector(self) -> VectorField:
         """The second-order vector field d/dt of motions on the phase chart."""

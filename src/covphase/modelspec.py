@@ -16,11 +16,12 @@ at low-discrepancy sample points inside the declared box; failures raise
 """
 
 import configparser
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.stats import qmc
@@ -44,7 +45,8 @@ class ValidationError(Exception):
 
     def __init__(self, message: str, witness=None):
         if witness is not None:
-            message = "%s at witness point %s" % (message, list(witness))
+            message = "%s at witness point %s" % (
+                message, [float(v) for v in witness])
         super().__init__(message)
         self.witness = witness
 
@@ -576,6 +578,165 @@ class ExprField(Field):
 
     def __repr__(self):
         return "ExprField(%s)" % to_text(self.node)
+
+
+# ---------------------------------------------------------------------------
+# Compilation to straight-line float code
+
+
+def _children(node) -> tuple:
+    match node:
+        case Neg(arg=a) | Call(arg=a) | Pow(base=a):
+            return (a,)
+        case BinOp(left=a, right=b):
+            return (a, b)
+    return ()
+
+
+class _Emitter:
+    """Straight-line Python source for a set of expression DAGs.
+
+    Each compound node becomes one temporary, emitted in the post-order
+    `eval_expr` visits it, so the first operation to raise is the same
+    one.  A reference is a (source, is_jet) pair: is_jet marks values that
+    `eval_expr` carries as `Jet` (anything touching a coordinate or a
+    function call), whose division and power arithmetic differ from the
+    plain-float branch.
+    """
+
+    def __init__(self):
+        self.lines: List[str] = []
+        self.env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+                    "_sqrt": math.sqrt}
+        self.loaded = set()
+
+    def temp(self, expr: str) -> str:
+        name = "t%d" % len(self.lines)
+        self.lines.append("%s = %s" % (name, expr))
+        return name
+
+    def check(self, cond: str, exc: str, message: str) -> None:
+        self.lines.append("if %s: raise %s(%r)" % (cond, exc, message))
+
+    def const(self, v) -> str:
+        if type(v) is float and math.isfinite(v):
+            return "(%r)" % v
+        name = "_k%d" % len(self.env)
+        self.env[name] = v
+        return name
+
+    def walk(self, root, params, memo: dict):
+        """Emit root's unvisited nodes; memo maps id(node) to its reference."""
+        stack = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if id(node) in memo:
+                continue
+            kids = _children(node)
+            if not ready:
+                stack.append((node, True))
+                stack.extend((k, False) for k in reversed(kids))
+                continue
+            memo[id(node)] = self.node(node, [memo[id(k)] for k in kids],
+                                       params)
+        return memo[id(root)]
+
+    def node(self, node, kids, params):
+        match node:
+            case Num(value=v):
+                return self.const(v), False
+            case Var(index=k):
+                name = "x%d" % k
+                if k not in self.loaded:
+                    self.loaded.add(k)
+                    self.lines.append("%s = float(p[%d])" % (name, k))
+                return name, True
+            case Name(ident=s):
+                if s in params:
+                    return self.const(params[s]), False
+                self.lines.append("raise ValueError(%r)"
+                                  % ("unknown name %r in expression" % s))
+                return "None", False
+            case Neg():
+                (a, jet), = kids
+                return self.temp("-" + a), jet
+            case BinOp(op=o):
+                (a, ja), (b, jb) = kids
+                # Jet division multiplies by the reciprocal
+                if o == "/" and (ja or jb):
+                    return self.temp("%s * (1.0 / %s)" % (a, b)), True
+                return self.temp("%s %s %s" % (a, o, b)), ja or jb
+            case Pow(exponent=e):
+                (a, jet), = kids
+                return self._pow(a, jet, e), jet
+            case Call(func=f):
+                (a, jet), = kids
+                if not jet:
+                    a = "float(%s)" % a
+                if f == "sqrt":
+                    self.check("%s <= 0.0" % a, "ValueError",
+                               "sqrt of non-positive value")
+                    r = self.temp("_sqrt(%s)" % a)
+                    # Jet.sqrt divides by r * x for the second derivative
+                    self.check("%s * %s == 0.0" % (r, a), "ZeroDivisionError",
+                               "sqrt of a value too small to differentiate")
+                    return r, True
+                fn = "abs" if f == "abs" else "_" + f
+                return self.temp("%s(%s)" % (fn, a)), True
+        raise TypeError("not an expression node: %r" % (node,))
+
+    def _pow(self, a: str, jet: bool, e: Fraction) -> str:
+        p = int(e) if e.denominator == 1 else float(e)
+        pf = float(p)
+        if not jet:
+            if e.denominator != 1:
+                self.check("%s <= 0" % a, "ValueError",
+                           "fractional power of non-positive base")
+            return self.temp("float(%s) ** %r" % (a, pf))
+        if p == 0:
+            return "(1.0)"
+        if pf != int(pf):
+            self.check("%s <= 0.0" % a, "ValueError",
+                       "fractional power of non-positive base")
+        out = self.temp("%s ** %r" % (a, pf))
+        # Jet.__pow__ also forms x^(p-1) and, for x != 0 or p >= 2,
+        # x^(p-2), which can raise where x^p does not.  With p >= 2 both
+        # overflow only where x^p already has; with p < 2, x^(p-2) raises
+        # wherever x^(p-1) would, with the same class, so it alone is kept.
+        if pf < 2.0:
+            self.lines.append("if %s != 0.0: %s ** %r" % (a, a, pf - 2.0))
+        return out
+
+
+def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
+                                                         List[float]]:
+    """Compile expression fields into one function p -> [values at p].
+
+    The fields' shared DAG is walked once, by node identity, and emitted
+    as straight-line float code with one temporary per compound node;
+    common subexpressions are shared across all the fields and names are
+    resolved from their params now.  Every operation repeats the order-0
+    arithmetic of `eval_expr`, so the values equal `Field.value` bit for
+    bit and the same exception classes are raised (ValueError,
+    ZeroDivisionError, OverflowError).
+    """
+    em = _Emitter()
+    memos: Dict[tuple, dict] = {}
+    outs = []
+    for fld in fields:
+        if not isinstance(fld, ExprField):
+            raise TypeError("only expression fields compile, not %s"
+                            % type(fld).__name__)
+        memo = memos.setdefault(tuple(sorted(fld.params.items())), {})
+        ref, jet = em.walk(fld.node, fld.params, memo)
+        outs.append(ref if jet else "float(%s)" % ref)
+    binds = "".join(", %s=%s" % (k, k) for k in em.env)
+    body = "".join("    %s\n" % line for line in em.lines)
+    src = "def _compiled(p%s):\n%s    return [%s]\n" % (binds, body,
+                                                       ", ".join(outs))
+    namespace = dict(em.env)
+    exec(compile(src, "<compile_fields>", "exec"), namespace)
+    return namespace["_compiled"]
 
 
 # ---------------------------------------------------------------------------

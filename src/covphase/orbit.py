@@ -7,7 +7,10 @@ classical Runge-Kutta scheme and reports, alongside the trajectory, a
 per-step residual of the second-order law of motion obtained by central
 differencing the stored samples.  The residual is the product's own
 certificate: it measures how well the returned points satisfy the law,
-independently of how they were produced.
+independently of how they were produced.  Both the right-hand side and
+the residual read the dynamical fields through one function compiled by
+`modelspec.compile_fields` once per orbit, which returns the same floats
+as evaluating each field with `Field.value`.
 
 Galilei trajectories are parametrized by the absolute time x^0, so the
 first state component advances linearly.  Einstein trajectories are
@@ -40,7 +43,11 @@ class OrbitResult:
         return float(np.max(interior)) if len(interior) else 0.0
 
 
-def _check_box(model: Model, x: np.ndarray) -> None:
+def _check_box(model: Model, state: np.ndarray) -> None:
+    if not np.all(np.isfinite(state)):
+        raise BoxExit("trajectory reached a non-finite state %s"
+                      % ([float(v) for v in state],))
+    x = state[:4]
     if np.any(x < model.box_lo) or np.any(x > model.box_hi):
         raise BoxExit("trajectory left the declared box at x = %s"
                       % ([round(float(v), 6) for v in x],))
@@ -56,14 +63,13 @@ def _rk4(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
 
 
 def _galilei_rhs(phase: GalileiPhase) -> Callable[[np.ndarray], np.ndarray]:
-    gammas = [phase.gamma(i) for i in range(1, 4)]
+    gammas = phase.gamma_fn()
 
     def rhs(state: np.ndarray) -> np.ndarray:
         out = np.empty(7)
         out[0] = 1.0
         out[1:4] = state[4:7]
-        for k in range(3):
-            out[4 + k] = gammas[k].value(state)
+        out[4:7] = gammas(state)
         return out
 
     return rhs
@@ -71,13 +77,13 @@ def _galilei_rhs(phase: GalileiPhase) -> Callable[[np.ndarray], np.ndarray]:
 
 def _galilei_residuals(phase: GalileiPhase, states: np.ndarray,
                        h: float) -> np.ndarray:
-    gammas = [phase.gamma(i) for i in range(1, 4)]
+    gammas = phase.gamma_fn()
     n = len(states)
     out = np.full(n, np.nan)
     for k in range(1, n - 1):
         vdot = (states[k + 1, 4:7] - states[k - 1, 4:7]) / (2.0 * h)
         xdot = (states[k + 1, 1:4] - states[k - 1, 1:4]) / (2.0 * h)
-        force = np.array([g.value(states[k]) for g in gammas])
+        force = np.array(gammas(states[k]))
         out[k] = max(np.max(np.abs(vdot - force)),
                      np.max(np.abs(xdot - states[k, 4:7])))
     return out
@@ -101,8 +107,8 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
 
     framework is "galilei" or "einstein" (or their initials) and must
     match the model kind.  Raises BoxExit when the trajectory leaves the
-    declared box and, for Einstein models, LightconeViolation when the
-    velocity stops being timelike.
+    declared box or reaches a non-finite state and, for Einstein models,
+    LightconeViolation when the velocity stops being timelike.
     """
     fw = {"g": "galilei", "e": "einstein"}.get(framework, framework)
     if fw != model.kind:
@@ -114,7 +120,7 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
     state = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
     if state.shape != (7,):
         raise ValueError("need 4 position and 3 velocity components")
-    _check_box(model, state[:4])
+    _check_box(model, state)
 
     if fw == "galilei":
         phase = GalileiPhase(model)
@@ -129,7 +135,7 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
     states[0] = state
     for k in range(nsteps):
         state = _rk4(rhs, state, step)
-        _check_box(model, state[:4])
+        _check_box(model, state)
         states[k + 1] = state
     times = step * np.arange(nsteps + 1)
 

@@ -401,9 +401,6 @@ def directional(X: VectorField, f: Field) -> Field:
     return FuncField(fn)
 
 
-lie_derivative_scalar = directional
-
-
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Commutator of two vector fields, [X, Y]^μ = X^ν∂_νY^μ − Y^ν∂_νX^μ."""
     if X.dim != Y.dim:

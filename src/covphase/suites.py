@@ -28,8 +28,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .modelspec import BinOp, ExprField, Model, Num, Var, load_builtin, \
-    load_model
+from .modelspec import BinOp, ExprField, Model, Num, Var, ValidationError, \
+    load_builtin, load_model
 from .smooth import PForm, VectorField, contract, directional, \
     exterior_derivative, lie_bracket, wedge
 from .galilei import GalileiPhase, Observer, SpecialFunction
@@ -37,6 +37,12 @@ from .einstein import EinsteinPhase, ESpecialFunction
 from . import quantum as qt
 from . import orbit as orb
 from .report import CheckRecord, SuiteReport
+
+
+# Einstein sample points are drawn by rejection; a model whose radicand
+# stays above the threshold on the sampled box fails after this many draws
+# per requested point instead of looping forever.
+MAX_DRAWS_PER_POINT = 200
 
 
 class UnknownSuiteError(ValueError):
@@ -129,11 +135,18 @@ class _Ctx:
             else:
                 rad = self.phase.radicand()
                 out = []
-                while len(out) < n:
+                for _ in range(MAX_DRAWS_PER_POINT * n):
+                    if len(out) == n:
+                        break
                     p = np.concatenate([self._base_points(rng, 1)[0],
                                         rng.uniform(-0.25, 0.25, 3)])
                     if rad.value(p) < -0.1:
                         out.append(p)
+                if len(out) < n:
+                    raise ValidationError(
+                        "no timelike sample point found: %d of %d draws had "
+                        "radicand < -0.1" % (len(out),
+                                             MAX_DRAWS_PER_POINT * n))
                 self._points = np.array(out)
         return self._points
 

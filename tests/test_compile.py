@@ -1,0 +1,205 @@
+"""The expression compiler against the jet evaluator it replaces.
+
+`compile_fields` must return exactly what `Field.value` returns for every
+field at every point, and raise the same exception class wherever the jet
+path raises.  Values are compared bit for bit (sign of zero and NaN
+included), not within a tolerance.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from covphase.einstein import EinsteinPhase
+from covphase.galilei import GalileiPhase
+from covphase.modelspec import (
+    BinOp, Call, ExprField, Name, Neg, Num, Pow, Var, available_models,
+    compile_fields, load_builtin, parse_expr,
+)
+from covphase.smooth import ConstField
+from covphase.suites import _Ctx
+
+
+def same_float(a, b) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def outcome(fn):
+    """The list fn() returns, or the class of the exception it raises."""
+    try:
+        return fn()
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(fields, p):
+    want = outcome(lambda: [f.value(p) for f in fields])
+    got = outcome(lambda: compile_fields(fields)(p))
+    if isinstance(want, type):
+        assert got is want, (fields, p, got)
+    else:
+        assert isinstance(got, list) and len(got) == len(want)
+        assert all(same_float(a, b) for a, b in zip(got, want)), \
+            (fields, p, got, want)
+
+
+def motion_fields(model):
+    if model.kind == "galilei":
+        ph = GalileiPhase(model)
+        return [ph.gamma(i) for i in range(1, 4)]
+    ph = EinsteinPhase(model)
+    return ([ph.radicand(), ph.alpha0()]
+            + [ph.gamma_bar(i) for i in range(1, 4)])
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_parity_on_shipped_models(name):
+    model = load_builtin(name)
+    fields = motion_fields(model)
+    fn = compile_fields(fields)
+    points = _Ctx(model, 24, 3).points
+    for p in points:
+        assert fn(p) == [f.value(p) for f in fields]
+
+
+def test_orbit_rhs_matches_field_values():
+    ph = EinsteinPhase(load_builtin("curved-einstein"))
+    p = _Ctx(ph.model, 4, 1).points[0]
+    alpha0 = ph.alpha0().value(p)
+    want = [alpha0 * ph.c] + [alpha0 * ph.c * v for v in p[4:7]] \
+        + [alpha0 * ph.c * ph.gamma_bar(i).value(p) for i in range(1, 4)]
+    assert list(ph.orbit_rhs(p)) == want
+
+
+# (expression, point value of x1, exception class): each error the jet
+# path raises, including those its derivative factors raise at order 0
+ERROR_CASES = [
+    (Name("nope"), 1.0, ValueError),
+    (parse_expr("sqrt(x1)"), -1.0, ValueError),
+    (parse_expr("sqrt(x1)"), 0.0, ValueError),
+    (parse_expr("sqrt(x1)"), 1e-300, ZeroDivisionError),
+    (parse_expr("sqrt(1 - 2)"), 0.0, ValueError),
+    (parse_expr("x1^(1/2)"), 0.0, ValueError),
+    (parse_expr("(1 - 2)^(1/2)"), 0.0, ValueError),
+    (parse_expr("x1^(1/2)"), 1e-300, OverflowError),
+    (parse_expr("x1^(-1)"), 0.0, ZeroDivisionError),
+    (parse_expr("x1^(-1)"), 1e-200, OverflowError),
+    (parse_expr("x1^2"), 1e200, OverflowError),
+    (parse_expr("x1^1"), 1e-310, OverflowError),
+    (parse_expr("1 / x1"), 0.0, ZeroDivisionError),
+    (parse_expr("x1 / (1 - 1)"), 2.0, ZeroDivisionError),
+    (parse_expr("2 / (1 - 1)"), 2.0, ZeroDivisionError),
+    (parse_expr("exp(1000 * x1)"), 1.0, OverflowError),
+    (parse_expr("sin(x1)"), math.inf, ValueError),
+]
+
+
+@pytest.mark.parametrize("node,x1,exc", ERROR_CASES)
+def test_error_parity(node, x1, exc):
+    fld = ExprField(node)
+    p = [0.0, x1, 0.0, 0.0]
+    with pytest.raises(exc):
+        fld.value(p)
+    with pytest.raises(exc):
+        compile_fields([fld])(p)
+
+
+GRID = [0.0, 1e-320, 1e-310, 1e-300, 1e-200, 1e-150, 1e-100, 0.3, 1.0,
+        2.0, 1e100, 1e150, 1e200, 1e300, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 4])
+def test_power_grid_matches_jets(den):
+    # the derivative factors of Jet.__pow__ raise on their own near 0
+    # and infinity, for every sign and size of exponent
+    for num in range(-7, 8):
+        fld = ExprField(Pow(Var(0), Fraction(num, den)))
+        for x in GRID + [-x for x in GRID]:
+            assert_same_outcome([fld], [x])
+
+
+def test_first_error_in_evaluation_order():
+    # jets stop at the left operand's error before reaching the right one
+    fld = ExprField(BinOp("+", parse_expr("1 / x1"), Name("nope")))
+    assert_same_outcome([fld], [0.0, 0.0, 0.0, 0.0])
+    fld = ExprField(BinOp("+", Name("nope"), parse_expr("1 / x1")))
+    assert_same_outcome([fld], [0.0, 0.0, 0.0, 0.0])
+
+
+def test_params_and_shared_subexpressions():
+    shared = parse_expr("k * x1 + sin(x2)")
+    f = ExprField(BinOp("*", shared, shared), {"k": 3.0})
+    g = ExprField(BinOp("-", shared, Num(1.0)), {"k": -2.0})
+    h = ExprField(Neg(shared), {"k": 3.0})
+    assert_same_outcome([f, g, h], [0.0, 0.7, -1.3, 0.0])
+    fn = compile_fields([f, g])
+    assert fn([0.0, 2.0, 0.0, 0.0]) == [36.0, -5.0]
+
+
+def test_constant_fields_return_floats():
+    out = compile_fields([ExprField(Num(2.0)), ExprField(Name("k"), {"k": 3}),
+                          ExprField(parse_expr("sin(0.5) / 4"))])(
+        [0.0] * 4)
+    assert out == [2.0, 3.0, math.sin(0.5) * (1.0 / 4.0)]
+    assert all(type(v) is float for v in out)
+
+
+def test_rejects_other_fields():
+    with pytest.raises(TypeError):
+        compile_fields([ConstField(1.0)])
+
+
+def test_deep_chain_compiles():
+    node = Var(1)
+    for k in range(5000):
+        node = BinOp("+" if k % 2 else "-", node, Num(1.0))
+        node = Neg(node) if k % 1000 == 0 else node
+    fn = compile_fields([ExprField(node)])
+    want = 0.25
+    for k in range(5000):
+        want = want + 1.0 if k % 2 else want - 1.0
+        want = -want if k % 1000 == 0 else want
+    assert fn([0.0, 0.25, 0.0, 0.0]) == [want]
+
+
+# ---------------------------------------------------------------------------
+# property test: random expressions, random points
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-310, 1e-200, 1e200, 700.0,
+           math.inf, -math.inf, math.nan]
+floats = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(-4.0, 4.0, allow_nan=False))
+exponents = st.sampled_from([Fraction(n, d) for n in (-3, -1, 0, 1, 2, 3)
+                             for d in (1, 2, 3)])
+leaves = st.one_of(
+    st.builds(Num, floats),
+    st.builds(Var, st.integers(0, 3)),
+    st.builds(Name, st.sampled_from(["a", "b", "missing"])),
+)
+
+
+def _compound(sub):
+    return st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Pow, sub, exponents),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
+                  sub),
+    )
+
+
+exprs = st.recursive(leaves, _compound, max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(exprs, exprs, st.lists(floats, min_size=4, max_size=4),
+       st.sampled_from([1, 2, 3]))
+def test_random_expressions_match_jets(e1, e2, p, a):
+    params = {"a": a, "b": -0.5}
+    f, g = ExprField(e1, params), ExprField(e2, params)
+    # f * g and g - f share f's and g's nodes with the first two fields
+    assert_same_outcome([f, g, f * g, g - f], p)

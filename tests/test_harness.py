@@ -12,8 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from covphase.einstein import LightconeViolation
-from covphase.modelspec import load_builtin
+from covphase.einstein import EinsteinPhase, LightconeViolation
+from covphase.modelspec import builtin_model_dir, load_builtin
 from covphase.orbit import BoxExit, integrate_orbit
 from covphase.report import CheckRecord, SuiteReport, emit_report
 from covphase import suites as su
@@ -177,6 +177,16 @@ class TestOrbit:
         with pytest.raises(ValueError):
             integrate_orbit(model, "g", [0, 0, 0, 0], [0, 0, 0], 1.0)
 
+    def test_non_finite_state_is_box_exit(self):
+        model = load_builtin("uniform-b")
+        with pytest.raises(BoxExit, match="non-finite"):
+            integrate_orbit(model, "g", [0, 0, 0, 0], [np.nan, 0, 0], 0.01)
+
+    def test_nan_velocity_is_not_timelike(self):
+        phase = EinsteinPhase(load_builtin("uniform-e"))
+        with pytest.raises(LightconeViolation):
+            phase.require_timelike(np.array([0, 0, 0, 0, np.nan, 0, 0]))
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "covphase.cli", *args],
@@ -236,3 +246,82 @@ class TestCli:
                        "--x0", "0", "0", "0", "0", "--v", "2", "0", "0",
                        "--duration", "1.0")
         assert proc.returncode == 2
+
+    # stdout of the README orbit commands, as printed before the orbit
+    # right-hand side was compiled; the compiled path must not move a bit
+    README_ORBITS = [
+        (("--model", "uniform-b", "--framework", "g",
+          "--x0", "0", "0", "0", "0", "--v", "0.5", "0", "0",
+          "--duration", "3.1416", "--step", "0.001"),
+         "steps: 3142   parameter span: 3.142\n"
+         "final position: [ 3.14200000e+00  2.03673182e-04 -8.29655442e-08"
+         "  0.00000000e+00]\n"
+         "final velocity: [ 4.99999834e-01 -4.07346365e-04  0.00000000e+00]\n"
+         "max law-of-motion residual: 6.667e-07\n"),
+        (("--model", "uniform-e", "--framework", "e",
+          "--x0", "0", "0", "0", "0", "--v", "0", "0", "0",
+          "--duration", "2.0"),
+         "steps: 2000   parameter span: 2\n"
+         "final position: [2.35040239 1.08616127 0.         0.        ]\n"
+         "final velocity: [0.76159416 0.         0.        ]\n"
+         "max law-of-motion residual: 6.427e-08\n"),
+    ]
+
+    @pytest.mark.parametrize("args,stdout", README_ORBITS,
+                             ids=["uniform-b", "uniform-e"])
+    def test_readme_orbit_output_pinned(self, args, stdout):
+        proc = run_cli("orbit", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == stdout
+
+    @pytest.mark.parametrize("model,fw,x0,v", [
+        ("uniform-b", "g", ("0", "0", "0", "0"), ("nan", "0", "0")),
+        ("uniform-e", "e", ("0", "0", "0", "0"), ("nan", "0", "0")),
+        ("uniform-b", "g", ("0", "inf", "0", "0"), ("0.5", "0", "0")),
+    ])
+    def test_orbit_non_finite_initial_data_exit_two(self, model, fw, x0, v):
+        proc = run_cli("orbit", "--model", model, "--framework", fw,
+                       "--x0", *x0, "--v", *v, "--duration", "0.01")
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_orbit_non_finite_state_exit_one(self, tmp_path):
+        # a field so strong that one RK4 step overflows the velocity
+        path = tmp_path / "huge-b.ini"
+        path.write_text(model_text("uniform-b", ("B = 2.0", "B = 1e300")))
+        proc = run_cli("orbit", "--model", str(path), "--framework", "g",
+                       "--x0", "0", "0", "0", "0", "--v", "0.5", "0", "0",
+                       "--duration", "0.01")
+        assert proc.returncode == 1
+        assert "non-finite state" in proc.stderr
+
+    def test_validation_error_exit_two(self, tmp_path):
+        path = tmp_path / "overflow.ini"
+        path.write_text(model_text("uniform-b", ("A1 = -B/2 * x2",
+                                                 "A1 = exp(1000*x1)")))
+        for args in (("verify", "--suite", "galilei-core"),
+                     ("orbit", "--framework", "g", "--x0", "0", "0", "0", "0",
+                      "--v", "0.5", "0", "0", "--duration", "0.01")):
+            proc = run_cli(args[0], "--model", str(path), *args[1:])
+            assert proc.returncode == 2, args
+            assert "Traceback" not in proc.stderr
+            assert "at witness point [2.575, 1.35" in proc.stderr
+            assert "np.float64" not in proc.stderr
+
+    def test_no_timelike_sample_points_exit_two(self, tmp_path):
+        # |g00| below the sampler's radicand threshold of 0.1: no draw
+        # is accepted, which used to loop forever
+        path = tmp_path / "shallow-minkowski.ini"
+        path.write_text(model_text("minkowski", ("g00 = -1", "g00 = -0.05")))
+        proc = run_cli("verify", "--model", str(path),
+                       "--suite", "einstein-identities", "--points", "5")
+        assert proc.returncode == 2
+        assert "no timelike sample point found" in proc.stderr
+
+
+def model_text(name: str, edit) -> str:
+    old, new = edit
+    text = (builtin_model_dir() / (name + ".ini")).read_text()
+    assert old in text
+    return text.replace(old, new)
