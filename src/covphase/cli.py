@@ -10,10 +10,12 @@ verify  runs one named check suite against a model file and prints the
 
 orbit   integrates the dynamical flow of a model from given initial
         data and prints a trajectory summary with the worst law-of-
-        motion residual.  Non-finite initial data is a usage error (exit
-        code 2); a trajectory that escapes the declared box or the
-        lightcone, or reaches a non-finite state, ends the run with exit
-        code 1.
+        motion residual.  Non-finite initial data and a duration or step
+        that is not positive and finite are usage errors (exit code 2);
+        a trajectory that escapes the declared box or the lightcone,
+        reaches a non-finite state, or meets a point where a field cannot
+        be evaluated (division by zero, overflow, square root of a
+        negative value) ends the run with exit code 1.
 
 Models are addressed by file path; the names of the shipped builtin
 models are accepted as a convenience.
@@ -69,6 +71,8 @@ def _cmd_orbit(args) -> int:
         x0 = np.array(args.x0, float)
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(args.v))):
             raise ValueError("initial position and velocity must be finite")
+        if not (0.0 < args.duration < np.inf and 0.0 < args.step < np.inf):
+            raise ValueError("duration and step must be positive and finite")
         if np.any(x0 < model.box_lo) or np.any(x0 > model.box_hi):
             raise ValueError("initial position lies outside the model box")
         if fw == "einstein":
@@ -81,7 +85,10 @@ def _cmd_orbit(args) -> int:
     try:
         res = integrate_orbit(model, fw, args.x0, args.v,
                               args.duration, args.step)
-    except (BoxExit, LightconeViolation) as exc:
+    except (BoxExit, LightconeViolation, ZeroDivisionError, OverflowError,
+            ValueError) as exc:
+        # ValueError here is a field evaluation failure (sqrt or a
+        # fractional power of a negative value): the usage was checked above
         print("orbit aborted: %s" % exc, file=sys.stderr)
         return 1
     final = res.states[-1]

@@ -257,8 +257,15 @@ class GalileiPhase:
     # -- observers ----------------------------------------------------------
 
     def observed_curvature(self, observer: Optional[Observer] = None) -> PForm:
-        """Pullback of Omega along an observer: a spacetime 2-form."""
-        obs = observer or Observer.chart()
+        """Pullback of Omega along an observer: a spacetime 2-form.
+
+        The chart observer's pullback (the default) is built once and
+        cached, since every special bracket contracts with it.
+        """
+        chart = observer is None or observer.is_chart()
+        if chart and "observed_Phi" in self._memo:
+            return self._memo["observed_Phi"]
+        obs = Observer.chart() if chart else observer
         sec = obs.section()
         nodes = []
         params = dict(self.model.params)
@@ -270,10 +277,11 @@ class GalileiPhase:
             for key, val in s.params.items():
                 params.setdefault(key, val)
         omega = self.cosymplectic()
+        repl = dict(enumerate(nodes))
+        memo = {}  # Omega's components share subtrees; keep them shared
 
         def compose(fld: Field) -> ExprField:
-            return ExprField(substitute(fld.node, dict(enumerate(nodes))),
-                             params)
+            return ExprField(substitute(fld.node, repl, memo), params)
 
         comps = {}
         for lam in range(4):
@@ -285,7 +293,10 @@ class GalileiPhase:
                     term = compose(fld) * jac
                     acc = term if acc is None else acc + term
                 comps[(lam, mu)] = acc if acc is not None else _const(0.0)
-        return PForm(4, 2, comps)
+        form = PForm(4, 2, comps)
+        if chart:
+            self._memo["observed_Phi"] = form
+        return form
 
     def observed_potential(self, observer: Optional[Observer] = None,
                            order: int = 12) -> List[Field]:

@@ -331,59 +331,88 @@ def _pow(base, e: Fraction):
     return Pow(base, e)
 
 
-def derivative(node, i: int):
-    """Exact partial derivative of an expression with respect to x_i."""
+def derivative(node, i: int, memo: Optional[dict] = None):
+    """Exact partial derivative of an expression with respect to x_i.
+
+    Nodes are memoized by identity for the duration of one call, like
+    `eval_expr`, so a subexpression shared in the input is differentiated
+    once and its derivative is shared in the output.
+    """
+    if memo is None:
+        memo = {}
+    key = id(node)
+    if key in memo:
+        return memo[key]
     match node:
         case Num() | Name():
-            return Num(0.0)
+            res = Num(0.0)
         case Var(index=k):
-            return Num(1.0 if k == i else 0.0)
+            res = Num(1.0 if k == i else 0.0)
         case Neg(arg=a):
-            d = derivative(a, i)
-            return Num(0.0) if _is_num(d, 0.0) else Neg(d)
+            d = derivative(a, i, memo)
+            res = Num(0.0) if _is_num(d, 0.0) else Neg(d)
         case BinOp(op="+", left=a, right=b):
-            return _add(derivative(a, i), derivative(b, i))
+            res = _add(derivative(a, i, memo), derivative(b, i, memo))
         case BinOp(op="-", left=a, right=b):
-            return _sub(derivative(a, i), derivative(b, i))
+            res = _sub(derivative(a, i, memo), derivative(b, i, memo))
         case BinOp(op="*", left=a, right=b):
-            return _add(_mul(derivative(a, i), b), _mul(a, derivative(b, i)))
+            res = _add(_mul(derivative(a, i, memo), b),
+                       _mul(a, derivative(b, i, memo)))
         case BinOp(op="/", left=a, right=b):
-            top = _sub(_mul(derivative(a, i), b), _mul(a, derivative(b, i)))
-            return _div(top, _pow(b, Fraction(2)))
+            top = _sub(_mul(derivative(a, i, memo), b),
+                       _mul(a, derivative(b, i, memo)))
+            res = _div(top, _pow(b, Fraction(2)))
         case Pow(base=b, exponent=e):
-            inner = derivative(b, i)
+            inner = derivative(b, i, memo)
             scale = _mul(Num(float(e)), _pow(b, e - 1))
-            return _mul(scale, inner)
+            res = _mul(scale, inner)
         case Call(func="sin", arg=a):
-            return _mul(Call("cos", a), derivative(a, i))
+            res = _mul(Call("cos", a), derivative(a, i, memo))
         case Call(func="cos", arg=a):
-            d = _mul(Call("sin", a), derivative(a, i))
-            return Num(0.0) if _is_num(d, 0.0) else Neg(d)
+            d = _mul(Call("sin", a), derivative(a, i, memo))
+            res = Num(0.0) if _is_num(d, 0.0) else Neg(d)
         case Call(func="exp", arg=a):
-            return _mul(Call("exp", a), derivative(a, i))
+            res = _mul(Call("exp", a), derivative(a, i, memo))
         case Call(func="sqrt", arg=a):
-            return _div(derivative(a, i), _mul(Num(2.0), Call("sqrt", a)))
+            res = _div(derivative(a, i, memo), _mul(Num(2.0), Call("sqrt", a)))
         case Call(func="abs", arg=a):
-            return _mul(_div(a, Call("abs", a)), derivative(a, i))
-    raise TypeError("not an expression node: %r" % (node,))
+            res = _mul(_div(a, Call("abs", a)), derivative(a, i, memo))
+        case _:
+            raise TypeError("not an expression node: %r" % (node,))
+    memo[key] = res
+    return res
 
 
-def substitute(node, repl: Dict[int, object]):
-    """Replace coordinate references by expression nodes (for compositions)."""
+def substitute(node, repl: Dict[int, object], memo: Optional[dict] = None):
+    """Replace coordinate references by expression nodes (for compositions).
+
+    Memoized by node identity like `derivative`: a shared subexpression
+    is rebuilt once and stays shared.  Calls that pass the same memo must
+    pass the same repl.
+    """
+    if memo is None:
+        memo = {}
+    key = id(node)
+    if key in memo:
+        return memo[key]
     match node:
         case Num() | Name():
-            return node
+            res = node
         case Var(index=i):
-            return repl.get(i, node)
+            res = repl.get(i, node)
         case Neg(arg=a):
-            return Neg(substitute(a, repl))
+            res = Neg(substitute(a, repl, memo))
         case BinOp(op=o, left=a, right=b):
-            return BinOp(o, substitute(a, repl), substitute(b, repl))
+            res = BinOp(o, substitute(a, repl, memo),
+                        substitute(b, repl, memo))
         case Pow(base=b, exponent=e):
-            return Pow(substitute(b, repl), e)
+            res = Pow(substitute(b, repl, memo), e)
         case Call(func=f, arg=a):
-            return Call(f, substitute(a, repl))
-    raise TypeError("not an expression node: %r" % (node,))
+            res = Call(f, substitute(a, repl, memo))
+        case _:
+            raise TypeError("not an expression node: %r" % (node,))
+    memo[key] = res
+    return res
 
 
 def det_node(m: List[List[object]]):

@@ -389,16 +389,20 @@ class VectorField:
 
 
 def directional(X: VectorField, f: Field) -> Field:
-    """The derivative of f along X, as a field."""
-    parts = [f.partial(nu) for nu in range(len(X.comps))]
+    """The derivative of f along X, sum_nu X^nu d_nu f, as a field.
 
-    def fn(coords, X=X, parts=parts):
-        acc = None
-        for nu, comp in enumerate(X.comps):
-            term = comp.jet(coords) * parts[nu].jet(coords)
-            acc = term if acc is None else acc + term
-        return acc
-    return FuncField(fn)
+    Built by field arithmetic, so expression inputs give an expression
+    field; a closure appears only where an input already is one.
+    """
+    from .modelspec import ExprField, Num  # local: modelspec imports smooth
+
+    acc = None
+    for nu, comp in enumerate(X.comps):
+        if isinstance(comp, ConstField):
+            comp = ExprField(Num(comp.c))
+        term = comp * f.partial(nu)
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -597,44 +601,3 @@ def bivector_bracket(L: PForm, f: Field, g: Field) -> Field:
         term = comp * (f.partial(a) * g.partial(b) - f.partial(b) * g.partial(a))
         acc = term if acc is None else acc + term
     return acc if acc is not None else ZERO
-
-
-# ---------------------------------------------------------------------------
-# Matrix-of-jets helpers (used for inverse metrics inside field closures)
-
-
-def det_jets(m):
-    """Determinant of a small matrix of jets by cofactor expansion."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * det_jets(minor)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def inverse_jets(m):
-    """Inverse of a small matrix of jets via the adjugate."""
-    n = len(m)
-    d = det_jets(m)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            cof = det_jets(minor) if n > 1 else _jet_like(1.0, m[0][0])
-            if (i + j) % 2 == 1:
-                cof = -cof
-            out[i][j] = cof / d
-    return out
-
-
-def _jet_like(v, like):
-    if isinstance(like, Jet):
-        return constant_jet(v, like)
-    return v

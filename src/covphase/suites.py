@@ -22,6 +22,7 @@ keyed on the user seed plus a per-check tag, so reports are reproducible
 bit-for-bit regardless of check execution order.
 """
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -64,6 +65,17 @@ def resolve_model(spec) -> Model:
         return load_builtin(path)
     except FileNotFoundError:
         return load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# residual reduction
+
+def _worst(*values, pick=max):
+    """max(values) (pick=min for a witness magnitude), but NaN when any
+    value is NaN: the builtins give max(0.0, nan) == 0.0, a pass."""
+    if any(v != v for v in values):
+        return math.nan
+    return pick(values)
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +145,14 @@ class _Ctx:
                 vel = rng.uniform(-2.0, 2.0, size=(n, 3))
                 self._points = np.hstack([base, vel])
             else:
-                rad = self.phase.radicand()
+                rad = self.phase._radicand_fn()
                 out = []
                 for _ in range(MAX_DRAWS_PER_POINT * n):
                     if len(out) == n:
                         break
                     p = np.concatenate([self._base_points(rng, 1)[0],
                                         rng.uniform(-0.25, 0.25, 3)])
-                    if rad.value(p) < -0.1:
+                    if rad(p)[0] < -0.1:
                         out.append(p)
                 if len(out) < n:
                     raise ValidationError(
@@ -178,7 +190,7 @@ class Suite:
 
 def _g_time_normalization(ctx: _Ctx) -> float:
     gam = ctx.phase.dynamical_vector()
-    return max(abs(gam.at(p)[0] - 1.0) for p in ctx.points)
+    return _worst(*(abs(gam.at(p)[0] - 1.0) for p in ctx.points))
 
 
 def _g_contact_kernel(ctx: _Ctx) -> float:
@@ -186,7 +198,7 @@ def _g_contact_kernel(ctx: _Ctx) -> float:
     comps = [ig.component((k,)) for k in range(7)]
     worst = 0.0
     for p in ctx.points:
-        worst = max(worst, max(abs(c.value(p)) for c in comps))
+        worst = _worst(worst, *(abs(c.value(p)) for c in comps))
     return worst
 
 
@@ -196,7 +208,7 @@ def _g_time_parallel(ctx: _Ctx) -> float:
     for p in ctx.points:
         for lam in range(4):
             for mu in range(4):
-                worst = max(worst, abs(ph.K(lam, 0, mu).value(p)))
+                worst = _worst(worst, abs(ph.K(lam, 0, mu).value(p)))
     return worst
 
 
@@ -214,7 +226,7 @@ def _g_metric_parallel(ctx: _Ctx) -> float:
                             * ph.metric(h, j).value(p)
                         r += ph.K(lam, h, j).value(p) \
                             * ph.metric(h, i).value(p)
-                    worst = max(worst, abs(r))
+                    worst = _worst(worst, abs(r))
     return worst
 
 
@@ -225,8 +237,8 @@ def _torsion_free(ctx: _Ctx, upper: range) -> float:
         for nu in upper:
             for lam in range(4):
                 for mu in range(lam + 1, 4):
-                    worst = max(worst, abs(ph.K(lam, nu, mu).value(p)
-                                           - ph.K(mu, nu, lam).value(p)))
+                    worst = _worst(worst, abs(ph.K(lam, nu, mu).value(p)
+                                              - ph.K(mu, nu, lam).value(p)))
     return worst
 
 
@@ -235,7 +247,7 @@ def _closed_two_form(ctx: _Ctx) -> float:
     worst = 0.0
     for p in ctx.points:
         for fld in dom.comps.values():
-            worst = max(worst, abs(fld.value(p)))
+            worst = _worst(worst, abs(fld.value(p)))
     return worst
 
 
@@ -243,7 +255,8 @@ def _volume_witness(ctx: _Ctx, one_form: PForm, required: float) -> float:
     top = wedge(wedge(wedge(one_form, ctx.phase.cosymplectic()),
                       ctx.phase.cosymplectic()), ctx.phase.cosymplectic())
     basis = list(np.eye(7))
-    observed = min(abs(top.evaluate(p, *basis)) for p in ctx.points)
+    observed = _worst(*(abs(top.evaluate(p, *basis)) for p in ctx.points),
+                      pick=min)
     return np.inf if observed == 0.0 else required / observed
 
 
@@ -270,7 +283,7 @@ def _g_lift_projectable(ctx: _Ctx) -> float:
         for p in ctx.points[:8]:
             vals = np.array([[lift.comps[lam].value(q) for lam in range(4)]
                              for q in _fibre_variants(p, rng, 2.0)])
-            worst = max(worst, np.max(vals.max(0) - vals.min(0)))
+            worst = _worst(worst, np.max(vals.max(0) - vals.min(0)))
     return worst
 
 
@@ -292,7 +305,7 @@ def _g_lift_witness(ctx: _Ctx) -> float:
     for p in ctx.points[:8]:
         vals = np.array([[c.value(q) for c in comps]
                          for q in _fibre_variants(p, rng, 2.0)])
-        observed = max(observed, np.max(vals.max(0) - vals.min(0)))
+        observed = _worst(observed, np.max(vals.max(0) - vals.min(0)))
     return np.inf if observed == 0.0 else 1e-3 / observed
 
 
@@ -308,7 +321,7 @@ def _g_bracket_routes(ctx: _Ctx) -> float:
         closed = ph.special_value(ph.special_bracket(f, g))
         defin = ph.definitional_bracket_value(f, g)
         for p in ctx.points:
-            worst = max(worst, abs(closed.value(p) - defin.value(p)))
+            worst = _worst(worst, abs(closed.value(p) - defin.value(p)))
     return worst
 
 
@@ -321,8 +334,8 @@ def _g_tangent_morphism(ctx: _Ctx) -> float:
         lhs = ph.tangent_projection(ph.special_bracket(f, g))
         rhs = lie_bracket(ph.tangent_projection(f), ph.tangent_projection(g))
         for p in ctx.points:
-            worst = max(worst,
-                        np.max(np.abs(lhs.at(p[:4]) - rhs.at(p[:4]))))
+            worst = _worst(worst,
+                           np.max(np.abs(lhs.at(p[:4]) - rhs.at(p[:4]))))
     return worst
 
 
@@ -334,7 +347,7 @@ def _g_bracket_jacobi(ctx: _Ctx) -> float:
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
         val = ph.special_value(ph.special_bracket(a, ph.special_bracket(b, c)))
         total = val if total is None else total + val
-    return max(abs(total.value(p)) for p in ctx.points)
+    return _worst(*(abs(total.value(p)) for p in ctx.points))
 
 
 def _g_bracket_observer(ctx: _Ctx) -> float:
@@ -349,7 +362,7 @@ def _g_bracket_observer(ctx: _Ctx) -> float:
             ph.special_bracket(ph.change_observer(f, boost),
                                ph.change_observer(g, boost)))
         for p in ctx.points:
-            worst = max(worst, abs(plain.value(p) - moved.value(p)))
+            worst = _worst(worst, abs(plain.value(p) - moved.value(p)))
     return worst
 
 
@@ -373,8 +386,8 @@ def _gq_isomorphism(ctx: _Ctx) -> float:
         rhs = qt.galilei_map(ph, ph.special_bracket(f, g), potential=pot)
         for p in ctx.points:
             x = p[:4]
-            worst = max(worst, abs(lhs.b.value(x) - rhs.b.value(x)))
-            worst = max(worst, np.max(np.abs(lhs.X.at(x) - rhs.X.at(x))))
+            worst = _worst(worst, abs(lhs.b.value(x) - rhs.b.value(x)))
+            worst = _worst(worst, np.max(np.abs(lhs.X.at(x) - rhs.X.at(x))))
     return worst
 
 
@@ -390,8 +403,8 @@ def _gq_observer(ctx: _Ctx) -> float:
         fb = qt.galilei_map(ph, sf, observer=boost, potential=potb)
         for p in ctx.points:
             x = p[:4]
-            worst = max(worst, abs(fa.b.value(x) - fb.b.value(x)))
-            worst = max(worst, np.max(np.abs(fa.X.at(x) - fb.X.at(x))))
+            worst = _worst(worst, abs(fa.b.value(x) - fb.b.value(x)))
+            worst = _worst(worst, np.max(np.abs(fa.X.at(x) - fb.X.at(x))))
     return worst
 
 
@@ -406,13 +419,13 @@ def _e_identity_dicts(ctx: _Ctx) -> List[Dict[str, float]]:
 
 
 def _e_identity_suite(ctx: _Ctx) -> float:
-    return max(max(d.values()) for d in _e_identity_dicts(ctx))
+    return _worst(*(v for d in _e_identity_dicts(ctx) for v in d.values()))
 
 
 def _e_velocity_normalization(ctx: _Ctx) -> float:
     worst = 0.0
     for d in _e_identity_dicts(ctx):
-        worst = max(worst, d["contact-norm"], d["time-normalization"])
+        worst = _worst(worst, d["contact-norm"], d["time-normalization"])
     return worst
 
 
@@ -423,7 +436,7 @@ def _e_time_scale(ctx: _Ctx) -> float:
     for p in ctx.points:
         tg = sum(ph.tau(lam).value(p) * gam.comps[lam].value(p)
                  for lam in range(4))
-        worst = max(worst, abs(tg - 1.0))
+        worst = _worst(worst, abs(tg - 1.0))
     return worst
 
 
@@ -432,7 +445,7 @@ def _e_contact_kernel(ctx: _Ctx) -> float:
     comps = [ig.component((k,)) for k in range(7)]
     worst = 0.0
     for p in ctx.points:
-        worst = max(worst, max(abs(c.value(p)) for c in comps))
+        worst = _worst(worst, *(abs(c.value(p)) for c in comps))
     return worst
 
 
@@ -449,7 +462,7 @@ def _e_metric_parallel(ctx: _Ctx) -> float:
                             * ph.metric(rho, mu).value(p)
                         r += ph.K(lam, rho, mu).value(p) \
                             * ph.metric(rho, nu).value(p)
-                    worst = max(worst, abs(r))
+                    worst = _worst(worst, abs(r))
     return worst
 
 
@@ -468,8 +481,8 @@ def _e_potential_derivative(ctx: _Ctx) -> float:
     for p in ctx.points:
         for a in range(7):
             for b in range(a + 1, 7):
-                worst = max(worst, abs(da.component((a, b)).value(p)
-                                       - om.component((a, b)).value(p)))
+                worst = _worst(worst, abs(da.component((a, b)).value(p)
+                                          - om.component((a, b)).value(p)))
     return worst
 
 
@@ -485,7 +498,7 @@ def _e_bracket_routes(ctx: _Ctx) -> float:
         closed = ph.special_value(ph.special_bracket(f, g))
         defin = ph.definitional_bracket_value(f, g)
         for p in ctx.points:
-            worst = max(worst, abs(closed.value(p) - defin.value(p)))
+            worst = _worst(worst, abs(closed.value(p) - defin.value(p)))
     return worst
 
 
@@ -501,7 +514,7 @@ def _e_tangent_morphism(ctx: _Ctx) -> float:
         for p in ctx.points:
             x = p[:4]
             got = np.array([br.comps[lam].value(x) for lam in range(4)])
-            worst = max(worst, np.max(np.abs(got - lb.at(x))))
+            worst = _worst(worst, np.max(np.abs(got - lb.at(x))))
     return worst
 
 
@@ -519,7 +532,7 @@ def _e_pair_form(ctx: _Ctx) -> float:
             + qt.two_form_on(ph.faraday(), xf, xg) * ph.coupling
         for p in ctx.points:
             x = p[:4]
-            worst = max(worst, abs(br.fbar.value(x) - want.value(x)))
+            worst = _worst(worst, abs(br.fbar.value(x) - want.value(x)))
     return worst
 
 
@@ -531,7 +544,7 @@ def _e_bracket_jacobi(ctx: _Ctx) -> float:
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
         val = ph.special_value(ph.special_bracket(a, ph.special_bracket(b, c)))
         total = val if total is None else total + val
-    return max(abs(total.value(p)) for p in ctx.points)
+    return _worst(*(abs(total.value(p)) for p in ctx.points))
 
 
 def _e_poisson_antisymmetry(ctx: _Ctx) -> float:
@@ -539,7 +552,7 @@ def _e_poisson_antisymmetry(ctx: _Ctx) -> float:
     rng = ctx.rng("poisson-antisym")
     f, g = _poly(rng, 7), _poly(rng, 7)
     total = ph.poisson(f, g) + ph.poisson(g, f)
-    return max(abs(total.value(p)) for p in ctx.points)
+    return _worst(*(abs(total.value(p)) for p in ctx.points))
 
 
 def _e_poisson_bivector(ctx: _Ctx) -> float:
@@ -553,8 +566,8 @@ def _e_poisson_bivector(ctx: _Ctx) -> float:
         for p in ctx.points:
             df = np.array([f.partial(k).value(p) for k in range(7)])
             dg = np.array([g.partial(k).value(p) for k in range(7)])
-            worst = max(worst, abs(lam_form.evaluate(p, df, dg)
-                                   - pois.value(p)))
+            worst = _worst(worst, abs(lam_form.evaluate(p, df, dg)
+                                      - pois.value(p)))
     return worst
 
 
@@ -572,8 +585,8 @@ def _eq_isomorphism(ctx: _Ctx) -> float:
         rhs = qt.einstein_map(ph, ph.special_bracket(f, g))
         for p in ctx.points:
             x = p[:4]
-            worst = max(worst, abs(lhs.b.value(x) - rhs.b.value(x)))
-            worst = max(worst, np.max(np.abs(lhs.X.at(x) - rhs.X.at(x))))
+            worst = _worst(worst, abs(lhs.b.value(x) - rhs.b.value(x)))
+            worst = _worst(worst, np.max(np.abs(lhs.X.at(x) - rhs.X.at(x))))
     return worst
 
 
@@ -588,7 +601,7 @@ def _eq_observed_route(ctx: _Ctx) -> float:
         fo = qt.einstein_observed_map(ph, sf, obs)
         for p in ctx.points:
             x = p[:4]
-            worst = max(worst, abs(fa.b.value(x) - fo.b.value(x)))
+            worst = _worst(worst, abs(fa.b.value(x) - fo.b.value(x)))
     return worst
 
 
@@ -611,8 +624,9 @@ def _s1_intertwining(ctx: _Ctx) -> float:
                                        qt.classify_j(A, p2))
             rhs = qt.classify_j(A, qt.pair_bracket(phi, p1, p2))
             for x in pts:
-                worst = max(worst, abs(lhs.b.value(x) - rhs.b.value(x)))
-                worst = max(worst, np.max(np.abs(lhs.X.at(x) - rhs.X.at(x))))
+                worst = _worst(worst, abs(lhs.b.value(x) - rhs.b.value(x)))
+                worst = _worst(worst,
+                               np.max(np.abs(lhs.X.at(x) - rhs.X.at(x))))
     return worst
 
 
@@ -626,8 +640,8 @@ def _s1_jacobi(ctx: _Ctx) -> float:
     cyc = qt.jacobi_cycle(phi, *trips)
     worst = 0.0
     for x in pts:
-        worst = max(worst, abs(cyc.bbar.value(x)))
-        worst = max(worst, np.max(np.abs(cyc.X.at(x))))
+        worst = _worst(worst, abs(cyc.bbar.value(x)))
+        worst = _worst(worst, np.max(np.abs(cyc.X.at(x))))
     return worst
 
 
@@ -639,7 +653,7 @@ def _s1_jacobi_witness(ctx: _Ctx) -> float:
              for m in range(3)]
     cyc = qt.jacobi_cycle(phi, *trips)
     pts = ctx.cube_points("jacobi-witness", 8)
-    observed = max(abs(cyc.bbar.value(x)) for x in pts)
+    observed = _worst(*(abs(cyc.bbar.value(x)) for x in pts))
     return np.inf if observed == 0.0 else 1e-3 / observed
 
 
@@ -658,11 +672,11 @@ def _s1_central_extension(ctx: _Ctx) -> float:
     drift = directional(y.X, m1.b)
     worst = 0.0
     for x in pts:
-        worst = max(worst, np.max(np.abs(pair.X.at(x) - y.X.at(x))))
-        worst = max(worst, abs(kernel_br.b.value(x)))
-        worst = max(worst, np.max(np.abs(kernel_br.X.at(x))))
-        worst = max(worst, np.max(np.abs(ideal_br.X.at(x))))
-        worst = max(worst, abs(ideal_br.b.value(x) - drift.value(x)))
+        worst = _worst(worst, np.max(np.abs(pair.X.at(x) - y.X.at(x))))
+        worst = _worst(worst, abs(kernel_br.b.value(x)))
+        worst = _worst(worst, np.max(np.abs(kernel_br.X.at(x))))
+        worst = _worst(worst, np.max(np.abs(ideal_br.X.at(x))))
+        worst = _worst(worst, abs(ideal_br.b.value(x) - drift.value(x)))
     return worst
 
 
@@ -675,10 +689,10 @@ def _s1_complex_linearity(ctx: _Ctx) -> float:
                            _poly(rng))
         enc = qt.to_linear_field(y)
         _, resid = qt.is_hermitian(enc, pts)
-        worst = max(worst, resid)
+        worst = _worst(worst, resid)
         back = qt.to_hermitian_field(enc)
         for x in pts[:10]:
-            worst = max(worst, abs(back.b.value(x) - y.b.value(x)))
+            worst = _worst(worst, abs(back.b.value(x) - y.b.value(x)))
     return worst
 
 
@@ -693,7 +707,7 @@ def _orbit_straight_line(ctx: _Ctx) -> float:
     line = np.array(x0) + np.outer(res.times, [1.0, 0.6, 0.0, 0.0])
     dev = np.max(np.abs(res.states[:, :4] - line))
     vdev = np.max(np.abs(res.states[:, 4:7] - np.array(v0)))
-    return max(dev, vdev, res.max_law_residual)
+    return _worst(dev, vdev, res.max_law_residual)
 
 
 def _orbit_cyclotron(ctx: _Ctx) -> float:
@@ -707,7 +721,7 @@ def _orbit_cyclotron(ctx: _Ctx) -> float:
     worst = 0.0
     for i in (1, 2):
         spread = res.states[:, i].max() - res.states[:, i].min()
-        worst = max(worst, abs(spread / 2.0 - radius) / radius)
+        worst = _worst(worst, abs(spread / 2.0 - radius) / radius)
     return worst
 
 
@@ -722,7 +736,7 @@ def _orbit_hyperbolic(ctx: _Ctx) -> float:
     dev0 = np.max(np.abs(res.states[:, 0] - want0))
     dev1 = np.max(np.abs(res.states[:, 1] - want1))
     rest = np.max(np.abs(res.states[:, (2, 3)]))
-    return max(dev0, dev1, rest)
+    return _worst(dev0, dev1, rest)
 
 
 # ---------------------------------------------------------------------------

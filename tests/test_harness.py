@@ -6,8 +6,10 @@ the orbit oracles, and the CLI exit-code protocol.
 """
 
 import json
+import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from covphase.einstein import EinsteinPhase, LightconeViolation
 from covphase.modelspec import builtin_model_dir, load_builtin
 from covphase.orbit import BoxExit, integrate_orbit
 from covphase.report import CheckRecord, SuiteReport, emit_report
-from covphase import suites as su
+from covphase.smooth import FuncField, Jet, PForm, VectorField
+from covphase import cli, suites as su
 
 
 class TestRegistry:
@@ -94,6 +97,32 @@ class TestRunSuite:
         b = su.run_suite("uniform-b", "galilei-core", points=10, seed=5)
         assert emit_report(a, "json") == emit_report(b, "json")
         assert emit_report(a, "text") == emit_report(b, "text")
+
+    @pytest.mark.parametrize("check", ["contact-time-normalization",
+                                       "connection-torsion-free",
+                                       "cosymplectic-volume"])
+    def test_nan_residual_is_a_failed_record(self, monkeypatch, check):
+        # every field is 0 at the first point and NaN at the second, where
+        # max(0.0, nan) == 0.0 (and min(1.0, nan) == 1.0) used to pass
+        late_nan = FuncField(lambda c: Jet(0.0 if c[1].f < 0 else math.nan))
+        late_one = FuncField(lambda c: Jet(1.0 if c[1].f < 0 else math.nan))
+        stub = SimpleNamespace(
+            K=lambda lam, nu, mu: late_nan,
+            dynamical_vector=lambda: VectorField([late_one] * 7),
+            cosymplectic=lambda: PForm(7, 2, {(a, a + 1): late_one
+                                              for a in range(6)}))
+        monkeypatch.setattr(su._Ctx, "phase", stub)
+        monkeypatch.setattr(su._Ctx, "points", np.array(
+            [[0.0, -0.5, 0, 0, 0, 0, 0], [0.0, 0.5, 0, 0, 0, 0, 0]]))
+        probe = [c for c in su.SUITES["galilei-core"].checks
+                 if c.name == check]
+        monkeypatch.setitem(su.SUITES, "nan-probe",
+                            su.Suite("nan-probe", "any", tuple(probe)))
+        rep = su.run_suite("flat-free", "nan-probe", points=2)
+        rec, = rep.records
+        assert math.isnan(rec.residual)
+        assert not rec.passed and not rep.all_passed()
+        assert '"all_pass":false' in emit_report(rep, "json").decode()
 
     def test_reports_depend_on_seed(self):
         a = su.run_suite("uniform-b", "galilei-brackets", points=8, seed=5)
@@ -296,6 +325,44 @@ class TestCli:
         assert proc.returncode == 1
         assert "non-finite state" in proc.stderr
 
+    ORBIT_ARGS = ("orbit", "--framework", "g", "--x0", "0", "0", "0", "0",
+                  "--v", "0.5", "0", "0")
+
+    @pytest.mark.parametrize("duration,step", [
+        ("-1", "1e-3"), ("0.01", "0"), ("0.01", "-0.001"), ("nan", "1e-3"),
+        ("0.01", "inf"),
+    ])
+    def test_orbit_duration_and_step_must_be_positive(self, capsys, duration,
+                                                      step):
+        code = cli.main([*self.ORBIT_ARGS, "--model", "uniform-b",
+                         "--duration", duration, "--step", step])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "duration and step must be positive" in err
+        assert out == ""
+
+    # validation passes (the Sobol points miss x1 = 0) but the orbit,
+    # which starts at x1 = 0, meets the singularity on its first step
+    @pytest.mark.parametrize("potential,message", [
+        ("1/x1", "division by zero"),
+        ("exp(0.001/(x1^2 + 0.000001))", "math range error"),
+        ("sqrt(x1^2)", "sqrt of non-positive value"),
+        ("(x1^2)^(1/2)", "fractional power of non-positive base"),
+    ], ids=["ZeroDivisionError", "OverflowError", "ValueError-sqrt",
+            "ValueError-power"])
+    def test_orbit_field_evaluation_error_exit_one(self, tmp_path, capsys,
+                                                   potential, message):
+        text = model_text("uniform-b", ("A2 = B/2 * x1", "A2 = " + potential))
+        path = tmp_path / "singular.ini"
+        path.write_text(text.replace("lo = -1, -3", "lo = -1, -1")
+                        .replace("hi = 12, 3", "hi = 12, 2"))
+        code = cli.main([*self.ORBIT_ARGS, "--model", str(path),
+                         "--duration", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("orbit aborted: ") and message in err
+        assert out == ""
+
     def test_validation_error_exit_two(self, tmp_path):
         path = tmp_path / "overflow.ini"
         path.write_text(model_text("uniform-b", ("A1 = -B/2 * x2",
@@ -315,9 +382,10 @@ class TestCli:
         path = tmp_path / "shallow-minkowski.ini"
         path.write_text(model_text("minkowski", ("g00 = -1", "g00 = -0.05")))
         proc = run_cli("verify", "--model", str(path),
-                       "--suite", "einstein-identities", "--points", "5")
+                       "--suite", "einstein-identities")
         assert proc.returncode == 2
-        assert "no timelike sample point found" in proc.stderr
+        assert "no timelike sample point found: 0 of 20000 draws" \
+            in proc.stderr
 
 
 def model_text(name: str, edit) -> str:

@@ -1,16 +1,22 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from covphase import modelspec as ms
+from covphase.galilei import GalileiPhase, Observer
 from covphase.modelspec import (
     BinOp, Call, ExprField, Model, Name, Neg, Num, ParseError, Pow,
-    ValidationError, Var, available_models, derivative, eval_expr,
-    load_builtin, parse_expr, parse_model_text, sample_points, to_text,
-    tokenize, validate_model,
+    ValidationError, Var, available_models, compile_fields, derivative,
+    eval_expr, load_builtin, parse_expr, parse_model_text, sample_points,
+    substitute, to_text, tokenize, validate_model,
 )
-from covphase.smooth import OutsideBoxError, seed_jets
+from covphase.smooth import (
+    ConstField, FuncField, OutsideBoxError, VectorField, directional,
+    seed_jets,
+)
 
 from numutil import central_grad
 
@@ -270,3 +276,198 @@ class TestBuiltinModels:
         assert np.array_equal(a, b)
         assert a.shape == (49, 4)
         assert np.all(a >= model.box_lo) and np.all(a <= model.box_hi)
+
+
+# ---------------------------------------------------------------------------
+# Shared DAGs: derivative and substitute memoize by node identity
+
+
+def naive_derivative(node, i):
+    """The tree-walking derivative: every visit of a shared node redoes it."""
+    match node:
+        case Num() | Name():
+            return Num(0.0)
+        case Var(index=k):
+            return Num(1.0 if k == i else 0.0)
+        case Neg(arg=a):
+            d = naive_derivative(a, i)
+            return Num(0.0) if ms._is_num(d, 0.0) else Neg(d)
+        case BinOp(op="+", left=a, right=b):
+            return ms._add(naive_derivative(a, i), naive_derivative(b, i))
+        case BinOp(op="-", left=a, right=b):
+            return ms._sub(naive_derivative(a, i), naive_derivative(b, i))
+        case BinOp(op="*", left=a, right=b):
+            return ms._add(ms._mul(naive_derivative(a, i), b),
+                           ms._mul(a, naive_derivative(b, i)))
+        case BinOp(op="/", left=a, right=b):
+            top = ms._sub(ms._mul(naive_derivative(a, i), b),
+                          ms._mul(a, naive_derivative(b, i)))
+            return ms._div(top, ms._pow(b, Fraction(2)))
+        case Pow(base=b, exponent=e):
+            scale = ms._mul(Num(float(e)), ms._pow(b, e - 1))
+            return ms._mul(scale, naive_derivative(b, i))
+        case Call(func="sin", arg=a):
+            return ms._mul(Call("cos", a), naive_derivative(a, i))
+        case Call(func="cos", arg=a):
+            d = ms._mul(Call("sin", a), naive_derivative(a, i))
+            return Num(0.0) if ms._is_num(d, 0.0) else Neg(d)
+        case Call(func="exp", arg=a):
+            return ms._mul(Call("exp", a), naive_derivative(a, i))
+        case Call(func="sqrt", arg=a):
+            return ms._div(naive_derivative(a, i),
+                           ms._mul(Num(2.0), Call("sqrt", a)))
+        case Call(func="abs", arg=a):
+            return ms._mul(ms._div(a, Call("abs", a)), naive_derivative(a, i))
+    raise TypeError(node)
+
+
+def naive_substitute(node, repl):
+    match node:
+        case Num() | Name():
+            return node
+        case Var(index=i):
+            return repl.get(i, node)
+        case Neg(arg=a):
+            return Neg(naive_substitute(a, repl))
+        case BinOp(op=o, left=a, right=b):
+            return BinOp(o, naive_substitute(a, repl),
+                         naive_substitute(b, repl))
+        case Pow(base=b, exponent=e):
+            return Pow(naive_substitute(b, repl), e)
+        case Call(func=f, arg=a):
+            return Call(f, naive_substitute(a, repl))
+    raise TypeError(node)
+
+
+def distinct_nodes(root) -> int:
+    seen = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        stack.extend(ms._children(node))
+    return len(seen)
+
+
+_any_leaf = st.one_of(
+    st.builds(Num, st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0])),
+    st.builds(Var, st.integers(0, 6)),
+    st.builds(Name, st.sampled_from(["a", "b"])),
+)
+_any_expr = st.recursive(
+    _any_leaf,
+    lambda ch: st.one_of(
+        st.builds(Neg, ch),
+        st.builds(BinOp, st.sampled_from("+-*/"), ch, ch),
+        st.builds(Pow, ch, st.sampled_from(
+            [Fraction(n, d) for n in (-2, -1, 0, 1, 2, 3) for d in (1, 2)])),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
+                  ch),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def shared_exprs(draw):
+    """An expression whose later nodes reuse earlier ones by identity."""
+    pool = [draw(_any_expr)]
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(st.sampled_from(pool))
+        b = draw(st.sampled_from(pool))
+        pool.append(draw(st.sampled_from([
+            BinOp("+", a, b), BinOp("-", a, b), BinOp("*", a, b),
+            BinOp("/", a, b), Neg(a), Call("sin", a), Call("sqrt", b),
+            Pow(a, Fraction(3, 2))])))
+    return pool[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_exprs(), st.integers(0, 6), _any_expr)
+def test_memoized_derivative_and_substitute_match_tree_walk(node, i, other):
+    d = derivative(node, i)
+    assert d == naive_derivative(node, i)
+    assert to_text(d) == to_text(naive_derivative(node, i))
+    repl = {1: other, 4: BinOp("*", other, Var(2)), 5: Num(0.0)}
+    s = substitute(node, repl)
+    assert s == naive_substitute(node, repl)
+    assert to_text(s) == to_text(naive_substitute(node, repl))
+
+
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_shared_input_gives_shared_output(k):
+    # node_k uses node_{k-1} twice, so its tree holds Var(1) 2^k times
+    node = Var(1)
+    for _ in range(k):
+        node = BinOp("*", node, node)
+    assert distinct_nodes(node) == k + 1
+    assert distinct_nodes(derivative(node, 1)) <= 4 * k + 2
+    assert distinct_nodes(substitute(node, {1: Var(2)})) == k + 1
+    if k == 4:
+        assert derivative(node, 1) == naive_derivative(node, 1)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deepest_differentiable_chain_still_differentiates():
+    # one interpreter frame per expression level, so the chain is as deep
+    # as the recursion limit allows from here, less a few frames of slack
+    depth = sys.getrecursionlimit() - _stack_depth() - 10
+    node, want = Var(1), 1.0
+    for k in range(depth):
+        node = BinOp("+" if k % 2 else "-", node, Var(k % 4))
+        if k % 4 == 1:
+            want += 1.0
+    d = derivative(node, 1)
+    assert compile_fields([ExprField(d)])([0.0] * 4) == [want]
+    s = substitute(node, {1: Var(3)})
+    p = [0.1, 0.2, 0.3, 0.4]
+    assert compile_fields([ExprField(s)])(p) \
+        == compile_fields([ExprField(node)])([0.1, 0.4, 0.3, 0.4])
+
+
+def test_observed_curvature_is_built_once():
+    ph = GalileiPhase(load_builtin("curved-galilei"))
+    phi = ph.observed_curvature()
+    assert ph.observed_curvature() is phi
+    assert ph.observed_curvature(Observer.chart()) is phi
+    boost = Observer([ExprField("0.1 * x1"), ExprField("0"), ExprField("0")])
+    assert ph.observed_curvature(boost) is not phi
+
+
+def closure_directional(X, f):
+    """The derivative along X as a closure on jets, summed term by term."""
+    parts = [f.partial(nu) for nu in range(len(X.comps))]
+
+    def fn(coords):
+        acc = None
+        for nu, comp in enumerate(X.comps):
+            term = comp.jet(coords) * parts[nu].jet(coords)
+            acc = term if acc is None else acc + term
+        return acc
+    return FuncField(fn)
+
+
+def test_directional_of_expressions_is_an_expression():
+    f = ExprField("sin(x0 * x1) + x2^2 * x3 / (2 + x1^2)")
+    X = VectorField([ExprField("x1 * x3"), 0.5, ConstField(0.0),
+                     ExprField("exp(x2) - x0")])
+    assert isinstance(X.comps[1], ConstField)
+    got = directional(X, f)
+    assert isinstance(got, ExprField)
+    want = closure_directional(X, f)
+    rng = np.random.default_rng(7)
+    for p in rng.uniform(-1.0, 1.0, size=(6, 4)):
+        assert got.value(p) == want.value(p)
+        assert np.allclose(got.gradient(p), want.gradient(p), rtol=1e-13,
+                           atol=1e-14)
+    # closures stay only where an input already is one
+    assert isinstance(directional(X, FuncField(lambda c: c[0] * c[1])),
+                      FuncField)

@@ -3,9 +3,9 @@ import pytest
 
 from covphase.smooth import (
     BoxedField, ConstField, CoordField, DerivativeOrderError, FuncField, Jet,
-    OutsideBoxError, PForm, VectorField, contract, det_jets, directional,
-    exterior_derivative, inverse_jets, lie_bracket, lie_derivative_form,
-    lift_spacetime, pullback_form, seed_jets, wedge,
+    OutsideBoxError, PForm, VectorField, contract, directional,
+    exterior_derivative, lie_bracket, lie_derivative_form, lift_spacetime,
+    pullback_form, seed_jets, wedge,
 )
 
 from numutil import central_grad, central_hess
@@ -315,41 +315,3 @@ class TestForms:
         sp = np.array([s.value(p) for s in sec])
         expected = w.evaluate(sp, jac @ u, jac @ v)
         assert pulled.evaluate(p, u, v) == pytest.approx(expected, rel=1e-9)
-
-
-class TestMatrixJets:
-    def test_inverse_of_constant_matrix(self):
-        rng = np.random.default_rng(31)
-        A = rng.uniform(-1, 1, size=(3, 3)) + 3 * np.eye(3)
-        jets = [[Jet(A[i, j]) for j in range(3)] for i in range(3)]
-        inv = inverse_jets(jets)
-        got = np.array([[inv[i][j].f for j in range(3)] for i in range(3)])
-        assert np.allclose(got, np.linalg.inv(A), rtol=1e-12)
-
-    def test_det_of_constant_matrix(self):
-        rng = np.random.default_rng(32)
-        A = rng.uniform(-1, 1, size=(4, 4))
-        jets = [[Jet(A[i, j]) for j in range(4)] for i in range(4)]
-        assert det_jets(jets).f == pytest.approx(np.linalg.det(A), rel=1e-10)
-
-    def test_inverse_derivative_identity(self):
-        # d(M^{-1}) = -M^{-1} dM M^{-1} for a coordinate-dependent matrix
-        def mat(coords):
-            x, = coords[:1]
-            one = 1.0 + 0.0 * x
-            return [[2.0 + x * x, x, 0.0 * x],
-                    [x, 3.0 + x.sin(), 0.5 * x],
-                    [0.0 * x, 0.5 * x, 1.0 + 0.2 * x]]
-
-        x0 = 0.4
-        js = seed_jets([x0], 1)
-        M = mat(js)
-        inv = inverse_jets(M)
-        Mval = np.array([[M[i][j].f if isinstance(M[i][j], Jet) else M[i][j]
-                          for j in range(3)] for i in range(3)])
-        dM = np.array([[M[i][j].g[0] if isinstance(M[i][j], Jet) else 0.0
-                        for j in range(3)] for i in range(3)])
-        Minv = np.linalg.inv(Mval)
-        expected = -Minv @ dM @ Minv
-        got = np.array([[inv[i][j].g[0] for j in range(3)] for i in range(3)])
-        assert np.allclose(got, expected, rtol=1e-9, atol=1e-11)
