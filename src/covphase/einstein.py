@@ -32,7 +32,7 @@ import numpy as np
 from .modelspec import (
     BinOp, Call, ExprField, Model, Num, Var, compile_fields, inverse_nodes,
 )
-from .smooth import Field, PForm, VectorField, wedge
+from .smooth import Batch, Field, PForm, VectorField, wedge, worst
 
 
 class LightconeViolation(ValueError):
@@ -730,43 +730,65 @@ class EinsteinPhase:
 
     # -- technical identity suite --------------------------------------------
 
-    def identity_residuals(self, p: np.ndarray) -> Dict[str, float]:
+    def identity_residuals(self, p):
         """Evaluate the displayed contraction and derivative identities at a
-        timelike phase point and return the absolute residual of each."""
-        self.require_timelike(p)
+        timelike phase point and return the absolute residual of each.
+
+        p may also be a stack of points P[N, 7]; each residual is then an
+        array over its rows.  The fields are evaluated over all rows at
+        once and the linear algebra is done row by row.
+        """
+        P = np.asarray(p, dtype=float)
+        rows = P[None] if P.ndim == 1 else P
+        for q in rows:
+            self.require_timelike(q)
+        batch = Batch(rows)
+        basis = [self.base_b0()] + [self.base_bi(i) for i in range(1, 4)]
+        cobasis = [self.base_beta0()] + [self.base_betai(i)
+                                         for i in range(1, 4)]
+        out = [self._identity_row(batch, r, q, basis, cobasis)
+               for r, q in enumerate(rows)]
+        if P.ndim == 1:
+            return out[0]
+        return {key: np.array([d[key] for d in out]) for key in out[0]}
+
+    def _identity_row(self, batch: Batch, row: int, p: np.ndarray,
+                      basis: List[List[Field]],
+                      cobasis: List[List[Field]]) -> Dict[str, float]:
+        def val(f: Field) -> float:
+            return batch.at(f, row)
+
         out: Dict[str, float] = {}
         c = self.c
-        al = self.alpha0().value(p)
-        gl = np.array([[self.g_low(a, b).value(p) for b in range(4)]
+        al = val(self.alpha0())
+        gl = np.array([[val(self.g_low(a, b)) for b in range(4)]
                        for a in range(4)])
-        gu = np.array([[self.g_up(a, b).value(p) for b in range(4)]
+        gu = np.array([[val(self.g_up(a, b)) for b in range(4)]
                        for a in range(4)])
         v = p[4:7]
         dbar = np.array([1.0, v[0], v[1], v[2]])
-        tau = np.array([self.tau(lam).value(p) for lam in range(4)])
-        tau_up = np.array([self.tau_up(mu).value(p) for mu in range(4)])
-        gbar0 = np.array([self.gbar0(lam).value(p) for lam in range(4)])
+        tau = np.array([val(self.tau(lam)) for lam in range(4)])
+        tau_up = np.array([val(self.tau_up(mu)) for mu in range(4)])
+        gbar0 = np.array([val(self.gbar0(lam)) for lam in range(4)])
         gbar_low = np.vstack([gbar0] + [
-            [self.ghat(i, mu).value(p) for mu in range(4)]
+            [val(self.ghat(i, mu)) for mu in range(4)]
             for i in range(1, 4)])
         gbar_up = np.vstack([
             -(al ** 2) * dbar,
-            [[self.gbar_up(i, lam).value(p) for lam in range(4)]
+            [[val(self.gbar_up(i, lam)) for lam in range(4)]
              for i in range(1, 4)]])
 
-        dee = np.array([self.contact(lam).value(p) for lam in range(4)])
+        dee = np.array([val(self.contact(lam)) for lam in range(4)])
         out["contact-norm"] = abs(dee @ gl @ dee + c ** 2)
         out["time-normalization"] = abs(tau @ dee - 1.0)
 
-        b = [self.base_b0()] + [self.base_bi(i) for i in range(1, 4)]
-        bt = [self.base_beta0()] + [self.base_betai(i) for i in range(1, 4)]
-        bv = np.array([[f.value(p) for f in row] for row in b])
-        btv = np.array([[f.value(p) for f in row] for row in bt])
+        bv = np.array([[val(f) for f in row] for row in basis])
+        btv = np.array([[val(f) for f in row] for row in cobasis])
         out["basis-duality"] = np.max(np.abs(btv @ bv.T - np.eye(4)))
-        out["splitting-orthogonality"] = max(
-            abs(bv[0] @ gl @ bv[i]) for i in range(1, 4))
+        out["splitting-orthogonality"] = worst(
+            *(abs(bv[0] @ gl @ bv[i]) for i in range(1, 4)))
         out["parallel-norm"] = abs(bv[0] @ gl @ bv[0] + 1.0 / al ** 2)
-        perp = np.array([[self.ghat(i, j).value(p) for j in range(1, 4)]
+        perp = np.array([[val(self.ghat(i, j)) for j in range(1, 4)]
                          for i in range(1, 4)])
         direct = np.array([[bv[i] @ gl @ bv[j] for j in range(1, 4)]
                            for i in range(1, 4)])
@@ -801,26 +823,26 @@ class EinsteinPhase:
         alpha_f = self.alpha0()
         inv_f = self.inv_alpha0()
         for j in range(1, 4):
-            r = alpha_f.partial(3 + j).value(p) - al ** 3 * gbar0[j]
+            r = val(alpha_f.partial(3 + j)) - al ** 3 * gbar0[j]
             out["alpha-vertical-%d" % j] = abs(r)
-            r = inv_f.partial(3 + j).value(p) + al * gbar0[j]
+            r = val(inv_f.partial(3 + j)) + al * gbar0[j]
             out["inv-alpha-vertical-%d" % j] = abs(r)
         for i in range(1, 4):
             for j in range(i, 4):
-                r = inv_f.partial(3 + i).partial(3 + j).value(p) \
-                    + al * self.ghat(i, j).value(p)
+                r = val(inv_f.partial(3 + i).partial(3 + j)) \
+                    + al * val(self.ghat(i, j))
                 out["inv-alpha-hessian-%d%d" % (i, j)] = abs(r)
         for i in range(1, 4):
             for mu in range(4):
-                r = self.tau(mu).partial(3 + i).value(p) \
-                    + (al / c) * self.ghat(i, mu).value(p)
+                r = val(self.tau(mu).partial(3 + i)) \
+                    + (al / c) * val(self.ghat(i, mu))
                 out["tau-vertical-%d%d" % (i, mu)] = abs(r)
         for lam in range(4):
             spatial = 0.0
             for a in range(4):
                 for bb in range(4):
-                    spatial += self.g_low(a, bb).partial(lam).value(p) \
+                    spatial += val(self.g_low(a, bb).partial(lam)) \
                         * dbar[a] * dbar[bb]
-            r = alpha_f.partial(lam).value(p) - 0.5 * al ** 3 * spatial
+            r = val(alpha_f.partial(lam)) - 0.5 * al ** 3 * spatial
             out["alpha-horizontal-%d" % lam] = abs(r)
         return out

@@ -27,9 +27,10 @@ import numpy as np
 from scipy.stats import qmc
 
 from .dims import CANONICAL_CONSTANT_DIMS, DimScalar, parse_dimension
-from .smooth import BoxedField, ConstField, Field, Jet, PForm, _jet_of
+from .smooth import Batch, BoxedField, ConstField, Field, Jet, PForm, _jet_of
 
 SAMPLE_COUNT = 49  # validation points per model
+MAX_DEPTH = 200  # levels of nesting allowed in one parsed expression
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 
@@ -231,7 +232,23 @@ class _Parser:
 
 
 def parse_expr(text: str):
-    return _Parser(text).parse()
+    """The expression tree of text; raises ParseError.
+
+    Deeper nesting than MAX_DEPTH is refused: derivatives and point
+    evaluation recurse once per level of a tree built from it.
+    """
+    try:
+        node = _Parser(text).parse()
+    except RecursionError:
+        node = None
+    if node is None or _walk(node, {}, _depth) > MAX_DEPTH:
+        raise ParseError("expression nested too deeply (more than %d "
+                         "levels)" % MAX_DEPTH, 0)
+    return node
+
+
+def _depth(node, kids) -> int:
+    return 1 + max(kids, default=0)
 
 
 def variables(node) -> set:
@@ -546,12 +563,31 @@ class ExprField(Field):
             node = parse_expr(node)
         self.node = node
         self.params = dict(params or {})
+        self._partials: Dict[int, "ExprField"] = {}
 
     def jet(self, coords):
         return _jet_of(eval_expr(self.node, coords, self.params), coords)
 
     def partial(self, i):
-        return ExprField(derivative(self.node, i), self.params)
+        # cached, so a partial asked for at every point or by every check
+        # is derived once and keeps its nodes shared
+        if i not in self._partials:
+            self._partials[i] = ExprField(derivative(self.node, i),
+                                          self.params)
+        return self._partials[i]
+
+    def _values(self, batch: Batch, cols):
+        # one memo per (params, coordinate columns) in a batch, so fields
+        # built from the same model share their common subexpressions
+        key = (tuple(sorted(self.params.items())), cols)
+        if key not in batch.memos:
+            batch.memos[key] = ({}, _Rows(batch, cols, self.params).node)
+        memo, visit = batch.memos[key]
+        with np.errstate(all="ignore"):
+            val, _ = _walk(self.node, memo, visit)
+        if isinstance(val, np.ndarray):
+            return val.copy()
+        return np.full(len(batch.P), float(val))
 
     def _operand(self, other):
         """(node, merged params) for a compatible operand, else None."""
@@ -622,6 +658,24 @@ def _children(node) -> tuple:
     return ()
 
 
+def _walk(root, memo: dict, visit):
+    """Visit root's unvisited DAG nodes without recursion, in the post-order
+    `eval_expr` evaluates them; memo maps id(node) to visit(node, [the
+    children's results]).  Returns root's result."""
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in memo:
+            continue
+        kids = _children(node)
+        if not ready:
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(kids))
+            continue
+        memo[id(node)] = visit(node, [memo[id(k)] for k in kids])
+    return memo[id(root)]
+
+
 class _Emitter:
     """Straight-line Python source for a set of expression DAGs.
 
@@ -653,22 +707,6 @@ class _Emitter:
         name = "_k%d" % len(self.env)
         self.env[name] = v
         return name
-
-    def walk(self, root, params, memo: dict):
-        """Emit root's unvisited nodes; memo maps id(node) to its reference."""
-        stack = [(root, False)]
-        while stack:
-            node, ready = stack.pop()
-            if id(node) in memo:
-                continue
-            kids = _children(node)
-            if not ready:
-                stack.append((node, True))
-                stack.extend((k, False) for k in reversed(kids))
-                continue
-            memo[id(node)] = self.node(node, [memo[id(k)] for k in kids],
-                                       params)
-        return memo[id(root)]
 
     def node(self, node, kids, params):
         match node:
@@ -757,7 +795,8 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
             raise TypeError("only expression fields compile, not %s"
                             % type(fld).__name__)
         memo = memos.setdefault(tuple(sorted(fld.params.items())), {})
-        ref, jet = em.walk(fld.node, fld.params, memo)
+        ref, jet = _walk(fld.node, memo,
+                         lambda node, kids: em.node(node, kids, fld.params))
         outs.append(ref if jet else "float(%s)" % ref)
     binds = "".join(", %s=%s" % (k, k) for k in em.env)
     body = "".join("    %s\n" % line for line in em.lines)
@@ -766,6 +805,137 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     namespace = dict(em.env)
     exec(compile(src, "<compile_fields>", "exec"), namespace)
     return namespace["_compiled"]
+
+
+# ---------------------------------------------------------------------------
+# Evaluation over all rows of a point batch
+
+# what Python float arithmetic and math functions raise
+_FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+class _Rows:
+    """Node values at every row of a `Batch`: the array back-end of `_walk`.
+
+    A value is a (v, is_jet) pair as in `_Emitter`.  v is a Python float
+    for a node that reads no coordinate, else a float64 array over the
+    rows.  Addition, subtraction, multiplication, negation, `abs` and
+    `sqrt` are correctly rounded in numpy as in Python; division repeats
+    the jet's `a * (1.0 / b)`; `**`, `exp`, `sin` and `cos` go through
+    `float.__pow__` and `math` element by element, since their numpy
+    versions round differently.  Each check of `compile_fields` is made
+    on every row, and a failing row is logged in the batch instead of
+    raising, so the other rows carry on.
+    """
+
+    def __init__(self, batch: Batch, cols, params):
+        self.batch = batch
+        self.cols = cols
+        self.params = params
+
+    def each(self, fn, a):
+        """fn applied to each element of a as a Python float, errors
+        logged row by row."""
+        if not isinstance(a, np.ndarray):
+            try:
+                return fn(a)
+            except _FLOAT_ERRORS as exc:
+                self.batch.fail(True, type(exc), str(exc))
+                return math.nan
+        xs = a.tolist()
+        try:
+            return np.array([fn(x) for x in xs], dtype=float)
+        except _FLOAT_ERRORS:
+            out = np.empty(len(xs))
+            for r, x in enumerate(xs):
+                try:
+                    out[r] = fn(x)
+                except _FLOAT_ERRORS as exc:
+                    out[r] = math.nan
+                    self.batch.fail(np.arange(len(xs)) == r, type(exc),
+                                    str(exc))
+            return out
+
+    def node(self, node, kids):
+        match node:
+            case Num(value=v):
+                return v, False
+            case Var(index=k):
+                return self.batch.P[:, self.cols[k]], True
+            case Name(ident=s):
+                if s in self.params:
+                    return self.params[s], False
+                self.batch.fail(True, ValueError,
+                                "unknown name %r in expression" % s)
+                return math.nan, False
+            case Neg():
+                (a, jet), = kids
+                return -a, jet
+            case BinOp(op=o):
+                (a, ja), (b, jb) = kids
+                if o == "+":
+                    return a + b, ja or jb
+                if o == "-":
+                    return a - b, ja or jb
+                if o == "*":
+                    return a * b, ja or jb
+                zero = b == 0
+                self.batch.fail(zero, ZeroDivisionError,
+                                "division by zero in expression")
+                if not isinstance(b, np.ndarray):
+                    if zero:
+                        return math.nan, ja or jb
+                    return (a * (1.0 / b) if ja or jb else a / b), ja or jb
+                # Jet division multiplies by the reciprocal
+                return a * (1.0 / b), True
+            case Pow(exponent=e):
+                (a, jet), = kids
+                return self.pow(a, jet, e), jet
+            case Call(func=f):
+                (a, _), = kids
+                if not isinstance(a, np.ndarray):
+                    a = float(a)
+                if f == "sqrt":
+                    self.batch.fail(a <= 0.0, ValueError,
+                                    "sqrt of non-positive value")
+                    r = np.sqrt(a) if isinstance(a, np.ndarray) \
+                        else (math.sqrt(a) if a > 0.0 else math.nan)
+                    # Jet.sqrt divides by r * x for the second derivative
+                    self.batch.fail(
+                        r * a == 0.0, ZeroDivisionError,
+                        "sqrt of a value too small to differentiate")
+                    return r, True
+                if f == "abs":
+                    return abs(a), True
+                return self.each(getattr(math, f), a), True
+        raise TypeError("not an expression node: %r" % (node,))
+
+    def pow(self, a, jet: bool, e: Fraction):
+        p = int(e) if e.denominator == 1 else float(e)
+        pf = float(p)
+        if not jet:
+            if e.denominator != 1 and a <= 0:
+                self.batch.fail(True, ValueError,
+                                "fractional power of non-positive base")
+                return math.nan
+            return self.each(lambda x: float(x) ** pf, a)
+        if p == 0:
+            return 1.0
+        whole = pf == int(pf)
+        if not whole:
+            self.batch.fail(a <= 0.0, ValueError,
+                            "fractional power of non-positive base")
+
+        def real(x):
+            # skips the rows just failed, whose power would be complex
+            return whole or x > 0.0
+
+        out = self.each(lambda x: x ** pf if real(x) else math.nan, a)
+        # the x^(p-2) side evaluation of Jet.__pow__, as in _Emitter._pow
+        if pf < 2.0:
+            self.each(lambda x: x ** (pf - 2.0) if x != 0.0 and real(x)
+                      else 0.0, a)
+        return out
 
 
 # ---------------------------------------------------------------------------

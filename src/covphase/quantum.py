@@ -20,7 +20,7 @@ import numpy as np
 
 from .smooth import (
     Field, PForm, VectorField, ZERO, directional, exterior_derivative,
-    lie_bracket,
+    field_values, lie_bracket, worst,
 )
 from .galilei import GalileiPhase, Observer, SpecialFunction
 from .einstein import EinsteinPhase, ESpecialFunction
@@ -109,14 +109,14 @@ def is_hermitian(y: LinearQuantumField, points,
     """Check the matrix shape [[0, -b], [b, 0]] at the sample points.
 
     Returns the verdict together with the largest offending value of
-    the diagonal entries and the symmetric part.
+    the diagonal entries and the symmetric part (NaN, and so a failed
+    verdict, when any entry is NaN).
     """
-    worst = 0.0
-    for p in points:
-        worst = max(worst, abs(y.Ymat[0][0].value(p)),
-                    abs(y.Ymat[1][1].value(p)),
-                    abs(y.Ymat[1][0].value(p) + y.Ymat[0][1].value(p)))
-    return worst < tol, worst
+    m = y.Ymat
+    y00, y11, y10, y01 = field_values([m[0][0], m[1][1], m[1][0], m[0][1]],
+                                      points)
+    resid = worst(0.0, np.abs(y00), np.abs(y11), np.abs(y10 + y01))
+    return resid < tol, resid
 
 
 def lie_derivative_hermitian_metric(y: LinearQuantumField):

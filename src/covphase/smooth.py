@@ -36,6 +36,18 @@ class OutsideBoxError(Exception):
     """A model field was evaluated outside the declared chart box."""
 
 
+def worst(*values, pick=max):
+    """max over the values and the elements of array values (pick=min for
+    a witness magnitude), but NaN when any is NaN: the builtins give
+    max(0.0, nan) == 0.0, which would read as a pass."""
+    flat = [v for val in values
+            for v in (val.ravel().tolist() if isinstance(val, np.ndarray)
+                      else (val,))]
+    if any(v != v for v in flat):
+        return math.nan
+    return pick(flat)
+
+
 # ---------------------------------------------------------------------------
 # Jets
 
@@ -187,6 +199,72 @@ def constant_jet(value: float, like: Jet) -> Jet:
 
 
 # ---------------------------------------------------------------------------
+# Batch evaluation
+
+
+class Batch:
+    """Fields evaluated over the rows of a point array P[N, d].
+
+    Expression fields are evaluated over all rows at once, bit for bit as
+    `Field.value` would give them row by row, and every field evaluated in
+    one batch shares one node memo (see `modelspec.ExprField`), so common
+    subexpressions are computed once.  Other fields run point by point.
+
+    Within a field, an evaluation error does not stop the other rows: the
+    row is marked, and once the field is done the error of the lowest
+    marked row is raised, which is the error a loop over the points would
+    have raised first.
+    """
+
+    def __init__(self, P):
+        self.P = np.asarray(P, dtype=float)
+        if self.P.ndim != 2:
+            raise ValueError("expected a 2-D array of points")
+        self.cols = tuple(range(self.P.shape[1]))
+        self.memos: Dict[tuple, tuple] = {}
+        self.failed = np.zeros(len(self.P), dtype=bool)
+        self.errors: Dict[int, Tuple[type, str]] = {}
+        self._rows: Dict[int, tuple] = {}
+
+    def values(self, fld: "Field") -> np.ndarray:
+        """fld at every row, a new float64 array of length N."""
+        out = fld._values(self, self.cols)
+        self.raise_first()
+        return out
+
+    def at(self, fld: "Field", r: int) -> float:
+        """fld at row r as a Python float; the first request for a field
+        evaluates it at every row."""
+        hit = self._rows.get(id(fld))
+        if hit is None:
+            hit = self._rows[id(fld)] = (fld, self.values(fld).tolist())
+        return hit[1][r]
+
+    def fail(self, rows, exc: type, message: str) -> None:
+        """Log exc at the rows of a boolean mask (or at every row for a
+        true scalar) that have no error yet."""
+        if not np.any(rows):
+            return
+        new = np.logical_and(rows, ~self.failed)
+        for r in np.flatnonzero(new):
+            self.errors[int(r)] = (exc, message)
+        self.failed |= new
+
+    def raise_first(self) -> None:
+        if self.errors:
+            r = min(self.errors)
+            exc, message = self.errors[r]
+            raise exc("%s at point %s" % (message, self.P[r].tolist()))
+
+
+def field_values(fields: Sequence["Field"], P) -> List[np.ndarray]:
+    """The values of several fields at every row of P[N, d] (one array of
+    length N per field), evaluated in one `Batch`."""
+    batch = Batch(P)
+    return [batch.values(f) for f in fields]
+
+
+# ---------------------------------------------------------------------------
 # Fields
 
 
@@ -202,6 +280,17 @@ class Field:
     # point evaluation helpers
     def value(self, p: Point) -> float:
         return self.jet(seed_jets(p, 0)).f
+
+    def values(self, P) -> np.ndarray:
+        """The field at every row of P[N, d] (see `field_values`)."""
+        return field_values([self], P)[0]
+
+    def _values(self, batch: Batch, cols: Tuple[int, ...]) -> np.ndarray:
+        """Values at the rows of batch.P, whose columns `cols` are this
+        field's coordinates.  Closure-backed fields have no batch form
+        and run one point at a time."""
+        return np.array([self.value(p) for p in batch.P[:, cols]],
+                        dtype=float)
 
     def gradient(self, p: Point) -> np.ndarray:
         return self.jet(seed_jets(p, 1)).g
@@ -253,6 +342,9 @@ class ConstField(Field):
     def partial(self, i):
         return ConstField(0.0)
 
+    def _values(self, batch, cols):
+        return np.full(len(batch.P), self.c)
+
 
 ZERO = ConstField(0.0)
 
@@ -268,6 +360,9 @@ class CoordField(Field):
 
     def partial(self, i):
         return ConstField(1.0 if i == self.i else 0.0)
+
+    def _values(self, batch, cols):
+        return batch.P[:, cols[self.i]].copy()
 
 
 class FuncField(Field):
@@ -332,6 +427,9 @@ class RestrictedField(Field):
                 return RestrictedField(self.base.partial(j), self.index_map)
         return ConstField(0.0)
 
+    def _values(self, batch, cols):
+        return self.base._values(batch, tuple(cols[k] for k in self.index_map))
+
 
 def lift_spacetime(f: Field) -> Field:
     """View a four-argument spacetime field as a phase-chart field."""
@@ -360,6 +458,14 @@ class BoxedField(Field):
     def partial(self, i):
         return BoxedField(self.base.partial(i), self.lo, self.hi, self.slack)
 
+    def _values(self, batch, cols):
+        for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            v = batch.P[:, cols[k]]
+            batch.fail((v < lo - self.slack) | (v > hi + self.slack),
+                       OutsideBoxError, "coordinate x%d outside declared "
+                       "box [%g, %g]" % (k, lo, hi))
+        return self.base._values(batch, cols)
+
 
 # ---------------------------------------------------------------------------
 # Vector fields and forms
@@ -376,7 +482,11 @@ class VectorField:
         return len(self.comps)
 
     def at(self, p: Point) -> np.ndarray:
-        return np.array([c.value(p) for c in self.comps])
+        return self.values(np.asarray(p)[None])[0]
+
+    def values(self, P) -> np.ndarray:
+        """Components at every row of P[N, d], as an array [N, dim]."""
+        return np.stack(field_values(self.comps, P), axis=1)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField([a + b for a, b in zip(self.comps, other.comps)])
@@ -457,26 +567,24 @@ class PForm:
         fld = self.comps[key]
         return fld if sign == 1 else -fld
 
-    def matrix_at(self, p: Point) -> np.ndarray:
-        """Dense antisymmetric component matrix of a 2-form at a point."""
-        if self.degree != 2:
-            raise ValueError("matrix_at is for 2-forms")
-        m = np.zeros((self.dim, self.dim))
-        for (a, b), fld in self.comps.items():
-            v = fld.value(p)
-            m[a, b] = v
-            m[b, a] = -v
-        return m
-
     def evaluate(self, p: Point, *vectors: np.ndarray) -> float:
         """Value on concrete tangent vectors (determinant convention)."""
+        return self.values(np.asarray(p)[None],
+                           *(np.asarray(v)[None] for v in vectors))[0]
+
+    def values(self, P, *vectors: np.ndarray) -> np.ndarray:
+        """`evaluate` at every row of P[N, d]; each vector is an array
+        [N, dim] holding one tangent vector per row."""
         if len(vectors) != self.degree:
             raise ValueError("need %d vectors" % self.degree)
         total = 0.0
-        for key, fld in self.comps.items():
-            sub = np.array([[v[k] for k in key] for v in vectors])
-            total += fld.value(p) * np.linalg.det(sub)
-        return total
+        for key, val in zip(self.comps,
+                            field_values(list(self.comps.values()), P)):
+            idx = list(key)
+            subs = np.stack([np.asarray(v, dtype=float)[:, idx]
+                             for v in vectors], axis=1)
+            total = total + val * np.array([np.linalg.det(s) for s in subs])
+        return np.broadcast_to(total, (len(P),)).astype(float)
 
     def __add__(self, other: "PForm") -> "PForm":
         if (self.dim, self.degree) != (other.dim, other.degree):

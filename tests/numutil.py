@@ -26,3 +26,14 @@ def central_hess(f, x, h=1e-4):
             H[i, j] = (f(x + ei + ej) - f(x + ei - ej)
                        - f(x - ei + ej) + f(x - ei - ej)) / (4 * h * h)
     return H
+
+
+def form_matrix(form, p):
+    """Dense antisymmetric component matrix of a 2-form at a point."""
+    assert form.degree == 2
+    m = np.zeros((form.dim, form.dim))
+    for (a, b), fld in form.comps.items():
+        v = fld.value(p)
+        m[a, b] = v
+        m[b, a] = -v
+    return m

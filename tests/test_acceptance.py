@@ -17,6 +17,7 @@ import numpy as np
 from covphase.modelspec import BinOp, ExprField, Num, Var, load_builtin
 from covphase.smooth import PForm, VectorField, contract, \
     exterior_derivative, wedge
+from covphase.smooth import worst as worst_of
 from covphase.galilei import GalileiPhase, Observer, SpecialFunction
 from covphase.einstein import EinsteinPhase, ESpecialFunction
 from covphase.orbit import integrate_orbit
@@ -106,15 +107,15 @@ def test_criterion_01():
                                        qt.classify_j(A, trip[1]))
             rhs = qt.classify_j(A, qt.pair_bracket(phi, trip[0], trip[1]))
             for x in pts:
-                worst_int = max(worst_int,
-                                abs(lhs.b.value(x) - rhs.b.value(x)))
-                worst_int = max(worst_int, float(
+                worst_int = worst_of(worst_int,
+                                     abs(lhs.b.value(x) - rhs.b.value(x)))
+                worst_int = worst_of(worst_int, float(
                     np.max(np.abs(lhs.X.at(x) - rhs.X.at(x)))))
             cyc = qt.jacobi_cycle(phi, *trip)
             for x in pts[:2]:
-                worst_jac = max(worst_jac, abs(cyc.bbar.value(x)))
-                worst_jac = max(worst_jac,
-                                float(np.max(np.abs(cyc.X.at(x)))))
+                worst_jac = worst_of(worst_jac, abs(cyc.bbar.value(x)))
+                worst_jac = worst_of(worst_jac,
+                                     float(np.max(np.abs(cyc.X.at(x)))))
     # the twist x^0 d1^d2 is not closed; coordinate translations expose
     # the exact d(twist) defect in the cycle
     phi_bad = PForm(4, 2, {(1, 2): ExprField(Var(0))})
@@ -122,7 +123,7 @@ def test_criterion_01():
                                        for k in range(4)]), cf(0.0))
              for m in range(3)]
     bad = qt.jacobi_cycle(phi_bad, *trips)
-    witness = max(abs(bad.bbar.value(x)) for x in pts)
+    witness = worst_of(*(abs(bad.bbar.value(x)) for x in pts))
     elapsed = time.perf_counter() - start
     assert worst_int < 1e-8
     assert worst_jac < 1e-8
@@ -150,7 +151,7 @@ def test_criterion_02():
             closed = ph.special_value(ph.special_bracket(f, g))
             defin = ph.definitional_bracket_value(f, g)
             for p in pts:
-                worst = max(worst, abs(closed.value(p) - defin.value(p)))
+                worst = worst_of(worst, abs(closed.value(p) - defin.value(p)))
     elapsed = time.perf_counter() - start
     assert worst < 1e-8
     assert elapsed < 10.0, "took %.1fs" % elapsed
@@ -175,33 +176,33 @@ def test_criterion_03():
         for mu in range(4):
             val = ph.special_value(ph.special_bracket(coords[lam],
                                                       coords[mu]))
-            worst = max(worst, max(abs(val.value(p)) for p in pts))
+            worst = worst_of(worst, *(abs(val.value(p)) for p in pts))
     for lam in range(4):
         for i in range(1, 4):
             val = ph.special_value(ph.special_bracket(coords[lam],
                                                       moms[i - 1]))
             want = 1.0 if lam == i else 0.0
-            worst = max(worst, max(abs(val.value(p) - want) for p in pts))
+            worst = worst_of(worst, *(abs(val.value(p) - want) for p in pts))
     for i in range(3):
         val = ph.special_value(ph.special_bracket(ham, moms[i]))
-        worst = max(worst, max(abs(val.value(p)) for p in pts))
+        worst = worst_of(worst, *(abs(val.value(p)) for p in pts))
     assert worst < 1e-10
 
     x = np.array([0.7, 0.5, -0.3, 0.2])
     worst = 0.0
     for lam in range(4):
         F = qt.galilei_map(ph, coords[lam], potential=pot)
-        worst = max(worst, float(np.max(np.abs(F.X.at(x)))))
-        worst = max(worst, abs(F.b.value(x) - x[lam]))
+        worst = worst_of(worst, float(np.max(np.abs(F.X.at(x)))))
+        worst = worst_of(worst, abs(F.b.value(x) - x[lam]))
     FH = qt.galilei_map(ph, ham, potential=pot)
-    worst = max(worst, float(np.max(np.abs(FH.X.at(x) - [1, 0, 0, 0]))))
-    worst = max(worst, abs(FH.b.value(x)))
+    worst = worst_of(worst, float(np.max(np.abs(FH.X.at(x) - [1, 0, 0, 0]))))
+    worst = worst_of(worst, abs(FH.b.value(x)))
     for i in range(1, 4):
         FP = qt.galilei_map(ph, moms[i - 1], potential=pot)
         want = np.zeros(4)
         want[i] = -1.0
-        worst = max(worst, float(np.max(np.abs(FP.X.at(x) - want))))
-        worst = max(worst, abs(FP.b.value(x)))
+        worst = worst_of(worst, float(np.max(np.abs(FP.X.at(x) - want))))
+        worst = worst_of(worst, abs(FP.b.value(x)))
     # squared momentum: 2 d_0 - 2 A^i d_i + i (2 A_0 - A^i A_i) II,
     # written against the model potential so the display itself is
     # encoded (it degenerates to 2 d_0 here, where A = 0)
@@ -211,8 +212,8 @@ def test_criterion_03():
                      for j in range(1, 4)] for i in range(1, 4)])
     aup = gup @ np.array(acpl[1:])
     want = np.concatenate([[2.0], -2.0 * aup])
-    worst = max(worst, float(np.max(np.abs(FC.X.at(x) - want))))
-    worst = max(worst, abs(FC.b.value(x)
+    worst = worst_of(worst, float(np.max(np.abs(FC.X.at(x) - want))))
+    worst = worst_of(worst, abs(FC.b.value(x)
                            - (2.0 * acpl[0] - aup @ np.array(acpl[1:]))))
     assert worst < 1e-10
 
@@ -237,8 +238,8 @@ def test_criterion_04():
             fb = qt.galilei_map(ph, sf, observer=boost, potential=potb)
             for _ in range(6):
                 x = rng.uniform(-0.8, 0.8, 4)
-                worst = max(worst, abs(fa.b.value(x) - fb.b.value(x)))
-                worst = max(worst, float(
+                worst = worst_of(worst, abs(fa.b.value(x) - fb.b.value(x)))
+                worst = worst_of(worst, float(
                     np.max(np.abs(fa.X.at(x) - fb.X.at(x)))))
     assert worst < 1e-8
 
@@ -256,8 +257,8 @@ def test_criterion_05():
         worst_norm = 0.0
         for p in timelike_points(ph, 200, 105):
             res = ph.identity_residuals(p)
-            worst = max(worst, max(res.values()))
-            worst_norm = max(worst_norm, res["contact-norm"],
+            worst = worst_of(worst, *res.values())
+            worst_norm = worst_of(worst_norm, res["contact-norm"],
                              res["time-normalization"])
         assert worst < 1e-8, name
         assert worst_norm < 1e-9, name
@@ -283,8 +284,8 @@ def test_criterion_06():
             closed = ph.special_value(ph.special_bracket(f, g))
             defin = ph.definitional_bracket_value(f, g)
             for p in pts:
-                worst_routes = max(worst_routes,
-                                   abs(closed.value(p) - defin.value(p)))
+                worst_routes = worst_of(worst_routes,
+                                        abs(closed.value(p) - defin.value(p)))
         for _ in range(3):
             f, g = random_especial(rng), random_especial(rng)
             lhs = qt.hermitian_bracket(qt.einstein_map(ph, f),
@@ -292,9 +293,9 @@ def test_criterion_06():
             rhs = qt.einstein_map(ph, ph.special_bracket(f, g))
             for p in pts:
                 x = p[:4]
-                worst_iso = max(worst_iso,
-                                abs(lhs.b.value(x) - rhs.b.value(x)))
-                worst_iso = max(worst_iso, float(
+                worst_iso = worst_of(worst_iso,
+                                     abs(lhs.b.value(x) - rhs.b.value(x)))
+                worst_iso = worst_of(worst_iso, float(
                     np.max(np.abs(lhs.X.at(x) - rhs.X.at(x)))))
         obs = [cf(0.1), ExprField(BinOp("*", Num(0.05), Var(1))), cf(-0.08)]
         for _ in range(2):
@@ -303,8 +304,8 @@ def test_criterion_06():
             fo = qt.einstein_observed_map(ph, sf, obs)
             for p in pts:
                 x = p[:4]
-                worst_note = max(worst_note,
-                                 abs(fa.b.value(x) - fo.b.value(x)))
+                worst_note = worst_of(worst_note,
+                                      abs(fa.b.value(x) - fo.b.value(x)))
     assert worst_routes < 1e-7
     assert worst_iso < 1e-8
     assert worst_note < 1e-8
@@ -322,7 +323,7 @@ def test_criterion_07():
         for p in gphase_points(ph.model, 10, 107):
             for lam in range(4):
                 for mu in range(4):
-                    worst = max(worst, abs(ph.K(lam, 0, mu).value(p)))
+                    worst = worst_of(worst, abs(ph.K(lam, 0, mu).value(p)))
                 for i in range(1, 4):
                     for j in range(i, 4):
                         r = ph.metric(i, j).partial(lam).value(p)
@@ -331,11 +332,11 @@ def test_criterion_07():
                                 * ph.metric(h, j).value(p)
                             r += ph.K(lam, h, j).value(p) \
                                 * ph.metric(h, i).value(p)
-                        worst = max(worst, abs(r))
+                        worst = worst_of(worst, abs(r))
             for nu in range(1, 4):
                 for lam in range(4):
                     for mu in range(lam + 1, 4):
-                        worst = max(worst, abs(ph.K(lam, nu, mu).value(p)
+                        worst = worst_of(worst, abs(ph.K(lam, nu, mu).value(p)
                                                - ph.K(mu, nu, lam).value(p)))
     for name in EINSTEIN_MODELS:
         ph = EinsteinPhase(load_builtin(name))
@@ -349,11 +350,11 @@ def test_criterion_07():
                                 * ph.metric(rho, mu).value(p)
                             r += ph.K(lam, rho, mu).value(p) \
                                 * ph.metric(rho, nu).value(p)
-                        worst = max(worst, abs(r))
+                        worst = worst_of(worst, abs(r))
             for nu in range(4):
                 for lam in range(4):
                     for mu in range(lam + 1, 4):
-                        worst = max(worst, abs(ph.K(lam, nu, mu).value(p)
+                        worst = worst_of(worst, abs(ph.K(lam, nu, mu).value(p)
                                                - ph.K(mu, nu, lam).value(p)))
     assert worst < 1e-8
 
@@ -386,17 +387,18 @@ def test_criterion_08():
         worst_n = 0.0
         volume = np.inf
         for p in pts:
-            worst_d = max(worst_d, max(abs(f.value(p))
-                                       for f in dom.comps.values()))
-            worst_k = max(worst_k, max(abs(ig.component((k,)).value(p))
-                                       for k in range(7)))
+            worst_d = worst_of(worst_d, *(abs(f.value(p))
+                                          for f in dom.comps.values()))
+            worst_k = worst_of(worst_k, *(abs(ig.component((k,)).value(p))
+                                          for k in range(7)))
             if side == "galilei":
-                worst_n = max(worst_n, abs(gam.at(p)[0] - 1.0))
+                worst_n = worst_of(worst_n, abs(gam.at(p)[0] - 1.0))
             else:
                 tg = sum(ph.tau(lam).value(p) * gam.comps[lam].value(p)
                          for lam in range(4))
-                worst_n = max(worst_n, abs(tg - 1.0))
-            volume = min(volume, abs(top.evaluate(p, *basis)))
+                worst_n = worst_of(worst_n, abs(tg - 1.0))
+            volume = worst_of(volume, abs(top.evaluate(p, *basis)),
+                              pick=min)
         assert worst_d < 1e-7, side
         assert worst_k < 1e-8, side
         assert worst_n < 1e-9, side

@@ -1,0 +1,295 @@
+"""Batch evaluation over point arrays against the per-point jet path.
+
+`Field.values(P)` and `field_values` must return exactly what a loop of
+`Field.value(p)` over the rows of P returns, bit for bit (sign of zero
+and NaN included), and raise the class that loop raises first.
+"""
+
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from covphase.einstein import EinsteinPhase
+from covphase.galilei import GalileiPhase
+from covphase.modelspec import (
+    BinOp, Call, ExprField, Name, Neg, Num, Pow, Var, available_models,
+    derivative, load_builtin, parse_expr,
+)
+from covphase.smooth import (
+    BoxedField, ConstField, CoordField, FuncField, OutsideBoxError, PForm,
+    VectorField, exterior_derivative, field_values, lift_spacetime,
+)
+from covphase.suites import _Ctx
+
+ERRORS = (ValueError, ZeroDivisionError, OverflowError, OutsideBoxError)
+
+
+def same_float(a, b) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def outcome(fn):
+    """What fn() returns, or the class of the exception it raises."""
+    try:
+        return fn()
+    except ERRORS as exc:
+        return type(exc)
+
+
+def assert_batch_matches(fields, P):
+    """field_values(fields, P) against a point loop, field by field."""
+    want = outcome(lambda: [[f.value(p) for p in P] for f in fields])
+    got = outcome(lambda: field_values(fields, P))
+    if isinstance(want, type):
+        assert got is want, (fields, P, got)
+        return
+    assert isinstance(got, list) and len(got) == len(want), got
+    for g, w in zip(got, want):
+        assert isinstance(g, np.ndarray) and g.dtype == np.float64
+        assert g.shape == (len(P),)
+        assert all(same_float(a, b) for a, b in zip(g.tolist(), w)), (g, w)
+
+
+# ---------------------------------------------------------------------------
+# property test: random expressions with shared subexpressions
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-310, 1e-200, 1e200, 700.0,
+           math.inf, -math.inf, math.nan]
+floats = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(-4.0, 4.0, allow_nan=False))
+exponents = st.sampled_from([Fraction(n, d) for n in (-3, -1, 0, 1, 2, 3)
+                             for d in (1, 2, 3)])
+leaves = st.one_of(
+    st.builds(Num, floats),
+    st.builds(Var, st.integers(0, 3)),
+    st.builds(Name, st.sampled_from(["a", "b", "missing"])),
+)
+
+
+def _compound(sub):
+    return st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Pow, sub, exponents),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
+                  sub),
+    )
+
+
+exprs = st.recursive(leaves, _compound, max_leaves=12)
+rows = st.lists(floats, min_size=4, max_size=4)
+batches = st.sampled_from([1, 30]).flatmap(
+    lambda n: st.lists(rows, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs, exprs, batches, st.sampled_from([1, 2, 3]))
+def test_random_expressions_match_point_loop(e1, e2, P, a):
+    params = {"a": a, "b": -0.5}
+    f, g = ExprField(e1, params), ExprField(e2, params)
+    # f * g and g - f share f's and g's nodes with the first two fields
+    fields = [f, g, f * g, g - f]
+    P = np.array(P)
+    for fld in fields:
+        assert_batch_matches([fld], P)
+    assert_batch_matches(fields, P)
+
+
+# (expression, value of x1 that breaks it, exception class)
+ROW_ERRORS = [
+    ("sqrt(x1)", -1.0, ValueError),
+    ("sqrt(x1)", 1e-300, ZeroDivisionError),  # r * x underflows to 0
+    ("1 / x1", 0.0, ZeroDivisionError),
+    ("x1 * (2 / (x1 - 0.5))", 0.5, ZeroDivisionError),
+    ("x1^(1/3)", -1.0, ValueError),
+    ("x1^(1/2)", 1e-300, OverflowError),     # the x^(p-2) side evaluation
+    ("(x1 - 0.5)^(-1)", 0.5, ZeroDivisionError),
+    ("exp(1000 * x1)", 1.0, OverflowError),
+    ("sin(x1)", math.inf, ValueError),
+]
+
+
+@pytest.mark.parametrize("text,bad,exc", ROW_ERRORS)
+@pytest.mark.parametrize("row", [0, 17, 29])
+def test_one_bad_row_raises_the_point_class(text, bad, exc, row):
+    fld = ExprField(text)
+    P = np.full((30, 4), 0.25)
+    P[:, 1] = np.linspace(0.1, 0.4, 30)
+    assert_batch_matches([fld], P)      # every row fine
+    P[row, 1] = bad
+    with pytest.raises(exc) as info:
+        fld.values(P)
+    assert str(P[row].tolist()) in str(info.value)
+    assert_batch_matches([fld], P)
+
+
+def test_lowest_failing_row_wins():
+    # row 3 fails late (the division), row 10 early (the sqrt): a loop
+    # over the points meets row 3 first
+    fld = ExprField("sqrt(x1) + 1 / x2")
+    P = np.ones((12, 4))
+    P[3, 2] = 0.0
+    P[10, 1] = -1.0
+    with pytest.raises(ZeroDivisionError):
+        fld.values(P)
+    assert_batch_matches([fld], P)
+    P[3, 2] = 1.0
+    with pytest.raises(ValueError):
+        fld.values(P)
+
+
+# ---------------------------------------------------------------------------
+# the shipped models at suite sample points
+
+def model_fields(model):
+    if model.kind == "galilei":
+        ph = GalileiPhase(model)
+        K = [ph.K(lam, i, mu) for lam in range(4) for i in range(4)
+             for mu in range(4)]
+        metric = [ph.metric(i, j) for i in range(1, 4) for j in range(1, 4)]
+        extra = []
+    else:
+        ph = EinsteinPhase(model)
+        K = [ph.K(lam, nu, mu) for lam in range(4) for nu in range(4)
+             for mu in range(4)]
+        metric = [ph.metric(a, b) for a in range(4) for b in range(4)]
+        extra = [ph.radicand(), ph.alpha0()]
+    omega = ph.cosymplectic()
+    domega = exterior_derivative(omega)
+    return (list(omega.comps.values()) + list(domega.comps.values()) + K
+            + metric + extra)
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_shipped_models_match_point_loop(name):
+    model = load_builtin(name)
+    fields = model_fields(model)
+    P = _Ctx(model, 5, 11).points
+    got = field_values(fields, P)
+    for fld, vals in zip(fields, got):
+        assert vals.tolist() == [fld.value(p) for p in P]
+    # the model's own boxed entries, through their box guard
+    boxed = [f for row in model.metric for f in row] + model.potential
+    assert all(isinstance(f, BoxedField) for f in boxed)
+    assert_batch_matches(boxed, P[:, :4])
+
+
+# ---------------------------------------------------------------------------
+# field kinds
+
+def test_boxed_field_guards_every_row():
+    fld = BoxedField(ExprField("x1 * x2"), [0, -1, -1, -1], [1, 1, 1, 1])
+    P = np.full((6, 4), 0.5)
+    assert fld.values(P).tolist() == [0.25] * 6
+    P[4, 2] = 1.5
+    with pytest.raises(OutsideBoxError) as info:
+        fld.values(P)
+    assert "x2" in str(info.value) and str(P[4].tolist()) in str(info.value)
+    assert_batch_matches([fld], P)
+    # an evaluation error in an earlier row comes first, as in a loop
+    fld = BoxedField(ExprField("1 / x1"), [0, -1, -1, -1], [1, 1, 1, 1])
+    P[1, 1] = 0.0
+    with pytest.raises(ZeroDivisionError):
+        fld.values(P)
+    assert_batch_matches([fld], P)
+
+
+def test_closure_fallback_equals_point_loop():
+    f = ExprField("sin(x0) * x1 + x3^2")
+    closure = FuncField(lambda c: f.jet(c) * f.jet(c) + c[2])
+    fields = [closure, closure.partial(1), lift_spacetime(closure),
+              lift_spacetime(f), ConstField(-2.5), CoordField(5),
+              f + closure]
+    P = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 7))
+    assert_batch_matches(fields, P)
+
+
+def test_galilei_potential_closure_equals_point_loop():
+    ph = GalileiPhase(load_builtin("curved-galilei"))
+    pot = ph.observed_potential()
+    P = _Ctx(ph.model, 3, 2).points[:, :4]
+    assert_batch_matches(pot, P)
+
+
+def test_restricted_field_selects_columns():
+    f = ExprField("x0 - 2 * x3 + x1 * x2")
+    lifted = lift_spacetime(f)
+    P = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 7))
+    assert lifted.values(P).tolist() == f.values(P[:, :4]).tolist()
+    assert_batch_matches([lifted, f], P)
+
+
+def test_vector_and_form_values_match_points():
+    rng = np.random.default_rng(5)
+    comps = [ExprField("x0 * x1"), ConstField(2.0), ExprField("exp(x2)"),
+             ExprField("x3 / (2 + x0)")]
+    X = VectorField(comps)
+    P = rng.uniform(-1.0, 1.0, size=(4, 4))
+    vals = X.values(P)
+    assert vals.shape == (4, 4)
+    for p, row in zip(P, vals):
+        assert row.tolist() == [c.value(p) for c in comps]
+        assert X.at(p).tolist() == row.tolist()
+    w = PForm(4, 2, {(0, 1): comps[0], (1, 3): comps[2], (2, 3): comps[3]})
+    U, V = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    got = w.values(P, U, V)
+    for p, u, v, g in zip(P, U, V, got):
+        total = 0.0
+        for key, fld in w.comps.items():
+            sub = np.array([[u[k] for k in key], [v[k] for k in key]])
+            total += fld.value(p) * np.linalg.det(sub)
+        assert g == total == w.evaluate(p, u, v)
+
+
+def test_values_are_fresh_arrays():
+    # two fields with one root share a memo entry; neither result may
+    # alias it (or the points)
+    f = ExprField(Var(1))
+    g = ExprField(f.node)
+    P = np.ones((3, 4))
+    a, b = field_values([f, g], P)
+    a += 1.0
+    assert b.tolist() == [1.0] * 3 and P[:, 1].tolist() == [1.0] * 3
+
+
+# ---------------------------------------------------------------------------
+# cached partials and deep expressions
+
+def test_partial_is_cached():
+    f = ExprField(parse_expr("sin(x0 * x1) / (1 + x2^2)"))
+    d1 = f.partial(1)
+    assert f.partial(1) is d1
+    assert d1.node == derivative(f.node, 1)
+    assert d1.partial(2) is d1.partial(2)
+    assert f.partial(2) is not d1
+
+
+def test_deep_chain_without_recursion():
+    node = Var(1)
+    for k in range(5000):
+        node = BinOp("+" if k % 2 else "-", node, Num(1.0))
+        node = Neg(node) if k % 1000 == 0 else node
+    P = np.array([[0.0, 0.25, 0.0, 0.0], [0.0, -3.0, 0.0, 0.0]])
+    want = []
+    for x in P[:, 1]:
+        for k in range(5000):
+            x = x + 1.0 if k % 2 else x - 1.0
+            x = -x if k % 1000 == 0 else x
+        want.append(x)
+    # far fewer frames than the chain has levels
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        got = ExprField(node).values(P)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got.tolist() == want

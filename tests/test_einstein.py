@@ -21,6 +21,8 @@ from covphase.smooth import (
     PForm, VectorField, contract, exterior_derivative, wedge,
 )
 
+from numutil import form_matrix
+
 EINSTEIN_MODELS = ("minkowski", "uniform-e", "curved-einstein",
                    "schwarzschild-like")
 
@@ -198,7 +200,7 @@ class TestUniformE:
     def test_faraday(self, phases):
         ph = phases["uniform-e"]
         p = np.array([1.0, 0.5, -1.2, 0.7])
-        F = ph.faraday().matrix_at(p)
+        F = form_matrix(ph.faraday(), p)
         expected = np.zeros((4, 4))
         expected[0, 1] = -E_FIELD
         expected[1, 0] = E_FIELD

@@ -18,6 +18,8 @@ from covphase.smooth import (
     lie_bracket, wedge,
 )
 
+from numutil import form_matrix
+
 GALILEI_MODELS = ("flat-free", "uniform-b", "curved-galilei", "curved-gravity")
 
 B_FIELD = 2.0  # field strength declared in the uniform-b model file
@@ -104,7 +106,7 @@ class TestUniformB:
     def test_faraday(self, phases):
         ph = phases["uniform-b"]
         p = np.array([1.0, 3.5, -1.2, 0.7])
-        F = ph.faraday().matrix_at(p)
+        F = form_matrix(ph.faraday(), p)
         expected = np.zeros((4, 4))
         expected[1, 2] = B_FIELD
         expected[2, 1] = -B_FIELD
@@ -113,8 +115,8 @@ class TestUniformB:
     def test_curvature_is_coupled_faraday(self, phases):
         ph = phases["uniform-b"]
         p = np.array([0.0, 2.0, 1.0, -0.5])
-        F = ph.faraday().matrix_at(p)
-        Phi = ph.curvature().matrix_at(p)
+        F = form_matrix(ph.faraday(), p)
+        Phi = form_matrix(ph.curvature(), p)
         assert np.max(np.abs(Phi - ph.coupling * F)) < 1e-12
 
     def test_gamma_is_lorentz_force(self, phases):
@@ -411,8 +413,8 @@ class TestObservers:
         ph = phases["uniform-b"]
         obs = ph.observed_curvature()
         p = np.array([0.4, 1.5, -0.9, 0.6])
-        M = obs.matrix_at(p)
-        F = ph.faraday().matrix_at(p)
+        M = form_matrix(obs, p)
+        F = form_matrix(ph.faraday(), p)
         assert np.max(np.abs(M - ph.coupling * F)) < 1e-12
 
 
@@ -438,7 +440,7 @@ class TestObservedPotential:
         target = ph.observed_curvature()
         pts = sample_points(ph.model, 5)
         for p in pts:
-            diff = dpot.matrix_at(p) - target.matrix_at(p)
+            diff = form_matrix(dpot, p) - form_matrix(target, p)
             assert np.max(np.abs(diff)) < 1e-8
 
 

@@ -18,7 +18,8 @@ from covphase.einstein import EinsteinPhase, LightconeViolation
 from covphase.modelspec import builtin_model_dir, load_builtin
 from covphase.orbit import BoxExit, integrate_orbit
 from covphase.report import CheckRecord, SuiteReport, emit_report
-from covphase.smooth import FuncField, Jet, PForm, VectorField
+from covphase.smooth import FuncField, Jet, OutsideBoxError, PForm, \
+    VectorField
 from covphase import cli, suites as su
 
 
@@ -386,6 +387,42 @@ class TestCli:
         assert proc.returncode == 2
         assert "no timelike sample point found: 0 of 20000 draws" \
             in proc.stderr
+
+
+class TestCheckErrors:
+    """A check whose fields cannot be evaluated is a failed record."""
+
+    @pytest.mark.parametrize("exc", [ValueError, ZeroDivisionError,
+                                     OverflowError, OutsideBoxError])
+    def test_runner_error_fails_the_check(self, monkeypatch, capsys, exc):
+        def broken(ctx):
+            raise exc("stub failure")
+        checks = (su.Check("breaks", "raises", "harness", None, 1e-9, broken),
+                  su.Check("still-runs", "0 = 0", "harness", None, 1e-9,
+                           lambda ctx: 0.0))
+        monkeypatch.setitem(su.SUITES, "error-probe",
+                            su.Suite("error-probe", "any", checks))
+        code = cli.main(["verify", "--model", "flat-free", "--suite",
+                         "error-probe", "--points", "2", "--report", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == "check breaks: %s: stub failure\n" % exc.__name__
+        first, second = json.loads(out)["checks"]
+        assert math.isnan(first["max_residual"]) and first["pass"] is False
+        assert second["name"] == "still-runs" and second["pass"] is True
+
+    def test_deeply_nested_entry_exit_two(self, tmp_path):
+        # 1,200 terms once overflowed the recursive walkers with a
+        # RecursionError traceback
+        terms = " + ".join(["0.001*x2"] * 1200)
+        path = tmp_path / "deep.ini"
+        path.write_text(model_text("uniform-b", ("A1 = -B/2 * x2",
+                                                 "A1 = " + terms)))
+        proc = run_cli("verify", "--model", str(path),
+                       "--suite", "galilei-core", "--points", "2")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "expression nested too deeply" in proc.stderr
 
 
 def model_text(name: str, edit) -> str:

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from covphase import modelspec as ms
 from covphase.galilei import GalileiPhase, Observer
 from covphase.modelspec import (
-    BinOp, Call, ExprField, Model, Name, Neg, Num, ParseError, Pow,
-    ValidationError, Var, available_models, compile_fields, derivative,
+    MAX_DEPTH, BinOp, Call, ExprField, Model, Name, Neg, Num, ParseError,
+    Pow, ValidationError, Var, available_models, compile_fields, derivative,
     eval_expr, load_builtin, parse_expr, parse_model_text, sample_points,
     substitute, to_text, tokenize, validate_model,
 )
@@ -471,3 +471,14 @@ def test_directional_of_expressions_is_an_expression():
     # closures stay only where an input already is one
     assert isinstance(directional(X, FuncField(lambda c: c[0] * c[1])),
                       FuncField)
+
+
+def test_nesting_limit():
+    # as deep as allowed: a sum of MAX_DEPTH leaves
+    node = parse_expr(" + ".join(["x1"] * MAX_DEPTH))
+    assert ExprField(derivative(node, 1)).value([0.0] * 4) == MAX_DEPTH
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expr(" + ".join(["x1"] * (MAX_DEPTH + 1)))
+    # deep enough to overflow the parser's own recursion
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expr("(" * 1000 + "x1" + ")" * 1000)

@@ -6,6 +6,8 @@ the representation maps against hand-computed operators for the
 distinguished phase functions.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,15 @@ class TestLinearFields:
         pts = [np.array([0.5, 0.5, 0.5, 0.5])]
         ok, _ = qt.is_hermitian(y, pts)
         assert not ok
+
+    def test_nan_entry_is_not_hermitian(self):
+        # max(0.0, nan) == 0.0 once let a NaN entry pass
+        rng = np.random.default_rng(65)
+        beta = poly_field(rng)
+        y = qt.LinearQuantumField(poly_vector(rng),
+                                  [[cf(0.0), -beta], [beta, cf(math.nan)]])
+        ok, worst = qt.is_hermitian(y, [np.zeros(4), np.ones(4)])
+        assert not ok and math.isnan(worst)
 
     def test_round_trip_encoding(self):
         rng = np.random.default_rng(64)

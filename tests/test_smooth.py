@@ -8,7 +8,7 @@ from covphase.smooth import (
     pullback_form, seed_jets, wedge,
 )
 
-from numutil import central_grad, central_hess
+from numutil import central_grad, central_hess, form_matrix
 
 
 def scalar_fn(x):
@@ -226,7 +226,7 @@ class TestForms:
         rng = np.random.default_rng(15)
         p = rng.uniform(-1, 1, size=4)
         u, v = rng.uniform(-1, 1, size=(2, 4))
-        M = w.matrix_at(p)
+        M = form_matrix(w, p)
         assert w.evaluate(p, u, v) == pytest.approx(u @ M @ v, rel=1e-12)
         assert np.allclose(M, -M.T)
 
