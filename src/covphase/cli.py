@@ -51,7 +51,7 @@ def _cmd_verify(args) -> int:
         tols = _parse_tols(args.tol)
         report = run_suite(args.model, args.suite, points=args.points,
                            seed=args.seed, tol_overrides=tols)
-    except (ValueError, FileNotFoundError, KeyError, ValidationError) as exc:
+    except (ValueError, OSError, KeyError, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     sys.stdout.write(emit_report(report, args.report).decode("utf-8"))
@@ -78,7 +78,7 @@ def _cmd_orbit(args) -> int:
         if fw == "einstein":
             EinsteinPhase(model).require_timelike(
                 np.concatenate([x0, args.v]))
-    except (ValueError, FileNotFoundError, LightconeViolation,
+    except (ValueError, OSError, LightconeViolation,
             ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

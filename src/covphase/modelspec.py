@@ -24,10 +24,10 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .dims import CANONICAL_CONSTANT_DIMS, DimScalar, parse_dimension
-from .smooth import Batch, BoxedField, ConstField, Field, Jet, PForm, _jet_of
+from .smooth import Batch, BoxedField, ConstField, Field, Jet, PForm, \
+    _jet_of, exterior_derivative
 
 SAMPLE_COUNT = 49  # validation points per model
 MAX_DEPTH = 200  # levels of nesting allowed in one parsed expression
@@ -979,11 +979,6 @@ class Model:
         """The charge-to-action ratio q/hbar scaling the electromagnetic terms."""
         return self.charge / self.hbar
 
-    def metric_at(self, p) -> np.ndarray:
-        n = len(self.metric)
-        return np.array([[self.metric[i][j].value(p) for j in range(n)]
-                         for i in range(n)])
-
     def center(self) -> np.ndarray:
         return 0.5 * (self.box_lo + self.box_hi)
 
@@ -1103,30 +1098,75 @@ def parse_model_text(text: str, name: str = "<string>") -> Model:
                  potential=potential, gravity2=gravity2)
 
 
+# Sobol direction numbers (Joe & Kuo, "Constructing Sobol sequences with
+# better two-dimensional projections", SIAM J. Sci. Comput. 30, 2008): the
+# (degree s, coefficients a, initial m) of dimensions 2-4; dimension 1 is
+# van der Corput.
+_SOBOL_DIMS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+_SOBOL_BITS = 30
+
+
+def _direction_numbers(s: int, a: int, m: Sequence[int]) -> List[int]:
+    m = list(m)
+    for k in range(s, _SOBOL_BITS):
+        mk = m[k - s] ^ (m[k - s] << s)
+        for j in range(1, s):
+            if (a >> (s - 1 - j)) & 1:
+                mk ^= m[k - j] << j
+        m.append(mk)
+    return [mk << (_SOBOL_BITS - 1 - k) for k, mk in enumerate(m)]
+
+
+def sobol(n: int) -> np.ndarray:
+    """The first n points of the unscrambled 4-D Sobol sequence in Gray-code
+    order, as an array [n, 4] of exact dyadic floats c / 2**30 (the points
+    of scipy's `qmc.Sobol(d=4, scramble=False)`)."""
+    dirs = [[1 << (_SOBOL_BITS - 1 - k) for k in range(_SOBOL_BITS)]]
+    dirs += [_direction_numbers(*dim) for dim in _SOBOL_DIMS]
+    x = [0, 0, 0, 0]
+    rows = []
+    for i in range(n):
+        rows.append(x)
+        c = (~i & (i + 1)).bit_length() - 1  # the lowest zero bit of i
+        x = [xj ^ v[c] for xj, v in zip(x, dirs)]
+    return np.array(rows, dtype=float).reshape(n, 4) / 2.0 ** _SOBOL_BITS
+
+
 def sample_points(model: Model, count: int = SAMPLE_COUNT) -> np.ndarray:
     """Deterministic low-discrepancy points inside the declared box."""
-    pow2 = 1
-    while pow2 < count:
-        pow2 *= 2
-    unit = qmc.Sobol(d=4, scramble=False).random(pow2)[:count]
     span = model.box_hi - model.box_lo
     # keep a small margin so finite differencing in tests stays inside
-    return model.box_lo + span * (0.05 + 0.9 * unit)
+    return model.box_lo + span * (0.05 + 0.9 * sobol(count))
 
 
 def validate_model(model: Model) -> None:
-    from .smooth import exterior_derivative  # local to avoid cycle at import
-
     pts = sample_points(model)
-    for p in pts:
-        try:
-            g = model.metric_at(p)
-            pot = [f.value(p) for f in model.potential]
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValidationError("field evaluation failed: %s" % exc,
-                                  witness=p) from exc
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(pot))):
+    n = len(model.metric)
+    fields = [f for row in model.metric for f in row] + model.potential
+    closure = []
+    if model.gravity2 is not None:
+        # from the unboxed components, so that dPhi is a sum of expressions
+        # (the sample points lie inside the box)
+        dphi = exterior_derivative(PForm(4, 2, {
+            k: f.base for k, f in model.gravity2.comps.items()}))
+        closure = list(dphi.comps.items())
+    # every field over all points in one batch, without raising: a row
+    # where some field failed is evaluated again point by point, which
+    # raises the error (and message) of the first failing field there
+    batch = Batch(pts)
+    vals = np.stack([f._values(batch, batch.cols) for f in fields], axis=1)
+    dvals = [f._values(batch, batch.cols) for _, f in closure]
+    for r, p in enumerate(pts):
+        row = vals[r]
+        if batch.failed[r]:
+            try:
+                row = np.array([f.value(p) for f in fields])
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise ValidationError("field evaluation failed: %s" % exc,
+                                      witness=p) from exc
+        if not np.all(np.isfinite(row)):
             raise ValidationError("non-finite field value", witness=p)
+        g = row[:n * n].reshape(n, n)
         eig = np.linalg.eigvalsh(g)
         if model.kind == "galilei":
             if eig[0] <= 0:
@@ -1142,15 +1182,17 @@ def validate_model(model: Model) -> None:
                 raise ValidationError(
                     "the chart time direction is not timelike (g00 >= 0)",
                     witness=p)
-    if model.gravity2 is not None:
-        dphi = exterior_derivative(model.gravity2)
-        for p in pts:
-            for key, fld in dphi.comps.items():
-                v = fld.value(p)
-                if abs(v) > 1e-9:
-                    raise ValidationError(
-                        "gravitational 2-form is not closed "
-                        "(d-component %s = %g)" % (key, v), witness=p)
+    for r, p in enumerate(pts):
+        for (key, fld), col in zip(closure, dvals):
+            try:
+                v = fld.value(p) if batch.failed[r] else col[r]
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise ValidationError("field evaluation failed: %s" % exc,
+                                      witness=p) from exc
+            if abs(v) > 1e-9:
+                raise ValidationError(
+                    "gravitational 2-form is not closed "
+                    "(d-component %s = %g)" % (key, v), witness=p)
 
 
 def load_model(path, validate: bool = True) -> Model:

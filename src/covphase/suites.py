@@ -854,10 +854,11 @@ def run_suite(model, suite_name: str, points: int = 100, seed: int = 0,
     model may be a Model instance, a path to a model file, or the name
     of a shipped builtin.  Raises UnknownSuiteError for a bad suite
     name, FrameworkMismatchError when the model kind does not fit, and
-    ValueError for tolerance overrides naming no check in the suite.
-    A check whose fields cannot be evaluated (one of _EVAL_ERRORS) is
-    reported with a NaN residual, a failure, and its error goes to
-    stderr.
+    ValueError for fewer than one point, a negative seed, and tolerance
+    overrides that name no check in the suite or are not finite and
+    non-negative.  A check whose fields cannot be evaluated (one of
+    _EVAL_ERRORS) is reported with a NaN residual, a failure, and its
+    error goes to stderr.
     """
     import time
 
@@ -865,6 +866,11 @@ def run_suite(model, suite_name: str, points: int = 100, seed: int = 0,
         raise UnknownSuiteError(
             "unknown suite %r; available: %s"
             % (suite_name, ", ".join(suite_names())))
+    if points < 1:
+        raise ValueError("the number of points must be positive, got %d"
+                         % points)
+    if seed < 0:
+        raise ValueError("the seed must be non-negative, got %d" % seed)
     suite = SUITES[suite_name]
     model = resolve_model(model)
     if suite.framework != "any" and suite.framework != model.kind:
@@ -873,10 +879,13 @@ def run_suite(model, suite_name: str, points: int = 100, seed: int = 0,
             % (suite_name, suite.framework, model.name, model.kind))
     overrides = dict(tol_overrides or {})
     known = {c.name for c in suite.checks}
-    for name in overrides:
+    for name, tol in overrides.items():
         if name not in known:
             raise ValueError("tolerance override %r matches no check in %r"
                              % (name, suite_name))
+        if not 0.0 <= tol < math.inf:  # NaN fails this too
+            raise ValueError("tolerance override %s=%r is not a finite "
+                             "non-negative number" % (name, tol))
 
     ctx = _Ctx(model, points, seed)
     start = time.perf_counter()

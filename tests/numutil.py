@@ -28,6 +28,13 @@ def central_hess(f, x, h=1e-4):
     return H
 
 
+def metric_matrix(model, p):
+    """The model's metric component matrix at a point, from `Field.value`."""
+    n = len(model.metric)
+    return np.array([[model.metric[i][j].value(p) for j in range(n)]
+                     for i in range(n)])
+
+
 def form_matrix(form, p):
     """Dense antisymmetric component matrix of a 2-form at a point."""
     assert form.degree == 2

@@ -377,6 +377,54 @@ class TestCli:
             assert "at witness point [2.575, 1.35" in proc.stderr
             assert "np.float64" not in proc.stderr
 
+    # each once exited 1 with NaN records (or a failed check) instead
+    @pytest.mark.parametrize("option,message", [
+        (("--points", "0"), "the number of points must be positive, got 0"),
+        (("--points", "-3"), "the number of points must be positive, got -3"),
+        (("--seed", "-1"), "the seed must be non-negative, got -1"),
+        (("--tol", "contact-kernel=nan"),
+         "tolerance override contact-kernel=nan is not a finite "
+         "non-negative number"),
+        (("--tol", "contact-kernel=-1"),
+         "tolerance override contact-kernel=-1.0 is not a finite "
+         "non-negative number"),
+    ], ids=["points-0", "points-negative", "seed-negative", "tol-nan",
+            "tol-negative"])
+    def test_verify_bad_option_value_exit_two(self, capsys, option, message):
+        code = cli.main(["verify", "--model", "flat-free", "--suite",
+                         "galilei-core", "--points", "5", *option])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: %s\n" % message
+        assert out == ""
+
+    # a directory once escaped as an IsADirectoryError traceback
+    @pytest.mark.parametrize("args", [
+        ("verify", "--suite", "galilei-core"),
+        ORBIT_ARGS + ("--duration", "0.01"),
+    ], ids=["verify", "orbit"])
+    def test_model_directory_exit_two(self, capsys, args):
+        model_dir = str(builtin_model_dir())
+        code = cli.main([args[0], "--model", model_dir, *args[1:]])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: [Errno 21] Is a directory: %r\n" % model_dir
+        assert out == ""
+
+    def test_gravity_evaluation_error_exit_two(self, tmp_path, capsys):
+        # dPhi cannot be evaluated at the first sample point; this once
+        # printed a ZeroDivisionError traceback
+        path = tmp_path / "singular-gravity.ini"
+        path.write_text(model_text("curved-gravity", (
+            "Phi01 = -x2", "Phi01 = 1/(x2 + 0.9)")))
+        code = cli.main(["verify", "--model", str(path), "--suite",
+                         "galilei-core", "--points", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == ("error: field evaluation failed: jet with zero value "
+                       "at witness point [-0.9, -0.9, -0.9, -0.9]\n")
+        assert out == ""
+
     def test_no_timelike_sample_points_exit_two(self, tmp_path):
         # |g00| below the sampler's radicand threshold of 0.1: no draw
         # is accepted, which used to loop forever
@@ -387,6 +435,47 @@ class TestCli:
         assert proc.returncode == 2
         assert "no timelike sample point found: 0 of 20000 draws" \
             in proc.stderr
+
+
+class TestStartup:
+    """covphase runs on numpy alone: scipy and sympy stay off its import
+    path, which kept a command's start-up at over a second."""
+
+    BLOCK_SCIPY = (
+        "import sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ModuleNotFoundError('scipy is blocked')\n"
+        "sys.meta_path.insert(0, Block())\n")
+    VERIFY = ["verify", "--model", "flat-free", "--suite", "galilei-core",
+              "--points", "5", "--seed", "3", "--report", "json"]
+
+    def test_verify_without_scipy(self):
+        code = self.BLOCK_SCIPY + (
+            "import covphase.cli\n"
+            "sys.exit(covphase.cli.main(%r))\n" % self.VERIFY)
+        blocked = subprocess.run([sys.executable, "-c", code],
+                                 capture_output=True, text=True, timeout=600)
+        normal = run_cli(*self.VERIFY)
+        assert blocked.returncode == 0, blocked.stderr
+        assert normal.returncode == 0, normal.stderr
+        assert blocked.stdout == normal.stdout
+
+    def test_no_scipy_or_sympy_imported(self):
+        code = ("import sys\n"
+                "import covphase.cli\n"
+                "from covphase.modelspec import available_models, "
+                "load_builtin\n"
+                "assert len(available_models()) == 8\n"
+                "for name in available_models():\n"
+                "    load_builtin(name)\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] in ('scipy', 'sympy')))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestCheckErrors:

@@ -1,3 +1,4 @@
+import operator
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from covphase.smooth import (
     seed_jets,
 )
 
-from numutil import central_grad
+from numutil import central_grad, metric_matrix
 
 
 class TestParser:
@@ -94,6 +95,67 @@ def test_derivative_never_raises_on_safe_ops(node, i):
     v = eval_expr(d, coords, {})
     v = v.f if hasattr(v, "f") else v
     assert np.isfinite(v)
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+def to_sympy(node, sp, xs):
+    """The expression as a sympy expression in the symbols xs."""
+    match node:
+        case Num(value=v):
+            return sp.Float(v)
+        case Var(index=k):
+            return xs[k]
+        case Neg(arg=a):
+            return -to_sympy(a, sp, xs)
+        case BinOp(op=o, left=a, right=b):
+            return _ARITH[o](to_sympy(a, sp, xs), to_sympy(b, sp, xs))
+        case Pow(base=b, exponent=e):
+            return to_sympy(b, sp, xs) ** sp.Rational(e.numerator,
+                                                      e.denominator)
+        case Call(func=f, arg=a):
+            fn = sp.Abs if f == "abs" else getattr(sp, f)
+            return fn(to_sympy(a, sp, xs))
+    raise TypeError(node)
+
+
+_IN_BOX = [[0.3, -0.7, 0.2, 0.5], [-0.45, 0.15, 0.8, -0.6],
+           [0.9, 0.4, -0.35, 0.05]]
+
+
+def assert_derivatives_match_sympy(node):
+    sp = pytest.importorskip("sympy")
+    xs = sp.symbols("x0:4", real=True)
+    expr = to_sympy(node, sp, xs)
+    for i in range(4):
+        ours = ExprField(derivative(node, i))
+        ref = sp.lambdify(xs, sp.diff(expr, xs[i]), "math")
+        for p in _IN_BOX:
+            try:
+                want = float(ref(*p))
+                got = ours.value(p)
+            except (ValueError, ZeroDivisionError, OverflowError,
+                    TypeError):
+                continue
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (
+                to_text(node), i, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs)
+def test_derivative_matches_sympy(node):
+    assert_derivatives_match_sympy(node)
+
+
+@pytest.mark.parametrize("text", [
+    "exp(x0/2) / (1 + x1^2)", "sqrt(4 + x2^2) - cos(x1)*x3",
+    "x1^(-3/2) * abs(x2 - 0.1) + x3^(1/3)",
+])
+def test_derivative_matches_sympy_on_other_nodes(text):
+    # division, powers, exp, sqrt and abs, which _exprs does not draw
+    assert_derivatives_match_sympy(parse_expr(text))
 
 
 class TestDerivatives:
@@ -194,7 +256,7 @@ class TestModelLoading:
         assert model.charge == -1.0
         assert model.coupling == -1.0
         p = np.array([0.0, 0.5, 0.5, 0.0])
-        g = model.metric_at(p)
+        g = metric_matrix(model, p)
         assert g[0, 0] == pytest.approx(1 + 0.2 * 0.25)
         assert g[1, 1] == 1.0
         assert model.potential[1].value(p) == pytest.approx(-0.1)
@@ -276,6 +338,88 @@ class TestBuiltinModels:
         assert np.array_equal(a, b)
         assert a.shape == (49, 4)
         assert np.all(a >= model.box_lo) and np.all(a <= model.box_hi)
+
+
+class TestSobol:
+    # exact dyadic rationals, so this holds where scipy is not installed
+    FIRST_8 = [[0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5],
+               [0.75, 0.25, 0.25, 0.25], [0.25, 0.75, 0.75, 0.75],
+               [0.375, 0.375, 0.625, 0.875], [0.875, 0.875, 0.125, 0.375],
+               [0.625, 0.125, 0.875, 0.625], [0.125, 0.625, 0.375, 0.125]]
+
+    def test_first_points_pinned(self):
+        assert ms.sobol(8).tolist() == self.FIRST_8
+        assert ms.sobol(3).tolist() == self.FIRST_8[:3]
+        assert ms.sobol(0).shape == (0, 4)
+        c = ms.sobol(1024) * 2.0 ** 30
+        assert np.array_equal(c, np.floor(c))
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_matches_scipy(self, k):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        want = qmc.Sobol(d=4, scramble=False).random(2 ** k)
+        assert ms.sobol(2 ** k).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_sample_points_match_scipy_formula(self, name):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        model = load_builtin(name, validate=False)
+        for count in (1, 5, 49):
+            pow2 = 1 << (count - 1).bit_length()
+            unit = qmc.Sobol(d=4, scramble=False).random(pow2)[:count]
+            want = model.box_lo + (model.box_hi - model.box_lo) * (
+                0.05 + 0.9 * unit)
+            assert sample_points(model, count).tobytes() == want.tobytes()
+
+
+_ROW_WITNESS = {
+    0: "[-0.9, -0.9, -0.9, -0.9]",
+    24: "[-0.61875, -0.61875, 0.05625000000000013, 0.6187500000000001]",
+    48: "[-0.759375, -0.478125, 0.534375, -0.646875]",
+}
+
+
+class TestValidationWitness:
+    """validate_model evaluates every point in one batch but reports the
+    first failing point, its message and witness as a point loop does."""
+
+    CURVED_GRAVITY = (ms.builtin_model_dir() / "curved-gravity.ini"
+                      ).read_text()
+
+    # each edit fails at exactly one sample point: the one whose x1 is c
+    EDITS = {
+        "evaluation": (GOOD_GALILEI, "A1 = -k * x2", "A1 = 1/(x1 - %s)",
+                       "field evaluation failed: jet with zero value"),
+        "non-finite": (GOOD_GALILEI, "A1 = -k * x2",
+                       "A1 = 1e300 * (1e300 * exp(-1e300 * (x1 - %s)^2))",
+                       "non-finite field value"),
+        "signature": (GOOD_GALILEI, "g11 = 1 + k*x1^2", "g11 = (x1 - %s)^2",
+                      "spacelike metric is not positive definite "
+                      "(eigenvalues [0. 1. 1.])"),
+        "closedness": (
+            CURVED_GRAVITY, "Phi01 = -x2",
+            "Phi01 = -x2 + x2 * exp(-1e300 * (x1 - %s)^2)",
+            "gravitational 2-form is not closed (d-component (0, 1, 2) = 1)"),
+        # dPhi is closed but cannot be evaluated where x1 = c; this once
+        # escaped as a bare ZeroDivisionError
+        "closedness-evaluation": (
+            CURVED_GRAVITY, "Phi01 = -x2",
+            "Phi01 = -x2 + x2 * (0 * (1/(x1 - %s)))",
+            "field evaluation failed: jet with zero value"),
+    }
+
+    @pytest.mark.parametrize("row", sorted(_ROW_WITNESS))
+    @pytest.mark.parametrize("kind", sorted(EDITS))
+    def test_first_failing_point(self, kind, row):
+        text, old, new, message = self.EDITS[kind]
+        c = sample_points(parse_model_text(text))[row][1]
+        assert old in text
+        model = parse_model_text(text.replace(old, new % repr(float(c))))
+        with pytest.raises(ValidationError) as err:
+            validate_model(model)
+        assert str(err.value) == "%s at witness point %s" % (
+            message, _ROW_WITNESS[row])
+        assert err.value.witness.tolist() == sample_points(model)[row].tolist()
 
 
 # ---------------------------------------------------------------------------
