@@ -30,26 +30,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import (
-    BinOp, Call, ExprField, Model, Num, Var, compile_fields, inverse_nodes,
+    Call, ExprField, Model, Var, compile_fields, constant, inverse_nodes,
+    velocity,
 )
-from .smooth import Batch, Field, PForm, VectorField, wedge, worst
+from .smooth import Batch, Field, PForm, VectorField, unboxed, wedge, worst
 
 
 class LightconeViolation(ValueError):
     """A phase point whose chart velocity is not timelike."""
-
-
-def _unboxed(f: Field) -> Field:
-    return getattr(f, "base", f)
-
-
-def _const(v: float) -> ExprField:
-    return ExprField(Num(float(v)))
-
-
-def _vel(i: int) -> ExprField:
-    """Observed velocity x^i_0 as a chart coordinate field, i in 1..3."""
-    return ExprField(Var(3 + i))
 
 
 @dataclass
@@ -85,8 +73,8 @@ class EinsteinPhase:
         self.coupling = model.coupling          # q / hbar
         self.c = model.lightspeed
         self.scale = model.hbar / model.mass    # g = scale * G
-        self.G = [[_unboxed(f) for f in row] for row in model.metric]
-        self.A = [_unboxed(f) for f in model.potential]
+        self.G = [[unboxed(f) for f in row] for row in model.metric]
+        self.A = [unboxed(f) for f in model.potential]
         params = model.params
         inv = inverse_nodes([[g.node for g in row] for row in self.G])
         self.Ginv = [[ExprField(n, params) for n in row] for row in inv]
@@ -122,7 +110,7 @@ class EinsteinPhase:
         if key not in self._memo:
             acc = self.G[0][lam]
             for i in range(1, 4):
-                acc = acc + self.G[i][lam] * _vel(i)
+                acc = acc + self.G[i][lam] * velocity(i)
             self._memo[key] = acc
         return self._memo[key]
 
@@ -136,7 +124,8 @@ class EinsteinPhase:
         """G^{i lam} - G^{0 lam} x^i_0 (inverse rescaled metric)."""
         key = ("Gbarup", i, lam)
         if key not in self._memo:
-            self._memo[key] = self.Ginv[i][lam] - self.Ginv[0][lam] * _vel(i)
+            self._memo[key] = (self.Ginv[i][lam]
+                               - self.Ginv[0][lam] * velocity(i))
         return self._memo[key]
 
     def gbar_up(self, i: int, lam: int) -> Field:
@@ -152,10 +141,10 @@ class EinsteinPhase:
         if "rad" not in self._memo:
             acc = self.g_low(0, 0)
             for j in range(1, 4):
-                acc = acc + self.g_low(0, j) * 2.0 * _vel(j)
+                acc = acc + self.g_low(0, j) * 2.0 * velocity(j)
             for i in range(1, 4):
                 for j in range(1, 4):
-                    acc = acc + self.g_low(i, j) * _vel(i) * _vel(j)
+                    acc = acc + self.g_low(i, j) * velocity(i) * velocity(j)
             self._memo["rad"] = acc
         return self._memo["rad"]
 
@@ -183,7 +172,7 @@ class EinsteinPhase:
         if "alpha0" not in self._memo:
             root = ExprField(Call("sqrt", Call("abs", self.radicand().node)),
                              self.model.params)
-            self._memo["alpha0"] = _const(1.0) / root
+            self._memo["alpha0"] = constant(1.0) / root
             self._memo["inv_alpha0"] = root
         return self._memo["alpha0"]
 
@@ -213,7 +202,7 @@ class EinsteinPhase:
         key = ("dee", lam)
         if key not in self._memo:
             base = self.alpha0() * self.c
-            self._memo[key] = base if lam == 0 else base * _vel(lam)
+            self._memo[key] = base if lam == 0 else base * velocity(lam)
         return self._memo[key]
 
     def ghat(self, i: int, mu: int) -> Field:
@@ -233,14 +222,14 @@ class EinsteinPhase:
     # -- adapted bases -------------------------------------------------------
 
     def base_b0(self) -> List[Field]:
-        return [_const(1.0), _vel(1), _vel(2), _vel(3)]
+        return [constant(1.0), velocity(1), velocity(2), velocity(3)]
 
     def base_bi(self, i: int) -> List[Field]:
         """b_i = d_i - c alpha0 tau_i (d_0 + x^j_0 d_j)."""
         coef = self.alpha0() * self.tau(i) * (-self.c)
         comps = []
         for lam in range(4):
-            term = coef if lam == 0 else coef * _vel(lam)
+            term = coef if lam == 0 else coef * velocity(lam)
             if lam == i:
                 term = term + 1.0
             comps.append(term)
@@ -249,18 +238,18 @@ class EinsteinPhase:
     def base_beta0(self) -> List[Field]:
         """beta^0 = d^0 + c alpha0 tau_i beta^i (covector components)."""
         comps = []
-        head = _const(1.0)
+        head = constant(1.0)
         for i in range(1, 4):
-            head = head - self.alpha0() * self.tau(i) * self.c * _vel(i)
+            head = head - self.alpha0() * self.tau(i) * self.c * velocity(i)
         comps.append(head)
         for j in range(1, 4):
             comps.append(self.alpha0() * self.tau(j) * self.c)
         return comps
 
     def base_betai(self, i: int) -> List[Field]:
-        comps = [_vel(i) * (-1.0)]
+        comps = [velocity(i) * (-1.0)]
         for lam in range(1, 4):
-            comps.append(_const(1.0 if lam == i else 0.0))
+            comps.append(constant(1.0 if lam == i else 0.0))
         return comps
 
     # -- Levi-Civita connection (sign-reversed symbols) ----------------------
@@ -302,7 +291,7 @@ class EinsteinPhase:
     def F_comp(self, a: int, b: int) -> Field:
         """Antisymmetric access to F_{ab} as an expression field."""
         if a == b:
-            return _const(0.0)
+            return constant(0.0)
         strict = self._f_strict()
         return strict[(a, b)] if a < b else -strict[(b, a)]
 
@@ -312,7 +301,7 @@ class EinsteinPhase:
         if key not in self._memo:
             acc = self.F_comp(0, mu)
             for i in range(1, 4):
-                acc = acc + self.F_comp(i, mu) * _vel(i)
+                acc = acc + self.F_comp(i, mu) * velocity(i)
             self._memo[key] = acc
         return self._memo[key]
 
@@ -325,9 +314,9 @@ class EinsteinPhase:
             upper = self.K(lam, i, 0)
             lower = self.K(lam, 0, 0)
             for j in range(1, 4):
-                upper = upper + self.K(lam, i, j) * _vel(j)
-                lower = lower + self.K(lam, 0, j) * _vel(j)
-            self._memo[key] = upper - _vel(i) * lower
+                upper = upper + self.K(lam, i, j) * velocity(j)
+                lower = lower + self.K(lam, 0, j) * velocity(j)
+            self._memo[key] = upper - velocity(i) * lower
         return self._memo[key]
 
     def Gamma_em(self, lam: int, i: int) -> Field:
@@ -359,7 +348,7 @@ class EinsteinPhase:
         if key not in self._memo:
             acc = self.Gamma(0, i)
             for j in range(1, 4):
-                acc = acc + self.Gamma(j, i) * _vel(j)
+                acc = acc + self.Gamma(j, i) * velocity(j)
             self._memo[key] = acc
         return self._memo[key]
 
@@ -369,7 +358,7 @@ class EinsteinPhase:
             head = self.alpha0() * self.c
             comps = [head]
             for i in range(1, 4):
-                comps.append(head * _vel(i))
+                comps.append(head * velocity(i))
             for i in range(1, 4):
                 comps.append(head * self.gamma_bar(i))
             self._memo["gamma_vec"] = VectorField(comps)
@@ -394,12 +383,12 @@ class EinsteinPhase:
         if "Omega" not in self._memo:
             total = None
             for i in range(1, 4):
-                a_comps = {(3 + i,): _const(1.0)}
+                a_comps = {(3 + i,): constant(1.0)}
                 for lam in range(4):
                     a_comps[(lam,)] = -self.Gamma(lam, i)
                 a = PForm(7, 1, a_comps)
                 for mu in range(4):
-                    b = PForm(7, 1, {(mu,): _const(1.0)})
+                    b = PForm(7, 1, {(mu,): constant(1.0)})
                     coef = self.alpha0() * self.Ghat(i, mu) * self.c
                     term = wedge(a, b).scaled(coef)
                     total = term if total is None else total + term
@@ -422,7 +411,7 @@ class EinsteinPhase:
                         acc = term if acc is None else acc + term
                     u_comps[(3 + i,)] = s * acc
                 u = PForm(7, 1, u_comps)
-                v = PForm(7, 1, {(3 + j,): _const(1.0)})
+                v = PForm(7, 1, {(3 + j,): constant(1.0)})
                 term = wedge(u, v)
                 total = term if total is None else total + term
             self._memo["Lambda"] = total
@@ -516,7 +505,7 @@ class EinsteinPhase:
         s = self.inv_alpha0() * (1.0 / self.c)
         comps: List[Field] = []
         for lam in range(4):
-            acc = head if lam == 0 else head * _vel(lam)
+            acc = head if lam == 0 else head * velocity(lam)
             for j in range(1, 4):
                 acc = acc - s * self.Gbar_up(j, lam) * f.partial(3 + j)
             comps.append(acc)
@@ -533,18 +522,32 @@ class EinsteinPhase:
     # -- distinguished special functions -------------------------------------
 
     def coordinate_function(self, lam: int) -> ESpecialFunction:
-        return ESpecialFunction([_const(0.0)] * 4, ExprField(Var(lam)))
+        return ESpecialFunction([constant(0.0)] * 4, ExprField(Var(lam)))
 
     def hamiltonian_function(self) -> ESpecialFunction:
         """Observed energy: lift d_0, scalar part -coupled A_0."""
-        comps = [_const(1.0)] + [_const(0.0)] * 3
+        comps = [constant(1.0)] + [constant(0.0)] * 3
         return ESpecialFunction(comps, -(self.A[0] * self.coupling))
 
     def momentum_function(self, i: int) -> ESpecialFunction:
         """Observed momentum along d^i: lift -d_i, scalar part +coupled A_i."""
-        comps = [_const(0.0)] * 4
-        comps[i] = _const(-1.0)
+        comps = [constant(0.0)] * 4
+        comps[i] = constant(-1.0)
         return ESpecialFunction(comps, self.A[i] * self.coupling)
+
+    def _observer_alpha(self, obs: Optional[List[Field]]):
+        """The observer's velocities (the chart observer's for None) and
+        its normalization 1 / sqrt|g(o, o)| with o = (1, obs)."""
+        if obs is None:
+            obs = [constant(0.0)] * 3
+        rad = self.g_low(0, 0)
+        for j in range(1, 4):
+            rad = rad + self.g_low(0, j) * 2.0 * obs[j - 1]
+        for i in range(1, 4):
+            for j in range(1, 4):
+                rad = rad + self.g_low(i, j) * obs[i - 1] * obs[j - 1]
+        return obs, constant(1.0) / ExprField(
+            Call("sqrt", Call("abs", rad.node)), self.model.params)
 
     def observed_theta(self, obs: Optional[List[Field]] = None) -> List[Field]:
         """Pullback of the kinetic potential along an observer section.
@@ -552,16 +555,7 @@ class EinsteinPhase:
         obs gives the three observed velocities of the observer as
         spacetime fields; omitted, it is the chart (rest) observer.
         """
-        if obs is None:
-            obs = [_const(0.0)] * 3
-        rad = self.g_low(0, 0)
-        for j in range(1, 4):
-            rad = rad + self.g_low(0, j) * 2.0 * obs[j - 1]
-        for i in range(1, 4):
-            for j in range(1, 4):
-                rad = rad + self.g_low(i, j) * obs[i - 1] * obs[j - 1]
-        alpha = _const(1.0) / ExprField(Call("sqrt", Call("abs", rad.node)),
-                                        self.model.params)
+        obs, alpha = self._observer_alpha(obs)
         out = []
         for lam in range(4):
             gb = self.G[0][lam]
@@ -635,17 +629,8 @@ class EinsteinPhase:
         Everything is built from spacetime fields once the observer's
         velocities are substituted, so the results live on spacetime.
         """
-        if obs is None:
-            obs = [_const(0.0)] * 3
-        rad = self.g_low(0, 0)
-        for j in range(1, 4):
-            rad = rad + self.g_low(0, j) * 2.0 * obs[j - 1]
-        for i in range(1, 4):
-            for j in range(1, 4):
-                rad = rad + self.g_low(i, j) * obs[i - 1] * obs[j - 1]
-        alpha = _const(1.0) / ExprField(Call("sqrt", Call("abs", rad.node)),
-                                        self.model.params)
-        delta0 = [_const(1.0)] + list(obs)
+        obs, alpha = self._observer_alpha(obs)
+        delta0 = [constant(1.0)] + list(obs)
 
         gbar0 = []
         for lam in range(4):
@@ -687,7 +672,7 @@ class EinsteinPhase:
         for i in range(1, 4):
             comps = [-obs[i - 1]]
             for lam in range(1, 4):
-                comps.append(_const(1.0 if lam == i else 0.0))
+                comps.append(constant(1.0 if lam == i else 0.0))
             beta.append(comps)
 
         perp = [[None] * 3 for _ in range(3)]
@@ -716,9 +701,9 @@ class EinsteinPhase:
             return acc
 
         cyc = [(1, 2, 0), (2, 0, 1), (0, 1, 2)]
-        magnetic = [_const(0.0)] * 4
+        magnetic = [constant(0.0)] * 4
         for a, b, h in cyc:
-            coef = (_const(self.c) / vol) * f_on(a, b)
+            coef = (constant(self.c) / vol) * f_on(a, b)
             for lam in range(4):
                 term = coef * frame[h][lam]
                 magnetic[lam] = magnetic[lam] + term

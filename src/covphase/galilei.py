@@ -30,29 +30,22 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .modelspec import (
-    ExprField, Model, Num, Var, compile_fields, inverse_nodes, substitute,
+    ExprField, Homotopy, Model, Num, Var, compile_fields, constant,
+    inverse_nodes, substitute, velocity,
 )
 from .smooth import (
-    BoxedField, Field, FuncField, PForm, VectorField, directional,
-    exterior_derivative, wedge,
+    Field, PForm, VectorField, directional, exterior_derivative, unboxed,
+    wedge,
 )
 
 from numpy.polynomial.legendre import leggauss
 
-
-def _unboxed(f: Field) -> Field:
-    while isinstance(f, BoxedField):
-        f = f.base
-    return f
-
-
-def _const(v: float) -> ExprField:
-    return ExprField(Num(float(v)))
-
-
-def _vel(i: int) -> ExprField:
-    """The fibre coordinate x^i_0 (i = 1..3) as a phase field."""
-    return ExprField(Var(3 + i))
+# the 12-node Gauss-Legendre rule on [0, 1] of the homotopy integral in
+# `GalileiPhase.observed_potential`: nodes t_k and products w_k t_k
+_T, _W = leggauss(12)
+_T = 0.5 * (_T + 1.0)
+HOMOTOPY_TS = tuple(_T.tolist())
+HOMOTOPY_WEIGHTS = tuple((0.5 * _W * _T).tolist())
 
 
 @dataclass
@@ -63,7 +56,7 @@ class Observer:
 
     @staticmethod
     def chart() -> "Observer":
-        return Observer([_const(0.0), _const(0.0), _const(0.0)])
+        return Observer([constant(0.0), constant(0.0), constant(0.0)])
 
     def section(self) -> List[Field]:
         """The section fields x ↦ (x, o(x)) into the phase chart."""
@@ -92,8 +85,8 @@ class GalileiPhase:
             raise ValueError("expected a galilei model, got %r" % model.kind)
         self.model = model
         self.coupling = model.coupling
-        self.G = [[_unboxed(f) for f in row] for row in model.metric]
-        self.A = [_unboxed(f) for f in model.potential]
+        self.G = [[unboxed(f) for f in row] for row in model.metric]
+        self.A = [unboxed(f) for f in model.potential]
         nodes = [[g.node for g in row] for row in self.G]
         inv = inverse_nodes(nodes)
         params = model.params
@@ -118,9 +111,9 @@ class GalileiPhase:
     def curvature(self) -> PForm:
         """Total curvature 2-form: gravity plus (q/hbar) times Faraday."""
         if "Phi" not in self._memo:
-            phi = self.faraday().scaled(_const(self.coupling))
+            phi = self.faraday().scaled(constant(self.coupling))
             if self.model.gravity2 is not None:
-                grav = PForm(4, 2, {k: _unboxed(f) for k, f
+                grav = PForm(4, 2, {k: unboxed(f) for k, f
                                     in self.model.gravity2.comps.items()})
                 phi = phi + grav
             self._memo["Phi"] = phi
@@ -129,14 +122,14 @@ class GalileiPhase:
     def K(self, lam: int, i: int, mu: int) -> Field:
         """Joined connection coefficient K_lam^i_mu (time row is zero)."""
         if i == 0:
-            return _const(0.0)
+            return constant(0.0)
         if lam > mu:
             return self.K(mu, i, lam)
         key = ("K", lam, i, mu)
         if key in self._memo:
             return self._memo[key]
         phi = self.curvature()
-        acc = _const(0.0)
+        acc = constant(0.0)
         if lam == 0 and mu == 0:
             for j in range(1, 4):
                 acc = acc - self.inv_metric(i, j) * phi.component((0, j))
@@ -164,7 +157,7 @@ class GalileiPhase:
             return self._memo[key]
         acc = self.K(lam, i, 0)
         for j in range(1, 4):
-            acc = acc + self.K(lam, i, j) * _vel(j)
+            acc = acc + self.K(lam, i, j) * velocity(j)
         self._memo[key] = acc
         return acc
 
@@ -175,7 +168,7 @@ class GalileiPhase:
             return self._memo[key]
         acc = self.Gamma(0, i)
         for h in range(1, 4):
-            acc = acc + self.Gamma(h, i) * _vel(h)
+            acc = acc + self.Gamma(h, i) * velocity(h)
         self._memo[key] = acc
         return acc
 
@@ -189,14 +182,14 @@ class GalileiPhase:
 
     def dynamical_vector(self) -> VectorField:
         """The second-order vector field d/dt of motions on the phase chart."""
-        comps = [_const(1.0)] + [_vel(i) for i in range(1, 4)] \
+        comps = [constant(1.0)] + [velocity(i) for i in range(1, 4)] \
             + [self.gamma(i) for i in range(1, 4)]
         return VectorField(comps)
 
     def cosymplectic(self) -> PForm:
         """The closed 2-form Omega of the phase structure."""
         if "Omega" not in self._memo:
-            one = _const(1.0)
+            one = constant(1.0)
             total = None
             for i in range(1, 4):
                 a_comps = {(3 + i,): one}
@@ -204,7 +197,7 @@ class GalileiPhase:
                     a_comps[(lam,)] = -self.Gamma(lam, i)
                 a_i = PForm(7, 1, a_comps)
                 for j in range(1, 4):
-                    b_j = PForm(7, 1, {(j,): one, (0,): -_vel(j)})
+                    b_j = PForm(7, 1, {(j,): one, (0,): -velocity(j)})
                     term = wedge(a_i, b_j).scaled(self.metric(i, j))
                     total = term if total is None else total + term
             self._memo["Omega"] = total
@@ -213,7 +206,7 @@ class GalileiPhase:
     def poisson_bivector(self) -> PForm:
         """The 2-vector Lambda inverse to Omega on the fibres."""
         if "Lambda" not in self._memo:
-            one = _const(1.0)
+            one = constant(1.0)
             total = None
             for i in range(1, 4):
                 u_comps = {(i,): one}
@@ -292,63 +285,38 @@ class GalileiPhase:
                            - sec[a].partial(mu) * sec[b].partial(lam))
                     term = compose(fld) * jac
                     acc = term if acc is None else acc + term
-                comps[(lam, mu)] = acc if acc is not None else _const(0.0)
+                comps[(lam, mu)] = acc if acc is not None else constant(0.0)
         form = PForm(4, 2, comps)
         if chart:
             self._memo["observed_Phi"] = form
         return form
 
-    def observed_potential(self, observer: Optional[Observer] = None,
-                           order: int = 12) -> List[Field]:
+    def observed_potential(self, observer: Optional[Observer] = None
+                           ) -> List[ExprField]:
         """A spacetime potential with d(potential) = observed curvature.
 
-        Constructed by the homotopy integral A_mu(x) = sum_nu (x-b)^nu
-        int_0^1 t Phi_nu_mu(b + t(x-b)) dt over the box center b, which
-        inverts d on the (contractible) chart box.  The integral uses
-        fixed Gauss-Legendre nodes, exact for the polynomial and analytic
-        components in practice.
+        The homotopy integral A_mu(x) = sum_nu (x-b)^nu int_0^1 t
+        Phi_nu_mu(b + t(x-b)) dt over the box center b inverts d on the
+        (contractible) chart box.  Each component is one `Homotopy`
+        expression node over fixed Gauss-Legendre nodes, exact for the
+        polynomial and analytic components in practice, so it evaluates
+        over a batch of points and differentiates symbolically like any
+        other expression field.
         """
         phi = self.observed_curvature(observer)
-        base = self.model.center()
-        s_nodes, s_weights = leggauss(order)
-        t_nodes = 0.5 * (s_nodes + 1.0)
-        t_weights = 0.5 * s_weights
+        base = tuple(self.model.center().tolist())
+        params = {}
+        for fld in phi.comps.values():
+            params.update(fld.params)
 
-        def cache_key(coords):
-            # the result is a pure function of the first-order jet data
-            # of the four spacetime coordinates, so those serve as key;
-            # second-order calls are rare and stay uncached
-            parts = []
-            for c in coords[:4]:
-                if c.order > 1:
-                    return None
-                if c.order == 0:
-                    parts.append((float(c.f),))
-                else:
-                    parts.append((float(c.f), tuple(map(float, c.g))))
-            return tuple(parts)
-
-        def component(mu: int) -> Field:
-            cache = {}
-
-            def fn(coords):
-                key = cache_key(coords)
-                if key is not None and key in cache:
-                    return cache[key]
-                rel = [coords[nu] - base[nu] for nu in range(4)]
-                acc = None
-                for t, w in zip(t_nodes, t_weights):
-                    pts = [base[nu] + t * rel[nu] for nu in range(4)]
-                    for nu in range(4):
-                        fld = phi.component((nu, mu))
-                        term = (w * t) * fld.jet(pts) * rel[nu]
-                        acc = term if acc is None else acc + term
-                if key is not None:
-                    if len(cache) > 8192:
-                        cache.clear()
-                    cache[key] = acc
-                return acc
-            return FuncField(fn)
+        def component(mu: int) -> ExprField:
+            phis = []
+            for nu in range(4):
+                fld = phi.component((nu, mu))
+                phis.append(fld.node if isinstance(fld, ExprField)
+                            else Num(fld.c))
+            return ExprField(Homotopy(tuple(phis), base, HOMOTOPY_TS,
+                                      HOMOTOPY_WEIGHTS), params)
 
         return [component(mu) for mu in range(4)]
 
@@ -356,7 +324,7 @@ class GalileiPhase:
 
     def special_value(self, sf: SpecialFunction) -> Field:
         """The phase function a special function's components describe."""
-        delta = [_vel(i) - sf.observer.vel[i - 1] for i in range(1, 4)]
+        delta = [velocity(i) - sf.observer.vel[i - 1] for i in range(1, 4)]
         acc = sf.fbar
         for i in range(1, 4):
             for j in range(1, 4):
@@ -445,13 +413,13 @@ class GalileiPhase:
         for j in range(1, 4):
             acc = None
             for k in range(1, 4):
-                term = chart.f0 * self.metric(j, k) * _vel(k) \
+                term = chart.f0 * self.metric(j, k) * velocity(k) \
                     + self.metric(k, j) * chart.fi[k - 1]
                 acc = term if acc is None else acc + term
             P.append(acc)
         comps: List[Field] = [chart.f0]
         for i in range(1, 4):
-            acc = chart.f0 * _vel(i)
+            acc = chart.f0 * velocity(i)
             for j in range(1, 4):
                 acc = acc - self.inv_metric(i, j) * P[j - 1]
             comps.append(acc)
@@ -467,20 +435,20 @@ class GalileiPhase:
     # -- distinguished special functions ------------------------------------
 
     def coordinate_function(self, lam: int) -> SpecialFunction:
-        return SpecialFunction(_const(0.0), [_const(0.0)] * 3,
+        return SpecialFunction(constant(0.0), [constant(0.0)] * 3,
                                ExprField(Var(lam)), Observer.chart())
 
     def hamiltonian_function(self) -> SpecialFunction:
         """Observed energy (kinetic plus electromagnetic scalar term)."""
-        fbar = -(_const(self.coupling) * self.A[0])
-        return SpecialFunction(_const(1.0), [_const(0.0)] * 3, fbar,
+        fbar = -(constant(self.coupling) * self.A[0])
+        return SpecialFunction(constant(1.0), [constant(0.0)] * 3, fbar,
                                Observer.chart())
 
     def momentum_function(self, i: int) -> SpecialFunction:
         """Observed momentum component along d_i."""
-        fi = [_const(1.0) if k == i else _const(0.0) for k in range(1, 4)]
-        fbar = _const(self.coupling) * self.A[i]
-        return SpecialFunction(_const(0.0), fi, fbar, Observer.chart())
+        fi = [constant(1.0) if k == i else constant(0.0) for k in range(1, 4)]
+        fbar = constant(self.coupling) * self.A[i]
+        return SpecialFunction(constant(0.0), fi, fbar, Observer.chart())
 
     def momentum_square_function(self) -> SpecialFunction:
         """Squared momentum contracted with the inverse spacelike metric.
@@ -489,7 +457,7 @@ class GalileiPhase:
         than 1; the upper-index potential A^i := G^ij A_j (with the
         coupling folded in) enters both the linear part and the scalar.
         """
-        a = [_const(self.coupling) * self.A[j] for j in range(1, 4)]
+        a = [constant(self.coupling) * self.A[j] for j in range(1, 4)]
         a_up = []
         for i in range(1, 4):
             acc = None
@@ -501,7 +469,7 @@ class GalileiPhase:
         for i in range(3):
             term = a_up[i] * a[i]
             fbar = term if fbar is None else fbar + term
-        fi = [_const(2.0) * a_up[i] for i in range(3)]
-        return SpecialFunction(_const(2.0), fi, fbar, Observer.chart())
+        fi = [constant(2.0) * a_up[i] for i in range(3)]
+        return SpecialFunction(constant(2.0), fi, fbar, Observer.chart())
 
 

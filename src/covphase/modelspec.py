@@ -95,6 +95,24 @@ class Call:
     arg: "Expr"
 
 
+@dataclass(frozen=True)
+class Homotopy:
+    """A quadrature along the segments from base to x (never parsed):
+
+        sum_k sum_nu (weights_k * phis_nu(y_k)) * (x_nu - base_nu)
+
+    with y_k = base + ts_k (x - base), summed k outer, nu inner; without
+    the factor (x_nu - base_nu) when `radial` is false.  The phis are
+    expressions in x0..x3, so the node reads x0..x3 only.
+    """
+
+    phis: tuple
+    base: tuple
+    ts: tuple
+    weights: tuple
+    radial: bool = True
+
+
 Expr = object
 
 
@@ -295,6 +313,8 @@ def to_text(node, prec: int = 0) -> str:
             return "%s^%s" % (to_text(b, 4), etxt)
         case Call(func=f, arg=a):
             return "%s(%s)" % (f, to_text(a, 0))
+        case Homotopy(phis=ps):
+            return "homotopy(%s)" % ", ".join(to_text(p) for p in ps)
     raise TypeError("not an expression node: %r" % (node,))
 
 
@@ -394,6 +414,19 @@ def derivative(node, i: int, memo: Optional[dict] = None):
             res = _div(derivative(a, i, memo), _mul(Num(2.0), Call("sqrt", a)))
         case Call(func="abs", arg=a):
             res = _mul(_div(a, Call("abs", a)), derivative(a, i, memo))
+        case Homotopy(phis=ps, ts=ts, weights=ws) if i < len(node.base):
+            # d/dx_i phi(y_k) = t_k (d_i phi)(y_k), and the radial factor
+            # x_nu - base_nu contributes the nu = i term without it
+            dps = tuple(derivative(p, i, memo) for p in ps)
+            res = Num(0.0)
+            if not all(_is_num(d, 0.0) for d in dps):
+                res = Homotopy(dps, node.base, ts,
+                               tuple(w * t for w, t in zip(ws, ts)),
+                               node.radial)
+            if node.radial and not _is_num(ps[i], 0.0):
+                res = _add(res, Homotopy((ps[i],), node.base, ts, ws, False))
+        case Homotopy():
+            res = Num(0.0)
         case _:
             raise TypeError("not an expression node: %r" % (node,))
     memo[key] = res
@@ -546,6 +579,22 @@ def eval_expr(node, coords: Sequence[Jet], params: Dict[str, float],
                 res = abs(x)
             memo[key] = res
             return res
+        case Homotopy(phis=ps, base=base, radial=radial):
+            key = id(node)
+            if key in memo:
+                return memo[key]
+            rel = [coords[nu] - b for nu, b in enumerate(base)]
+            res = None
+            for t, w in zip(node.ts, node.weights):
+                ys = [b + t * r for b, r in zip(base, rel)]
+                inner = {}
+                for nu, phi in enumerate(ps):
+                    term = w * _jet_of(eval_expr(phi, ys, params, inner), ys)
+                    if radial:
+                        term = term * rel[nu]
+                    res = term if res is None else res + term
+            memo[key] = res
+            return res
     raise TypeError("not an expression node: %r" % (node,))
 
 
@@ -577,14 +626,7 @@ class ExprField(Field):
         return self._partials[i]
 
     def _values(self, batch: Batch, cols):
-        # one memo per (params, coordinate columns) in a batch, so fields
-        # built from the same model share their common subexpressions
-        key = (tuple(sorted(self.params.items())), cols)
-        if key not in batch.memos:
-            batch.memos[key] = ({}, _Rows(batch, cols, self.params).node)
-        memo, visit = batch.memos[key]
-        with np.errstate(all="ignore"):
-            val, _ = _walk(self.node, memo, visit)
+        val = _batch_walk(batch, self.node, self.params, cols)
         if isinstance(val, np.ndarray):
             return val.copy()
         return np.full(len(batch.P), float(val))
@@ -643,6 +685,16 @@ class ExprField(Field):
 
     def __repr__(self):
         return "ExprField(%s)" % to_text(self.node)
+
+
+def constant(v: float) -> ExprField:
+    """The constant v as an expression field."""
+    return ExprField(Num(float(v)))
+
+
+def velocity(i: int) -> ExprField:
+    """The fibre coordinate x^i_0 (i = 1..3) as a phase field."""
+    return ExprField(Var(3 + i))
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +866,17 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
 _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
+def _batch_walk(batch: Batch, node, params, cols):
+    """node's value at every row of the batch (a float for a node that
+    reads no coordinate).  One memo per (params, coordinate columns) in a
+    batch, so fields built from the same model share their common
+    subexpressions.  The memo holds no reference back to the batch, so a
+    batch is freed as soon as it is dropped."""
+    memo = batch.memos.setdefault((tuple(sorted(params.items())), cols), {})
+    with np.errstate(all="ignore"):
+        return _walk(node, memo, _Rows(batch, cols, params).node)[0]
+
+
 class _Rows:
     """Node values at every row of a `Batch`: the array back-end of `_walk`.
 
@@ -908,7 +971,38 @@ class _Rows:
                 if f == "abs":
                     return abs(a), True
                 return self.each(getattr(math, f), a), True
+            case Homotopy():
+                return self.homotopy(node), True
         raise TypeError("not an expression node: %r" % (node,))
+
+    def homotopy(self, node: Homotopy):
+        """The quadrature walks its phis once, over one batch that stacks
+        the rows y_k of every node t_k (k-major), shared by every
+        homotopy node on these columns; an error at a stacked row is
+        logged on the row it came from."""
+        n = len(self.batch.P)
+        rel = [self.batch.P[:, self.cols[nu]] - b
+               for nu, b in enumerate(node.base)]
+        key = (tuple(sorted(self.params.items())), self.cols, node.ts,
+               node.base)
+        stacked = self.batch.memos.get(key)
+        if stacked is None:
+            stacked = self.batch.memos[key] = Batch(np.concatenate(
+                [np.stack([b + t * r for b, r in zip(node.base, rel)], axis=1)
+                 for t in node.ts]))
+        vals = [_batch_walk(stacked, phi, self.params, stacked.cols)
+                for phi in node.phis]
+        for r, (exc, message) in sorted(stacked.errors.items()):
+            self.batch.fail(np.arange(n) == r % n, exc, message)
+        acc = None
+        for k, w in enumerate(node.weights):
+            for nu, v in enumerate(vals):
+                term = w * (v[k * n:(k + 1) * n]
+                            if isinstance(v, np.ndarray) else v)
+                if node.radial:
+                    term = term * rel[nu]
+                acc = term if acc is None else acc + term
+        return acc
 
     def pow(self, a, jet: bool, e: Fraction):
         p = int(e) if e.denominator == 1 else float(e)
@@ -1145,6 +1239,7 @@ def validate_model(model: Model) -> None:
     fields = [f for row in model.metric for f in row] + model.potential
     closure = []
     if model.gravity2 is not None:
+        fields += list(model.gravity2.comps.values())
         # from the unboxed components, so that dPhi is a sum of expressions
         # (the sample points lie inside the box)
         dphi = exterior_derivative(PForm(4, 2, {
@@ -1189,7 +1284,7 @@ def validate_model(model: Model) -> None:
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise ValidationError("field evaluation failed: %s" % exc,
                                       witness=p) from exc
-            if abs(v) > 1e-9:
+            if not abs(v) <= 1e-9:  # NaN included
                 raise ValidationError(
                     "gravitational 2-form is not closed "
                     "(d-component %s = %g)" % (key, v), witness=p)

@@ -1,17 +1,16 @@
 """Charts, second-order jets, scalar/vector fields and exterior calculus.
 
-Everything geometric in this package reduces to evaluating smooth chart
-functions together with their first and second derivatives.  Derivatives are
-propagated by forward-mode Taylor arithmetic truncated at order two: a `Jet`
-carries a value, optionally a gradient, optionally a symmetric Hessian.
+A field is a chart function.  Every field the phase modules build is an
+expression field (`modelspec.ExprField`): it differentiates symbolically
+to any order and evaluates over all rows of a point `Batch` at once.
 
-Fields are thin objects with a single obligation: given a list of coordinate
-jets, return the jet of the field there.  That makes composition trivial (a
-spacetime field evaluated on the first four jets of a phase chart acquires
-phase-space derivatives for free) and keeps the chart dimension out of the
-type.  `Field.partial` closes the algebra under differentiation; numerically
-derived fields lose one order per partial, expression-backed fields (see
-`modelspec`) differentiate exactly to any order.
+Point evaluation goes through forward-mode Taylor arithmetic truncated at
+order two: a `Jet` carries a value, optionally a gradient, optionally a
+symmetric Hessian, and `Field.value`/`gradient`/`hessian` seed coordinate
+jets.  Closure fields (`FuncField`, and the results of mixing a closure
+into field arithmetic) are written against jets alone, run one point at a
+time, and differentiate numerically through `PartialField`, which loses
+one order per partial.
 
 Convention for forms: components are stored on strictly increasing index
 tuples and extended by antisymmetry, the wedge is the determinant convention
@@ -208,7 +207,7 @@ class Batch:
     Expression fields are evaluated over all rows at once, bit for bit as
     `Field.value` would give them row by row, and every field evaluated in
     one batch shares one node memo (see `modelspec.ExprField`), so common
-    subexpressions are computed once.  Other fields run point by point.
+    subexpressions are computed once.  Closure fields run point by point.
 
     Within a field, an evaluation error does not stop the other rows: the
     row is marked, and once the field is done the error of the lowest
@@ -221,7 +220,7 @@ class Batch:
         if self.P.ndim != 2:
             raise ValueError("expected a 2-D array of points")
         self.cols = tuple(range(self.P.shape[1]))
-        self.memos: Dict[tuple, tuple] = {}
+        self.memos: Dict[tuple, object] = {}
         self.failed = np.zeros(len(self.P), dtype=bool)
         self.errors: Dict[int, Tuple[type, str]] = {}
         self._rows: Dict[int, tuple] = {}
@@ -407,35 +406,6 @@ class PartialField(Field):
         return Jet(val, g, None)
 
 
-class RestrictedField(Field):
-    """A field of m arguments read through a slot map into a larger chart.
-
-    ``index_map[j]`` names the ambient coordinate feeding the base field's
-    j-th argument.  Used to lift spacetime fields to the phase chart.
-    """
-
-    def __init__(self, base: Field, index_map: Sequence[int]):
-        self.base = base
-        self.index_map = list(index_map)
-
-    def jet(self, coords):
-        return self.base.jet([coords[k] for k in self.index_map])
-
-    def partial(self, i):
-        for j, k in enumerate(self.index_map):
-            if k == i:
-                return RestrictedField(self.base.partial(j), self.index_map)
-        return ConstField(0.0)
-
-    def _values(self, batch, cols):
-        return self.base._values(batch, tuple(cols[k] for k in self.index_map))
-
-
-def lift_spacetime(f: Field) -> Field:
-    """View a four-argument spacetime field as a phase-chart field."""
-    return RestrictedField(f, [0, 1, 2, 3])
-
-
 class BoxedField(Field):
     """Wraps a spacetime field with the declared chart-box guard."""
 
@@ -465,6 +435,13 @@ class BoxedField(Field):
                        OutsideBoxError, "coordinate x%d outside declared "
                        "box [%g, %g]" % (k, lo, hi))
         return self.base._values(batch, cols)
+
+
+def unboxed(f: Field) -> Field:
+    """f without its chart-box guards."""
+    while isinstance(f, BoxedField):
+        f = f.base
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -643,60 +620,6 @@ def contract(X: VectorField, w: PForm) -> PForm:
                 term = -term
             comps[rest] = comps[rest] + term if rest in comps else term
     return PForm(w.dim, w.degree - 1, comps)
-
-
-def lie_derivative_form(X: VectorField, w: PForm) -> PForm:
-    """L_X ω by the direct component formula (not via Cartan)."""
-    comps: Dict[Tuple[int, ...], Field] = {}
-    for key in itertools.combinations(range(w.dim), w.degree):
-        acc = directional(X, w.component(key)) if key in w.comps else None
-        for slot in range(w.degree):
-            for nu in range(w.dim):
-                replaced = key[:slot] + (nu,) + key[slot + 1:]
-                sign, skey = _perm_sign_and_sorted(replaced)
-                if sign == 0 or skey not in w.comps:
-                    continue
-                term = w.comps[skey] * X.comps[nu].partial(key[slot])
-                if sign == -1:
-                    term = -term
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            comps[key] = acc
-    return PForm(w.dim, w.degree, comps)
-
-
-def pullback_form(w: PForm, section: Sequence[Field], base_dim: int = 4) -> PForm:
-    """Pullback of a 1- or 2-form along the map x ↦ (section_A(x))_A.
-
-    The section is given componentwise as fields on the base chart, one
-    field per ambient coordinate.
-    """
-    if w.degree not in (1, 2):
-        raise ValueError("pullback implemented for degrees 1 and 2")
-    sec = list(section)
-
-    def composed(fld: Field) -> Field:
-        return FuncField(lambda c, f=fld: f.jet([s.jet(c) for s in sec]))
-
-    comps: Dict[Tuple[int, ...], Field] = {}
-    if w.degree == 1:
-        for lam in range(base_dim):
-            acc = None
-            for (a,), fld in w.comps.items():
-                term = composed(fld) * sec[a].partial(lam)
-                acc = term if acc is None else acc + term
-            comps[(lam,)] = acc if acc is not None else ZERO
-        return PForm(base_dim, 1, comps)
-    for lam in range(base_dim):
-        for mu in range(lam + 1, base_dim):
-            acc = None
-            for (a, b), fld in w.comps.items():
-                jac = (sec[a].partial(lam) * sec[b].partial(mu)
-                       - sec[a].partial(mu) * sec[b].partial(lam))
-                term = composed(fld) * jac
-                acc = term if acc is None else acc + term
-            comps[(lam, mu)] = acc if acc is not None else ZERO
-    return PForm(base_dim, 2, comps)
 
 
 def bivector_bracket(L: PForm, f: Field, g: Field) -> Field:

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import BinOp, ExprField, Model, Num, Var, ValidationError, \
-    load_builtin, load_model
+    constant, load_builtin, load_model
 from .smooth import Batch, OutsideBoxError, PForm, VectorField, contract, \
     directional, exterior_derivative, field_values, lie_bracket, wedge
 from .smooth import worst as _worst
@@ -74,10 +74,6 @@ def resolve_model(spec) -> Model:
 
 # ---------------------------------------------------------------------------
 # sampling and shared context
-
-def _cf(v) -> ExprField:
-    return ExprField(Num(float(v)))
-
 
 def _poly(rng, nvars=4) -> ExprField:
     node = Num(float(rng.uniform(-1.0, 1.0)))
@@ -260,7 +256,7 @@ def _volume_witness(ctx: _Ctx, one_form: PForm, required: float) -> float:
 
 
 def _g_volume(ctx: _Ctx) -> float:
-    dt = PForm(7, 1, {(0,): _cf(1.0)})
+    dt = PForm(7, 1, {(0,): constant(1.0)})
     return _volume_witness(ctx, dt, 1e-6)
 
 
@@ -520,7 +516,8 @@ def _eq_isomorphism(ctx: _Ctx) -> float:
 def _eq_observed_route(ctx: _Ctx) -> float:
     ph = ctx.phase
     rng = ctx.rng("observed-route")
-    obs = [_cf(0.1), ExprField(BinOp("*", Num(0.05), Var(1))), _cf(-0.08)]
+    obs = [constant(0.1), ExprField(BinOp("*", Num(0.05), Var(1))),
+           constant(-0.08)]
     worst = 0.0
     for _ in range(3):
         sf = _random_especial(rng)
@@ -566,8 +563,8 @@ def _s1_jacobi(ctx: _Ctx) -> float:
 def _s1_jacobi_witness(ctx: _Ctx) -> float:
     # twist x^0 d1^d2 is not closed; translations see the defect d(twist)
     phi = PForm(4, 2, {(1, 2): ExprField(Var(0))})
-    trips = [qt.GaugePair(VectorField([_cf(1.0 if k == m else 0.0)
-                                       for k in range(4)]), _cf(0.0))
+    trips = [qt.GaugePair(VectorField([constant(1.0 if k == m else 0.0)
+                                       for k in range(4)]), constant(0.0))
              for m in range(3)]
     cyc = qt.jacobi_cycle(phi, *trips)
     pts = ctx.cube_points("jacobi-witness", 8)
@@ -582,7 +579,7 @@ def _s1_central_extension(ctx: _Ctx) -> float:
     y = qt.HermitianVF(VectorField([_poly(rng) for _ in range(4)]),
                        _poly(rng))
     pair = qt.classify_h(A, y)
-    zero = VectorField([_cf(0.0)] * 4)
+    zero = VectorField([constant(0.0)] * 4)
     m1 = qt.HermitianVF(zero, _poly(rng))
     m2 = qt.HermitianVF(zero, _poly(rng))
     kernel_br = qt.hermitian_bracket(m1, m2)
@@ -833,15 +830,6 @@ _suite("orbits", "any", [
 
 def suite_names() -> List[str]:
     return list(SUITES)
-
-
-def check_names(suite: Optional[str] = None) -> List[str]:
-    if suite is not None:
-        return [c.name for c in SUITES[suite].checks]
-    out = []
-    for s in SUITES.values():
-        out.extend(c.name for c in s.checks)
-    return out
 
 
 # ---------------------------------------------------------------------------

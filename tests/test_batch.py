@@ -5,8 +5,10 @@
 and NaN included), and raise the class that loop raises first.
 """
 
+import gc
 import math
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -14,14 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covphase.einstein import EinsteinPhase
-from covphase.galilei import GalileiPhase
+from covphase.galilei import HOMOTOPY_TS, HOMOTOPY_WEIGHTS, GalileiPhase
 from covphase.modelspec import (
-    BinOp, Call, ExprField, Name, Neg, Num, Pow, Var, available_models,
-    derivative, load_builtin, parse_expr,
+    BinOp, Call, ExprField, Homotopy, Name, Neg, Num, Pow, Var,
+    available_models, derivative, load_builtin, parse_expr,
 )
 from covphase.smooth import (
-    BoxedField, ConstField, CoordField, FuncField, OutsideBoxError, PForm,
-    VectorField, exterior_derivative, field_values, lift_spacetime,
+    Batch, BoxedField, ConstField, CoordField, FuncField, OutsideBoxError, PForm,
+    VectorField, exterior_derivative, field_values,
 )
 from covphase.suites import _Ctx
 
@@ -203,26 +205,49 @@ def test_boxed_field_guards_every_row():
 def test_closure_fallback_equals_point_loop():
     f = ExprField("sin(x0) * x1 + x3^2")
     closure = FuncField(lambda c: f.jet(c) * f.jet(c) + c[2])
-    fields = [closure, closure.partial(1), lift_spacetime(closure),
-              lift_spacetime(f), ConstField(-2.5), CoordField(5),
+    fields = [closure, closure.partial(1), ConstField(-2.5), CoordField(5),
               f + closure]
     P = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 7))
     assert_batch_matches(fields, P)
 
 
-def test_galilei_potential_closure_equals_point_loop():
+def test_galilei_potential_equals_point_loop():
     ph = GalileiPhase(load_builtin("curved-galilei"))
     pot = ph.observed_potential()
     P = _Ctx(ph.model, 3, 2).points[:, :4]
-    assert_batch_matches(pot, P)
+    assert_batch_matches(pot + [a.partial(i) for a in pot for i in range(4)],
+                         P)
 
 
-def test_restricted_field_selects_columns():
-    f = ExprField("x0 - 2 * x3 + x1 * x2")
-    lifted = lift_spacetime(f)
-    P = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 7))
-    assert lifted.values(P).tolist() == f.values(P[:, :4]).tolist()
-    assert_batch_matches([lifted, f], P)
+def test_batch_is_freed_without_the_cycle_collector():
+    # node memos hold no reference back to their batch, so a dropped
+    # batch (and the stacked batch of a homotopy node) is freed at once
+    pot = GalileiPhase(load_builtin("uniform-b")).observed_potential()
+    batch = Batch(np.zeros((3, 4)))
+    ref = weakref.ref(batch)
+    gc.disable()
+    try:
+        for fld in pot + [ExprField("x1 * sin(x2)")]:
+            batch.values(fld.partial(1))
+        del batch
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_homotopy_error_logged_on_its_parent_row():
+    # sqrt(y1 + 0.95) fails on the stacked rows y = t x with t x1 < -0.95
+    phi = Call("sqrt", BinOp("+", Var(1), Num(0.95)))
+    fld = ExprField(Homotopy((Num(0.0), phi, Num(0.0), Num(0.0)),
+                             (0.0,) * 4, HOMOTOPY_TS, HOMOTOPY_WEIGHTS))
+    P = np.random.default_rng(6).uniform(-0.5, 0.5, size=(6, 4))
+    assert_batch_matches([fld, fld.partial(1)], P)
+    P[[2, 4], 1] = -0.99
+    with pytest.raises(ValueError) as info:
+        fld.values(P)
+    assert str(P[2].tolist()) in str(info.value)
+    assert_batch_matches([fld], P)
+    assert_batch_matches([fld.partial(1)], P)
 
 
 def test_vector_and_form_values_match_points():

@@ -12,7 +12,9 @@ import pytest
 from covphase.modelspec import (
     BinOp, ExprField, Num, Var, load_builtin, sample_points,
 )
+from covphase import smooth
 from covphase.galilei import GalileiPhase, Observer, SpecialFunction
+from covphase.suites import run_suite
 from covphase.smooth import (
     PForm, VectorField, contract, directional, exterior_derivative,
     lie_bracket, wedge,
@@ -442,6 +444,31 @@ class TestObservedPotential:
         for p in pts:
             diff = form_matrix(dpot, p) - form_matrix(target, p)
             assert np.max(np.abs(diff)) < 1e-8
+
+    @pytest.mark.parametrize("name", ["uniform-b", "curved-gravity"])
+    def test_built_without_closures(self, phases, name, monkeypatch):
+        # the potential is expression nodes all the way down, and so is
+        # everything galilei-quantum builds from it
+        def refuse(self, fn):
+            raise AssertionError("closure field built")
+
+        monkeypatch.setattr(smooth.FuncField, "__init__", refuse)
+        pot = phases[name].observed_potential()
+        assert all(isinstance(a, ExprField) for a in pot)
+        rep = run_suite(phases[name].model, "galilei-quantum", points=2,
+                        seed=3)
+        assert rep.all_passed() and rep.records
+
+    @pytest.mark.parametrize("name", ["uniform-b", "curved-gravity"])
+    def test_symbolic_partials_match_jets(self, phases, name):
+        pot = phases[name].observed_potential()
+        P = sample_points(phases[name].model, 4)
+        for a in pot:
+            sym = np.array([a.partial(i).values(P) for i in range(4)]).T
+            jet = np.array([a.gradient(p) for p in P])
+            # relative to the gradient's scale: cancelling entries read
+            # 1e-19 one way and -2e-19 the other
+            assert np.max(np.abs(sym - jet)) <= 1e-12 * np.max(np.abs(jet))
 
 
 class TestHamiltonianLift:

@@ -400,6 +400,13 @@ class TestValidationWitness:
             CURVED_GRAVITY, "Phi01 = -x2",
             "Phi01 = -x2 + x2 * exp(-1e300 * (x1 - %s)^2)",
             "gravitational 2-form is not closed (d-component (0, 1, 2) = 1)"),
+        # a NaN component (0 * inf where x1 = c) with a closed dPhi; this
+        # once loaded without complaint
+        "gravity-non-finite": (
+            CURVED_GRAVITY, "Phi03 = cos(x0)",
+            "Phi03 = cos(x0)\nPhi12 = 0 * (1e300 * (1e300 * "
+            "exp(-1e300 * (x1 - %s)^2)))",
+            "non-finite field value"),
         # dPhi is closed but cannot be evaluated where x1 = c; this once
         # escaped as a bare ZeroDivisionError
         "closedness-evaluation": (

@@ -4,8 +4,7 @@ import pytest
 from covphase.smooth import (
     BoxedField, ConstField, CoordField, DerivativeOrderError, FuncField, Jet,
     OutsideBoxError, PForm, VectorField, contract, directional,
-    exterior_derivative, lie_bracket, lie_derivative_form, lift_spacetime,
-    pullback_form, seed_jets, wedge,
+    exterior_derivative, lie_bracket, seed_jets, wedge,
 )
 
 from numutil import central_grad, central_hess, form_matrix
@@ -102,14 +101,6 @@ class TestFields:
         assert c.partial(2).value(np.zeros(4)) == 1.0
         assert c.partial(0).value(np.zeros(4)) == 0.0
         assert ConstField(5.0).partial(1).value(np.zeros(4)) == 0.0
-
-    def test_lift_spacetime_partials(self):
-        f = FuncField(lambda c: c[0] * c[3])
-        lifted = lift_spacetime(f)
-        p = np.array([2.0, 0.0, 0.0, 5.0, 0.1, 0.2, 0.3])
-        assert lifted.value(p) == 10.0
-        assert lifted.partial(3).value(p) == 2.0
-        assert lifted.partial(5).value(p) == 0.0
 
     def test_boxed_field_guard(self):
         base = FuncField(lambda c: c[0] + c[1])
@@ -270,48 +261,3 @@ class TestForms:
         v = rng.uniform(-1, 1, size=4)
         assert iw.evaluate(p, v) == pytest.approx(w.evaluate(p, X.at(p), v),
                                                   rel=1e-10)
-
-    def test_cartan_formula(self):
-        X = polynomial_vector(24, dim=4)
-        w = wedge(random_one_form(25), random_one_form(26))
-        lhs = lie_derivative_form(X, w)
-        rhs = contract(X, exterior_derivative(w)) + exterior_derivative(contract(X, w))
-        rng = np.random.default_rng(27)
-        p = rng.uniform(-0.8, 0.8, size=4)
-        for key in lhs.comps:
-            assert lhs.comps[key].value(p) == pytest.approx(
-                rhs.component(key).value(p), rel=1e-8, abs=1e-9)
-
-    def test_pullback_commutes_with_d_on_scalars(self):
-        # s*(df) = d(f ∘ s) for a section x ↦ (x, σ(x)) into 7 coordinates
-        f7 = FuncField(lambda c: c[0] * c[4] + (c[5] * c[6]).sin() + c[2])
-        df7 = PForm(7, 1, {(i,): f7.partial(i) for i in range(7)})
-        sec = [CoordField(i) for i in range(4)] + [
-            FuncField(lambda c: c[1] * c[2]),
-            FuncField(lambda c: (c[0]).sin()),
-            FuncField(lambda c: c[3] + 0.5 * c[1]),
-        ]
-        pulled = pullback_form(df7, sec)
-        composed = FuncField(lambda c: f7.jet([s.jet(c) for s in sec]))
-        p = np.array([0.3, 0.7, -0.2, 0.4])
-        for lam in range(4):
-            assert pulled.comps[(lam,)].value(p) == pytest.approx(
-                composed.partial(lam).value(p), rel=1e-9, abs=1e-10)
-
-    def test_pullback_two_form(self):
-        # compare s*ω evaluated on (u, v) with ω evaluated on (ds u, ds v)
-        w = wedge(random_one_form(28, dim=7), random_one_form(29, dim=7))
-        sec = [CoordField(i) for i in range(4)] + [
-            FuncField(lambda c: c[1] * c[1]),
-            FuncField(lambda c: c[0] * c[2]),
-            FuncField(lambda c: c[3]),
-        ]
-        pulled = pullback_form(w, sec)
-        rng = np.random.default_rng(30)
-        p = rng.uniform(-0.7, 0.7, size=4)
-        u, v = rng.uniform(-1, 1, size=(2, 4))
-        jac = np.array([[s.partial(lam).value(p) for lam in range(4)]
-                        for s in sec])
-        sp = np.array([s.value(p) for s in sec])
-        expected = w.evaluate(sp, jac @ u, jac @ v)
-        assert pulled.evaluate(p, u, v) == pytest.approx(expected, rel=1e-9)
