@@ -26,8 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dims import CANONICAL_CONSTANT_DIMS, DimScalar, parse_dimension
-from .smooth import Batch, BoxedField, ConstField, Field, Jet, PForm, \
-    _jet_of, exterior_derivative
+from .smooth import Batch, BoxedField, ConstField, Field, PForm, \
+    exterior_derivative, point_error
 
 SAMPLE_COUNT = 49  # validation points per model
 MAX_DEPTH = 200  # levels of nesting allowed in one parsed expression
@@ -371,9 +371,9 @@ def _pow(base, e: Fraction):
 def derivative(node, i: int, memo: Optional[dict] = None):
     """Exact partial derivative of an expression with respect to x_i.
 
-    Nodes are memoized by identity for the duration of one call, like
-    `eval_expr`, so a subexpression shared in the input is differentiated
-    once and its derivative is shared in the output.
+    Nodes are memoized by identity for the duration of one call, so a
+    subexpression shared in the input is differentiated once and its
+    derivative is shared in the output.
     """
     if memo is None:
         memo = {}
@@ -500,102 +500,7 @@ def inverse_nodes(m: List[List[object]]) -> List[List[object]]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and the expression-backed field
-
-
-def eval_expr(node, coords: Sequence[Jet], params: Dict[str, float],
-              memo: Optional[dict] = None):
-    # Expression trees built by field arithmetic reuse subtree objects, so
-    # compound nodes are memoized by identity for the duration of one call.
-    if memo is None:
-        memo = {}
-    match node:
-        case Num(value=v):
-            return v
-        case Var(index=k):
-            return coords[k]
-        case Name(ident=s):
-            try:
-                return params[s]
-            except KeyError:
-                raise ValueError("unknown name %r in expression" % s) from None
-        case Neg(arg=a):
-            key = id(node)
-            if key in memo:
-                return memo[key]
-            res = -eval_expr(a, coords, params, memo)
-            memo[key] = res
-            return res
-        case BinOp(op=o, left=a, right=b):
-            key = id(node)
-            if key in memo:
-                return memo[key]
-            x = eval_expr(a, coords, params, memo)
-            y = eval_expr(b, coords, params, memo)
-            if o == "+":
-                res = x + y
-            elif o == "-":
-                res = x - y
-            elif o == "*":
-                res = x * y
-            elif isinstance(y, Jet):
-                res = x * y.reciprocal()
-            elif y == 0:
-                raise ZeroDivisionError("division by zero in expression")
-            else:
-                res = x / y
-            memo[key] = res
-            return res
-        case Pow(base=b, exponent=e):
-            key = id(node)
-            if key in memo:
-                return memo[key]
-            x = eval_expr(b, coords, params, memo)
-            p = int(e) if e.denominator == 1 else float(e)
-            if isinstance(x, Jet):
-                res = x ** p
-            elif e.denominator != 1 and x <= 0:
-                raise ValueError("fractional power of non-positive base")
-            else:
-                res = float(x) ** float(p)
-            memo[key] = res
-            return res
-        case Call(func=f, arg=a):
-            key = id(node)
-            if key in memo:
-                return memo[key]
-            x = eval_expr(a, coords, params, memo)
-            if not isinstance(x, Jet):
-                x = Jet(x)
-            if f == "sin":
-                res = x.sin()
-            elif f == "cos":
-                res = x.cos()
-            elif f == "exp":
-                res = x.exp()
-            elif f == "sqrt":
-                res = x.sqrt()
-            else:
-                res = abs(x)
-            memo[key] = res
-            return res
-        case Homotopy(phis=ps, base=base, radial=radial):
-            key = id(node)
-            if key in memo:
-                return memo[key]
-            rel = [coords[nu] - b for nu, b in enumerate(base)]
-            res = None
-            for t, w in zip(node.ts, node.weights):
-                ys = [b + t * r for b, r in zip(base, rel)]
-                inner = {}
-                for nu, phi in enumerate(ps):
-                    term = w * _jet_of(eval_expr(phi, ys, params, inner), ys)
-                    if radial:
-                        term = term * rel[nu]
-                    res = term if res is None else res + term
-            memo[key] = res
-            return res
-    raise TypeError("not an expression node: %r" % (node,))
+# The expression-backed field
 
 
 class ExprField(Field):
@@ -604,7 +509,8 @@ class ExprField(Field):
     Sums, products and quotients of expression fields combine at the
     expression level, so derived structures built from model components
     (connection coefficients, curvature forms and so on) inherit exact
-    differentiation instead of degrading to finite jet order.
+    differentiation.  One evaluator, `_Rows`, gives the value at a point
+    and at every row of a `Batch`.
     """
 
     def __init__(self, node, params: Optional[Dict[str, float]] = None):
@@ -613,9 +519,18 @@ class ExprField(Field):
         self.node = node
         self.params = dict(params or {})
         self._partials: Dict[int, "ExprField"] = {}
+        self._tape: Optional[list] = None
 
     def jet(self, coords):
-        return _jet_of(eval_expr(self.node, coords, self.params), coords)
+        """The value at float coordinates: the field's tape replayed
+        through `_Rows` on Python floats."""
+        if self._tape is None:
+            self._tape = _tape(self.node)
+        value = _Point(coords, self.params).node
+        vals = []
+        for node, kids in self._tape:
+            vals.append(value(node, [vals[k] for k in kids]))
+        return float(vals[-1][0])
 
     def partial(self, i):
         # cached, so a partial asked for at every point or by every check
@@ -702,41 +617,53 @@ def velocity(i: int) -> ExprField:
 
 
 def _children(node) -> tuple:
-    match node:
-        case Neg(arg=a) | Call(arg=a) | Pow(base=a):
-            return (a,)
-        case BinOp(left=a, right=b):
-            return (a, b)
-    return ()
+    kids = _KIDS.get(type(node))
+    return kids(node) if kids else ()
+
+
+_KIDS = {Neg: lambda n: (n.arg,), Call: lambda n: (n.arg,),
+         Pow: lambda n: (n.base,), BinOp: lambda n: (n.left, n.right)}
 
 
 def _walk(root, memo: dict, visit):
-    """Visit root's unvisited DAG nodes without recursion, in the post-order
-    `eval_expr` evaluates them; memo maps id(node) to visit(node, [the
-    children's results]).  Returns root's result."""
-    stack = [(root, False)]
+    """Visit root's unvisited DAG nodes without recursion, in post-order,
+    left child first; memo maps id(node) to visit(node, [the children's
+    results]).  Returns root's result.  Every evaluator visits nodes in
+    this order, so the first operation to fail is the same in each."""
+    stack = [(root, None)]
     while stack:
-        node, ready = stack.pop()
+        node, kids = stack.pop()
         if id(node) in memo:
             continue
-        kids = _children(node)
-        if not ready:
-            stack.append((node, True))
-            stack.extend((k, False) for k in reversed(kids))
-            continue
+        if kids is None:
+            kids = _children(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend([(k, None) for k in reversed(kids)])
+                continue
         memo[id(node)] = visit(node, [memo[id(k)] for k in kids])
     return memo[id(root)]
+
+
+def _tape(root) -> List[Tuple[object, List[int]]]:
+    """root's DAG in `_walk` order, one (node, [tape indices of its
+    children]) entry per distinct node: what a point evaluation replays."""
+    tape = []
+
+    def visit(node, kids):
+        tape.append((node, kids))
+        return len(tape) - 1
+    _walk(root, {}, visit)
+    return tape
 
 
 class _Emitter:
     """Straight-line Python source for a set of expression DAGs.
 
-    Each compound node becomes one temporary, emitted in the post-order
-    `eval_expr` visits it, so the first operation to raise is the same
-    one.  A reference is a (source, is_jet) pair: is_jet marks values that
-    `eval_expr` carries as `Jet` (anything touching a coordinate or a
-    function call), whose division and power arithmetic differ from the
-    plain-float branch.
+    Each compound node becomes one temporary, emitted in `_walk` order, so
+    the first operation to raise is the one `_Rows` fails on first.  A
+    reference is a (source, varies) pair as in `_Rows`, and each case
+    repeats the `_Rows` arithmetic and checks on one float.
     """
 
     def __init__(self):
@@ -777,26 +704,24 @@ class _Emitter:
                                   % ("unknown name %r in expression" % s))
                 return "None", False
             case Neg():
-                (a, jet), = kids
-                return self.temp("-" + a), jet
+                (a, var), = kids
+                return self.temp("-" + a), var
             case BinOp(op=o):
-                (a, ja), (b, jb) = kids
-                # Jet division multiplies by the reciprocal
-                if o == "/" and (ja or jb):
+                (a, va), (b, vb) = kids
+                if o == "/" and (va or vb):
                     return self.temp("%s * (1.0 / %s)" % (a, b)), True
-                return self.temp("%s %s %s" % (a, o, b)), ja or jb
+                return self.temp("%s %s %s" % (a, o, b)), va or vb
             case Pow(exponent=e):
-                (a, jet), = kids
-                return self._pow(a, jet, e), jet
+                (a, var), = kids
+                return self._pow(a, var, e), var
             case Call(func=f):
-                (a, jet), = kids
-                if not jet:
+                (a, var), = kids
+                if not var:
                     a = "float(%s)" % a
                 if f == "sqrt":
                     self.check("%s <= 0.0" % a, "ValueError",
                                "sqrt of non-positive value")
                     r = self.temp("_sqrt(%s)" % a)
-                    # Jet.sqrt divides by r * x for the second derivative
                     self.check("%s * %s == 0.0" % (r, a), "ZeroDivisionError",
                                "sqrt of a value too small to differentiate")
                     return r, True
@@ -804,10 +729,10 @@ class _Emitter:
                 return self.temp("%s(%s)" % (fn, a)), True
         raise TypeError("not an expression node: %r" % (node,))
 
-    def _pow(self, a: str, jet: bool, e: Fraction) -> str:
+    def _pow(self, a: str, var: bool, e: Fraction) -> str:
         p = int(e) if e.denominator == 1 else float(e)
         pf = float(p)
-        if not jet:
+        if not var:
             if e.denominator != 1:
                 self.check("%s <= 0" % a, "ValueError",
                            "fractional power of non-positive base")
@@ -818,10 +743,7 @@ class _Emitter:
             self.check("%s <= 0.0" % a, "ValueError",
                        "fractional power of non-positive base")
         out = self.temp("%s ** %r" % (a, pf))
-        # Jet.__pow__ also forms x^(p-1) and, for x != 0 or p >= 2,
-        # x^(p-2), which can raise where x^p does not.  With p >= 2 both
-        # overflow only where x^p already has; with p < 2, x^(p-2) raises
-        # wherever x^(p-1) would, with the same class, so it alone is kept.
+        # the x^(p-2) side evaluation (see `_Rows.pow`)
         if pf < 2.0:
             self.lines.append("if %s != 0.0: %s ** %r" % (a, a, pf - 2.0))
         return out
@@ -834,9 +756,9 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     The fields' shared DAG is walked once, by node identity, and emitted
     as straight-line float code with one temporary per compound node;
     common subexpressions are shared across all the fields and names are
-    resolved from their params now.  Every operation repeats the order-0
-    arithmetic of `eval_expr`, so the values equal `Field.value` bit for
-    bit and the same exception classes are raised (ValueError,
+    resolved from their params now.  Every operation repeats the
+    arithmetic of `_Rows`, so the values equal `Field.value` bit for bit
+    and the same exception classes are raised (ValueError,
     ZeroDivisionError, OverflowError).
     """
     em = _Emitter()
@@ -847,9 +769,9 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
             raise TypeError("only expression fields compile, not %s"
                             % type(fld).__name__)
         memo = memos.setdefault(tuple(sorted(fld.params.items())), {})
-        ref, jet = _walk(fld.node, memo,
+        ref, var = _walk(fld.node, memo,
                          lambda node, kids: em.node(node, kids, fld.params))
-        outs.append(ref if jet else "float(%s)" % ref)
+        outs.append(ref if var else "float(%s)" % ref)
     binds = "".join(", %s=%s" % (k, k) for k in em.env)
     body = "".join("    %s\n" % line for line in em.lines)
     src = "def _compiled(p%s):\n%s    return [%s]\n" % (binds, body,
@@ -860,7 +782,7 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
 
 
 # ---------------------------------------------------------------------------
-# Evaluation over all rows of a point batch
+# Evaluation at a point and over all rows of a point batch
 
 # what Python float arithmetic and math functions raise
 _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
@@ -878,23 +800,34 @@ def _batch_walk(batch: Batch, node, params, cols):
 
 
 class _Rows:
-    """Node values at every row of a `Batch`: the array back-end of `_walk`.
+    """Node values at every row of a `Batch`: the evaluator of expression
+    fields, visited in `_walk` order (`_Point` runs it on one point).
 
-    A value is a (v, is_jet) pair as in `_Emitter`.  v is a Python float
+    A value is a (v, varies) pair: varies marks a value that reads a
+    coordinate or passes through a function call.  v is a Python float
     for a node that reads no coordinate, else a float64 array over the
     rows.  Addition, subtraction, multiplication, negation, `abs` and
-    `sqrt` are correctly rounded in numpy as in Python; division repeats
-    the jet's `a * (1.0 / b)`; `**`, `exp`, `sin` and `cos` go through
-    `float.__pow__` and `math` element by element, since their numpy
-    versions round differently.  Each check of `compile_fields` is made
-    on every row, and a failing row is logged in the batch instead of
-    raising, so the other rows carry on.
+    `sqrt` are correctly rounded in numpy as in Python; `**`, `exp`, `sin`
+    and `cos` go through `float.__pow__` and `math` element by element,
+    since their numpy versions round differently.  A failing row is
+    logged in the batch instead of raising, so the other rows carry on.
+
+    Three quirks of an earlier forward-mode evaluator are kept, so that
+    the fixed-seed reports stay byte-identical: a varying quotient is
+    a * (1.0 / b); a varying power also evaluates x^(p-2) and fails
+    where that does; and sqrt fails where r * x == 0.
     """
 
     def __init__(self, batch: Batch, cols, params):
         self.batch = batch
         self.cols = cols
         self.params = params
+
+    def coord(self, k: int):
+        return self.batch.P[:, self.cols[k]]
+
+    def fail(self, rows, exc: type, message: str) -> None:
+        self.batch.fail(rows, exc, message)
 
     def each(self, fn, a):
         """fn applied to each element of a as a Python float, errors
@@ -903,7 +836,7 @@ class _Rows:
             try:
                 return fn(a)
             except _FLOAT_ERRORS as exc:
-                self.batch.fail(True, type(exc), str(exc))
+                self.fail(True, type(exc), str(exc))
                 return math.nan
         xs = a.tolist()
         try:
@@ -915,8 +848,7 @@ class _Rows:
                     out[r] = fn(x)
                 except _FLOAT_ERRORS as exc:
                     out[r] = math.nan
-                    self.batch.fail(np.arange(len(xs)) == r, type(exc),
-                                    str(exc))
+                    self.fail(np.arange(len(xs)) == r, type(exc), str(exc))
             return out
 
     def node(self, node, kids):
@@ -924,49 +856,46 @@ class _Rows:
             case Num(value=v):
                 return v, False
             case Var(index=k):
-                return self.batch.P[:, self.cols[k]], True
+                return self.coord(k), True
             case Name(ident=s):
                 if s in self.params:
                     return self.params[s], False
-                self.batch.fail(True, ValueError,
-                                "unknown name %r in expression" % s)
+                self.fail(True, ValueError,
+                          "unknown name %r in expression" % s)
                 return math.nan, False
             case Neg():
-                (a, jet), = kids
-                return -a, jet
+                (a, var), = kids
+                return -a, var
             case BinOp(op=o):
-                (a, ja), (b, jb) = kids
+                (a, va), (b, vb) = kids
                 if o == "+":
-                    return a + b, ja or jb
+                    return a + b, va or vb
                 if o == "-":
-                    return a - b, ja or jb
+                    return a - b, va or vb
                 if o == "*":
-                    return a * b, ja or jb
+                    return a * b, va or vb
                 zero = b == 0
-                self.batch.fail(zero, ZeroDivisionError,
-                                "division by zero in expression")
+                self.fail(zero, ZeroDivisionError,
+                          "division by zero in expression")
                 if not isinstance(b, np.ndarray):
                     if zero:
-                        return math.nan, ja or jb
-                    return (a * (1.0 / b) if ja or jb else a / b), ja or jb
-                # Jet division multiplies by the reciprocal
+                        return math.nan, va or vb
+                    return (a * (1.0 / b) if va or vb else a / b), va or vb
                 return a * (1.0 / b), True
             case Pow(exponent=e):
-                (a, jet), = kids
-                return self.pow(a, jet, e), jet
+                (a, var), = kids
+                return self.pow(a, var, e), var
             case Call(func=f):
                 (a, _), = kids
                 if not isinstance(a, np.ndarray):
                     a = float(a)
                 if f == "sqrt":
-                    self.batch.fail(a <= 0.0, ValueError,
-                                    "sqrt of non-positive value")
+                    self.fail(a <= 0.0, ValueError,
+                              "sqrt of non-positive value")
                     r = np.sqrt(a) if isinstance(a, np.ndarray) \
                         else (math.sqrt(a) if a > 0.0 else math.nan)
-                    # Jet.sqrt divides by r * x for the second derivative
-                    self.batch.fail(
-                        r * a == 0.0, ZeroDivisionError,
-                        "sqrt of a value too small to differentiate")
+                    self.fail(r * a == 0.0, ZeroDivisionError,
+                              "sqrt of a value too small to differentiate")
                     return r, True
                 if f == "abs":
                     return abs(a), True
@@ -981,8 +910,7 @@ class _Rows:
         homotopy node on these columns; an error at a stacked row is
         logged on the row it came from."""
         n = len(self.batch.P)
-        rel = [self.batch.P[:, self.cols[nu]] - b
-               for nu, b in enumerate(node.base)]
+        rel = [self.coord(nu) - b for nu, b in enumerate(node.base)]
         key = (tuple(sorted(self.params.items())), self.cols, node.ts,
                node.base)
         stacked = self.batch.memos.get(key)
@@ -993,7 +921,7 @@ class _Rows:
         vals = [_batch_walk(stacked, phi, self.params, stacked.cols)
                 for phi in node.phis]
         for r, (exc, message) in sorted(stacked.errors.items()):
-            self.batch.fail(np.arange(n) == r % n, exc, message)
+            self.fail(np.arange(n) == r % n, exc, message)
         acc = None
         for k, w in enumerate(node.weights):
             for nu, v in enumerate(vals):
@@ -1004,32 +932,63 @@ class _Rows:
                 acc = term if acc is None else acc + term
         return acc
 
-    def pow(self, a, jet: bool, e: Fraction):
+    def pow(self, a, var: bool, e: Fraction):
         p = int(e) if e.denominator == 1 else float(e)
         pf = float(p)
-        if not jet:
+        if not var:
             if e.denominator != 1 and a <= 0:
-                self.batch.fail(True, ValueError,
-                                "fractional power of non-positive base")
+                self.fail(True, ValueError,
+                          "fractional power of non-positive base")
                 return math.nan
             return self.each(lambda x: float(x) ** pf, a)
         if p == 0:
             return 1.0
         whole = pf == int(pf)
         if not whole:
-            self.batch.fail(a <= 0.0, ValueError,
-                            "fractional power of non-positive base")
+            self.fail(a <= 0.0, ValueError,
+                      "fractional power of non-positive base")
 
         def real(x):
             # skips the rows just failed, whose power would be complex
             return whole or x > 0.0
 
         out = self.each(lambda x: x ** pf if real(x) else math.nan, a)
-        # the x^(p-2) side evaluation of Jet.__pow__, as in _Emitter._pow
+        # the x^(p-2) side evaluation; with p >= 2 it overflows only where
+        # x^p already has
         if pf < 2.0:
             self.each(lambda x: x ** (pf - 2.0) if x != 0.0 and real(x)
                       else 0.0, a)
         return out
+
+
+class _Point(_Rows):
+    """`_Rows` at one point of Python floats: a coordinate is a float, and
+    the first failure raises, which is the error a batch logs first on
+    that point's row, with the same text."""
+
+    def __init__(self, x: List[float], params):
+        self.x = x
+        self.params = params
+        self.batch = None
+
+    def coord(self, k: int):
+        return self.x[k]
+
+    def fail(self, rows, exc: type, message: str) -> None:
+        if rows:
+            raise point_error(exc, message, self.x)
+
+    def homotopy(self, node: Homotopy):
+        # the batch form on a one-row batch, shared by the point's
+        # homotopy nodes, so each walks its phis over the stacked rows
+        if self.batch is None:
+            self.batch = Batch([self.x])
+        rows = _Rows(self.batch, self.batch.cols, self.params)
+        with np.errstate(all="ignore"):
+            v = rows.homotopy(node)
+        for exc, message in self.batch.errors.values():
+            self.fail(True, exc, message)
+        return v.tolist()[0] if isinstance(v, np.ndarray) else v
 
 
 # ---------------------------------------------------------------------------
@@ -1245,20 +1204,26 @@ def validate_model(model: Model) -> None:
         dphi = exterior_derivative(PForm(4, 2, {
             k: f.base for k, f in model.gravity2.comps.items()}))
         closure = list(dphi.comps.items())
-    # every field over all points in one batch, without raising: a row
-    # where some field failed is evaluated again point by point, which
-    # raises the error (and message) of the first failing field there
+    # every field over all points in one batch, without raising; first[r]
+    # is the index of the first field that failed at row r, whose error
+    # is the one the batch logged there
     batch = Batch(pts)
-    vals = np.stack([f._values(batch, batch.cols) for f in fields], axis=1)
-    dvals = [f._values(batch, batch.cols) for _, f in closure]
+    cols: List[np.ndarray] = []
+    first: Dict[int, int] = {}
+    for j, f in enumerate(fields + [f for _, f in closure]):
+        cols.append(f._values(batch, batch.cols))
+        for r in batch.errors:
+            first.setdefault(r, j)
+
+    def evaluation_failed(r: int) -> ValidationError:
+        return ValidationError("field evaluation failed: %s"
+                               % batch.errors[r][1], witness=pts[r])
+
+    vals = np.stack(cols[:len(fields)], axis=1)
     for r, p in enumerate(pts):
+        if first.get(r, len(fields)) < len(fields):
+            raise evaluation_failed(r)
         row = vals[r]
-        if batch.failed[r]:
-            try:
-                row = np.array([f.value(p) for f in fields])
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise ValidationError("field evaluation failed: %s" % exc,
-                                      witness=p) from exc
         if not np.all(np.isfinite(row)):
             raise ValidationError("non-finite field value", witness=p)
         g = row[:n * n].reshape(n, n)
@@ -1278,12 +1243,10 @@ def validate_model(model: Model) -> None:
                     "the chart time direction is not timelike (g00 >= 0)",
                     witness=p)
     for r, p in enumerate(pts):
-        for (key, fld), col in zip(closure, dvals):
-            try:
-                v = fld.value(p) if batch.failed[r] else col[r]
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise ValidationError("field evaluation failed: %s" % exc,
-                                      witness=p) from exc
+        for j, (key, _) in enumerate(closure, len(fields)):
+            if first.get(r) == j:
+                raise evaluation_failed(r)
+            v = cols[j][r]
             if not abs(v) <= 1e-9:  # NaN included
                 raise ValidationError(
                     "gravitational 2-form is not closed "

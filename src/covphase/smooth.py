@@ -1,16 +1,14 @@
-"""Charts, second-order jets, scalar/vector fields and exterior calculus.
+"""Charts, scalar/vector fields and exterior calculus.
 
 A field is a chart function.  Every field the phase modules build is an
 expression field (`modelspec.ExprField`): it differentiates symbolically
-to any order and evaluates over all rows of a point `Batch` at once.
-
-Point evaluation goes through forward-mode Taylor arithmetic truncated at
-order two: a `Jet` carries a value, optionally a gradient, optionally a
-symmetric Hessian, and `Field.value`/`gradient`/`hessian` seed coordinate
-jets.  Closure fields (`FuncField`, and the results of mixing a closure
-into field arithmetic) are written against jets alone, run one point at a
-time, and differentiate numerically through `PartialField`, which loses
-one order per partial.
+to any order, and one evaluator gives its value at a single point
+(`Field.value`, on Python floats) and over all rows of a point `Batch`
+at once (on arrays), with the same arithmetic, the same bits and the same
+error messages.  There are no numeric partials.  Closure fields
+(`FuncField`, and the results of mixing a closure into field arithmetic)
+are written against float coordinates, run one point at a time and have
+no partial derivatives.
 
 Convention for forms: components are stored on strictly increasing index
 tuples and extended by antisymmetry, the wedge is the determinant convention
@@ -27,12 +25,14 @@ import numpy as np
 Point = np.ndarray  # a chart point; length 4 (spacetime) or 7 (phase space)
 
 
-class DerivativeOrderError(Exception):
-    """Requested a derivative order a numerically-derived field cannot supply."""
-
-
 class OutsideBoxError(Exception):
     """A model field was evaluated outside the declared chart box."""
+
+
+def point_error(exc: type, message: str, p) -> Exception:
+    """exc for an evaluation failure at point p; a point and a batch row
+    give the same text."""
+    return exc("%s at point %s" % (message, list(p)))
 
 
 def worst(*values, pick=max):
@@ -48,166 +48,17 @@ def worst(*values, pick=max):
 
 
 # ---------------------------------------------------------------------------
-# Jets
-
-
-class Jet:
-    """Truncated Taylor expansion: value, optional gradient, optional Hessian.
-
-    The order of a jet is 0, 1 or 2 according to which slots are present.
-    Binary operations produce the minimum of the operand orders; scalars
-    count as exact (infinite-order) constants.
-    """
-
-    __slots__ = ("f", "g", "h")
-
-    def __init__(self, f, g=None, h=None):
-        self.f = float(f)
-        self.g = g
-        self.h = h
-
-    @property
-    def order(self) -> int:
-        if self.h is not None:
-            return 2
-        if self.g is not None:
-            return 1
-        return 0
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            g = self.g + other.g if self.g is not None and other.g is not None else None
-            h = self.h + other.h if self.h is not None and other.h is not None else None
-            return Jet(self.f + other.f, g, h)
-        return Jet(self.f + other, self.g, self.h)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.f,
-                   None if self.g is None else -self.g,
-                   None if self.h is None else -self.h)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            g = h = None
-            if self.g is not None and other.g is not None:
-                g = self.f * other.g + other.f * self.g
-                if self.h is not None and other.h is not None:
-                    h = (self.f * other.h + other.f * self.h
-                         + np.outer(self.g, other.g) + np.outer(other.g, self.g))
-            return Jet(self.f * other.f, g, h)
-        g = None if self.g is None else other * self.g
-        h = None if self.h is None else other * self.h
-        return Jet(self.f * other, g, h)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        if self.f == 0.0:
-            raise ZeroDivisionError("jet with zero value")
-        inv = 1.0 / self.f
-        g = h = None
-        if self.g is not None:
-            g = -(inv * inv) * self.g
-            if self.h is not None:
-                h = -(inv * inv) * self.h + (2.0 * inv ** 3) * np.outer(self.g, self.g)
-        return Jet(inv, g, h)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def _chain(self, u0, u1, u2):
-        g = h = None
-        if self.g is not None:
-            g = u1 * self.g
-            if self.h is not None:
-                h = u1 * self.h + u2 * np.outer(self.g, self.g)
-        return Jet(u0, g, h)
-
-    def __pow__(self, p):
-        if p == 0:
-            return Jet(1.0,
-                       None if self.g is None else np.zeros_like(self.g),
-                       None if self.h is None else np.zeros_like(self.h))
-        pf = float(p)
-        if pf != int(pf) and self.f <= 0.0:
-            raise ValueError("fractional power of non-positive base %g" % self.f)
-        u0 = self.f ** pf
-        u1 = pf * self.f ** (pf - 1.0)
-        u2 = pf * (pf - 1.0) * self.f ** (pf - 2.0) if self.f != 0.0 or pf >= 2 else 0.0
-        return self._chain(u0, u1, u2)
-
-    def sqrt(self):
-        if self.f <= 0.0:
-            raise ValueError("sqrt of non-positive jet value %g" % self.f)
-        r = math.sqrt(self.f)
-        return self._chain(r, 0.5 / r, -0.25 / (r * self.f))
-
-    def sin(self):
-        return self._chain(math.sin(self.f), math.cos(self.f), -math.sin(self.f))
-
-    def cos(self):
-        return self._chain(math.cos(self.f), -math.sin(self.f), -math.cos(self.f))
-
-    def exp(self):
-        e = math.exp(self.f)
-        return self._chain(e, e, e)
-
-    def __abs__(self):
-        s = math.copysign(1.0, self.f) if self.f != 0.0 else 0.0
-        return self._chain(abs(self.f), s, 0.0)
-
-    def __repr__(self):
-        return "Jet(%r, order=%d)" % (self.f, self.order)
-
-
-def seed_jets(x: Sequence[float], order: int = 2) -> List[Jet]:
-    """Coordinate jets of the chart at point x, at the given order."""
-    n = len(x)
-    out = []
-    for i in range(n):
-        g = h = None
-        if order >= 1:
-            g = np.zeros(n)
-            g[i] = 1.0
-            if order >= 2:
-                h = np.zeros((n, n))
-        out.append(Jet(float(x[i]), g, h))
-    return out
-
-
-def constant_jet(value: float, like: Jet) -> Jet:
-    """An exact-constant jet shaped after an existing jet."""
-    g = None if like.g is None else np.zeros_like(like.g)
-    h = None if like.h is None else np.zeros_like(like.h)
-    return Jet(value, g, h)
-
-
-# ---------------------------------------------------------------------------
 # Batch evaluation
 
 
 class Batch:
     """Fields evaluated over the rows of a point array P[N, d].
 
-    Expression fields are evaluated over all rows at once, bit for bit as
-    `Field.value` would give them row by row, and every field evaluated in
-    one batch shares one node memo (see `modelspec.ExprField`), so common
-    subexpressions are computed once.  Closure fields run point by point.
+    Expression fields are evaluated over all rows at once by the evaluator
+    `Field.value` runs on one point (see `modelspec.ExprField`), so each
+    row gets the bits and the error a point evaluation gives.  Every field
+    evaluated in one batch shares one node memo, so common subexpressions
+    are computed once.  Closure fields run point by point on floats.
 
     Within a field, an evaluation error does not stop the other rows: the
     row is marked, and once the field is done the error of the lowest
@@ -253,7 +104,7 @@ class Batch:
         if self.errors:
             r = min(self.errors)
             exc, message = self.errors[r]
-            raise exc("%s at point %s" % (message, self.P[r].tolist()))
+            raise point_error(exc, message, self.P[r].tolist())
 
 
 def field_values(fields: Sequence["Field"], P) -> List[np.ndarray]:
@@ -268,17 +119,14 @@ def field_values(fields: Sequence["Field"], P) -> List[np.ndarray]:
 
 
 class Field:
-    """A chart function knowing how to produce its jet at given coordinates."""
+    """A chart function.  `jet(coords)` is its value at a list of Python
+    float coordinates, the order-0 jet; subclasses override it alone."""
 
-    def jet(self, coords: Sequence[Jet]) -> Jet:
+    def jet(self, coords: List[float]) -> float:
         raise NotImplementedError
 
-    def partial(self, i: int) -> "Field":
-        return PartialField(self, i)
-
-    # point evaluation helpers
     def value(self, p: Point) -> float:
-        return self.jet(seed_jets(p, 0)).f
+        return self.jet(np.asarray(p, dtype=float).tolist())
 
     def values(self, P) -> np.ndarray:
         """The field at every row of P[N, d] (see `field_values`)."""
@@ -291,44 +139,37 @@ class Field:
         return np.array([self.value(p) for p in batch.P[:, cols]],
                         dtype=float)
 
-    def gradient(self, p: Point) -> np.ndarray:
-        return self.jet(seed_jets(p, 1)).g
-
-    def hessian(self, p: Point) -> np.ndarray:
-        return self.jet(seed_jets(p, 2)).h
-
-    # algebra (results are numerically-backed closures)
+    # algebra (results are closures on float coordinates)
     def __add__(self, other):
-        return FuncField(lambda c, a=self, b=other: a.jet(c) + _jet_of(b, c))
+        return FuncField(lambda c, a=self, b=other: a.jet(c) + _at(b, c))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        return FuncField(lambda c, a=self, b=other: a.jet(c) - _jet_of(b, c))
+        return FuncField(lambda c, a=self, b=other: a.jet(c) - _at(b, c))
 
     def __rsub__(self, other):
-        return FuncField(lambda c, a=self, b=other: _jet_of(b, c) - a.jet(c))
+        return FuncField(lambda c, a=self, b=other: _at(b, c) - a.jet(c))
 
     def __mul__(self, other):
-        return FuncField(lambda c, a=self, b=other: a.jet(c) * _jet_of(b, c))
+        return FuncField(lambda c, a=self, b=other: a.jet(c) * _at(b, c))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        return FuncField(lambda c, a=self, b=other: a.jet(c) / _jet_of(b, c))
+        return FuncField(lambda c, a=self, b=other: a.jet(c) / _at(b, c))
 
     def __neg__(self):
         return FuncField(lambda c, a=self: -a.jet(c))
 
 
-def _jet_of(x, coords) -> Jet:
+def _at(x, coords) -> float:
+    """A field or a number at float coordinates."""
     if isinstance(x, Field):
         return x.jet(coords)
-    if isinstance(x, Jet):
-        return x
-    return constant_jet(float(x), coords[0])
+    return float(x)
 
 
 class ConstField(Field):
@@ -336,7 +177,7 @@ class ConstField(Field):
         self.c = float(value)
 
     def jet(self, coords):
-        return constant_jet(self.c, coords[0])
+        return self.c
 
     def partial(self, i):
         return ConstField(0.0)
@@ -348,62 +189,19 @@ class ConstField(Field):
 ZERO = ConstField(0.0)
 
 
-class CoordField(Field):
-    """The i-th chart coordinate as a field."""
-
-    def __init__(self, i: int):
-        self.i = i
-
-    def jet(self, coords):
-        return coords[self.i]
-
-    def partial(self, i):
-        return ConstField(1.0 if i == self.i else 0.0)
-
-    def _values(self, batch, cols):
-        return batch.P[:, cols[self.i]].copy()
-
-
 class FuncField(Field):
-    """Field backed by a closure on coordinate jets."""
+    """Field backed by a closure on float coordinates; it has no partial
+    derivatives."""
 
-    def __init__(self, fn: Callable[[Sequence[Jet]], Jet]):
+    def __init__(self, fn: Callable[[List[float]], float]):
         self.fn = fn
 
     def jet(self, coords):
-        return _jet_of(self.fn(coords), coords)
+        return _at(self.fn(coords), coords)
 
 
-class PartialField(Field):
-    """Numerical partial derivative of another field.
-
-    Loses one derivative order per application: the value and gradient of
-    ∂ᵢf are read off the gradient and Hessian of f, but the Hessian of ∂ᵢf
-    would need third derivatives and raises `DerivativeOrderError`.
-    Expression-backed fields override `partial` and never hit this limit.
-    """
-
-    def __init__(self, base: Field, i: int):
-        self.base = base
-        self.i = i
-
-    def jet(self, coords):
-        want = min(c.order for c in coords)
-        if want >= 2:
-            raise DerivativeOrderError(
-                "second derivatives of a numerically-derived field are not "
-                "stored; build it from expressions if you need them")
-        x = [c.f for c in coords]
-        bj = self.base.jet(seed_jets(x, want + 1))
-        val = bj.g[self.i]
-        if want == 0:
-            return Jet(val)
-        # chain rule through the (possibly transformed) argument jets
-        row = bj.h[self.i]
-        g = np.zeros_like(coords[0].g)
-        for j, c in enumerate(coords):
-            g = g + row[j] * c.g
-        return Jet(val, g, None)
+def _box_message(k: int, lo: float, hi: float) -> str:
+    return "coordinate x%d outside declared box [%g, %g]" % (k, lo, hi)
 
 
 class BoxedField(Field):
@@ -418,11 +216,10 @@ class BoxedField(Field):
 
     def jet(self, coords):
         for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            v = coords[k].f
+            v = coords[k]
             if v < lo - self.slack or v > hi + self.slack:
-                raise OutsideBoxError(
-                    "coordinate x%d = %g outside declared box [%g, %g]"
-                    % (k, v, lo, hi))
+                raise point_error(OutsideBoxError, _box_message(k, lo, hi),
+                                  coords)
         return self.base.jet(coords)
 
     def partial(self, i):
@@ -432,8 +229,7 @@ class BoxedField(Field):
         for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             v = batch.P[:, cols[k]]
             batch.fail((v < lo - self.slack) | (v > hi + self.slack),
-                       OutsideBoxError, "coordinate x%d outside declared "
-                       "box [%g, %g]" % (k, lo, hi))
+                       OutsideBoxError, _box_message(k, lo, hi))
         return self.base._values(batch, cols)
 
 
@@ -479,7 +275,8 @@ def directional(X: VectorField, f: Field) -> Field:
     """The derivative of f along X, sum_nu X^nu d_nu f, as a field.
 
     Built by field arithmetic, so expression inputs give an expression
-    field; a closure appears only where an input already is one.
+    field; a closure component of X gives a closure, and a closure f has
+    no partials to take.
     """
     from .modelspec import ExprField, Num  # local: modelspec imports smooth
 

@@ -1,8 +1,8 @@
-"""Batch evaluation over point arrays against the per-point jet path.
+"""Batch evaluation over point arrays against the point path.
 
 `Field.values(P)` and `field_values` must return exactly what a loop of
 `Field.value(p)` over the rows of P returns, bit for bit (sign of zero
-and NaN included), and raise the class that loop raises first.
+and NaN included), and raise the class and message that loop raises first.
 """
 
 import gc
@@ -22,7 +22,7 @@ from covphase.modelspec import (
     available_models, derivative, load_builtin, parse_expr,
 )
 from covphase.smooth import (
-    Batch, BoxedField, ConstField, CoordField, FuncField, OutsideBoxError, PForm,
+    ZERO, Batch, BoxedField, ConstField, FuncField, OutsideBoxError, PForm,
     VectorField, exterior_derivative, field_values,
 )
 from covphase.suites import _Ctx
@@ -37,19 +37,20 @@ def same_float(a, b) -> bool:
 
 
 def outcome(fn):
-    """What fn() returns, or the class of the exception it raises."""
+    """What fn() returns, or the class and text of the exception it
+    raises."""
     try:
         return fn()
     except ERRORS as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def assert_batch_matches(fields, P):
     """field_values(fields, P) against a point loop, field by field."""
     want = outcome(lambda: [[f.value(p) for p in P] for f in fields])
     got = outcome(lambda: field_values(fields, P))
-    if isinstance(want, type):
-        assert got is want, (fields, P, got)
+    if isinstance(want, tuple):
+        assert got == want, (fields, P, got)
         return
     assert isinstance(got, list) and len(got) == len(want), got
     for g, w in zip(got, want):
@@ -202,10 +203,30 @@ def test_boxed_field_guards_every_row():
     assert_batch_matches([fld], P)
 
 
+@pytest.mark.parametrize("text", ["1/(x1 - c)", "sqrt(x1 - c)",
+                                  "(x1 - c)^(1/2)"])
+def test_one_message_per_bad_point(text):
+    # x1 = c breaks the field at row 2 alone; in `outside`, row 2 lies
+    # outside the box instead
+    fld = BoxedField(ExprField(text, {"c": 0.25}), [-1] * 4, [1] * 4)
+    P = np.full((4, 4), 0.5)
+    P[:, 1] = [0.5, 0.4, 0.25, 0.3]
+    outside = P.copy()
+    outside[2] = [0.5, 0.3, 1.5, 0.5]
+    for Q in (P, outside):
+        with pytest.raises(ERRORS) as point:
+            fld.value(Q[2])
+        with pytest.raises(ERRORS) as batch:
+            Batch(Q).values(fld)
+        assert type(batch.value) is type(point.value)
+        assert str(batch.value) == str(point.value)
+        assert str(point.value).endswith(" at point %s" % Q[2].tolist())
+
+
 def test_closure_fallback_equals_point_loop():
     f = ExprField("sin(x0) * x1 + x3^2")
     closure = FuncField(lambda c: f.jet(c) * f.jet(c) + c[2])
-    fields = [closure, closure.partial(1), ConstField(-2.5), CoordField(5),
+    fields = [closure, ZERO * f, ConstField(-2.5), ExprField(Var(5)),
               f + closure]
     P = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 7))
     assert_batch_matches(fields, P)

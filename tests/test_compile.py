@@ -1,8 +1,8 @@
-"""The expression compiler against the jet evaluator it replaces.
+"""The expression compiler against the point path.
 
 `compile_fields` must return exactly what `Field.value` returns for every
-field at every point, and raise the same exception class wherever the jet
-path raises.  Values are compared bit for bit (sign of zero and NaN
+field at every point, and raise the same exception class wherever the
+point path raises.  Values are compared bit for bit (sign of zero and NaN
 included), not within a tolerance.
 """
 
@@ -75,8 +75,8 @@ def test_orbit_rhs_matches_field_values():
     assert list(ph.orbit_rhs(p)) == want
 
 
-# (expression, point value of x1, exception class): each error the jet
-# path raises, including those its derivative factors raise at order 0
+# (expression, point value of x1, exception class): each error the point
+# path raises, including those of its kept side checks (see _Rows)
 ERROR_CASES = [
     (Name("nope"), 1.0, ValueError),
     (parse_expr("sqrt(x1)"), -1.0, ValueError),
@@ -114,8 +114,8 @@ GRID = [0.0, 1e-320, 1e-310, 1e-300, 1e-200, 1e-150, 1e-100, 0.3, 1.0,
 
 @pytest.mark.parametrize("den", [1, 2, 3, 4])
 def test_power_grid_matches_jets(den):
-    # the derivative factors of Jet.__pow__ raise on their own near 0
-    # and infinity, for every sign and size of exponent
+    # the x^(p-2) side evaluation raises on its own near 0 and infinity,
+    # for every sign and size of exponent
     for num in range(-7, 8):
         fld = ExprField(Pow(Var(0), Fraction(num, den)))
         for x in GRID + [-x for x in GRID]:
@@ -123,7 +123,7 @@ def test_power_grid_matches_jets(den):
 
 
 def test_first_error_in_evaluation_order():
-    # jets stop at the left operand's error before reaching the right one
+    # evaluation stops at the left operand's error before the right one
     fld = ExprField(BinOp("+", parse_expr("1 / x1"), Name("nope")))
     assert_same_outcome([fld], [0.0, 0.0, 0.0, 0.0])
     fld = ExprField(BinOp("+", Name("nope"), parse_expr("1 / x1")))

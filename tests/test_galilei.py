@@ -20,7 +20,7 @@ from covphase.smooth import (
     lie_bracket, wedge,
 )
 
-from numutil import form_matrix
+from numutil import central_grad, form_matrix
 
 GALILEI_MODELS = ("flat-free", "uniform-b", "curved-galilei", "curved-gravity")
 
@@ -465,10 +465,10 @@ class TestObservedPotential:
         P = sample_points(phases[name].model, 4)
         for a in pot:
             sym = np.array([a.partial(i).values(P) for i in range(4)]).T
-            jet = np.array([a.gradient(p) for p in P])
-            # relative to the gradient's scale: cancelling entries read
-            # 1e-19 one way and -2e-19 the other
-            assert np.max(np.abs(sym - jet)) <= 1e-12 * np.max(np.abs(jet))
+            num = np.array([central_grad(a.value, p) for p in P])
+            # central differences (step 1e-5) to 1e-8 of the gradient's
+            # largest entry; they differ by 3e-11 at most here
+            assert np.max(np.abs(sym - num)) <= 1e-8 * np.max(np.abs(num))
 
 
 class TestHamiltonianLift:
@@ -487,7 +487,7 @@ class TestHamiltonianLift:
             drift = directional(gam, val)
             for p in phase_points(ph.model, 4):
                 assert abs(X.at(p)[0] - f.f0.value(p)) < 1e-12
-                grad = val.gradient(p)
+                grad = central_grad(val.value, p)  # within 6e-11 here
                 for lam in range(7):
                     rhs = grad[lam] - (drift.value(p) if lam == 0 else 0.0)
                     assert abs(lhs.component((lam,)).value(p) - rhs) < 1e-9

@@ -18,8 +18,7 @@ from covphase.einstein import EinsteinPhase, LightconeViolation
 from covphase.modelspec import builtin_model_dir, load_builtin
 from covphase.orbit import BoxExit, integrate_orbit
 from covphase.report import CheckRecord, SuiteReport, emit_report
-from covphase.smooth import FuncField, Jet, OutsideBoxError, PForm, \
-    VectorField
+from covphase.smooth import FuncField, OutsideBoxError, PForm, VectorField
 from covphase import cli, suites as su
 
 
@@ -105,8 +104,8 @@ class TestRunSuite:
     def test_nan_residual_is_a_failed_record(self, monkeypatch, check):
         # every field is 0 at the first point and NaN at the second, where
         # max(0.0, nan) == 0.0 (and min(1.0, nan) == 1.0) used to pass
-        late_nan = FuncField(lambda c: Jet(0.0 if c[1].f < 0 else math.nan))
-        late_one = FuncField(lambda c: Jet(1.0 if c[1].f < 0 else math.nan))
+        late_nan = FuncField(lambda c: 0.0 if c[1] < 0 else math.nan)
+        late_one = FuncField(lambda c: 1.0 if c[1] < 0 else math.nan)
         stub = SimpleNamespace(
             K=lambda lam, nu, mu: late_nan,
             dynamical_vector=lambda: VectorField([late_one] * 7),
@@ -421,8 +420,8 @@ class TestCli:
                          "galilei-core", "--points", "2"])
         out, err = capsys.readouterr()
         assert code == 2
-        assert err == ("error: field evaluation failed: jet with zero value "
-                       "at witness point [-0.9, -0.9, -0.9, -0.9]\n")
+        assert err == ("error: field evaluation failed: division by zero in "
+                       "expression at witness point [-0.9, -0.9, -0.9, -0.9]\n")
         assert out == ""
 
     def test_no_timelike_sample_points_exit_two(self, tmp_path):

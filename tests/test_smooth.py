@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from covphase.modelspec import ExprField, Var
 from covphase.smooth import (
-    BoxedField, ConstField, CoordField, DerivativeOrderError, FuncField, Jet,
-    OutsideBoxError, PForm, VectorField, contract, directional,
-    exterior_derivative, lie_bracket, seed_jets, wedge,
+    BoxedField, ConstField, FuncField, OutsideBoxError, PForm, VectorField,
+    contract, directional, exterior_derivative, lie_bracket, wedge,
 )
 
-from numutil import central_grad, central_hess, form_matrix
+from numutil import central_grad, form_matrix
 
 
 def scalar_fn(x):
@@ -15,89 +15,12 @@ def scalar_fn(x):
         + np.sqrt(4.0 + x[1] ** 2) * x[2]
 
 
-def scalar_jet(coords):
-    x0, x1, x2 = coords
-    return (x0 * x1).sin() + (0.3 * x2).exp() / (2.0 + x0 ** 2) \
-        + (4.0 + x1 ** 2).sqrt() * x2
-
-
-class TestJets:
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            x = rng.uniform(-1.5, 1.5, size=3)
-            j = scalar_jet(seed_jets(x, 1))
-            assert j.f == pytest.approx(scalar_fn(x), rel=1e-12)
-            assert np.allclose(j.g, central_grad(scalar_fn, x), rtol=1e-6, atol=1e-8)
-
-    def test_hessian_matches_finite_differences(self):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            x = rng.uniform(-1.5, 1.5, size=3)
-            j = scalar_jet(seed_jets(x, 2))
-            H = central_hess(scalar_fn, x)
-            assert np.allclose(j.h, H, rtol=1e-4, atol=1e-5)
-            assert np.allclose(j.h, j.h.T)
-
-    def test_order_propagation_is_min(self):
-        x = seed_jets([0.5, 0.25], 2)
-        y = seed_jets([0.5, 0.25], 1)
-        mixed = x[0] * y[1]
-        assert mixed.order == 1
-        assert (x[0] * x[1]).order == 2
-        assert (x[0] + 3.0).order == 2  # scalars are exact constants
-
-    def test_seed_identity(self):
-        js = seed_jets([1.0, 2.0, 3.0], 2)
-        for i, j in enumerate(js):
-            e = np.zeros(3)
-            e[i] = 1.0
-            assert np.array_equal(j.g, e)
-            assert not j.h.any()
-
-    def test_division_and_pow(self):
-        x, = seed_jets([0.7], 2)
-        j = (1.0 / (1.0 + x * x)) - (1.0 + x * x) ** -1
-        assert abs(j.f) < 1e-15 and abs(j.g[0]) < 1e-15 and abs(j.h[0, 0]) < 1e-14
-        half = (x ** 0.5)
-        assert half.f == pytest.approx(np.sqrt(0.7))
-        assert half.g[0] == pytest.approx(0.5 / np.sqrt(0.7))
-
-    def test_domain_errors(self):
-        x, = seed_jets([-1.0], 1)
-        with pytest.raises(ValueError):
-            x.sqrt()
-        with pytest.raises(ValueError):
-            x ** 0.5
-        z, = seed_jets([0.0], 1)
-        with pytest.raises(ZeroDivisionError):
-            1.0 / z
+SCALAR = "sin(x0 * x1) + exp(0.3 * x2) / (2 + x0^2) + sqrt(4 + x1^2) * x2"
 
 
 class TestFields:
-    def test_partial_field_value_and_gradient(self):
-        f = FuncField(scalar_jet)
-        x = np.array([0.4, -0.3, 0.9])
-        for i in range(3):
-            df = f.partial(i)
-            assert df.value(x) == pytest.approx(central_grad(scalar_fn, x)[i],
-                                               rel=1e-6, abs=1e-8)
-            g_num = df.gradient(x)
-            assert np.allclose(g_num, central_hess(scalar_fn, x)[i],
-                               rtol=1e-4, atol=1e-5)
-
-    def test_partial_field_order_limit(self):
-        f = FuncField(scalar_jet)
-        with pytest.raises(DerivativeOrderError):
-            f.partial(0).jet(seed_jets([0.1, 0.2, 0.3], 2))
-        # second partials are still reachable at value level
-        d2 = f.partial(0).partial(1)
-        x = np.array([0.1, 0.2, 0.3])
-        assert d2.value(x) == pytest.approx(central_hess(scalar_fn, x)[0, 1],
-                                            rel=1e-4, abs=1e-5)
-
     def test_coord_and_const_partials_are_exact(self):
-        c = CoordField(2)
+        c = ExprField(Var(2))
         assert c.partial(2).value(np.zeros(4)) == 1.0
         assert c.partial(0).value(np.zeros(4)) == 0.0
         assert ConstField(5.0).partial(1).value(np.zeros(4)) == 0.0
@@ -110,11 +33,11 @@ class TestFields:
             boxed.value(np.array([1.5, 0.0, 0.0, 0.0]))
 
     def test_field_arithmetic(self):
-        x0, x1 = CoordField(0), CoordField(1)
+        x0, x1 = ExprField(Var(0)), ExprField(Var(1))
         f = 2.0 * x0 + x1 * x1 - 1.0
         p = np.array([3.0, 4.0])
         assert f.value(p) == pytest.approx(2 * 3 + 16 - 1)
-        assert np.allclose(f.gradient(p), [2.0, 8.0])
+        assert [f.partial(i).value(p) for i in range(2)] == [2.0, 8.0]
 
 
 def polynomial_vector(coeff_seed, dim=3):
@@ -122,17 +45,16 @@ def polynomial_vector(coeff_seed, dim=3):
     rng = np.random.default_rng(coeff_seed)
     a = rng.uniform(-1, 1, size=(dim, dim))
     b = rng.uniform(-1, 1, size=(dim, dim, dim))
+    xs = [ExprField(Var(i)) for i in range(dim)]
 
     def comp(m):
-        def fn(coords):
-            acc = None
-            for i in range(dim):
-                t = a[m, i] * coords[i]
-                acc = t if acc is None else acc + t
-                for j in range(dim):
-                    acc = acc + b[m, i, j] * coords[i] * coords[j]
-            return acc
-        return FuncField(fn)
+        acc = None
+        for i in range(dim):
+            t = a[m, i] * xs[i]
+            acc = t if acc is None else acc + t
+            for j in range(dim):
+                acc = acc + b[m, i, j] * xs[i] * xs[j]
+        return acc
 
     return VectorField([comp(m) for m in range(dim)])
 
@@ -140,7 +62,7 @@ def polynomial_vector(coeff_seed, dim=3):
 class TestVectorFields:
     def test_directional_derivative(self):
         X = polynomial_vector(1)
-        f = FuncField(scalar_jet)
+        f = ExprField(SCALAR)
         p = np.array([0.3, -0.2, 0.4])
         expected = X.at(p) @ central_grad(scalar_fn, p)
         assert directional(X, f).value(p) == pytest.approx(expected, rel=1e-6)
@@ -162,7 +84,7 @@ class TestVectorFields:
     def test_bracket_against_flows(self):
         # [X, Y] f = X(Yf) - Y(Xf) on a test function
         X, Y = polynomial_vector(7), polynomial_vector(8)
-        f = FuncField(scalar_jet)
+        f = ExprField(SCALAR)
         p = np.array([0.1, 0.6, -0.3])
         lhs = directional(lie_bracket(X, Y), f).value(p)
         rhs = (directional(X, directional(Y, f)).value(p)
@@ -173,15 +95,15 @@ class TestVectorFields:
 def random_one_form(seed, dim=4):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, size=(dim, dim))
+    xs = [ExprField(Var(i)) for i in range(dim)]
+    wave = ExprField("cos(x0 * 0.3)")
 
     def comp(m):
-        def fn(coords):
-            acc = None
-            for i in range(dim):
-                t = a[m, i] * coords[i]
-                acc = t if acc is None else acc + t
-            return acc * (coords[0] * 0.3).cos()
-        return FuncField(fn)
+        acc = None
+        for i in range(dim):
+            t = a[m, i] * xs[i]
+            acc = t if acc is None else acc + t
+        return acc * wave
 
     return PForm(dim, 1, {(m,): comp(m) for m in range(dim)})
 
@@ -222,7 +144,7 @@ class TestForms:
         assert np.allclose(M, -M.T)
 
     def test_d_of_exact_form_vanishes(self):
-        f = FuncField(lambda c: (c[0] * c[1]).sin() + c[2] * c[3] * c[3])
+        f = ExprField("sin(x0 * x1) + x2 * x3 * x3")
         df = PForm(4, 1, {(i,): f.partial(i) for i in range(4)})
         ddf = exterior_derivative(df)
         rng = np.random.default_rng(16)
