@@ -5,13 +5,15 @@ Two subcommands:
 verify  runs one named check suite against a model file and prints the
         report (text table or JSON).  Exit code 0 when every check
         passes, 1 when some check fails, 2 for usage or validation
-        problems (unknown suite, framework mismatch, bad model file,
-        bad tolerance override).
+        problems (unknown suite, framework mismatch, bad or malformed
+        model file, bad tolerance override, a --points count outside
+        1..MAX_POINTS).
 
 orbit   integrates the dynamical flow of a model from given initial
         data and prints a trajectory summary with the worst law-of-
-        motion residual.  Non-finite initial data and a duration or step
-        that is not positive and finite are usage errors (exit code 2);
+        motion residual.  Non-finite initial data, a duration or step
+        that is not positive and finite, and more than MAX_ORBIT_STEPS
+        steps are usage errors (exit code 2);
         a trajectory that escapes the declared box or the lightcone,
         reaches a non-finite state, or meets a point where a field cannot
         be evaluated (division by zero, overflow, square root of a
@@ -31,6 +33,10 @@ from .modelspec import ValidationError
 from .orbit import BoxExit, integrate_orbit
 from .report import emit_report
 from .suites import resolve_model, run_suite, suite_names
+
+# the most RK4 steps one orbit may take; more is a usage error, refused
+# before the trajectory is allocated
+MAX_ORBIT_STEPS = 1_000_000
 
 
 def _parse_tols(items) -> dict:
@@ -73,6 +79,11 @@ def _cmd_orbit(args) -> int:
             raise ValueError("initial position and velocity must be finite")
         if not (0.0 < args.duration < np.inf and 0.0 < args.step < np.inf):
             raise ValueError("duration and step must be positive and finite")
+        # the orbit takes round(duration / step) steps; the quotient may be
+        # infinite, which round() cannot take
+        if args.duration / args.step > MAX_ORBIT_STEPS + 0.5:
+            raise ValueError("duration / step asks for more than %d steps"
+                             % MAX_ORBIT_STEPS)
         if np.any(x0 < model.box_lo) or np.any(x0 > model.box_hi):
             raise ValueError("initial position lies outside the model box")
         if fw == "einstein":

@@ -30,10 +30,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import (
-    Call, ExprField, Model, Var, compile_fields, constant, inverse_nodes,
-    velocity,
+    Call, ExprField, Model, Var, compile_fields, constant, det_node,
+    inverse_nodes, velocity,
 )
-from .smooth import Batch, Field, PForm, VectorField, unboxed, wedge, worst
+from .smooth import (
+    Batch, Field, PForm, VectorField, cached, directional, total, unboxed,
+    wedge, worst,
+)
 
 
 class LightconeViolation(ValueError):
@@ -89,78 +92,58 @@ class EinsteinPhase:
     def inv_metric(self, lam: int, mu: int) -> Field:
         return self.Ginv[lam][mu]
 
+    @cached
     def g_low(self, lam: int, mu: int) -> Field:
         """Geometric metric g = (hbar/m) G."""
-        key = ("g", lam, mu)
-        if key not in self._memo:
-            self._memo[key] = self.G[lam][mu] * self.scale
-        return self._memo[key]
+        return self.G[lam][mu] * self.scale
 
+    @cached
     def g_up(self, lam: int, mu: int) -> Field:
-        key = ("gup", lam, mu)
-        if key not in self._memo:
-            self._memo[key] = self.Ginv[lam][mu] * (1.0 / self.scale)
-        return self._memo[key]
+        return self.Ginv[lam][mu] * (1.0 / self.scale)
 
     # -- velocity contractions ----------------------------------------------
 
+    @cached
     def Gbar0(self, lam: int) -> Field:
         """G_{0 lam} + G_{i lam} x^i_0 (rescaled metric)."""
-        key = ("Gbar0", lam)
-        if key not in self._memo:
-            acc = self.G[0][lam]
-            for i in range(1, 4):
-                acc = acc + self.G[i][lam] * velocity(i)
-            self._memo[key] = acc
-        return self._memo[key]
+        return total([self.G[0][lam]] + [self.G[i][lam] * velocity(i)
+                                         for i in range(1, 4)])
 
+    @cached
     def gbar0(self, lam: int) -> Field:
-        key = ("gbar0", lam)
-        if key not in self._memo:
-            self._memo[key] = self.Gbar0(lam) * self.scale
-        return self._memo[key]
+        return self.Gbar0(lam) * self.scale
 
+    @cached
     def Gbar_up(self, i: int, lam: int) -> Field:
         """G^{i lam} - G^{0 lam} x^i_0 (inverse rescaled metric)."""
-        key = ("Gbarup", i, lam)
-        if key not in self._memo:
-            self._memo[key] = (self.Ginv[i][lam]
-                               - self.Ginv[0][lam] * velocity(i))
-        return self._memo[key]
+        return self.Ginv[i][lam] - self.Ginv[0][lam] * velocity(i)
 
+    @cached
     def gbar_up(self, i: int, lam: int) -> Field:
-        key = ("gbarup", i, lam)
-        if key not in self._memo:
-            self._memo[key] = self.Gbar_up(i, lam) * (1.0 / self.scale)
-        return self._memo[key]
+        return self.Gbar_up(i, lam) * (1.0 / self.scale)
 
     # -- timelike normalization ---------------------------------------------
 
+    @cached
     def radicand(self) -> Field:
         """g_00 + 2 g_0j x^j_0 + g_ij x^i_0 x^j_0; negative on admissible points."""
-        if "rad" not in self._memo:
-            acc = self.g_low(0, 0)
-            for j in range(1, 4):
-                acc = acc + self.g_low(0, j) * 2.0 * velocity(j)
-            for i in range(1, 4):
-                for j in range(1, 4):
-                    acc = acc + self.g_low(i, j) * velocity(i) * velocity(j)
-            self._memo["rad"] = acc
-        return self._memo["rad"]
+        return total(
+            [self.g_low(0, 0)]
+            + [self.g_low(0, j) * 2.0 * velocity(j) for j in range(1, 4)]
+            + [self.g_low(i, j) * velocity(i) * velocity(j)
+               for i in range(1, 4) for j in range(1, 4)])
 
+    @cached
     def _radicand_fn(self):
-        if "rad_fn" not in self._memo:
-            self._memo["rad_fn"] = compile_fields([self.radicand()])
-        return self._memo["rad_fn"]
+        return compile_fields([self.radicand()])
 
+    @cached
     def _motion_fn(self):
         """(alpha0, gamma-bar^1..3) compiled into one point function.  It is
         only called on points require_timelike has passed, where alpha0 is
         defined."""
-        if "motion_fn" not in self._memo:
-            self._memo["motion_fn"] = compile_fields(
-                [self.alpha0()] + [self.gamma_bar(i) for i in range(1, 4)])
-        return self._memo["motion_fn"]
+        return compile_fields(
+            [self.alpha0()] + [self.gamma_bar(i) for i in range(1, 4)])
 
     def require_timelike(self, p) -> None:
         # written so that a NaN radicand counts as not timelike
@@ -168,56 +151,38 @@ class EinsteinPhase:
             raise LightconeViolation(
                 "phase point has a non-timelike chart velocity")
 
+    @cached
     def alpha0(self) -> Field:
-        if "alpha0" not in self._memo:
-            root = ExprField(Call("sqrt", Call("abs", self.radicand().node)),
-                             self.model.params)
-            self._memo["alpha0"] = constant(1.0) / root
-            self._memo["inv_alpha0"] = root
-        return self._memo["alpha0"]
+        return constant(1.0) / self.inv_alpha0()
 
+    @cached
     def inv_alpha0(self) -> Field:
-        self.alpha0()
-        return self._memo["inv_alpha0"]
+        return ExprField(Call("sqrt", Call("abs", self.radicand().node)),
+                         self.model.params)
 
+    @cached
     def tau(self, lam: int) -> Field:
         """Time 1-form component tau_lam = -(alpha0/c) gbar_{0 lam}."""
-        key = ("tau", lam)
-        if key not in self._memo:
-            self._memo[key] = self.alpha0() * self.gbar0(lam) * (-1.0 / self.c)
-        return self._memo[key]
+        return self.alpha0() * self.gbar0(lam) * (-1.0 / self.c)
 
+    @cached
     def tau_up(self, mu: int) -> Field:
-        key = ("tauup", mu)
-        if key not in self._memo:
-            acc = None
-            for nu in range(4):
-                term = self.g_up(mu, nu) * self.tau(nu)
-                acc = term if acc is None else acc + term
-            self._memo[key] = acc
-        return self._memo[key]
+        return total(self.g_up(mu, nu) * self.tau(nu) for nu in range(4))
 
+    @cached
     def contact(self, lam: int) -> Field:
         """Contact vector component: c alpha0 for lam=0, c alpha0 x^i_0 else."""
-        key = ("dee", lam)
-        if key not in self._memo:
-            base = self.alpha0() * self.c
-            self._memo[key] = base if lam == 0 else base * velocity(lam)
-        return self._memo[key]
+        base = self.alpha0() * self.c
+        return base if lam == 0 else base * velocity(lam)
 
+    @cached
     def ghat(self, i: int, mu: int) -> Field:
         """Vertical-restricted metric g_{i mu} + c^2 tau_i tau_mu."""
-        key = ("ghat", i, mu)
-        if key not in self._memo:
-            self._memo[key] = self.g_low(i, mu) \
-                + self.tau(i) * self.tau(mu) * self.c ** 2
-        return self._memo[key]
+        return self.g_low(i, mu) + self.tau(i) * self.tau(mu) * self.c ** 2
 
+    @cached
     def Ghat(self, i: int, mu: int) -> Field:
-        key = ("Ghat", i, mu)
-        if key not in self._memo:
-            self._memo[key] = self.ghat(i, mu) * (1.0 / self.scale)
-        return self._memo[key]
+        return self.ghat(i, mu) * (1.0 / self.scale)
 
     # -- adapted bases -------------------------------------------------------
 
@@ -254,39 +219,28 @@ class EinsteinPhase:
 
     # -- Levi-Civita connection (sign-reversed symbols) ----------------------
 
+    @cached
     def K(self, lam: int, nu: int, mu: int) -> Field:
         """K_lam^nu_mu = -(1/2) G^{nu rho} (d_lam G_{rho mu} + d_mu G_{rho lam}
         - d_rho G_{lam mu}); certified by the metric-compatibility tests."""
         if lam > mu:
             return self.K(mu, nu, lam)
-        key = ("K", lam, nu, mu)
-        if key not in self._memo:
-            acc = None
-            for rho in range(4):
-                inner = self.G[rho][mu].partial(lam) \
-                    + self.G[rho][lam].partial(mu) \
-                    - self.G[lam][mu].partial(rho)
-                term = self.Ginv[nu][rho] * inner
-                acc = term if acc is None else acc + term
-            self._memo[key] = acc * (-0.5)
-        return self._memo[key]
+        return total(self.Ginv[nu][rho] * (self.G[rho][mu].partial(lam)
+                                           + self.G[rho][lam].partial(mu)
+                                           - self.G[lam][mu].partial(rho))
+                     for rho in range(4)) * (-0.5)
 
     # -- electromagnetic field ----------------------------------------------
 
+    @cached
     def _f_strict(self) -> Dict[Tuple[int, int], Field]:
-        if "Fdict" not in self._memo:
-            comps = {}
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    comps[(a, b)] = self.A[b].partial(a) - self.A[a].partial(b)
-            self._memo["Fdict"] = comps
-        return self._memo["Fdict"]
+        return {(a, b): self.A[b].partial(a) - self.A[a].partial(b)
+                for a in range(4) for b in range(a + 1, 4)}
 
+    @cached
     def faraday(self) -> PForm:
         """F = dA of the declared potential, strict lower components."""
-        if "F" not in self._memo:
-            self._memo["F"] = PForm(4, 2, dict(self._f_strict()))
-        return self._memo["F"]
+        return PForm(4, 2, dict(self._f_strict()))
 
     def F_comp(self, a: int, b: int) -> Field:
         """Antisymmetric access to F_{ab} as an expression field."""
@@ -295,127 +249,88 @@ class EinsteinPhase:
         strict = self._f_strict()
         return strict[(a, b)] if a < b else -strict[(b, a)]
 
+    @cached
     def Fbar0(self, mu: int) -> Field:
         """F_{0 mu} + F_{i mu} x^i_0."""
-        key = ("Fbar0", mu)
-        if key not in self._memo:
-            acc = self.F_comp(0, mu)
-            for i in range(1, 4):
-                acc = acc + self.F_comp(i, mu) * velocity(i)
-            self._memo[key] = acc
-        return self._memo[key]
+        return total([self.F_comp(0, mu)] + [self.F_comp(i, mu) * velocity(i)
+                                             for i in range(1, 4)])
 
     # -- phase connection ----------------------------------------------------
 
+    @cached
     def Gamma_nat(self, lam: int, i: int) -> Field:
         """Gravitational phase connection: K folded with the velocity chart."""
-        key = ("Gnat", lam, i)
-        if key not in self._memo:
-            upper = self.K(lam, i, 0)
-            lower = self.K(lam, 0, 0)
-            for j in range(1, 4):
-                upper = upper + self.K(lam, i, j) * velocity(j)
-                lower = lower + self.K(lam, 0, j) * velocity(j)
-            self._memo[key] = upper - velocity(i) * lower
-        return self._memo[key]
+        upper = total([self.K(lam, i, 0)] + [self.K(lam, i, j) * velocity(j)
+                                             for j in range(1, 4)])
+        lower = total([self.K(lam, 0, 0)] + [self.K(lam, 0, j) * velocity(j)
+                                             for j in range(1, 4)])
+        return upper - velocity(i) * lower
 
+    @cached
     def Gamma_em(self, lam: int, i: int) -> Field:
         """Electromagnetic phase connection term (Lorentz coupling)."""
-        key = ("Gem", lam, i)
-        if key not in self._memo:
-            alpha2 = self.alpha0() * self.alpha0()
-            acc = None
-            for mu in range(4):
-                inner = self.F_comp(lam, mu) \
-                    - alpha2 * self.gbar0(lam) * self.Fbar0(mu)
-                term = self.gbar_up(i, mu) * inner
-                acc = term if acc is None else acc + term
-            q_over_m = self.model.charge / self.model.mass
-            factor = self.inv_alpha0() * (-q_over_m / (2.0 * self.c))
-            self._memo[key] = factor * acc
-        return self._memo[key]
+        alpha2 = self.alpha0() * self.alpha0()
+        acc = total(self.gbar_up(i, mu) * (self.F_comp(lam, mu) - alpha2
+                                           * self.gbar0(lam) * self.Fbar0(mu))
+                    for mu in range(4))
+        q_over_m = self.model.charge / self.model.mass
+        return self.inv_alpha0() * (-q_over_m / (2.0 * self.c)) * acc
 
+    @cached
     def Gamma(self, lam: int, i: int) -> Field:
-        key = ("Gamma", lam, i)
-        if key not in self._memo:
-            self._memo[key] = self.Gamma_nat(lam, i) + self.Gamma_em(lam, i)
-        return self._memo[key]
+        return self.Gamma_nat(lam, i) + self.Gamma_em(lam, i)
 
+    @cached
     def gamma_bar(self, i: int) -> Field:
         """Vertical coefficient of the dynamical vector before the c alpha0
         normalization: Gamma_0^i + Gamma_j^i x^j_0."""
-        key = ("gbar", i)
-        if key not in self._memo:
-            acc = self.Gamma(0, i)
-            for j in range(1, 4):
-                acc = acc + self.Gamma(j, i) * velocity(j)
-            self._memo[key] = acc
-        return self._memo[key]
+        return total([self.Gamma(0, i)] + [self.Gamma(j, i) * velocity(j)
+                                           for j in range(1, 4)])
 
+    @cached
     def dynamical_vector(self) -> VectorField:
         """gamma = c alpha0 (d_0 + x^i_0 d_i + gamma-bar^i d^0_i)."""
-        if "gamma_vec" not in self._memo:
-            head = self.alpha0() * self.c
-            comps = [head]
-            for i in range(1, 4):
-                comps.append(head * velocity(i))
-            for i in range(1, 4):
-                comps.append(head * self.gamma_bar(i))
-            self._memo["gamma_vec"] = VectorField(comps)
-        return self._memo["gamma_vec"]
+        head = self.alpha0() * self.c
+        return VectorField([head] + [head * velocity(i) for i in range(1, 4)]
+                           + [head * self.gamma_bar(i) for i in range(1, 4)])
 
     # -- cosymplectic structure ---------------------------------------------
 
+    @cached
     def theta(self, lam: int) -> Field:
         """Potential 1-form component c alpha0 (G_{0 lam} + G_{i lam} x^i_0)."""
-        key = ("theta", lam)
-        if key not in self._memo:
-            self._memo[key] = self.alpha0() * self.Gbar0(lam) * self.c
-        return self._memo[key]
+        return self.alpha0() * self.Gbar0(lam) * self.c
 
     def horizontal_potential(self) -> List[Field]:
         """A-up: theta plus the coupled electromagnetic potential."""
         return [self.theta(lam) + self.A[lam] * self.coupling
                 for lam in range(4)]
 
+    @cached
     def cosymplectic(self) -> PForm:
         """Omega = c alpha0 Ghat_{i mu} (d^i_0 - Gamma_lam^i d^lam) ^ d^mu."""
-        if "Omega" not in self._memo:
-            total = None
-            for i in range(1, 4):
-                a_comps = {(3 + i,): constant(1.0)}
-                for lam in range(4):
-                    a_comps[(lam,)] = -self.Gamma(lam, i)
-                a = PForm(7, 1, a_comps)
-                for mu in range(4):
-                    b = PForm(7, 1, {(mu,): constant(1.0)})
-                    coef = self.alpha0() * self.Ghat(i, mu) * self.c
-                    term = wedge(a, b).scaled(coef)
-                    total = term if total is None else total + term
-            self._memo["Omega"] = total
-        return self._memo["Omega"]
+        a = [PForm(7, 1, {(3 + i,): constant(1.0),
+                          **{(lam,): -self.Gamma(lam, i) for lam in range(4)}})
+             for i in range(1, 4)]
+        return total(wedge(a[i - 1], PForm(7, 1, {(mu,): constant(1.0)}))
+                     .scaled(self.alpha0() * self.Ghat(i, mu) * self.c)
+                     for i in range(1, 4) for mu in range(4))
 
+    @cached
     def poisson_bivector(self) -> PForm:
         """Lambda = (1/(c alpha0)) Gbar^{j lam} (d_lam + Gamma_lam^i d^0_i) ^ d^0_j."""
-        if "Lambda" not in self._memo:
-            total = None
-            s = self.inv_alpha0() * (1.0 / self.c)
-            for j in range(1, 4):
-                u_comps: Dict[Tuple[int, ...], Field] = {}
-                for lam in range(4):
-                    u_comps[(lam,)] = s * self.Gbar_up(j, lam)
-                for i in range(1, 4):
-                    acc = None
-                    for lam in range(4):
-                        term = self.Gbar_up(j, lam) * self.Gamma(lam, i)
-                        acc = term if acc is None else acc + term
-                    u_comps[(3 + i,)] = s * acc
-                u = PForm(7, 1, u_comps)
-                v = PForm(7, 1, {(3 + j,): constant(1.0)})
-                term = wedge(u, v)
-                total = term if total is None else total + term
-            self._memo["Lambda"] = total
-        return self._memo["Lambda"]
+        s = self.inv_alpha0() * (1.0 / self.c)
+
+        def u(j: int) -> PForm:
+            comps = {(lam,): s * self.Gbar_up(j, lam) for lam in range(4)}
+            for i in range(1, 4):
+                comps[(3 + i,)] = s * total(self.Gbar_up(j, lam)
+                                            * self.Gamma(lam, i)
+                                            for lam in range(4))
+            return PForm(7, 1, comps)
+
+        return total(wedge(u(j), PForm(7, 1, {(3 + j,): constant(1.0)}))
+                     for j in range(1, 4))
 
     def xi(self, i: int, j: int) -> Field:
         """Xi^{ij} = Gbar^{i lam} Gamma_lam^j - Gbar^{j lam} Gamma_lam^i.
@@ -423,22 +338,16 @@ class EinsteinPhase:
         The sum runs over all four values of lam; restricting it to the
         spacelike ones would break the agreement with the bivector route.
         """
-        acc = None
-        for lam in range(4):
-            term = self.Gbar_up(i, lam) * self.Gamma(lam, j) \
-                - self.Gbar_up(j, lam) * self.Gamma(lam, i)
-            acc = term if acc is None else acc + term
-        return acc
+        return total(self.Gbar_up(i, lam) * self.Gamma(lam, j)
+                     - self.Gbar_up(j, lam) * self.Gamma(lam, i)
+                     for lam in range(4))
 
     def poisson(self, f: Field, g: Field) -> Field:
         """Coordinate Poisson bracket of two phase functions."""
-        acc = None
-        for i in range(1, 4):
-            for lam in range(4):
-                term = self.Gbar_up(i, lam) * (
-                    f.partial(lam) * g.partial(3 + i)
-                    - g.partial(lam) * f.partial(3 + i))
-                acc = term if acc is None else acc + term
+        acc = total(self.Gbar_up(i, lam)
+                    * (f.partial(lam) * g.partial(3 + i)
+                       - g.partial(lam) * f.partial(3 + i))
+                    for i in range(1, 4) for lam in range(4))
         for i in range(1, 4):
             for j in range(1, 4):
                 if i == j:
@@ -450,47 +359,32 @@ class EinsteinPhase:
 
     def special_value(self, sf: ESpecialFunction) -> Field:
         """-G(contact, X) + fbar as a phase function."""
-        acc = None
-        for mu in range(4):
-            term = self.theta(mu) * sf.comps[mu]
-            acc = term if acc is None else acc + term
-        return sf.fbar - acc
+        return sf.fbar - total(self.theta(mu) * sf.comps[mu]
+                               for mu in range(4))
 
     def sigma0(self, sf: ESpecialFunction) -> Field:
         """Time-scale coefficient tau(X) of a special function."""
-        acc = None
-        for lam in range(4):
-            term = self.tau(lam) * sf.comps[lam]
-            acc = term if acc is None else acc + term
-        return acc
+        return total(self.tau(lam) * sf.comps[lam] for lam in range(4))
 
     def special_bracket(self, f: ESpecialFunction,
                         g: ESpecialFunction) -> ESpecialFunction:
         """Closed-form special bracket: Lie bracket of the lifts plus the
         twisted scalar part with the coupled electromagnetic 2-form."""
-        comps: List[Field] = []
-        for mu in range(4):
-            acc = None
-            for nu in range(4):
-                term = f.comps[nu] * g.comps[mu].partial(nu) \
-                    - g.comps[nu] * f.comps[mu].partial(nu)
-                acc = term if acc is None else acc + term
-            comps.append(acc)
-        bar = None
-        for lam in range(4):
-            term = f.comps[lam] * g.fbar.partial(lam) \
-                - g.comps[lam] * f.fbar.partial(lam)
-            bar = term if bar is None else bar + term
-        for a in range(4):
-            for b in range(a + 1, 4):
-                pair = f.comps[a] * g.comps[b] - f.comps[b] * g.comps[a]
-                bar = bar + self.F_comp(a, b) * pair * self.coupling
+        comps = [total(f.comps[nu] * g.comps[mu].partial(nu)
+                       - g.comps[nu] * f.comps[mu].partial(nu)
+                       for nu in range(4))
+                 for mu in range(4)]
+        bar = total(
+            [f.comps[lam] * g.fbar.partial(lam)
+             - g.comps[lam] * f.fbar.partial(lam) for lam in range(4)]
+            + [self.F_comp(a, b) * (f.comps[a] * g.comps[b]
+                                    - f.comps[b] * g.comps[a]) * self.coupling
+               for a in range(4) for b in range(a + 1, 4)])
         return ESpecialFunction(comps, bar)
 
     def definitional_bracket_value(self, f: ESpecialFunction,
                                    g: ESpecialFunction) -> Field:
         """Poisson route: {f,g} + sigma[f] (gamma.g) - sigma[g] (gamma.f)."""
-        from .smooth import directional
         vf = self.special_value(f)
         vg = self.special_value(g)
         gam = self.dynamical_vector()
@@ -510,13 +404,12 @@ class EinsteinPhase:
                 acc = acc - s * self.Gbar_up(j, lam) * f.partial(3 + j)
             comps.append(acc)
         for i in range(1, 4):
-            acc = head * self.gamma_bar(i)
-            for lam in range(4):
-                acc = acc + s * self.Gbar_up(i, lam) * f.partial(lam)
-            for j in range(1, 4):
-                if j != i:
-                    acc = acc + s * self.xi(i, j) * f.partial(3 + j)
-            comps.append(acc)
+            comps.append(total(
+                [head * self.gamma_bar(i)]
+                + [s * self.Gbar_up(i, lam) * f.partial(lam)
+                   for lam in range(4)]
+                + [s * self.xi(i, j) * f.partial(3 + j)
+                   for j in range(1, 4) if j != i]))
         return VectorField(comps)
 
     # -- distinguished special functions -------------------------------------
@@ -540,12 +433,11 @@ class EinsteinPhase:
         its normalization 1 / sqrt|g(o, o)| with o = (1, obs)."""
         if obs is None:
             obs = [constant(0.0)] * 3
-        rad = self.g_low(0, 0)
-        for j in range(1, 4):
-            rad = rad + self.g_low(0, j) * 2.0 * obs[j - 1]
-        for i in range(1, 4):
-            for j in range(1, 4):
-                rad = rad + self.g_low(i, j) * obs[i - 1] * obs[j - 1]
+        rad = total(
+            [self.g_low(0, 0)]
+            + [self.g_low(0, j) * 2.0 * obs[j - 1] for j in range(1, 4)]
+            + [self.g_low(i, j) * obs[i - 1] * obs[j - 1]
+               for i in range(1, 4) for j in range(1, 4)])
         return obs, constant(1.0) / ExprField(
             Call("sqrt", Call("abs", rad.node)), self.model.params)
 
@@ -556,13 +448,9 @@ class EinsteinPhase:
         spacetime fields; omitted, it is the chart (rest) observer.
         """
         obs, alpha = self._observer_alpha(obs)
-        out = []
-        for lam in range(4):
-            gb = self.G[0][lam]
-            for i in range(1, 4):
-                gb = gb + self.G[i][lam] * obs[i - 1]
-            out.append(alpha * gb * self.c)
-        return out
+        return [alpha * total([self.G[0][lam]] + [self.G[i][lam] * obs[i - 1]
+                                                  for i in range(1, 4)])
+                * self.c for lam in range(4)]
 
     def observed_component(self, sf: ESpecialFunction,
                            obs: Optional[List[Field]] = None) -> Field:
@@ -577,14 +465,10 @@ class EinsteinPhase:
 
     def lorentz_force(self) -> VectorField:
         """Spacelike force field -c alpha0 g^{lam mu} (F_{0 mu} + F_{i mu} x^i_0)."""
-        comps = []
-        for lam in range(4):
-            acc = None
-            for mu in range(4):
-                term = self.g_up(lam, mu) * self.Fbar0(mu)
-                acc = term if acc is None else acc + term
-            comps.append(self.alpha0() * acc * (-self.c))
-        return VectorField(comps)
+        return VectorField([self.alpha0() * total(self.g_up(lam, mu)
+                                                  * self.Fbar0(mu)
+                                                  for mu in range(4))
+                            * (-self.c) for lam in range(4)])
 
     def law_residual(self, x, xdot, xddot) -> np.ndarray:
         """Residual of the law of motion on a proper-time trajectory sample.
@@ -632,30 +516,18 @@ class EinsteinPhase:
         obs, alpha = self._observer_alpha(obs)
         delta0 = [constant(1.0)] + list(obs)
 
-        gbar0 = []
-        for lam in range(4):
-            acc = self.g_low(0, lam)
-            for i in range(1, 4):
-                acc = acc + self.g_low(i, lam) * obs[i - 1]
-            gbar0.append(acc)
+        gbar0 = [total([self.g_low(0, lam)] + [self.g_low(i, lam) * obs[i - 1]
+                                               for i in range(1, 4)])
+                 for lam in range(4)]
         tau = [alpha * gbar0[lam] * (-1.0 / self.c) for lam in range(4)]
 
         # electric part: minus the raised contraction of F with the
         # observer's contact vector
-        fbar = []
-        for mu in range(4):
-            acc = None
-            for rho in range(4):
-                term = self.F_comp(rho, mu) * delta0[rho]
-                acc = term if acc is None else acc + term
-            fbar.append(acc)
-        electric = []
-        for lam in range(4):
-            acc = None
-            for mu in range(4):
-                term = self.g_up(lam, mu) * fbar[mu]
-                acc = term if acc is None else acc + term
-            electric.append(alpha * acc * (-self.c))
+        fbar = [total(self.F_comp(rho, mu) * delta0[rho] for rho in range(4))
+                for mu in range(4)]
+        electric = [alpha * total(self.g_up(lam, mu) * fbar[mu]
+                                  for mu in range(4)) * (-self.c)
+                    for lam in range(4)]
 
         # vertical frame b_i and its dual beta^i
         frame = []
@@ -675,30 +547,16 @@ class EinsteinPhase:
                 comps.append(constant(1.0 if lam == i else 0.0))
             beta.append(comps)
 
-        perp = [[None] * 3 for _ in range(3)]
-        for a in range(3):
-            for b in range(3):
-                acc = None
-                for lam in range(4):
-                    for mu in range(4):
-                        term = self.g_low(lam, mu) \
-                            * frame[a][lam] * frame[b][mu]
-                        acc = term if acc is None else acc + term
-                perp[a][b] = acc
-        from .modelspec import det_node
+        perp = [[total(self.g_low(lam, mu) * frame[a][lam] * frame[b][mu]
+                       for lam in range(4) for mu in range(4))
+                 for b in range(3)] for a in range(3)]
         vol = ExprField(Call("sqrt",
                              det_node([[e.node for e in row] for row in perp])),
                         self.model.params)
 
         def f_on(a: int, b: int) -> Field:
-            acc = None
-            for lam in range(4):
-                for mu in range(4):
-                    if lam == mu:
-                        continue
-                    term = self.F_comp(lam, mu) * frame[a][lam] * frame[b][mu]
-                    acc = term if acc is None else acc + term
-            return acc
+            return total(self.F_comp(lam, mu) * frame[a][lam] * frame[b][mu]
+                         for lam in range(4) for mu in range(4) if lam != mu)
 
         cyc = [(1, 2, 0), (2, 0, 1), (0, 1, 2)]
         magnetic = [constant(0.0)] * 4

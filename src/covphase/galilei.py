@@ -34,8 +34,8 @@ from .modelspec import (
     inverse_nodes, substitute, velocity,
 )
 from .smooth import (
-    Field, PForm, VectorField, directional, exterior_derivative, unboxed,
-    wedge,
+    Field, PForm, VectorField, cached, directional, exterior_derivative,
+    total, unboxed, wedge,
 )
 
 from numpy.polynomial.legendre import leggauss
@@ -101,33 +101,28 @@ class GalileiPhase:
     def inv_metric(self, i: int, j: int) -> Field:
         return self.Ginv[i - 1][j - 1]
 
+    @cached
     def faraday(self) -> PForm:
         """F = dA of the declared electromagnetic potential."""
-        if "F" not in self._memo:
-            pot = PForm(4, 1, {(lam,): self.A[lam] for lam in range(4)})
-            self._memo["F"] = exterior_derivative(pot)
-        return self._memo["F"]
+        pot = PForm(4, 1, {(lam,): self.A[lam] for lam in range(4)})
+        return exterior_derivative(pot)
 
+    @cached
     def curvature(self) -> PForm:
         """Total curvature 2-form: gravity plus (q/hbar) times Faraday."""
-        if "Phi" not in self._memo:
-            phi = self.faraday().scaled(constant(self.coupling))
-            if self.model.gravity2 is not None:
-                grav = PForm(4, 2, {k: unboxed(f) for k, f
-                                    in self.model.gravity2.comps.items()})
-                phi = phi + grav
-            self._memo["Phi"] = phi
-        return self._memo["Phi"]
+        phi = self.faraday().scaled(constant(self.coupling))
+        if self.model.gravity2 is None:
+            return phi
+        return phi + PForm(4, 2, {k: unboxed(f) for k, f
+                                  in self.model.gravity2.comps.items()})
 
+    @cached
     def K(self, lam: int, i: int, mu: int) -> Field:
         """Joined connection coefficient K_lam^i_mu (time row is zero)."""
         if i == 0:
             return constant(0.0)
         if lam > mu:
             return self.K(mu, i, lam)
-        key = ("K", lam, i, mu)
-        if key in self._memo:
-            return self._memo[key]
         phi = self.curvature()
         acc = constant(0.0)
         if lam == 0 and mu == 0:
@@ -145,40 +140,27 @@ class GalileiPhase:
                          + self.metric(j, h).partial(k)
                          - self.metric(h, k).partial(j))
                 acc = acc - 0.5 * (self.inv_metric(i, j) * inner)
-        self._memo[key] = acc
         return acc
 
     # -- phase level --------------------------------------------------------
 
+    @cached
     def Gamma(self, lam: int, i: int) -> Field:
         """Phase connection component Gamma_lam^i (a phase field)."""
-        key = ("Gamma", lam, i)
-        if key in self._memo:
-            return self._memo[key]
-        acc = self.K(lam, i, 0)
-        for j in range(1, 4):
-            acc = acc + self.K(lam, i, j) * velocity(j)
-        self._memo[key] = acc
-        return acc
+        return total([self.K(lam, i, 0)] + [self.K(lam, i, j) * velocity(j)
+                                            for j in range(1, 4)])
 
+    @cached
     def gamma(self, i: int) -> Field:
         """Dynamical connection component: the observed acceleration field."""
-        key = ("gamma", i)
-        if key in self._memo:
-            return self._memo[key]
-        acc = self.Gamma(0, i)
-        for h in range(1, 4):
-            acc = acc + self.Gamma(h, i) * velocity(h)
-        self._memo[key] = acc
-        return acc
+        return total([self.Gamma(0, i)] + [self.Gamma(h, i) * velocity(h)
+                                           for h in range(1, 4)])
 
+    @cached
     def gamma_fn(self):
         """(gamma^1, gamma^2, gamma^3) compiled into one function of a
         phase point, returning the three values as a list."""
-        if "gamma_fn" not in self._memo:
-            self._memo["gamma_fn"] = compile_fields(
-                [self.gamma(i) for i in range(1, 4)])
-        return self._memo["gamma_fn"]
+        return compile_fields([self.gamma(i) for i in range(1, 4)])
 
     def dynamical_vector(self) -> VectorField:
         """The second-order vector field d/dt of motions on the phase chart."""
@@ -186,61 +168,42 @@ class GalileiPhase:
             + [self.gamma(i) for i in range(1, 4)]
         return VectorField(comps)
 
+    @cached
     def cosymplectic(self) -> PForm:
         """The closed 2-form Omega of the phase structure."""
-        if "Omega" not in self._memo:
-            one = constant(1.0)
-            total = None
-            for i in range(1, 4):
-                a_comps = {(3 + i,): one}
-                for lam in range(4):
-                    a_comps[(lam,)] = -self.Gamma(lam, i)
-                a_i = PForm(7, 1, a_comps)
-                for j in range(1, 4):
-                    b_j = PForm(7, 1, {(j,): one, (0,): -velocity(j)})
-                    term = wedge(a_i, b_j).scaled(self.metric(i, j))
-                    total = term if total is None else total + term
-            self._memo["Omega"] = total
-        return self._memo["Omega"]
+        one = constant(1.0)
+        a = [PForm(7, 1, {(3 + i,): one,
+                          **{(lam,): -self.Gamma(lam, i) for lam in range(4)}})
+             for i in range(1, 4)]
+        return total(
+            wedge(a[i - 1], PForm(7, 1, {(j,): one, (0,): -velocity(j)}))
+            .scaled(self.metric(i, j))
+            for i in range(1, 4) for j in range(1, 4))
 
+    @cached
     def poisson_bivector(self) -> PForm:
         """The 2-vector Lambda inverse to Omega on the fibres."""
-        if "Lambda" not in self._memo:
-            one = constant(1.0)
-            total = None
-            for i in range(1, 4):
-                u_comps = {(i,): one}
-                for h in range(1, 4):
-                    u_comps[(3 + h,)] = self.Gamma(i, h)
-                u_i = PForm(7, 1, u_comps)
-                for j in range(1, 4):
-                    v_j = PForm(7, 1, {(3 + j,): one})
-                    term = wedge(u_i, v_j).scaled(self.inv_metric(i, j))
-                    total = term if total is None else total + term
-            self._memo["Lambda"] = total
-        return self._memo["Lambda"]
+        one = constant(1.0)
+        u = [PForm(7, 1, {(i,): one,
+                          **{(3 + h,): self.Gamma(i, h) for h in range(1, 4)}})
+             for i in range(1, 4)]
+        return total(wedge(u[i - 1], PForm(7, 1, {(3 + j,): one}))
+                     .scaled(self.inv_metric(i, j))
+                     for i in range(1, 4) for j in range(1, 4))
 
+    @cached
     def _gamma_upper(self, i: int, j: int) -> Field:
         """Gamma^{ij} = G^{ih} Gamma_h^j with both indices spatial."""
-        key = ("gamma_upper", i, j)
-        if key not in self._memo:
-            acc = None
-            for h in range(1, 4):
-                term = self.inv_metric(i, h) * self.Gamma(h, j)
-                acc = term if acc is None else acc + term
-            self._memo[key] = acc
-        return self._memo[key]
+        return total(self.inv_metric(i, h) * self.Gamma(h, j)
+                     for h in range(1, 4))
 
     def poisson(self, f: Field, g: Field) -> Field:
         """Poisson bracket of two phase functions."""
         fp = [f.partial(a) for a in range(7)]
         gp = [g.partial(a) for a in range(7)]
-        acc = None
-        for i in range(1, 4):
-            for j in range(1, 4):
-                term = self.inv_metric(i, j) * (
-                    fp[i] * gp[3 + j] - gp[i] * fp[3 + j])
-                acc = term if acc is None else acc + term
+        acc = total(self.inv_metric(i, j) * (fp[i] * gp[3 + j]
+                                             - gp[i] * fp[3 + j])
+                    for i in range(1, 4) for j in range(1, 4))
         for i in range(1, 4):
             for j in range(1, 4):
                 skew = self._gamma_upper(i, j) - self._gamma_upper(j, i)
@@ -279,13 +242,11 @@ class GalileiPhase:
         comps = {}
         for lam in range(4):
             for mu in range(lam + 1, 4):
-                acc = None
-                for (a, b), fld in omega.comps.items():
-                    jac = (sec[a].partial(lam) * sec[b].partial(mu)
-                           - sec[a].partial(mu) * sec[b].partial(lam))
-                    term = compose(fld) * jac
-                    acc = term if acc is None else acc + term
-                comps[(lam, mu)] = acc if acc is not None else constant(0.0)
+                comps[(lam, mu)] = total(
+                    (compose(fld)
+                     * (sec[a].partial(lam) * sec[b].partial(mu)
+                        - sec[a].partial(mu) * sec[b].partial(lam))
+                     for (a, b), fld in omega.comps.items()), constant(0.0))
         form = PForm(4, 2, comps)
         if chart:
             self._memo["observed_Phi"] = form
@@ -409,14 +370,9 @@ class GalileiPhase:
             else self.change_observer(sf, Observer.chart())
         val = self.special_value(chart)
         # d(value)/d(x^j_0), in closed form
-        P = []
-        for j in range(1, 4):
-            acc = None
-            for k in range(1, 4):
-                term = chart.f0 * self.metric(j, k) * velocity(k) \
-                    + self.metric(k, j) * chart.fi[k - 1]
-                acc = term if acc is None else acc + term
-            P.append(acc)
+        P = [total(chart.f0 * self.metric(j, k) * velocity(k)
+                   + self.metric(k, j) * chart.fi[k - 1] for k in range(1, 4))
+             for j in range(1, 4)]
         comps: List[Field] = [chart.f0]
         for i in range(1, 4):
             acc = chart.f0 * velocity(i)
@@ -458,17 +414,9 @@ class GalileiPhase:
         coupling folded in) enters both the linear part and the scalar.
         """
         a = [constant(self.coupling) * self.A[j] for j in range(1, 4)]
-        a_up = []
-        for i in range(1, 4):
-            acc = None
-            for j in range(1, 4):
-                term = self.inv_metric(i, j) * a[j - 1]
-                acc = term if acc is None else acc + term
-            a_up.append(acc)
-        fbar = None
-        for i in range(3):
-            term = a_up[i] * a[i]
-            fbar = term if fbar is None else fbar + term
+        a_up = [total(self.inv_metric(i, j) * a[j - 1] for j in range(1, 4))
+                for i in range(1, 4)]
+        fbar = total(a_up[i] * a[i] for i in range(3))
         fi = [constant(2.0) * a_up[i] for i in range(3)]
         return SpecialFunction(constant(2.0), fi, fbar, Observer.chart())
 

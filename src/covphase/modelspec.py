@@ -27,7 +27,7 @@ import numpy as np
 
 from .dims import CANONICAL_CONSTANT_DIMS, DimScalar, parse_dimension
 from .smooth import Batch, BoxedField, ConstField, Field, PForm, \
-    exterior_derivative, point_error
+    exterior_derivative, point_error, total
 
 SAMPLE_COUNT = 49  # validation points per model
 MAX_DEPTH = 200  # levels of nesting allowed in one parsed expression
@@ -922,15 +922,13 @@ class _Rows:
                 for phi in node.phis]
         for r, (exc, message) in sorted(stacked.errors.items()):
             self.fail(np.arange(n) == r % n, exc, message)
-        acc = None
+        terms = []
         for k, w in enumerate(node.weights):
             for nu, v in enumerate(vals):
                 term = w * (v[k * n:(k + 1) * n]
                             if isinstance(v, np.ndarray) else v)
-                if node.radial:
-                    term = term * rel[nu]
-                acc = term if acc is None else acc + term
-        return acc
+                terms.append(term * rel[nu] if node.radial else term)
+        return total(terms)
 
     def pow(self, a, var: bool, e: Fraction):
         p = int(e) if e.denominator == 1 else float(e)
@@ -1101,9 +1099,18 @@ def parse_model_text(text: str, name: str = "<string>") -> Model:
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=("#",))
     cp.optionxform = str
-    cp.read_string(text)
+    try:
+        cp.read_string(text, source=name)
+    except configparser.Error as exc:
+        # the parser's message, on one line
+        raise ValueError(" ".join(str(exc).split())) from None
 
-    head = cp["model"]
+    def section(key: str):
+        if not cp.has_section(key):
+            raise ValueError("model file has no [%s] section" % key)
+        return cp[key]
+
+    head = section("model")
     kind = head.get("kind", "").strip()
     if kind not in ("galilei", "einstein"):
         raise ValueError("model kind must be 'galilei' or 'einstein'")
@@ -1114,13 +1121,13 @@ def parse_model_text(text: str, name: str = "<string>") -> Model:
         for key, val in cp["params"].items():
             params[key] = float(val)
 
-    constants = _parse_constants(cp["constants"], kind)
-    box_lo, box_hi = _parse_box(cp["box"])
+    constants = _parse_constants(section("constants"), kind)
+    box_lo, box_hi = _parse_box(section("box"))
 
     if kind == "galilei":
-        metric = _symmetric_entries(cp["metric"], "g", 1, 3, params)
+        metric = _symmetric_entries(section("metric"), "g", 1, 3, params)
     else:
-        metric = _symmetric_entries(cp["metric"], "g", 0, 3, params)
+        metric = _symmetric_entries(section("metric"), "g", 0, 3, params)
 
     potential: List[Field] = []
     pot = cp["potential"] if cp.has_section("potential") else {}

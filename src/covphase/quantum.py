@@ -20,7 +20,7 @@ import numpy as np
 
 from .smooth import (
     Field, PForm, VectorField, ZERO, directional, exterior_derivative,
-    field_values, lie_bracket, worst,
+    field_values, lie_bracket, total, worst,
 )
 from .galilei import GalileiPhase, Observer, SpecialFunction
 from .einstein import EinsteinPhase, ESpecialFunction
@@ -56,42 +56,25 @@ class GaugePair:
 
 
 def _contract_1form(A: List[Field], X: VectorField) -> Field:
-    acc = None
-    for lam, comp in enumerate(X.comps):
-        term = A[lam] * comp
-        acc = term if acc is None else acc + term
-    return acc
+    return total(A[lam] * comp for lam, comp in enumerate(X.comps))
 
 
 def two_form_on(w: PForm, X: VectorField, Y: VectorField) -> Field:
     """w(X, Y) in the determinant convention, as a field."""
-    acc = None
-    for (a, b), fld in w.comps.items():
-        term = fld * (X.comps[a] * Y.comps[b] - X.comps[b] * Y.comps[a])
-        acc = term if acc is None else acc + term
-    if acc is None:
-        from .smooth import ZERO
-        return ZERO
-    return acc
+    return total((fld * (X.comps[a] * Y.comps[b] - X.comps[b] * Y.comps[a])
+                  for (a, b), fld in w.comps.items()), ZERO)
 
 
 def three_form_on(w: PForm, X: VectorField, Y: VectorField,
                   Z: VectorField) -> Field:
     """w(X, Y, Z), expanding the component determinants."""
-    acc = None
-    for (a, b, c), fld in w.comps.items():
-        det = X.comps[a] * (Y.comps[b] * Z.comps[c]
-                            - Y.comps[c] * Z.comps[b]) \
-            - X.comps[b] * (Y.comps[a] * Z.comps[c]
-                            - Y.comps[c] * Z.comps[a]) \
-            + X.comps[c] * (Y.comps[a] * Z.comps[b]
-                            - Y.comps[b] * Z.comps[a])
-        term = fld * det
-        acc = term if acc is None else acc + term
-    if acc is None:
-        from .smooth import ZERO
-        return ZERO
-    return acc
+    return total((fld * (X.comps[a] * (Y.comps[b] * Z.comps[c]
+                                       - Y.comps[c] * Z.comps[b])
+                         - X.comps[b] * (Y.comps[a] * Z.comps[c]
+                                         - Y.comps[c] * Z.comps[a])
+                         + X.comps[c] * (Y.comps[a] * Z.comps[b]
+                                         - Y.comps[b] * Z.comps[a]))
+                  for (a, b, c), fld in w.comps.items()), ZERO)
 
 
 def to_linear_field(y: HermitianVF) -> LinearQuantumField:
@@ -219,13 +202,8 @@ def boosted_potential(phase: GalileiPhase, A: List[Field], old: Observer,
     by the new observer.
     """
     v = [new.vel[k] - old.vel[k] for k in range(3)]
-    gv = []
-    for i in range(1, 4):
-        acc = None
-        for j in range(1, 4):
-            term = phase.metric(i, j) * v[j - 1]
-            acc = term if acc is None else acc + term
-        gv.append(acc)
+    gv = [total(phase.metric(i, j) * v[j - 1] for j in range(1, 4))
+          for i in range(1, 4)]
     a0 = A[0]
     for i in range(1, 4):
         a0 = a0 - 0.5 * (gv[i - 1] * v[i - 1]) - gv[i - 1] * old.vel[i - 1]

@@ -16,8 +16,10 @@ tuples and extended by antisymmetry, the wedge is the determinant convention
 derivative is (dω)_J = Σ_k (−1)^k ∂_{J_k} ω_{J∖J_k}.
 """
 
+import functools
 import itertools
 import math
+import operator
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +47,29 @@ def worst(*values, pick=max):
     if any(v != v for v in flat):
         return math.nan
     return pick(flat)
+
+
+def total(terms, empty=None):
+    """The left-to-right sum of terms, starting from the first term with
+    no zero seed, so a sum of expression fields stays an expression;
+    `empty` when there are no terms."""
+    terms = list(terms)
+    return functools.reduce(operator.add, terms) if terms else empty
+
+
+def cached(method):
+    """Memoize a method in self._memo, keyed by the method's name and its
+    arguments, so every call with the same arguments returns the same
+    object."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def wrapper(self, *args):
+        key = (name,) + args
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +305,9 @@ def directional(X: VectorField, f: Field) -> Field:
     """
     from .modelspec import ExprField, Num  # local: modelspec imports smooth
 
-    acc = None
-    for nu, comp in enumerate(X.comps):
-        if isinstance(comp, ConstField):
-            comp = ExprField(Num(comp.c))
-        term = comp * f.partial(nu)
-        acc = term if acc is None else acc + term
-    return acc
+    return total((ExprField(Num(comp.c)) if isinstance(comp, ConstField)
+                  else comp) * f.partial(nu)
+                 for nu, comp in enumerate(X.comps))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -376,17 +397,14 @@ class PForm:
 def exterior_derivative(w: PForm) -> PForm:
     comps: Dict[Tuple[int, ...], Field] = {}
     for bigkey in itertools.combinations(range(w.dim), w.degree + 1):
-        acc = None
+        terms = []
         for k, lam in enumerate(bigkey):
             rest = bigkey[:k] + bigkey[k + 1:]
-            if rest not in w.comps:
-                continue
-            term = w.comps[rest].partial(lam)
-            if k % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            comps[bigkey] = acc
+            if rest in w.comps:
+                term = w.comps[rest].partial(lam)
+                terms.append(-term if k % 2 == 1 else term)
+        if terms:
+            comps[bigkey] = total(terms)
     return PForm(w.dim, w.degree + 1, comps)
 
 
@@ -424,8 +442,6 @@ def bivector_bracket(L: PForm, f: Field, g: Field) -> Field:
 
     `L` reuses the `PForm` container with contravariant meaning.
     """
-    acc = None
-    for (a, b), comp in L.comps.items():
-        term = comp * (f.partial(a) * g.partial(b) - f.partial(b) * g.partial(a))
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else ZERO
+    return total((comp * (f.partial(a) * g.partial(b)
+                          - f.partial(b) * g.partial(a))
+                  for (a, b), comp in L.comps.items()), ZERO)

@@ -24,6 +24,7 @@ bit-for-bit regardless of check execution order.
 
 import math
 import sys
+import time
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -33,7 +34,7 @@ import numpy as np
 from .modelspec import BinOp, ExprField, Model, Num, Var, ValidationError, \
     constant, load_builtin, load_model
 from .smooth import Batch, OutsideBoxError, PForm, VectorField, contract, \
-    directional, exterior_derivative, field_values, lie_bracket, wedge
+    directional, exterior_derivative, field_values, lie_bracket, total, wedge
 from .smooth import worst as _worst
 from .galilei import GalileiPhase, Observer, SpecialFunction
 from .einstein import EinsteinPhase, ESpecialFunction
@@ -49,6 +50,10 @@ _EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, OutsideBoxError)
 # stays above the threshold on the sampled box fails after this many draws
 # per requested point instead of looping forever.
 MAX_DRAWS_PER_POINT = 200
+
+# the most sample points one run may ask for; a larger request is a usage
+# error, refused before anything is allocated
+MAX_POINTS = 10_000
 
 
 class UnknownSuiteError(ValueError):
@@ -296,13 +301,8 @@ def _g_lift_witness(ctx: _Ctx) -> float:
     ph = ctx.phase
     lam_form = ph.poisson_bivector()
     f = ExprField(BinOp("*", BinOp("*", Var(4), Var(4)), Var(4)))
-    comps = []
-    for a in range(4):
-        acc = None
-        for b in range(7):
-            term = lam_form.component((a, b)) * f.partial(b)
-            acc = term if acc is None else acc + term
-        comps.append(acc)
+    comps = [total(lam_form.component((a, b)) * f.partial(b)
+                   for b in range(7)) for a in range(4)]
     rng = ctx.rng("lift-witness")
     observed = _worst(0.0, _fibre_spread(comps, ctx.points[:8], rng))
     return np.inf if observed == 0.0 else 1e-3 / observed
@@ -339,11 +339,10 @@ def _bracket_jacobi(ctx: _Ctx, special) -> float:
     ph = ctx.phase
     rng = ctx.rng("bracket-jacobi")
     f, g, h = (special(rng) for _ in range(3))
-    total = None
-    for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-        val = ph.special_value(ph.special_bracket(a, ph.special_bracket(b, c)))
-        total = val if total is None else total + val
-    return _worst(_size([total], ctx.points))
+    cycle = total(
+        ph.special_value(ph.special_bracket(a, ph.special_bracket(b, c)))
+        for a, b, c in ((f, g, h), (g, h, f), (h, f, g)))
+    return _worst(_size([cycle], ctx.points))
 
 
 def _g_bracket_observer(ctx: _Ctx) -> float:
@@ -476,8 +475,8 @@ def _e_poisson_antisymmetry(ctx: _Ctx) -> float:
     ph = ctx.phase
     rng = ctx.rng("poisson-antisym")
     f, g = _poly(rng, 7), _poly(rng, 7)
-    total = ph.poisson(f, g) + ph.poisson(g, f)
-    return _worst(_size([total], ctx.points))
+    sym = ph.poisson(f, g) + ph.poisson(g, f)
+    return _worst(_size([sym], ctx.points))
 
 
 def _e_poisson_bivector(ctx: _Ctx) -> float:
@@ -680,10 +679,6 @@ MODULE_INVARIANTS: Dict[str, List[str]] = {
 }
 
 
-def _mk(name, law, module, invariant, tol, runner) -> Check:
-    return Check(name, law, module, invariant, tol, runner)
-
-
 SUITES: Dict[str, Suite] = {}
 
 
@@ -692,139 +687,139 @@ def _suite(name, framework, checks):
 
 
 _suite("galilei-core", "galilei", [
-    _mk("contact-time-normalization", "i(gamma) dt = 1",
-        "galilei", "contact-normalization", 1e-9, _g_time_normalization),
-    _mk("contact-kernel", "i(gamma) Omega = 0",
-        "galilei", "contact-normalization", 1e-9, _contact_kernel),
-    _mk("connection-time-parallel", "nabla dt = 0 for the joined connection",
-        "galilei", "connection-compatibility", 1e-8, _g_time_parallel),
-    _mk("connection-metric-parallel", "nabla g = 0 (symmetrized in i, j)",
-        "galilei", "connection-compatibility", 1e-8,
-        lambda ctx: _metric_parallel(ctx, ctx.points, range(1, 4))),
-    _mk("connection-torsion-free", "K_lam^i_mu = K_mu^i_lam",
-        "galilei", "connection-compatibility", 1e-8,
-        lambda ctx: _torsion_free(ctx, range(1, 4))),
-    _mk("cosymplectic-closed", "d Omega = 0",
-        "galilei", None, 1e-7, _closed_two_form),
-    _mk("cosymplectic-volume",
-        "dt ^ Omega^3 nondegenerate (reported as required/observed)",
-        "galilei", None, 1.0, _g_volume),
-    _mk("lift-projectable",
-        "hamiltonian lift of a special function pushes down to spacetime",
-        "galilei", "lift-projectability", 1e-9, _g_lift_projectable),
-    _mk("lift-witness-not-projectable",
-        "lift of (x^1_0)^3 stays fibre-dependent (required/observed)",
-        "galilei", "lift-projectability", 1.0, _g_lift_witness),
+    Check("contact-time-normalization", "i(gamma) dt = 1",
+          "galilei", "contact-normalization", 1e-9, _g_time_normalization),
+    Check("contact-kernel", "i(gamma) Omega = 0",
+          "galilei", "contact-normalization", 1e-9, _contact_kernel),
+    Check("connection-time-parallel", "nabla dt = 0 for the joined connection",
+          "galilei", "connection-compatibility", 1e-8, _g_time_parallel),
+    Check("connection-metric-parallel", "nabla g = 0 (symmetrized in i, j)",
+          "galilei", "connection-compatibility", 1e-8,
+          lambda ctx: _metric_parallel(ctx, ctx.points, range(1, 4))),
+    Check("connection-torsion-free", "K_lam^i_mu = K_mu^i_lam",
+          "galilei", "connection-compatibility", 1e-8,
+          lambda ctx: _torsion_free(ctx, range(1, 4))),
+    Check("cosymplectic-closed", "d Omega = 0",
+          "galilei", None, 1e-7, _closed_two_form),
+    Check("cosymplectic-volume",
+          "dt ^ Omega^3 nondegenerate (reported as required/observed)",
+          "galilei", None, 1.0, _g_volume),
+    Check("lift-projectable",
+          "hamiltonian lift of a special function pushes down to spacetime",
+          "galilei", "lift-projectability", 1e-9, _g_lift_projectable),
+    Check("lift-witness-not-projectable",
+          "lift of (x^1_0)^3 stays fibre-dependent (required/observed)",
+          "galilei", "lift-projectability", 1.0, _g_lift_witness),
 ])
 
 _suite("galilei-brackets", "galilei", [
-    _mk("bracket-closed-vs-definitional",
-        "closed-form [[f,g]] = {f,g} + sigma-corrected drift terms",
-        "galilei", "bracket-route-agreement", 1e-8,
-        lambda ctx: _bracket_routes(ctx, _random_gspecial)),
-    _mk("bracket-tangent-morphism", "X[[f,g]] = [X f, X g]",
-        "galilei", "bracket-tangent-morphism", 1e-8, _g_tangent_morphism),
-    _mk("bracket-jacobi", "cyclic sum [[f,[g,h]]] = 0",
-        "galilei", "bracket-jacobi", 1e-7,
-        lambda ctx: _bracket_jacobi(ctx, _random_gspecial)),
-    _mk("bracket-observer-independence",
-        "bracket value is unchanged under observer re-representation",
-        "galilei", "bracket-observer-independence", 1e-8,
-        _g_bracket_observer),
+    Check("bracket-closed-vs-definitional",
+          "closed-form [[f,g]] = {f,g} + sigma-corrected drift terms",
+          "galilei", "bracket-route-agreement", 1e-8,
+          lambda ctx: _bracket_routes(ctx, _random_gspecial)),
+    Check("bracket-tangent-morphism", "X[[f,g]] = [X f, X g]",
+          "galilei", "bracket-tangent-morphism", 1e-8, _g_tangent_morphism),
+    Check("bracket-jacobi", "cyclic sum [[f,[g,h]]] = 0",
+          "galilei", "bracket-jacobi", 1e-7,
+          lambda ctx: _bracket_jacobi(ctx, _random_gspecial)),
+    Check("bracket-observer-independence",
+          "bracket value is unchanged under observer re-representation",
+          "galilei", "bracket-observer-independence", 1e-8,
+          _g_bracket_observer),
 ])
 
 _suite("galilei-quantum", "galilei", [
-    _mk("quantum-map-isomorphism",
-        "[F f, F g] = F [[f,g]] for the represented Hermitian fields",
-        "quantum", "galilei-map-isomorphism", 1e-8, _gq_isomorphism),
-    _mk("quantum-observer-independence",
-        "F computed against a boosted observer and gauge is unchanged",
-        "quantum", "galilei-map-observer-independence", 1e-8, _gq_observer),
+    Check("quantum-map-isomorphism",
+          "[F f, F g] = F [[f,g]] for the represented Hermitian fields",
+          "quantum", "galilei-map-isomorphism", 1e-8, _gq_isomorphism),
+    Check("quantum-observer-independence",
+          "F computed against a boosted observer and gauge is unchanged",
+          "quantum", "galilei-map-observer-independence", 1e-8, _gq_observer),
 ])
 
 _suite("einstein-identities", "einstein", [
-    _mk("phase-identity-suite",
-        "alpha0 / tau / d contraction and derivative identity suite",
-        "einstein", "phase-identity-suite", 1e-8, _e_identity_suite),
-    _mk("velocity-normalization", "g(d, d) = -c^2 and tau(d) = 1",
-        "einstein", None, 1e-9, _e_velocity_normalization),
-    _mk("contact-time-normalization", "tau(gamma) = 1",
-        "einstein", None, 1e-9, _e_time_scale),
-    _mk("contact-kernel", "i(gamma) Omega = 0",
-        "einstein", None, 1e-8, _contact_kernel),
-    _mk("connection-metric-parallel", "nabla g = 0",
-        "einstein", None, 1e-8,
-        lambda ctx: _metric_parallel(ctx, ctx.points[:24], range(4))),
-    _mk("connection-torsion-free", "K_lam^nu_mu = K_mu^nu_lam",
-        "einstein", None, 1e-8,
-        lambda ctx: _torsion_free(ctx, range(4))),
-    _mk("cosymplectic-closed", "d Omega = 0",
-        "einstein", "cosymplectic-pair", 1e-7, _closed_two_form),
-    _mk("cosymplectic-volume",
-        "theta ^ Omega^3 nondegenerate (reported as required/observed)",
-        "einstein", "cosymplectic-pair", 1.0, _e_volume),
-    _mk("horizontal-potential-derivative", "d(theta + (q/hbar) A) = Omega",
-        "einstein", "horizontal-potential-derivative", 1e-7,
-        _e_potential_derivative),
+    Check("phase-identity-suite",
+          "alpha0 / tau / d contraction and derivative identity suite",
+          "einstein", "phase-identity-suite", 1e-8, _e_identity_suite),
+    Check("velocity-normalization", "g(d, d) = -c^2 and tau(d) = 1",
+          "einstein", None, 1e-9, _e_velocity_normalization),
+    Check("contact-time-normalization", "tau(gamma) = 1",
+          "einstein", None, 1e-9, _e_time_scale),
+    Check("contact-kernel", "i(gamma) Omega = 0",
+          "einstein", None, 1e-8, _contact_kernel),
+    Check("connection-metric-parallel", "nabla g = 0",
+          "einstein", None, 1e-8,
+          lambda ctx: _metric_parallel(ctx, ctx.points[:24], range(4))),
+    Check("connection-torsion-free", "K_lam^nu_mu = K_mu^nu_lam",
+          "einstein", None, 1e-8,
+          lambda ctx: _torsion_free(ctx, range(4))),
+    Check("cosymplectic-closed", "d Omega = 0",
+          "einstein", "cosymplectic-pair", 1e-7, _closed_two_form),
+    Check("cosymplectic-volume",
+          "theta ^ Omega^3 nondegenerate (reported as required/observed)",
+          "einstein", "cosymplectic-pair", 1.0, _e_volume),
+    Check("horizontal-potential-derivative", "d(theta + (q/hbar) A) = Omega",
+          "einstein", "horizontal-potential-derivative", 1e-7,
+          _e_potential_derivative),
 ])
 
 _suite("einstein-brackets", "einstein", [
-    _mk("bracket-closed-vs-definitional",
-        "closed-form [[f,g]] = {f,g} + sigma-corrected drift terms",
-        "einstein", None, 1e-7,
-        lambda ctx: _bracket_routes(ctx, _random_especial)),
-    _mk("bracket-tangent-morphism", "X[[f,g]] = [X f, X g]",
-        "einstein", "bracket-tangent-morphism", 1e-8, _e_tangent_morphism),
-    _mk("bracket-pair-form",
-        "fbar[[f,g]] = X1.g2 - X2.g1 + (q/hbar) F(X1, X2)",
-        "einstein", "bracket-tangent-morphism", 1e-8, _e_pair_form),
-    _mk("bracket-jacobi", "cyclic sum [[f,[g,h]]] = 0",
-        "einstein", "bracket-jacobi", 1e-7,
-        lambda ctx: _bracket_jacobi(ctx, _random_especial)),
-    _mk("poisson-antisymmetry", "{f,g} = -{g,f}",
-        "einstein", "poisson-bivector-agreement", 1e-8,
-        _e_poisson_antisymmetry),
-    _mk("poisson-bivector-route", "{f,g} = Lambda(df, dg)",
-        "einstein", "poisson-bivector-agreement", 1e-8, _e_poisson_bivector),
+    Check("bracket-closed-vs-definitional",
+          "closed-form [[f,g]] = {f,g} + sigma-corrected drift terms",
+          "einstein", None, 1e-7,
+          lambda ctx: _bracket_routes(ctx, _random_especial)),
+    Check("bracket-tangent-morphism", "X[[f,g]] = [X f, X g]",
+          "einstein", "bracket-tangent-morphism", 1e-8, _e_tangent_morphism),
+    Check("bracket-pair-form",
+          "fbar[[f,g]] = X1.g2 - X2.g1 + (q/hbar) F(X1, X2)",
+          "einstein", "bracket-tangent-morphism", 1e-8, _e_pair_form),
+    Check("bracket-jacobi", "cyclic sum [[f,[g,h]]] = 0",
+          "einstein", "bracket-jacobi", 1e-7,
+          lambda ctx: _bracket_jacobi(ctx, _random_especial)),
+    Check("poisson-antisymmetry", "{f,g} = -{g,f}",
+          "einstein", "poisson-bivector-agreement", 1e-8,
+          _e_poisson_antisymmetry),
+    Check("poisson-bivector-route", "{f,g} = Lambda(df, dg)",
+          "einstein", "poisson-bivector-agreement", 1e-8, _e_poisson_bivector),
 ])
 
 _suite("einstein-quantum", "einstein", [
-    _mk("quantum-map-isomorphism",
-        "[F f, F g] = F [[f,g]] for the represented Hermitian fields",
-        "quantum", "einstein-map-isomorphism", 1e-8, _eq_isomorphism),
-    _mk("quantum-observed-route",
-        "F built through an observer's potential equals the direct F",
-        "quantum", None, 1e-8, _eq_observed_route),
+    Check("quantum-map-isomorphism",
+          "[F f, F g] = F [[f,g]] for the represented Hermitian fields",
+          "quantum", "einstein-map-isomorphism", 1e-8, _eq_isomorphism),
+    Check("quantum-observed-route",
+          "F built through an observer's potential equals the direct F",
+          "quantum", None, 1e-8, _eq_observed_route),
 ])
 
 _suite("section1-general", "any", [
-    _mk("classification-intertwining",
-        "classify_j carries the twisted pair bracket to the Hermitian one",
-        "quantum", "classification-intertwining", 1e-8, _s1_intertwining),
-    _mk("pair-bracket-jacobi", "Jacobi cycle vanishes for a closed twist",
-        "quantum", None, 1e-8, _s1_jacobi),
-    _mk("jacobi-witness-nonclosed",
-        "a non-closed twist breaks Jacobi (reported as required/observed)",
-        "quantum", None, 1.0, _s1_jacobi_witness),
-    _mk("central-extension-exactness",
-        "base projection is a morphism; multipliers form an abelian ideal",
-        "quantum", "central-extension-exactness", 1e-10,
-        _s1_central_extension),
-    _mk("hermitian-complex-linearity",
-        "b-encoding passes is_hermitian and decodes losslessly",
-        "quantum", "hermitian-complex-linearity", 1e-9,
-        _s1_complex_linearity),
+    Check("classification-intertwining",
+          "classify_j carries the twisted pair bracket to the Hermitian one",
+          "quantum", "classification-intertwining", 1e-8, _s1_intertwining),
+    Check("pair-bracket-jacobi", "Jacobi cycle vanishes for a closed twist",
+          "quantum", None, 1e-8, _s1_jacobi),
+    Check("jacobi-witness-nonclosed",
+          "a non-closed twist breaks Jacobi (reported as required/observed)",
+          "quantum", None, 1.0, _s1_jacobi_witness),
+    Check("central-extension-exactness",
+          "base projection is a morphism; multipliers form an abelian ideal",
+          "quantum", "central-extension-exactness", 1e-10,
+          _s1_central_extension),
+    Check("hermitian-complex-linearity",
+          "b-encoding passes is_hermitian and decodes losslessly",
+          "quantum", "hermitian-complex-linearity", 1e-9,
+          _s1_complex_linearity),
 ])
 
 _suite("orbits", "any", [
-    _mk("orbit-free-straight-line", "force-free motion is a straight line",
-        "harness", None, 1e-12, _orbit_straight_line),
-    _mk("orbit-cyclotron-radius",
-        "uniform-B circular orbit has radius m v / (q B), relative error",
-        "harness", None, 1e-5, _orbit_cyclotron),
-    _mk("orbit-hyperbolic-worldline",
-        "uniform-E worldline matches the analytic hyperbola",
-        "harness", None, 1e-5, _orbit_hyperbolic),
+    Check("orbit-free-straight-line", "force-free motion is a straight line",
+          "harness", None, 1e-12, _orbit_straight_line),
+    Check("orbit-cyclotron-radius",
+          "uniform-B circular orbit has radius m v / (q B), relative error",
+          "harness", None, 1e-5, _orbit_cyclotron),
+    Check("orbit-hyperbolic-worldline",
+          "uniform-E worldline matches the analytic hyperbola",
+          "harness", None, 1e-5, _orbit_hyperbolic),
 ])
 
 
@@ -842,14 +837,12 @@ def run_suite(model, suite_name: str, points: int = 100, seed: int = 0,
     model may be a Model instance, a path to a model file, or the name
     of a shipped builtin.  Raises UnknownSuiteError for a bad suite
     name, FrameworkMismatchError when the model kind does not fit, and
-    ValueError for fewer than one point, a negative seed, and tolerance
-    overrides that name no check in the suite or are not finite and
-    non-negative.  A check whose fields cannot be evaluated (one of
+    ValueError for fewer than one or more than MAX_POINTS points, a
+    negative seed, and tolerance overrides that name no check in the
+    suite or are not finite and non-negative.  A check whose fields cannot be evaluated (one of
     _EVAL_ERRORS) is reported with a NaN residual, a failure, and its
     error goes to stderr.
     """
-    import time
-
     if suite_name not in SUITES:
         raise UnknownSuiteError(
             "unknown suite %r; available: %s"
@@ -857,6 +850,9 @@ def run_suite(model, suite_name: str, points: int = 100, seed: int = 0,
     if points < 1:
         raise ValueError("the number of points must be positive, got %d"
                          % points)
+    if points > MAX_POINTS:
+        raise ValueError("the number of points must be at most %d, got %d"
+                         % (MAX_POINTS, points))
     if seed < 0:
         raise ValueError("the seed must be non-negative, got %d" % seed)
     suite = SUITES[suite_name]

@@ -85,6 +85,12 @@ class TestRunSuite:
             su.run_suite("flat-free", "galilei-core", points=4,
                          tol_overrides={"no-such-check": 1.0})
 
+    def test_points_above_the_ceiling_are_refused(self):
+        with pytest.raises(ValueError, match="must be at most %d, got %d"
+                           % (su.MAX_POINTS, su.MAX_POINTS + 1)):
+            su.run_suite("flat-free", "galilei-core",
+                         points=su.MAX_POINTS + 1)
+
     def test_tolerance_override_causes_failure(self):
         rep = su.run_suite("flat-free", "galilei-brackets", points=6, seed=2,
                            tol_overrides={"bracket-jacobi": 1e-30})
@@ -380,6 +386,8 @@ class TestCli:
     @pytest.mark.parametrize("option,message", [
         (("--points", "0"), "the number of points must be positive, got 0"),
         (("--points", "-3"), "the number of points must be positive, got -3"),
+        (("--points", "1000000000000000"),
+         "the number of points must be at most 10000, got 1000000000000000"),
         (("--seed", "-1"), "the seed must be non-negative, got -1"),
         (("--tol", "contact-kernel=nan"),
          "tolerance override contact-kernel=nan is not a finite "
@@ -387,7 +395,8 @@ class TestCli:
         (("--tol", "contact-kernel=-1"),
          "tolerance override contact-kernel=-1.0 is not a finite "
          "non-negative number"),
-    ], ids=["points-0", "points-negative", "seed-negative", "tol-nan",
+    ], ids=["points-0", "points-negative", "points-huge", "seed-negative",
+            "tol-nan",
             "tol-negative"])
     def test_verify_bad_option_value_exit_two(self, capsys, option, message):
         code = cli.main(["verify", "--model", "flat-free", "--suite",
@@ -408,6 +417,47 @@ class TestCli:
         out, err = capsys.readouterr()
         assert code == 2
         assert err == "error: [Errno 21] Is a directory: %r\n" % model_dir
+        assert out == ""
+
+    # each once escaped as a configparser traceback with exit code 1
+    @pytest.mark.parametrize("text,message", [
+        ("kind = galilei\n", "File contains no section headers."),
+        ("[model]\nkind = galilei\n[model]\nkind = galilei\n",
+         "section 'model' already exists"),
+        ("[model]\nkind = galilei\nkind = einstein\n",
+         "option 'kind' in section 'model' already exists"),
+        ("[other]\nkind = galilei\n", "model file has no [model] section"),
+    ], ids=["no-header", "duplicate-section", "duplicate-option",
+            "no-model-section"])
+    @pytest.mark.parametrize("args", [
+        ("verify", "--suite", "galilei-core"),
+        ORBIT_ARGS + ("--duration", "0.01"),
+    ], ids=["verify", "orbit"])
+    def test_malformed_ini_exit_two(self, tmp_path, capsys, args, text,
+                                    message):
+        path = tmp_path / "malformed.ini"
+        path.write_text(text)
+        code = cli.main([args[0], "--model", str(path), *args[1:]])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert out == ""
+
+    # each once ended in a numpy allocation traceback (exit 1) or, for an
+    # infinite quotient, an aborted orbit; none may be allocated or run
+    @pytest.mark.parametrize("duration,step", [
+        ("1e12", "1e-3"), ("1e300", "1e-300"), ("ceiling+1", "1"),
+    ], ids=["readme-step", "infinite-quotient", "one-over"])
+    def test_orbit_step_ceiling_exit_two(self, capsys, duration, step):
+        if duration == "ceiling+1":
+            duration = str(cli.MAX_ORBIT_STEPS + 1)
+        code = cli.main([*self.ORBIT_ARGS, "--model", "uniform-b",
+                         "--duration", duration, "--step", step])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == ("error: duration / step asks for more than %d steps\n"
+                       % cli.MAX_ORBIT_STEPS)
         assert out == ""
 
     def test_gravity_evaluation_error_exit_two(self, tmp_path, capsys):

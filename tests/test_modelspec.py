@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covphase import modelspec as ms
+from covphase.einstein import EinsteinPhase
 from covphase.galilei import GalileiPhase, Observer
 from covphase.modelspec import (
     MAX_DEPTH, BinOp, Call, ExprField, Model, Name, Neg, Num, ParseError,
@@ -16,6 +17,7 @@ from covphase.modelspec import (
 )
 from covphase.smooth import (
     ConstField, FuncField, OutsideBoxError, VectorField, directional,
+    exterior_derivative,
 )
 
 from numutil import central_grad, metric_matrix
@@ -489,9 +491,10 @@ def naive_substitute(node, repl):
     raise TypeError(node)
 
 
-def distinct_nodes(root) -> int:
+def distinct_nodes(*roots) -> int:
+    """The distinct node objects of the DAG under the roots."""
     seen = {}
-    stack = [root]
+    stack = list(roots)
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -557,6 +560,25 @@ def test_shared_input_gives_shared_output(k):
     assert distinct_nodes(substitute(node, {1: Var(2)})) == k + 1
     if k == 4:
         assert derivative(node, 1) == naive_derivative(node, 1)
+
+
+# distinct nodes of d Omega per shipped model when this fence was set; a
+# phase builder that rebuilds a shared sub-structure per term (the 1-form
+# a_i of the cosymplectic form, say) instead of once shows up as a rise
+DOMEGA_DAG_CEILING = {
+    "flat-free": 34, "uniform-b": 62, "curved-gravity": 508,
+    "curved-galilei": 3273, "minkowski": 643, "schwarzschild-like": 2095,
+    "uniform-e": 3935, "curved-einstein": 10859,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMEGA_DAG_CEILING))
+def test_domega_keeps_its_sharing(name):
+    model = load_builtin(name)
+    phase = (GalileiPhase if model.kind == "galilei" else EinsteinPhase)(model)
+    domega = exterior_derivative(phase.cosymplectic())
+    assert distinct_nodes(*(f.node for f in domega.comps.values())) \
+        <= DOMEGA_DAG_CEILING[name]
 
 
 def _stack_depth() -> int:

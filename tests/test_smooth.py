@@ -1,10 +1,13 @@
+from inspect import isfunction
+
 import numpy as np
 import pytest
 
-from covphase.modelspec import ExprField, Var
+from covphase.modelspec import BinOp, ExprField, Var
 from covphase.smooth import (
-    BoxedField, ConstField, FuncField, OutsideBoxError, PForm, VectorField,
-    contract, directional, exterior_derivative, lie_bracket, wedge,
+    ZERO, BoxedField, ConstField, FuncField, OutsideBoxError, PForm,
+    VectorField, cached, contract, directional, exterior_derivative,
+    lie_bracket, total, wedge,
 )
 
 from numutil import central_grad, form_matrix
@@ -183,3 +186,61 @@ class TestForms:
         v = rng.uniform(-1, 1, size=4)
         assert iw.evaluate(p, v) == pytest.approx(w.evaluate(p, X.at(p), v),
                                                   rel=1e-10)
+
+
+class _Builder:
+    """Two cached methods over the same argument types."""
+
+    def __init__(self):
+        self._memo = {}
+        self.calls = []
+
+    @cached
+    def square(self, k):
+        """x_k squared."""
+        self.calls.append(("square", k))
+        return ExprField(Var(k)) * ExprField(Var(k))
+
+    @cached
+    def double(self, k):
+        self.calls.append(("double", k))
+        return ExprField(Var(k)) + ExprField(Var(k))
+
+
+class TestHelpers:
+    def test_total_sums_left_to_right_from_the_first_term(self):
+        a, b, c = Var(1), Var(2), Var(3)
+        s = total([ExprField(a), ExprField(b), ExprField(c)])
+        assert isinstance(s, ExprField)
+        assert s.node == BinOp("+", BinOp("+", a, b), c)
+
+    def test_total_of_one_term_is_that_term(self):
+        f = ExprField(Var(0))
+        assert total(iter([f])) is f
+
+    def test_total_of_no_terms(self):
+        assert total([]) is None
+        assert total(iter([]), ZERO) is ZERO
+
+    def test_cached_call_returns_the_identical_object(self):
+        b = _Builder()
+        first = b.square(2)
+        assert b.square(2) is first
+        assert b.calls == [("square", 2)]
+        assert b.square(3) is not first
+
+    def test_cached_methods_with_equal_arguments_do_not_collide(self):
+        b = _Builder()
+        sq, dbl = b.square(2), b.double(2)
+        assert sq is not dbl and sq.node != dbl.node
+        assert b.square(2) is sq and b.double(2) is dbl
+        assert b.calls == [("square", 2), ("double", 2)]
+
+    def test_cached_memo_is_per_instance(self):
+        one, two = _Builder(), _Builder()
+        assert one.square(1) is not two.square(1)
+
+    def test_cached_method_stays_a_plain_function(self):
+        fn = vars(_Builder)["square"]
+        assert isfunction(fn)
+        assert fn.__name__ == "square" and fn.__doc__ == "x_k squared."
