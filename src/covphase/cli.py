@@ -12,8 +12,8 @@ verify  runs one named check suite against a model file and prints the
 orbit   integrates the dynamical flow of a model from given initial
         data and prints a trajectory summary with the worst law-of-
         motion residual.  Non-finite initial data, a duration or step
-        that is not positive and finite, and more than MAX_ORBIT_STEPS
-        steps are usage errors (exit code 2);
+        that is not positive and finite, and fewer than 2 or more than
+        orbit.MAX_ORBIT_STEPS steps are usage errors (exit code 2);
         a trajectory that escapes the declared box or the lightcone,
         reaches a non-finite state, or meets a point where a field cannot
         be evaluated (division by zero, overflow, square root of a
@@ -30,13 +30,9 @@ import numpy as np
 
 from .einstein import EinsteinPhase, LightconeViolation
 from .modelspec import ValidationError
-from .orbit import BoxExit, integrate_orbit
+from .orbit import BoxExit, integrate_orbit, step_count
 from .report import emit_report
 from .suites import resolve_model, run_suite, suite_names
-
-# the most RK4 steps one orbit may take; more is a usage error, refused
-# before the trajectory is allocated
-MAX_ORBIT_STEPS = 1_000_000
 
 
 def _parse_tols(items) -> dict:
@@ -77,13 +73,7 @@ def _cmd_orbit(args) -> int:
         x0 = np.array(args.x0, float)
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(args.v))):
             raise ValueError("initial position and velocity must be finite")
-        if not (0.0 < args.duration < np.inf and 0.0 < args.step < np.inf):
-            raise ValueError("duration and step must be positive and finite")
-        # the orbit takes round(duration / step) steps; the quotient may be
-        # infinite, which round() cannot take
-        if args.duration / args.step > MAX_ORBIT_STEPS + 0.5:
-            raise ValueError("duration / step asks for more than %d steps"
-                             % MAX_ORBIT_STEPS)
+        step_count(args.duration, args.step)
         if np.any(x0 < model.box_lo) or np.any(x0 > model.box_hi):
             raise ValueError("initial position lies outside the model box")
         if fw == "einstein":

@@ -63,8 +63,9 @@ class Observer:
         return [ExprField(Var(k)) for k in range(4)] + list(self.vel)
 
     def is_chart(self) -> bool:
-        return all(isinstance(v, ExprField) and v.node == Num(0.0)
-                   for v in self.vel)
+        # by value: Num(-0.0) and Num(0) are other nodes than Num(0.0)
+        return all(isinstance(v, ExprField) and isinstance(v.node, Num)
+                   and v.node.value == 0.0 for v in self.vel)
 
 
 @dataclass

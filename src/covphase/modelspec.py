@@ -18,6 +18,8 @@ at low-discrepancy sample points inside the declared box; failures raise
 import configparser
 import math
 import re
+import struct
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -54,64 +56,192 @@ class ValidationError(Exception):
 
 # ---------------------------------------------------------------------------
 # Expression AST
+#
+# Nodes are hash-consed: each one is built through one weak table, keyed by
+# its class, its plain fields and the ids of its children, so building a
+# node structurally equal to a live one returns that node.  Structural
+# equality is identity, and nodes compare and hash by identity.  A float
+# is keyed with the sign of a zero and its type, so Num(0.0), Num(-0.0)
+# and Num(0) are three nodes; a NaN is never looked up.  A node is never
+# mutated after it is built.  The table holds its nodes weakly, so a node
+# is freed as soon as nothing else refers to it, and its entry goes with
+# it.  Each compound node also carries its derivatives (see `derivative`).
+
+_NODES: Dict[tuple, "_Entry"] = {}
+_new = object.__new__
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Entry(weakref.ref):
+    """A weak reference to an interned node that removes the node's table
+    entry when the node is freed."""
+
+    __slots__ = ("key",)
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 0..3, the chart coordinate
+def _drop(entry: _Entry) -> None:
+    if _NODES.get(entry.key) is entry:
+        del _NODES[entry.key]
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str  # a model parameter or constant reference
+def _enter(key, node):
+    """Enter a new node in the table under key; returns it."""
+    node._d = None
+    entry = _NODES[key] = _Entry(node, _drop)
+    entry.key = key
+    return node
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class _Node:
+    """An expression node, built by the constructor of its class in
+    `_BUILD`; `_d` maps a coordinate index to a weak reference to the
+    node's derivative along it."""
+
+    __slots__ = ("_d", "__weakref__")
+
+    def __new__(cls, *fields, **named):
+        return _BUILD[cls](*fields, **named)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__match_args__))
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+class Num(_Node):
+    __slots__ = __match_args__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: Fraction
+class Var(_Node):
+    __slots__ = __match_args__ = ("index",)  # 0..3 spacetime, 4..6 velocity
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
+class Name(_Node):
+    __slots__ = __match_args__ = ("ident",)  # a parameter or constant
 
 
-@dataclass(frozen=True)
-class Homotopy:
+class Neg(_Node):
+    __slots__ = __match_args__ = ("arg",)
+
+
+class BinOp(_Node):
+    __slots__ = __match_args__ = ("op", "left", "right")  # op: + - * /
+
+
+class Pow(_Node):
+    __slots__ = __match_args__ = ("base", "exponent")  # exponent: Fraction
+
+
+class Call(_Node):
+    __slots__ = __match_args__ = ("func", "arg")
+
+
+class Homotopy(_Node):
     """A quadrature along the segments from base to x (never parsed):
 
         sum_k sum_nu (weights_k * phis_nu(y_k)) * (x_nu - base_nu)
 
     with y_k = base + ts_k (x - base), summed k outer, nu inner; without
     the factor (x_nu - base_nu) when `radial` is false.  The phis are
-    expressions in x0..x3, so the node reads x0..x3 only.
+    expressions in x0..x3, so the node reads x0..x3 only.  base, ts and
+    weights are tuples of floats, keyed by their bits.
     """
 
-    phis: tuple
-    base: tuple
-    ts: tuple
-    weights: tuple
-    radial: bool = True
+    __slots__ = __match_args__ = ("phis", "base", "ts", "weights", "radial")
 
+
+# the constructors; the hot paths call them without going through the class
+
+
+def _num(value):
+    if value != value:  # NaN equals nothing, so it is never looked up
+        node = _new(Num)
+        node.value, node._d = value, None
+        return node
+    key = (Num, type(value), value, value or math.copysign(1.0, value))
+    ref = _NODES.get(key)
+    node = ref and ref()
+    if node is None:
+        node = _enter(key, _new(Num))
+        node.value = value
+    return node
+
+
+def _var(index):
+    ref = _NODES.get((Var, index))
+    node = ref and ref()
+    if node is None:
+        node = _enter((Var, index), _new(Var))
+        node.index = index
+    return node
+
+
+def _name(ident):
+    ref = _NODES.get((Name, ident))
+    node = ref and ref()
+    if node is None:
+        node = _enter((Name, ident), _new(Name))
+        node.ident = ident
+    return node
+
+
+def _neg(arg):
+    key = (Neg, id(arg))
+    ref = _NODES.get(key)
+    node = ref and ref()
+    if node is None:
+        node = _enter(key, _new(Neg))
+        node.arg = arg
+    return node
+
+
+def _binop(op, left, right):
+    key = (BinOp, op, id(left), id(right))
+    ref = _NODES.get(key)
+    node = ref and ref()
+    if node is None:
+        node = _enter(key, _new(BinOp))
+        node.op, node.left, node.right = op, left, right
+    return node
+
+
+def _power(base, exponent):
+    key = (Pow, id(base), type(exponent), exponent)
+    ref = _NODES.get(key)
+    node = ref and ref()
+    if node is None:
+        node = _enter(key, _new(Pow))
+        node.base, node.exponent = base, exponent
+    return node
+
+
+def _call(func, arg):
+    key = (Call, func, id(arg))
+    ref = _NODES.get(key)
+    node = ref and ref()
+    if node is None:
+        node = _enter(key, _new(Call))
+        node.func, node.arg = func, arg
+    return node
+
+
+def _homotopy(phis, base, ts, weights, radial=True):
+    phis = tuple(phis)
+    key = (Homotopy, tuple(map(id, phis)), _bits(base), _bits(ts),
+           _bits(weights), radial)
+    ref = _NODES.get(key)
+    node = ref and ref()
+    if node is None:
+        node = _enter(key, _new(Homotopy))
+        node.phis, node.base, node.ts = phis, base, ts
+        node.weights, node.radial = weights, radial
+    return node
+
+
+def _bits(floats) -> bytes:
+    return struct.pack("%dd" % len(floats), *floats)
+
+
+_BUILD = {Num: _num, Var: _var, Name: _name, Neg: _neg, BinOp: _binop,
+          Pow: _power, Call: _call, Homotopy: _homotopy}
 
 Expr = object
 
@@ -252,8 +382,8 @@ class _Parser:
 def parse_expr(text: str):
     """The expression tree of text; raises ParseError.
 
-    Deeper nesting than MAX_DEPTH is refused: derivatives and point
-    evaluation recurse once per level of a tree built from it.
+    Deeper nesting than MAX_DEPTH is refused: the parser, `variables`
+    and `to_text` recurse once per level.
     """
     try:
         node = _Parser(text).parse()
@@ -326,143 +456,167 @@ def _is_num(node, v=None):
     return isinstance(node, Num) and (v is None or node.value == v)
 
 
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+_TWO = Fraction(2)
+
+
 def _add(a, b):
     if _is_num(a, 0.0):
         return b
     if _is_num(b, 0.0):
         return a
-    return BinOp("+", a, b)
+    return _binop("+", a, b)
 
 
 def _sub(a, b):
     if _is_num(b, 0.0):
         return a
     if _is_num(a, 0.0):
-        return Neg(b)
-    return BinOp("-", a, b)
+        return _neg(b)
+    return _binop("-", a, b)
 
 
 def _mul(a, b):
     if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return Num(0.0)
+        return _ZERO
     if _is_num(a, 1.0):
         return b
     if _is_num(b, 1.0):
         return a
-    return BinOp("*", a, b)
+    return _binop("*", a, b)
 
 
 def _div(a, b):
     if _is_num(a, 0.0):
-        return Num(0.0)
+        return _ZERO
     if _is_num(b, 1.0):
         return a
-    return BinOp("/", a, b)
+    return _binop("/", a, b)
 
 
 def _pow(base, e: Fraction):
     if e == 0:
-        return Num(1.0)
+        return _ONE
     if e == 1:
         return base
-    return Pow(base, e)
+    return _power(base, e)
 
 
-def derivative(node, i: int, memo: Optional[dict] = None):
-    """Exact partial derivative of an expression with respect to x_i.
-
-    Nodes are memoized by identity for the duration of one call, so a
-    subexpression shared in the input is differentiated once and its
-    derivative is shared in the output.
-    """
-    if memo is None:
-        memo = {}
-    key = id(node)
-    if key in memo:
-        return memo[key]
+def _derive(node, i: int, ds: list):
+    """node's partial derivative along x_i, given ds, the derivatives of
+    its children (`_children`) along x_i."""
     match node:
         case Num() | Name():
-            res = Num(0.0)
+            return _ZERO
         case Var(index=k):
-            res = Num(1.0 if k == i else 0.0)
-        case Neg(arg=a):
-            d = derivative(a, i, memo)
-            res = Num(0.0) if _is_num(d, 0.0) else Neg(d)
-        case BinOp(op="+", left=a, right=b):
-            res = _add(derivative(a, i, memo), derivative(b, i, memo))
-        case BinOp(op="-", left=a, right=b):
-            res = _sub(derivative(a, i, memo), derivative(b, i, memo))
+            return _ONE if k == i else _ZERO
+        case Neg():
+            d, = ds
+            return _ZERO if _is_num(d, 0.0) else _neg(d)
+        case BinOp(op="+"):
+            return _add(*ds)
+        case BinOp(op="-"):
+            return _sub(*ds)
         case BinOp(op="*", left=a, right=b):
-            res = _add(_mul(derivative(a, i, memo), b),
-                       _mul(a, derivative(b, i, memo)))
+            da, db = ds
+            return _add(_mul(da, b), _mul(a, db))
         case BinOp(op="/", left=a, right=b):
-            top = _sub(_mul(derivative(a, i, memo), b),
-                       _mul(a, derivative(b, i, memo)))
-            res = _div(top, _pow(b, Fraction(2)))
+            da, db = ds
+            return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, _TWO))
         case Pow(base=b, exponent=e):
-            inner = derivative(b, i, memo)
-            scale = _mul(Num(float(e)), _pow(b, e - 1))
-            res = _mul(scale, inner)
+            return _mul(_mul(_num(float(e)), _pow(b, e - 1)), ds[0])
         case Call(func="sin", arg=a):
-            res = _mul(Call("cos", a), derivative(a, i, memo))
+            return _mul(_call("cos", a), ds[0])
         case Call(func="cos", arg=a):
-            d = _mul(Call("sin", a), derivative(a, i, memo))
-            res = Num(0.0) if _is_num(d, 0.0) else Neg(d)
+            d = _mul(_call("sin", a), ds[0])
+            return _ZERO if _is_num(d, 0.0) else _neg(d)
         case Call(func="exp", arg=a):
-            res = _mul(Call("exp", a), derivative(a, i, memo))
+            return _mul(node, ds[0])
         case Call(func="sqrt", arg=a):
-            res = _div(derivative(a, i, memo), _mul(Num(2.0), Call("sqrt", a)))
+            return _div(ds[0], _mul(_num(2.0), node))
         case Call(func="abs", arg=a):
-            res = _mul(_div(a, Call("abs", a)), derivative(a, i, memo))
+            return _mul(_div(a, node), ds[0])
         case Homotopy(phis=ps, ts=ts, weights=ws) if i < len(node.base):
             # d/dx_i phi(y_k) = t_k (d_i phi)(y_k), and the radial factor
             # x_nu - base_nu contributes the nu = i term without it
-            dps = tuple(derivative(p, i, memo) for p in ps)
-            res = Num(0.0)
+            dps = tuple(derivative(p, i) for p in ps)
+            res = _ZERO
             if not all(_is_num(d, 0.0) for d in dps):
-                res = Homotopy(dps, node.base, ts,
-                               tuple(w * t for w, t in zip(ws, ts)),
-                               node.radial)
+                res = _homotopy(dps, node.base, ts,
+                                tuple(w * t for w, t in zip(ws, ts)),
+                                node.radial)
             if node.radial and not _is_num(ps[i], 0.0):
-                res = _add(res, Homotopy((ps[i],), node.base, ts, ws, False))
+                res = _add(res, _homotopy((ps[i],), node.base, ts, ws, False))
+            return res
         case Homotopy():
-            res = Num(0.0)
-        case _:
-            raise TypeError("not an expression node: %r" % (node,))
-    memo[key] = res
-    return res
+            return _ZERO
+    raise TypeError("not an expression node: %r" % (node,))
+
+
+def derivative(node, i: int):
+    """Exact partial derivative of an expression with respect to x_i.
+
+    The DAG is walked without recursion, children first as in `_walk`,
+    so any depth differentiates.  Each compound node keeps its derivative
+    along x_i (weakly: the derivative lives as long as something else
+    holds it, such as the `ExprField.partial` built from it), so a node
+    shared within one expression or between expressions built apart is
+    differentiated once, its derivative is shared in the output, and
+    `derivative(n, i) is derivative(n, i)`.
+    """
+    memo = {}
+    stack = [(node, None)]
+    while stack:
+        n, kids = stack.pop()
+        if id(n) in memo:
+            continue
+        if kids is None:
+            ref = n._d and n._d.get(i)
+            d = ref and ref()
+            if d is not None:
+                memo[id(n)] = d
+                continue
+            kids = _children(n)
+            if kids:
+                stack.append((n, kids))
+                stack.extend([(k, None) for k in reversed(kids)])
+                continue
+        d = memo[id(n)] = _derive(n, i, [memo[id(k)] for k in kids])
+        if kids or type(n) is Homotopy:
+            if n._d is None:
+                n._d = {}
+            n._d[i] = weakref.ref(d)
+    return memo[id(node)]
+
+
+def _rebuild(node, kids, repl: Dict[int, object]):
+    match node:
+        case Num() | Name():
+            return node
+        case Var(index=i):
+            return repl.get(i, node)
+        case Neg():
+            return _neg(*kids)
+        case BinOp(op=o):
+            return _binop(o, *kids)
+        case Pow(exponent=e):
+            return _power(*kids, e)
+        case Call(func=f):
+            return _call(f, *kids)
+    raise TypeError("not an expression node: %r" % (node,))
 
 
 def substitute(node, repl: Dict[int, object], memo: Optional[dict] = None):
     """Replace coordinate references by expression nodes (for compositions).
 
-    Memoized by node identity like `derivative`: a shared subexpression
-    is rebuilt once and stays shared.  Calls that pass the same memo must
-    pass the same repl.
+    Walks the DAG like `_walk`, without recursion.  A subexpression shared
+    in the input stays shared in the output, since the rebuilt nodes are
+    interned.  Calls that pass the same memo (node identity to result)
+    walk the nodes they share once, and must pass the same repl.
     """
-    if memo is None:
-        memo = {}
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    match node:
-        case Num() | Name():
-            res = node
-        case Var(index=i):
-            res = repl.get(i, node)
-        case Neg(arg=a):
-            res = Neg(substitute(a, repl, memo))
-        case BinOp(op=o, left=a, right=b):
-            res = BinOp(o, substitute(a, repl, memo),
-                        substitute(b, repl, memo))
-        case Pow(base=b, exponent=e):
-            res = Pow(substitute(b, repl, memo), e)
-        case Call(func=f, arg=a):
-            res = Call(f, substitute(a, repl, memo))
-        case _:
-            raise TypeError("not an expression node: %r" % (node,))
-    memo[key] = res
-    return res
+    return _walk(node, {} if memo is None else memo,
+                 lambda n, kids: _rebuild(n, kids, repl))
 
 
 def det_node(m: List[List[object]]):
@@ -492,9 +646,9 @@ def inverse_nodes(m: List[List[object]]) -> List[List[object]]:
         for j in range(n):
             minor = [[m[r][c] for c in range(n) if c != i]
                      for r in range(n) if r != j]
-            cof = det_node(minor) if n > 1 else Num(1.0)
+            cof = det_node(minor) if n > 1 else _ONE
             if (i + j) % 2 == 1:
-                cof = Neg(cof) if not _is_num(cof, 0.0) else cof
+                cof = _neg(cof) if not _is_num(cof, 0.0) else cof
             out[i][j] = _div(cof, det)
     return out
 
@@ -555,9 +709,9 @@ class ExprField(Field):
                     return None
             return other.node, merged
         if isinstance(other, (int, float)):
-            return Num(float(other)), self.params
+            return _num(float(other)), self.params
         if isinstance(other, ConstField):
-            return Num(other.c), self.params
+            return _num(other.c), self.params
         return None
 
     def __add__(self, other):
@@ -595,8 +749,8 @@ class ExprField(Field):
         return ExprField(_div(self.node, op[0]), op[1])
 
     def __neg__(self):
-        return ExprField(Neg(self.node) if not _is_num(self.node, 0.0)
-                         else Num(0.0), self.params)
+        return ExprField(_neg(self.node) if not _is_num(self.node, 0.0)
+                         else _ZERO, self.params)
 
     def __repr__(self):
         return "ExprField(%s)" % to_text(self.node)
@@ -604,7 +758,7 @@ class ExprField(Field):
 
 def constant(v: float) -> ExprField:
     """The constant v as an expression field."""
-    return ExprField(Num(float(v)))
+    return ExprField(_num(float(v)))
 
 
 def velocity(i: int) -> ExprField:
@@ -791,10 +945,12 @@ _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 def _batch_walk(batch: Batch, node, params, cols):
     """node's value at every row of the batch (a float for a node that
     reads no coordinate).  One memo per (params, coordinate columns) in a
-    batch, so fields built from the same model share their common
-    subexpressions.  The memo holds no reference back to the batch, so a
-    batch is freed as soon as it is dropped."""
+    batch, keyed by node identity, so fields built from the same model
+    share their common subexpressions, even when they were built apart
+    (nodes are interned).  The memo holds no reference back to the batch,
+    so a batch is freed as soon as it is dropped."""
     memo = batch.memos.setdefault((tuple(sorted(params.items())), cols), {})
+    batch.roots.setdefault(id(node), node)
     with np.errstate(all="ignore"):
         return _walk(node, memo, _Rows(batch, cols, params).node)[0]
 

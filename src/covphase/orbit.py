@@ -17,6 +17,7 @@ first state component advances linearly.  Einstein trajectories are
 parametrized by proper time and the pace of x^0 is c alpha0.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +26,11 @@ import numpy as np
 from .modelspec import Model
 from .galilei import GalileiPhase
 from .einstein import EinsteinPhase
+
+
+# the most RK4 steps one orbit may take; more is refused before the
+# trajectory is allocated
+MAX_ORBIT_STEPS = 1_000_000
 
 
 class BoxExit(RuntimeError):
@@ -39,8 +45,30 @@ class OrbitResult:
 
     @property
     def max_law_residual(self) -> float:
+        """The worst interior residual; NaN (a failure) when there is no
+        interior sample."""
         interior = self.law_residuals[1:-1]
-        return float(np.max(interior)) if len(interior) else 0.0
+        return float(np.max(interior)) if len(interior) else math.nan
+
+
+def step_count(duration: float, step: float) -> int:
+    """The number of RK4 steps of an orbit, round(duration / step).
+
+    Raises ValueError for a duration or step that is not positive and
+    finite, for fewer than 2 steps (the law-of-motion residual needs an
+    interior sample) and for more than MAX_ORBIT_STEPS.
+    """
+    if not (0.0 < duration < math.inf and 0.0 < step < math.inf):
+        raise ValueError("duration and step must be positive and finite")
+    # the quotient may be infinite, which round() cannot take
+    if duration / step > MAX_ORBIT_STEPS + 0.5:
+        raise ValueError("duration / step asks for more than %d steps"
+                         % MAX_ORBIT_STEPS)
+    nsteps = int(round(duration / step))
+    if nsteps < 2:
+        raise ValueError("duration / step asks for %d steps; an orbit "
+                         "takes at least 2" % nsteps)
+    return nsteps
 
 
 def _check_box(model: Model, state: np.ndarray) -> None:
@@ -108,14 +136,14 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
     framework is "galilei" or "einstein" (or their initials) and must
     match the model kind.  Raises BoxExit when the trajectory leaves the
     declared box or reaches a non-finite state and, for Einstein models,
-    LightconeViolation when the velocity stops being timelike.
+    LightconeViolation when the velocity stops being timelike; raises
+    ValueError for a step count `step_count` refuses.
     """
     fw = {"g": "galilei", "e": "einstein"}.get(framework, framework)
     if fw != model.kind:
         raise ValueError("framework %r does not match model kind %r"
                          % (framework, model.kind))
-    if step <= 0 or duration <= 0:
-        raise ValueError("duration and step must be positive")
+    nsteps = step_count(duration, step)
 
     state = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
     if state.shape != (7,):
@@ -130,7 +158,6 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
         phase.require_timelike(state)
         rhs = phase.orbit_rhs
 
-    nsteps = int(round(duration / step))
     states = np.empty((nsteps + 1, 7))
     states[0] = state
     for k in range(nsteps):

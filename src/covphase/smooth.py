@@ -97,6 +97,9 @@ class Batch:
             raise ValueError("expected a 2-D array of points")
         self.cols = tuple(range(self.P.shape[1]))
         self.memos: Dict[tuple, object] = {}
+        # the expression roots walked, kept alive with the batch: the node
+        # memos are keyed by id, which a freed node would pass on
+        self.roots: Dict[int, object] = {}
         self.failed = np.zeros(len(self.P), dtype=bool)
         self.errors: Dict[int, Tuple[type, str]] = {}
         self._rows: Dict[int, tuple] = {}

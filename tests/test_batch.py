@@ -256,6 +256,16 @@ def test_batch_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_batch_outlives_the_fields_it_evaluated():
+    # node memos are keyed by id; a field dropped between two evaluations
+    # in one batch once passed its ids, and its values, to the next field
+    batch = Batch(np.array([[0.0, 1.0, 2.0, 3.0]]))
+    for k in range(50):
+        fld = ExprField("x1 * x2 + %d" % k)
+        assert batch.values(fld).tolist() == [2.0 + k]
+        del fld
+
+
 def test_homotopy_error_logged_on_its_parent_row():
     # sqrt(y1 + 0.95) fails on the stacked rows y = t x with t x1 < -0.95
     phi = Call("sqrt", BinOp("+", Var(1), Num(0.95)))

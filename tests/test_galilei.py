@@ -375,6 +375,13 @@ class TestObservers:
         v3 = ExprField(Num(-0.4))
         return Observer([v1, v2, v3])
 
+    def test_zero_velocity_is_the_chart_observer(self):
+        # every zero constant is the chart observer, whatever its sign or
+        # type, though each is its own interned node
+        zeros = [ExprField(Num(-0.0)), ExprField(Num(0)), ExprField("0")]
+        assert Observer(zeros).is_chart()
+        assert not self.make_observer().is_chart()
+
     def test_round_trip(self, phases):
         ph = phases["uniform-b"]
         rng = np.random.default_rng(23)

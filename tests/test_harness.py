@@ -16,10 +16,10 @@ import pytest
 
 from covphase.einstein import EinsteinPhase, LightconeViolation
 from covphase.modelspec import builtin_model_dir, load_builtin
-from covphase.orbit import BoxExit, integrate_orbit
+from covphase.orbit import BoxExit, OrbitResult, integrate_orbit
 from covphase.report import CheckRecord, SuiteReport, emit_report
 from covphase.smooth import FuncField, OutsideBoxError, PForm, VectorField
-from covphase import cli, suites as su
+from covphase import cli, orbit, suites as su
 
 
 class TestRegistry:
@@ -216,6 +216,40 @@ class TestOrbit:
         model = load_builtin("uniform-b")
         with pytest.raises(BoxExit, match="non-finite"):
             integrate_orbit(model, "g", [0, 0, 0, 0], [np.nan, 0, 0], 0.01)
+
+    # each once integrated no step or one and passed on a residual of
+    # 0.0 over no interior sample, or went on to np.empty (a MemoryError)
+    # or round(inf) (an OverflowError)
+    @pytest.mark.parametrize("duration,step,message", [
+        (1e-9, 1e-3, "asks for 0 steps"), (1e-3, 1e-3, "asks for 1 steps"),
+        (1e12, 1e-3, "more than 1000000 steps"),
+        (1e300, 1e-300, "more than 1000000 steps"),
+        (0.0, 1e-3, "positive and finite"),
+        (-1.0, 1e-3, "positive and finite"),
+        (math.inf, 1e-3, "positive and finite"),
+        (math.nan, 1e-3, "positive and finite"),
+        (1.0, 0.0, "positive and finite"),
+        (1.0, math.inf, "positive and finite"),
+        (1.0, math.nan, "positive and finite"),
+    ])
+    def test_step_count_refused(self, duration, step, message):
+        model = load_builtin("uniform-b")
+        with pytest.raises(ValueError, match=message):
+            integrate_orbit(model, "g", [0, 0, 0, 0], [0.5, 0, 0],
+                            duration, step)
+
+    def test_step_count_bounds(self):
+        assert orbit.step_count(2e-3, 1e-3) == 2
+        assert orbit.step_count(orbit.MAX_ORBIT_STEPS, 1.0) \
+            == orbit.MAX_ORBIT_STEPS
+        with pytest.raises(ValueError, match="more than"):
+            orbit.step_count(orbit.MAX_ORBIT_STEPS + 1, 1.0)
+        with pytest.raises(ValueError, match="asks for 1 steps"):
+            orbit.step_count(1.49e-3, 1e-3)
+
+    def test_no_interior_sample_is_not_a_pass(self):
+        res = OrbitResult(np.zeros(2), np.zeros((2, 7)), np.full(2, np.nan))
+        assert math.isnan(res.max_law_residual)
 
     def test_nan_velocity_is_not_timelike(self):
         phase = EinsteinPhase(load_builtin("uniform-e"))
@@ -451,14 +485,24 @@ class TestCli:
     ], ids=["readme-step", "infinite-quotient", "one-over"])
     def test_orbit_step_ceiling_exit_two(self, capsys, duration, step):
         if duration == "ceiling+1":
-            duration = str(cli.MAX_ORBIT_STEPS + 1)
+            duration = str(orbit.MAX_ORBIT_STEPS + 1)
         code = cli.main([*self.ORBIT_ARGS, "--model", "uniform-b",
                          "--duration", duration, "--step", step])
         out, err = capsys.readouterr()
         assert code == 2
         assert err == ("error: duration / step asks for more than %d steps\n"
-                       % cli.MAX_ORBIT_STEPS)
+                       % orbit.MAX_ORBIT_STEPS)
         assert out == ""
+
+    @pytest.mark.parametrize("duration", ["1e-9", "1e-3"],
+                             ids=["no-step", "one-step"])
+    def test_orbit_too_few_steps_exit_two(self, capsys, duration):
+        code = cli.main([*self.ORBIT_ARGS, "--model", "uniform-b",
+                         "--duration", duration, "--step", "1e-3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: duration / step asks for ")
+        assert err.endswith("an orbit takes at least 2\n")
 
     def test_gravity_evaluation_error_exit_two(self, tmp_path, capsys):
         # dPhi cannot be evaluated at the first sample point; this once
