@@ -78,9 +78,8 @@ class EinsteinPhase:
         self.scale = model.hbar / model.mass    # g = scale * G
         self.G = [[unboxed(f) for f in row] for row in model.metric]
         self.A = [unboxed(f) for f in model.potential]
-        params = model.params
         inv = inverse_nodes([[g.node for g in row] for row in self.G])
-        self.Ginv = [[ExprField(n, params) for n in row] for row in inv]
+        self.Ginv = [[ExprField(n) for n in row] for row in inv]
         self._memo: Dict = {}
 
     # -- metric accessors (indices 0..3) ------------------------------------
@@ -157,8 +156,7 @@ class EinsteinPhase:
 
     @cached
     def inv_alpha0(self) -> Field:
-        return ExprField(Call("sqrt", Call("abs", self.radicand().node)),
-                         self.model.params)
+        return ExprField(Call("sqrt", Call("abs", self.radicand().node)))
 
     @cached
     def tau(self, lam: int) -> Field:
@@ -439,7 +437,7 @@ class EinsteinPhase:
             + [self.g_low(i, j) * obs[i - 1] * obs[j - 1]
                for i in range(1, 4) for j in range(1, 4)])
         return obs, constant(1.0) / ExprField(
-            Call("sqrt", Call("abs", rad.node)), self.model.params)
+            Call("sqrt", Call("abs", rad.node)))
 
     def observed_theta(self, obs: Optional[List[Field]] = None) -> List[Field]:
         """Pullback of the kinetic potential along an observer section.
@@ -550,9 +548,8 @@ class EinsteinPhase:
         perp = [[total(self.g_low(lam, mu) * frame[a][lam] * frame[b][mu]
                        for lam in range(4) for mu in range(4))
                  for b in range(3)] for a in range(3)]
-        vol = ExprField(Call("sqrt",
-                             det_node([[e.node for e in row] for row in perp])),
-                        self.model.params)
+        vol = ExprField(Call("sqrt", det_node([[e.node for e in row]
+                                               for row in perp])))
 
         def f_on(a: int, b: int) -> Field:
             return total(self.F_comp(lam, mu) * frame[a][lam] * frame[b][mu]

@@ -88,10 +88,8 @@ class GalileiPhase:
         self.coupling = model.coupling
         self.G = [[unboxed(f) for f in row] for row in model.metric]
         self.A = [unboxed(f) for f in model.potential]
-        nodes = [[g.node for g in row] for row in self.G]
-        inv = inverse_nodes(nodes)
-        params = model.params
-        self.Ginv = [[ExprField(n, params) for n in row] for row in inv]
+        inv = inverse_nodes([[g.node for g in row] for row in self.G])
+        self.Ginv = [[ExprField(n) for n in row] for row in inv]
         self._memo = {}
 
     # -- spacetime level ----------------------------------------------------
@@ -225,20 +223,17 @@ class GalileiPhase:
         obs = Observer.chart() if chart else observer
         sec = obs.section()
         nodes = []
-        params = dict(self.model.params)
         for s in sec:
             if not isinstance(s, ExprField):
                 raise ValueError("observer components must be expression "
                                  "fields for the pullback")
             nodes.append(s.node)
-            for key, val in s.params.items():
-                params.setdefault(key, val)
         omega = self.cosymplectic()
         repl = dict(enumerate(nodes))
         memo = {}  # Omega's components share subtrees; keep them shared
 
         def compose(fld: Field) -> ExprField:
-            return ExprField(substitute(fld.node, repl, memo), params)
+            return ExprField(substitute(fld.node, repl, memo))
 
         comps = {}
         for lam in range(4):
@@ -267,9 +262,6 @@ class GalileiPhase:
         """
         phi = self.observed_curvature(observer)
         base = tuple(self.model.center().tolist())
-        params = {}
-        for fld in phi.comps.values():
-            params.update(fld.params)
 
         def component(mu: int) -> ExprField:
             phis = []
@@ -278,7 +270,7 @@ class GalileiPhase:
                 phis.append(fld.node if isinstance(fld, ExprField)
                             else Num(fld.c))
             return ExprField(Homotopy(tuple(phis), base, HOMOTOPY_TS,
-                                      HOMOTOPY_WEIGHTS), params)
+                                      HOMOTOPY_WEIGHTS))
 
         return [component(mu) for mu in range(4)]
 

@@ -40,6 +40,7 @@ FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__("%s (offset %d)" % (message, offset))
+        self.message = message
         self.offset = offset
 
 
@@ -66,6 +67,8 @@ class ValidationError(Exception):
 # mutated after it is built.  The table holds its nodes weakly, so a node
 # is freed as soon as nothing else refers to it, and its entry goes with
 # it.  Each compound node also carries its derivatives (see `derivative`).
+# A leaf is a number or a coordinate: parameters are numbers by the time
+# a node is built (see `parse_expr`).
 
 _NODES: Dict[tuple, "_Entry"] = {}
 _new = object.__new__
@@ -112,10 +115,6 @@ class Num(_Node):
 
 class Var(_Node):
     __slots__ = __match_args__ = ("index",)  # 0..3 spacetime, 4..6 velocity
-
-
-class Name(_Node):
-    __slots__ = __match_args__ = ("ident",)  # a parameter or constant
 
 
 class Neg(_Node):
@@ -171,15 +170,6 @@ def _var(index):
     if node is None:
         node = _enter((Var, index), _new(Var))
         node.index = index
-    return node
-
-
-def _name(ident):
-    ref = _NODES.get((Name, ident))
-    node = ref and ref()
-    if node is None:
-        node = _enter((Name, ident), _new(Name))
-        node.ident = ident
     return node
 
 
@@ -240,8 +230,8 @@ def _bits(floats) -> bytes:
     return struct.pack("%dd" % len(floats), *floats)
 
 
-_BUILD = {Num: _num, Var: _var, Name: _name, Neg: _neg, BinOp: _binop,
-          Pow: _power, Call: _call, Homotopy: _homotopy}
+_BUILD = {Num: _num, Var: _var, Neg: _neg, BinOp: _binop, Pow: _power,
+          Call: _call, Homotopy: _homotopy}
 
 Expr = object
 
@@ -271,8 +261,9 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, params: Dict[str, float]):
         self.text = text
+        self.params = params
         self.toks = tokenize(text)
         self.k = 0
 
@@ -371,7 +362,9 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(text, arg)
-            return Name(text)
+            if text in self.params:
+                return _num(self.params[text])
+            raise ParseError("unknown name %r" % text, off)
         if kind == "op" and text == "(":
             node = self.expr()
             self.expect_op(")")
@@ -379,14 +372,16 @@ class _Parser:
         raise ParseError("expected a value, found %r" % (text or "end of input"), off)
 
 
-def parse_expr(text: str):
+def parse_expr(text: str, params: Optional[Dict[str, float]] = None):
     """The expression tree of text; raises ParseError.
 
-    Deeper nesting than MAX_DEPTH is refused: the parser, `variables`
-    and `to_text` recurse once per level.
+    An identifier that is not a coordinate x0..x9 or a function is a
+    parameter: it becomes the number params gives it, and a name params
+    lacks is a ParseError.  Deeper nesting than MAX_DEPTH is refused: the
+    parser, `variables` and `to_text` recurse once per level.
     """
     try:
-        node = _Parser(text).parse()
+        node = _Parser(text, params or {}).parse()
     except RecursionError:
         node = None
     if node is None or _walk(node, {}, _depth) > MAX_DEPTH:
@@ -402,7 +397,7 @@ def _depth(node, kids) -> int:
 def variables(node) -> set:
     """The set of coordinate indices an expression depends on."""
     match node:
-        case Num() | Name():
+        case Num():
             return set()
         case Var(index=i):
             return {i}
@@ -422,11 +417,12 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 def to_text(node, prec: int = 0) -> str:
     match node:
         case Num(value=v):
-            return repr(v) if v >= 0 else "(%s)" % repr(v)
+            # a negative zero too: -0.0^2 would parse as -(0.0^2)
+            if v >= 0 and math.copysign(1.0, v) > 0:
+                return repr(v)
+            return "(%s)" % repr(v)
         case Var(index=i):
             return "x%d" % i
-        case Name(ident=s):
-            return s
         case Neg(arg=a):
             s = "-" + to_text(a, 3)
             return "(%s)" % s if prec > 2 else s
@@ -507,7 +503,7 @@ def _derive(node, i: int, ds: list):
     """node's partial derivative along x_i, given ds, the derivatives of
     its children (`_children`) along x_i."""
     match node:
-        case Num() | Name():
+        case Num():
             return _ZERO
         case Var(index=k):
             return _ONE if k == i else _ZERO
@@ -592,7 +588,7 @@ def derivative(node, i: int):
 
 def _rebuild(node, kids, repl: Dict[int, object]):
     match node:
-        case Num() | Name():
+        case Num():
             return node
         case Var(index=i):
             return repl.get(i, node)
@@ -664,14 +660,15 @@ class ExprField(Field):
     expression level, so derived structures built from model components
     (connection coefficients, curvature forms and so on) inherit exact
     differentiation.  One evaluator, `_Rows`, gives the value at a point
-    and at every row of a `Batch`.
+    and at every row of a `Batch`.  A field holds nothing but its node: a
+    model's parameters are numbers in the node from the moment it is
+    parsed.
     """
 
-    def __init__(self, node, params: Optional[Dict[str, float]] = None):
+    def __init__(self, node):
         if isinstance(node, str):
             node = parse_expr(node)
         self.node = node
-        self.params = dict(params or {})
         self._partials: Dict[int, "ExprField"] = {}
         self._tape: Optional[list] = None
 
@@ -680,7 +677,7 @@ class ExprField(Field):
         through `_Rows` on Python floats."""
         if self._tape is None:
             self._tape = _tape(self.node)
-        value = _Point(coords, self.params).node
+        value = _Point(coords).node
         vals = []
         for node, kids in self._tape:
             vals.append(value(node, [vals[k] for k in kids]))
@@ -690,35 +687,30 @@ class ExprField(Field):
         # cached, so a partial asked for at every point or by every check
         # is derived once and keeps its nodes shared
         if i not in self._partials:
-            self._partials[i] = ExprField(derivative(self.node, i),
-                                          self.params)
+            self._partials[i] = ExprField(derivative(self.node, i))
         return self._partials[i]
 
     def _values(self, batch: Batch, cols):
-        val = _batch_walk(batch, self.node, self.params, cols)
+        val = _batch_walk(batch, self.node, cols)
         if isinstance(val, np.ndarray):
             return val.copy()
         return np.full(len(batch.P), float(val))
 
     def _operand(self, other):
-        """(node, merged params) for a compatible operand, else None."""
+        """The node of a compatible operand, else None."""
         if isinstance(other, ExprField):
-            merged = dict(self.params)
-            for key, val in other.params.items():
-                if merged.setdefault(key, val) != val:
-                    return None
-            return other.node, merged
+            return other.node
         if isinstance(other, (int, float)):
-            return _num(float(other)), self.params
+            return _num(float(other))
         if isinstance(other, ConstField):
-            return _num(other.c), self.params
+            return _num(other.c)
         return None
 
     def __add__(self, other):
         op = self._operand(other)
         if op is None:
             return super().__add__(other)
-        return ExprField(_add(self.node, op[0]), op[1])
+        return ExprField(_add(self.node, op))
 
     __radd__ = __add__
 
@@ -726,19 +718,19 @@ class ExprField(Field):
         op = self._operand(other)
         if op is None:
             return super().__sub__(other)
-        return ExprField(_sub(self.node, op[0]), op[1])
+        return ExprField(_sub(self.node, op))
 
     def __rsub__(self, other):
         op = self._operand(other)
         if op is None:
             return super().__rsub__(other)
-        return ExprField(_sub(op[0], self.node), op[1])
+        return ExprField(_sub(op, self.node))
 
     def __mul__(self, other):
         op = self._operand(other)
         if op is None:
             return super().__mul__(other)
-        return ExprField(_mul(self.node, op[0]), op[1])
+        return ExprField(_mul(self.node, op))
 
     __rmul__ = __mul__
 
@@ -746,11 +738,11 @@ class ExprField(Field):
         op = self._operand(other)
         if op is None:
             return super().__truediv__(other)
-        return ExprField(_div(self.node, op[0]), op[1])
+        return ExprField(_div(self.node, op))
 
     def __neg__(self):
         return ExprField(_neg(self.node) if not _is_num(self.node, 0.0)
-                         else _ZERO, self.params)
+                         else _ZERO)
 
     def __repr__(self):
         return "ExprField(%s)" % to_text(self.node)
@@ -841,7 +833,7 @@ class _Emitter:
         self.env[name] = v
         return name
 
-    def node(self, node, kids, params):
+    def node(self, node, kids):
         match node:
             case Num(value=v):
                 return self.const(v), False
@@ -851,12 +843,6 @@ class _Emitter:
                     self.loaded.add(k)
                     self.lines.append("%s = float(p[%d])" % (name, k))
                 return name, True
-            case Name(ident=s):
-                if s in params:
-                    return self.const(params[s]), False
-                self.lines.append("raise ValueError(%r)"
-                                  % ("unknown name %r in expression" % s))
-                return "None", False
             case Neg():
                 (a, var), = kids
                 return self.temp("-" + a), var
@@ -909,22 +895,19 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
 
     The fields' shared DAG is walked once, by node identity, and emitted
     as straight-line float code with one temporary per compound node;
-    common subexpressions are shared across all the fields and names are
-    resolved from their params now.  Every operation repeats the
-    arithmetic of `_Rows`, so the values equal `Field.value` bit for bit
-    and the same exception classes are raised (ValueError,
-    ZeroDivisionError, OverflowError).
+    common subexpressions are shared across all the fields.  Every
+    operation repeats the arithmetic of `_Rows`, so the values equal
+    `Field.value` bit for bit and the same exception classes are raised
+    (ValueError, ZeroDivisionError, OverflowError).
     """
     em = _Emitter()
-    memos: Dict[tuple, dict] = {}
+    memo: Dict[int, tuple] = {}
     outs = []
     for fld in fields:
         if not isinstance(fld, ExprField):
             raise TypeError("only expression fields compile, not %s"
                             % type(fld).__name__)
-        memo = memos.setdefault(tuple(sorted(fld.params.items())), {})
-        ref, var = _walk(fld.node, memo,
-                         lambda node, kids: em.node(node, kids, fld.params))
+        ref, var = _walk(fld.node, memo, em.node)
         outs.append(ref if var else "float(%s)" % ref)
     binds = "".join(", %s=%s" % (k, k) for k in em.env)
     body = "".join("    %s\n" % line for line in em.lines)
@@ -942,17 +925,17 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
 _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def _batch_walk(batch: Batch, node, params, cols):
+def _batch_walk(batch: Batch, node, cols):
     """node's value at every row of the batch (a float for a node that
-    reads no coordinate).  One memo per (params, coordinate columns) in a
-    batch, keyed by node identity, so fields built from the same model
-    share their common subexpressions, even when they were built apart
-    (nodes are interned).  The memo holds no reference back to the batch,
-    so a batch is freed as soon as it is dropped."""
-    memo = batch.memos.setdefault((tuple(sorted(params.items())), cols), {})
+    reads no coordinate).  One memo per tuple of coordinate columns in a
+    batch, keyed by node identity, so fields share their common
+    subexpressions, even when they were built apart (nodes are interned).
+    The memo holds no reference back to the batch, so a batch is freed as
+    soon as it is dropped."""
+    memo = batch.memos.setdefault(cols, {})
     batch.roots.setdefault(id(node), node)
     with np.errstate(all="ignore"):
-        return _walk(node, memo, _Rows(batch, cols, params).node)[0]
+        return _walk(node, memo, _Rows(batch, cols).node)[0]
 
 
 class _Rows:
@@ -974,10 +957,9 @@ class _Rows:
     where that does; and sqrt fails where r * x == 0.
     """
 
-    def __init__(self, batch: Batch, cols, params):
+    def __init__(self, batch: Batch, cols):
         self.batch = batch
         self.cols = cols
-        self.params = params
 
     def coord(self, k: int):
         return self.batch.P[:, self.cols[k]]
@@ -1013,12 +995,6 @@ class _Rows:
                 return v, False
             case Var(index=k):
                 return self.coord(k), True
-            case Name(ident=s):
-                if s in self.params:
-                    return self.params[s], False
-                self.fail(True, ValueError,
-                          "unknown name %r in expression" % s)
-                return math.nan, False
             case Neg():
                 (a, var), = kids
                 return -a, var
@@ -1067,14 +1043,13 @@ class _Rows:
         logged on the row it came from."""
         n = len(self.batch.P)
         rel = [self.coord(nu) - b for nu, b in enumerate(node.base)]
-        key = (tuple(sorted(self.params.items())), self.cols, node.ts,
-               node.base)
+        key = (Homotopy, self.cols, node.ts, node.base)
         stacked = self.batch.memos.get(key)
         if stacked is None:
             stacked = self.batch.memos[key] = Batch(np.concatenate(
                 [np.stack([b + t * r for b, r in zip(node.base, rel)], axis=1)
                  for t in node.ts]))
-        vals = [_batch_walk(stacked, phi, self.params, stacked.cols)
+        vals = [_batch_walk(stacked, phi, stacked.cols)
                 for phi in node.phis]
         for r, (exc, message) in sorted(stacked.errors.items()):
             self.fail(np.arange(n) == r % n, exc, message)
@@ -1120,9 +1095,8 @@ class _Point(_Rows):
     the first failure raises, which is the error a batch logs first on
     that point's row, with the same text."""
 
-    def __init__(self, x: List[float], params):
+    def __init__(self, x: List[float]):
         self.x = x
-        self.params = params
         self.batch = None
 
     def coord(self, k: int):
@@ -1137,7 +1111,7 @@ class _Point(_Rows):
         # homotopy nodes, so each walks its phis over the stacked rows
         if self.batch is None:
             self.batch = Batch([self.x])
-        rows = _Rows(self.batch, self.batch.cols, self.params)
+        rows = _Rows(self.batch, self.batch.cols)
         with np.errstate(all="ignore"):
             v = rows.homotopy(node)
         for exc, message in self.batch.errors.values():
@@ -1190,12 +1164,35 @@ class Model:
         return 0.5 * (self.box_lo + self.box_hi)
 
 
-def _spacetime_expr(text: str, params) -> ExprField:
-    node = parse_expr(text)
+def _spacetime_expr(key: str, text: str, params) -> ExprField:
+    """The field of model entry key; its errors name the entry."""
+    try:
+        node = parse_expr(text, params)
+    except ParseError as exc:
+        raise ParseError("%s: %s" % (key, exc.message), exc.offset) from None
     bad = sorted(i for i in variables(node) if i > 3)
     if bad:
-        raise ValueError("x%d is not a spacetime coordinate" % bad[0])
-    return ExprField(node, params)
+        raise ValueError("%s: x%d is not a spacetime coordinate"
+                         % (key, bad[0]))
+    return ExprField(node)
+
+
+def _param(key: str, text: str) -> float:
+    """The value of a [params] entry that an expression can read."""
+    token = _TOKEN_RE.fullmatch(key)
+    if token is None or token.lastgroup != "name" \
+            or re.fullmatch(r"x[0-9]", key) or key in FUNCTIONS:
+        raise ValueError("parameter %r can never be read: a parameter name "
+                         "is an identifier other than x0..x9 and %s"
+                         % (key, ", ".join(FUNCTIONS)))
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("parameter %r is not a number: %r"
+                         % (key, text)) from None
+    if not math.isfinite(value):
+        raise ValueError("parameter %r is not finite" % key)
+    return value
 
 
 def _symmetric_entries(section, prefix, lo_idx, hi_idx, params):
@@ -1205,12 +1202,14 @@ def _symmetric_entries(section, prefix, lo_idx, hi_idx, params):
         for j in range(i, hi_idx + 1):
             key = "%s%d%d" % (prefix, i, j)
             alt = "%s%d%d" % (prefix, j, i)
-            text = section.get(key, section.get(alt))
+            if key not in section and alt in section:
+                key = alt
+            text = section.get(key)
             if text is None:
                 if i == j:
                     raise ValueError("missing metric entry %s" % key)
                 text = "0"
-            fld = _spacetime_expr(text, params)
+            fld = _spacetime_expr(key, text, params)
             grid[i - lo_idx][j - lo_idx] = fld
             grid[j - lo_idx][i - lo_idx] = fld
     return grid
@@ -1275,7 +1274,7 @@ def parse_model_text(text: str, name: str = "<string>") -> Model:
     params = {}
     if cp.has_section("params"):
         for key, val in cp["params"].items():
-            params[key] = float(val)
+            params[key] = _param(key, val)
 
     constants = _parse_constants(section("constants"), kind)
     box_lo, box_hi = _parse_box(section("box"))
@@ -1288,8 +1287,8 @@ def parse_model_text(text: str, name: str = "<string>") -> Model:
     potential: List[Field] = []
     pot = cp["potential"] if cp.has_section("potential") else {}
     for lam in range(4):
-        text_l = pot.get("A%d" % lam, "0")
-        potential.append(_spacetime_expr(text_l, params))
+        key = "A%d" % lam
+        potential.append(_spacetime_expr(key, pot.get(key, "0"), params))
 
     gravity2 = None
     if cp.has_section("gravity"):
@@ -1298,7 +1297,8 @@ def parse_model_text(text: str, name: str = "<string>") -> Model:
             for b in range(a + 1, 4):
                 key = "Phi%d%d" % (a, b)
                 if key in cp["gravity"]:
-                    comps[(a, b)] = _spacetime_expr(cp["gravity"][key], params)
+                    comps[(a, b)] = _spacetime_expr(key, cp["gravity"][key],
+                                                    params)
         gravity2 = PForm(4, 2, comps)
 
     def box(f: Field) -> Field:

@@ -232,31 +232,32 @@ def _box_message(k: int, lo: float, hi: float) -> str:
     return "coordinate x%d outside declared box [%g, %g]" % (k, lo, hi)
 
 
+BOX_SLACK = 1e-9  # how far outside the chart box a point still counts in
+
+
 class BoxedField(Field):
     """Wraps a spacetime field with the declared chart-box guard."""
 
-    def __init__(self, base: Field, lo: Sequence[float], hi: Sequence[float],
-                 slack: float = 1e-9):
+    def __init__(self, base: Field, lo: Sequence[float], hi: Sequence[float]):
         self.base = base
         self.lo = list(lo)
         self.hi = list(hi)
-        self.slack = slack
 
     def jet(self, coords):
         for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             v = coords[k]
-            if v < lo - self.slack or v > hi + self.slack:
+            if v < lo - BOX_SLACK or v > hi + BOX_SLACK:
                 raise point_error(OutsideBoxError, _box_message(k, lo, hi),
                                   coords)
         return self.base.jet(coords)
 
     def partial(self, i):
-        return BoxedField(self.base.partial(i), self.lo, self.hi, self.slack)
+        return BoxedField(self.base.partial(i), self.lo, self.hi)
 
     def _values(self, batch, cols):
         for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             v = batch.P[:, cols[k]]
-            batch.fail((v < lo - self.slack) | (v > hi + self.slack),
+            batch.fail((v < lo - BOX_SLACK) | (v > hi + BOX_SLACK),
                        OutsideBoxError, _box_message(k, lo, hi))
         return self.base._values(batch, cols)
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from covphase.einstein import EinsteinPhase
 from covphase.galilei import HOMOTOPY_TS, HOMOTOPY_WEIGHTS, GalileiPhase
 from covphase.modelspec import (
-    BinOp, Call, ExprField, Homotopy, Name, Neg, Num, Pow, Var,
+    BinOp, Call, ExprField, Homotopy, Neg, Num, Pow, Var,
     available_models, derivative, load_builtin, parse_expr,
 )
 from covphase.smooth import (
@@ -71,7 +71,6 @@ exponents = st.sampled_from([Fraction(n, d) for n in (-3, -1, 0, 1, 2, 3)
 leaves = st.one_of(
     st.builds(Num, floats),
     st.builds(Var, st.integers(0, 3)),
-    st.builds(Name, st.sampled_from(["a", "b", "missing"])),
 )
 
 
@@ -92,10 +91,9 @@ batches = st.sampled_from([1, 30]).flatmap(
 
 
 @settings(max_examples=300, deadline=None)
-@given(exprs, exprs, batches, st.sampled_from([1, 2, 3]))
-def test_random_expressions_match_point_loop(e1, e2, P, a):
-    params = {"a": a, "b": -0.5}
-    f, g = ExprField(e1, params), ExprField(e2, params)
+@given(exprs, exprs, batches)
+def test_random_expressions_match_point_loop(e1, e2, P):
+    f, g = ExprField(e1), ExprField(e2)
     # f * g and g - f share f's and g's nodes with the first two fields
     fields = [f, g, f * g, g - f]
     P = np.array(P)
@@ -208,7 +206,8 @@ def test_boxed_field_guards_every_row():
 def test_one_message_per_bad_point(text):
     # x1 = c breaks the field at row 2 alone; in `outside`, row 2 lies
     # outside the box instead
-    fld = BoxedField(ExprField(text, {"c": 0.25}), [-1] * 4, [1] * 4)
+    fld = BoxedField(ExprField(parse_expr(text, {"c": 0.25})), [-1] * 4,
+                     [1] * 4)
     P = np.full((4, 4), 0.5)
     P[:, 1] = [0.5, 0.4, 0.25, 0.3]
     outside = P.copy()

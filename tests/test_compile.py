@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from covphase.einstein import EinsteinPhase
 from covphase.galilei import GalileiPhase
 from covphase.modelspec import (
-    BinOp, Call, ExprField, Name, Neg, Num, Pow, Var, available_models,
+    BinOp, Call, ExprField, Neg, Num, Pow, Var, available_models,
     compile_fields, load_builtin, parse_expr,
 )
 from covphase.smooth import ConstField
@@ -78,7 +78,7 @@ def test_orbit_rhs_matches_field_values():
 # (expression, point value of x1, exception class): each error the point
 # path raises, including those of its kept side checks (see _Rows)
 ERROR_CASES = [
-    (Name("nope"), 1.0, ValueError),
+    (parse_expr("(x1 - 2)^(1/3)"), 1.0, ValueError),
     (parse_expr("sqrt(x1)"), -1.0, ValueError),
     (parse_expr("sqrt(x1)"), 0.0, ValueError),
     (parse_expr("sqrt(x1)"), 1e-300, ZeroDivisionError),
@@ -124,24 +124,33 @@ def test_power_grid_matches_jets(den):
 
 def test_first_error_in_evaluation_order():
     # evaluation stops at the left operand's error before the right one
-    fld = ExprField(BinOp("+", parse_expr("1 / x1"), Name("nope")))
-    assert_same_outcome([fld], [0.0, 0.0, 0.0, 0.0])
-    fld = ExprField(BinOp("+", Name("nope"), parse_expr("1 / x1")))
-    assert_same_outcome([fld], [0.0, 0.0, 0.0, 0.0])
+    left, right = parse_expr("1 / x1"), parse_expr("sqrt(1 - 2)")
+    for fld in (ExprField(BinOp("+", left, right)),
+                ExprField(BinOp("+", right, left))):
+        assert_same_outcome([fld], [0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ZeroDivisionError):
+        compile_fields([ExprField(BinOp("+", left, right))])([0.0] * 4)
+    with pytest.raises(ValueError):
+        compile_fields([ExprField(BinOp("+", right, left))])([0.0] * 4)
 
 
 def test_params_and_shared_subexpressions():
-    shared = parse_expr("k * x1 + sin(x2)")
-    f = ExprField(BinOp("*", shared, shared), {"k": 3.0})
-    g = ExprField(BinOp("-", shared, Num(1.0)), {"k": -2.0})
-    h = ExprField(Neg(shared), {"k": 3.0})
+    # the same text under two parameter values: two nodes, each shared
+    # within its own fields
+    shared = parse_expr("k * x1 + sin(x2)", {"k": 3.0})
+    other = parse_expr("k * x1 + sin(x2)", {"k": -2.0})
+    assert shared is parse_expr("3.0 * x1 + sin(x2)") and other is not shared
+    f = ExprField(BinOp("*", shared, shared))
+    g = ExprField(BinOp("-", other, Num(1.0)))
+    h = ExprField(Neg(shared))
     assert_same_outcome([f, g, h], [0.0, 0.7, -1.3, 0.0])
     fn = compile_fields([f, g])
     assert fn([0.0, 2.0, 0.0, 0.0]) == [36.0, -5.0]
 
 
 def test_constant_fields_return_floats():
-    out = compile_fields([ExprField(Num(2.0)), ExprField(Name("k"), {"k": 3}),
+    out = compile_fields([ExprField(Num(2.0)),
+                          ExprField(parse_expr("k", {"k": 3})),
                           ExprField(parse_expr("sin(0.5) / 4"))])(
         [0.0] * 4)
     assert out == [2.0, 3.0, math.sin(0.5) * (1.0 / 4.0)]
@@ -178,7 +187,6 @@ exponents = st.sampled_from([Fraction(n, d) for n in (-3, -1, 0, 1, 2, 3)
 leaves = st.one_of(
     st.builds(Num, floats),
     st.builds(Var, st.integers(0, 3)),
-    st.builds(Name, st.sampled_from(["a", "b", "missing"])),
 )
 
 
@@ -196,10 +204,8 @@ exprs = st.recursive(leaves, _compound, max_leaves=12)
 
 
 @settings(max_examples=400, deadline=None)
-@given(exprs, exprs, st.lists(floats, min_size=4, max_size=4),
-       st.sampled_from([1, 2, 3]))
-def test_random_expressions_match_jets(e1, e2, p, a):
-    params = {"a": a, "b": -0.5}
-    f, g = ExprField(e1, params), ExprField(e2, params)
+@given(exprs, exprs, st.lists(floats, min_size=4, max_size=4))
+def test_random_expressions_match_jets(e1, e2, p):
+    f, g = ExprField(e1), ExprField(e2)
     # f * g and g - f share f's and g's nodes with the first two fields
     assert_same_outcome([f, g, f * g, g - f], p)

@@ -529,6 +529,46 @@ class TestCli:
         assert "no timelike sample point found: 0 of 20000 draws" \
             in proc.stderr
 
+    # the first two once named no entry, and the second failed only at
+    # validation, at a witness point
+    @pytest.mark.parametrize("edit,message", [
+        (("g22 = 1", "g22 = 1 +"),
+         "g22: expected a value, found 'end of input' (offset 3)"),
+        (("A2 = B/2 * x1", "A2 = Bee/2 * x1"),
+         "A2: unknown name 'Bee' (offset 0)"),
+        (("A2 = B/2 * x1", "A2 = B/2 * x5"),
+         "A2: x5 is not a spacetime coordinate"),
+    ], ids=["parse-error", "unknown-name", "phase-coordinate"])
+    def test_bad_entry_names_its_key_exit_two(self, tmp_path, capsys, edit,
+                                              message):
+        path = tmp_path / "bad-entry.ini"
+        path.write_text(model_text("uniform-b", edit))
+        code = cli.main(["verify", "--model", str(path), "--suite",
+                         "galilei-core", "--points", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: %s\n" % message
+
+    # x2 and exp were once silently ignored (the parser reads them as a
+    # coordinate and a function), and nan was refused only at a witness
+    # point, without the parameter's name
+    @pytest.mark.parametrize("entry,message", [
+        ("B = 2.0\n2k = 1.0", "parameter '2k' can never be read"),
+        ("B = 2.0\nx2 = 7.0", "parameter 'x2' can never be read"),
+        ("B = 2.0\nexp = 1.0", "parameter 'exp' can never be read"),
+        ("B = nan", "parameter 'B' is not finite"),
+        ("B = -inf", "parameter 'B' is not finite"),
+    ], ids=["not-an-identifier", "coordinate", "function", "nan", "inf"])
+    def test_unreadable_param_exit_two(self, tmp_path, capsys, entry,
+                                       message):
+        path = tmp_path / "bad-param.ini"
+        path.write_text(model_text("uniform-b", ("B = 2.0", entry)))
+        code = cli.main(["verify", "--model", str(path), "--suite",
+                         "galilei-core", "--points", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
 
 class TestStartup:
     """covphase runs on numpy alone: scipy and sympy stay off its import
