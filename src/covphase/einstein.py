@@ -136,13 +136,15 @@ class EinsteinPhase:
     def _radicand_fn(self):
         return compile_fields([self.radicand()])
 
+    def _motion_fields(self) -> List[Field]:
+        """alpha0 and gamma-bar^1..3, the fields the law of motion reads;
+        alpha0 is defined only where require_timelike passes."""
+        return [self.alpha0()] + [self.gamma_bar(i) for i in range(1, 4)]
+
     @cached
     def _motion_fn(self):
-        """(alpha0, gamma-bar^1..3) compiled into one point function.  It is
-        only called on points require_timelike has passed, where alpha0 is
-        defined."""
-        return compile_fields(
-            [self.alpha0()] + [self.gamma_bar(i) for i in range(1, 4)])
+        """`_motion_fields` compiled into one point function."""
+        return compile_fields(self._motion_fields())
 
     def require_timelike(self, p) -> None:
         # written so that a NaN radicand counts as not timelike
@@ -468,39 +470,53 @@ class EinsteinPhase:
                                                   for mu in range(4))
                             * (-self.c) for lam in range(4)])
 
-    def law_residual(self, x, xdot, xddot) -> np.ndarray:
-        """Residual of the law of motion on a proper-time trajectory sample.
+    def law_residual(self, X, Xdot, Xddot) -> np.ndarray:
+        """Residuals of the law of motion at proper-time trajectory samples.
 
-        The first entry checks the parametrization (xdot^0 = c alpha0),
-        the rest compare the chart acceleration of the observed velocity
-        with the dynamical coefficients.  All four vanish on solutions.
+        X, Xdot and Xddot are arrays [N, 4] of positions and their first
+        and second proper-time derivatives, one sample per row.  Each row
+        of the result [N, 4] checks the parametrization (xdot^0 = c alpha0)
+        first, then compares the chart acceleration of the observed
+        velocity with the dynamical coefficients; all four vanish on
+        solutions.  The fields are evaluated over all rows in one batch;
+        the first sample that fails raises what the point functions
+        (`require_timelike`, then `_motion_fn`) raise there.
         """
-        x = np.asarray(x, dtype=float)
-        xdot = np.asarray(xdot, dtype=float)
-        xddot = np.asarray(xddot, dtype=float)
-        vel = xdot[1:] / xdot[0]
-        p = np.concatenate([x, vel])
-        self.require_timelike(p)
-        alpha0, *gbar = self._motion_fn()(p)
+        X, Xdot, Xddot = (np.asarray(a, dtype=float)
+                          for a in (X, Xdot, Xddot))
+        P = np.concatenate([X, Xdot[:, 1:] / Xdot[:, :1]], axis=1)
+        batch = Batch(P)
+        try:
+            # written so that a NaN radicand counts as not timelike
+            if not np.all(batch.values(self.radicand()) < 0.0):
+                raise LightconeViolation(
+                    "phase point has a non-timelike chart velocity")
+            alpha0, *gbar = [batch.values(f) for f in self._motion_fields()]
+        except (ValueError, ArithmeticError):
+            for p in P.tolist():
+                self.require_timelike(p)
+                self._motion_fn()(p)
+            raise
+        xd0 = Xdot[:, 0]
+        # each sample's float64 ** 2 is C pow, which is not always the
+        # square numpy takes for an array ** 2
+        xd0_sq = np.array([v ** 2.0 for v in xd0.tolist()])
         pace = alpha0 * self.c
-        out = np.empty(4)
-        out[0] = xdot[0] - pace
+        out = np.empty((len(P), 4))
+        out[:, 0] = xd0 - pace
         for i in range(1, 4):
-            accel = (xddot[i] * xdot[0] - xdot[i] * xddot[0]) / xdot[0] ** 2
-            out[i] = accel - pace * gbar[i - 1]
+            accel = (Xddot[:, i] * xd0 - Xdot[:, i] * Xddot[:, 0]) / xd0_sq
+            out[:, i] = accel - pace * gbar[i - 1]
         return out
 
-    def orbit_rhs(self, state: np.ndarray) -> np.ndarray:
-        """Proper-time derivative of (x^lam, x^i_0) under the dynamics."""
+    def orbit_rhs(self, state: List[float]) -> List[float]:
+        """Proper-time derivative of (x^lam, x^i_0) under the dynamics, as
+        a list of 7 floats."""
         self.require_timelike(state)
-        alpha0, *gbar = self._motion_fn()(state)
+        alpha0, g1, g2, g3 = self._motion_fn()(state)
         pace = alpha0 * self.c
-        out = np.empty(7)
-        out[0] = pace
-        for i in range(1, 4):
-            out[i] = pace * state[3 + i]
-            out[3 + i] = pace * gbar[i - 1]
-        return out
+        return [pace, pace * state[4], pace * state[5], pace * state[6],
+                pace * g1, pace * g2, pace * g3]
 
     # -- observed electric/magnetic splitting --------------------------------
 

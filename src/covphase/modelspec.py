@@ -1185,23 +1185,43 @@ def _param(key: str, text: str) -> float:
         raise ValueError("parameter %r can never be read: a parameter name "
                          "is an identifier other than x0..x9 and %s"
                          % (key, ", ".join(FUNCTIONS)))
+    return _number("parameter %r" % key, text)
+
+
+def _number(what: str, text: str) -> float:
+    """text as a finite float; the error names the entry by `what`."""
     try:
         value = float(text)
     except ValueError:
-        raise ValueError("parameter %r is not a number: %r"
-                         % (key, text)) from None
+        raise ValueError("%s is not a number: %r" % (what, text)) from None
     if not math.isfinite(value):
-        raise ValueError("parameter %r is not finite" % key)
+        raise ValueError("%s is not finite" % what)
     return value
 
 
+def _closed(section, name: str, keys, hint: str) -> None:
+    """Refuse an entry of section [name] that the model never reads."""
+    for key in section:
+        if key not in keys:
+            raise ValueError("%s: no such entry in [%s]; %s"
+                             % (key, name, hint))
+
+
 def _symmetric_entries(section, prefix, lo_idx, hi_idx, params):
+    _closed(section, "metric",
+            {"%s%d%d" % (prefix, i, j) for i in range(lo_idx, hi_idx + 1)
+             for j in range(lo_idx, hi_idx + 1)},
+            "the entries are %s%d%d..%s%d%d"
+            % (prefix, lo_idx, lo_idx, prefix, hi_idx, hi_idx))
     dim = hi_idx - lo_idx + 1
     grid: List[List[Optional[Field]]] = [[None] * dim for _ in range(dim)]
     for i in range(lo_idx, hi_idx + 1):
         for j in range(i, hi_idx + 1):
             key = "%s%d%d" % (prefix, i, j)
             alt = "%s%d%d" % (prefix, j, i)
+            if i != j and key in section and alt in section:
+                raise ValueError("%s and %s are the same entry; give one"
+                                 % (key, alt))
             if key not in section and alt in section:
                 key = alt
             text = section.get(key)
@@ -1216,8 +1236,13 @@ def _symmetric_entries(section, prefix, lo_idx, hi_idx, params):
 
 
 def _parse_box(section) -> Tuple[np.ndarray, np.ndarray]:
-    lo = np.array([float(v) for v in section["lo"].split(",")])
-    hi = np.array([float(v) for v in section["hi"].split(",")])
+    _closed(section, "box", ("lo", "hi"), "the entries are lo and hi")
+    for key in ("lo", "hi"):
+        if key not in section:
+            raise ValueError("[box] has no %s entry" % key)
+    lo, hi = (np.array([_number("[box] " + key, v.strip())
+                        for v in section[key].split(",")])
+              for key in ("lo", "hi"))
     if lo.shape != (4,) or hi.shape != (4,):
         raise ValueError("box bounds must have four components")
     if not np.all(lo < hi):
@@ -1231,8 +1256,8 @@ def _parse_constants(section, kind) -> Dict[str, DimScalar]:
     for name in required:
         if name not in section:
             raise ValueError("missing constant %r" % name)
-        parts = section[name].split(None, 1)
-        value = float(parts[0])
+        parts = section[name].split(None, 1) or [""]
+        value = _number("constant %r" % name, parts[0])
         dim = parse_dimension(parts[1] if len(parts) > 1 else "1")
         want = CANONICAL_CONSTANT_DIMS[name]
         if dim != want:
@@ -1269,6 +1294,15 @@ def parse_model_text(text: str, name: str = "<string>") -> Model:
     kind = head.get("kind", "").strip()
     if kind not in ("galilei", "einstein"):
         raise ValueError("model kind must be 'galilei' or 'einstein'")
+    _closed(head, "model", ("kind", "name"), "the entries are kind and name")
+    # only the galilei dynamics reads a gravitational 2-form
+    known = ["model", "constants", "params", "box", "metric", "potential"] \
+        + (["gravity"] if kind == "galilei" else [])
+    for key in cp.sections():
+        if key not in known:
+            raise ValueError("[%s]: %s models have no such section; the "
+                             "sections are %s" % (key, kind, ", ".join(
+                                 "[%s]" % k for k in known)))
     model_name = head.get("name", name).strip()
 
     params = {}
@@ -1286,20 +1320,20 @@ def parse_model_text(text: str, name: str = "<string>") -> Model:
 
     potential: List[Field] = []
     pot = cp["potential"] if cp.has_section("potential") else {}
-    for lam in range(4):
-        key = "A%d" % lam
+    keys = ["A%d" % lam for lam in range(4)]
+    _closed(pot, "potential", keys, "the entries are A0..A3")
+    for key in keys:
         potential.append(_spacetime_expr(key, pot.get(key, "0"), params))
 
     gravity2 = None
     if cp.has_section("gravity"):
-        comps = {}
-        for a in range(4):
-            for b in range(a + 1, 4):
-                key = "Phi%d%d" % (a, b)
-                if key in cp["gravity"]:
-                    comps[(a, b)] = _spacetime_expr(key, cp["gravity"][key],
-                                                    params)
-        gravity2 = PForm(4, 2, comps)
+        keys = {"Phi%d%d" % (a, b): (a, b)
+                for a in range(4) for b in range(a + 1, 4)}
+        _closed(cp["gravity"], "gravity", keys,
+                "the entries are Phi<a><b> with a < b")
+        gravity2 = PForm(4, 2, {
+            ab: _spacetime_expr(key, cp["gravity"][key], params)
+            for key, ab in keys.items() if key in cp["gravity"]})
 
     def box(f: Field) -> Field:
         return BoxedField(f, box_lo, box_hi)

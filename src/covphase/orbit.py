@@ -7,10 +7,16 @@ classical Runge-Kutta scheme and reports, alongside the trajectory, a
 per-step residual of the second-order law of motion obtained by central
 differencing the stored samples.  The residual is the product's own
 certificate: it measures how well the returned points satisfy the law,
-independently of how they were produced.  Both the right-hand side and
-the residual read the dynamical fields through one function compiled by
-`modelspec.compile_fields` once per orbit, which returns the same floats
-as evaluating each field with `Field.value`.
+independently of how they were produced.
+
+The step runs on lists of 7 Python floats, and the right-hand side reads
+the dynamical fields through one function compiled by
+`modelspec.compile_fields` once per orbit.  The residual evaluates the
+fields over the interior samples, BATCH_ROWS samples to a `Batch`, and
+reduces with whole array operations.  Both return the floats of
+evaluating each field with `Field.value` at each point; where a sample
+fails, the first failing sample raises what the point functions raise
+there.
 
 Galilei trajectories are parametrized by the absolute time x^0, so the
 first state component advances linearly.  Einstein trajectories are
@@ -19,18 +25,24 @@ parametrized by proper time and the pace of x^0 is c alpha0.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, List
 
 import numpy as np
 
 from .modelspec import Model
 from .galilei import GalileiPhase
+from .smooth import field_values
 from .einstein import EinsteinPhase
 
 
 # the most RK4 steps one orbit may take; more is refused before the
 # trajectory is allocated
 MAX_ORBIT_STEPS = 1_000_000
+
+# samples per law-residual batch: a batch holds an array over its rows for
+# every node of the fields' DAG, so a whole trajectory at once would raise
+# the peak memory by megabytes
+BATCH_ROWS = 256
 
 
 class BoxExit(RuntimeError):
@@ -71,62 +83,87 @@ def step_count(duration: float, step: float) -> int:
     return nsteps
 
 
-def _check_box(model: Model, state: np.ndarray) -> None:
-    if not np.all(np.isfinite(state)):
-        raise BoxExit("trajectory reached a non-finite state %s"
-                      % ([float(v) for v in state],))
-    x = state[:4]
-    if np.any(x < model.box_lo) or np.any(x > model.box_hi):
-        raise BoxExit("trajectory left the declared box at x = %s"
-                      % ([round(float(v), 6) for v in x],))
+def _check_box(state: List[float], lo: List[float], hi: List[float]) -> None:
+    if not all(map(math.isfinite, state)):
+        raise BoxExit("trajectory reached a non-finite state %s" % (state,))
+    for v, low, high in zip(state, lo, hi):
+        if v < low or v > high:
+            raise BoxExit("trajectory left the declared box at x = %s"
+                          % ([round(x, 6) for x in state[:4]],))
 
 
-def _rk4(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
-         h: float) -> np.ndarray:
+def _rk4(rhs: Callable[[List[float]], List[float]], state: List[float],
+         h: float) -> List[float]:
+    # each component in the order of the numpy form s + 0.5 * h * k1 and
+    # s + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), so the trajectory has its bits
+    half = 0.5 * h
     k1 = rhs(state)
-    k2 = rhs(state + 0.5 * h * k1)
-    k3 = rhs(state + 0.5 * h * k2)
-    k4 = rhs(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs([s + half * k for s, k in zip(state, k1)])
+    k3 = rhs([s + half * k for s, k in zip(state, k2)])
+    k4 = rhs([s + h * k for s, k in zip(state, k3)])
+    sixth = h / 6.0
+    return [s + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-def _galilei_rhs(phase: GalileiPhase) -> Callable[[np.ndarray], np.ndarray]:
+def _galilei_rhs(phase: GalileiPhase) -> Callable[[List[float]], List[float]]:
     gammas = phase.gamma_fn()
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        out = np.empty(7)
-        out[0] = 1.0
-        out[1:4] = state[4:7]
-        out[4:7] = gammas(state)
-        return out
+    def rhs(state: List[float]) -> List[float]:
+        return [1.0, state[4], state[5], state[6], *gammas(state)]
 
     return rhs
 
 
-def _galilei_residuals(phase: GalileiPhase, states: np.ndarray,
-                       h: float) -> np.ndarray:
-    gammas = phase.gamma_fn()
+def _blockwise(block: Callable[[np.ndarray], np.ndarray],
+               states: np.ndarray) -> np.ndarray:
+    """Per-sample residuals, NaN at both ends: block(window) gives the
+    residuals of a window's interior samples, for windows of at most
+    BATCH_ROWS interior samples plus one neighbour on each side, in
+    order, so the first sample to fail is in the first block that fails.
+    """
     n = len(states)
     out = np.full(n, np.nan)
-    for k in range(1, n - 1):
-        vdot = (states[k + 1, 4:7] - states[k - 1, 4:7]) / (2.0 * h)
-        xdot = (states[k + 1, 1:4] - states[k - 1, 1:4]) / (2.0 * h)
-        force = np.array(gammas(states[k]))
-        out[k] = max(np.max(np.abs(vdot - force)),
-                     np.max(np.abs(xdot - states[k, 4:7])))
+    for lo in range(1, n - 1, BATCH_ROWS):
+        hi = min(lo + BATCH_ROWS, n - 1)
+        out[lo:hi] = block(states[lo - 1:hi + 1])
     return out
+
+
+def _galilei_residuals(phase: GalileiPhase, states: np.ndarray,
+                       h: float) -> np.ndarray:
+    fields = [phase.gamma(i) for i in range(1, 4)]
+
+    def block(s: np.ndarray) -> np.ndarray:
+        inner = s[1:-1]
+        try:
+            force = np.stack(field_values(fields, inner), axis=1)
+        except (ValueError, ArithmeticError):
+            # the batch raises the first failing row of the first field
+            # that fails; the point function raises at the first failing
+            # sample
+            gammas = phase.gamma_fn()
+            for q in inner.tolist():
+                gammas(q)
+            raise
+        vdot = (s[2:, 4:7] - s[:-2, 4:7]) / (2.0 * h)
+        xdot = (s[2:, 1:4] - s[:-2, 1:4]) / (2.0 * h)
+        return np.maximum(np.max(np.abs(vdot - force), axis=1),
+                          np.max(np.abs(xdot - inner[:, 4:7]), axis=1))
+
+    return _blockwise(block, states)
 
 
 def _einstein_residuals(phase: EinsteinPhase, states: np.ndarray,
                         h: float) -> np.ndarray:
-    n = len(states)
-    out = np.full(n, np.nan)
-    xs = states[:, :4]
-    for k in range(1, n - 1):
-        xdot = (xs[k + 1] - xs[k - 1]) / (2.0 * h)
-        xddot = (xs[k + 1] - 2.0 * xs[k] + xs[k - 1]) / h ** 2
-        out[k] = np.max(np.abs(phase.law_residual(xs[k], xdot, xddot)))
-    return out
+    def block(s: np.ndarray) -> np.ndarray:
+        xs = s[:, :4]
+        xdot = (xs[2:] - xs[:-2]) / (2.0 * h)
+        xddot = (xs[2:] - 2.0 * xs[1:-1] + xs[:-2]) / h ** 2
+        return np.max(np.abs(phase.law_residual(xs[1:-1], xdot, xddot)),
+                      axis=1)
+
+    return _blockwise(block, states)
 
 
 def integrate_orbit(model: Model, framework: str, x0, v0,
@@ -148,7 +185,9 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
     state = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
     if state.shape != (7,):
         raise ValueError("need 4 position and 3 velocity components")
-    _check_box(model, state)
+    state = state.tolist()
+    lo, hi = model.box_lo.tolist(), model.box_hi.tolist()
+    _check_box(state, lo, hi)
 
     if fw == "galilei":
         phase = GalileiPhase(model)
@@ -162,7 +201,7 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
     states[0] = state
     for k in range(nsteps):
         state = _rk4(rhs, state, step)
-        _check_box(model, state)
+        _check_box(state, lo, hi)
         states[k + 1] = state
     times = step * np.arange(nsteps + 1)
 

@@ -252,34 +252,43 @@ class TestLawOfMotion:
     def test_straight_worldline_minkowski(self, phases):
         ph = phases["minkowski"]
         g = 1.0 / np.sqrt(1.0 - 0.36)
-        x = np.array([1.3 * g, 0.78 * g, 0.0, 0.0])
-        xd = np.array([g, 0.6 * g, 0.0, 0.0])
-        r = ph.law_residual(x, xd, np.zeros(4))
+        x = np.array([[1.3 * g, 0.78 * g, 0.0, 0.0]])
+        xd = np.array([[g, 0.6 * g, 0.0, 0.0]])
+        r = ph.law_residual(x, xd, np.zeros((1, 4)))
+        assert r.shape == (1, 4)
         assert np.max(np.abs(r)) < 1e-12
 
     def test_hyperbolic_worldline(self, phases):
         # uniform field: x0 = sinh(E s)/E, x1 = (cosh(E s) - 1)/E solves
         # the law of motion in proper-time parametrization
         ph = phases["uniform-e"]
-        for s in (0.2, 0.9, 1.6):
-            x = np.array([np.sinh(E_FIELD * s) / E_FIELD,
-                          (np.cosh(E_FIELD * s) - 1.0) / E_FIELD, 0.4, -0.2])
-            xd = np.array([np.cosh(E_FIELD * s),
-                           np.sinh(E_FIELD * s), 0.0, 0.0])
-            xdd = E_FIELD * np.array([np.sinh(E_FIELD * s),
-                                      np.cosh(E_FIELD * s), 0.0, 0.0])
-            r = ph.law_residual(x, xd, xdd)
-            assert np.max(np.abs(r)) < 1e-12
+        s = np.array([0.2, 0.9, 1.6])
+        zero = np.zeros(3)
+        x = np.stack([np.sinh(E_FIELD * s) / E_FIELD,
+                      (np.cosh(E_FIELD * s) - 1.0) / E_FIELD,
+                      zero + 0.4, zero - 0.2], axis=1)
+        xd = np.stack([np.cosh(E_FIELD * s), np.sinh(E_FIELD * s),
+                       zero, zero], axis=1)
+        xdd = E_FIELD * np.stack([np.sinh(E_FIELD * s), np.cosh(E_FIELD * s),
+                                  zero, zero], axis=1)
+        r = ph.law_residual(x, xd, xdd)
+        assert r.shape == (3, 4)
+        assert np.max(np.abs(r)) < 1e-12
+        # a row's residual does not depend on the other rows
+        for k in range(3):
+            one = ph.law_residual(x[k:k + 1], xd[k:k + 1], xdd[k:k + 1])
+            assert one.tobytes() == r[k:k + 1].tobytes()
 
     def test_accelerated_worldline_fails(self, phases):
         # the same trajectory does not solve the free law
         ph = phases["minkowski"]
         s = 0.9
-        x = np.array([np.sinh(E_FIELD * s) / E_FIELD,
-                      (np.cosh(E_FIELD * s) - 1.0) / E_FIELD, 0.0, 0.0])
-        xd = np.array([np.cosh(E_FIELD * s), np.sinh(E_FIELD * s), 0.0, 0.0])
-        xdd = E_FIELD * np.array([np.sinh(E_FIELD * s),
-                                  np.cosh(E_FIELD * s), 0.0, 0.0])
+        x = np.array([[np.sinh(E_FIELD * s) / E_FIELD,
+                       (np.cosh(E_FIELD * s) - 1.0) / E_FIELD, 0.0, 0.0]])
+        xd = np.array([[np.cosh(E_FIELD * s), np.sinh(E_FIELD * s), 0.0,
+                        0.0]])
+        xdd = E_FIELD * np.array([[np.sinh(E_FIELD * s),
+                                   np.cosh(E_FIELD * s), 0.0, 0.0]])
         assert np.max(np.abs(ph.law_residual(x, xd, xdd))) > 1e-2
 
 
@@ -640,14 +649,15 @@ class TestOrbit:
         # integrate the uniform-field dynamics and compare with the
         # analytic hyperbola over proper time 2
         ph = phases["uniform-e"]
-        state = np.zeros(7)
+        state = [0.0] * 7
         h = 1e-3
         for _ in range(2000):
             k1 = ph.orbit_rhs(state)
-            k2 = ph.orbit_rhs(state + 0.5 * h * k1)
-            k3 = ph.orbit_rhs(state + 0.5 * h * k2)
-            k4 = ph.orbit_rhs(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k2 = ph.orbit_rhs([a + 0.5 * h * b for a, b in zip(state, k1)])
+            k3 = ph.orbit_rhs([a + 0.5 * h * b for a, b in zip(state, k2)])
+            k4 = ph.orbit_rhs([a + h * b for a, b in zip(state, k3)])
+            state = [a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
         s = 2.0
         assert abs(state[0] - np.sinh(E_FIELD * s) / E_FIELD) < 1e-9
         assert abs(state[1] - (np.cosh(E_FIELD * s) - 1.0) / E_FIELD) < 1e-9

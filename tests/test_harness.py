@@ -530,19 +530,56 @@ class TestCli:
             in proc.stderr
 
     # the first two once named no entry, and the second failed only at
-    # validation, at a witness point
-    @pytest.mark.parametrize("edit,message", [
-        (("g22 = 1", "g22 = 1 +"),
+    # validation, at a witness point; a value that is not a number once
+    # gave only float()'s message, and an entry that no model reads (or a
+    # second spelling of a symmetric one) was silently ignored
+    @pytest.mark.parametrize("name,edit,message", [
+        ("uniform-b", ("g22 = 1", "g22 = 1 +"),
          "g22: expected a value, found 'end of input' (offset 3)"),
-        (("A2 = B/2 * x1", "A2 = Bee/2 * x1"),
+        ("uniform-b", ("A2 = B/2 * x1", "A2 = Bee/2 * x1"),
          "A2: unknown name 'Bee' (offset 0)"),
-        (("A2 = B/2 * x1", "A2 = B/2 * x5"),
+        ("uniform-b", ("A2 = B/2 * x1", "A2 = B/2 * x5"),
          "A2: x5 is not a spacetime coordinate"),
-    ], ids=["parse-error", "unknown-name", "phase-coordinate"])
-    def test_bad_entry_names_its_key_exit_two(self, tmp_path, capsys, edit,
-                                              message):
+        ("curved-gravity", ("m = 1.0 M", "m = abc M"),
+         "constant 'm' is not a number: 'abc'"),
+        ("uniform-b", ("m = 1.0 M", "m ="), "constant 'm' is not a number: ''"),
+        ("uniform-b", ("lo = -1, -3, -3, -3", "lo = -1, -3, abc, -3"),
+         "[box] lo is not a number: 'abc'"),
+        ("uniform-b", ("lo = -1, -3, -3, -3", "lo = -1, -3, nan, -3"),
+         "[box] lo is not finite"),
+        ("uniform-b", ("g11 = 1", "g11 = 1\ng03 = 5*x1"),
+         "g03: no such entry in [metric]; the entries are g11..g33"),
+        ("uniform-b", ("g22 = 1", "g22 = 1\ng12 = 0.1\ng21 = 0.3"),
+         "g12 and g21 are the same entry; give one"),
+        ("uniform-b", ("A2 = B/2 * x1", "A2 = B/2 * x1\nA5 = x1"),
+         "A5: no such entry in [potential]; the entries are A0..A3"),
+        ("curved-gravity", ("Phi03 =", "Phi30 ="),
+         "Phi30: no such entry in [gravity]; the entries are Phi<a><b> "
+         "with a < b"),
+        ("uniform-b", ("name = uniform-b", "name = uniform-b\nkinds = x"),
+         "kinds: no such entry in [model]; the entries are kind and name"),
+        ("uniform-b", ("hi = 12, 3, 3, 3", "hi = 12, 3, 3, 3\nmid = 0"),
+         "mid: no such entry in [box]; the entries are lo and hi"),
+        ("uniform-b", ("hi = 12, 3, 3, 3\n", ""),
+         "[box] has no hi entry"),
+        ("uniform-b", ("[potential]", "[potentials]"),
+         "[potentials]: galilei models have no such section; the sections "
+         "are [model], [constants], [params], [box], [metric], "
+         "[potential], [gravity]"),
+        ("uniform-e", ("[potential]", "[gravity]"),
+         "[gravity]: einstein models have no such section; the sections "
+         "are [model], [constants], [params], [box], [metric], "
+         "[potential]"),
+    ], ids=["parse-error", "unknown-name", "phase-coordinate",
+            "constant-not-a-number", "constant-empty", "box-not-a-number",
+            "box-nan", "metric-unread-entry", "metric-both-spellings",
+            "potential-unread-entry", "gravity-unread-entry",
+            "model-unread-entry", "box-unread-entry", "box-missing-bound",
+            "unknown-section", "gravity-in-einstein"])
+    def test_bad_entry_names_its_key_exit_two(self, tmp_path, capsys, name,
+                                              edit, message):
         path = tmp_path / "bad-entry.ini"
-        path.write_text(model_text("uniform-b", edit))
+        path.write_text(model_text(name, edit))
         code = cli.main(["verify", "--model", str(path), "--suite",
                          "galilei-core", "--points", "2"])
         out, err = capsys.readouterr()

@@ -1,0 +1,344 @@
+"""Parity fence for the orbit integrator.
+
+`integrate_orbit` steps lists of floats and reduces each law residual over
+the whole trajectory in one batch.  The reference functions below are the
+numpy step and the per-sample residual loops it replaced; the trajectory,
+its times and its residuals must equal theirs bit for bit, and the first
+failure must raise the same exception with the same message.  The one
+departure is a NaN state component, which `integrate_orbit` never stores
+(see the last test).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from covphase import orbit
+from covphase.einstein import EinsteinPhase, LightconeViolation
+from covphase.galilei import GalileiPhase
+from covphase.modelspec import (
+    available_models, load_builtin, parse_model_text,
+)
+from covphase.orbit import BoxExit, integrate_orbit
+
+
+# --- reference: the numpy step and the per-sample residual loops -----------
+
+def ref_check_box(model, state):
+    if not np.all(np.isfinite(state)):
+        raise BoxExit("trajectory reached a non-finite state %s"
+                      % ([float(v) for v in state],))
+    x = state[:4]
+    if np.any(x < model.box_lo) or np.any(x > model.box_hi):
+        raise BoxExit("trajectory left the declared box at x = %s"
+                      % ([round(float(v), 6) for v in x],))
+
+
+def ref_rk4(rhs, state, h):
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * h * k1)
+    k3 = rhs(state + 0.5 * h * k2)
+    k4 = rhs(state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def ref_galilei_rhs(phase):
+    gammas = phase.gamma_fn()
+
+    def rhs(state):
+        out = np.empty(7)
+        out[0] = 1.0
+        out[1:4] = state[4:7]
+        out[4:7] = gammas(state)
+        return out
+
+    return rhs
+
+
+def ref_einstein_rhs(phase):
+    def rhs(state):
+        phase.require_timelike(state)
+        alpha0, *gbar = phase._motion_fn()(state)
+        pace = alpha0 * phase.c
+        out = np.empty(7)
+        out[0] = pace
+        for i in range(1, 4):
+            out[i] = pace * state[3 + i]
+            out[3 + i] = pace * gbar[i - 1]
+        return out
+
+    return rhs
+
+
+def ref_galilei_residuals(phase, states, h):
+    gammas = phase.gamma_fn()
+    n = len(states)
+    out = np.full(n, np.nan)
+    for k in range(1, n - 1):
+        vdot = (states[k + 1, 4:7] - states[k - 1, 4:7]) / (2.0 * h)
+        xdot = (states[k + 1, 1:4] - states[k - 1, 1:4]) / (2.0 * h)
+        force = np.array(gammas(states[k]))
+        out[k] = max(np.max(np.abs(vdot - force)),
+                     np.max(np.abs(xdot - states[k, 4:7])))
+    return out
+
+
+def ref_law_residual(phase, x, xdot, xddot):
+    vel = xdot[1:] / xdot[0]
+    p = np.concatenate([x, vel])
+    phase.require_timelike(p)
+    alpha0, *gbar = phase._motion_fn()(p)
+    pace = alpha0 * phase.c
+    out = np.empty(4)
+    out[0] = xdot[0] - pace
+    for i in range(1, 4):
+        accel = (xddot[i] * xdot[0] - xdot[i] * xddot[0]) / xdot[0] ** 2
+        out[i] = accel - pace * gbar[i - 1]
+    return out
+
+
+def ref_einstein_residuals(phase, states, h):
+    n = len(states)
+    out = np.full(n, np.nan)
+    xs = states[:, :4]
+    for k in range(1, n - 1):
+        xdot = (xs[k + 1] - xs[k - 1]) / (2.0 * h)
+        xddot = (xs[k + 1] - 2.0 * xs[k] + xs[k - 1]) / h ** 2
+        out[k] = np.max(np.abs(ref_law_residual(phase, xs[k], xdot, xddot)))
+    return out
+
+
+def ref_integrate(model, x0, v0, duration, step):
+    nsteps = orbit.step_count(duration, step)
+    state = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
+    ref_check_box(model, state)
+    if model.kind == "galilei":
+        phase = GalileiPhase(model)
+        rhs = ref_galilei_rhs(phase)
+    else:
+        phase = EinsteinPhase(model)
+        phase.require_timelike(state)
+        rhs = ref_einstein_rhs(phase)
+    states = np.empty((nsteps + 1, 7))
+    states[0] = state
+    for k in range(nsteps):
+        state = ref_rk4(rhs, state, step)
+        ref_check_box(model, state)
+        states[k + 1] = state
+    times = step * np.arange(nsteps + 1)
+    if model.kind == "galilei":
+        resid = ref_galilei_residuals(phase, states, step)
+    else:
+        resid = ref_einstein_residuals(phase, states, step)
+    return times, states, resid
+
+
+# --- the fence ---------------------------------------------------------------
+
+X0 = [0.1, 0.2, -0.15, 0.05]
+V0 = [0.3, -0.2, 0.25]
+DURATION = 0.4
+STEP = 2e-3
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_orbit_bit_identical_to_reference(name):
+    model = load_builtin(name)
+    assert model.kind in ("galilei", "einstein")
+    times, states, resid = ref_integrate(model, X0, V0, DURATION, STEP)
+    res = integrate_orbit(model, model.kind, X0, V0, DURATION, STEP)
+    assert _same_bits(res.times, times)
+    assert _same_bits(res.states, states)
+    assert _same_bits(res.law_residuals, resid)
+    assert math.isfinite(res.max_law_residual)
+
+
+@pytest.mark.parametrize("x0, v0", [
+    ([0.0, 1.5, 0.0, 0.0], [1.0, 0.0, 0.0]),     # leaves the box
+    ([0.0, 0.0, 0.0, 0.0], [1e308, 1e308, 0.0]),  # overflows to inf
+])
+def test_box_exit_same_message(x0, v0):
+    model = load_builtin("flat-free")
+    with pytest.raises(BoxExit) as want, np.errstate(over="ignore"):
+        ref_integrate(model, x0, v0, 1.0, 1e-2)
+    with pytest.raises(BoxExit) as got:
+        integrate_orbit(model, "g", x0, v0, 1.0, 1e-2)
+    assert str(got.value) == str(want.value)
+
+
+def _planted(name, bad):
+    """A uniform-e trajectory whose sample rows `bad` are moved so the
+    central difference around them is not timelike."""
+    model = load_builtin(name)
+    res = integrate_orbit(model, "e", [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                          0.1, 1e-2)
+    states = res.states.copy()
+    for k in bad:
+        # x^1 runs ahead of x^0 across sample k
+        states[k + 1, 1] += 10.0 * (states[k + 1, 0] - states[k - 1, 0])
+    return EinsteinPhase(model), states
+
+
+@pytest.mark.parametrize("bad", [(4,), (6, 3), (1,), (8,)])
+def test_planted_lightcone_violation_first_sample(bad):
+    phase, states = _planted("uniform-e", bad)
+    with pytest.raises(LightconeViolation) as want:
+        ref_einstein_residuals(phase, states, 1e-2)
+    with pytest.raises(LightconeViolation) as got:
+        orbit._einstein_residuals(phase, states, 1e-2)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_planted_rows_alone_agree_before_the_violation():
+    # the same rows, cut before the planted sample: no error, same bits
+    phase, states = _planted("uniform-e", (6,))
+    head = states[:6]
+    assert _same_bits(orbit._einstein_residuals(phase, head, 1e-2),
+                      ref_einstein_residuals(phase, head, 1e-2))
+
+
+# alpha0 and the radicand read no potential, but gamma-bar reads
+# d/dx1 sqrt(x1), which fails where x1 <= 0
+ROOTS_EINSTEIN = """
+[model]
+kind = einstein
+name = roots-e
+
+[constants]
+m = 1.0 M
+q = 1.0 T^-1 L^3/2 M^1/2
+hbar = 1.0 T^-1 L^2 M
+c = 1.0 T^-1 L
+
+[box]
+lo = -9, -9, -9, -9
+hi = 9, 9, 9, 9
+
+[metric]
+g00 = -1
+g11 = 1
+g22 = 1
+g33 = 1
+
+[potential]
+A0 = sqrt(x1)
+"""
+
+
+@pytest.mark.parametrize("violation", [None, 2, 7])
+def test_einstein_first_failure_of_either_kind(violation):
+    # x1 falls through 0 between samples 4 and 5 at speed 1/4, so the
+    # point loop fails on gamma-bar at sample 5 unless a planted
+    # non-timelike sample comes first
+    phase = EinsteinPhase(parse_model_text(ROOTS_EINSTEIN))
+    states = np.zeros((10, 7))
+    states[:, 0] = np.arange(10.0)
+    states[:, 1] = 0.25 * (4.5 - np.arange(10.0))
+    if violation is not None:
+        states[violation + 1, 2] += 3.0
+    with pytest.raises((ValueError, ArithmeticError)) as want:
+        ref_einstein_residuals(phase, states, 1.0)
+    with pytest.raises((ValueError, ArithmeticError)) as got:
+        orbit._einstein_residuals(phase, states, 1.0)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert (type(want.value) is LightconeViolation) == (violation == 2)
+
+
+# gamma^1 reads d/dx1 sqrt(x1), which fails where x1 <= 0, and gamma^2 reads
+# d/dx2 sqrt(x2); a batch over gamma^1..3 meets gamma^1's failures first
+ROOTS_MODEL = """
+[model]
+kind = galilei
+name = roots
+
+[constants]
+m = 1.0 M
+q = 1.0 T^-1 L^3/2 M^1/2
+hbar = 1.0 T^-1 L^2 M
+
+[box]
+lo = -2, -2, -2, -2
+hi = 2, 2, 2, 2
+
+[metric]
+g11 = 1
+g22 = 1
+g33 = 1
+
+[potential]
+A0 = sqrt(x1) + sqrt(x2)
+"""
+
+
+@pytest.mark.parametrize("bad1, bad2", [(5, 2), (2, 5), (3, 3), (6, None)])
+def test_galilei_residuals_first_error_matches_point_loop(bad1, bad2):
+    phase = GalileiPhase(parse_model_text(ROOTS_MODEL))
+    states = np.full((9, 7), 0.5)
+    states[:, 0] = np.linspace(0.0, 0.08, 9)
+    states[bad1, 1] = -0.5
+    if bad2 is not None:
+        states[bad2, 2] = -0.5
+    with pytest.raises((ValueError, ArithmeticError)) as want:
+        ref_galilei_residuals(phase, states, 1e-2)
+    with pytest.raises((ValueError, ArithmeticError)) as got:
+        orbit._galilei_residuals(phase, states, 1e-2)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_galilei_residuals_without_error_match_point_loop():
+    phase = GalileiPhase(parse_model_text(ROOTS_MODEL))
+    rng = np.random.default_rng(3)
+    states = rng.uniform(0.2, 0.9, (12, 7))
+    assert _same_bits(orbit._galilei_residuals(phase, states, 1e-2),
+                      ref_galilei_residuals(phase, states, 1e-2))
+
+
+def test_galilei_nan_velocity_is_a_nan_residual():
+    # the one departure from the reference: the point loop's builtin
+    # max(a, nan) returned a, so a NaN velocity at a sample of a force-free
+    # model read as a pass there
+    phase = GalileiPhase(load_builtin("flat-free"))
+    t = np.linspace(0.0, 0.08, 9)
+    states = np.zeros((9, 7))
+    states[:, 0] = t
+    states[:, 1] = 0.5 * t
+    states[:, 4] = 0.5
+    states[3, 4] = math.nan
+    got = orbit._galilei_residuals(phase, states, 1e-2)
+    want = ref_galilei_residuals(phase, states, 1e-2)
+    assert math.isnan(got[3]) and not math.isnan(want[3])
+    rows = [1, 2, 4, 5, 6, 7]
+    assert got[rows].tobytes() == want[rows].tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_residual_blocks_join_without_seams(monkeypatch, rows):
+    # the residuals are batched BATCH_ROWS samples at a time; every block
+    # size gives the reference's bits and its first failure
+    monkeypatch.setattr(orbit, "BATCH_ROWS", rows)
+    for name in ("curved-galilei", "curved-einstein"):
+        model = load_builtin(name)
+        times, states, resid = ref_integrate(model, X0, V0, DURATION, STEP)
+        res = integrate_orbit(model, model.kind, X0, V0, DURATION, STEP)
+        assert _same_bits(res.law_residuals, resid)
+    phase, states = _planted("uniform-e", (8, 5))
+    with pytest.raises(LightconeViolation):
+        orbit._einstein_residuals(phase, states, 1e-2)
+    phase = EinsteinPhase(parse_model_text(ROOTS_EINSTEIN))
+    states = np.zeros((10, 7))
+    states[:, 0] = np.arange(10.0)
+    states[:, 1] = 0.25 * (4.5 - np.arange(10.0))
+    states[8, 2] += 3.0
+    with pytest.raises((ValueError, ArithmeticError)) as want:
+        ref_einstein_residuals(phase, states, 1.0)
+    with pytest.raises((ValueError, ArithmeticError)) as got:
+        orbit._einstein_residuals(phase, states, 1.0)
+    assert str(got.value) == str(want.value)
