@@ -1,18 +1,16 @@
-"""Dimensional bookkeeping over the three base scales: time, length, mass.
+"""Dimension tags over the three base scales: time, length, mass.
 
 Exponents are exact rationals so that half-integer dimensions (the charge
-of a coupling constant, for instance) survive arithmetic unharmed.  Chart
-coordinates and field components elsewhere in the package are plain numbers;
-this module is where the scale factors of declared constants live.
+of a coupling constant, for instance) survive arithmetic unharmed.  A
+model file tags each constant with its dimension; the loader parses the
+tag here and refuses one that differs from CANONICAL_CONSTANT_DIMS.  The
+values themselves, like every coordinate and field component, are plain
+numbers.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 import re
-
-
-class DimensionMismatch(Exception):
-    """Raised when quantities of different dimension are added or compared."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -105,58 +103,3 @@ def parse_dimension(text: str) -> Dimension:
         pows[sym] += Fraction(exp) if exp is not None else Fraction(1)
         pos = mobj.end()
     return Dimension(pows["T"], pows["L"], pows["M"])
-
-
-@dataclass(frozen=True)
-class DimScalar:
-    """A real number carrying a dimension."""
-
-    value: float
-    dim: Dimension = DIMLESS
-
-    def __mul__(self, other):
-        if isinstance(other, DimScalar):
-            return DimScalar(self.value * other.value, self.dim * other.dim)
-        return DimScalar(self.value * other, self.dim)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DimScalar):
-            return DimScalar(self.value / other.value, self.dim / other.dim)
-        return DimScalar(self.value / other, self.dim)
-
-    def __rtruediv__(self, other):
-        return DimScalar(other / self.value, DIMLESS / self.dim)
-
-    def __add__(self, other: "DimScalar") -> "DimScalar":
-        return dim_add(self, other)
-
-    def __sub__(self, other: "DimScalar") -> "DimScalar":
-        if not isinstance(other, DimScalar):
-            return NotImplemented
-        return dim_add(self, DimScalar(-other.value, other.dim))
-
-    def __neg__(self):
-        return DimScalar(-self.value, self.dim)
-
-    def __pow__(self, exponent) -> "DimScalar":
-        e = _as_fraction(exponent)
-        return DimScalar(self.value ** float(e), self.dim ** e)
-
-    def __str__(self) -> str:
-        return "%g [%s]" % (self.value, self.dim)
-
-
-def dim_mul(a: DimScalar, b: DimScalar) -> DimScalar:
-    """Multiply two dimensioned scalars; exponents add."""
-    return DimScalar(a.value * b.value, a.dim * b.dim)
-
-
-def dim_add(a: DimScalar, b: DimScalar) -> DimScalar:
-    """Add two dimensioned scalars, refusing mixed dimensions."""
-    if not isinstance(b, DimScalar):
-        raise DimensionMismatch("cannot add bare number to %s" % a)
-    if a.dim != b.dim:
-        raise DimensionMismatch("cannot add [%s] to [%s]" % (a.dim, b.dim))
-    return DimScalar(a.value + b.value, a.dim)

@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import (
-    Call, ExprField, Model, Var, compile_fields, constant, det_node,
-    inverse_nodes, velocity,
+    Call, ExprField, Model, Var, compile_fields, constant, inverse_nodes,
+    velocity,
 )
 from .smooth import (
     Batch, Field, PForm, VectorField, cached, directional, total, unboxed,
@@ -54,16 +54,6 @@ class ESpecialFunction:
 
     comps: List[Field]
     fbar: Field
-
-
-@dataclass
-class ObservedFields:
-    """Electric/magnetic splitting of F relative to an observer."""
-
-    electric: List[Field]
-    magnetic: List[Field]
-    tau: List[Field]
-    eta: PForm
 
 
 class EinsteinPhase:
@@ -357,6 +347,10 @@ class EinsteinPhase:
 
     # -- special phase functions ---------------------------------------------
 
+    def tangent_projection(self, sf: ESpecialFunction) -> VectorField:
+        """The spacetime vector field X of a special function."""
+        return VectorField(list(sf.comps))
+
     def special_value(self, sf: ESpecialFunction) -> Field:
         """-G(contact, X) + fbar as a phase function."""
         return sf.fbar - total(self.theta(mu) * sf.comps[mu]
@@ -428,26 +422,21 @@ class EinsteinPhase:
         comps[i] = constant(-1.0)
         return ESpecialFunction(comps, self.A[i] * self.coupling)
 
-    def _observer_alpha(self, obs: Optional[List[Field]]):
-        """The observer's velocities (the chart observer's for None) and
-        its normalization 1 / sqrt|g(o, o)| with o = (1, obs)."""
-        if obs is None:
-            obs = [constant(0.0)] * 3
-        rad = total(
-            [self.g_low(0, 0)]
-            + [self.g_low(0, j) * 2.0 * obs[j - 1] for j in range(1, 4)]
-            + [self.g_low(i, j) * obs[i - 1] * obs[j - 1]
-               for i in range(1, 4) for j in range(1, 4)])
-        return obs, constant(1.0) / ExprField(
-            Call("sqrt", Call("abs", rad.node)))
-
     def observed_theta(self, obs: Optional[List[Field]] = None) -> List[Field]:
         """Pullback of the kinetic potential along an observer section.
 
         obs gives the three observed velocities of the observer as
         spacetime fields; omitted, it is the chart (rest) observer.
         """
-        obs, alpha = self._observer_alpha(obs)
+        if obs is None:
+            obs = [constant(0.0)] * 3
+        # the observer's normalization 1 / sqrt|g(o, o)|, o = (1, obs)
+        rad = total(
+            [self.g_low(0, 0)]
+            + [self.g_low(0, j) * 2.0 * obs[j - 1] for j in range(1, 4)]
+            + [self.g_low(i, j) * obs[i - 1] * obs[j - 1]
+               for i in range(1, 4) for j in range(1, 4)])
+        alpha = constant(1.0) / ExprField(Call("sqrt", Call("abs", rad.node)))
         return [alpha * total([self.G[0][lam]] + [self.G[i][lam] * obs[i - 1]
                                                   for i in range(1, 4)])
                 * self.c for lam in range(4)]
@@ -461,14 +450,7 @@ class EinsteinPhase:
             out = out - theta[lam] * sf.comps[lam]
         return out
 
-    # -- Lorentz force and the law of motion ---------------------------------
-
-    def lorentz_force(self) -> VectorField:
-        """Spacelike force field -c alpha0 g^{lam mu} (F_{0 mu} + F_{i mu} x^i_0)."""
-        return VectorField([self.alpha0() * total(self.g_up(lam, mu)
-                                                  * self.Fbar0(mu)
-                                                  for mu in range(4))
-                            * (-self.c) for lam in range(4)])
+    # -- the law of motion ---------------------------------------------------
 
     def law_residual(self, X, Xdot, Xddot) -> np.ndarray:
         """Residuals of the law of motion at proper-time trajectory samples.
@@ -517,72 +499,6 @@ class EinsteinPhase:
         pace = alpha0 * self.c
         return [pace, pace * state[4], pace * state[5], pace * state[6],
                 pace * g1, pace * g2, pace * g3]
-
-    # -- observed electric/magnetic splitting --------------------------------
-
-    def observed_splitting(self,
-                           obs: Optional[List[Field]] = None) -> ObservedFields:
-        """Split F into observed electric and magnetic parts.
-
-        Everything is built from spacetime fields once the observer's
-        velocities are substituted, so the results live on spacetime.
-        """
-        obs, alpha = self._observer_alpha(obs)
-        delta0 = [constant(1.0)] + list(obs)
-
-        gbar0 = [total([self.g_low(0, lam)] + [self.g_low(i, lam) * obs[i - 1]
-                                               for i in range(1, 4)])
-                 for lam in range(4)]
-        tau = [alpha * gbar0[lam] * (-1.0 / self.c) for lam in range(4)]
-
-        # electric part: minus the raised contraction of F with the
-        # observer's contact vector
-        fbar = [total(self.F_comp(rho, mu) * delta0[rho] for rho in range(4))
-                for mu in range(4)]
-        electric = [alpha * total(self.g_up(lam, mu) * fbar[mu]
-                                  for mu in range(4)) * (-self.c)
-                    for lam in range(4)]
-
-        # vertical frame b_i and its dual beta^i
-        frame = []
-        for i in range(1, 4):
-            coef = alpha * tau[i] * (-self.c)
-            comps = []
-            for lam in range(4):
-                term = coef * delta0[lam]
-                if lam == i:
-                    term = term + 1.0
-                comps.append(term)
-            frame.append(comps)
-        beta = []
-        for i in range(1, 4):
-            comps = [-obs[i - 1]]
-            for lam in range(1, 4):
-                comps.append(constant(1.0 if lam == i else 0.0))
-            beta.append(comps)
-
-        perp = [[total(self.g_low(lam, mu) * frame[a][lam] * frame[b][mu]
-                       for lam in range(4) for mu in range(4))
-                 for b in range(3)] for a in range(3)]
-        vol = ExprField(Call("sqrt", det_node([[e.node for e in row]
-                                               for row in perp])))
-
-        def f_on(a: int, b: int) -> Field:
-            return total(self.F_comp(lam, mu) * frame[a][lam] * frame[b][mu]
-                         for lam in range(4) for mu in range(4) if lam != mu)
-
-        cyc = [(1, 2, 0), (2, 0, 1), (0, 1, 2)]
-        magnetic = [constant(0.0)] * 4
-        for a, b, h in cyc:
-            coef = (constant(self.c) / vol) * f_on(a, b)
-            for lam in range(4):
-                term = coef * frame[h][lam]
-                magnetic[lam] = magnetic[lam] + term
-
-        eta_forms = [PForm(4, 1, {(lam,): beta[i][lam] for lam in range(4)})
-                     for i in range(3)]
-        eta = wedge(wedge(eta_forms[0], eta_forms[1]), eta_forms[2]).scaled(vol)
-        return ObservedFields(electric, magnetic, tau, eta)
 
     # -- technical identity suite --------------------------------------------
 

@@ -300,10 +300,14 @@ class GalileiPhase:
                                      * v[i - 1] * v[j - 1])
         return SpecialFunction(sf.f0, fi, fbar, new)
 
+    def _in_chart(self, sf: SpecialFunction) -> SpecialFunction:
+        """sf re-expressed relative to the chart observer."""
+        return sf if sf.observer.is_chart() \
+            else self.change_observer(sf, Observer.chart())
+
     def tangent_projection(self, sf: SpecialFunction) -> VectorField:
         """The spacetime vector field X[f] = f0 d_0 - f^i d_i."""
-        chart = sf if sf.observer.is_chart() \
-            else self.change_observer(sf, Observer.chart())
+        chart = self._in_chart(sf)
         return VectorField([chart.f0] + [-chart.fi[k] for k in range(3)])
 
     def special_bracket(self, f: SpecialFunction,
@@ -315,11 +319,7 @@ class GalileiPhase:
         the observer of the first argument.
         """
         out_obs = f.observer
-        chart = Observer.chart()
-        if not f.observer.is_chart():
-            f = self.change_observer(f, chart)
-        if not g.observer.is_chart():
-            g = self.change_observer(g, chart)
+        f, g = self._in_chart(f), self._in_chart(g)
         phi = self.observed_curvature()
 
         def comp_bracket(ft, gt):
@@ -339,7 +339,7 @@ class GalileiPhase:
             for k in range(1, 4):
                 hbar = hbar + f.fi[h - 1] * g.fi[k - 1] \
                     * phi.component((h, k))
-        out = SpecialFunction(h0, hi, hbar, chart)
+        out = SpecialFunction(h0, hi, hbar, Observer.chart())
         if not out_obs.is_chart():
             out = self.change_observer(out, out_obs)
         return out
@@ -350,17 +350,13 @@ class GalileiPhase:
         fv = self.special_value(f)
         gv = self.special_value(g)
         gamma = self.dynamical_vector()
-        f0 = f.f0 if f.observer.is_chart() \
-            else self.change_observer(f, Observer.chart()).f0
-        g0 = g.f0 if g.observer.is_chart() \
-            else self.change_observer(g, Observer.chart()).f0
-        return self.poisson(fv, gv) + f0 * directional(gamma, gv) \
-            - g0 * directional(gamma, fv)
+        # f0 is the same relative to every observer (`change_observer`)
+        return self.poisson(fv, gv) + f.f0 * directional(gamma, gv) \
+            - g.f0 * directional(gamma, fv)
 
     def hamiltonian_lift(self, sf: SpecialFunction) -> VectorField:
         """The phase vector field generated by a special function."""
-        chart = sf if sf.observer.is_chart() \
-            else self.change_observer(sf, Observer.chart())
+        chart = self._in_chart(sf)
         val = self.special_value(chart)
         # d(value)/d(x^j_0), in closed form
         P = [total(chart.f0 * self.metric(j, k) * velocity(k)

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dims import CANONICAL_CONSTANT_DIMS, DimScalar, parse_dimension
+from .dims import CANONICAL_CONSTANT_DIMS, parse_dimension
 from .smooth import Batch, BoxedField, ConstField, Field, PForm, \
     exterior_derivative, point_error, total
 
@@ -232,8 +232,6 @@ def _bits(floats) -> bytes:
 
 _BUILD = {Num: _num, Var: _var, Neg: _neg, BinOp: _binop, Pow: _power,
           Call: _call, Homotopy: _homotopy}
-
-Expr = object
 
 
 # ---------------------------------------------------------------------------
@@ -1131,7 +1129,7 @@ EINSTEIN_CONSTANTS = ("m", "q", "hbar", "c")
 class Model:
     kind: str  # "galilei" or "einstein"
     name: str
-    constants: Dict[str, DimScalar]
+    constants: Dict[str, float]  # dimension tags are checked at load
     params: Dict[str, float]
     box_lo: np.ndarray
     box_hi: np.ndarray
@@ -1141,19 +1139,19 @@ class Model:
 
     @property
     def mass(self) -> float:
-        return self.constants["m"].value
+        return self.constants["m"]
 
     @property
     def charge(self) -> float:
-        return self.constants["q"].value
+        return self.constants["q"]
 
     @property
     def hbar(self) -> float:
-        return self.constants["hbar"].value
+        return self.constants["hbar"]
 
     @property
     def lightspeed(self) -> float:
-        return self.constants["c"].value
+        return self.constants["c"]
 
     @property
     def coupling(self) -> float:
@@ -1250,7 +1248,7 @@ def _parse_box(section) -> Tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _parse_constants(section, kind) -> Dict[str, DimScalar]:
+def _parse_constants(section, kind) -> Dict[str, float]:
     required = EINSTEIN_CONSTANTS if kind == "einstein" else GALILEI_CONSTANTS
     out = {}
     for name in required:
@@ -1265,7 +1263,7 @@ def _parse_constants(section, kind) -> Dict[str, DimScalar]:
                 "constant %r has dimension %s, expected %s" % (name, dim, want))
         if name != "q" and value <= 0:
             raise ValidationError("constant %r must be positive" % name)
-        out[name] = DimScalar(value, dim)
+        out[name] = value
     for name in section:
         if name not in required:
             if name == "c" and kind == "galilei":

@@ -31,7 +31,7 @@ import numpy as np
 
 from .modelspec import Model
 from .galilei import GalileiPhase
-from .smooth import field_values
+from .smooth import BOX_SLACK, field_values
 from .einstein import EinsteinPhase
 
 
@@ -186,7 +186,9 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
     if state.shape != (7,):
         raise ValueError("need 4 position and 3 velocity components")
     state = state.tolist()
-    lo, hi = model.box_lo.tolist(), model.box_hi.tolist()
+    # widened by the slack `smooth.BoxedField` allows the model's fields
+    lo = [v - BOX_SLACK for v in model.box_lo.tolist()]
+    hi = [v + BOX_SLACK for v in model.box_hi.tolist()]
     _check_box(state, lo, hi)
 
     if fw == "galilei":

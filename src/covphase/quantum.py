@@ -65,18 +65,6 @@ def two_form_on(w: PForm, X: VectorField, Y: VectorField) -> Field:
                   for (a, b), fld in w.comps.items()), ZERO)
 
 
-def three_form_on(w: PForm, X: VectorField, Y: VectorField,
-                  Z: VectorField) -> Field:
-    """w(X, Y, Z), expanding the component determinants."""
-    return total((fld * (X.comps[a] * (Y.comps[b] * Z.comps[c]
-                                       - Y.comps[c] * Z.comps[b])
-                         - X.comps[b] * (Y.comps[a] * Z.comps[c]
-                                         - Y.comps[c] * Z.comps[a])
-                         + X.comps[c] * (Y.comps[a] * Z.comps[b]
-                                         - Y.comps[b] * Z.comps[a]))
-                  for (a, b, c), fld in w.comps.items()), ZERO)
-
-
 def to_linear_field(y: HermitianVF) -> LinearQuantumField:
     """Encode i b II as the rotation generator on the real fibre plane."""
     return LinearQuantumField(y.X, [[ZERO, -y.b], [y.b, ZERO]])
@@ -252,7 +240,7 @@ def galilei_inverse_map(phase: GalileiPhase, y: HermitianVF,
 
 def einstein_map(phase: EinsteinPhase, sf: ESpecialFunction) -> HermitianVF:
     """F in the Lorentzian case, in the gauge of the declared potential."""
-    X = VectorField(list(sf.comps))
+    X = phase.tangent_projection(sf)
     coupled = [phase.A[lam] * phase.coupling for lam in range(4)]
     return HermitianVF(X, _contract_1form(coupled, X) + sf.fbar)
 
@@ -273,7 +261,7 @@ def einstein_observed_map(phase: EinsteinPhase, sf: ESpecialFunction,
     subtracted from the scalar component, so this agrees with the
     direct map for every observer.
     """
-    X = VectorField(list(sf.comps))
+    X = phase.tangent_projection(sf)
     theta = phase.observed_theta(obs)
     pot = [theta[lam] + phase.A[lam] * phase.coupling for lam in range(4)]
     return HermitianVF(X, _contract_1form(pot, X)

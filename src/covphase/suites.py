@@ -309,7 +309,7 @@ def _g_lift_witness(ctx: _Ctx) -> float:
 
 
 # ---------------------------------------------------------------------------
-# galilei-brackets runners
+# bracket runners of both frameworks; special(rng) draws a special function
 
 def _bracket_routes(ctx: _Ctx, special) -> float:
     ph = ctx.phase
@@ -323,12 +323,12 @@ def _bracket_routes(ctx: _Ctx, special) -> float:
     return worst
 
 
-def _g_tangent_morphism(ctx: _Ctx) -> float:
+def _tangent_morphism(ctx: _Ctx, special) -> float:
     ph = ctx.phase
     rng = ctx.rng("tangent-morphism")
     worst = 0.0
     for _ in range(3):
-        f, g = _random_gspecial(rng), _random_gspecial(rng)
+        f, g = special(rng), special(rng)
         lhs = ph.tangent_projection(ph.special_bracket(f, g))
         rhs = lie_bracket(ph.tangent_projection(f), ph.tangent_projection(g))
         worst = _worst(worst, _gap(lhs.comps, rhs.comps, ctx.points[:, :4]))
@@ -344,6 +344,9 @@ def _bracket_jacobi(ctx: _Ctx, special) -> float:
         for a, b, c in ((f, g, h), (g, h, f), (h, f, g)))
     return _worst(_size([cycle], ctx.points))
 
+
+# ---------------------------------------------------------------------------
+# galilei-brackets runners
 
 def _g_bracket_observer(ctx: _Ctx) -> float:
     ph = ctx.phase
@@ -361,7 +364,7 @@ def _g_bracket_observer(ctx: _Ctx) -> float:
 
 
 # ---------------------------------------------------------------------------
-# galilei-quantum runners
+# quantum runners of both frameworks; represent(ctx, sf) is F of the framework
 
 def _g_potential(ctx: _Ctx) -> List:
     if "gpot" not in ctx.cache:
@@ -369,19 +372,29 @@ def _g_potential(ctx: _Ctx) -> List:
     return ctx.cache["gpot"]
 
 
-def _gq_isomorphism(ctx: _Ctx) -> float:
-    ph, pot = ctx.phase, _g_potential(ctx)
+def _map_isomorphism(ctx: _Ctx, special, represent) -> float:
+    ph = ctx.phase
     rng = ctx.rng("map-isomorphism")
     worst = 0.0
     for _ in range(3):
-        f, g = _random_gspecial(rng), _random_gspecial(rng)
-        lhs = qt.hermitian_bracket(qt.galilei_map(ph, f, potential=pot),
-                                   qt.galilei_map(ph, g, potential=pot))
-        rhs = qt.galilei_map(ph, ph.special_bracket(f, g), potential=pot)
+        f, g = special(rng), special(rng)
+        lhs = qt.hermitian_bracket(represent(ctx, f), represent(ctx, g))
+        rhs = represent(ctx, ph.special_bracket(f, g))
         worst = _worst(worst, _gap(_parts(lhs), _parts(rhs),
                                    ctx.points[:, :4]))
     return worst
 
+
+def _g_represent(ctx: _Ctx, sf: SpecialFunction) -> qt.HermitianVF:
+    return qt.galilei_map(ctx.phase, sf, potential=_g_potential(ctx))
+
+
+def _e_represent(ctx: _Ctx, sf: ESpecialFunction) -> qt.HermitianVF:
+    return qt.einstein_map(ctx.phase, sf)
+
+
+# ---------------------------------------------------------------------------
+# galilei-quantum runners
 
 def _gq_observer(ctx: _Ctx) -> float:
     ph, pot = ctx.phase, _g_potential(ctx)
@@ -442,19 +455,6 @@ def _e_potential_derivative(ctx: _Ctx) -> float:
 # ---------------------------------------------------------------------------
 # einstein-brackets runners
 
-def _e_tangent_morphism(ctx: _Ctx) -> float:
-    ph = ctx.phase
-    rng = ctx.rng("tangent-morphism")
-    worst = 0.0
-    for _ in range(3):
-        f, g = _random_especial(rng), _random_especial(rng)
-        br = ph.special_bracket(f, g)
-        lb = lie_bracket(VectorField(list(f.comps)),
-                         VectorField(list(g.comps)))
-        worst = _worst(worst, _gap(br.comps, lb.comps, ctx.points[:, :4]))
-    return worst
-
-
 def _e_pair_form(ctx: _Ctx) -> float:
     # fbar part of the bracket is X1.g2 - X2.g1 + (q/hbar) F(X1, X2)
     ph = ctx.phase
@@ -463,8 +463,7 @@ def _e_pair_form(ctx: _Ctx) -> float:
     for _ in range(3):
         f, g = _random_especial(rng), _random_especial(rng)
         br = ph.special_bracket(f, g)
-        xf = VectorField(list(f.comps))
-        xg = VectorField(list(g.comps))
+        xf, xg = ph.tangent_projection(f), ph.tangent_projection(g)
         want = directional(xf, g.fbar) - directional(xg, f.fbar) \
             + qt.two_form_on(ph.faraday(), xf, xg) * ph.coupling
         worst = _worst(worst, _gap([br.fbar], [want], ctx.points[:, :4]))
@@ -497,20 +496,6 @@ def _e_poisson_bivector(ctx: _Ctx) -> float:
 
 # ---------------------------------------------------------------------------
 # einstein-quantum runners
-
-def _eq_isomorphism(ctx: _Ctx) -> float:
-    ph = ctx.phase
-    rng = ctx.rng("map-isomorphism")
-    worst = 0.0
-    for _ in range(3):
-        f, g = _random_especial(rng), _random_especial(rng)
-        lhs = qt.hermitian_bracket(qt.einstein_map(ph, f),
-                                   qt.einstein_map(ph, g))
-        rhs = qt.einstein_map(ph, ph.special_bracket(f, g))
-        worst = _worst(worst, _gap(_parts(lhs), _parts(rhs),
-                                   ctx.points[:, :4]))
-    return worst
-
 
 def _eq_observed_route(ctx: _Ctx) -> float:
     ph = ctx.phase
@@ -718,7 +703,8 @@ _suite("galilei-brackets", "galilei", [
           "galilei", "bracket-route-agreement", 1e-8,
           lambda ctx: _bracket_routes(ctx, _random_gspecial)),
     Check("bracket-tangent-morphism", "X[[f,g]] = [X f, X g]",
-          "galilei", "bracket-tangent-morphism", 1e-8, _g_tangent_morphism),
+          "galilei", "bracket-tangent-morphism", 1e-8,
+          lambda ctx: _tangent_morphism(ctx, _random_gspecial)),
     Check("bracket-jacobi", "cyclic sum [[f,[g,h]]] = 0",
           "galilei", "bracket-jacobi", 1e-7,
           lambda ctx: _bracket_jacobi(ctx, _random_gspecial)),
@@ -731,7 +717,8 @@ _suite("galilei-brackets", "galilei", [
 _suite("galilei-quantum", "galilei", [
     Check("quantum-map-isomorphism",
           "[F f, F g] = F [[f,g]] for the represented Hermitian fields",
-          "quantum", "galilei-map-isomorphism", 1e-8, _gq_isomorphism),
+          "quantum", "galilei-map-isomorphism", 1e-8,
+          lambda ctx: _map_isomorphism(ctx, _random_gspecial, _g_represent)),
     Check("quantum-observer-independence",
           "F computed against a boosted observer and gauge is unchanged",
           "quantum", "galilei-map-observer-independence", 1e-8, _gq_observer),
@@ -769,7 +756,8 @@ _suite("einstein-brackets", "einstein", [
           "einstein", None, 1e-7,
           lambda ctx: _bracket_routes(ctx, _random_especial)),
     Check("bracket-tangent-morphism", "X[[f,g]] = [X f, X g]",
-          "einstein", "bracket-tangent-morphism", 1e-8, _e_tangent_morphism),
+          "einstein", "bracket-tangent-morphism", 1e-8,
+          lambda ctx: _tangent_morphism(ctx, _random_especial)),
     Check("bracket-pair-form",
           "fbar[[f,g]] = X1.g2 - X2.g1 + (q/hbar) F(X1, X2)",
           "einstein", "bracket-tangent-morphism", 1e-8, _e_pair_form),
@@ -786,7 +774,8 @@ _suite("einstein-brackets", "einstein", [
 _suite("einstein-quantum", "einstein", [
     Check("quantum-map-isomorphism",
           "[F f, F g] = F [[f,g]] for the represented Hermitian fields",
-          "quantum", "einstein-map-isomorphism", 1e-8, _eq_isomorphism),
+          "quantum", "einstein-map-isomorphism", 1e-8,
+          lambda ctx: _map_isomorphism(ctx, _random_especial, _e_represent)),
     Check("quantum-observed-route",
           "F built through an observer's potential equals the direct F",
           "quantum", None, 1e-8, _eq_observed_route),

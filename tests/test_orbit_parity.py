@@ -21,6 +21,7 @@ from covphase.modelspec import (
     available_models, load_builtin, parse_model_text,
 )
 from covphase.orbit import BoxExit, integrate_orbit
+from covphase.smooth import BOX_SLACK
 
 
 # --- reference: the numpy step and the per-sample residual loops -----------
@@ -30,7 +31,9 @@ def ref_check_box(model, state):
         raise BoxExit("trajectory reached a non-finite state %s"
                       % ([float(v) for v in state],))
     x = state[:4]
-    if np.any(x < model.box_lo) or np.any(x > model.box_hi):
+    # with the slack the model's fields allow beyond each bound
+    if np.any(x < model.box_lo - BOX_SLACK) \
+            or np.any(x > model.box_hi + BOX_SLACK):
         raise BoxExit("trajectory left the declared box at x = %s"
                       % ([round(float(v), 6) for v in x],))
 
