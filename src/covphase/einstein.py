@@ -78,9 +78,6 @@ class EinsteinPhase:
         """Rescaled metric G as declared by the model."""
         return self.G[lam][mu]
 
-    def inv_metric(self, lam: int, mu: int) -> Field:
-        return self.Ginv[lam][mu]
-
     @cached
     def g_low(self, lam: int, mu: int) -> Field:
         """Geometric metric g = (hbar/m) G."""

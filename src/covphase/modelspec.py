@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dims import CANONICAL_CONSTANT_DIMS, parse_dimension
+from .dims import CANONICAL_CONSTANT_DIMS, format_dimension, parse_dimension
 from .smooth import Batch, BoxedField, ConstField, Field, PForm, \
     exterior_derivative, point_error, total
 
@@ -657,8 +657,9 @@ class ExprField(Field):
     Sums, products and quotients of expression fields combine at the
     expression level, so derived structures built from model components
     (connection coefficients, curvature forms and so on) inherit exact
-    differentiation.  One evaluator, `_Rows`, gives the value at a point
-    and at every row of a `Batch`.  A field holds nothing but its node: a
+    differentiation.  Its value at a point runs the float code that
+    `compile_fields` emits for it; `_Rows` evaluates it over every row of
+    a `Batch`.  A field holds nothing but its node and what it caches: a
     model's parameters are numbers in the node from the moment it is
     parsed.
     """
@@ -668,18 +669,18 @@ class ExprField(Field):
             node = parse_expr(node)
         self.node = node
         self._partials: Dict[int, "ExprField"] = {}
-        self._tape: Optional[list] = None
+        self._fn: Optional[Callable] = None
 
     def jet(self, coords):
-        """The value at float coordinates: the field's tape replayed
-        through `_Rows` on Python floats."""
-        if self._tape is None:
-            self._tape = _tape(self.node)
-        value = _Point(coords).node
-        vals = []
-        for node, kids in self._tape:
-            vals.append(value(node, [vals[k] for k in kids]))
-        return float(vals[-1][0])
+        """The value at float coordinates, by this field's compiled code
+        (compiled on the first call); an error names the point, as a
+        batch row's does."""
+        if self._fn is None:
+            self._fn = compile_fields([self])
+        try:
+            return self._fn(coords)[0]
+        except _FLOAT_ERRORS as exc:
+            raise point_error(type(exc), str(exc), coords) from None
 
     def partial(self, i):
         # cached, so a partial asked for at every point or by every check
@@ -789,25 +790,15 @@ def _walk(root, memo: dict, visit):
     return memo[id(root)]
 
 
-def _tape(root) -> List[Tuple[object, List[int]]]:
-    """root's DAG in `_walk` order, one (node, [tape indices of its
-    children]) entry per distinct node: what a point evaluation replays."""
-    tape = []
-
-    def visit(node, kids):
-        tape.append((node, kids))
-        return len(tape) - 1
-    _walk(root, {}, visit)
-    return tape
-
-
 class _Emitter:
     """Straight-line Python source for a set of expression DAGs.
 
     Each compound node becomes one temporary, emitted in `_walk` order, so
     the first operation to raise is the one `_Rows` fails on first.  A
     reference is a (source, varies) pair as in `_Rows`, and each case
-    repeats the `_Rows` arithmetic and checks on one float.
+    repeats the `_Rows` arithmetic and checks on one float, raising the
+    error text `_Rows` logs.  A homotopy node runs its batch form on a
+    one-row `Batch` of the point (`_point_homotopy`).
     """
 
     def __init__(self):
@@ -846,8 +837,11 @@ class _Emitter:
                 return self.temp("-" + a), var
             case BinOp(op=o):
                 (a, va), (b, vb) = kids
-                if o == "/" and (va or vb):
-                    return self.temp("%s * (1.0 / %s)" % (a, b)), True
+                if o == "/":
+                    self.check("%s == 0.0" % b, "ZeroDivisionError",
+                               "division by zero in expression")
+                    if va or vb:
+                        return self.temp("%s * (1.0 / %s)" % (a, b)), True
                 return self.temp("%s %s %s" % (a, o, b)), va or vb
             case Pow(exponent=e):
                 (a, var), = kids
@@ -865,6 +859,12 @@ class _Emitter:
                     return r, True
                 fn = "abs" if f == "abs" else "_" + f
                 return self.temp("%s(%s)" % (fn, a)), True
+            case Homotopy():
+                if "_homotopy" not in self.env:
+                    # one batch per point, shared by its homotopy nodes
+                    self.env.update(_homotopy=_point_homotopy, _Batch=Batch)
+                    self.lines.append("hb = _Batch([p])")
+                return self.temp("_homotopy(hb, %s)" % self.const(node)), True
         raise TypeError("not an expression node: %r" % (node,))
 
     def _pow(self, a: str, var: bool, e: Fraction) -> str:
@@ -894,9 +894,10 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     The fields' shared DAG is walked once, by node identity, and emitted
     as straight-line float code with one temporary per compound node;
     common subexpressions are shared across all the fields.  Every
-    operation repeats the arithmetic of `_Rows`, so the values equal
-    `Field.value` bit for bit and the same exception classes are raised
-    (ValueError, ZeroDivisionError, OverflowError).
+    operation repeats the arithmetic of `_Rows`, so the values equal a
+    batch row's bit for bit, and an error raises the class and text that
+    the batch logs on that row (ValueError, ZeroDivisionError,
+    OverflowError), without the point.  `ExprField.jet` runs this code.
     """
     em = _Emitter()
     memo: Dict[int, tuple] = {}
@@ -913,11 +914,12 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
                                                        ", ".join(outs))
     namespace = dict(em.env)
     exec(compile(src, "<compile_fields>", "exec"), namespace)
-    return namespace["_compiled"]
+    # popped, so the function and its globals form no reference cycle
+    return namespace.pop("_compiled")
 
 
 # ---------------------------------------------------------------------------
-# Evaluation at a point and over all rows of a point batch
+# Evaluation over all rows of a point batch
 
 # what Python float arithmetic and math functions raise
 _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
@@ -937,8 +939,9 @@ def _batch_walk(batch: Batch, node, cols):
 
 
 class _Rows:
-    """Node values at every row of a `Batch`: the evaluator of expression
-    fields, visited in `_walk` order (`_Point` runs it on one point).
+    """Node values at every row of a `Batch`: the batch evaluator of
+    expression fields, visited in `_walk` order.  `compile_fields` repeats
+    its arithmetic on one point, and the tests hold the two bit-equal.
 
     A value is a (v, varies) pair: varies marks a value that reads a
     coordinate or passes through a function call.  v is a Python float
@@ -959,12 +962,6 @@ class _Rows:
         self.batch = batch
         self.cols = cols
 
-    def coord(self, k: int):
-        return self.batch.P[:, self.cols[k]]
-
-    def fail(self, rows, exc: type, message: str) -> None:
-        self.batch.fail(rows, exc, message)
-
     def each(self, fn, a):
         """fn applied to each element of a as a Python float, errors
         logged row by row."""
@@ -972,7 +969,7 @@ class _Rows:
             try:
                 return fn(a)
             except _FLOAT_ERRORS as exc:
-                self.fail(True, type(exc), str(exc))
+                self.batch.fail(True, type(exc), str(exc))
                 return math.nan
         xs = a.tolist()
         try:
@@ -984,7 +981,8 @@ class _Rows:
                     out[r] = fn(x)
                 except _FLOAT_ERRORS as exc:
                     out[r] = math.nan
-                    self.fail(np.arange(len(xs)) == r, type(exc), str(exc))
+                    self.batch.fail(np.arange(len(xs)) == r, type(exc),
+                                    str(exc))
             return out
 
     def node(self, node, kids):
@@ -992,7 +990,7 @@ class _Rows:
             case Num(value=v):
                 return v, False
             case Var(index=k):
-                return self.coord(k), True
+                return self.batch.P[:, self.cols[k]], True
             case Neg():
                 (a, var), = kids
                 return -a, var
@@ -1005,8 +1003,8 @@ class _Rows:
                 if o == "*":
                     return a * b, va or vb
                 zero = b == 0
-                self.fail(zero, ZeroDivisionError,
-                          "division by zero in expression")
+                self.batch.fail(zero, ZeroDivisionError,
+                                "division by zero in expression")
                 if not isinstance(b, np.ndarray):
                     if zero:
                         return math.nan, va or vb
@@ -1020,12 +1018,13 @@ class _Rows:
                 if not isinstance(a, np.ndarray):
                     a = float(a)
                 if f == "sqrt":
-                    self.fail(a <= 0.0, ValueError,
-                              "sqrt of non-positive value")
+                    self.batch.fail(a <= 0.0, ValueError,
+                                    "sqrt of non-positive value")
                     r = np.sqrt(a) if isinstance(a, np.ndarray) \
                         else (math.sqrt(a) if a > 0.0 else math.nan)
-                    self.fail(r * a == 0.0, ZeroDivisionError,
-                              "sqrt of a value too small to differentiate")
+                    self.batch.fail(
+                        r * a == 0.0, ZeroDivisionError,
+                        "sqrt of a value too small to differentiate")
                     return r, True
                 if f == "abs":
                     return abs(a), True
@@ -1040,7 +1039,8 @@ class _Rows:
         homotopy node on these columns; an error at a stacked row is
         logged on the row it came from."""
         n = len(self.batch.P)
-        rel = [self.coord(nu) - b for nu, b in enumerate(node.base)]
+        rel = [self.batch.P[:, self.cols[nu]] - b
+               for nu, b in enumerate(node.base)]
         key = (Homotopy, self.cols, node.ts, node.base)
         stacked = self.batch.memos.get(key)
         if stacked is None:
@@ -1050,7 +1050,7 @@ class _Rows:
         vals = [_batch_walk(stacked, phi, stacked.cols)
                 for phi in node.phis]
         for r, (exc, message) in sorted(stacked.errors.items()):
-            self.fail(np.arange(n) == r % n, exc, message)
+            self.batch.fail(np.arange(n) == r % n, exc, message)
         terms = []
         for k, w in enumerate(node.weights):
             for nu, v in enumerate(vals):
@@ -1064,16 +1064,16 @@ class _Rows:
         pf = float(p)
         if not var:
             if e.denominator != 1 and a <= 0:
-                self.fail(True, ValueError,
-                          "fractional power of non-positive base")
+                self.batch.fail(True, ValueError,
+                                "fractional power of non-positive base")
                 return math.nan
             return self.each(lambda x: float(x) ** pf, a)
         if p == 0:
             return 1.0
         whole = pf == int(pf)
         if not whole:
-            self.fail(a <= 0.0, ValueError,
-                      "fractional power of non-positive base")
+            self.batch.fail(a <= 0.0, ValueError,
+                            "fractional power of non-positive base")
 
         def real(x):
             # skips the rows just failed, whose power would be complex
@@ -1088,33 +1088,13 @@ class _Rows:
         return out
 
 
-class _Point(_Rows):
-    """`_Rows` at one point of Python floats: a coordinate is a float, and
-    the first failure raises, which is the error a batch logs first on
-    that point's row, with the same text."""
-
-    def __init__(self, x: List[float]):
-        self.x = x
-        self.batch = None
-
-    def coord(self, k: int):
-        return self.x[k]
-
-    def fail(self, rows, exc: type, message: str) -> None:
-        if rows:
-            raise point_error(exc, message, self.x)
-
-    def homotopy(self, node: Homotopy):
-        # the batch form on a one-row batch, shared by the point's
-        # homotopy nodes, so each walks its phis over the stacked rows
-        if self.batch is None:
-            self.batch = Batch([self.x])
-        rows = _Rows(self.batch, self.batch.cols)
-        with np.errstate(all="ignore"):
-            v = rows.homotopy(node)
-        for exc, message in self.batch.errors.values():
-            self.fail(True, exc, message)
-        return v.tolist()[0] if isinstance(v, np.ndarray) else v
+def _point_homotopy(batch: Batch, node: Homotopy) -> float:
+    """node at the one row of batch, by its batch form; the first error
+    logged there raises, without the point."""
+    v = _batch_walk(batch, node, batch.cols)
+    for exc, message in batch.errors.values():
+        raise exc(message)
+    return v.tolist()[0] if isinstance(v, np.ndarray) else v
 
 
 # ---------------------------------------------------------------------------
@@ -1259,8 +1239,9 @@ def _parse_constants(section, kind) -> Dict[str, float]:
         dim = parse_dimension(parts[1] if len(parts) > 1 else "1")
         want = CANONICAL_CONSTANT_DIMS[name]
         if dim != want:
-            raise ValidationError(
-                "constant %r has dimension %s, expected %s" % (name, dim, want))
+            raise ValidationError("constant %r has dimension %s, expected %s"
+                                  % (name, format_dimension(dim),
+                                     format_dimension(want)))
         if name != "q" and value <= 0:
             raise ValidationError("constant %r must be positive" % name)
         out[name] = value
@@ -1448,11 +1429,10 @@ def validate_model(model: Model) -> None:
                     "(d-component %s = %g)" % (key, v), witness=p)
 
 
-def load_model(path, validate: bool = True) -> Model:
+def load_model(path) -> Model:
     path = Path(path)
     model = parse_model_text(path.read_text(), name=path.stem)
-    if validate:
-        validate_model(model)
+    validate_model(model)
     return model
 
 
@@ -1464,10 +1444,10 @@ def available_models() -> List[str]:
     return sorted(p.stem for p in builtin_model_dir().glob("*.ini"))
 
 
-def load_builtin(name: str, validate: bool = True) -> Model:
+def load_builtin(name: str) -> Model:
     path = builtin_model_dir() / (name + ".ini")
     if not path.exists():
         raise FileNotFoundError(
             "no builtin model %r; available: %s"
             % (name, ", ".join(available_models())))
-    return load_model(path, validate=validate)
+    return load_model(path)

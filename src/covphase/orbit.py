@@ -14,8 +14,8 @@ the dynamical fields through one function compiled by
 `modelspec.compile_fields` once per orbit.  The residual evaluates the
 fields over the interior samples, BATCH_ROWS samples to a `Batch`, and
 reduces with whole array operations.  Both return the floats of
-evaluating each field with `Field.value` at each point; where a sample
-fails, the first failing sample raises what the point functions raise
+`Field.value` at each point, which runs the same compiled code; where a
+sample fails, the first failing sample raises what `Field.value` raises
 there.
 
 Galilei trajectories are parametrized by the absolute time x^0, so the

@@ -2,10 +2,10 @@
 
 A field is a chart function.  Every field the phase modules build is an
 expression field (`modelspec.ExprField`): it differentiates symbolically
-to any order, and one evaluator gives its value at a single point
-(`Field.value`, on Python floats) and over all rows of a point `Batch`
-at once (on arrays), with the same arithmetic, the same bits and the same
-error messages.  There are no numeric partials.  Closure fields
+to any order.  Its value at a single point (`Field.value`) runs compiled
+float code (`modelspec.compile_fields`); over all rows of a point `Batch`
+at once, an array evaluator gives the same bits and the same error
+messages.  There are no numeric partials.  Closure fields
 (`FuncField`, and the results of mixing a closure into field arithmetic)
 are written against float coordinates, run one point at a time and have
 no partial derivatives.
@@ -79,9 +79,9 @@ def cached(method):
 class Batch:
     """Fields evaluated over the rows of a point array P[N, d].
 
-    Expression fields are evaluated over all rows at once by the evaluator
-    `Field.value` runs on one point (see `modelspec.ExprField`), so each
-    row gets the bits and the error a point evaluation gives.  Every field
+    Expression fields are evaluated over all rows at once (see
+    `modelspec.ExprField`), and each row gets the bits and the error a
+    point evaluation gives.  Every field
     evaluated in one batch shares one node memo, so common subexpressions
     are computed once.  Closure fields run point by point on floats.
 

@@ -3,6 +3,8 @@
 `Field.values(P)` and `field_values` must return exactly what a loop of
 `Field.value(p)` over the rows of P returns, bit for bit (sign of zero
 and NaN included), and raise the class and message that loop raises first.
+The point path of an expression field is the code `compile_fields` emits,
+so these tests hold the two evaluators, `_Rows` and the compiler, equal.
 """
 
 import gc
@@ -26,14 +28,9 @@ from covphase.smooth import (
     VectorField, exterior_derivative, field_values,
 )
 from covphase.suites import _Ctx
+from test_compile import assert_same_outcome, same_float
 
 ERRORS = (ValueError, ZeroDivisionError, OverflowError, OutsideBoxError)
-
-
-def same_float(a, b) -> bool:
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def outcome(fn):
@@ -90,7 +87,7 @@ batches = st.sampled_from([1, 30]).flatmap(
     lambda n: st.lists(rows, min_size=n, max_size=n))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(exprs, exprs, batches)
 def test_random_expressions_match_point_loop(e1, e2, P):
     f, g = ExprField(e1), ExprField(e2)
@@ -100,6 +97,8 @@ def test_random_expressions_match_point_loop(e1, e2, P):
     for fld in fields:
         assert_batch_matches([fld], P)
     assert_batch_matches(fields, P)
+    # the four compiled into one function, which shares their nodes
+    assert_same_outcome(fields, P[0])
 
 
 # (expression, value of x1 that breaks it, exception class)
@@ -128,6 +127,7 @@ def test_one_bad_row_raises_the_point_class(text, bad, exc, row):
         fld.values(P)
     assert str(P[row].tolist()) in str(info.value)
     assert_batch_matches([fld], P)
+    assert_same_outcome([fld], P[row])
 
 
 def test_lowest_failing_row_wins():

@@ -481,7 +481,7 @@ class TestCli:
     # validation passes (the Sobol points miss x1 = 0) but the orbit,
     # which starts at x1 = 0, meets the singularity on its first step
     @pytest.mark.parametrize("potential,message", [
-        ("1/x1", "division by zero"),
+        ("1/x1", "division by zero in expression"),
         ("exp(0.001/(x1^2 + 0.000001))", "math range error"),
         ("sqrt(x1^2)", "sqrt of non-positive value"),
         ("(x1^2)^(1/2)", "fractional power of non-positive base"),

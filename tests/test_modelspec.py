@@ -301,8 +301,14 @@ class TestModelLoading:
 
     def test_wrong_dimension_tag(self):
         bad = GOOD_GALILEI.replace("m = 1.0 M", "m = 1.0 L")
-        with pytest.raises(ValidationError, match="dimension"):
+        with pytest.raises(ValidationError) as info:
             parse_model_text(bad)
+        assert str(info.value) == "constant 'm' has dimension L, expected M"
+        bad = GOOD_GALILEI.replace("q = -1.0 T^-1 L^3/2 M^1/2", "q = -1.0")
+        with pytest.raises(ValidationError) as info:
+            parse_model_text(bad)
+        assert str(info.value) == ("constant 'q' has dimension 1, "
+                                   "expected T^-1 L^3/2 M^1/2")
 
     def test_missing_diagonal_entry(self):
         bad = GOOD_GALILEI.replace("g22 = 1\n", "")
@@ -347,12 +353,14 @@ class TestBuiltinModels:
         "flat-free", "uniform-b", "curved-galilei", "curved-gravity",
         "minkowski", "uniform-e", "curved-einstein", "schwarzschild-like"])
     def test_all_builtins_validate(self, name):
-        model = load_builtin(name, validate=True)
+        model = load_builtin(name)
         assert isinstance(model, Model)
         assert model.mass == 1.0 and model.hbar == 1.0
 
     def test_sample_points_deterministic_and_inside(self):
-        model = load_builtin("uniform-b", validate=False)
+        model = parse_model_text(
+            (ms.builtin_model_dir() / "uniform-b.ini").read_text(),
+            name="uniform-b")
         a = sample_points(model)
         b = sample_points(model)
         assert np.array_equal(a, b)
@@ -383,7 +391,8 @@ class TestSobol:
     @pytest.mark.parametrize("name", available_models())
     def test_sample_points_match_scipy_formula(self, name):
         qmc = pytest.importorskip("scipy.stats.qmc")
-        model = load_builtin(name, validate=False)
+        model = parse_model_text(
+            (ms.builtin_model_dir() / (name + ".ini")).read_text(), name=name)
         for count in (1, 5, 49):
             pow2 = 1 << (count - 1).bit_length()
             unit = qmc.Sobol(d=4, scramble=False).random(pow2)[:count]
