@@ -12,11 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covphase.einstein import EinsteinPhase
 from covphase.galilei import GalileiPhase
 from covphase.modelspec import (
-    BinOp, ExprField, Neg, Num, Pow, Var, available_models,
+    BinOp, Call, ExprField, Neg, Num, Pow, Var, available_models,
     compile_fields, load_builtin, parse_expr,
 )
 from covphase.smooth import ConstField, field_values
@@ -193,3 +194,40 @@ def test_deep_chain_compiles():
         want = want + 1.0 if k % 2 else want - 1.0
         want = -want if k % 1000 == 0 else want
     assert fn([0.0, 0.25, 0.0, 0.0]) == [want]
+
+
+# ---------------------------------------------------------------------------
+# property test: random expressions with shared subexpressions (test_batch
+# draws its expressions from these strategies too)
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-310, 1e-200, 1e200, 700.0,
+           math.inf, -math.inf, math.nan]
+floats = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(-4.0, 4.0, allow_nan=False))
+exponents = st.sampled_from([Fraction(n, d) for n in (-3, -1, 0, 1, 2, 3)
+                             for d in (1, 2, 3)])
+leaves = st.one_of(
+    st.builds(Num, floats),
+    st.builds(Var, st.integers(0, 3)),
+)
+
+
+def _compound(sub):
+    return st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Pow, sub, exponents),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
+                  sub),
+    )
+
+
+exprs = st.recursive(leaves, _compound, max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(exprs, exprs, st.lists(floats, min_size=4, max_size=4))
+def test_random_expressions_match_jets(e1, e2, p):
+    f, g = ExprField(e1), ExprField(e2)
+    # f * g and g - f share f's and g's nodes with the first two fields
+    assert_same_outcome([f, g, f * g, g - f], p)
