@@ -61,14 +61,16 @@ class ValidationError(Exception):
 # Nodes are hash-consed: each one is built through one weak table, keyed by
 # its class, its plain fields and the ids of its children, so building a
 # node structurally equal to a live one returns that node.  Structural
-# equality is identity, and nodes compare and hash by identity.  A float
-# is keyed with the sign of a zero and its type, so Num(0.0), Num(-0.0)
-# and Num(0) are three nodes; a NaN is never looked up.  A node is never
-# mutated after it is built.  The table holds its nodes weakly, so a node
-# is freed as soon as nothing else refers to it, and its entry goes with
-# it.  Each compound node also carries its derivatives (see `derivative`).
-# A leaf is a number or a coordinate: parameters are numbers by the time
-# a node is built (see `parse_expr`).
+# equality is identity, and nodes compare and hash by identity, so every
+# DAG walk keys its memo by the node itself.  A float is keyed with the
+# sign of a zero and its type, so Num(0.0), Num(-0.0) and Num(0) are three
+# nodes; a NaN is never looked up.  A node is never mutated after it is
+# built.  The table holds its nodes weakly, so a node is freed as soon as
+# nothing else refers to it, and its entry goes with it.  Each node
+# carries `_m`, the bitmask of the coordinates it reads (bit k for x_k),
+# set once when it is built, and the derivatives taken of it (see
+# `derivative`).  A leaf is a number or a coordinate: parameters are
+# numbers by the time a node is built (see `parse_expr`).
 
 _NODES: Dict[tuple, "_Entry"] = {}
 _new = object.__new__
@@ -86,9 +88,10 @@ def _drop(entry: _Entry) -> None:
         del _NODES[entry.key]
 
 
-def _enter(key, node):
-    """Enter a new node in the table under key; returns it."""
-    node._d = None
+def _enter(key, node, mask):
+    """Enter a new node, which reads the coordinates in mask, in the
+    table under key; returns it."""
+    node._d, node._m = None, mask
     entry = _NODES[key] = _Entry(node, _drop)
     entry.key = key
     return node
@@ -96,10 +99,11 @@ def _enter(key, node):
 
 class _Node:
     """An expression node, built by the constructor of its class in
-    `_BUILD`; `_d` maps a coordinate index to a weak reference to the
-    node's derivative along it."""
+    `_BUILD`; `_m` has bit k set when the node reads x_k, and `_d` maps a
+    coordinate index to a weak reference to the node's derivative along
+    it."""
 
-    __slots__ = ("_d", "__weakref__")
+    __slots__ = ("_d", "_m", "__weakref__")
 
     def __new__(cls, *fields, **named):
         return _BUILD[cls](*fields, **named)
@@ -153,13 +157,13 @@ class Homotopy(_Node):
 def _num(value):
     if value != value:  # NaN equals nothing, so it is never looked up
         node = _new(Num)
-        node.value, node._d = value, None
+        node.value, node._d, node._m = value, None, 0
         return node
     key = (Num, type(value), value, value or math.copysign(1.0, value))
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
-        node = _enter(key, _new(Num))
+        node = _enter(key, _new(Num), 0)
         node.value = value
     return node
 
@@ -168,7 +172,7 @@ def _var(index):
     ref = _NODES.get((Var, index))
     node = ref and ref()
     if node is None:
-        node = _enter((Var, index), _new(Var))
+        node = _enter((Var, index), _new(Var), 1 << index)
         node.index = index
     return node
 
@@ -178,7 +182,7 @@ def _neg(arg):
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
-        node = _enter(key, _new(Neg))
+        node = _enter(key, _new(Neg), arg._m)
         node.arg = arg
     return node
 
@@ -188,7 +192,7 @@ def _binop(op, left, right):
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
-        node = _enter(key, _new(BinOp))
+        node = _enter(key, _new(BinOp), left._m | right._m)
         node.op, node.left, node.right = op, left, right
     return node
 
@@ -198,7 +202,7 @@ def _power(base, exponent):
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
-        node = _enter(key, _new(Pow))
+        node = _enter(key, _new(Pow), base._m)
         node.base, node.exponent = base, exponent
     return node
 
@@ -208,7 +212,7 @@ def _call(func, arg):
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
-        node = _enter(key, _new(Call))
+        node = _enter(key, _new(Call), arg._m)
         node.func, node.arg = func, arg
     return node
 
@@ -220,7 +224,8 @@ def _homotopy(phis, base, ts, weights, radial=True):
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
-        node = _enter(key, _new(Homotopy))
+        # the radial factor reads every base coordinate
+        node = _enter(key, _new(Homotopy), (1 << len(base)) - 1)
         node.phis, node.base, node.ts = phis, base, ts
         node.weights, node.radial = weights, radial
     return node
@@ -376,7 +381,7 @@ def parse_expr(text: str, params: Optional[Dict[str, float]] = None):
     An identifier that is not a coordinate x0..x9 or a function is a
     parameter: it becomes the number params gives it, and a name params
     lacks is a ParseError.  Deeper nesting than MAX_DEPTH is refused: the
-    parser, `variables` and `to_text` recurse once per level.
+    parser and `to_text` recurse once per level.
     """
     try:
         node = _Parser(text, params or {}).parse()
@@ -390,20 +395,6 @@ def parse_expr(text: str, params: Optional[Dict[str, float]] = None):
 
 def _depth(node, kids) -> int:
     return 1 + max(kids, default=0)
-
-
-def variables(node) -> set:
-    """The set of coordinate indices an expression depends on."""
-    match node:
-        case Num():
-            return set()
-        case Var(index=i):
-            return {i}
-        case Neg(arg=a) | Call(arg=a) | Pow(base=a):
-            return variables(a)
-        case BinOp(left=a, right=b):
-            return variables(a) | variables(b)
-    raise TypeError("not an expression node: %r" % (node,))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +438,7 @@ def to_text(node, prec: int = 0) -> str:
 
 
 def _is_num(node, v=None):
-    return isinstance(node, Num) and (v is None or node.value == v)
+    return type(node) is Num and (v is None or node.value == v)
 
 
 _ZERO = Num(0.0)
@@ -499,89 +490,83 @@ def _pow(base, e: Fraction):
 
 def _derive(node, i: int, ds: list):
     """node's partial derivative along x_i, given ds, the derivatives of
-    its children (`_children`) along x_i."""
-    match node:
-        case Num():
-            return _ZERO
-        case Var(index=k):
-            return _ONE if k == i else _ZERO
-        case Neg():
-            d, = ds
-            return _ZERO if _is_num(d, 0.0) else _neg(d)
-        case BinOp(op="+"):
+    its children (`_walk` order) along x_i; node reads x_i (`derivative`
+    never derives a node whose mask lacks it)."""
+    t = type(node)
+    if t is BinOp:
+        o = node.op
+        if o == "+":
             return _add(*ds)
-        case BinOp(op="-"):
+        if o == "-":
             return _sub(*ds)
-        case BinOp(op="*", left=a, right=b):
-            da, db = ds
+        a, b = node.left, node.right
+        da, db = ds
+        if o == "*":
             return _add(_mul(da, b), _mul(a, db))
-        case BinOp(op="/", left=a, right=b):
-            da, db = ds
-            return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, _TWO))
-        case Pow(base=b, exponent=e):
-            return _mul(_mul(_num(float(e)), _pow(b, e - 1)), ds[0])
-        case Call(func="sin", arg=a):
+        return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, _TWO))
+    if t is Call:
+        f, a = node.func, node.arg
+        if f == "sin":
             return _mul(_call("cos", a), ds[0])
-        case Call(func="cos", arg=a):
+        if f == "cos":
             d = _mul(_call("sin", a), ds[0])
             return _ZERO if _is_num(d, 0.0) else _neg(d)
-        case Call(func="exp", arg=a):
+        if f == "exp":
             return _mul(node, ds[0])
-        case Call(func="sqrt", arg=a):
+        if f == "sqrt":
             return _div(ds[0], _mul(_num(2.0), node))
-        case Call(func="abs", arg=a):
-            return _mul(_div(a, node), ds[0])
-        case Homotopy(phis=ps, ts=ts, weights=ws) if i < len(node.base):
-            # d/dx_i phi(y_k) = t_k (d_i phi)(y_k), and the radial factor
-            # x_nu - base_nu contributes the nu = i term without it
-            dps = tuple(derivative(p, i) for p in ps)
-            res = _ZERO
-            if not all(_is_num(d, 0.0) for d in dps):
-                res = _homotopy(dps, node.base, ts,
-                                tuple(w * t for w, t in zip(ws, ts)),
-                                node.radial)
-            if node.radial and not _is_num(ps[i], 0.0):
-                res = _add(res, _homotopy((ps[i],), node.base, ts, ws, False))
-            return res
-        case Homotopy():
-            return _ZERO
+        return _mul(_div(a, node), ds[0])  # abs
+    if t is Pow:
+        e = node.exponent
+        return _mul(_mul(_num(float(e)), _pow(node.base, e - 1)), ds[0])
+    if t is Neg:
+        d, = ds
+        return _ZERO if _is_num(d, 0.0) else _neg(d)
+    if t is Var:
+        return _ONE
+    if t is Homotopy:
+        # d/dx_i phi(y_k) = t_k (d_i phi)(y_k), and the radial factor
+        # x_nu - base_nu contributes the nu = i term without it
+        ps, ts, ws = node.phis, node.ts, node.weights
+        dps = tuple(derivative(p, i) for p in ps)
+        res = _ZERO
+        if not all(_is_num(d, 0.0) for d in dps):
+            res = _homotopy(dps, node.base, ts,
+                            tuple(w * t for w, t in zip(ws, ts)),
+                            node.radial)
+        if node.radial and not _is_num(ps[i], 0.0):
+            res = _add(res, _homotopy((ps[i],), node.base, ts, ws, False))
+        return res
     raise TypeError("not an expression node: %r" % (node,))
 
 
 def derivative(node, i: int):
     """Exact partial derivative of an expression with respect to x_i.
 
-    The DAG is walked without recursion, children first as in `_walk`,
-    so any depth differentiates.  Each compound node keeps its derivative
-    along x_i (weakly: the derivative lives as long as something else
-    holds it, such as the `ExprField.partial` built from it), so a node
-    shared within one expression or between expressions built apart is
-    differentiated once, its derivative is shared in the output, and
+    The DAG is walked by `_walk`, so any depth differentiates.  A subtree
+    whose mask `_m` lacks x_i is not walked: its derivative is `_ZERO`.
+    Each node walked keeps its derivative along x_i (weakly: the
+    derivative lives as long as something else holds it, such as the
+    `ExprField.partial` built from it), so a node shared within one
+    expression or between expressions built apart is differentiated once,
+    its derivative is shared in the output, and
     `derivative(n, i) is derivative(n, i)`.
     """
-    memo = {}
-    stack = [(node, None)]
-    while stack:
-        n, kids = stack.pop()
-        if id(n) in memo:
-            continue
-        if kids is None:
-            ref = n._d and n._d.get(i)
-            d = ref and ref()
-            if d is not None:
-                memo[id(n)] = d
-                continue
-            kids = _children(n)
-            if kids:
-                stack.append((n, kids))
-                stack.extend([(k, None) for k in reversed(kids)])
-                continue
-        d = memo[id(n)] = _derive(n, i, [memo[id(k)] for k in kids])
-        if kids or type(n) is Homotopy:
-            if n._d is None:
-                n._d = {}
-            n._d[i] = weakref.ref(d)
-    return memo[id(node)]
+    bit = 1 << i
+
+    def known(n):
+        if not n._m & bit:
+            return _ZERO
+        ref = n._d and n._d.get(i)
+        return ref and ref()
+
+    def visit(n, ds):
+        d = _derive(n, i, ds)
+        if n._d is None:
+            n._d = {}
+        n._d[i] = weakref.ref(d)
+        return d
+    return _walk(node, {}, visit, known)
 
 
 def _rebuild(node, kids, repl: Dict[int, object]):
@@ -761,33 +746,38 @@ def velocity(i: int) -> ExprField:
 # Compilation to straight-line float code
 
 
-def _children(node) -> tuple:
-    kids = _KIDS.get(type(node))
-    return kids(node) if kids else ()
-
-
-_KIDS = {Neg: lambda n: (n.arg,), Call: lambda n: (n.arg,),
-         Pow: lambda n: (n.base,), BinOp: lambda n: (n.left, n.right)}
-
-
-def _walk(root, memo: dict, visit):
+def _walk(root, memo: dict, visit, known=None):
     """Visit root's unvisited DAG nodes without recursion, in post-order,
-    left child first; memo maps id(node) to visit(node, [the children's
+    left child first; memo maps each node to visit(node, [the children's
     results]).  Returns root's result.  Every evaluator visits nodes in
-    this order, so the first operation to fail is the same in each."""
+    this order, so the first operation to fail is the same in each.  A
+    node whose result known(node) gives (not None) is not walked below."""
     stack = [(root, None)]
     while stack:
         node, kids = stack.pop()
-        if id(node) in memo:
-            continue
         if kids is None:
-            kids = _children(node)
-            if kids:
-                stack.append((node, kids))
-                stack.extend([(k, None) for k in reversed(kids)])
+            if node in memo:
                 continue
-        memo[id(node)] = visit(node, [memo[id(k)] for k in kids])
-    return memo[id(root)]
+            if known is not None:
+                r = known(node)
+                if r is not None:
+                    memo[node] = r
+                    continue
+            t = type(node)
+            if t is BinOp:
+                kids = node.left, node.right
+            elif t is Neg or t is Call:
+                kids = node.arg,
+            elif t is Pow:
+                kids = node.base,
+            else:
+                memo[node] = visit(node, ())
+                continue
+            stack.append((node, kids))
+            stack.extend([(k, None) for k in reversed(kids) if k not in memo])
+            continue
+        memo[node] = visit(node, [memo[k] for k in kids])
+    return memo[root]
 
 
 class _Emitter:
@@ -797,8 +787,10 @@ class _Emitter:
     the first operation to raise is the one `_Rows` fails on first.  A
     reference is a (source, varies) pair as in `_Rows`, and each case
     repeats the `_Rows` arithmetic and checks on one float, raising the
-    error text `_Rows` logs.  A homotopy node runs its batch form on a
-    one-row `Batch` of the point (`_point_homotopy`).
+    error text `_Rows` logs.  A division checks its divisor only where
+    that can fail: not for a nonzero number, nor for a reference an
+    earlier division has checked.  A homotopy node runs its batch form on
+    a one-row `Batch` of the point (`_point_homotopy`).
     """
 
     def __init__(self):
@@ -806,6 +798,7 @@ class _Emitter:
         self.env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
                     "_sqrt": math.sqrt}
         self.loaded = set()
+        self.nonzero = set()  # references that cannot be zero here
 
     def temp(self, expr: str) -> str:
         name = "t%d" % len(self.lines)
@@ -817,7 +810,10 @@ class _Emitter:
 
     def const(self, v) -> str:
         if type(v) is float and math.isfinite(v):
-            return "(%r)" % v
+            ref = "(%r)" % v
+            if v:
+                self.nonzero.add(ref)
+            return ref
         name = "_k%d" % len(self.env)
         self.env[name] = v
         return name
@@ -838,8 +834,10 @@ class _Emitter:
             case BinOp(op=o):
                 (a, va), (b, vb) = kids
                 if o == "/":
-                    self.check("%s == 0.0" % b, "ZeroDivisionError",
-                               "division by zero in expression")
+                    if b not in self.nonzero:
+                        self.nonzero.add(b)
+                        self.check("%s == 0.0" % b, "ZeroDivisionError",
+                                   "division by zero in expression")
                     if va or vb:
                         return self.temp("%s * (1.0 / %s)" % (a, b)), True
                 return self.temp("%s %s %s" % (a, o, b)), va or vb
@@ -900,7 +898,7 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     OverflowError), without the point.  `ExprField.jet` runs this code.
     """
     em = _Emitter()
-    memo: Dict[int, tuple] = {}
+    memo: Dict[object, tuple] = {}
     outs = []
     for fld in fields:
         if not isinstance(fld, ExprField):
@@ -928,12 +926,12 @@ _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 def _batch_walk(batch: Batch, node, cols):
     """node's value at every row of the batch (a float for a node that
     reads no coordinate).  One memo per tuple of coordinate columns in a
-    batch, keyed by node identity, so fields share their common
-    subexpressions, even when they were built apart (nodes are interned).
-    The memo holds no reference back to the batch, so a batch is freed as
-    soon as it is dropped."""
+    batch, keyed by node (nodes are interned and hash by identity), so
+    fields share their common subexpressions, even when they were built
+    apart; the memo keeps its nodes alive as long as the batch.  The memo
+    holds no reference back to the batch, so a batch is freed as soon as
+    it is dropped."""
     memo = batch.memos.setdefault(cols, {})
-    batch.roots.setdefault(id(node), node)
     with np.errstate(all="ignore"):
         return _walk(node, memo, _Rows(batch, cols).node)[0]
 
@@ -986,51 +984,53 @@ class _Rows:
             return out
 
     def node(self, node, kids):
-        match node:
-            case Num(value=v):
-                return v, False
-            case Var(index=k):
-                return self.batch.P[:, self.cols[k]], True
-            case Neg():
-                (a, var), = kids
-                return -a, var
-            case BinOp(op=o):
-                (a, va), (b, vb) = kids
-                if o == "+":
-                    return a + b, va or vb
-                if o == "-":
-                    return a - b, va or vb
-                if o == "*":
-                    return a * b, va or vb
-                zero = b == 0
-                self.batch.fail(zero, ZeroDivisionError,
-                                "division by zero in expression")
-                if not isinstance(b, np.ndarray):
-                    if zero:
-                        return math.nan, va or vb
-                    return (a * (1.0 / b) if va or vb else a / b), va or vb
-                return a * (1.0 / b), True
-            case Pow(exponent=e):
-                (a, var), = kids
-                return self.pow(a, var, e), var
-            case Call(func=f):
-                (a, _), = kids
-                if not isinstance(a, np.ndarray):
-                    a = float(a)
-                if f == "sqrt":
-                    self.batch.fail(a <= 0.0, ValueError,
-                                    "sqrt of non-positive value")
-                    r = np.sqrt(a) if isinstance(a, np.ndarray) \
-                        else (math.sqrt(a) if a > 0.0 else math.nan)
-                    self.batch.fail(
-                        r * a == 0.0, ZeroDivisionError,
-                        "sqrt of a value too small to differentiate")
-                    return r, True
-                if f == "abs":
-                    return abs(a), True
-                return self.each(getattr(math, f), a), True
-            case Homotopy():
-                return self.homotopy(node), True
+        t = type(node)
+        if t is BinOp:
+            (a, va), (b, vb) = kids
+            o = node.op
+            if o == "+":
+                return a + b, va or vb
+            if o == "-":
+                return a - b, va or vb
+            if o == "*":
+                return a * b, va or vb
+            zero = b == 0
+            self.batch.fail(zero, ZeroDivisionError,
+                            "division by zero in expression")
+            if not isinstance(b, np.ndarray):
+                if zero:
+                    return math.nan, va or vb
+                return (a * (1.0 / b) if va or vb else a / b), va or vb
+            return a * (1.0 / b), True
+        if t is Var:
+            return self.batch.P[:, self.cols[node.index]], True
+        if t is Num:
+            return node.value, False
+        if t is Call:
+            (a, _), = kids
+            if not isinstance(a, np.ndarray):
+                a = float(a)
+            f = node.func
+            if f == "sqrt":
+                self.batch.fail(a <= 0.0, ValueError,
+                                "sqrt of non-positive value")
+                r = np.sqrt(a) if isinstance(a, np.ndarray) \
+                    else (math.sqrt(a) if a > 0.0 else math.nan)
+                self.batch.fail(
+                    r * a == 0.0, ZeroDivisionError,
+                    "sqrt of a value too small to differentiate")
+                return r, True
+            if f == "abs":
+                return abs(a), True
+            return self.each(getattr(math, f), a), True
+        if t is Pow:
+            (a, var), = kids
+            return self.pow(a, var, node.exponent), var
+        if t is Neg:
+            (a, var), = kids
+            return -a, var
+        if t is Homotopy:
+            return self.homotopy(node), True
         raise TypeError("not an expression node: %r" % (node,))
 
     def homotopy(self, node: Homotopy):
@@ -1148,10 +1148,10 @@ def _spacetime_expr(key: str, text: str, params) -> ExprField:
         node = parse_expr(text, params)
     except ParseError as exc:
         raise ParseError("%s: %s" % (key, exc.message), exc.offset) from None
-    bad = sorted(i for i in variables(node) if i > 3)
-    if bad:
+    high = node._m >> 4  # the lowest set bit names the first bad index
+    if high:
         raise ValueError("%s: x%d is not a spacetime coordinate"
-                         % (key, bad[0]))
+                         % (key, 3 + (high & -high).bit_length()))
     return ExprField(node)
 
 

@@ -96,13 +96,11 @@ class Batch:
         if self.P.ndim != 2:
             raise ValueError("expected a 2-D array of points")
         self.cols = tuple(range(self.P.shape[1]))
+        # node memos, keyed by node, so they keep the nodes walked alive
         self.memos: Dict[tuple, object] = {}
-        # the expression roots walked, kept alive with the batch: the node
-        # memos are keyed by id, which a freed node would pass on
-        self.roots: Dict[int, object] = {}
         self.failed = np.zeros(len(self.P), dtype=bool)
         self.errors: Dict[int, Tuple[type, str]] = {}
-        self._rows: Dict[int, tuple] = {}
+        self._rows: Dict["Field", list] = {}  # keyed by field identity
 
     def values(self, fld: "Field") -> np.ndarray:
         """fld at every row, a new float64 array of length N."""
@@ -113,15 +111,15 @@ class Batch:
     def at(self, fld: "Field", r: int) -> float:
         """fld at row r as a Python float; the first request for a field
         evaluates it at every row."""
-        hit = self._rows.get(id(fld))
+        hit = self._rows.get(fld)
         if hit is None:
-            hit = self._rows[id(fld)] = (fld, self.values(fld).tolist())
-        return hit[1][r]
+            hit = self._rows[fld] = self.values(fld).tolist()
+        return hit[r]
 
     def fail(self, rows, exc: type, message: str) -> None:
         """Log exc at the rows of a boolean mask (or at every row for a
         true scalar) that have no error yet."""
-        if not np.any(rows):
+        if not (rows.any() if type(rows) is np.ndarray else rows):
             return
         new = np.logical_and(rows, ~self.failed)
         for r in np.flatnonzero(new):

@@ -230,8 +230,9 @@ def test_batch_is_freed_without_the_cycle_collector():
 
 
 def test_batch_outlives_the_fields_it_evaluated():
-    # node memos are keyed by id; a field dropped between two evaluations
-    # in one batch once passed its ids, and its values, to the next field
+    # node memos are keyed by node and keep it alive; when they were keyed
+    # by id, a field dropped between two evaluations in one batch could
+    # pass its ids, and its values, to the next field
     batch = Batch(np.array([[0.0, 1.0, 2.0, 3.0]]))
     for k in range(50):
         fld = ExprField("x1 * x2 + %d" % k)

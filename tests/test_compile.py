@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from covphase.einstein import EinsteinPhase
 from covphase.galilei import GalileiPhase
 from covphase.modelspec import (
-    BinOp, Call, ExprField, Neg, Num, Pow, Var, available_models,
-    compile_fields, load_builtin, parse_expr,
+    BinOp, Call, ExprField, Neg, Num, Pow, Var, _Emitter, _walk,
+    available_models, compile_fields, load_builtin, parse_expr,
 )
 from covphase.smooth import ConstField, field_values
 from covphase.suites import _Ctx
@@ -126,6 +126,23 @@ def test_zero_divisor_raises_the_batch_text():
     # Python's own text is "float division by zero"
     with pytest.raises(ZeroDivisionError) as info:
         compile_fields([ExprField("1 / x1")])([0.0] * 4)
+    assert str(info.value) == "division by zero in expression"
+
+
+def division_checks(text: str) -> int:
+    """The zero-divisor checks in the code compiled for text."""
+    em = _Emitter()
+    _walk(parse_expr(text), {}, em.node)
+    return sum("ZeroDivisionError" in line for line in em.lines)
+
+
+def test_divisor_checked_only_where_it_can_be_zero():
+    # not a nonzero number, nor a divisor an earlier division checked
+    assert division_checks("x1 / 2") == 0
+    assert division_checks("x1 / x2 + x3 / x2") == 1
+    assert division_checks("x1 / 0 + x2 / (x3 - x3)") == 2
+    with pytest.raises(ZeroDivisionError) as info:
+        compile_fields([ExprField("1 / (x1 - x1)")])([0.0] * 4)
     assert str(info.value) == "division by zero in expression"
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from covphase import modelspec as ms
 from covphase.einstein import EinsteinPhase
-from covphase.galilei import GalileiPhase, Observer
+from covphase.galilei import HOMOTOPY_TS, HOMOTOPY_WEIGHTS, GalileiPhase, \
+    Observer
 from covphase.modelspec import (
     MAX_DEPTH, BinOp, Call, ExprField, Model, Neg, Num, ParseError,
     Pow, ValidationError, Var, available_models, compile_fields, derivative,
@@ -519,6 +520,15 @@ def naive_substitute(node, repl):
     raise TypeError(node)
 
 
+def children(node) -> tuple:
+    match node:
+        case BinOp(left=a, right=b):
+            return a, b
+        case Neg(arg=a) | Call(arg=a) | Pow(base=a):
+            return a,
+    return ()
+
+
 def distinct_nodes(*roots) -> int:
     """The distinct node objects of the DAG under the roots."""
     seen = {}
@@ -528,7 +538,7 @@ def distinct_nodes(*roots) -> int:
         if id(node) in seen:
             continue
         seen[id(node)] = node
-        stack.extend(ms._children(node))
+        stack.extend(children(node))
     return len(seen)
 
 
@@ -574,6 +584,62 @@ def test_memoized_derivative_and_substitute_match_tree_walk(node, i, other):
     s = substitute(node, repl)
     assert s == naive_substitute(node, repl)
     assert to_text(s) == to_text(naive_substitute(node, repl))
+
+
+def read_coordinates(node) -> set:
+    """The coordinate indices a node reads, by a recursive tree walk; a
+    homotopy's radial factor reads every base coordinate."""
+    match node:
+        case Num():
+            return set()
+        case Var(index=k):
+            return {k}
+        case ms.Homotopy(phis=ps, base=b):
+            return set(range(len(b))).union(*map(read_coordinates, ps))
+    return set().union(*map(read_coordinates, children(node)))
+
+
+def assert_mask_is_read_set(node):
+    assert node._m == sum(1 << k for k in read_coordinates(node)), node
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_exprs(), st.integers(0, 6), _any_expr, _exprs)
+def test_mask_is_the_set_of_coordinates_read(node, i, other, printable):
+    for n in (parse_expr(to_text(printable)), node, derivative(node, i),
+              substitute(node, {1: other, 4: BinOp("*", other, Var(2)),
+                                5: Num(0.0)})):
+        assert_mask_is_read_set(n)
+    phis = (Num(0.0), substitute(node, {4: Var(0), 5: Var(1), 6: Var(2)}),
+            Var(3), Num(1.0))
+    h = ms.Homotopy(phis, (0.5,) * 4, HOMOTOPY_TS, HOMOTOPY_WEIGHTS)
+    assert h._m == 0b1111
+    for n in (h, BinOp("*", h, Var(5)), derivative(h, i)):
+        assert_mask_is_read_set(n)
+
+
+def test_derivative_skips_subtrees_that_do_not_read_the_coordinate():
+    # 2^20 copies of base in x0..x3; the checks are plain booleans, since
+    # printing the tree would take 2^20 steps
+    base = parse_expr("sin(x0) * x1 + x2 / (x3 + 7.25)")
+    node = base
+    for _ in range(20):
+        node = BinOp("+", node, node)
+    assert node._m == 0b1111 and distinct_nodes(node) == 30
+    skipped = derivative(node, 5) is ms._ZERO
+    assert skipped and node._d is None and base._d is None
+    # along x2, the product sin(x0) * x1 keeps no derivative
+    kept = derivative(node, 2) is not ms._ZERO
+    assert kept and 2 in node._d and 2 in base._d and base.left._d is None
+
+
+def test_observed_potential_reads_the_spacetime_coordinates_only():
+    ph = GalileiPhase(load_builtin("curved-galilei"))
+    for fld in ph.observed_potential():
+        h = fld.node
+        assert isinstance(h, ms.Homotopy) and h._m == 0b1111
+        for i in range(7):
+            assert (derivative(h, i) is ms._ZERO) == (i >= 4), i
 
 
 @pytest.mark.parametrize("k", [4, 8, 16])
