@@ -417,7 +417,9 @@ def to_text(node, prec: int = 0) -> str:
             return "(%s)" % s if prec > 2 else s
         case BinOp(op=o, left=a, right=b):
             p = _PREC[o]
-            s = "%s %s %s" % (to_text(a, p), o, to_text(b, p + 1))
+            # a power left of "/" too: x1^2 / x2 would read as x1^(2/x2)
+            left = to_text(a, 4 if o == "/" and type(a) is Pow else p)
+            s = "%s %s %s" % (left, o, to_text(b, p + 1))
             return "(%s)" % s if prec > p else s
         case Pow(base=b, exponent=e):
             if e.denominator == 1 and e >= 0:
@@ -425,7 +427,9 @@ def to_text(node, prec: int = 0) -> str:
             else:
                 etxt = "(%d/%d)" % (e.numerator, e.denominator) \
                     if e.denominator != 1 else "(%d)" % e.numerator
-            return "%s^%s" % (to_text(b, 4), etxt)
+            # a power as a base is parenthesized: x1^2^3 does not parse
+            s = "%s^%s" % (to_text(b, 4), etxt)
+            return "(%s)" % s if prec > 3 else s
         case Call(func=f, arg=a):
             return "%s(%s)" % (f, to_text(a, 0))
         case Homotopy(phis=ps):
@@ -748,35 +752,59 @@ def velocity(i: int) -> ExprField:
 
 def _walk(root, memo: dict, visit, known=None):
     """Visit root's unvisited DAG nodes without recursion, in post-order,
-    left child first; memo maps each node to visit(node, [the children's
-    results]).  Returns root's result.  Every evaluator visits nodes in
+    left child first; memo maps each node to visit(node, (the children's
+    results)).  Returns root's result.  Every evaluator visits nodes in
     this order, so the first operation to fail is the same in each.  A
-    node whose result known(node) gives (not None) is not walked below."""
-    stack = [(root, None)]
+    node whose result known(node) gives (not None) is not walked below.
+
+    The stack holds bare nodes: the top one is popped and visited once its
+    children are in the memo, else its missing children, each asked
+    known() first, are pushed right then left.  A node pushed twice is in
+    the memo when it comes up again, and is not visited twice.
+    """
+    if root in memo:
+        return memo[root]
+    r = known and known(root)
+    if r is not None:
+        memo[root] = r
+        return r
+    stack = [root]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, kids = stack.pop()
-        if kids is None:
-            if node in memo:
+        node = stack[-1]
+        t = type(node)
+        if t is BinOp:
+            a, b = node.left, node.right
+            if a in memo and b in memo:
+                pop()
+                if node not in memo:
+                    memo[node] = visit(node, (memo[a], memo[b]))
                 continue
-            if known is not None:
-                r = known(node)
-                if r is not None:
-                    memo[node] = r
-                    continue
-            t = type(node)
-            if t is BinOp:
-                kids = node.left, node.right
-            elif t is Neg or t is Call:
-                kids = node.arg,
-            elif t is Pow:
-                kids = node.base,
-            else:
+            if b not in memo:
+                r = known and known(b)
+                if r is None:
+                    push(b)
+                else:
+                    memo[b] = r
+        elif t is Neg or t is Call or t is Pow:
+            a = node.base if t is Pow else node.arg
+            if a in memo:
+                pop()
+                if node not in memo:
+                    memo[node] = visit(node, (memo[a],))
+                continue
+        else:
+            pop()
+            if node not in memo:
                 memo[node] = visit(node, ())
-                continue
-            stack.append((node, kids))
-            stack.extend([(k, None) for k in reversed(kids) if k not in memo])
             continue
-        memo[node] = visit(node, [memo[k] for k in kids])
+        # the left (or only) child goes on top, so it is walked first
+        if a not in memo:
+            r = known and known(a)
+            if r is None:
+                push(a)
+            else:
+                memo[a] = r
     return memo[root]
 
 
@@ -944,11 +972,13 @@ class _Rows:
     A value is a (v, varies) pair: varies marks a value that reads a
     coordinate or passes through a function call.  v is a Python float
     for a node that reads no coordinate, else a float64 array over the
-    rows.  Addition, subtraction, multiplication, negation, `abs` and
-    `sqrt` are correctly rounded in numpy as in Python; `**`, `exp`, `sin`
-    and `cos` go through `float.__pow__` and `math` element by element,
-    since their numpy versions round differently.  A failing row is
-    logged in the batch instead of raising, so the other rows carry on.
+    rows; in a one-row batch a coordinate is a Python float too, so the
+    nodes above it take the float branches.  Addition, subtraction,
+    multiplication, negation, `abs` and `sqrt` are correctly rounded in
+    numpy as in Python, so both give the same bits; `**`, `exp`, `sin` and
+    `cos` go through `float.__pow__` and `math` element by element, since
+    their numpy versions round differently.  A failing row is logged in
+    the batch instead of raising, so the other rows carry on.
 
     Three quirks of an earlier forward-mode evaluator are kept, so that
     the fixed-seed reports stay byte-identical: a varying quotient is
@@ -959,6 +989,8 @@ class _Rows:
     def __init__(self, batch: Batch, cols):
         self.batch = batch
         self.cols = cols
+        # the coordinate values by column: Python floats for one row
+        self.x = batch.P[0].tolist() if len(batch.P) == 1 else batch.P.T
 
     def each(self, fn, a):
         """fn applied to each element of a as a Python float, errors
@@ -1003,7 +1035,7 @@ class _Rows:
                 return (a * (1.0 / b) if va or vb else a / b), va or vb
             return a * (1.0 / b), True
         if t is Var:
-            return self.batch.P[:, self.cols[node.index]], True
+            return self.x[self.cols[node.index]], True
         if t is Num:
             return node.value, False
         if t is Call:

@@ -80,8 +80,9 @@ class Batch:
     """Fields evaluated over the rows of a point array P[N, d].
 
     Expression fields are evaluated over all rows at once (see
-    `modelspec.ExprField`), and each row gets the bits and the error a
-    point evaluation gives.  Every field
+    `modelspec.ExprField`), on numpy arrays, or on Python floats when
+    there is one row, and each row gets the bits and the error a point
+    evaluation gives.  Every field
     evaluated in one batch shares one node memo, so common subexpressions
     are computed once.  Closure fields run point by point on floats.
 

@@ -27,7 +27,8 @@ from covphase.smooth import (
     VectorField, exterior_derivative, field_values,
 )
 from covphase.suites import _Ctx
-from test_compile import assert_same_outcome, exprs, floats, same_float
+from test_compile import assert_same_outcome, exprs, floats, row_zero, \
+    same_float
 
 ERRORS = (ValueError, ZeroDivisionError, OverflowError, OutsideBoxError)
 
@@ -104,6 +105,39 @@ def test_one_bad_row_raises_the_point_class(text, bad, exc, row):
     assert_same_outcome([fld], P[row])
 
 
+def assert_one_row_is_row_zero(fields, p):
+    """A one-row batch (Python floats) against row 0 of the two-row batch
+    [p, p] (numpy arrays): the same bits, or the same error class and
+    text."""
+    want = row_zero(fields, [p, p])
+    got = row_zero(fields, [p])
+    if isinstance(want, tuple):
+        assert got == want, (fields, p, got)
+    else:
+        assert isinstance(got, list) and len(got) == len(want), got
+        assert all(same_float(a, b) for a, b in zip(got, want)), \
+            (fields, p, got, want)
+
+
+@pytest.mark.parametrize("text,bad,exc", ROW_ERRORS)
+def test_one_row_floats_equal_array_rows_on_errors(text, bad, exc):
+    fld = ExprField(text)
+    for x1 in (bad, 0.25):
+        assert_one_row_is_row_zero([fld], [0.25, x1, 0.25, 0.25])
+    with pytest.raises(exc):
+        fld.values(np.array([[0.25, bad, 0.25, 0.25]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs, exprs, rows)
+def test_one_row_floats_equal_array_rows(e1, e2, p):
+    f, g = ExprField(e1), ExprField(e2)
+    fields = [f, g, f * g, g - f]
+    for fld in fields:
+        assert_one_row_is_row_zero([fld], p)
+    assert_one_row_is_row_zero(fields, p)
+
+
 def test_lowest_failing_row_wins():
     # row 3 fails late (the division), row 10 early (the sqrt): a loop
     # over the points meets row 3 first
@@ -149,6 +183,10 @@ def test_shipped_models_match_point_loop(name):
     got = field_values(fields, P)
     for fld, vals in zip(fields, got):
         assert vals.tolist() == [fld.value(p) for p in P]
+    # a one-row batch runs Python floats, the five-row batch numpy
+    for r, p in enumerate(P):
+        assert [v.tolist()[0] for v in field_values(fields, [p])] \
+            == [vals[r] for vals in got]
     # the model's own boxed entries, through their box guard
     boxed = [f for row in model.metric for f in row] + model.potential
     assert all(isinstance(f, BoxedField) for f in boxed)

@@ -44,9 +44,17 @@ def at_point(p) -> str:
     return " at point %s" % np.asarray(p, dtype=float).tolist()
 
 
+def row_zero(fields, P):
+    """The fields' values at row 0 of a batch of the rows P, or the class
+    and text of what the batch raises."""
+    return outcome(lambda: [v.tolist()[0] for v in field_values(fields, P)])
+
+
 def assert_same_outcome(fields, p):
-    """compile_fields(fields)(p) against a batch of the one point p."""
-    want = outcome(lambda: [v.tolist()[0] for v in field_values(fields, [p])])
+    """compile_fields(fields)(p) against row 0 of a batch of the rows
+    [p, p]: two rows, so the reference is numpy's arithmetic (a one-row
+    batch runs Python floats, as the compiled code does)."""
+    want = row_zero(fields, [p, p])
     got = outcome(lambda: compile_fields(fields)(p))
     if isinstance(want, tuple):
         exc, text = want

@@ -99,6 +99,37 @@ def test_print_parse_round_trip(node):
     assert parse_expr(to_text(node)) == node
 
 
+_exponents = st.sampled_from([Fraction(n, d) for n in (-3, -1, 0, 1, 2, 3)
+                              for d in (1, 2)])
+_pow_exprs = st.recursive(
+    _leaf,
+    lambda ch: st.one_of(
+        st.builds(Neg, ch),
+        st.builds(BinOp, st.sampled_from("+-*/"), ch, ch),
+        st.builds(Pow, ch, _exponents),
+        st.builds(Pow, st.builds(Pow, ch, _exponents), _exponents),
+    ),
+    max_leaves=8,
+)
+
+
+def test_power_of_a_power_prints_in_parentheses():
+    node = parse_expr("(x1^2)^3")
+    assert to_text(node) == "(x1^2)^3"
+    d = derivative(parse_expr("1 / x1^2"), 1)
+    assert to_text(d) == "-(2.0 * x1) / (x1^2)^2"
+    # a power left of "/": x1^2 / x2 would read 2 / x2 as the exponent
+    q = BinOp("/", Pow(Var(1), Fraction(2)), Var(2))
+    for n in (node, d, q):
+        assert parse_expr(to_text(n)) is n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pow_exprs)
+def test_print_parse_round_trip_with_powers(node):
+    assert parse_expr(to_text(node)) is node
+
+
 @given(_exprs, st.integers(0, 3))
 def test_derivative_never_raises_on_safe_ops(node, i):
     d = derivative(node, i)
@@ -584,6 +615,76 @@ def test_memoized_derivative_and_substitute_match_tree_walk(node, i, other):
     s = substitute(node, repl)
     assert s == naive_substitute(node, repl)
     assert to_text(s) == to_text(naive_substitute(node, repl))
+
+
+def stack_walk(root, memo, visit, known=None):
+    """The reference walk: a stack of (node, children) pairs, known()
+    asked when a node is popped, every child not in the memo pushed."""
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            if node in memo:
+                continue
+            if known is not None:
+                r = known(node)
+                if r is not None:
+                    memo[node] = r
+                    continue
+            kids = children(node)
+            if not kids:
+                memo[node] = visit(node, ())
+                continue
+            stack.append((node, kids))
+            stack.extend([(k, None) for k in reversed(kids) if k not in memo])
+            continue
+        memo[node] = visit(node, tuple(memo[k] for k in kids))
+    return memo[root]
+
+
+def recorded_walk(walk, roots, known):
+    """The visit sequence, the memo and the results of walking roots in
+    turn through one memo."""
+    seen, memo = [], {}
+
+    def visit(n, kids):
+        seen.append(n)
+        return n, kids
+
+    return seen, memo, [walk(r, memo, visit, known) for r in roots]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_exprs(), _any_expr, st.integers(0, 6), st.booleans())
+def test_walk_matches_the_reference_stack_walk(node, other, i, prune):
+    # the hook prunes what a derivative along x_i prunes, and every power
+    def known(n):
+        if not n._m & 1 << i or type(n) is Pow:
+            return "known", n
+        return None
+
+    hook = known if prune else None
+    want = recorded_walk(stack_walk, [node, other, node], hook)
+    got = recorded_walk(ms._walk, [node, other, node], hook)
+    seen, memo, results = got
+    assert seen == want[0]
+    assert len(seen) == len(set(seen))
+    assert memo == want[1]
+    assert results == want[2]
+
+
+def test_chain_of_100000_nodes_walks_without_recursion():
+    node, want = Var(1), 1.0
+    for k in range(100000):
+        node = BinOp("+" if k % 2 else "-", node, Var(k % 4))
+        if k % 4 == 1:
+            want += 1.0
+    d = derivative(node, 1)
+    assert ExprField(d).values(np.zeros((1, 4))).tolist() == [want]
+    s = substitute(node, {1: Var(3)})
+    p = [0.1, 0.2, 0.3, 0.4]
+    assert ExprField(s).values(np.array([p])).tolist() \
+        == ExprField(node).values(np.array([[0.1, 0.4, 0.3, 0.4]])).tolist()
 
 
 def read_coordinates(node) -> set:
