@@ -345,3 +345,67 @@ def test_residual_blocks_join_without_seams(monkeypatch, rows):
     with pytest.raises((ValueError, ArithmeticError)) as got:
         orbit._einstein_residuals(phase, states, 1.0)
     assert str(got.value) == str(want.value)
+
+
+def _count_rk4(monkeypatch):
+    """Wrap orbit._rk4 and its rhs the way the benchmark's tracer does
+    (perfbench/tracing.py, `Tracer._counted_rk4`), counting steps and RHS
+    calls."""
+    counts = {"steps": 0, "rhs": 0}
+    rk4 = orbit._rk4
+
+    def step(rhs, state, h):
+        def counted_rhs(s):
+            counts["rhs"] += 1
+            return rhs(s)
+        counts["steps"] += 1
+        return rk4(counted_rhs, state, h)
+
+    monkeypatch.setattr(orbit, "_rk4", step)
+    return counts
+
+
+# orbits that fail inside the step loop, after their first step: x1 falls
+# through 0 where the fields read sqrt(x1), or a step too large for the
+# field carries the velocity past the lightcone at an RK4 stage
+STEP_FAILURES = {
+    "galilei-roots": (lambda: parse_model_text(ROOTS_MODEL),
+                      [0.0, 0.05, 0.5, 0.5], [-1.0, 0.0, 0.0], 0.2, 1e-2,
+                      ValueError),
+    "einstein-roots": (lambda: parse_model_text(ROOTS_EINSTEIN),
+                       [0.0, 0.2, 0.0, 0.0], [-0.9, 0.0, 0.0], 0.4, 1e-2,
+                       ValueError),
+    "einstein-lightcone": (lambda: load_builtin("uniform-e"),
+                           [-3.5, 0.0, 0.0, 0.0], [0.6, 0.0, 0.0], 6.0, 1.5,
+                           LightconeViolation),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_FAILURES))
+def test_step_loop_failure_same_error(monkeypatch, case):
+    load, x0, v0, duration, step, cls = STEP_FAILURES[case]
+    model = load()
+    with pytest.raises((ValueError, ArithmeticError)) as want:
+        ref_integrate(model, x0, v0, duration, step)
+    counts = _count_rk4(monkeypatch)
+    with pytest.raises((ValueError, ArithmeticError)) as got:
+        integrate_orbit(model, model.kind, x0, v0, duration, step)
+    assert type(want.value) is cls
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    # the failure comes in a later step than the first
+    assert 1 < counts["steps"] < orbit.step_count(duration, step)
+
+
+@pytest.mark.parametrize("name", ["curved-galilei", "curved-einstein"])
+def test_rk4_hook_sees_every_step_and_rhs_call(monkeypatch, name):
+    # the benchmark counts steps and RHS calls through this hook, so each
+    # step is one _rk4 call that calls its rhs 4 times
+    model = load_builtin(name)
+    plain = integrate_orbit(model, model.kind, X0, V0, DURATION, STEP)
+    counts = _count_rk4(monkeypatch)
+    res = integrate_orbit(model, model.kind, X0, V0, DURATION, STEP)
+    nsteps = len(res.states) - 1
+    assert nsteps == 200
+    assert counts == {"steps": nsteps, "rhs": 4 * nsteps}
+    assert _same_bits(res.states, plain.states)
