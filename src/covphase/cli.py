@@ -11,9 +11,10 @@ verify  runs one named check suite against a model file and prints the
 
 orbit   integrates the dynamical flow of a model from given initial
         data and prints a trajectory summary with the worst law-of-
-        motion residual.  Non-finite initial data, a duration or step
-        that is not positive and finite, and fewer than 2 or more than
-        orbit.MAX_ORBIT_STEPS steps are usage errors (exit code 2);
+        motion residual.  Non-finite initial data, an initial point out of
+        the box (beyond smooth.BOX_SLACK) or not timelike, a duration or
+        step that is not positive and finite, and fewer than 2 or more
+        than orbit.MAX_ORBIT_STEPS steps are usage errors (exit code 2);
         a trajectory that escapes the declared box or the lightcone,
         reaches a non-finite state, or meets a point where a field cannot
         be evaluated (division by zero, overflow, square root of a
@@ -28,10 +29,11 @@ import sys
 
 import numpy as np
 
-from .einstein import EinsteinPhase, LightconeViolation
+from .einstein import EinsteinPhase
 from .modelspec import ValidationError
 from .orbit import BoxExit, integrate_orbit, step_count
 from .report import emit_report
+from .smooth import BOX_SLACK
 from .suites import resolve_model, run_suite, suite_names
 
 
@@ -74,22 +76,21 @@ def _cmd_orbit(args) -> int:
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(args.v))):
             raise ValueError("initial position and velocity must be finite")
         step_count(args.duration, args.step)
-        if np.any(x0 < model.box_lo) or np.any(x0 > model.box_hi):
+        if np.any(x0 < model.box_lo - BOX_SLACK) \
+                or np.any(x0 > model.box_hi + BOX_SLACK):
             raise ValueError("initial position lies outside the model box")
         if fw == "einstein":
             EinsteinPhase(model).require_timelike(
                 np.concatenate([x0, args.v]))
-    except (ValueError, OSError, LightconeViolation,
-            ValidationError) as exc:
+    except (ValueError, ArithmeticError, OSError, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:
         res = integrate_orbit(model, fw, args.x0, args.v,
                               args.duration, args.step)
-    except (BoxExit, LightconeViolation, ZeroDivisionError, OverflowError,
-            ValueError) as exc:
-        # ValueError here is a field evaluation failure (sqrt or a
-        # fractional power of a negative value): the usage was checked above
+    except (BoxExit, ValueError, ArithmeticError) as exc:
+        # ValueError here is a LightconeViolation or a failed sqrt or
+        # fractional power: the usage was checked above
         print("orbit aborted: %s" % exc, file=sys.stderr)
         return 1
     final = res.states[-1]

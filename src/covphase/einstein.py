@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import (
-    Call, ExprField, Model, Var, compile_fields, constant, inverse_nodes,
-    velocity,
+    Call, ExprField, Model, Var, _Emitter, compile_fields, constant,
+    inverse_nodes, velocity,
 )
 from .smooth import (
     Batch, Field, PForm, VectorField, cached, directional, total, unboxed,
@@ -41,6 +41,9 @@ from .smooth import (
 
 class LightconeViolation(ValueError):
     """A phase point whose chart velocity is not timelike."""
+
+
+_NOT_TIMELIKE = "phase point has a non-timelike chart velocity"
 
 
 @dataclass
@@ -123,21 +126,10 @@ class EinsteinPhase:
     def _radicand_fn(self):
         return compile_fields([self.radicand()])
 
-    def _motion_fields(self) -> List[Field]:
-        """alpha0 and gamma-bar^1..3, the fields the law of motion reads;
-        alpha0 is defined only where require_timelike passes."""
-        return [self.alpha0()] + [self.gamma_bar(i) for i in range(1, 4)]
-
-    @cached
-    def _motion_fn(self):
-        """`_motion_fields` compiled into one point function."""
-        return compile_fields(self._motion_fields())
-
     def require_timelike(self, p) -> None:
         # written so that a NaN radicand counts as not timelike
         if not self._radicand_fn()(p)[0] < 0.0:
-            raise LightconeViolation(
-                "phase point has a non-timelike chart velocity")
+            raise LightconeViolation(_NOT_TIMELIKE)
 
     @cached
     def alpha0(self) -> Field:
@@ -280,6 +272,18 @@ class EinsteinPhase:
         head = self.alpha0() * self.c
         return VectorField([head] + [head * velocity(i) for i in range(1, 4)]
                            + [head * self.gamma_bar(i) for i in range(1, 4)])
+
+    @cached
+    def dynamical_fn(self):
+        """`dynamical_vector` compiled into one function of a phase point.
+        `require_timelike`'s check runs on the radicand before alpha0's
+        square root, so a point that is not timelike raises it first."""
+        em = _Emitter()
+        em.env["LightconeViolation"] = LightconeViolation
+        em.check("not %s < 0.0" % em.field(self.radicand()),
+                 "LightconeViolation", _NOT_TIMELIKE)
+        comps = self.dynamical_vector().comps
+        return em.function([em.field(f) for f in comps])
 
     # -- cosymplectic structure ---------------------------------------------
 
@@ -456,10 +460,10 @@ class EinsteinPhase:
         and second proper-time derivatives, one sample per row.  Each row
         of the result [N, 4] checks the parametrization (xdot^0 = c alpha0)
         first, then compares the chart acceleration of the observed
-        velocity with the dynamical coefficients; all four vanish on
+        velocity with the dynamical vector's; all four vanish on
         solutions.  The fields are evaluated over all rows in one batch;
-        the first sample that fails raises what the point functions
-        (`require_timelike`, then `_motion_fn`) raise there.
+        the first sample that fails raises what `dynamical_fn` raises
+        there.
         """
         X, Xdot, Xddot = (np.asarray(a, dtype=float)
                           for a in (X, Xdot, Xddot))
@@ -468,34 +472,23 @@ class EinsteinPhase:
         try:
             # written so that a NaN radicand counts as not timelike
             if not np.all(batch.values(self.radicand()) < 0.0):
-                raise LightconeViolation(
-                    "phase point has a non-timelike chart velocity")
-            alpha0, *gbar = [batch.values(f) for f in self._motion_fields()]
+                raise LightconeViolation(_NOT_TIMELIKE)
+            comps = self.dynamical_vector().comps
+            pace, *force = [batch.values(f) for f in comps[:1] + comps[4:]]
         except (ValueError, ArithmeticError):
             for p in P.tolist():
-                self.require_timelike(p)
-                self._motion_fn()(p)
+                self.dynamical_fn()(p)
             raise
         xd0 = Xdot[:, 0]
         # each sample's float64 ** 2 is C pow, which is not always the
         # square numpy takes for an array ** 2
         xd0_sq = np.array([v ** 2.0 for v in xd0.tolist()])
-        pace = alpha0 * self.c
         out = np.empty((len(P), 4))
         out[:, 0] = xd0 - pace
         for i in range(1, 4):
             accel = (Xddot[:, i] * xd0 - Xdot[:, i] * Xddot[:, 0]) / xd0_sq
-            out[:, i] = accel - pace * gbar[i - 1]
+            out[:, i] = accel - force[i - 1]
         return out
-
-    def orbit_rhs(self, state: List[float]) -> List[float]:
-        """Proper-time derivative of (x^lam, x^i_0) under the dynamics, as
-        a list of 7 floats."""
-        self.require_timelike(state)
-        alpha0, g1, g2, g3 = self._motion_fn()(state)
-        pace = alpha0 * self.c
-        return [pace, pace * state[4], pace * state[5], pace * state[6],
-                pace * g1, pace * g2, pace * g3]
 
     # -- technical identity suite --------------------------------------------
 

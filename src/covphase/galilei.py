@@ -155,17 +155,17 @@ class GalileiPhase:
         return total([self.Gamma(0, i)] + [self.Gamma(h, i) * velocity(h)
                                            for h in range(1, 4)])
 
-    @cached
-    def gamma_fn(self):
-        """(gamma^1, gamma^2, gamma^3) compiled into one function of a
-        phase point, returning the three values as a list."""
-        return compile_fields([self.gamma(i) for i in range(1, 4)])
-
     def dynamical_vector(self) -> VectorField:
         """The second-order vector field d/dt of motions on the phase chart."""
         comps = [constant(1.0)] + [velocity(i) for i in range(1, 4)] \
             + [self.gamma(i) for i in range(1, 4)]
         return VectorField(comps)
+
+    @cached
+    def dynamical_fn(self):
+        """The 7 components of `dynamical_vector` compiled into one
+        function of a phase point, returning them as a list."""
+        return compile_fields(self.dynamical_vector().comps)
 
     @cached
     def cosymplectic(self) -> PForm:

@@ -417,8 +417,10 @@ def to_text(node, prec: int = 0) -> str:
             return "(%s)" % s if prec > 2 else s
         case BinOp(op=o, left=a, right=b):
             p = _PREC[o]
-            # a power left of "/" too: x1^2 / x2 would read as x1^(2/x2)
-            left = to_text(a, 4 if o == "/" and type(a) is Pow else p)
+            # a bare exponent left of "/" too: -x1^2 / x2 reads as -x1^(2/x2)
+            left = to_text(a, p)
+            if o == "/" and re.search(r"\^\d+$", left):
+                left = "(%s)" % left
             s = "%s %s %s" % (left, o, to_text(b, p + 1))
             return "(%s)" % s if prec > p else s
         case Pow(base=b, exponent=e):
@@ -825,8 +827,28 @@ class _Emitter:
         self.lines: List[str] = []
         self.env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
                     "_sqrt": math.sqrt}
+        self.memo: Dict[object, tuple] = {}
         self.loaded = set()
         self.nonzero = set()  # references that cannot be zero here
+
+    def field(self, fld: Field) -> str:
+        """Emit fld after the nodes emitted so far; the source of its value."""
+        if not isinstance(fld, ExprField):
+            raise TypeError("only expression fields compile, not %s"
+                            % type(fld).__name__)
+        ref, var = _walk(fld.node, self.memo, self.node)
+        return ref if var else "float(%s)" % ref
+
+    def function(self, outs: Sequence[str]) -> Callable:
+        """The emitted lines as a function p -> [outs]."""
+        binds = "".join(", %s=%s" % (k, k) for k in self.env)
+        body = "".join("    %s\n" % line for line in self.lines)
+        src = "def _compiled(p%s):\n%s    return [%s]\n" % (
+            binds, body, ", ".join(outs))
+        namespace = dict(self.env)
+        exec(compile(src, "<compile_fields>", "exec"), namespace)
+        # popped, so the function and its globals form no reference cycle
+        return namespace.pop("_compiled")
 
     def temp(self, expr: str) -> str:
         name = "t%d" % len(self.lines)
@@ -926,22 +948,7 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     OverflowError), without the point.  `ExprField.jet` runs this code.
     """
     em = _Emitter()
-    memo: Dict[object, tuple] = {}
-    outs = []
-    for fld in fields:
-        if not isinstance(fld, ExprField):
-            raise TypeError("only expression fields compile, not %s"
-                            % type(fld).__name__)
-        ref, var = _walk(fld.node, memo, em.node)
-        outs.append(ref if var else "float(%s)" % ref)
-    binds = "".join(", %s=%s" % (k, k) for k in em.env)
-    body = "".join("    %s\n" % line for line in em.lines)
-    src = "def _compiled(p%s):\n%s    return [%s]\n" % (binds, body,
-                                                       ", ".join(outs))
-    namespace = dict(em.env)
-    exec(compile(src, "<compile_fields>", "exec"), namespace)
-    # popped, so the function and its globals form no reference cycle
-    return namespace.pop("_compiled")
+    return em.function([em.field(fld) for fld in fields])
 
 
 # ---------------------------------------------------------------------------

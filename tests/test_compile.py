@@ -85,16 +85,6 @@ def test_parity_on_shipped_models(name):
     assert [fn(p) for p in points] == want
 
 
-def test_orbit_rhs_matches_field_values():
-    ph = EinsteinPhase(load_builtin("curved-einstein"))
-    p = _Ctx(ph.model, 4, 1).points[0]
-    alpha0, *gamma_bar = [v.tolist()[0] for v in field_values(
-        [ph.alpha0()] + [ph.gamma_bar(i) for i in range(1, 4)], [p])]
-    want = [alpha0 * ph.c] + [alpha0 * ph.c * v for v in p[4:7]] \
-        + [alpha0 * ph.c * g for g in gamma_bar]
-    assert list(ph.orbit_rhs(p)) == want
-
-
 # (expression, point value of x1, exception class): each error a batch row
 # raises, including those of its kept side checks (see _Rows)
 ERROR_CASES = [

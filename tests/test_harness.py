@@ -500,6 +500,60 @@ class TestCli:
         assert err.startswith("orbit aborted: ") and message in err
         assert out == ""
 
+    # validation passes (the Sobol points miss x1 = 0.3), but the timelike
+    # check of the initial point divides by zero there
+    DIV_MODEL = """
+[model]
+kind = einstein
+name = div
+
+[constants]
+m = 1.0 M
+q = 1.0 T^-1 L^3/2 M^1/2
+hbar = 1.0 T^-1 L^2 M
+c = 1.0 T^-1 L
+
+[box]
+lo = -1, -1, -1, -1
+hi = 1, 1, 1, 1
+
+[metric]
+g00 = -1 - 1 / (x1 - 0.3)^2
+g11 = 1
+g22 = 1
+g33 = 1
+"""
+
+    def test_orbit_initial_metric_error_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "div.ini"
+        path.write_text(self.DIV_MODEL)
+        code = cli.main(["orbit", "--model", str(path), "--framework", "e",
+                         "--x0", "0", "0.3", "0", "0", "--v", "0", "0", "0",
+                         "--duration", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: division by zero in expression\n"
+        assert out == ""
+
+    # the initial point may lie outside the box by smooth.BOX_SLACK (1e-9),
+    # as integrate_orbit allows
+    @pytest.mark.parametrize("x1,code", [("2.0000000005", 0),
+                                         ("-2.0000000005", 0),
+                                         ("2.000000002", 2),
+                                         ("-2.000000002", 2)])
+    def test_orbit_initial_box_slack(self, capsys, x1, code):
+        got = cli.main(["orbit", "--model", "flat-free", "--framework", "g",
+                        "--x0", "0", x1, "0", "0", "--v", "0", "0", "0",
+                        "--duration", "0.01"])
+        out, err = capsys.readouterr()
+        assert got == code
+        if code:
+            assert err == ("error: initial position lies outside the model "
+                           "box\n")
+            assert out == ""
+        else:
+            assert err == "" and out.startswith("steps: 10 ")
+
     def test_validation_error_exit_two(self, tmp_path):
         path = tmp_path / "overflow.ini"
         path.write_text(model_text("uniform-b", ("A1 = -B/2 * x2",

@@ -124,6 +124,21 @@ def test_power_of_a_power_prints_in_parentheses():
         assert parse_expr(to_text(n)) is n
 
 
+@pytest.mark.parametrize("node,text", [
+    (BinOp("/", Neg(Pow(Var(1), Fraction(2))), Var(2)), "(-x1^2) / x2"),
+    (BinOp("/", BinOp("*", Var(3), Pow(Var(1), Fraction(2))), Num(3.0)),
+     "(x3 * x1^2) / 3.0"),
+    (BinOp("/", Neg(Pow(Num(0.0), Fraction(0))), Num(5e-324)),
+     "(-0.0^0) / 5e-324"),
+    (BinOp("/", Pow(Var(1), Fraction(1, 2)), Var(2)), "x1^(1/2) / x2"),
+])
+def test_bare_exponent_left_of_division_prints_in_parentheses(node, text):
+    # each once printed as a power of 2/x2 (or of 0/5e-324), which does
+    # not parse back
+    assert to_text(node) == text
+    assert parse_expr(text) is node
+
+
 @settings(max_examples=200, deadline=None)
 @given(_pow_exprs)
 def test_print_parse_round_trip_with_powers(node):

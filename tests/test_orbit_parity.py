@@ -9,6 +9,7 @@ departure is a NaN state component, which `integrate_orbit` never stores
 (see the last test).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from covphase import orbit
 from covphase.einstein import EinsteinPhase, LightconeViolation
 from covphase.galilei import GalileiPhase
 from covphase.modelspec import (
-    available_models, load_builtin, parse_model_text,
+    available_models, compile_fields, load_builtin, parse_model_text,
 )
 from covphase.orbit import BoxExit, integrate_orbit
 from covphase.smooth import BOX_SLACK
@@ -46,8 +47,21 @@ def ref_rk4(rhs, state, h):
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@functools.cache
+def gamma_fn(phase):
+    """gamma^1..3 compiled into one point function."""
+    return compile_fields([phase.gamma(i) for i in range(1, 4)])
+
+
+@functools.cache
+def motion_fn(phase):
+    """alpha0 and gamma-bar^1..3 compiled into one point function."""
+    return compile_fields([phase.alpha0()]
+                          + [phase.gamma_bar(i) for i in range(1, 4)])
+
+
 def ref_galilei_rhs(phase):
-    gammas = phase.gamma_fn()
+    gammas = gamma_fn(phase)
 
     def rhs(state):
         out = np.empty(7)
@@ -62,7 +76,7 @@ def ref_galilei_rhs(phase):
 def ref_einstein_rhs(phase):
     def rhs(state):
         phase.require_timelike(state)
-        alpha0, *gbar = phase._motion_fn()(state)
+        alpha0, *gbar = motion_fn(phase)(state)
         pace = alpha0 * phase.c
         out = np.empty(7)
         out[0] = pace
@@ -75,7 +89,7 @@ def ref_einstein_rhs(phase):
 
 
 def ref_galilei_residuals(phase, states, h):
-    gammas = phase.gamma_fn()
+    gammas = gamma_fn(phase)
     n = len(states)
     out = np.full(n, np.nan)
     for k in range(1, n - 1):
@@ -91,7 +105,7 @@ def ref_law_residual(phase, x, xdot, xddot):
     vel = xdot[1:] / xdot[0]
     p = np.concatenate([x, vel])
     phase.require_timelike(p)
-    alpha0, *gbar = phase._motion_fn()(p)
+    alpha0, *gbar = motion_fn(phase)(p)
     pace = alpha0 * phase.c
     out = np.empty(4)
     out[0] = xdot[0] - pace
@@ -409,3 +423,52 @@ def test_rk4_hook_sees_every_step_and_rhs_call(monkeypatch, name):
     assert nsteps == 200
     assert counts == {"steps": nsteps, "rhs": 4 * nsteps}
     assert _same_bits(res.states, plain.states)
+
+
+def _outcome(rhs, p):
+    """The bytes of rhs(p), or the class and text of what it raises."""
+    try:
+        return np.asarray(rhs(p), dtype=float).tobytes()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_dynamical_fn_matches_reference_rhs(name):
+    # the compiled dynamical field against the right-hand side the orbit
+    # stepped before: [1, v, gamma] for Galilei, and c alpha0 [1, v,
+    # gamma-bar] after the timelike check for Einstein
+    model = load_builtin(name)
+    if model.kind == "galilei":
+        phase = GalileiPhase(model)
+        ref = ref_galilei_rhs(phase)
+    else:
+        phase = EinsteinPhase(model)
+        ref = ref_einstein_rhs(phase)
+    rhs = phase.dynamical_fn()
+    rng = np.random.default_rng(1607)
+    n = 500
+    points = np.concatenate([rng.uniform(model.box_lo, model.box_hi, (n, 4)),
+                             rng.uniform(-0.7, 0.7, (n, 3))], axis=1)
+    raised = 0
+    for p in points:
+        want = _outcome(ref, p)
+        assert _outcome(rhs, p.tolist()) == want
+        raised += isinstance(want, tuple)
+    if model.kind == "galilei":
+        assert raised == 0
+        return
+    # some velocities of up to 0.7 c a component are not timelike
+    assert 0 < raised < n
+    # a radicand that is positive, zero or NaN fails the check before
+    # alpha0 takes the square root of its absolute value
+    for v in ([5.0, 0.0, 0.0], [math.nan, 0.0, 0.0]):
+        p = [0.0, 0.0, 0.0, 0.0] + v
+        with pytest.raises(LightconeViolation) as got:
+            rhs(p)
+        assert _outcome(ref, np.array(p)) == (LightconeViolation,
+                                               str(got.value))
+    if name == "minkowski":
+        assert phase._radicand_fn()([0.0] * 4 + [1.0, 0.0, 0.0]) == [0.0]
+        with pytest.raises(LightconeViolation):
+            rhs([0.0] * 4 + [1.0, 0.0, 0.0])
