@@ -680,8 +680,8 @@ class ExprField(Field):
             self._partials[i] = ExprField(derivative(self.node, i))
         return self._partials[i]
 
-    def _values(self, batch: Batch, cols):
-        val = _batch_walk(batch, self.node, cols)
+    def _values(self, batch: Batch):
+        val = _batch_walk(batch, self.node)
         if isinstance(val, np.ndarray):
             return val.copy()
         return np.full(len(batch.P), float(val))
@@ -958,17 +958,15 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
 _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def _batch_walk(batch: Batch, node, cols):
+def _batch_walk(batch: Batch, node):
     """node's value at every row of the batch (a float for a node that
-    reads no coordinate).  One memo per tuple of coordinate columns in a
-    batch, keyed by node (nodes are interned and hash by identity), so
-    fields share their common subexpressions, even when they were built
-    apart; the memo keeps its nodes alive as long as the batch.  The memo
-    holds no reference back to the batch, so a batch is freed as soon as
-    it is dropped."""
-    memo = batch.memos.setdefault(cols, {})
+    reads no coordinate).  The batch has one memo, keyed by node (nodes
+    are interned and hash by identity), so fields share their common
+    subexpressions, even when they were built apart; the memo keeps its
+    nodes alive as long as the batch.  The memo holds no reference back
+    to the batch, so a batch is freed as soon as it is dropped."""
     with np.errstate(all="ignore"):
-        return _walk(node, memo, _Rows(batch, cols).node)[0]
+        return _walk(node, batch.memo, _Rows(batch).node)[0]
 
 
 class _Rows:
@@ -993,9 +991,8 @@ class _Rows:
     where that does; and sqrt fails where r * x == 0.
     """
 
-    def __init__(self, batch: Batch, cols):
+    def __init__(self, batch: Batch):
         self.batch = batch
-        self.cols = cols
         # the coordinate values by column: Python floats for one row
         self.x = batch.P[0].tolist() if len(batch.P) == 1 else batch.P.T
 
@@ -1042,7 +1039,7 @@ class _Rows:
                 return (a * (1.0 / b) if va or vb else a / b), va or vb
             return a * (1.0 / b), True
         if t is Var:
-            return self.x[self.cols[node.index]], True
+            return self.x[node.index], True
         if t is Num:
             return node.value, False
         if t is Call:
@@ -1075,19 +1072,17 @@ class _Rows:
     def homotopy(self, node: Homotopy):
         """The quadrature walks its phis once, over one batch that stacks
         the rows y_k of every node t_k (k-major), shared by every
-        homotopy node on these columns; an error at a stacked row is
-        logged on the row it came from."""
+        homotopy node with the same nodes and base point; an error at a
+        stacked row is logged on the row it came from."""
         n = len(self.batch.P)
-        rel = [self.batch.P[:, self.cols[nu]] - b
-               for nu, b in enumerate(node.base)]
-        key = (Homotopy, self.cols, node.ts, node.base)
-        stacked = self.batch.memos.get(key)
+        rel = [self.batch.P[:, nu] - b for nu, b in enumerate(node.base)]
+        key = (node.ts, node.base)
+        stacked = self.batch.stacked.get(key)
         if stacked is None:
-            stacked = self.batch.memos[key] = Batch(np.concatenate(
+            stacked = self.batch.stacked[key] = Batch(np.concatenate(
                 [np.stack([b + t * r for b, r in zip(node.base, rel)], axis=1)
                  for t in node.ts]))
-        vals = [_batch_walk(stacked, phi, stacked.cols)
-                for phi in node.phis]
+        vals = [_batch_walk(stacked, phi) for phi in node.phis]
         for r, (exc, message) in sorted(stacked.errors.items()):
             self.batch.fail(np.arange(n) == r % n, exc, message)
         terms = []
@@ -1130,7 +1125,7 @@ class _Rows:
 def _point_homotopy(batch: Batch, node: Homotopy) -> float:
     """node at the one row of batch, by its batch form; the first error
     logged there raises, without the point."""
-    v = _batch_walk(batch, node, batch.cols)
+    v = _batch_walk(batch, node)
     for exc, message in batch.errors.values():
         raise exc(message)
     return v.tolist()[0] if isinstance(v, np.ndarray) else v
@@ -1423,10 +1418,10 @@ def validate_model(model: Model) -> None:
     # is the index of the first field that failed at row r, whose error
     # is the one the batch logged there
     batch = Batch(pts)
-    cols: List[np.ndarray] = []
+    per_field: List[np.ndarray] = []
     first: Dict[int, int] = {}
     for j, f in enumerate(fields + [f for _, f in closure]):
-        cols.append(f._values(batch, batch.cols))
+        per_field.append(f._values(batch))
         for r in batch.errors:
             first.setdefault(r, j)
 
@@ -1434,7 +1429,7 @@ def validate_model(model: Model) -> None:
         return ValidationError("field evaluation failed: %s"
                                % batch.errors[r][1], witness=pts[r])
 
-    vals = np.stack(cols[:len(fields)], axis=1)
+    vals = np.stack(per_field[:len(fields)], axis=1)
     for r, p in enumerate(pts):
         if first.get(r, len(fields)) < len(fields):
             raise evaluation_failed(r)
@@ -1461,7 +1456,7 @@ def validate_model(model: Model) -> None:
         for j, (key, _) in enumerate(closure, len(fields)):
             if first.get(r) == j:
                 raise evaluation_failed(r)
-            v = cols[j][r]
+            v = per_field[j][r]
             if not abs(v) <= 1e-9:  # NaN included
                 raise ValidationError(
                     "gravitational 2-form is not closed "

@@ -96,16 +96,17 @@ class Batch:
         self.P = np.asarray(P, dtype=float)
         if self.P.ndim != 2:
             raise ValueError("expected a 2-D array of points")
-        self.cols = tuple(range(self.P.shape[1]))
-        # node memos, keyed by node, so they keep the nodes walked alive
-        self.memos: Dict[tuple, object] = {}
+        # node -> value, so it keeps the nodes walked alive
+        self.memo: Dict[object, object] = {}
+        # (ts, base) of a homotopy node -> the batch of its stacked rows
+        self.stacked: Dict[tuple, "Batch"] = {}
         self.failed = np.zeros(len(self.P), dtype=bool)
         self.errors: Dict[int, Tuple[type, str]] = {}
         self._rows: Dict["Field", list] = {}  # keyed by field identity
 
     def values(self, fld: "Field") -> np.ndarray:
         """fld at every row, a new float64 array of length N."""
-        out = fld._values(self, self.cols)
+        out = fld._values(self)
         self.raise_first()
         return out
 
@@ -159,12 +160,10 @@ class Field:
         """The field at every row of P[N, d] (see `field_values`)."""
         return field_values([self], P)[0]
 
-    def _values(self, batch: Batch, cols: Tuple[int, ...]) -> np.ndarray:
-        """Values at the rows of batch.P, whose columns `cols` are this
-        field's coordinates.  Closure-backed fields have no batch form
-        and run one point at a time."""
-        return np.array([self.value(p) for p in batch.P[:, cols]],
-                        dtype=float)
+    def _values(self, batch: Batch) -> np.ndarray:
+        """Values at the rows of batch.P.  Closure-backed fields have no
+        batch form and run one point at a time."""
+        return np.array([self.value(p) for p in batch.P], dtype=float)
 
     # algebra (results are closures on float coordinates)
     def __add__(self, other):
@@ -209,7 +208,7 @@ class ConstField(Field):
     def partial(self, i):
         return ConstField(0.0)
 
-    def _values(self, batch, cols):
+    def _values(self, batch):
         return np.full(len(batch.P), self.c)
 
 
@@ -253,12 +252,12 @@ class BoxedField(Field):
     def partial(self, i):
         return BoxedField(self.base.partial(i), self.lo, self.hi)
 
-    def _values(self, batch, cols):
+    def _values(self, batch):
         for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            v = batch.P[:, cols[k]]
+            v = batch.P[:, k]
             batch.fail((v < lo - BOX_SLACK) | (v > hi + BOX_SLACK),
                        OutsideBoxError, _box_message(k, lo, hi))
-        return self.base._values(batch, cols)
+        return self.base._values(batch)
 
 
 def unboxed(f: Field) -> Field:
