@@ -340,18 +340,27 @@ class _Parser:
         if kind == "op" and text == "-":
             self.take()
             sign = -1
-        kind, text, off = self.take()
-        if kind != "num" or "." in text or "e" in text or "E" in text:
-            raise ParseError("exponent must be an integer or integer ratio", off)
-        num = int(text)
+        e = Fraction(sign * self.integer("exponent must be an integer or "
+                                         "integer ratio"))
         kind, text, _ = self.peek()
         if kind == "op" and text == "/":
             self.take()
-            kind, text, off = self.take()
-            if kind != "num" or "." in text:
-                raise ParseError("exponent denominator must be an integer", off)
-            return Fraction(sign * num, int(text))
-        return Fraction(sign * num)
+            den_off = self.peek()[2]
+            den = self.integer("exponent denominator must be an integer")
+            if den == 0:
+                raise ParseError("exponent denominator is zero", den_off)
+            e /= den
+        try:
+            float(e)
+        except OverflowError:
+            raise ParseError("exponent too large for a float", off) from None
+        return e
+
+    def integer(self, message: str) -> int:
+        kind, text, off = self.take()
+        if kind != "num" or not text.isdigit():
+            raise ParseError(message, off)
+        return int(text)
 
     def atom(self):
         kind, text, off = self.take()
@@ -815,19 +824,19 @@ class _Emitter:
 
     Each compound node becomes one temporary, emitted in `_walk` order, so
     the first operation to raise is the one `_Rows` fails on first.  A
-    reference is a (source, varies) pair as in `_Rows`, and each case
-    repeats the `_Rows` arithmetic and checks on one float, raising the
-    error text `_Rows` logs.  A division checks its divisor only where
-    that can fail: not for a nonzero number, nor for a reference an
-    earlier division has checked.  A homotopy node runs its batch form on
-    a one-row `Batch` of the point (`_point_homotopy`).
+    node's reference is the source of its float value.  Each case does the
+    `_Rows` arithmetic and checks on one float, raising the error text
+    `_Rows` logs.  A division checks its divisor only where that can fail:
+    not for a nonzero number, nor for a reference an earlier division has
+    checked.  A homotopy node runs its batch form on a one-row `Batch` of
+    the point (`_point_homotopy`).
     """
 
     def __init__(self):
         self.lines: List[str] = []
         self.env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
                     "_sqrt": math.sqrt}
-        self.memo: Dict[object, tuple] = {}
+        self.memo: Dict[object, str] = {}
         self.loaded = set()
         self.nonzero = set()  # references that cannot be zero here
 
@@ -836,8 +845,7 @@ class _Emitter:
         if not isinstance(fld, ExprField):
             raise TypeError("only expression fields compile, not %s"
                             % type(fld).__name__)
-        ref, var = _walk(fld.node, self.memo, self.node)
-        return ref if var else "float(%s)" % ref
+        return _walk(fld.node, self.memo, self.node)
 
     def function(self, outs: Sequence[str]) -> Callable:
         """The emitted lines as a function p -> [outs]."""
@@ -871,68 +879,44 @@ class _Emitter:
     def node(self, node, kids):
         match node:
             case Num(value=v):
-                return self.const(v), False
+                return self.const(float(v))
             case Var(index=k):
                 name = "x%d" % k
                 if k not in self.loaded:
                     self.loaded.add(k)
                     self.lines.append("%s = float(p[%d])" % (name, k))
-                return name, True
+                return name
             case Neg():
-                (a, var), = kids
-                return self.temp("-" + a), var
+                return self.temp("-" + kids[0])
             case BinOp(op=o):
-                (a, va), (b, vb) = kids
-                if o == "/":
-                    if b not in self.nonzero:
-                        self.nonzero.add(b)
-                        self.check("%s == 0.0" % b, "ZeroDivisionError",
-                                   "division by zero in expression")
-                    if va or vb:
-                        return self.temp("%s * (1.0 / %s)" % (a, b)), True
-                return self.temp("%s %s %s" % (a, o, b)), va or vb
+                a, b = kids
+                if o == "/" and b not in self.nonzero:
+                    self.nonzero.add(b)
+                    self.check("%s == 0.0" % b, "ZeroDivisionError",
+                               "division by zero in expression")
+                return self.temp("%s %s %s" % (a, o, b))
             case Pow(exponent=e):
-                (a, var), = kids
-                return self._pow(a, var, e), var
+                a, = kids
+                if e == 0:
+                    return "(1.0)"
+                if e.denominator != 1:
+                    self.check("%s <= 0.0" % a, "ValueError",
+                               "fractional power of non-positive base")
+                return self.temp("%s ** %r" % (a, float(e)))
             case Call(func=f):
-                (a, var), = kids
-                if not var:
-                    a = "float(%s)" % a
+                a, = kids
                 if f == "sqrt":
                     self.check("%s <= 0.0" % a, "ValueError",
                                "sqrt of non-positive value")
-                    r = self.temp("_sqrt(%s)" % a)
-                    self.check("%s * %s == 0.0" % (r, a), "ZeroDivisionError",
-                               "sqrt of a value too small to differentiate")
-                    return r, True
                 fn = "abs" if f == "abs" else "_" + f
-                return self.temp("%s(%s)" % (fn, a)), True
+                return self.temp("%s(%s)" % (fn, a))
             case Homotopy():
                 if "_homotopy" not in self.env:
                     # one batch per point, shared by its homotopy nodes
                     self.env.update(_homotopy=_point_homotopy, _Batch=Batch)
                     self.lines.append("hb = _Batch([p])")
-                return self.temp("_homotopy(hb, %s)" % self.const(node)), True
+                return self.temp("_homotopy(hb, %s)" % self.const(node))
         raise TypeError("not an expression node: %r" % (node,))
-
-    def _pow(self, a: str, var: bool, e: Fraction) -> str:
-        p = int(e) if e.denominator == 1 else float(e)
-        pf = float(p)
-        if not var:
-            if e.denominator != 1:
-                self.check("%s <= 0" % a, "ValueError",
-                           "fractional power of non-positive base")
-            return self.temp("float(%s) ** %r" % (a, pf))
-        if p == 0:
-            return "(1.0)"
-        if pf != int(pf):
-            self.check("%s <= 0.0" % a, "ValueError",
-                       "fractional power of non-positive base")
-        out = self.temp("%s ** %r" % (a, pf))
-        # the x^(p-2) side evaluation (see `_Rows.pow`)
-        if pf < 2.0:
-            self.lines.append("if %s != 0.0: %s ** %r" % (a, a, pf - 2.0))
-        return out
 
 
 def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
@@ -942,10 +926,11 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     The fields' shared DAG is walked once, by node identity, and emitted
     as straight-line float code with one temporary per compound node;
     common subexpressions are shared across all the fields.  Every
-    operation repeats the arithmetic of `_Rows`, so the values equal a
-    batch row's bit for bit, and an error raises the class and text that
-    the batch logs on that row (ValueError, ZeroDivisionError,
-    OverflowError), without the point.  `ExprField.jet` runs this code.
+    operation is the same IEEE float operation as in `_Rows`, so the
+    values equal a batch row's bit for bit, and an error raises the class
+    and text that the batch logs on that row (ValueError,
+    ZeroDivisionError, OverflowError), without the point.  `ExprField.jet`
+    runs this code.
     """
     em = _Emitter()
     return em.function([em.field(fld) for fld in fields])
@@ -966,7 +951,7 @@ def _batch_walk(batch: Batch, node):
     nodes alive as long as the batch.  The memo holds no reference back
     to the batch, so a batch is freed as soon as it is dropped."""
     with np.errstate(all="ignore"):
-        return _walk(node, batch.memo, _Rows(batch).node)[0]
+        return _walk(node, batch.memo, _Rows(batch).node)
 
 
 class _Rows:
@@ -974,21 +959,17 @@ class _Rows:
     expression fields, visited in `_walk` order.  `compile_fields` repeats
     its arithmetic on one point, and the tests hold the two bit-equal.
 
-    A value is a (v, varies) pair: varies marks a value that reads a
-    coordinate or passes through a function call.  v is a Python float
-    for a node that reads no coordinate, else a float64 array over the
-    rows; in a one-row batch a coordinate is a Python float too, so the
-    nodes above it take the float branches.  Addition, subtraction,
-    multiplication, negation, `abs` and `sqrt` are correctly rounded in
-    numpy as in Python, so both give the same bits; `**`, `exp`, `sin` and
-    `cos` go through `float.__pow__` and `math` element by element, since
-    their numpy versions round differently.  A failing row is logged in
-    the batch instead of raising, so the other rows carry on.
-
-    Three quirks of an earlier forward-mode evaluator are kept, so that
-    the fixed-seed reports stay byte-identical: a varying quotient is
-    a * (1.0 / b); a varying power also evaluates x^(p-2) and fails
-    where that does; and sqrt fails where r * x == 0.
+    A value is a Python float for a node that reads no coordinate, else
+    a float64 array over the rows; in a one-row batch a coordinate is a
+    Python float too, so the nodes above it take the float branches.
+    A number enters as a float (an int parameter too), and every
+    operation is plain IEEE arithmetic on floats.  Addition,
+    subtraction, multiplication, division, negation, `abs` and `sqrt` are
+    correctly rounded in numpy as in Python, so both give the same bits;
+    `**`, `exp`, `sin` and `cos` go through `float.__pow__` and `math`
+    element by element, since their numpy versions round differently.  A
+    failing row is logged in the batch instead of raising, so the other
+    rows carry on.
     """
 
     def __init__(self, batch: Batch):
@@ -1022,51 +1003,42 @@ class _Rows:
     def node(self, node, kids):
         t = type(node)
         if t is BinOp:
-            (a, va), (b, vb) = kids
+            a, b = kids
             o = node.op
             if o == "+":
-                return a + b, va or vb
+                return a + b
             if o == "-":
-                return a - b, va or vb
+                return a - b
             if o == "*":
-                return a * b, va or vb
+                return a * b
             zero = b == 0
             self.batch.fail(zero, ZeroDivisionError,
                             "division by zero in expression")
-            if not isinstance(b, np.ndarray):
-                if zero:
-                    return math.nan, va or vb
-                return (a * (1.0 / b) if va or vb else a / b), va or vb
-            return a * (1.0 / b), True
+            if not isinstance(b, np.ndarray) and zero:
+                return math.nan
+            return a / b
         if t is Var:
-            return self.x[node.index], True
+            return self.x[node.index]
         if t is Num:
-            return node.value, False
+            return float(node.value)
         if t is Call:
-            (a, _), = kids
-            if not isinstance(a, np.ndarray):
-                a = float(a)
+            a, = kids
             f = node.func
             if f == "sqrt":
                 self.batch.fail(a <= 0.0, ValueError,
                                 "sqrt of non-positive value")
-                r = np.sqrt(a) if isinstance(a, np.ndarray) \
-                    else (math.sqrt(a) if a > 0.0 else math.nan)
-                self.batch.fail(
-                    r * a == 0.0, ZeroDivisionError,
-                    "sqrt of a value too small to differentiate")
-                return r, True
+                if isinstance(a, np.ndarray):
+                    return np.sqrt(a)
+                return math.sqrt(a) if a > 0.0 else math.nan
             if f == "abs":
-                return abs(a), True
-            return self.each(getattr(math, f), a), True
+                return abs(a)
+            return self.each(getattr(math, f), a)
         if t is Pow:
-            (a, var), = kids
-            return self.pow(a, var, node.exponent), var
+            return self.pow(kids[0], node.exponent)
         if t is Neg:
-            (a, var), = kids
-            return -a, var
+            return -kids[0]
         if t is Homotopy:
-            return self.homotopy(node), True
+            return self.homotopy(node)
         raise TypeError("not an expression node: %r" % (node,))
 
     def homotopy(self, node: Homotopy):
@@ -1093,33 +1065,16 @@ class _Rows:
                 terms.append(term * rel[nu] if node.radial else term)
         return total(terms)
 
-    def pow(self, a, var: bool, e: Fraction):
-        p = int(e) if e.denominator == 1 else float(e)
-        pf = float(p)
-        if not var:
-            if e.denominator != 1 and a <= 0:
-                self.batch.fail(True, ValueError,
-                                "fractional power of non-positive base")
-                return math.nan
-            return self.each(lambda x: float(x) ** pf, a)
-        if p == 0:
+    def pow(self, a, e: Fraction):
+        if e == 0:
             return 1.0
-        whole = pf == int(pf)
-        if not whole:
-            self.batch.fail(a <= 0.0, ValueError,
-                            "fractional power of non-positive base")
-
-        def real(x):
-            # skips the rows just failed, whose power would be complex
-            return whole or x > 0.0
-
-        out = self.each(lambda x: x ** pf if real(x) else math.nan, a)
-        # the x^(p-2) side evaluation; with p >= 2 it overflows only where
-        # x^p already has
-        if pf < 2.0:
-            self.each(lambda x: x ** (pf - 2.0) if x != 0.0 and real(x)
-                      else 0.0, a)
-        return out
+        p = float(e)
+        if e.denominator == 1:
+            return self.each(lambda x: x ** p, a)
+        self.batch.fail(a <= 0.0, ValueError,
+                        "fractional power of non-positive base")
+        # skips the rows just failed, whose power would be complex
+        return self.each(lambda x: x ** p if x > 0.0 else math.nan, a)
 
 
 def _point_homotopy(batch: Batch, node: Homotopy) -> float:

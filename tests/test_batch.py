@@ -79,11 +79,9 @@ def test_random_expressions_match_point_loop(e1, e2, P):
 # (expression, value of x1 that breaks it, exception class)
 ROW_ERRORS = [
     ("sqrt(x1)", -1.0, ValueError),
-    ("sqrt(x1)", 1e-300, ZeroDivisionError),  # r * x underflows to 0
     ("1 / x1", 0.0, ZeroDivisionError),
     ("x1 * (2 / (x1 - 0.5))", 0.5, ZeroDivisionError),
     ("x1^(1/3)", -1.0, ValueError),
-    ("x1^(1/2)", 1e-300, OverflowError),     # the x^(p-2) side evaluation
     ("(x1 - 0.5)^(-1)", 0.5, ZeroDivisionError),
     ("exp(1000 * x1)", 1.0, OverflowError),
     ("sin(x1)", math.inf, ValueError),
@@ -101,6 +99,25 @@ def test_one_bad_row_raises_the_point_class(text, bad, exc, row):
     with pytest.raises(exc) as info:
         fld.values(P)
     assert str(P[row].tolist()) in str(info.value)
+    assert_batch_matches([fld], P)
+    assert_same_outcome([fld], P[row])
+
+
+# (expression, value of x1): rows that failed while the evaluators kept
+# the checks of an earlier forward-mode evaluator (sqrt failing where
+# r * x underflows to 0, and an x^(p-2) side power overflowing); sqrt and
+# x^(1/2) of 1e-300 are 1e-150
+TINY_ROWS = [("sqrt(x1)", 1e-300), ("x1^(1/2)", 1e-300)]
+
+
+@pytest.mark.parametrize("text,tiny", TINY_ROWS)
+@pytest.mark.parametrize("row", [0, 17, 29])
+def test_tiny_row_evaluates(text, tiny, row):
+    fld = ExprField(text)
+    P = np.full((30, 4), 0.25)
+    P[:, 1] = np.linspace(0.1, 0.4, 30)
+    P[row, 1] = tiny
+    assert fld.values(P)[row] == math.sqrt(tiny)
     assert_batch_matches([fld], P)
     assert_same_outcome([fld], P[row])
 
@@ -126,6 +143,14 @@ def test_one_row_floats_equal_array_rows_on_errors(text, bad, exc):
         assert_one_row_is_row_zero([fld], [0.25, x1, 0.25, 0.25])
     with pytest.raises(exc):
         fld.values(np.array([[0.25, bad, 0.25, 0.25]]))
+
+
+@pytest.mark.parametrize("text,tiny", TINY_ROWS)
+def test_one_row_floats_equal_array_rows_on_tiny_rows(text, tiny):
+    fld = ExprField(text)
+    p = [0.25, tiny, 0.25, 0.25]
+    assert_one_row_is_row_zero([fld], p)
+    assert fld.values(np.array([p])).tolist() == [math.sqrt(tiny)]
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,6 +9,9 @@ to evaluation order or rounding shows up here as a byte difference.
 Regenerate (only for an intended change of results) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints, for every check whose residual moved, the command
+line, the check, the old and new `max_residual` and the tolerance.
 """
 
 import io
@@ -51,6 +54,17 @@ def run(argv):
     return code, out.getvalue()
 
 
+def residual_moves(old: str, new: str):
+    """(check, old max_residual, new max_residual, tolerance) for every
+    check of two reports of one command line whose residual differs."""
+    before = {c["name"]: c for c in json.loads(old)["checks"]}
+    return [(c["name"], before[c["name"]]["max_residual"], c["max_residual"],
+             c["tolerance"])
+            for c in json.loads(new)["checks"]
+            if c["name"] in before
+            and c["max_residual"] != before[c["name"]]["max_residual"]]
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -69,13 +83,30 @@ def test_report_bytes_unchanged(golden, argv):
     assert out == golden[" ".join(argv)]
 
 
+def test_residual_moves_lists_only_the_checks_that_moved():
+    def report(*residuals):
+        return json.dumps({"checks": [
+            {"name": "c%d" % k, "max_residual": r, "tolerance": 1e-8}
+            for k, r in enumerate(residuals)]})
+    assert residual_moves(report(1e-16, 2e-16, 0.0),
+                          report(1e-16, 3e-16, 0.0)) \
+        == [("c1", 2e-16, 3e-16, 1e-8)]
+    assert residual_moves(report(1e-16), report(1e-16)) == []
+
+
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     record = {}
     for argv in command_lines():
         code, out = run(argv)
         if code != 0:
             raise SystemExit("%s exited %d" % (" ".join(argv), code))
-        record[" ".join(argv)] = out
+        key = " ".join(argv)
+        record[key] = out
+        if key in previous:
+            for check, old, new, tol in residual_moves(previous[key], out):
+                print("%s  %s  %r -> %r  (tolerance %g)"
+                      % (key, check, old, new, tol))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print("wrote %d reports to %s" % (len(record), GOLDEN))

@@ -681,7 +681,8 @@ g33 = 1
             in proc.stderr
 
     # the first two once named no entry, and the second failed only at
-    # validation, at a witness point; a value that is not a number once
+    # validation, at a witness point; a zero exponent denominator printed
+    # a ZeroDivisionError traceback; a value that is not a number once
     # gave only float()'s message, and an entry that no model reads (or a
     # second spelling of a symmetric one) was silently ignored
     @pytest.mark.parametrize("name,edit,message", [
@@ -691,6 +692,8 @@ g33 = 1
          "A2: unknown name 'Bee' (offset 0)"),
         ("uniform-b", ("A2 = B/2 * x1", "A2 = B/2 * x5"),
          "A2: x5 is not a spacetime coordinate"),
+        ("uniform-b", ("g11 = 1", "g11 = 1 + x1^(1/0)"),
+         "g11: exponent denominator is zero (offset 10)"),
         ("curved-gravity", ("m = 1.0 M", "m = abc M"),
          "constant 'm' is not a number: 'abc'"),
         ("uniform-b", ("m = 1.0 M", "m ="), "constant 'm' is not a number: ''"),
@@ -722,6 +725,7 @@ g33 = 1
          "are [model], [constants], [params], [box], [metric], "
          "[potential]"),
     ], ids=["parse-error", "unknown-name", "phase-coordinate",
+            "exponent-zero-denominator",
             "constant-not-a-number", "constant-empty", "box-not-a-number",
             "box-nan", "metric-unread-entry", "metric-both-spellings",
             "potential-unread-entry", "gravity-unread-entry",

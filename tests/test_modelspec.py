@@ -77,6 +77,28 @@ class TestParser:
         with pytest.raises(ParseError, match="unknown name 'k'"):
             ExprField("k * x1")
 
+    # the next three once raised ZeroDivisionError, int()'s bare ValueError
+    # and (at evaluation) OverflowError instead of a ParseError
+    @pytest.mark.parametrize("text,offset", [("x1^(1/0)", 6), ("x1^2/0", 5)])
+    def test_exponent_denominator_zero(self, text, offset):
+        with pytest.raises(ParseError, match="exponent denominator is zero") \
+                as err:
+            parse_expr(text)
+        assert err.value.offset == offset
+
+    def test_exponent_denominator_not_an_integer(self):
+        with pytest.raises(ParseError, match="exponent denominator must be "
+                           "an integer") as err:
+            parse_expr("x1^2 / 5e-3")
+        assert err.value.offset == 7
+
+    @pytest.mark.parametrize("text", ["x1^" + "9" * 400,
+                                      "x1^(-%s/3)" % ("9" * 400)],
+                             ids=["integer", "ratio"])
+    def test_exponent_too_large_for_a_float(self, text):
+        with pytest.raises(ParseError, match="exponent too large for a float"):
+            parse_expr(text)
+
 
 _leaf = st.one_of(
     st.builds(Num, st.floats(min_value=0, max_value=3, allow_nan=False,
@@ -360,6 +382,12 @@ class TestModelLoading:
     def test_missing_diagonal_entry(self):
         bad = GOOD_GALILEI.replace("g22 = 1\n", "")
         with pytest.raises(ValueError, match="g22"):
+            parse_model_text(bad)
+
+    def test_bad_exponent_names_its_entry(self):
+        bad = GOOD_GALILEI.replace("g11 = 1 + k*x1^2", "g11 = 1 + x1^(1/0)")
+        with pytest.raises(ParseError, match="^g11: exponent denominator is "
+                           "zero"):
             parse_model_text(bad)
 
     def test_phase_coordinates_rejected_in_model_files(self):
