@@ -693,7 +693,7 @@ class ExprField(Field):
         val = _batch_walk(batch, self.node)
         if isinstance(val, np.ndarray):
             return val.copy()
-        return np.full(len(batch.P), float(val))
+        return np.full(len(batch.P), val)
 
     def _operand(self, other):
         """The node of a compatible operand, else None."""
