@@ -693,6 +693,8 @@ class ExprField(Field):
         val = _batch_walk(batch, self.node)
         if isinstance(val, np.ndarray):
             return val.copy()
+        if len(batch.P) == 1:
+            return np.array([val])
         return np.full(len(batch.P), val)
 
     def _operand(self, other):
@@ -761,26 +763,29 @@ def velocity(i: int) -> ExprField:
 # Compilation to straight-line float code
 
 
-def _walk(root, memo: dict, visit, known=None):
-    """Visit root's unvisited DAG nodes without recursion, in post-order,
-    left child first; memo maps each node to visit(node, (the children's
-    results)).  Returns root's result.  Every evaluator visits nodes in
-    this order, so the first operation to fail is the same in each.  A
-    node whose result known(node) gives (not None) is not walked below.
+def _order(root, memo: dict, known=None) -> list:
+    """root's DAG nodes that are not in memo, in the one visit order of
+    every walk: post-order, left child first, each node once.  Each node
+    returned is entered in memo as None (pending), to be replaced by its
+    result before the next walk over the memo; a node whose result
+    known(node) gives (not None) is entered with it instead, and neither
+    returned nor walked below.  Every evaluator visits nodes in this
+    order, so the first operation to fail is the same in each.
 
-    The stack holds bare nodes: the top one is popped and visited once its
-    children are in the memo, else its missing children, each asked
+    The stack holds bare nodes: the top one is popped and returned once
+    its children are in the memo, else its missing children, each asked
     known() first, are pushed right then left.  A node pushed twice is in
-    the memo when it comes up again, and is not visited twice.
+    the memo when it comes up again, and is not returned twice.
     """
     if root in memo:
-        return memo[root]
+        return []
     r = known and known(root)
     if r is not None:
         memo[root] = r
-        return r
+        return []
+    out = []
     stack = [root]
-    push, pop = stack.append, stack.pop
+    push, pop, emit = stack.append, stack.pop, out.append
     while stack:
         node = stack[-1]
         t = type(node)
@@ -789,7 +794,8 @@ def _walk(root, memo: dict, visit, known=None):
             if a in memo and b in memo:
                 pop()
                 if node not in memo:
-                    memo[node] = visit(node, (memo[a], memo[b]))
+                    memo[node] = None
+                    emit(node)
                 continue
             if b not in memo:
                 r = known and known(b)
@@ -802,12 +808,14 @@ def _walk(root, memo: dict, visit, known=None):
             if a in memo:
                 pop()
                 if node not in memo:
-                    memo[node] = visit(node, (memo[a],))
+                    memo[node] = None
+                    emit(node)
                 continue
         else:
             pop()
             if node not in memo:
-                memo[node] = visit(node, ())
+                memo[node] = None
+                emit(node)
             continue
         # the left (or only) child goes on top, so it is walked first
         if a not in memo:
@@ -816,6 +824,36 @@ def _walk(root, memo: dict, visit, known=None):
                 push(a)
             else:
                 memo[a] = r
+    return out
+
+
+def _forget(memo: dict, order: list) -> None:
+    """Drop the pending entries of order from memo, after a walk over it
+    stopped on an exception, so the memo holds only finished results."""
+    for node in order:
+        if node in memo and memo[node] is None:
+            del memo[node]
+
+
+def _walk(root, memo: dict, visit, known=None):
+    """Visit root's unvisited DAG nodes in `_order`; memo maps each node
+    to visit(node, (the children's results)).  Returns root's result."""
+    order = _order(root, memo, known)
+    try:
+        for node in order:
+            t = type(node)
+            if t is BinOp:
+                kids = (memo[node.left], memo[node.right])
+            elif t is Neg or t is Call:
+                kids = (memo[node.arg],)
+            elif t is Pow:
+                kids = (memo[node.base],)
+            else:
+                kids = ()
+            memo[node] = visit(node, kids)
+    except BaseException:
+        _forget(memo, order)
+        raise
     return memo[root]
 
 
@@ -945,37 +983,84 @@ _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 def _batch_walk(batch: Batch, node):
     """node's value at every row of the batch (a float for a node that
-    reads no coordinate).  The batch has one memo, keyed by node (nodes
-    are interned and hash by identity), so fields share their common
-    subexpressions, even when they were built apart; the memo keeps its
-    nodes alive as long as the batch.  The memo holds no reference back
-    to the batch, so a batch is freed as soon as it is dropped."""
-    with np.errstate(all="ignore"):
-        return _walk(node, batch.memo, _Rows(batch).node)
+    reads no coordinate, and for every node of a one-row batch).  The
+    batch has one memo, keyed by node (nodes are interned and hash by
+    identity), so fields share their common subexpressions, even when
+    they were built apart; the memo keeps its nodes alive as long as the
+    batch.  The memo holds no reference back to the batch, so a batch is
+    freed as soon as it is dropped.  The nodes not yet in the memo are
+    evaluated in `_order` by `_Rows.run`."""
+    memo = batch.memo
+    order = _order(node, memo)
+    if order:
+        rows = _Rows(batch)
+        if rows.one:
+            rows.run(order)
+        else:
+            with np.errstate(all="ignore"):
+                rows.run(order)
+    return memo[node]
 
 
 class _Rows:
     """Node values at every row of a `Batch`: the batch evaluator of
-    expression fields, visited in `_walk` order.  `compile_fields` repeats
-    its arithmetic on one point, and the tests hold the two bit-equal.
+    expression fields.  `compile_fields` repeats its arithmetic on one
+    point, and the tests hold the two bit-equal.
 
     A value is a Python float for a node that reads no coordinate, else
-    a float64 array over the rows; in a one-row batch a coordinate is a
-    Python float too, so the nodes above it take the float branches.
-    A number enters as a float (an int parameter too), and every
-    operation is plain IEEE arithmetic on floats.  Addition,
-    subtraction, multiplication, division, negation, `abs` and `sqrt` are
-    correctly rounded in numpy as in Python, so both give the same bits;
-    `**`, `exp`, `sin` and `cos` go through `float.__pow__` and `math`
-    element by element, since their numpy versions round differently.  A
-    failing row is logged in the batch instead of raising, so the other
-    rows carry on.
+    a float64 array over the rows.  In a one-row batch a coordinate is a
+    Python float too, so every node takes the float branches, with no
+    numpy call and so no `np.errstate`; a multi-row batch runs under
+    `np.errstate(all="ignore")`.  A number enters as a float (an int
+    parameter too), and every operation is plain IEEE arithmetic on
+    floats.  Addition, subtraction, multiplication, division, negation,
+    `abs` and `sqrt` are correctly rounded in numpy as in Python, so both
+    give the same bits; `**`, `exp`, `sin` and `cos` go through
+    `float.__pow__` and `math` element by element, since their numpy
+    versions round differently.  A failing row is logged in the batch
+    instead of raising, so the other rows carry on.
     """
 
     def __init__(self, batch: Batch):
         self.batch = batch
+        self.one = len(batch.P) == 1
         # the coordinate values by column: Python floats for one row
-        self.x = batch.P[0].tolist() if len(batch.P) == 1 else batch.P.T
+        self.x = batch.P[0].tolist() if self.one else batch.P.T
+
+    def run(self, order: list) -> None:
+        """Evaluate the nodes of order into the batch memo, in turn.  The
+        loop does `+ - *`, negation, coordinates and numbers itself and
+        hands the nodes that can fail, and homotopies, to `node`."""
+        memo, x, visit = self.batch.memo, self.x, self.node
+        try:
+            for n in order:
+                t = type(n)
+                if t is BinOp:
+                    o = n.op
+                    if o == "*":
+                        v = memo[n.left] * memo[n.right]
+                    elif o == "+":
+                        v = memo[n.left] + memo[n.right]
+                    elif o == "-":
+                        v = memo[n.left] - memo[n.right]
+                    else:
+                        v = visit(n, (memo[n.left], memo[n.right]))
+                elif t is Var:
+                    v = x[n.index]
+                elif t is Num:
+                    v = float(n.value)
+                elif t is Neg:
+                    v = -memo[n.arg]
+                elif t is Call:
+                    v = visit(n, (memo[n.arg],))
+                elif t is Pow:
+                    v = visit(n, (memo[n.base],))
+                else:
+                    v = visit(n, ())
+                memo[n] = v
+        except BaseException:
+            _forget(memo, order)
+            raise
 
     def each(self, fn, a):
         """fn applied to each element of a as a Python float, errors
@@ -1001,26 +1086,17 @@ class _Rows:
             return out
 
     def node(self, node, kids):
+        """The value of a quotient, power, call or homotopy node, from
+        its children's values."""
         t = type(node)
-        if t is BinOp:
+        if t is BinOp:  # "/": `run` does the other operators
             a, b = kids
-            o = node.op
-            if o == "+":
-                return a + b
-            if o == "-":
-                return a - b
-            if o == "*":
-                return a * b
             zero = b == 0
             self.batch.fail(zero, ZeroDivisionError,
                             "division by zero in expression")
             if not isinstance(b, np.ndarray) and zero:
                 return math.nan
             return a / b
-        if t is Var:
-            return self.x[node.index]
-        if t is Num:
-            return float(node.value)
         if t is Call:
             a, = kids
             f = node.func
@@ -1035,8 +1111,6 @@ class _Rows:
             return self.each(getattr(math, f), a)
         if t is Pow:
             return self.pow(kids[0], node.exponent)
-        if t is Neg:
-            return -kids[0]
         if t is Homotopy:
             return self.homotopy(node)
         raise TypeError("not an expression node: %r" % (node,))
@@ -1045,23 +1119,37 @@ class _Rows:
         """The quadrature walks its phis once, over one batch that stacks
         the rows y_k of every node t_k (k-major), shared by every
         homotopy node with the same nodes and base point; an error at a
-        stacked row is logged on the row it came from."""
-        n = len(self.batch.P)
-        rel = [self.batch.P[:, nu] - b for nu, b in enumerate(node.base)]
-        key = (node.ts, node.base)
+        stacked row is logged on the row it came from.  In a one-row
+        batch it runs on Python floats, with the same products and the
+        same left-to-right sum."""
+        P, base, ts = self.batch.P, node.base, node.ts
+        n, nts = len(P), len(ts)
+        if self.one:
+            rel = [x - b for x, b in zip(self.x, base)]
+        else:
+            rel = [P[:, nu] - b for nu, b in enumerate(base)]
+        key = (ts, base)
         stacked = self.batch.stacked.get(key)
         if stacked is None:
-            stacked = self.batch.stacked[key] = Batch(np.concatenate(
-                [np.stack([b + t * r for b, r in zip(node.base, rel)], axis=1)
-                 for t in node.ts]))
+            ys = [[b + t * r for b, r in zip(base, rel)] for t in ts]
+            stacked = self.batch.stacked[key] = Batch(
+                ys if self.one
+                else np.concatenate([np.stack(y, axis=1) for y in ys]))
         vals = [_batch_walk(stacked, phi) for phi in node.phis]
         for r, (exc, message) in sorted(stacked.errors.items()):
             self.batch.fail(np.arange(n) == r % n, exc, message)
+        # each phi's values at node t_k, k = 0..nts-1
+        if self.one:
+            parts = [v.tolist() if isinstance(v, np.ndarray) else [v] * nts
+                     for v in vals]
+        else:
+            parts = [[v[k * n:(k + 1) * n] for k in range(nts)]
+                     if isinstance(v, np.ndarray) else [v] * nts
+                     for v in vals]
         terms = []
         for k, w in enumerate(node.weights):
-            for nu, v in enumerate(vals):
-                term = w * (v[k * n:(k + 1) * n]
-                            if isinstance(v, np.ndarray) else v)
+            for nu, part in enumerate(parts):
+                term = w * part[k]
                 terms.append(term * rel[nu] if node.radial else term)
         return total(terms)
 
@@ -1078,12 +1166,13 @@ class _Rows:
 
 
 def _point_homotopy(batch: Batch, node: Homotopy) -> float:
-    """node at the one row of batch, by its batch form; the first error
-    logged there raises, without the point."""
+    """node at the one row of batch, by its batch form (a float in a
+    one-row batch); the first error logged there raises, without the
+    point."""
     v = _batch_walk(batch, node)
     for exc, message in batch.errors.values():
         raise exc(message)
-    return v.tolist()[0] if isinstance(v, np.ndarray) else v
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -1385,14 +1474,19 @@ def validate_model(model: Model) -> None:
                                % batch.errors[r][1], witness=pts[r])
 
     vals = np.stack(per_field[:len(fields)], axis=1)
+    gs = vals[:, :n * n].reshape(-1, n, n)
+    # one call for every point's metric (the same eigenvalues as one call
+    # per point), unless a non-finite entry could stop it: then the loop
+    # reaches that point's own checks first
+    eigs = np.linalg.eigvalsh(gs) if np.isfinite(gs).all() else None
     for r, p in enumerate(pts):
         if first.get(r, len(fields)) < len(fields):
             raise evaluation_failed(r)
         row = vals[r]
         if not np.all(np.isfinite(row)):
             raise ValidationError("non-finite field value", witness=p)
-        g = row[:n * n].reshape(n, n)
-        eig = np.linalg.eigvalsh(g)
+        g = gs[r]
+        eig = np.linalg.eigvalsh(g) if eigs is None else eigs[r]
         if model.kind == "galilei":
             if eig[0] <= 0:
                 raise ValidationError(

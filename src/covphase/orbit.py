@@ -24,6 +24,7 @@ first state component advances linearly.  Einstein trajectories are
 parametrized by proper time and the pace of x^0 is c alpha0.
 """
 
+import array
 import math
 from dataclasses import dataclass
 from typing import Callable, List
@@ -198,12 +199,22 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
 
     phase = (GalileiPhase if fw == "galilei" else EinsteinPhase)(model)
     rhs = phase.dynamical_fn()
-    states = np.empty((nsteps + 1, 7))
-    states[0] = state
-    for k in range(nsteps):
+    # the states one after another, as raw doubles: 8 bytes a float
+    flat = array.array("d", state)
+    lo0, lo1, lo2, lo3 = lo
+    hi0, hi1, hi2, hi3 = hi
+    inf = math.inf
+    for _ in range(nsteps):
         state = _rk4(rhs, state, step)
-        _check_box(state, lo, hi)
-        states[k + 1] = state
+        s0, s1, s2, s3, s4, s5, s6 = state
+        # false for a NaN too; then _check_box raises its message
+        if not (lo0 <= s0 <= hi0 and lo1 <= s1 <= hi1
+                and lo2 <= s2 <= hi2 and lo3 <= s3 <= hi3
+                and -inf < s4 < inf and -inf < s5 < inf
+                and -inf < s6 < inf):
+            _check_box(state, lo, hi)
+        flat.extend(state)
+    states = np.frombuffer(flat).reshape(nsteps + 1, 7)
     times = step * np.arange(nsteps + 1)
 
     if fw == "galilei":

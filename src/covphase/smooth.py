@@ -256,8 +256,9 @@ class BoxedField(Field):
     def _values(self, batch):
         for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             v = batch.P[:, k]
-            batch.fail((v < lo - BOX_SLACK) | (v > hi + BOX_SLACK),
-                       OutsideBoxError, _box_message(k, lo, hi))
+            outside = (v < lo - BOX_SLACK) | (v > hi + BOX_SLACK)
+            if outside.any():
+                batch.fail(outside, OutsideBoxError, _box_message(k, lo, hi))
         return self.base._values(batch)
 
 

@@ -85,29 +85,36 @@ def test_parity_on_shipped_models(name):
     assert [fn(p) for p in points] == want
 
 
-# (expression, point value of x1, outcome): the exception class a batch
-# row raises, or the float it evaluates to.  The four floats are inputs
-# that failed while the evaluators kept the checks of an earlier
+def case(id, text, x1, want):
+    return pytest.param(parse_expr(text), x1, want, id=id)
+
+
+# (id, expression, point value of x1, outcome): the exception class a
+# batch row raises, or the float it evaluates to.  The four floats are
+# inputs that failed while the evaluators kept the checks of an earlier
 # forward-mode evaluator (sqrt failing where r * x == 0, and an x^(p-2)
-# side power); they keep their places, so the other cases keep their ids.
+# side power).  Each id is explicit, so adding or removing a case renames
+# no other; these are the positional names pytest first gave the cases.
 ERROR_CASES = [
-    (parse_expr("(x1 - 2)^(1/3)"), 1.0, ValueError),
-    (parse_expr("sqrt(x1)"), -1.0, ValueError),
-    (parse_expr("sqrt(x1)"), 0.0, ValueError),
-    (parse_expr("sqrt(x1)"), 1e-300, math.sqrt(1e-300)),
-    (parse_expr("sqrt(1 - 2)"), 0.0, ValueError),
-    (parse_expr("x1^(1/2)"), 0.0, ValueError),
-    (parse_expr("(1 - 2)^(1/2)"), 0.0, ValueError),
-    (parse_expr("x1^(1/2)"), 1e-300, 1e-300 ** 0.5),
-    (parse_expr("x1^(-1)"), 0.0, ZeroDivisionError),
-    (parse_expr("x1^(-1)"), 1e-200, 1e-200 ** -1.0),
-    (parse_expr("x1^2"), 1e200, OverflowError),
-    (parse_expr("x1^1"), 1e-310, 1e-310),
-    (parse_expr("1 / x1"), 0.0, ZeroDivisionError),
-    (parse_expr("x1 / (1 - 1)"), 2.0, ZeroDivisionError),
-    (parse_expr("2 / (1 - 1)"), 2.0, ZeroDivisionError),
-    (parse_expr("exp(1000 * x1)"), 1.0, OverflowError),
-    (parse_expr("sin(x1)"), math.inf, ValueError),
+    case("node0-1.0-ValueError", "(x1 - 2)^(1/3)", 1.0, ValueError),
+    case("node1--1.0-ValueError", "sqrt(x1)", -1.0, ValueError),
+    case("node2-0.0-ValueError", "sqrt(x1)", 0.0, ValueError),
+    case("node3-1e-300-1e-150", "sqrt(x1)", 1e-300, math.sqrt(1e-300)),
+    case("node4-0.0-ValueError", "sqrt(1 - 2)", 0.0, ValueError),
+    case("node5-0.0-ValueError", "x1^(1/2)", 0.0, ValueError),
+    case("node6-0.0-ValueError", "(1 - 2)^(1/2)", 0.0, ValueError),
+    case("node7-1e-300-1e-150", "x1^(1/2)", 1e-300, 1e-300 ** 0.5),
+    case("node8-0.0-ZeroDivisionError", "x1^(-1)", 0.0, ZeroDivisionError),
+    case("node9-1e-200-1e+200", "x1^(-1)", 1e-200, 1e-200 ** -1.0),
+    case("node10-1e+200-OverflowError", "x1^2", 1e200, OverflowError),
+    case("node11-1e-310-1e-310", "x1^1", 1e-310, 1e-310),
+    case("node12-0.0-ZeroDivisionError", "1 / x1", 0.0, ZeroDivisionError),
+    case("node13-2.0-ZeroDivisionError", "x1 / (1 - 1)", 2.0,
+         ZeroDivisionError),
+    case("node14-2.0-ZeroDivisionError", "2 / (1 - 1)", 2.0,
+         ZeroDivisionError),
+    case("node15-1.0-OverflowError", "exp(1000 * x1)", 1.0, OverflowError),
+    case("node16-inf-ValueError", "sin(x1)", math.inf, ValueError),
 ]
 
 

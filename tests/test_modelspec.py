@@ -21,7 +21,7 @@ from covphase.modelspec import (
 )
 from covphase.smooth import (
     ConstField, FuncField, OutsideBoxError, VectorField, directional,
-    exterior_derivative,
+    exterior_derivative, field_values,
 )
 
 from numutil import central_grad, metric_matrix
@@ -531,6 +531,66 @@ class TestValidationWitness:
         assert str(err.value) == "%s at witness point %s" % (
             message, _ROW_WITNESS[row])
         assert err.value.witness.tolist() == sample_points(model)[row].tolist()
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_stacked_metric_eigenvalues_equal_per_point(name):
+    # validate_model makes one eigvalsh call over every sample point
+    model = load_builtin(name)
+    n = len(model.metric)
+    entries = [f for row in model.metric for f in row]
+    gs = np.stack(field_values(entries, sample_points(model)),
+                  axis=1).reshape(-1, n, n)
+    assert np.linalg.eigvalsh(gs).tolist() \
+        == [np.linalg.eigvalsh(g).tolist() for g in gs]
+
+
+def ref_metric_error(model):
+    """The first metric check a point loop fails, with one eigvalsh call
+    per sample point: its message and witness, or None."""
+    for p in sample_points(model):
+        g = metric_matrix(model, p)
+        eig = np.linalg.eigvalsh(g)
+        if model.kind == "galilei":
+            if eig[0] <= 0:
+                return ("spacelike metric is not positive definite "
+                        "(eigenvalues %s)" % eig, p)
+        elif not (eig[0] < 0 and eig[1] > 0):
+            return ("metric does not have Lorentzian signature -+++ "
+                    "(eigenvalues %s)" % eig, p)
+        elif g[0, 0] >= 0:
+            return ("the chart time direction is not timelike (g00 >= 0)",
+                    p)
+    return None
+
+
+MINKOWSKI = (ms.builtin_model_dir() / "minkowski.ini").read_text()
+# (model text, entry, replacement failing where x1 is c, message phrase)
+METRIC_EDITS = {
+    "positive-definite": (GOOD_GALILEI, "g11 = 1 + k*x1^2",
+                          "g11 = (x1 - %s)^2", "positive definite"),
+    "lorentzian": (MINKOWSKI, "g11 = 1", "g11 = (x1 - %s)^2",
+                   "Lorentzian signature"),
+    # Lorentzian everywhere, since det [[g00, 1], [1, 1]] < 0
+    "timelike": (MINKOWSKI, "g00 = -1", "g00 = -(x1 - %s)^2\ng01 = 1",
+                 "not timelike (g00 >= 0)"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_ROW_WITNESS))
+@pytest.mark.parametrize("kind", sorted(METRIC_EDITS))
+def test_planted_metric_failure_matches_point_loop(kind, row):
+    text, old, new, phrase = METRIC_EDITS[kind]
+    assert old in text
+    c = sample_points(parse_model_text(text))[row][1]
+    model = parse_model_text(text.replace(old, new % repr(float(c))))
+    message, witness = ref_metric_error(model)
+    assert phrase in message
+    assert witness.tolist() == sample_points(model)[row].tolist()
+    with pytest.raises(ValidationError) as err:
+        validate_model(model)
+    assert str(err.value) == str(ValidationError(message, witness))
+    assert err.value.witness.tolist() == witness.tolist()
 
 
 # ---------------------------------------------------------------------------

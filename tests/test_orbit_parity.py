@@ -188,6 +188,78 @@ def test_box_exit_same_message(x0, v0):
     assert str(got.value) == str(want.value)
 
 
+def _land_on(monkeypatch, state):
+    """integrate_orbit on flat-free (box [-2, 2]^4), with an RK4 step
+    that lands on state at the second of three steps: what it raises, or
+    the states it stored."""
+    steps = iter([[0.0] * 7, list(state), [0.0] * 7])
+    monkeypatch.setattr(orbit, "_rk4", lambda rhs, s, h: next(steps))
+    try:
+        return integrate_orbit(load_builtin("flat-free"), "g", [0.0] * 4,
+                               [0.0] * 3, 0.03, 0.01).states
+    except BoxExit as exc:
+        return exc
+
+
+def _check_box_text(state):
+    """The text _check_box raises for state on flat-free's widened box."""
+    lo, hi = [-2.0 - BOX_SLACK] * 4, [2.0 + BOX_SLACK] * 4
+    with pytest.raises(BoxExit) as info:
+        orbit._check_box(list(state), lo, hi)
+    return str(info.value)
+
+
+def _moved(k, v):
+    state = [0.5, -0.25, 0.125, 0.0, 0.1, 0.2, 0.3]
+    state[k] = v
+    return state
+
+
+EDGES = {"lo": -2.0 - BOX_SLACK, "hi": 2.0 + BOX_SLACK}
+OUTWARD = {"lo": -math.inf, "hi": math.inf}
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+@pytest.mark.parametrize("k", range(4))
+def test_step_beyond_each_box_side_exits(monkeypatch, k, side):
+    state = _moved(k, math.nextafter(EDGES[side], OUTWARD[side]))
+    got = _land_on(monkeypatch, state)
+    assert isinstance(got, BoxExit)
+    assert str(got) == _check_box_text(state)
+    assert "left the declared box" in str(got)
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+@pytest.mark.parametrize("k", range(4))
+def test_step_on_each_widened_box_edge_stays(monkeypatch, k, side):
+    # exactly lo - BOX_SLACK (or hi + BOX_SLACK) is inside
+    state = _moved(k, EDGES[side])
+    got = _land_on(monkeypatch, state)
+    assert isinstance(got, np.ndarray)
+    assert got[2].tolist() == state
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", range(4, 7))
+def test_step_to_a_non_finite_velocity_exits(monkeypatch, k, v):
+    state = _moved(k, v)
+    got = _land_on(monkeypatch, state)
+    assert isinstance(got, BoxExit)
+    assert str(got) == _check_box_text(state)
+    assert "non-finite state" in str(got)
+
+
+@pytest.mark.parametrize("x", [math.nan, 5.0])
+def test_non_finite_state_message_comes_first(monkeypatch, x):
+    # a position outside the box (or NaN) and an infinite velocity: the
+    # non-finite message wins, as in _check_box
+    state = _moved(6, math.inf)
+    state[1] = x
+    got = _land_on(monkeypatch, state)
+    assert str(got) == _check_box_text(state)
+    assert "non-finite state" in str(got)
+
+
 def _planted(name, bad):
     """A uniform-e trajectory whose sample rows `bad` are moved so the
     central difference around them is not timelike."""
