@@ -772,10 +772,12 @@ def _order(root, memo: dict, known=None) -> list:
     returned nor walked below.  Every evaluator visits nodes in this
     order, so the first operation to fail is the same in each.
 
-    The stack holds bare nodes: the top one is popped and returned once
-    its children are in the memo, else its missing children, each asked
-    known() first, are pushed right then left.  A node pushed twice is in
-    the memo when it comes up again, and is not returned twice.
+    The stack holds bare nodes and None.  A popped node whose children
+    are all in the memo is returned at once; else it goes back under a
+    None, and its missing children, each asked known() first, go on top,
+    right then left.  Popping that None returns the node under it.  A
+    node pushed twice is in the memo when it comes up again, and is
+    skipped.
     """
     if root in memo:
         return []
@@ -787,43 +789,52 @@ def _order(root, memo: dict, known=None) -> list:
     stack = [root]
     push, pop, emit = stack.append, stack.pop, out.append
     while stack:
-        node = stack[-1]
-        t = type(node)
-        if t is BinOp:
-            a, b = node.left, node.right
-            if a in memo and b in memo:
-                pop()
-                if node not in memo:
-                    memo[node] = None
-                    emit(node)
-                continue
-            if b not in memo:
-                r = known and known(b)
-                if r is None:
-                    push(b)
-                else:
-                    memo[b] = r
-        elif t is Neg or t is Call or t is Pow:
-            a = node.base if t is Pow else node.arg
-            if a in memo:
-                pop()
-                if node not in memo:
-                    memo[node] = None
-                    emit(node)
-                continue
+        node = pop()
+        if node is None:  # the node under it: its children are done
+            node = pop()
+        elif node in memo:  # pushed twice, and done
+            continue
         else:
-            pop()
-            if node not in memo:
+            t = type(node)
+            if t is BinOp:
+                a, b = node.left, node.right
+                if b not in memo:
+                    push(node)
+                    push(None)
+                    r = known and known(b)
+                    if r is None:
+                        push(b)
+                    else:
+                        memo[b] = r
+                elif a in memo:
+                    memo[node] = None
+                    emit(node)
+                    continue
+                else:
+                    push(node)
+                    push(None)
+            elif t is Neg or t is Call or t is Pow:
+                a = node.base if t is Pow else node.arg
+                if a in memo:
+                    memo[node] = None
+                    emit(node)
+                    continue
+                push(node)
+                push(None)
+            else:
                 memo[node] = None
                 emit(node)
+                continue
+            # the left (or only) child goes on top, so it is walked first
+            if a not in memo:
+                r = known and known(a)
+                if r is None:
+                    push(a)
+                else:
+                    memo[a] = r
             continue
-        # the left (or only) child goes on top, so it is walked first
-        if a not in memo:
-            r = known and known(a)
-            if r is None:
-                push(a)
-            else:
-                memo[a] = r
+        memo[node] = None
+        emit(node)
     return out
 
 
@@ -1045,12 +1056,12 @@ class _Rows:
                         v = memo[n.left] - memo[n.right]
                     else:
                         v = visit(n, (memo[n.left], memo[n.right]))
-                elif t is Var:
-                    v = x[n.index]
-                elif t is Num:
-                    v = float(n.value)
                 elif t is Neg:
                     v = -memo[n.arg]
+                elif t is Num:
+                    v = float(n.value)
+                elif t is Var:
+                    v = x[n.index]
                 elif t is Call:
                     v = visit(n, (memo[n.arg],))
                 elif t is Pow:

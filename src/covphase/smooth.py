@@ -80,12 +80,12 @@ class Batch:
     """Fields evaluated over the rows of a point array P[N, d].
 
     Expression fields are evaluated over all rows at once (see
-    `modelspec._Rows`), on numpy arrays, or on Python floats when there
-    is one row, and each row gets the bits and the error a point
-    evaluation gives.  Column k of P is the coordinate x_k.  Every field
-    evaluated in one batch shares the batch's one node memo, so common
-    subexpressions are computed once.  Closure fields run point by point
-    on floats.
+    `modelspec._Rows`), on numpy arrays, or, when there is one row, on
+    Python floats with no numpy call, and each row gets the bits and the
+    error a point evaluation gives.  Column k of P is the coordinate x_k.
+    Every field evaluated in one batch shares the batch's one node memo,
+    so common subexpressions are computed once.  Closure fields run point
+    by point on floats.
 
     Within a field, an evaluation error does not stop the other rows: the
     row is marked, and once the field is done the error of the lowest
