@@ -503,39 +503,39 @@ def _pow(base, e: Fraction):
     return _power(base, e)
 
 
-def _derive(node, i: int, ds: list):
-    """node's partial derivative along x_i, given ds, the derivatives of
-    its children (`_walk` order) along x_i; node reads x_i (`derivative`
-    never derives a node whose mask lacks it)."""
+def _derive(node, i: int, ds: dict):
+    """node's partial derivative along x_i, given ds, which maps each of
+    its children to its derivative along x_i; node reads x_i
+    (`derivative` never derives a node whose mask lacks it)."""
     t = type(node)
     if t is BinOp:
-        o = node.op
+        o, a, b = node.op, node.left, node.right
+        da, db = ds[a], ds[b]
         if o == "+":
-            return _add(*ds)
+            return _add(da, db)
         if o == "-":
-            return _sub(*ds)
-        a, b = node.left, node.right
-        da, db = ds
+            return _sub(da, db)
         if o == "*":
             return _add(_mul(da, b), _mul(a, db))
         return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, _TWO))
     if t is Call:
         f, a = node.func, node.arg
         if f == "sin":
-            return _mul(_call("cos", a), ds[0])
+            return _mul(_call("cos", a), ds[a])
         if f == "cos":
-            d = _mul(_call("sin", a), ds[0])
+            d = _mul(_call("sin", a), ds[a])
             return _ZERO if _is_num(d, 0.0) else _neg(d)
         if f == "exp":
-            return _mul(node, ds[0])
+            return _mul(node, ds[a])
         if f == "sqrt":
-            return _div(ds[0], _mul(_num(2.0), node))
-        return _mul(_div(a, node), ds[0])  # abs
+            return _div(ds[a], _mul(_num(2.0), node))
+        return _mul(_div(a, node), ds[a])  # abs
     if t is Pow:
         e = node.exponent
-        return _mul(_mul(_num(float(e)), _pow(node.base, e - 1)), ds[0])
+        return _mul(_mul(_num(float(e)), _pow(node.base, e - 1)),
+                    ds[node.base])
     if t is Neg:
-        d, = ds
+        d = ds[node.arg]
         return _ZERO if _is_num(d, 0.0) else _neg(d)
     if t is Var:
         return _ONE
@@ -558,7 +558,7 @@ def _derive(node, i: int, ds: list):
 def derivative(node, i: int):
     """Exact partial derivative of an expression with respect to x_i.
 
-    The DAG is walked by `_walk`, so any depth differentiates.  A subtree
+    The DAG is walked in `_order`, so any depth differentiates.  A subtree
     whose mask `_m` lacks x_i is not walked: its derivative is `_ZERO`.
     Each node walked keeps its derivative along x_i (weakly: the
     derivative lives as long as something else holds it, such as the
@@ -575,13 +575,14 @@ def derivative(node, i: int):
         ref = n._d and n._d.get(i)
         return ref and ref()
 
-    def visit(n, ds):
-        d = _derive(n, i, ds)
+    # node -> its derivative; dropped whole if a node fails to derive
+    ds = {}
+    for n in _order(node, ds, known):
+        d = ds[n] = _derive(n, i, ds)
         if n._d is None:
             n._d = {}
         n._d[i] = weakref.ref(d)
-        return d
-    return _walk(node, {}, visit, known)
+    return ds[node]
 
 
 def _rebuild(node, kids, repl: Dict[int, object]):
@@ -846,10 +847,10 @@ def _forget(memo: dict, order: list) -> None:
             del memo[node]
 
 
-def _walk(root, memo: dict, visit, known=None):
+def _walk(root, memo: dict, visit):
     """Visit root's unvisited DAG nodes in `_order`; memo maps each node
     to visit(node, (the children's results)).  Returns root's result."""
-    order = _order(root, memo, known)
+    order = _order(root, memo)
     try:
         for node in order:
             t = type(node)

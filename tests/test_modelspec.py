@@ -745,6 +745,13 @@ def stack_walk(root, memo, visit, known=None):
     return memo[root]
 
 
+def order_walk(root, memo, visit, known=None):
+    """A walk over `_order`, as `derivative` makes one (with known)."""
+    for n in ms._order(root, memo, known):
+        memo[n] = visit(n, tuple(memo[k] for k in children(n)))
+    return memo[root]
+
+
 def recorded_walk(walk, roots, known):
     """The visit sequence, the memo and the results of walking roots in
     turn through one memo."""
@@ -768,12 +775,16 @@ def test_walk_matches_the_reference_stack_walk(node, other, i, prune):
 
     hook = known if prune else None
     want = recorded_walk(stack_walk, [node, other, node], hook)
-    got = recorded_walk(ms._walk, [node, other, node], hook)
+    got = recorded_walk(order_walk, [node, other, node], hook)
     seen, memo, results = got
     assert seen == want[0]
     assert len(seen) == len(set(seen))
     assert memo == want[1]
     assert results == want[2]
+    if not prune:
+        def walk(root, memo, visit, known):
+            return ms._walk(root, memo, visit)
+        assert recorded_walk(walk, [node, other, node], None) == want
 
 
 def test_chain_of_100000_nodes_walks_without_recursion():
