@@ -256,8 +256,8 @@ def test_shipped_fields_match_the_reference(name):
         nodes += [f.node for f in pot]
         nodes += [f.partial(i).node for f in pot for i in range(4)]
     P = _Ctx(ph.model, 2, 5).points
-    for rows_ in (P[:1], P):
-        assert_same_as_reference(nodes, rows_)
+    for part in (P[:1], P):
+        assert_same_as_reference(nodes, part)
 
 
 def test_one_row_needs_no_errstate(monkeypatch):
