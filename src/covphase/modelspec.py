@@ -1136,10 +1136,7 @@ class _Rows:
         same left-to-right sum."""
         P, base, ts = self.batch.P, node.base, node.ts
         n, nts = len(P), len(ts)
-        if self.one:
-            rel = [x - b for x, b in zip(self.x, base)]
-        else:
-            rel = [P[:, nu] - b for nu, b in enumerate(base)]
+        rel = [x - b for x, b in zip(self.x, base)]
         key = (ts, base)
         stacked = self.batch.stacked.get(key)
         if stacked is None:
@@ -1487,10 +1484,10 @@ def validate_model(model: Model) -> None:
 
     vals = np.stack(per_field[:len(fields)], axis=1)
     gs = vals[:, :n * n].reshape(-1, n, n)
-    # one call for every point's metric (the same eigenvalues as one call
-    # per point), unless a non-finite entry could stop it: then the loop
-    # reaches that point's own checks first
-    eigs = np.linalg.eigvalsh(gs) if np.isfinite(gs).all() else None
+    # one call for every point's metric, the same eigenvalues as one call
+    # per point; a non-finite entry is masked, since its point fails
+    # before its eigenvalues are read
+    eigs = np.linalg.eigvalsh(np.where(np.isfinite(gs), gs, 0.0))
     for r, p in enumerate(pts):
         if first.get(r, len(fields)) < len(fields):
             raise evaluation_failed(r)
@@ -1498,7 +1495,7 @@ def validate_model(model: Model) -> None:
         if not np.all(np.isfinite(row)):
             raise ValidationError("non-finite field value", witness=p)
         g = gs[r]
-        eig = np.linalg.eigvalsh(g) if eigs is None else eigs[r]
+        eig = eigs[r]
         if model.kind == "galilei":
             if eig[0] <= 0:
                 raise ValidationError(

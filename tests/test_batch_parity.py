@@ -25,48 +25,14 @@ from covphase.modelspec import (
 from covphase.smooth import Batch, BoxedField, exterior_derivative, total
 from covphase.suites import _Ctx
 from test_compile import _compound, exprs, floats, same_float
+from test_modelspec import stack_walk
 
 
-# --- reference: the per-node callback walk and its evaluator ---------------
-
-def ref_walk(root, memo, visit):
-    """Post-order, left child first, each node once; memo maps each node
-    to visit(node, (the children's results))."""
-    if root in memo:
-        return memo[root]
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        t = type(node)
-        if t is BinOp:
-            a, b = node.left, node.right
-            if a in memo and b in memo:
-                stack.pop()
-                if node not in memo:
-                    memo[node] = visit(node, (memo[a], memo[b]))
-                continue
-            if b not in memo:
-                stack.append(b)
-        elif t is Neg or t is Call or t is Pow:
-            a = node.base if t is Pow else node.arg
-            if a in memo:
-                stack.pop()
-                if node not in memo:
-                    memo[node] = visit(node, (memo[a],))
-                continue
-        else:
-            stack.pop()
-            if node not in memo:
-                memo[node] = visit(node, ())
-            continue
-        if a not in memo:
-            stack.append(a)
-    return memo[root]
-
+# --- reference: the per-node callback walk (stack_walk) and its evaluator --
 
 def ref_batch_walk(batch, node):
     with np.errstate(all="ignore"):
-        return ref_walk(node, batch.memo, RefRows(batch).node)
+        return stack_walk(node, batch.memo, RefRows(batch).node)
 
 
 class RefRows:
@@ -233,7 +199,7 @@ def test_order_is_the_reference_visit_sequence(name):
     roots = form_nodes(omega) + form_nodes(exterior_derivative(omega))
     want, memo = [], {}
     for root in roots:
-        ref_walk(root, memo, lambda n, kids: want.append(n) or n)
+        stack_walk(root, memo, lambda n, kids: want.append(n) or n)
     got, pending = [], {}
     for root in roots:
         got += _order(root, pending)
