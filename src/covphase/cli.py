@@ -31,7 +31,7 @@ import numpy as np
 
 from .einstein import EinsteinPhase
 from .modelspec import ValidationError
-from .orbit import BoxExit, integrate_orbit, step_count
+from .orbit import BoxExit, integrate_orbit, resolve_framework, step_count
 from .report import emit_report
 from .smooth import BOX_SLACK
 from .suites import resolve_model, run_suite, suite_names
@@ -67,11 +67,7 @@ def _cmd_verify(args) -> int:
 def _cmd_orbit(args) -> int:
     try:
         model = resolve_model(args.model)
-        fw = {"g": "galilei", "e": "einstein"}.get(args.framework,
-                                                  args.framework)
-        if fw != model.kind:
-            raise ValueError("framework %r does not match model kind %r"
-                             % (args.framework, model.kind))
+        fw = resolve_framework(model, args.framework)
         x0 = np.array(args.x0, float)
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(args.v))):
             raise ValueError("initial position and velocity must be finite")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dims import CANONICAL_CONSTANT_DIMS, format_dimension, parse_dimension
 from .smooth import Batch, BoxedField, ConstField, Field, PForm, \
-    exterior_derivative, point_error, total
+    exterior_derivative, total
 
 SAMPLE_COUNT = 49  # validation points per model
 MAX_DEPTH = 200  # levels of nesting allowed in one parsed expression
@@ -326,24 +326,22 @@ class _Parser:
         return node
 
     def exponent(self) -> Fraction:
+        """A signed integer, or a signed integer ratio in parentheses,
+        x^(p/q): a bare exponent ends at its integer, so x^2 / 3 is
+        (x^2) / 3."""
         kind, text, off = self.peek()
-        if kind == "op" and text == "(":
+        paren = kind == "op" and text == "("
+        if paren:
             self.take()
-            val = self.signed_rational()
-            self.expect_op(")")
-            return val
-        return self.signed_rational()
-
-    def signed_rational(self) -> Fraction:
+            kind, text, off = self.peek()
         sign = 1
-        kind, text, off = self.peek()
         if kind == "op" and text == "-":
             self.take()
             sign = -1
         e = Fraction(sign * self.integer("exponent must be an integer or "
                                          "integer ratio"))
         kind, text, _ = self.peek()
-        if kind == "op" and text == "/":
+        if paren and kind == "op" and text == "/":
             self.take()
             den_off = self.peek()[2]
             den = self.integer("exponent denominator must be an integer")
@@ -354,6 +352,8 @@ class _Parser:
             float(e)
         except OverflowError:
             raise ParseError("exponent too large for a float", off) from None
+        if paren:
+            self.expect_op(")")
         return e
 
     def integer(self, message: str) -> int:
@@ -426,7 +426,8 @@ def to_text(node, prec: int = 0) -> str:
             return "(%s)" % s if prec > 2 else s
         case BinOp(op=o, left=a, right=b):
             p = _PREC[o]
-            # a bare exponent left of "/" too: -x1^2 / x2 reads as -x1^(2/x2)
+            # a power left of "/" is parenthesized, (x1^2) / x2, so that
+            # no reader takes the "/" for a ratio exponent, x1^(2/x2)
             left = to_text(a, p)
             if o == "/" and re.search(r"\^\d+$", left):
                 left = "(%s)" % left
@@ -658,11 +659,10 @@ class ExprField(Field):
     Sums, products and quotients of expression fields combine at the
     expression level, so derived structures built from model components
     (connection coefficients, curvature forms and so on) inherit exact
-    differentiation.  Its value at a point runs the float code that
-    `compile_fields` emits for it; `_Rows` evaluates it over every row of
-    a `Batch`.  A field holds nothing but its node and what it caches: a
-    model's parameters are numbers in the node from the moment it is
-    parsed.
+    differentiation.  `_Rows` evaluates it over every row of a `Batch`,
+    and its value at a point is the one row of a one-row batch.  A field
+    holds nothing but its node and the partials it caches: a model's
+    parameters are numbers in the node from the moment it is parsed.
     """
 
     def __init__(self, node):
@@ -670,18 +670,14 @@ class ExprField(Field):
             node = parse_expr(node)
         self.node = node
         self._partials: Dict[int, "ExprField"] = {}
-        self._fn: Optional[Callable] = None
 
     def jet(self, coords):
-        """The value at float coordinates, by this field's compiled code
-        (compiled on the first call); an error names the point, as a
-        batch row's does."""
-        if self._fn is None:
-            self._fn = compile_fields([self])
-        try:
-            return self._fn(coords)[0]
-        except _FLOAT_ERRORS as exc:
-            raise point_error(type(exc), str(exc), coords) from None
+        """The value at float coordinates, a Python float: row 0 of a
+        one-row `Batch`, whose error names the point."""
+        batch = Batch([coords])
+        v = _batch_walk(batch, self.node)
+        batch.raise_first()
+        return v
 
     def partial(self, i):
         # cached, so a partial asked for at every point or by every check
@@ -878,8 +874,8 @@ class _Emitter:
     `_Rows` arithmetic and checks on one float, raising the error text
     `_Rows` logs.  A division checks its divisor only where that can fail:
     not for a nonzero number, nor for a reference an earlier division has
-    checked.  A homotopy node runs its batch form on a one-row `Batch` of
-    the point (`_point_homotopy`).
+    checked.  A homotopy node has no float code: its quadrature runs in a
+    `Batch` only.
     """
 
     def __init__(self):
@@ -960,13 +956,7 @@ class _Emitter:
                                "sqrt of non-positive value")
                 fn = "abs" if f == "abs" else "_" + f
                 return self.temp("%s(%s)" % (fn, a))
-            case Homotopy():
-                if "_homotopy" not in self.env:
-                    # one batch per point, shared by its homotopy nodes
-                    self.env.update(_homotopy=_point_homotopy, _Batch=Batch)
-                    self.lines.append("hb = _Batch([p])")
-                return self.temp("_homotopy(hb, %s)" % self.const(node))
-        raise TypeError("not an expression node: %r" % (node,))
+        raise TypeError("no float code for a %s node" % type(node).__name__)
 
 
 def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
@@ -979,8 +969,10 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     operation is the same IEEE float operation as in `_Rows`, so the
     values equal a batch row's bit for bit, and an error raises the class
     and text that the batch logs on that row (ValueError,
-    ZeroDivisionError, OverflowError), without the point.  `ExprField.jet`
-    runs this code.
+    ZeroDivisionError, OverflowError), without the point.  It serves the
+    functions that run once per RK4 stage or per sample draw: the phases'
+    `dynamical_fn` and `EinsteinPhase._radicand_fn`.  A homotopy node
+    raises TypeError.
     """
     em = _Emitter()
     return em.function([em.field(fld) for fld in fields])
@@ -1172,16 +1164,6 @@ class _Rows:
                         "fractional power of non-positive base")
         # skips the rows just failed, whose power would be complex
         return self.each(lambda x: x ** p if x > 0.0 else math.nan, a)
-
-
-def _point_homotopy(batch: Batch, node: Homotopy) -> float:
-    """node at the one row of batch, by its batch form (a float in a
-    one-row batch); the first error logged there raises, without the
-    point."""
-    v = _batch_walk(batch, node)
-    for exc, message in batch.errors.values():
-        raise exc(message)
-    return v
 
 
 # ---------------------------------------------------------------------------

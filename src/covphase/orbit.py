@@ -16,8 +16,9 @@ that calls it through its `rhs` argument, a hook the benchmark's tracer
 wraps to count steps and RHS calls.  The residual evaluates the fields
 over the interior samples, BATCH_ROWS samples to a `Batch`, and reduces
 with whole array operations.  Both return the floats of `Field.value` at
-each point, which runs the same compiled code; where a sample fails, the
-first failing sample raises what the compiled right-hand side raises.
+each point, a one-row batch whose float operations the compiled code
+repeats; where a sample fails, the first failing sample raises what the
+compiled right-hand side raises.
 
 Galilei trajectories are parametrized by the absolute time x^0, so the
 first state component advances linearly.  Einstein trajectories are
@@ -172,6 +173,16 @@ def _einstein_residuals(phase: EinsteinPhase, states: np.ndarray,
     return _blockwise(block, states)
 
 
+def resolve_framework(model: Model, framework: str) -> str:
+    """framework ("galilei" or "einstein", or their initials) in full;
+    ValueError when it does not match the model kind."""
+    fw = {"g": "galilei", "e": "einstein"}.get(framework, framework)
+    if fw != model.kind:
+        raise ValueError("framework %r does not match model kind %r"
+                         % (framework, model.kind))
+    return fw
+
+
 def integrate_orbit(model: Model, framework: str, x0, v0,
                     duration: float, step: float = 1e-3) -> OrbitResult:
     """Integrate the dynamical flow from initial position x0, velocity v0.
@@ -182,10 +193,7 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
     LightconeViolation when the velocity stops being timelike; raises
     ValueError for a step count `step_count` refuses.
     """
-    fw = {"g": "galilei", "e": "einstein"}.get(framework, framework)
-    if fw != model.kind:
-        raise ValueError("framework %r does not match model kind %r"
-                         % (framework, model.kind))
+    fw = resolve_framework(model, framework)
     nsteps = step_count(duration, step)
 
     state = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])

@@ -2,10 +2,10 @@
 
 A field is a chart function.  Every field the phase modules build is an
 expression field (`modelspec.ExprField`): it differentiates symbolically
-to any order.  Its value at a single point (`Field.value`) runs compiled
-float code (`modelspec.compile_fields`); over all rows of a point `Batch`
-at once, an array evaluator gives the same bits and the same error
-messages.  There are no numeric partials.  Closure fields
+to any order.  One evaluator runs it over all rows of a point `Batch`
+at once, on numpy arrays, or on Python floats when the batch has one
+row; its value at a single point (`Field.value`) is that one row.
+There are no numeric partials.  Closure fields
 (`FuncField`, and the results of mixing a closure into field arithmetic)
 are written against float coordinates, run one point at a time and have
 no partial derivatives.
@@ -82,7 +82,7 @@ class Batch:
     Expression fields are evaluated over all rows at once (see
     `modelspec._Rows`), on numpy arrays, or, when there is one row, on
     Python floats with no numpy call, and each row gets the bits and the
-    error a point evaluation gives.  Column k of P is the coordinate x_k.
+    error a one-row batch of it gives.  Column k of P is the coordinate x_k.
     Every field evaluated in one batch shares the batch's one node memo,
     so common subexpressions are computed once.  Closure fields run point
     by point on floats.
@@ -292,12 +292,6 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField([a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField([a - b for a, b in zip(self.comps, other.comps)])
-
-    def scaled(self, s) -> "VectorField":
-        return VectorField([c * s for c in self.comps])
 
 
 def directional(X: VectorField, f: Field) -> Field:

@@ -3,8 +3,10 @@
 `Field.values(P)` and `field_values` must return exactly what a loop of
 `Field.value(p)` over the rows of P returns, bit for bit (sign of zero
 and NaN included), and raise the class and message that loop raises first.
-The point path of an expression field is the code `compile_fields` emits,
-so these tests hold the two evaluators, `_Rows` and the compiler, equal.
+The value of an expression field at a point is a one-row batch, which
+runs on Python floats, so these tests hold one-row floats equal to
+multi-row numpy.  `test_compile` holds the compiled code equal to batch
+rows.
 """
 
 import gc

@@ -2,9 +2,10 @@
 
 `compile_fields` must return exactly what `field_values` returns for
 every field at every point, and raise the class and text that a batch
-raises there, less the batch's ` at point [...]` suffix.  `Field.value`
-runs the compiled code and adds that suffix.  Values are compared bit for
-bit (sign of zero and NaN included), not within a tolerance.
+raises there, less the batch's ` at point [...]` suffix.  The compiled
+code serves the orbit right-hand side and the timelike check; a field's
+value at a point is a one-row batch.  Values are compared bit for bit
+(sign of zero and NaN included), not within a tolerance.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from covphase.einstein import EinsteinPhase
 from covphase.galilei import GalileiPhase
 from covphase.modelspec import (
-    BinOp, Call, ExprField, Neg, Num, Pow, Var, _Emitter, _walk,
+    BinOp, Call, ExprField, Homotopy, Neg, Num, Pow, Var, _Emitter, _walk,
     available_models, compile_fields, load_builtin, parse_expr,
 )
 from covphase.smooth import ConstField, field_values
@@ -221,6 +222,13 @@ def test_constant_fields_return_floats():
 def test_rejects_other_fields():
     with pytest.raises(TypeError):
         compile_fields([ConstField(1.0)])
+
+
+def test_homotopy_node_does_not_compile():
+    # its quadrature runs in a batch only
+    h = Homotopy((Var(1),) * 4, (0.0,) * 4, (0.5,), (1.0,))
+    with pytest.raises(TypeError, match="Homotopy node"):
+        compile_fields([ExprField(BinOp("+", Var(2), h))])
 
 
 def test_deep_chain_compiles():

@@ -306,7 +306,8 @@ class TestOrbit:
 
     def test_framework_mismatch(self):
         model = load_builtin("uniform-e")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^framework 'g' does not match "
+                           "model kind 'einstein'$"):
             integrate_orbit(model, "g", [0, 0, 0, 0], [0, 0, 0], 1.0)
 
     def test_non_finite_state_is_box_exit(self):
@@ -412,6 +413,14 @@ class TestCli:
                        "--x0", "0", "0", "0", "0", "--v", "2", "0", "0",
                        "--duration", "1.0")
         assert proc.returncode == 2
+
+    def test_orbit_framework_mismatch_exit_two(self):
+        proc = run_cli("orbit", "--model", "uniform-b", "--framework",
+                       "einstein", "--x0", "0", "0", "0", "0",
+                       "--v", "0", "0", "0", "--duration", "1.0")
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: framework 'einstein' does not match "
+                               "model kind 'galilei'\n")
 
     # stdout of the README orbit commands, as printed before the orbit
     # right-hand side was compiled; the compiled path must not move a bit

@@ -79,7 +79,7 @@ class TestParser:
 
     # the next three once raised ZeroDivisionError, int()'s bare ValueError
     # and (at evaluation) OverflowError instead of a ParseError
-    @pytest.mark.parametrize("text,offset", [("x1^(1/0)", 6), ("x1^2/0", 5)])
+    @pytest.mark.parametrize("text,offset", [("x1^(1/0)", 6)])
     def test_exponent_denominator_zero(self, text, offset):
         with pytest.raises(ParseError, match="exponent denominator is zero") \
                 as err:
@@ -89,8 +89,18 @@ class TestParser:
     def test_exponent_denominator_not_an_integer(self):
         with pytest.raises(ParseError, match="exponent denominator must be "
                            "an integer") as err:
-            parse_expr("x1^2 / 5e-3")
-        assert err.value.offset == 7
+            parse_expr("x1^(2/5e-3)")
+        assert err.value.offset == 6
+
+    # each once read its "/" as a ratio exponent: x1^(2/3), x1^(2/0), and
+    # a denominator 5e-3 that is not an integer
+    @pytest.mark.parametrize("text,divisor", [
+        ("x1^2 / 3", 3.0), ("x1^2/0", 0.0), ("x1^2 / 5e-3", 5e-3)])
+    def test_bare_exponent_ends_at_its_integer(self, text, divisor):
+        quotient = BinOp("/", Pow(Var(1), Fraction(2)), Num(divisor))
+        assert parse_expr(text) is quotient
+        assert parse_expr(text.replace("x1^2", "(x1^2)")) is quotient
+        assert parse_expr("x1^(2/3)") is Pow(Var(1), Fraction(2, 3))
 
     @pytest.mark.parametrize("text", ["x1^" + "9" * 400,
                                       "x1^(-%s/3)" % ("9" * 400)],
@@ -140,7 +150,7 @@ def test_power_of_a_power_prints_in_parentheses():
     assert to_text(node) == "(x1^2)^3"
     d = derivative(parse_expr("1 / x1^2"), 1)
     assert to_text(d) == "-(2.0 * x1) / (x1^2)^2"
-    # a power left of "/": x1^2 / x2 would read 2 / x2 as the exponent
+    # a power left of "/": x1^2 / x2 once read 2 / x2 as the exponent
     q = BinOp("/", Pow(Var(1), Fraction(2)), Var(2))
     for n in (node, d, q):
         assert parse_expr(to_text(n)) is n
