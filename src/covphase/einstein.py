@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import (
-    Call, ExprField, Model, Var, _Emitter, compile_fields, constant,
-    inverse_nodes, velocity,
+    Call, Model, Var, _Emitter, compile_fields, constant, inverse_nodes,
+    velocity,
 )
 from .smooth import (
     Batch, Field, PForm, VectorField, cached, directional, total, unboxed,
@@ -71,8 +71,7 @@ class EinsteinPhase:
         self.scale = model.hbar / model.mass    # g = scale * G
         self.G = [[unboxed(f) for f in row] for row in model.metric]
         self.A = [unboxed(f) for f in model.potential]
-        inv = inverse_nodes([[g.node for g in row] for row in self.G])
-        self.Ginv = [[ExprField(n) for n in row] for row in inv]
+        self.Ginv = inverse_nodes(self.G)
         self._memo: Dict = {}
 
     # -- metric accessors (indices 0..3) ------------------------------------
@@ -92,11 +91,31 @@ class EinsteinPhase:
 
     # -- velocity contractions ----------------------------------------------
 
+    def _observer_frame(self, vel: List[Field]) -> tuple:
+        """For the observer o = (1, v) with the three velocity fields
+        v = vel: the quadratic form g(o, o) = g_00 + 2 g_0j v^j +
+        g_ij v^i v^j, its sqrt|g(o, o)| and reciprocal, and the four
+        components G(o)_lam = G_{0 lam} + G_{i lam} v^i."""
+        rad = total(
+            [self.g_low(0, 0)]
+            + [self.g_low(0, j) * 2.0 * vel[j - 1] for j in range(1, 4)]
+            + [self.g_low(i, j) * vel[i - 1] * vel[j - 1]
+               for i in range(1, 4) for j in range(1, 4)])
+        root = Call("sqrt", Call("abs", rad))
+        low = [total([self.G[0][lam]] + [self.G[i][lam] * vel[i - 1]
+                                         for i in range(1, 4)])
+               for lam in range(4)]
+        return rad, root, constant(1.0) / root, low
+
+    @cached
+    def _chart_frame(self) -> tuple:
+        """`_observer_frame` of the chart velocities x^i_0."""
+        return self._observer_frame([velocity(i) for i in range(1, 4)])
+
     @cached
     def Gbar0(self, lam: int) -> Field:
         """G_{0 lam} + G_{i lam} x^i_0 (rescaled metric)."""
-        return total([self.G[0][lam]] + [self.G[i][lam] * velocity(i)
-                                         for i in range(1, 4)])
+        return self._chart_frame()[3][lam]
 
     @cached
     def gbar0(self, lam: int) -> Field:
@@ -116,11 +135,7 @@ class EinsteinPhase:
     @cached
     def radicand(self) -> Field:
         """g_00 + 2 g_0j x^j_0 + g_ij x^i_0 x^j_0; negative on admissible points."""
-        return total(
-            [self.g_low(0, 0)]
-            + [self.g_low(0, j) * 2.0 * velocity(j) for j in range(1, 4)]
-            + [self.g_low(i, j) * velocity(i) * velocity(j)
-               for i in range(1, 4) for j in range(1, 4)])
+        return self._chart_frame()[0]
 
     @cached
     def _radicand_fn(self):
@@ -133,11 +148,11 @@ class EinsteinPhase:
 
     @cached
     def alpha0(self) -> Field:
-        return constant(1.0) / self.inv_alpha0()
+        return self._chart_frame()[2]
 
     @cached
     def inv_alpha0(self) -> Field:
-        return ExprField(Call("sqrt", Call("abs", self.radicand().node)))
+        return self._chart_frame()[1]
 
     @cached
     def tau(self, lam: int) -> Field:
@@ -410,7 +425,7 @@ class EinsteinPhase:
     # -- distinguished special functions -------------------------------------
 
     def coordinate_function(self, lam: int) -> ESpecialFunction:
-        return ESpecialFunction([constant(0.0)] * 4, ExprField(Var(lam)))
+        return ESpecialFunction([constant(0.0)] * 4, Var(lam))
 
     def hamiltonian_function(self) -> ESpecialFunction:
         """Observed energy: lift d_0, scalar part -coupled A_0."""
@@ -431,16 +446,8 @@ class EinsteinPhase:
         """
         if obs is None:
             obs = [constant(0.0)] * 3
-        # the observer's normalization 1 / sqrt|g(o, o)|, o = (1, obs)
-        rad = total(
-            [self.g_low(0, 0)]
-            + [self.g_low(0, j) * 2.0 * obs[j - 1] for j in range(1, 4)]
-            + [self.g_low(i, j) * obs[i - 1] * obs[j - 1]
-               for i in range(1, 4) for j in range(1, 4)])
-        alpha = constant(1.0) / ExprField(Call("sqrt", Call("abs", rad.node)))
-        return [alpha * total([self.G[0][lam]] + [self.G[i][lam] * obs[i - 1]
-                                                  for i in range(1, 4)])
-                * self.c for lam in range(4)]
+        _, _, alpha, low = self._observer_frame(obs)
+        return [alpha * low[lam] * self.c for lam in range(4)]
 
     def observed_component(self, sf: ESpecialFunction,
                            obs: Optional[List[Field]] = None) -> Field:

@@ -60,12 +60,11 @@ class Observer:
 
     def section(self) -> List[Field]:
         """The section fields x ↦ (x, o(x)) into the phase chart."""
-        return [ExprField(Var(k)) for k in range(4)] + list(self.vel)
+        return [Var(k) for k in range(4)] + list(self.vel)
 
     def is_chart(self) -> bool:
         # by value: Num(-0.0) and Num(0) are other nodes than Num(0.0)
-        return all(isinstance(v, ExprField) and isinstance(v.node, Num)
-                   and v.node.value == 0.0 for v in self.vel)
+        return all(isinstance(v, Num) and v.number == 0.0 for v in self.vel)
 
 
 @dataclass
@@ -88,8 +87,7 @@ class GalileiPhase:
         self.coupling = model.coupling
         self.G = [[unboxed(f) for f in row] for row in model.metric]
         self.A = [unboxed(f) for f in model.potential]
-        inv = inverse_nodes([[g.node for g in row] for row in self.G])
-        self.Ginv = [[ExprField(n) for n in row] for row in inv]
+        self.Ginv = inverse_nodes(self.G)
         self._memo = {}
 
     # -- spacetime level ----------------------------------------------------
@@ -222,24 +220,17 @@ class GalileiPhase:
             return self._memo["observed_Phi"]
         obs = Observer.chart() if chart else observer
         sec = obs.section()
-        nodes = []
-        for s in sec:
-            if not isinstance(s, ExprField):
-                raise ValueError("observer components must be expression "
-                                 "fields for the pullback")
-            nodes.append(s.node)
+        if not all(isinstance(s, ExprField) for s in sec):
+            raise ValueError("observer components must be expression "
+                             "fields for the pullback")
         omega = self.cosymplectic()
-        repl = dict(enumerate(nodes))
+        repl = dict(enumerate(sec))
         memo = {}  # Omega's components share subtrees; keep them shared
-
-        def compose(fld: Field) -> ExprField:
-            return ExprField(substitute(fld.node, repl, memo))
-
         comps = {}
         for lam in range(4):
             for mu in range(lam + 1, 4):
                 comps[(lam, mu)] = total(
-                    (compose(fld)
+                    (substitute(fld, repl, memo)
                      * (sec[a].partial(lam) * sec[b].partial(mu)
                         - sec[a].partial(mu) * sec[b].partial(lam))
                      for (a, b), fld in omega.comps.items()), constant(0.0))
@@ -267,10 +258,9 @@ class GalileiPhase:
             phis = []
             for nu in range(4):
                 fld = phi.component((nu, mu))
-                phis.append(fld.node if isinstance(fld, ExprField)
+                phis.append(fld if isinstance(fld, ExprField)
                             else Num(fld.c))
-            return ExprField(Homotopy(tuple(phis), base, HOMOTOPY_TS,
-                                      HOMOTOPY_WEIGHTS))
+            return Homotopy(tuple(phis), base, HOMOTOPY_TS, HOMOTOPY_WEIGHTS)
 
         return [component(mu) for mu in range(4)]
 
@@ -380,8 +370,8 @@ class GalileiPhase:
     # -- distinguished special functions ------------------------------------
 
     def coordinate_function(self, lam: int) -> SpecialFunction:
-        return SpecialFunction(constant(0.0), [constant(0.0)] * 3,
-                               ExprField(Var(lam)), Observer.chart())
+        return SpecialFunction(constant(0.0), [constant(0.0)] * 3, Var(lam),
+                               Observer.chart())
 
     def hamiltonian_function(self) -> SpecialFunction:
         """Observed energy (kinetic plus electromagnetic scalar term)."""

@@ -9,10 +9,11 @@ a small expression language over the chart coordinates x0..x3::
     A2 = B/2 * x1
     g11 = 1 / (1 + k*x1^2)
 
-Expressions compile to `ExprField`s, which differentiate symbolically and
-therefore never run out of derivative order.  Loading validates the model
-at low-discrepancy sample points inside the declared box; failures raise
-`ValidationError` carrying a witness point.
+Expressions parse to expression nodes.  Each node is a field, an
+`ExprField`, which differentiates symbolically and therefore never runs
+out of derivative order.  Loading validates the model at low-discrepancy
+sample points inside the declared box; failures raise `ValidationError`
+carrying a witness point.
 """
 
 import configparser
@@ -58,9 +59,12 @@ class ValidationError(Exception):
 # ---------------------------------------------------------------------------
 # Expression AST
 #
-# Nodes are hash-consed: each one is built through one weak table, keyed by
-# its class, its plain fields and the ids of its children, so building a
-# node structurally equal to a live one returns that node.  Structural
+# A node is the field it defines: every node class derives from
+# `ExprField`, a `smooth.Field`, so the phase modules combine,
+# differentiate and evaluate nodes themselves, with no wrapper object.
+# Nodes are hash-consed: each one is built through one weak table, keyed
+# by its class, its plain fields and the ids of its children, so building
+# a node structurally equal to a live one returns that node.  Structural
 # equality is identity, and nodes compare and hash by identity, so every
 # DAG walk keys its memo by the node itself.  A float is keyed with the
 # sign of a zero and its type, so Num(0.0), Num(-0.0) and Num(0) are three
@@ -68,9 +72,10 @@ class ValidationError(Exception):
 # built.  The table holds its nodes weakly, so a node is freed as soon as
 # nothing else refers to it, and its entry goes with it.  Each node
 # carries `_m`, the bitmask of the coordinates it reads (bit k for x_k),
-# set once when it is built, and the derivatives taken of it (see
-# `derivative`).  A leaf is a number or a coordinate: parameters are
-# numbers by the time a node is built (see `parse_expr`).
+# set once when it is built, and `_d`, weak references to the derivatives
+# taken of it, the one cache of partials (see `derivative`).  A leaf is a
+# number or a coordinate: parameters are numbers by the time a node is
+# built (see `parse_expr`).
 
 _NODES: Dict[tuple, "_Entry"] = {}
 _new = object.__new__
@@ -97,47 +102,131 @@ def _enter(key, node, mask):
     return node
 
 
-class _Node:
-    """An expression node, built by the constructor of its class in
-    `_BUILD`; `_m` has bit k set when the node reads x_k, and `_d` maps a
-    coordinate index to a weak reference to the node's derivative along
-    it."""
+class ExprField(Field):
+    """An expression node, which is itself the field it defines: it
+    differentiates exactly to any order.
+
+    A node is built by the constructor of its class in `_BUILD`; `_m` has
+    bit k set when the node reads x_k, and `_d` maps a coordinate index
+    to a weak reference to the node's derivative along it.
+    `ExprField(x)` itself builds nothing: it returns a node x as it is
+    and parses a string.  Sums, products and quotients with nodes and
+    numbers are nodes (with the folding of `_add`, `_mul` and so on), so
+    every structure built from model components inherits exact
+    differentiation.  `_Rows` evaluates a node over every row of a
+    `Batch`, and its value at a point is the one row of a one-row batch.
+    A model's parameters are numbers in the node from the moment it is
+    parsed.
+    """
 
     __slots__ = ("_d", "_m", "__weakref__")
 
     def __new__(cls, *fields, **named):
-        return _BUILD[cls](*fields, **named)
+        if cls is not ExprField:
+            return _BUILD[cls](*fields, **named)
+        x, = fields
+        if isinstance(x, str):
+            return parse_expr(x)
+        if isinstance(x, ExprField):
+            return x
+        raise TypeError("not an expression: %r" % (x,))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
             "%s=%r" % (f, getattr(self, f)) for f in self.__match_args__))
 
+    @property
+    def node(self):
+        # read only by `perfbench/tracing._form_nodes`, which takes the
+        # node of each form component
+        return self
 
-class Num(_Node):
-    __slots__ = __match_args__ = ("value",)
+    def jet(self, coords):
+        """The value at float coordinates, a Python float: row 0 of a
+        one-row `Batch`, whose error names the point."""
+        batch = Batch([coords])
+        v = _batch_walk(batch, self)
+        batch.raise_first()
+        return v
+
+    def partial(self, i):
+        # cached weakly in `_d`: a partial lives as long as its caller
+        # holds it (see `derivative`)
+        return derivative(self, i)
+
+    def _values(self, batch: Batch):
+        val = _batch_walk(batch, self)
+        if isinstance(val, np.ndarray):
+            return val.copy()
+        if len(batch.P) == 1:
+            return np.array([val])
+        return np.full(len(batch.P), val)
+
+    def __add__(self, other):
+        b = _as_node(other)
+        return super().__add__(other) if b is None else _add(self, b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        b = _as_node(other)
+        return super().__sub__(other) if b is None else _sub(self, b)
+
+    def __rsub__(self, other):
+        b = _as_node(other)
+        return super().__rsub__(other) if b is None else _sub(b, self)
+
+    def __mul__(self, other):
+        b = _as_node(other)
+        return super().__mul__(other) if b is None else _mul(self, b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        b = _as_node(other)
+        return super().__truediv__(other) if b is None else _div(self, b)
+
+    def __neg__(self):
+        return _ZERO if _is_num(self, 0.0) else _neg(self)
 
 
-class Var(_Node):
+def _as_node(x):
+    """The node of an operand: a node itself, a number or a `ConstField`
+    as a `Num`; None for a field that is no expression."""
+    if isinstance(x, ExprField):
+        return x
+    if isinstance(x, (int, float)):
+        return _num(float(x))
+    if isinstance(x, ConstField):
+        return _num(x.c)
+    return None
+
+
+class Num(ExprField):
+    __slots__ = __match_args__ = ("number",)
+
+
+class Var(ExprField):
     __slots__ = __match_args__ = ("index",)  # 0..3 spacetime, 4..6 velocity
 
 
-class Neg(_Node):
+class Neg(ExprField):
     __slots__ = __match_args__ = ("arg",)
 
 
-class BinOp(_Node):
+class BinOp(ExprField):
     __slots__ = __match_args__ = ("op", "left", "right")  # op: + - * /
 
 
-class Pow(_Node):
+class Pow(ExprField):
     __slots__ = __match_args__ = ("base", "exponent")  # exponent: Fraction
 
 
-class Call(_Node):
+class Call(ExprField):
     __slots__ = __match_args__ = ("func", "arg")
 
 
-class Homotopy(_Node):
+class Homotopy(ExprField):
     """A quadrature along the segments from base to x (never parsed):
 
         sum_k sum_nu (weights_k * phis_nu(y_k)) * (x_nu - base_nu)
@@ -157,14 +246,14 @@ class Homotopy(_Node):
 def _num(value):
     if value != value:  # NaN equals nothing, so it is never looked up
         node = _new(Num)
-        node.value, node._d, node._m = value, None, 0
+        node.number, node._d, node._m = value, None, 0
         return node
     key = (Num, type(value), value, value or math.copysign(1.0, value))
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
         node = _enter(key, _new(Num), 0)
-        node.value = value
+        node.number = value
     return node
 
 
@@ -414,7 +503,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 def to_text(node, prec: int = 0) -> str:
     match node:
-        case Num(value=v):
+        case Num(number=v):
             # a negative zero too: -0.0^2 would parse as -(0.0^2)
             if v >= 0 and math.copysign(1.0, v) > 0:
                 return repr(v)
@@ -426,12 +515,7 @@ def to_text(node, prec: int = 0) -> str:
             return "(%s)" % s if prec > 2 else s
         case BinOp(op=o, left=a, right=b):
             p = _PREC[o]
-            # a power left of "/" is parenthesized, (x1^2) / x2, so that
-            # no reader takes the "/" for a ratio exponent, x1^(2/x2)
-            left = to_text(a, p)
-            if o == "/" and re.search(r"\^\d+$", left):
-                left = "(%s)" % left
-            s = "%s %s %s" % (left, o, to_text(b, p + 1))
+            s = "%s %s %s" % (to_text(a, p), o, to_text(b, p + 1))
             return "(%s)" % s if prec > p else s
         case Pow(base=b, exponent=e):
             if e.denominator == 1 and e >= 0:
@@ -454,7 +538,7 @@ def to_text(node, prec: int = 0) -> str:
 
 
 def _is_num(node, v=None):
-    return type(node) is Num and (v is None or node.value == v)
+    return type(node) is Num and (v is None or node.number == v)
 
 
 _ZERO = Num(0.0)
@@ -561,13 +645,18 @@ def derivative(node, i: int):
 
     The DAG is walked in `_order`, so any depth differentiates.  A subtree
     whose mask `_m` lacks x_i is not walked: its derivative is `_ZERO`.
-    Each node walked keeps its derivative along x_i (weakly: the
-    derivative lives as long as something else holds it, such as the
-    `ExprField.partial` built from it), so a node shared within one
-    expression or between expressions built apart is differentiated once,
-    its derivative is shared in the output, and
+    Each node walked keeps its derivative along x_i in `_d`, weakly: a
+    derivative lives as long as a caller or a node built from it holds
+    it (a strong reference would make cycles, as d exp(u) = exp(u) du
+    refers to exp(u)).  So a node shared within one expression or between
+    expressions built apart is differentiated once while its derivative
+    is held, its derivative is shared in the output, and
     `derivative(n, i) is derivative(n, i)`.
     """
+    ref = node._d and node._d.get(i)
+    held = ref and ref()
+    if held is not None:  # asked for again, and still held
+        return held
     bit = 1 << i
 
     def known(n):
@@ -649,111 +738,14 @@ def inverse_nodes(m: List[List[object]]) -> List[List[object]]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# The expression-backed field
-
-
-class ExprField(Field):
-    """Field backed by an expression; differentiates exactly to any order.
-
-    Sums, products and quotients of expression fields combine at the
-    expression level, so derived structures built from model components
-    (connection coefficients, curvature forms and so on) inherit exact
-    differentiation.  `_Rows` evaluates it over every row of a `Batch`,
-    and its value at a point is the one row of a one-row batch.  A field
-    holds nothing but its node and the partials it caches: a model's
-    parameters are numbers in the node from the moment it is parsed.
-    """
-
-    def __init__(self, node):
-        if isinstance(node, str):
-            node = parse_expr(node)
-        self.node = node
-        self._partials: Dict[int, "ExprField"] = {}
-
-    def jet(self, coords):
-        """The value at float coordinates, a Python float: row 0 of a
-        one-row `Batch`, whose error names the point."""
-        batch = Batch([coords])
-        v = _batch_walk(batch, self.node)
-        batch.raise_first()
-        return v
-
-    def partial(self, i):
-        # cached, so a partial asked for at every point or by every check
-        # is derived once and keeps its nodes shared
-        if i not in self._partials:
-            self._partials[i] = ExprField(derivative(self.node, i))
-        return self._partials[i]
-
-    def _values(self, batch: Batch):
-        val = _batch_walk(batch, self.node)
-        if isinstance(val, np.ndarray):
-            return val.copy()
-        if len(batch.P) == 1:
-            return np.array([val])
-        return np.full(len(batch.P), val)
-
-    def _operand(self, other):
-        """The node of a compatible operand, else None."""
-        if isinstance(other, ExprField):
-            return other.node
-        if isinstance(other, (int, float)):
-            return _num(float(other))
-        if isinstance(other, ConstField):
-            return _num(other.c)
-        return None
-
-    def __add__(self, other):
-        op = self._operand(other)
-        if op is None:
-            return super().__add__(other)
-        return ExprField(_add(self.node, op))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        op = self._operand(other)
-        if op is None:
-            return super().__sub__(other)
-        return ExprField(_sub(self.node, op))
-
-    def __rsub__(self, other):
-        op = self._operand(other)
-        if op is None:
-            return super().__rsub__(other)
-        return ExprField(_sub(op, self.node))
-
-    def __mul__(self, other):
-        op = self._operand(other)
-        if op is None:
-            return super().__mul__(other)
-        return ExprField(_mul(self.node, op))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        op = self._operand(other)
-        if op is None:
-            return super().__truediv__(other)
-        return ExprField(_div(self.node, op))
-
-    def __neg__(self):
-        return ExprField(_neg(self.node) if not _is_num(self.node, 0.0)
-                         else _ZERO)
-
-    def __repr__(self):
-        return "ExprField(%s)" % to_text(self.node)
-
-
 def constant(v: float) -> ExprField:
     """The constant v as an expression field."""
-    return ExprField(_num(float(v)))
+    return _num(float(v))
 
 
 def velocity(i: int) -> ExprField:
     """The fibre coordinate x^i_0 (i = 1..3) as a phase field."""
-    return ExprField(Var(3 + i))
+    return _var(3 + i)
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +883,7 @@ class _Emitter:
         if not isinstance(fld, ExprField):
             raise TypeError("only expression fields compile, not %s"
                             % type(fld).__name__)
-        return _walk(fld.node, self.memo, self.node)
+        return _walk(fld, self.memo, self.visit)
 
     def function(self, outs: Sequence[str]) -> Callable:
         """The emitted lines as a function p -> [outs]."""
@@ -922,9 +914,9 @@ class _Emitter:
         self.env[name] = v
         return name
 
-    def node(self, node, kids):
+    def visit(self, node, kids):
         match node:
-            case Num(value=v):
+            case Num(number=v):
                 return self.const(float(v))
             case Var(index=k):
                 name = "x%d" % k
@@ -1034,8 +1026,8 @@ class _Rows:
     def run(self, order: list) -> None:
         """Evaluate the nodes of order into the batch memo, in turn.  The
         loop does `+ - *`, negation, coordinates and numbers itself and
-        hands the nodes that can fail, and homotopies, to `node`."""
-        memo, x, visit = self.batch.memo, self.x, self.node
+        hands the nodes that can fail, and homotopies, to `visit`."""
+        memo, x, visit = self.batch.memo, self.x, self.visit
         try:
             for n in order:
                 t = type(n)
@@ -1052,7 +1044,7 @@ class _Rows:
                 elif t is Neg:
                     v = -memo[n.arg]
                 elif t is Num:
-                    v = float(n.value)
+                    v = float(n.number)
                 elif t is Var:
                     v = x[n.index]
                 elif t is Call:
@@ -1089,7 +1081,7 @@ class _Rows:
                                     str(exc))
             return out
 
-    def node(self, node, kids):
+    def visit(self, node, kids):
         """The value of a quotient, power, call or homotopy node, from
         its children's values."""
         t = type(node)
@@ -1221,7 +1213,7 @@ def _spacetime_expr(key: str, text: str, params) -> ExprField:
     if high:
         raise ValueError("%s: x%d is not a spacetime coordinate"
                          % (key, 3 + (high & -high).bit_length()))
-    return ExprField(node)
+    return node
 
 
 def _param(key: str, text: str) -> float:

@@ -1,14 +1,14 @@
 """Charts, scalar/vector fields and exterior calculus.
 
 A field is a chart function.  Every field the phase modules build is an
-expression field (`modelspec.ExprField`): it differentiates symbolically
-to any order.  One evaluator runs it over all rows of a point `Batch`
-at once, on numpy arrays, or on Python floats when the batch has one
-row; its value at a single point (`Field.value`) is that one row.
-There are no numeric partials.  Closure fields
-(`FuncField`, and the results of mixing a closure into field arithmetic)
-are written against float coordinates, run one point at a time and have
-no partial derivatives.
+expression node (`modelspec.ExprField`, the base class of the nodes): it
+differentiates symbolically to any order.  One evaluator runs it over
+all rows of a point `Batch` at once, on numpy arrays, or on Python
+floats when the batch has one row; its value at a single point
+(`Field.value`) is that one row.  There are no numeric partials.
+Closure fields (`FuncField`, and the results of mixing a closure into
+field arithmetic) are written against float coordinates, run one point
+at a time and have no partial derivatives.
 
 Convention for forms: components are stored on strictly increasing index
 tuples and extended by antisymmetry, the wedge is the determinant convention
@@ -149,7 +149,11 @@ def field_values(fields: Sequence["Field"], P) -> List[np.ndarray]:
 
 class Field:
     """A chart function.  `jet(coords)` is its value at a list of Python
-    float coordinates, the order-0 jet; subclasses override it alone."""
+    float coordinates, the order-0 jet; subclasses override it alone.
+    No slots, so that an expression node, which is a field, keeps no
+    `__dict__`."""
+
+    __slots__ = ()
 
     def jet(self, coords: List[float]) -> float:
         raise NotImplementedError
@@ -301,10 +305,10 @@ def directional(X: VectorField, f: Field) -> Field:
     field; a closure component of X gives a closure, and a closure f has
     no partials to take.
     """
-    from .modelspec import ExprField, Num  # local: modelspec imports smooth
+    from .modelspec import Num  # local: modelspec imports smooth
 
-    return total((ExprField(Num(comp.c)) if isinstance(comp, ConstField)
-                  else comp) * f.partial(nu)
+    return total((Num(comp.c) if isinstance(comp, ConstField) else comp)
+                 * f.partial(nu)
                  for nu, comp in enumerate(X.comps))
 
 

@@ -87,7 +87,7 @@ def _poly(rng, nvars=4) -> ExprField:
         for _ in range(int(rng.integers(1, 3))):
             term = BinOp("*", term, Var(int(rng.integers(0, nvars))))
         node = BinOp("+", node, term)
-    return ExprField(node)
+    return node
 
 
 def _random_gspecial(rng) -> SpecialFunction:
@@ -300,7 +300,7 @@ def _g_lift_witness(ctx: _Ctx) -> float:
     # X^a = Lambda^{ab} d_b f with f = (x^1_0)^3
     ph = ctx.phase
     lam_form = ph.poisson_bivector()
-    f = ExprField(BinOp("*", BinOp("*", Var(4), Var(4)), Var(4)))
+    f = BinOp("*", BinOp("*", Var(4), Var(4)), Var(4))
     comps = [total(lam_form.component((a, b)) * f.partial(b)
                    for b in range(7)) for a in range(4)]
     rng = ctx.rng("lift-witness")
@@ -500,8 +500,7 @@ def _e_poisson_bivector(ctx: _Ctx) -> float:
 def _eq_observed_route(ctx: _Ctx) -> float:
     ph = ctx.phase
     rng = ctx.rng("observed-route")
-    obs = [constant(0.1), ExprField(BinOp("*", Num(0.05), Var(1))),
-           constant(-0.08)]
+    obs = [constant(0.1), BinOp("*", Num(0.05), Var(1)), constant(-0.08)]
     worst = 0.0
     for _ in range(3):
         sf = _random_especial(rng)
@@ -546,7 +545,7 @@ def _s1_jacobi(ctx: _Ctx) -> float:
 
 def _s1_jacobi_witness(ctx: _Ctx) -> float:
     # twist x^0 d1^d2 is not closed; translations see the defect d(twist)
-    phi = PForm(4, 2, {(1, 2): ExprField(Var(0))})
+    phi = PForm(4, 2, {(1, 2): Var(0)})
     trips = [qt.GaugePair(VectorField([constant(1.0 if k == m else 0.0)
                                        for k in range(4)]), constant(0.0))
              for m in range(3)]

@@ -75,7 +75,7 @@ class RefRows:
         if t is Var:
             return self.x[node.index]
         if t is Num:
-            return float(node.value)
+            return float(node.number)
         if t is Call:
             a, = kids
             if node.func == "sqrt":

@@ -156,7 +156,7 @@ def test_zero_divisor_raises_the_batch_text():
 def division_checks(text: str) -> int:
     """The zero-divisor checks in the code compiled for text."""
     em = _Emitter()
-    _walk(parse_expr(text), {}, em.node)
+    _walk(parse_expr(text), {}, em.visit)
     return sum("ZeroDivisionError" in line for line in em.lines)
 
 

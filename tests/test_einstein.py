@@ -12,7 +12,7 @@ import pytest
 
 from covphase.modelspec import (
     BinOp, Call, ExprField, Model, Num, Var, load_builtin, parse_model_text,
-    sample_points,
+    sample_points, velocity,
 )
 from covphase.einstein import (
     EinsteinPhase, ESpecialFunction, LightconeViolation,
@@ -419,6 +419,16 @@ class TestSpecialValues:
         p = np.array([0.0, 0.0, 0.0, 0.0, 0.6, 0.0, 0.0])
         got = ph.special_value(ph.momentum_function(1)).value(p)
         assert abs(got - 1.25 * 0.6) < 1e-12
+
+    @pytest.mark.parametrize("name", EINSTEIN_MODELS)
+    def test_observed_theta_of_the_chart_velocities_is_theta(self, phases,
+                                                             name):
+        # one quadratic form: the observer whose velocities are the chart's
+        # x^i_0 has the chart's own theta, node for node
+        ph = phases[name]
+        seen = ph.observed_theta([velocity(1), velocity(2), velocity(3)])
+        for lam in range(4):
+            assert seen[lam] is ph.theta(lam)
 
     def test_observed_component_matches_on_fibre(self, phases):
         # the observer pullback of a special function agrees with its

@@ -20,7 +20,7 @@ from covphase.modelspec import (
     to_text, tokenize, validate_model,
 )
 from covphase.smooth import (
-    ConstField, FuncField, OutsideBoxError, VectorField, directional,
+    ConstField, Field, FuncField, OutsideBoxError, VectorField, directional,
     exterior_derivative, field_values,
 )
 
@@ -157,16 +157,16 @@ def test_power_of_a_power_prints_in_parentheses():
 
 
 @pytest.mark.parametrize("node,text", [
-    (BinOp("/", Neg(Pow(Var(1), Fraction(2))), Var(2)), "(-x1^2) / x2"),
+    (BinOp("/", Neg(Pow(Var(1), Fraction(2))), Var(2)), "-x1^2 / x2"),
     (BinOp("/", BinOp("*", Var(3), Pow(Var(1), Fraction(2))), Num(3.0)),
-     "(x3 * x1^2) / 3.0"),
+     "x3 * x1^2 / 3.0"),
     (BinOp("/", Neg(Pow(Num(0.0), Fraction(0))), Num(5e-324)),
-     "(-0.0^0) / 5e-324"),
+     "-0.0^0 / 5e-324"),
     (BinOp("/", Pow(Var(1), Fraction(1, 2)), Var(2)), "x1^(1/2) / x2"),
-])
-def test_bare_exponent_left_of_division_prints_in_parentheses(node, text):
-    # each once printed as a power of 2/x2 (or of 0/5e-324), which does
-    # not parse back
+], ids=["negated", "product", "zero", "ratio"])
+def test_power_left_of_division_prints_bare(node, text):
+    # a bare exponent ends at its integer, so x1^2 / x2 is (x1^2) / x2
+    # and needs no parentheses to parse back
     assert to_text(node) == text
     assert parse_expr(text) is node
 
@@ -190,7 +190,7 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 def to_sympy(node, sp, xs):
     """The expression as a sympy expression in the symbols xs."""
     match node:
-        case Num(value=v):
+        case Num(number=v):
             return sp.Float(v)
         case Var(index=k):
             return xs[k]
@@ -943,11 +943,60 @@ def test_equal_expressions_are_one_object():
     assert Pow(Var(1), Fraction(2)) is not Pow(Var(1), 2)
 
 
+def test_a_node_is_its_field():
+    assert issubclass(BinOp, ExprField) and issubclass(ExprField, Field)
+    node = parse_expr("x1 * x2")
+    assert ExprField("x1 * x2") is node and ExprField(node) is node
+    assert node.node is node
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(TypeError, match="not an expression"):
+        ExprField(2.0)
+    # a node's value at a point is `Field.value`; the number of a Num is
+    # the slot `number`, which does not shadow it
+    assert type(node).value is Field.value
+    assert Num(2.0).value([0.3, 0.0, 0.0, 0.0]) == 2.0
+
+
+def test_arithmetic_builds_the_nodes_of_the_folding_constructors():
+    x1, x2 = Var(1), Var(2)
+    assert x1 * 2.0 is BinOp("*", x1, Num(2.0))
+    assert x1 * x2 is BinOp("*", x1, x2)
+    assert x1 / 2 is BinOp("/", x1, Num(2.0))
+    assert x1 - ConstField(3.0) is BinOp("-", x1, Num(3.0))
+    # reflected: the node stays on the left of + and *, not of -
+    assert 2.0 * x1 is BinOp("*", x1, Num(2.0))
+    assert 2.0 + x1 is BinOp("+", x1, Num(2.0))
+    assert 2.0 - x1 is BinOp("-", Num(2.0), x1)
+    assert -x1 is Neg(x1)
+    # the folding of `_add`, `_sub`, `_mul` and `_div`
+    assert x1 + 0.0 is x1 and 0.0 + x1 is x1 and x1 * 1.0 is x1
+    assert x1 * 0.0 is Num(0.0) and Num(0.0) / x1 is Num(0.0)
+    assert Num(0.0) - x1 is Neg(x1) and -Num(-0.0) is Num(0.0)
+    # a closure operand gives a closure
+    assert isinstance(x1 * FuncField(lambda c: 2.0), FuncField)
+
+
+def test_partial_lives_as_long_as_its_caller_holds_it():
+    f = parse_expr("x1 * exp(x1 * x7)")
+    d = f.partial(1)
+    assert f.partial(1) is d and d.partial(7) is d.partial(7)
+    # the derivative of exp(u) reads exp(u) itself: a strong cache from
+    # node to derivative would be a cycle, so none is kept
+    dd = d.partial(7)
+    dead = [weakref.ref(n) for n in (f, d, dd)]
+    gc.disable()
+    try:
+        del f, d, dd
+        assert [r() for r in dead] == [None] * 3
+    finally:
+        gc.enable()
+
+
 def test_signed_zeros_and_number_types_stay_apart():
     pos, neg = Num(0.0), Num(-0.0)
     assert pos is not neg and Num(0.0) is pos and Num(-0.0) is neg
     assert Num(0) is not pos and Num(1) is not Num(1.0)
-    assert type(Num(1).value) is int
+    assert type(Num(1).number) is int
     assert to_text(pos) == "0.0" and to_text(neg) == "(-0.0)"
     p = [0.0, 2.0, 0.0, 0.0]
     P = np.array([p, p])
@@ -960,7 +1009,7 @@ def test_signed_zeros_and_number_types_stay_apart():
 
 def test_nan_number_builds_and_evaluates():
     a, b = Num(math.nan), Num(math.nan)
-    assert a is not b and math.isnan(a.value)
+    assert a is not b and math.isnan(a.number)
     assert to_text(a) == "(nan)"
     with pytest.raises(ParseError, match="unknown name 'nan'"):
         parse_expr(to_text(a))

@@ -368,6 +368,11 @@ A0 = sqrt(x1) + sqrt(x2)
 
 @pytest.mark.parametrize("bad1, bad2", [(5, 2), (2, 5), (3, 3), (6, None)])
 def test_galilei_residuals_first_error_matches_point_loop(bad1, bad2):
+    # states no orbit yields: each interior sample of an orbit began an RK4
+    # step, whose right-hand side evaluated gamma^1..3 there.  So the
+    # residual has no point loop to fall back on: it raises the batch's
+    # error, the point function's class and text at the first failing row
+    # of gamma^1, the first field that fails, with the row's point
     phase = GalileiPhase(parse_model_text(ROOTS_MODEL))
     states = np.full((9, 7), 0.5)
     states[:, 0] = np.linspace(0.0, 0.08, 9)
@@ -375,11 +380,12 @@ def test_galilei_residuals_first_error_matches_point_loop(bad1, bad2):
     if bad2 is not None:
         states[bad2, 2] = -0.5
     with pytest.raises((ValueError, ArithmeticError)) as want:
-        ref_galilei_residuals(phase, states, 1e-2)
+        gamma_fn(phase)(states[bad1].tolist())
     with pytest.raises((ValueError, ArithmeticError)) as got:
         orbit._galilei_residuals(phase, states, 1e-2)
     assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == "%s at point %s" % (want.value,
+                                                 states[bad1].tolist())
 
 
 def test_galilei_residuals_without_error_match_point_loop():

@@ -237,8 +237,11 @@ class TestHelpers:
         assert b.calls == [("square", 2), ("double", 2)]
 
     def test_cached_memo_is_per_instance(self):
+        # equal nodes are one object, so each instance's own call is what
+        # shows its own memo
         one, two = _Builder(), _Builder()
-        assert one.square(1) is not two.square(1)
+        assert one.square(1) is two.square(1)
+        assert one.calls == two.calls == [("square", 1)]
 
     def test_cached_method_stays_a_plain_function(self):
         fn = vars(_Builder)["square"]
