@@ -35,7 +35,7 @@ from .modelspec import (
 )
 from .smooth import (
     Batch, Field, PForm, VectorField, cached, directional, total, unboxed,
-    wedge, worst,
+    wedge,
 )
 
 
@@ -505,113 +505,132 @@ class EinsteinPhase:
 
         p may also be a stack of points P[N, 7]; each residual is then an
         array over its rows.  The fields are evaluated over all rows at
-        once and the linear algebra is done row by row.
+        once, and so is the linear algebra, on arrays stacked over the
+        rows ([N, 4, 4] for a matrix); each row gets the bits of its
+        one-point computation.
         """
         P = np.asarray(p, dtype=float)
         rows = P[None] if P.ndim == 1 else P
         for q in rows:
             self.require_timelike(q)
-        batch = Batch(rows)
-        basis = [self.base_b0()] + [self.base_bi(i) for i in range(1, 4)]
-        cobasis = [self.base_beta0()] + [self.base_betai(i)
-                                         for i in range(1, 4)]
-        out = [self._identity_row(batch, r, q, basis, cobasis)
-               for r, q in enumerate(rows)]
-        if P.ndim == 1:
-            return out[0]
-        return {key: np.array([d[key] for d in out]) for key in out[0]}
+        val = Batch(rows).values
 
-    def _identity_row(self, batch: Batch, row: int, p: np.ndarray,
-                      basis: List[List[Field]],
-                      cobasis: List[List[Field]]) -> Dict[str, float]:
-        def val(f: Field) -> float:
-            return batch.at(f, row)
+        def arr(fields: list) -> np.ndarray:
+            """The values of a list (of lists) of fields, rows first."""
+            return np.stack([arr(f) if isinstance(f, list) else val(f)
+                             for f in fields], axis=1)
 
-        out: Dict[str, float] = {}
+        out: Dict[str, np.ndarray] = {}
         c = self.c
         al = val(self.alpha0())
-        gl = np.array([[val(self.g_low(a, b)) for b in range(4)]
-                       for a in range(4)])
-        gu = np.array([[val(self.g_up(a, b)) for b in range(4)]
-                       for a in range(4)])
-        v = p[4:7]
-        dbar = np.array([1.0, v[0], v[1], v[2]])
-        tau = np.array([val(self.tau(lam)) for lam in range(4)])
-        tau_up = np.array([val(self.tau_up(mu)) for mu in range(4)])
-        gbar0 = np.array([val(self.gbar0(lam)) for lam in range(4)])
-        gbar_low = np.vstack([gbar0] + [
-            [val(self.ghat(i, mu)) for mu in range(4)]
-            for i in range(1, 4)])
-        gbar_up = np.vstack([
-            -(al ** 2) * dbar,
-            [[val(self.gbar_up(i, lam)) for lam in range(4)]
-             for i in range(1, 4)]])
+        # each row's float ** is C pow, which is not always the power
+        # numpy takes for an array
+        al2 = np.array([a ** 2 for a in al.tolist()])
+        al3 = np.array([a ** 3 for a in al.tolist()])
+        gl = arr([[self.g_low(a, b) for b in range(4)] for a in range(4)])
+        gu = arr([[self.g_up(a, b) for b in range(4)] for a in range(4)])
+        v = rows[:, 4:7]
+        dbar = np.concatenate([np.ones((len(rows), 1)), v], axis=1)
+        tau = arr([self.tau(lam) for lam in range(4)])
+        tau_up = arr([self.tau_up(mu) for mu in range(4)])
+        gbar_low = arr([[self.gbar0(lam) for lam in range(4)]] + [
+            [self.ghat(i, mu) for mu in range(4)] for i in range(1, 4)])
+        gbar0 = gbar_low[:, 0]
+        gbar_up = np.concatenate([((-al2)[:, None] * dbar)[:, None], arr(
+            [[self.gbar_up(i, lam) for lam in range(4)]
+             for i in range(1, 4)])], axis=1)
 
-        dee = np.array([val(self.contact(lam)) for lam in range(4)])
-        out["contact-norm"] = abs(dee @ gl @ dee + c ** 2)
-        out["time-normalization"] = abs(tau @ dee - 1.0)
+        dee = arr([self.contact(lam) for lam in range(4)])
+        out["contact-norm"] = np.abs(_dot(_vm(dee, gl), dee) + c ** 2)
+        out["time-normalization"] = np.abs(_dot(tau, dee) - 1.0)
 
-        bv = np.array([[val(f) for f in row] for row in basis])
-        btv = np.array([[val(f) for f in row] for row in cobasis])
-        out["basis-duality"] = np.max(np.abs(btv @ bv.T - np.eye(4)))
-        out["splitting-orthogonality"] = worst(
-            *(abs(bv[0] @ gl @ bv[i]) for i in range(1, 4)))
-        out["parallel-norm"] = abs(bv[0] @ gl @ bv[0] + 1.0 / al ** 2)
-        perp = np.array([[val(self.ghat(i, j)) for j in range(1, 4)]
-                         for i in range(1, 4)])
-        direct = np.array([[bv[i] @ gl @ bv[j] for j in range(1, 4)]
-                           for i in range(1, 4)])
-        out["perp-metric"] = np.max(np.abs(perp - direct))
-        gperp_up = np.array([[btv[i] @ gu @ btv[j] for j in range(1, 4)]
-                             for i in range(1, 4)])
-        out["perp-inverse"] = np.max(np.abs(
-            perp @ gperp_up - np.eye(3)))
-        out["mixed-raise"] = np.max(np.abs(
-            gperp_up @ gbar_low[0, 1:] - gbar_up[1:, 0] / al ** 2))
-        out["bar-0-covector"] = np.max(np.abs(
-            gbar_low[0] + btv[0] / al ** 2))
-        out["bar-i-raise"] = np.max(np.abs(
-            gperp_up @ bv[1:] - gbar_up[1:]))
+        bv = arr([self.base_b0()] + [self.base_bi(i) for i in range(1, 4)])
+        btv = arr([self.base_beta0()] + [self.base_betai(i)
+                                         for i in range(1, 4)])
+        out["basis-duality"] = _peak(btv @ bv.transpose(0, 2, 1) - np.eye(4))
+        out["splitting-orthogonality"] = _peak(
+            _dot(_vm(bv[:, :1], gl[:, None]), bv[:, 1:]))
+        out["parallel-norm"] = np.abs(
+            _dot(_vm(bv[:, 0], gl), bv[:, 0]) + 1.0 / al2)
+        perp = arr([[self.ghat(i, j) for j in range(1, 4)]
+                    for i in range(1, 4)])
+        # [N, i, j] entries bv[i] @ gl @ bv[j], and the same of btv and gu
+        direct = _dot(_vm(bv[:, 1:, None], gl[:, None, None]),
+                      bv[:, None, 1:])
+        out["perp-metric"] = _peak(perp - direct)
+        gperp_up = _dot(_vm(btv[:, 1:, None], gu[:, None, None]),
+                        btv[:, None, 1:])
+        out["perp-inverse"] = _peak(perp @ gperp_up - np.eye(3))
+        out["mixed-raise"] = _peak(
+            (gperp_up @ gbar_low[:, 0, 1:, None])[..., 0]
+            - gbar_up[:, 1:, 0] / al2[:, None])
+        out["bar-0-covector"] = _peak(
+            gbar_low[:, 0] + btv[:, 0] / al2[:, None])
+        out["bar-i-raise"] = _peak(gperp_up @ bv[:, 1:] - gbar_up[:, 1:])
 
-        out["bar-inverse"] = np.max(np.abs(
-            gbar_low @ gbar_up.T - np.eye(4)))
-        out["bar-inverse-transposed"] = np.max(np.abs(
-            gbar_low.T @ gbar_up - np.eye(4)))
-        out["bar-00-projector"] = np.max(np.abs(
-            np.outer(gbar_low[0], gbar_up[0])
-            - (-c ** 2) * np.outer(tau, tau_up)))
-        out["bar-ii-projector"] = np.max(np.abs(
-            gbar_low[1:].T @ gbar_up[1:]
-            - (np.eye(4) + c ** 2 * np.outer(tau, tau_up))))
-        out["bar-0i-mix"] = np.max(np.abs(
-            gbar_low[0, 1:] @ gbar_up[1:]
-            - (gu[0] / al ** 2 + dbar)))
-        out["vertical-annihilation"] = np.max(np.abs(
-            gbar_low[1:, 0] + gbar_low[1:, 1:] @ v))
+        out["bar-inverse"] = _peak(
+            gbar_low @ gbar_up.transpose(0, 2, 1) - np.eye(4))
+        out["bar-inverse-transposed"] = _peak(
+            gbar_low.transpose(0, 2, 1) @ gbar_up - np.eye(4))
+        out["bar-00-projector"] = _peak(
+            _outer(gbar_low[:, 0], gbar_up[:, 0])
+            - (-c ** 2) * _outer(tau, tau_up))
+        out["bar-ii-projector"] = _peak(
+            gbar_low[:, 1:].transpose(0, 2, 1) @ gbar_up[:, 1:]
+            - (np.eye(4) + c ** 2 * _outer(tau, tau_up)))
+        out["bar-0i-mix"] = _peak(
+            _vm(gbar_low[:, 0, 1:], gbar_up[:, 1:])
+            - (gu[:, 0] / al2[:, None] + dbar))
+        out["vertical-annihilation"] = _peak(
+            gbar_low[:, 1:, 0] + (gbar_low[:, 1:, 1:] @ v[..., None])[..., 0])
 
         alpha_f = self.alpha0()
         inv_f = self.inv_alpha0()
         for j in range(1, 4):
-            r = val(alpha_f.partial(3 + j)) - al ** 3 * gbar0[j]
-            out["alpha-vertical-%d" % j] = abs(r)
-            r = val(inv_f.partial(3 + j)) + al * gbar0[j]
-            out["inv-alpha-vertical-%d" % j] = abs(r)
+            r = val(alpha_f.partial(3 + j)) - al3 * gbar0[:, j]
+            out["alpha-vertical-%d" % j] = np.abs(r)
+            r = val(inv_f.partial(3 + j)) + al * gbar0[:, j]
+            out["inv-alpha-vertical-%d" % j] = np.abs(r)
         for i in range(1, 4):
             for j in range(i, 4):
                 r = val(inv_f.partial(3 + i).partial(3 + j)) \
                     + al * val(self.ghat(i, j))
-                out["inv-alpha-hessian-%d%d" % (i, j)] = abs(r)
+                out["inv-alpha-hessian-%d%d" % (i, j)] = np.abs(r)
         for i in range(1, 4):
             for mu in range(4):
                 r = val(self.tau(mu).partial(3 + i)) \
                     + (al / c) * val(self.ghat(i, mu))
-                out["tau-vertical-%d%d" % (i, mu)] = abs(r)
+                out["tau-vertical-%d%d" % (i, mu)] = np.abs(r)
         for lam in range(4):
             spatial = 0.0
             for a in range(4):
                 for bb in range(4):
                     spatial += val(self.g_low(a, bb).partial(lam)) \
-                        * dbar[a] * dbar[bb]
-            r = val(alpha_f.partial(lam)) - 0.5 * al ** 3 * spatial
-            out["alpha-horizontal-%d" % lam] = abs(r)
+                        * dbar[:, a] * dbar[:, bb]
+            r = val(alpha_f.partial(lam)) - 0.5 * al3 * spatial
+            out["alpha-horizontal-%d" % lam] = np.abs(r)
+        if P.ndim == 1:
+            return {key: float(res[0]) for key, res in out.items()}
         return out
+
+
+# Products over stacks of rows (leading axes) that keep the core shapes
+# of the one-row product, x @ m or x @ y of vectors x, y and a matrix m,
+# so that numpy runs on every row the kernel it runs for one row (a
+# vector-matrix product, not a matrix product).
+
+def _vm(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return (x[..., None, :] @ m)[..., 0, :]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[..., :, None] * y[..., None, :]
+
+
+def _peak(a: np.ndarray) -> np.ndarray:
+    """The largest |entry| of each row of a stack, NaN when any is NaN."""
+    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)))

@@ -547,9 +547,9 @@ _TWO = Fraction(2)
 
 
 def _add(a, b):
-    if _is_num(a, 0.0):
+    if type(a) is Num and a.number == 0.0:
         return b
-    if _is_num(b, 0.0):
+    if type(b) is Num and b.number == 0.0:
         return a
     return _binop("+", a, b)
 
@@ -563,11 +563,13 @@ def _sub(a, b):
 
 
 def _mul(a, b):
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
+    x = a.number if type(a) is Num else None
+    y = b.number if type(b) is Num else None
+    if x == 0.0 or y == 0.0:
         return _ZERO
-    if _is_num(a, 1.0):
+    if x == 1.0:
         return b
-    if _is_num(b, 1.0):
+    if y == 1.0:
         return a
     return _binop("*", a, b)
 
@@ -653,11 +655,13 @@ def derivative(node, i: int):
     is held, its derivative is shared in the output, and
     `derivative(n, i) is derivative(n, i)`.
     """
+    bit = 1 << i
+    if not node._m & bit:
+        return _ZERO
     ref = node._d and node._d.get(i)
     held = ref and ref()
     if held is not None:  # asked for again, and still held
         return held
-    bit = 1 << i
 
     def known(n):
         if not n._m & bit:
@@ -987,6 +991,8 @@ def _batch_walk(batch: Batch, node):
     freed as soon as it is dropped.  The nodes not yet in the memo are
     evaluated in `_order` by `_Rows.run`."""
     memo = batch.memo
+    if node in memo:
+        return memo[node]
     order = _order(node, memo)
     if order:
         rows = _Rows(batch)

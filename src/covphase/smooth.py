@@ -85,7 +85,8 @@ class Batch:
     error a one-row batch of it gives.  Column k of P is the coordinate x_k.
     Every field evaluated in one batch shares the batch's one node memo,
     so common subexpressions are computed once.  Closure fields run point
-    by point on floats.
+    by point on floats.  A field's values come back as one array over the
+    rows (`values`), which callers reduce over all rows at once.
 
     Within a field, an evaluation error does not stop the other rows: the
     row is marked, and once the field is done the error of the lowest
@@ -103,21 +104,12 @@ class Batch:
         self.stacked: Dict[tuple, "Batch"] = {}
         self.failed = np.zeros(len(self.P), dtype=bool)
         self.errors: Dict[int, Tuple[type, str]] = {}
-        self._rows: Dict["Field", list] = {}  # keyed by field identity
 
     def values(self, fld: "Field") -> np.ndarray:
         """fld at every row, a new float64 array of length N."""
         out = fld._values(self)
         self.raise_first()
         return out
-
-    def at(self, fld: "Field", r: int) -> float:
-        """fld at row r as a Python float; the first request for a field
-        evaluates it at every row."""
-        hit = self._rows.get(fld)
-        if hit is None:
-            hit = self._rows[fld] = self.values(fld).tolist()
-        return hit[r]
 
     def fail(self, rows, exc: type, message: str) -> None:
         """Log exc at the rows of a boolean mask (or at every row for a
@@ -380,7 +372,7 @@ class PForm:
             idx = list(key)
             subs = np.stack([np.asarray(v, dtype=float)[:, idx]
                              for v in vectors], axis=1)
-            total = total + val * np.array([np.linalg.det(s) for s in subs])
+            total = total + val * np.linalg.det(subs)
         return np.broadcast_to(total, (len(P),)).astype(float)
 
     def __add__(self, other: "PForm") -> "PForm":

@@ -267,13 +267,9 @@ def _g_volume(ctx: _Ctx) -> float:
 
 def _fibre_variants(points: np.ndarray, rng, bound: float) -> np.ndarray:
     """Four copies of each point with new velocities, [N * 4, 7]."""
-    outs = []
-    for p in points:
-        for _ in range(4):
-            q = p.copy()
-            q[4:7] = rng.uniform(-bound, bound, 3)
-            outs.append(q)
-    return np.array(outs)
+    out = np.repeat(points, 4, axis=0)
+    out[:, 4:7] = rng.uniform(-bound, bound, (len(out), 3))
+    return out
 
 
 def _fibre_spread(comps, points: np.ndarray, rng) -> np.ndarray:
