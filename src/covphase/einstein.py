@@ -34,8 +34,7 @@ from .modelspec import (
     velocity,
 )
 from .smooth import (
-    Batch, Field, PForm, VectorField, cached, directional, total, unboxed,
-    wedge,
+    Batch, Field, PForm, VectorField, cached, directional, total, wedge,
 )
 
 
@@ -69,8 +68,8 @@ class EinsteinPhase:
         self.coupling = model.coupling          # q / hbar
         self.c = model.lightspeed
         self.scale = model.hbar / model.mass    # g = scale * G
-        self.G = [[unboxed(f) for f in row] for row in model.metric]
-        self.A = [unboxed(f) for f in model.potential]
+        self.G = model.metric
+        self.A = model.potential
         self.Ginv = inverse_nodes(self.G)
         self._memo: Dict = {}
 
@@ -139,11 +138,14 @@ class EinsteinPhase:
 
     @cached
     def _radicand_fn(self):
+        """The radicand compiled, for the sampler's test of each draw."""
         return compile_fields([self.radicand()])
 
     def require_timelike(self, p) -> None:
+        """Raise LightconeViolation unless the phase point p is timelike,
+        and what `Field.value` raises where the radicand fails."""
         # written so that a NaN radicand counts as not timelike
-        if not self._radicand_fn()(p)[0] < 0.0:
+        if not self.radicand().value(p) < 0.0:
             raise LightconeViolation(_NOT_TIMELIKE)
 
     @cached
@@ -511,9 +513,17 @@ class EinsteinPhase:
         """
         P = np.asarray(p, dtype=float)
         rows = P[None] if P.ndim == 1 else P
-        for q in rows:
-            self.require_timelike(q)
-        val = Batch(rows).values
+        batch = Batch(rows)
+        # the first row that fails or is not timelike raises what
+        # `require_timelike` raises there, before any other field is
+        # evaluated; a NaN radicand counts as not timelike
+        rad = self.radicand()._values(batch)
+        bad = np.flatnonzero(batch.failed | ~(rad < 0.0))
+        if len(bad):
+            if batch.failed[bad[0]]:
+                batch.raise_first()
+            raise LightconeViolation(_NOT_TIMELIKE)
+        val = batch.values
 
         def arr(fields: list) -> np.ndarray:
             """The values of a list (of lists) of fields, rows first."""

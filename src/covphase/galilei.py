@@ -35,7 +35,7 @@ from .modelspec import (
 )
 from .smooth import (
     Field, PForm, VectorField, cached, directional, exterior_derivative,
-    total, unboxed, wedge,
+    total, wedge,
 )
 
 from numpy.polynomial.legendre import leggauss
@@ -85,8 +85,8 @@ class GalileiPhase:
             raise ValueError("expected a galilei model, got %r" % model.kind)
         self.model = model
         self.coupling = model.coupling
-        self.G = [[unboxed(f) for f in row] for row in model.metric]
-        self.A = [unboxed(f) for f in model.potential]
+        self.G = model.metric
+        self.A = model.potential
         self.Ginv = inverse_nodes(self.G)
         self._memo = {}
 
@@ -110,8 +110,7 @@ class GalileiPhase:
         phi = self.faraday().scaled(constant(self.coupling))
         if self.model.gravity2 is None:
             return phi
-        return phi + PForm(4, 2, {k: unboxed(f) for k, f
-                                  in self.model.gravity2.comps.items()})
+        return phi + self.model.gravity2
 
     @cached
     def K(self, lam: int, i: int, mu: int) -> Field:
@@ -254,15 +253,9 @@ class GalileiPhase:
         phi = self.observed_curvature(observer)
         base = tuple(self.model.center().tolist())
 
-        def component(mu: int) -> ExprField:
-            phis = []
-            for nu in range(4):
-                fld = phi.component((nu, mu))
-                phis.append(fld if isinstance(fld, ExprField)
-                            else Num(fld.c))
-            return Homotopy(tuple(phis), base, HOMOTOPY_TS, HOMOTOPY_WEIGHTS)
-
-        return [component(mu) for mu in range(4)]
+        return [Homotopy(tuple(phi.component((nu, mu)) for nu in range(4)),
+                         base, HOMOTOPY_TS, HOMOTOPY_WEIGHTS)
+                for mu in range(4)]
 
     # -- special phase functions --------------------------------------------
 

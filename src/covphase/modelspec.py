@@ -29,8 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dims import CANONICAL_CONSTANT_DIMS, format_dimension, parse_dimension
-from .smooth import Batch, BoxedField, ConstField, Field, PForm, \
-    exterior_derivative, total
+from .smooth import Batch, Field, PForm, exterior_derivative, total
 
 SAMPLE_COUNT = 49  # validation points per model
 MAX_DEPTH = 200  # levels of nesting allowed in one parsed expression
@@ -162,43 +161,44 @@ class ExprField(Field):
             return np.array([val])
         return np.full(len(batch.P), val)
 
+    # an operand that is neither a node nor a number gives NotImplemented,
+    # so Python raises TypeError
+
     def __add__(self, other):
         b = _as_node(other)
-        return super().__add__(other) if b is None else _add(self, b)
+        return NotImplemented if b is None else _add(self, b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         b = _as_node(other)
-        return super().__sub__(other) if b is None else _sub(self, b)
+        return NotImplemented if b is None else _sub(self, b)
 
     def __rsub__(self, other):
         b = _as_node(other)
-        return super().__rsub__(other) if b is None else _sub(b, self)
+        return NotImplemented if b is None else _sub(b, self)
 
     def __mul__(self, other):
         b = _as_node(other)
-        return super().__mul__(other) if b is None else _mul(self, b)
+        return NotImplemented if b is None else _mul(self, b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         b = _as_node(other)
-        return super().__truediv__(other) if b is None else _div(self, b)
+        return NotImplemented if b is None else _div(self, b)
 
     def __neg__(self):
         return _ZERO if _is_num(self, 0.0) else _neg(self)
 
 
 def _as_node(x):
-    """The node of an operand: a node itself, a number or a `ConstField`
-    as a `Num`; None for a field that is no expression."""
+    """The node of an operand: a node itself, a number as a `Num`; None
+    for anything else."""
     if isinstance(x, ExprField):
         return x
     if isinstance(x, (int, float)):
         return _num(float(x))
-    if isinstance(x, ConstField):
-        return _num(x.c)
     return None
 
 
@@ -966,8 +966,9 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     values equal a batch row's bit for bit, and an error raises the class
     and text that the batch logs on that row (ValueError,
     ZeroDivisionError, OverflowError), without the point.  It serves the
-    functions that run once per RK4 stage or per sample draw: the phases'
-    `dynamical_fn` and `EinsteinPhase._radicand_fn`.  A homotopy node
+    functions that run many times on one point each: the phases'
+    `dynamical_fn`, once per RK4 stage, and `EinsteinPhase._radicand_fn`,
+    once per candidate that the Einstein sampler draws.  A homotopy node
     raises TypeError.
     """
     em = _Emitter()
@@ -1180,8 +1181,8 @@ class Model:
     params: Dict[str, float]
     box_lo: np.ndarray
     box_hi: np.ndarray
-    metric: List[List[Field]]  # 3x3 spacelike (galilei) or 4x4 (einstein)
-    potential: List[Field]  # covariant components of the EM potential
+    metric: List[List[ExprField]]  # 3x3 spacelike (galilei) or 4x4 (einstein)
+    potential: List[ExprField]  # covariant components of the EM potential
     gravity2: Optional[PForm]  # closed observed gravitational 2-form
 
     @property
@@ -1259,7 +1260,7 @@ def _symmetric_entries(section, prefix, lo_idx, hi_idx, params):
             "the entries are %s%d%d..%s%d%d"
             % (prefix, lo_idx, lo_idx, prefix, hi_idx, hi_idx))
     dim = hi_idx - lo_idx + 1
-    grid: List[List[Optional[Field]]] = [[None] * dim for _ in range(dim)]
+    grid: List[List[Optional[ExprField]]] = [[None] * dim for _ in range(dim)]
     for i in range(lo_idx, hi_idx + 1):
         for j in range(i, hi_idx + 1):
             key = "%s%d%d" % (prefix, i, j)
@@ -1364,7 +1365,7 @@ def parse_model_text(text: str, name: str = "<string>") -> Model:
     else:
         metric = _symmetric_entries(section("metric"), "g", 0, 3, params)
 
-    potential: List[Field] = []
+    potential: List[ExprField] = []
     pot = cp["potential"] if cp.has_section("potential") else {}
     keys = ["A%d" % lam for lam in range(4)]
     _closed(pot, "potential", keys, "the entries are A0..A3")
@@ -1380,14 +1381,6 @@ def parse_model_text(text: str, name: str = "<string>") -> Model:
         gravity2 = PForm(4, 2, {
             ab: _spacetime_expr(key, cp["gravity"][key], params)
             for key, ab in keys.items() if key in cp["gravity"]})
-
-    def box(f: Field) -> Field:
-        return BoxedField(f, box_lo, box_hi)
-
-    metric = [[box(f) for f in row] for row in metric]
-    potential = [box(f) for f in potential]
-    if gravity2 is not None:
-        gravity2 = PForm(4, 2, {k: box(f) for k, f in gravity2.comps.items()})
 
     return Model(kind=kind, name=model_name, constants=constants,
                  params=params, box_lo=box_lo, box_hi=box_hi, metric=metric,
@@ -1442,11 +1435,7 @@ def validate_model(model: Model) -> None:
     closure = []
     if model.gravity2 is not None:
         fields += list(model.gravity2.comps.values())
-        # from the unboxed components, so that dPhi is a sum of expressions
-        # (the sample points lie inside the box)
-        dphi = exterior_derivative(PForm(4, 2, {
-            k: f.base for k, f in model.gravity2.comps.items()}))
-        closure = list(dphi.comps.items())
+        closure = list(exterior_derivative(model.gravity2).comps.items())
     # every field over all points in one batch, without raising; first[r]
     # is the index of the first field that failed at row r, whose error
     # is the one the batch logged there

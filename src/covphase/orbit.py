@@ -195,7 +195,7 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
     if state.shape != (7,):
         raise ValueError("need 4 position and 3 velocity components")
     state = state.tolist()
-    # widened by the slack `smooth.BoxedField` allows the model's fields
+    # widened by BOX_SLACK, as the CLI's test of the initial position is
     lo = [v - BOX_SLACK for v in model.box_lo.tolist()]
     hi = [v + BOX_SLACK for v in model.box_hi.tolist()]
     _check_box(state, lo, hi)

@@ -18,8 +18,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .modelspec import constant
 from .smooth import (
-    Field, PForm, VectorField, ZERO, directional, exterior_derivative,
+    Field, PForm, VectorField, directional, exterior_derivative,
     field_values, lie_bracket, total, worst,
 )
 from .galilei import GalileiPhase, Observer, SpecialFunction
@@ -62,12 +63,13 @@ def _contract_1form(A: List[Field], X: VectorField) -> Field:
 def two_form_on(w: PForm, X: VectorField, Y: VectorField) -> Field:
     """w(X, Y) in the determinant convention, as a field."""
     return total((fld * (X.comps[a] * Y.comps[b] - X.comps[b] * Y.comps[a])
-                  for (a, b), fld in w.comps.items()), ZERO)
+                  for (a, b), fld in w.comps.items()), constant(0.0))
 
 
 def to_linear_field(y: HermitianVF) -> LinearQuantumField:
     """Encode i b II as the rotation generator on the real fibre plane."""
-    return LinearQuantumField(y.X, [[ZERO, -y.b], [y.b, ZERO]])
+    zero = constant(0.0)
+    return LinearQuantumField(y.X, [[zero, -y.b], [y.b, zero]])
 
 
 def to_hermitian_field(y: LinearQuantumField) -> HermitianVF:
@@ -102,7 +104,8 @@ def lie_derivative_hermitian_metric(y: LinearQuantumField):
     m = y.Ymat
     real = [[m[b][a] + m[a][b] for b in range(2)] for a in range(2)]
     tr = m[0][0] + m[1][1]
-    imag = [[ZERO, -tr], [tr, ZERO]]
+    zero = constant(0.0)
+    imag = [[zero, -tr], [tr, zero]]
     return real, imag
 
 

@@ -1,14 +1,14 @@
 """Charts, scalar/vector fields and exterior calculus.
 
-A field is a chart function.  Every field the phase modules build is an
-expression node (`modelspec.ExprField`, the base class of the nodes): it
-differentiates symbolically to any order.  One evaluator runs it over
-all rows of a point `Batch` at once, on numpy arrays, or on Python
-floats when the batch has one row; its value at a single point
-(`Field.value`) is that one row.  There are no numeric partials.
-Closure fields (`FuncField`, and the results of mixing a closure into
-field arithmetic) are written against float coordinates, run one point
-at a time and have no partial derivatives.
+A field is a chart function.  Every field the package builds, a loaded
+model's entries included, is an expression node (`modelspec.ExprField`,
+the base class of the nodes): it differentiates symbolically to any
+order.  A constant is a `Num` node, so the zero field is `Num(0.0)`, and
+arithmetic of a node with anything but a node or a number raises
+TypeError.  One evaluator runs a node over all rows of a point `Batch`
+at once, on numpy arrays, or on Python floats when the batch has one
+row; its value at a single point (`Field.value`) is that one row.
+There are no numeric partials.
 
 Convention for forms: components are stored on strictly increasing index
 tuples and extended by antisymmetry, the wedge is the determinant convention
@@ -84,9 +84,9 @@ class Batch:
     Python floats with no numpy call, and each row gets the bits and the
     error a one-row batch of it gives.  Column k of P is the coordinate x_k.
     Every field evaluated in one batch shares the batch's one node memo,
-    so common subexpressions are computed once.  Closure fields run point
-    by point on floats.  A field's values come back as one array over the
-    rows (`values`), which callers reduce over all rows at once.
+    so common subexpressions are computed once.  A field's values come
+    back as one array over the rows (`values`), which callers reduce over
+    all rows at once.
 
     Within a field, an evaluation error does not stop the other rows: the
     row is marked, and once the field is done the error of the lowest
@@ -141,9 +141,9 @@ def field_values(fields: Sequence["Field"], P) -> List[np.ndarray]:
 
 class Field:
     """A chart function.  `jet(coords)` is its value at a list of Python
-    float coordinates, the order-0 jet; subclasses override it alone.
-    No slots, so that an expression node, which is a field, keeps no
-    `__dict__`."""
+    float coordinates, and `_values(batch)` its values at the rows of a
+    `Batch`; the expression nodes (`modelspec.ExprField`) define both.
+    No slots, so that an expression node keeps no `__dict__`."""
 
     __slots__ = ()
 
@@ -157,70 +157,18 @@ class Field:
         """The field at every row of P[N, d] (see `field_values`)."""
         return field_values([self], P)[0]
 
-    def _values(self, batch: Batch) -> np.ndarray:
-        """Values at the rows of batch.P.  Closure-backed fields have no
-        batch form and run one point at a time."""
-        return np.array([self.value(p) for p in batch.P], dtype=float)
-
-    # algebra (results are closures on float coordinates)
-    def __add__(self, other):
-        return FuncField(lambda c, a=self, b=other: a.jet(c) + _at(b, c))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return FuncField(lambda c, a=self, b=other: a.jet(c) - _at(b, c))
-
-    def __rsub__(self, other):
-        return FuncField(lambda c, a=self, b=other: _at(b, c) - a.jet(c))
-
-    def __mul__(self, other):
-        return FuncField(lambda c, a=self, b=other: a.jet(c) * _at(b, c))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        return FuncField(lambda c, a=self, b=other: a.jet(c) / _at(b, c))
-
-    def __neg__(self):
-        return FuncField(lambda c, a=self: -a.jet(c))
-
-
-def _at(x, coords) -> float:
-    """A field or a number at float coordinates."""
-    if isinstance(x, Field):
-        return x.jet(coords)
-    return float(x)
-
-
-class ConstField(Field):
-    def __init__(self, value: float):
-        self.c = float(value)
-
-    def jet(self, coords):
-        return self.c
-
-    def partial(self, i):
-        return ConstField(0.0)
-
-    def _values(self, batch):
-        return np.full(len(batch.P), self.c)
-
-
-ZERO = ConstField(0.0)
-
 
 class FuncField(Field):
-    """Field backed by a closure on float coordinates; it has no partial
-    derivatives."""
+    """A field backed by a closure on float coordinates: it has no
+    partial derivatives and no batch form.  Nothing in the package builds
+    one; it stays while `perfbench/tracing.py` patches its `jet` by name.
+    """
 
     def __init__(self, fn: Callable[[List[float]], float]):
         self.fn = fn
 
     def jet(self, coords):
-        return _at(self.fn(coords), coords)
+        return self.fn(coords)
 
 
 def _box_message(k: int, lo: float, hi: float) -> str:
@@ -231,7 +179,10 @@ BOX_SLACK = 1e-9  # how far outside the chart box a point still counts in
 
 
 class BoxedField(Field):
-    """Wraps a spacetime field with the declared chart-box guard."""
+    """Wraps a spacetime field with a chart-box guard.  Nothing in the
+    package builds one: a model holds its expression nodes, and orbits
+    and the CLI check the box themselves, within `BOX_SLACK`.  It stays
+    while `perfbench/tracing._form_nodes` unwraps it by name."""
 
     def __init__(self, base: Field, lo: Sequence[float], hi: Sequence[float]):
         self.base = base
@@ -246,9 +197,6 @@ class BoxedField(Field):
                                   coords)
         return self.base.jet(coords)
 
-    def partial(self, i):
-        return BoxedField(self.base.partial(i), self.lo, self.hi)
-
     def _values(self, batch):
         for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             v = batch.P[:, k]
@@ -258,22 +206,23 @@ class BoxedField(Field):
         return self.base._values(batch)
 
 
-def unboxed(f: Field) -> Field:
-    """f without its chart-box guards."""
-    while isinstance(f, BoxedField):
-        f = f.base
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Vector fields and forms
+
+
+def _constant(v: float) -> Field:
+    """The constant v as an expression node, `modelspec.constant`."""
+    from .modelspec import constant  # local: modelspec imports smooth
+
+    return constant(v)
 
 
 class VectorField:
     """Contravariant field: one component field per chart coordinate."""
 
     def __init__(self, comps: Sequence[Field]):
-        self.comps = [c if isinstance(c, Field) else ConstField(c) for c in comps]
+        self.comps = [c if isinstance(c, Field) else _constant(c)
+                      for c in comps]
 
     @property
     def dim(self) -> int:
@@ -293,15 +242,9 @@ class VectorField:
 def directional(X: VectorField, f: Field) -> Field:
     """The derivative of f along X, sum_nu X^nu d_nu f, as a field.
 
-    Built by field arithmetic, so expression inputs give an expression
-    field; a closure component of X gives a closure, and a closure f has
-    no partials to take.
+    Built by node arithmetic, so it is an expression field.
     """
-    from .modelspec import Num  # local: modelspec imports smooth
-
-    return total((Num(comp.c) if isinstance(comp, ConstField) else comp)
-                 * f.partial(nu)
-                 for nu, comp in enumerate(X.comps))
+    return total(comp * f.partial(nu) for nu, comp in enumerate(X.comps))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -343,16 +286,15 @@ class PForm:
         for key, fld in comps.items():
             if tuple(sorted(key)) != tuple(key):
                 raise ValueError("component key %r is not sorted" % (key,))
-            if isinstance(fld, Field):
-                self.comps[tuple(key)] = fld
-            else:
-                self.comps[tuple(key)] = ConstField(fld)
+            self.comps[tuple(key)] = fld if isinstance(fld, Field) \
+                else _constant(fld)
 
     def component(self, idx: Tuple[int, ...]) -> Field:
-        """Component on an arbitrary tuple, resolved through antisymmetry."""
+        """Component on an arbitrary tuple, resolved through antisymmetry;
+        the zero node `Num(0.0)` where there is none."""
         sign, key = _perm_sign_and_sorted(tuple(idx))
         if sign == 0 or key not in self.comps:
-            return ZERO
+            return _constant(0.0)
         fld = self.comps[key]
         return fld if sign == 1 else -fld
 
@@ -438,4 +380,4 @@ def bivector_bracket(L: PForm, f: Field, g: Field) -> Field:
     """
     return total((comp * (f.partial(a) * g.partial(b)
                           - f.partial(b) * g.partial(a))
-                  for (a, b), comp in L.comps.items()), ZERO)
+                  for (a, b), comp in L.comps.items()), _constant(0.0))

@@ -23,6 +23,7 @@ bit-for-bit regardless of check execution order.
 """
 
 import math
+import os
 import sys
 import time
 import zlib
@@ -65,7 +66,9 @@ class FrameworkMismatchError(ValueError):
 
 
 def resolve_model(spec) -> Model:
-    """Load a model from a file path, falling back to the builtin name."""
+    """Load a model from a file path, falling back to the builtin name;
+    a name that is neither raises the builtin error, which lists the
+    shipped models."""
     if isinstance(spec, Model):
         return spec
     path = str(spec)
@@ -74,6 +77,8 @@ def resolve_model(spec) -> Model:
     try:
         return load_builtin(path)
     except FileNotFoundError:
+        if not os.path.exists(path):
+            raise
         return load_model(path)
 
 

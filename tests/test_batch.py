@@ -25,8 +25,8 @@ from covphase.modelspec import (
     available_models, derivative, load_builtin, parse_expr,
 )
 from covphase.smooth import (
-    ZERO, Batch, BoxedField, ConstField, FuncField, OutsideBoxError, PForm,
-    VectorField, exterior_derivative, field_values,
+    Batch, BoxedField, OutsideBoxError, PForm, VectorField,
+    exterior_derivative, field_values,
 )
 from covphase.suites import _Ctx
 from test_compile import assert_same_outcome, exprs, floats, row_zero, \
@@ -214,10 +214,9 @@ def test_shipped_models_match_point_loop(name):
     for r, p in enumerate(P):
         assert [v.tolist()[0] for v in field_values(fields, [p])] \
             == [vals[r] for vals in got]
-    # the model's own boxed entries, through their box guard
-    boxed = [f for row in model.metric for f in row] + model.potential
-    assert all(isinstance(f, BoxedField) for f in boxed)
-    assert_batch_matches(boxed, P[:, :4])
+    # the model's own entries, on spacetime points
+    entries = [f for row in model.metric for f in row] + model.potential
+    assert_batch_matches(entries, P[:, :4])
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +258,6 @@ def test_one_message_per_bad_point(text):
         assert type(batch.value) is type(point.value)
         assert str(batch.value) == str(point.value)
         assert str(point.value).endswith(" at point %s" % Q[2].tolist())
-
-
-def test_closure_fallback_equals_point_loop():
-    f = ExprField("sin(x0) * x1 + x3^2")
-    closure = FuncField(lambda c: f.jet(c) * f.jet(c) + c[2])
-    fields = [closure, ZERO * f, ConstField(-2.5), ExprField(Var(5)),
-              f + closure]
-    P = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 7))
-    assert_batch_matches(fields, P)
 
 
 def test_galilei_potential_equals_point_loop():
@@ -322,7 +312,7 @@ def test_homotopy_error_logged_on_its_parent_row():
 
 def test_vector_and_form_values_match_points():
     rng = np.random.default_rng(5)
-    comps = [ExprField("x0 * x1"), ConstField(2.0), ExprField("exp(x2)"),
+    comps = [ExprField("x0 * x1"), Num(2.0), ExprField("exp(x2)"),
              ExprField("x3 / (2 + x0)")]
     X = VectorField(comps)
     P = rng.uniform(-1.0, 1.0, size=(4, 4))

@@ -22,7 +22,7 @@ from covphase.modelspec import (
     BinOp, Call, ExprField, Homotopy, Neg, Num, Pow, Var, _FLOAT_ERRORS,
     _batch_walk, _order, _walk, load_builtin,
 )
-from covphase.smooth import Batch, BoxedField, exterior_derivative, total
+from covphase.smooth import Batch, exterior_derivative, total
 from covphase.suites import _Ctx
 from test_compile import _compound, exprs, floats, same_float
 from test_modelspec import stack_walk
@@ -176,12 +176,7 @@ def test_random_expressions_match_the_reference(e1, e2, P):
 
 
 def form_nodes(form):
-    nodes = []
-    for fld in form.comps.values():
-        while isinstance(fld, BoxedField):
-            fld = fld.base
-        nodes.append(fld.node)
-    return nodes
+    return list(form.comps.values())
 
 
 def phase_of(name):

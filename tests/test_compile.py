@@ -21,7 +21,7 @@ from covphase.modelspec import (
     BinOp, Call, ExprField, Homotopy, Neg, Num, Pow, Var, _Emitter, _walk,
     available_models, compile_fields, load_builtin, parse_expr,
 )
-from covphase.smooth import ConstField, field_values
+from covphase.smooth import FuncField, field_values
 from covphase.suites import _Ctx
 
 
@@ -221,7 +221,7 @@ def test_constant_fields_return_floats():
 
 def test_rejects_other_fields():
     with pytest.raises(TypeError):
-        compile_fields([ConstField(1.0)])
+        compile_fields([FuncField(lambda c: 1.0)])
 
 
 def test_homotopy_node_does_not_compile():

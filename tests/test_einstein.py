@@ -7,6 +7,8 @@ contraction identity suite, metric compatibility, closedness of the
 models, where nothing simplifies.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,67 @@ class TestTimelike:
         ph = phases[name]
         for p in timelike_points(ph):
             ph.require_timelike(p)  # must not raise
+
+    # g00 divides by zero at x1 = 0; elsewhere the radicand is
+    # -1 - 1/x1^2 + |v|^2
+    DIV_MODEL = """
+[model]
+kind = einstein
+
+[constants]
+m = 1.0 M
+q = 1.0 T^-1 L^3/2 M^1/2
+hbar = 1.0 T^-1 L^2 M
+c = 1.0 T^-1 L
+
+[box]
+lo = -2, -2, -2, -2
+hi = 2, 2, 2, 2
+
+[metric]
+g00 = -1 - 1 / x1^2
+g11 = 1
+g22 = 1
+g33 = 1
+"""
+
+    @pytest.mark.parametrize("rows,cls", [
+        (("good", "fails", "fast"), ZeroDivisionError),
+        (("good", "fast", "fails"), LightconeViolation),
+        (("good", "nan", "fails"), LightconeViolation),
+        (("fails",), ZeroDivisionError),
+        (("fast",), LightconeViolation),
+        (("good", "good"), None),
+    ], ids=["error-first", "lightcone-first", "nan-first", "error-alone",
+            "lightcone-alone", "timelike"])
+    def test_identity_rows_are_tested_in_row_order(self, rows, cls):
+        # the first row that cannot be evaluated or is not timelike raises
+        # what require_timelike raises there, the point named
+        ph = EinsteinPhase(parse_model_text(self.DIV_MODEL))
+        points = {"good": [0.0, 1.0, 0.0, 0.0, 0.1, 0.0, 0.0],
+                  "fails": [0.0, 0.0, 0.0, 0.0, 0.1, 0.0, 0.0],
+                  "fast": [0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0],
+                  "nan": [0.0, 1.0, 0.0, 0.0, math.nan, 0.0, 0.0]}
+        P = np.array([points[r] for r in rows])
+        want = None
+        try:
+            for q in P:
+                ph.require_timelike(q)
+        except (ValueError, ArithmeticError) as exc:
+            want = exc
+        assert type(want) is (type(None) if cls is None else cls)
+        # the stack, and a lone row as a 1-D point
+        for p in [P] + [P[0]] * (len(P) == 1):
+            if want is None:
+                assert "contact-norm" in ph.identity_residuals(p)
+                continue
+            with pytest.raises(cls) as got:
+                ph.identity_residuals(p)
+            assert str(got.value) == str(want)
+        with pytest.raises(ZeroDivisionError) as got:
+            ph.require_timelike(points["fails"])
+        assert str(got.value) == ("division by zero in expression at point "
+                                  "%s" % points["fails"])
 
 
 class TestIdentities:

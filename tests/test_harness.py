@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 
 from covphase.einstein import EinsteinPhase, LightconeViolation
-from covphase.modelspec import builtin_model_dir, load_builtin
+from covphase.modelspec import (
+    Call, Num, Var, available_models, builtin_model_dir, load_builtin,
+)
 from covphase.orbit import BoxExit, OrbitResult, integrate_orbit
 from covphase.report import CheckRecord, SuiteReport, emit_report
-from covphase.smooth import FuncField, OutsideBoxError, PForm, VectorField
-from covphase import cli, orbit, suites as su
+from covphase.smooth import OutsideBoxError, PForm, VectorField
+from covphase import cli, orbit, smooth, suites as su
 
 
 class TestRegistry:
@@ -88,39 +90,64 @@ UNREFERENCED_ALLOWED = {
         "Hermitian-metric preservation, still to be certified",
     "smooth.bivector_bracket":
         "the Galilei Poisson-bivector route, still to be certified",
+    "smooth.FuncField":
+        "perfbench/tracing.py patches its jet by name until telemetry is in "
+        "src/",
+    "smooth.BoxedField":
+        "perfbench/tracing.py unwraps form components by it until telemetry "
+        "is in src/",
+    "modelspec.to_text":
+        "the tests compare and round-trip expressions by their text",
 }
 
 
 def unreferenced_public_names():
     """Qualified names of the public functions, classes and methods of
     src/covphase that no code there references outside their own
-    definition.  A reference is a name, an attribute or an import of the
-    same spelling, so a method counts as used when any object's attribute
-    of that name is."""
+    definition.
+
+    A module-level function or class is referenced by its bare name, by
+    an import of it, or as `<module alias>.<name>` of a package module
+    imported under that alias, so a method of the same spelling
+    (`SuiteReport.to_text` beside `modelspec.to_text`) does not count.  A
+    method is referenced by any name, attribute or import of its
+    spelling: its receiver's type is not known here, so a dead method
+    that shares its spelling with a live one passes."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
-    refs = {}
+    plain, attrs = {}, {}
     for tree in trees.values():
+        # `from . import quantum as qt` binds qt to a package module
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   and node.module is None for a in node.names}
         for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name is not None:
-                refs.setdefault(name, []).append(node)
+            if isinstance(node, ast.Name):
+                plain.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.alias):
+                plain.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                attrs.setdefault(node.attr, []).append(node)
+                if isinstance(node.value, ast.Name) \
+                        and node.value.id in aliases:
+                    plain.setdefault(node.attr, []).append(node)
     kinds = (ast.FunctionDef, ast.ClassDef)
     defs = []
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, kinds) and not node.name.startswith("_"):
-                defs.append(("%s.%s" % (module, node.name), node))
+                defs.append(("%s.%s" % (module, node.name), node,
+                             plain.get(node.name, [])))
                 if isinstance(node, ast.ClassDef):
-                    defs += [("%s.%s.%s" % (module, node.name, sub.name), sub)
+                    defs += [("%s.%s.%s" % (module, node.name, sub.name), sub,
+                              plain.get(sub.name, [])
+                              + attrs.get(sub.name, []))
                              for sub in node.body if isinstance(sub, kinds)
                              and not sub.name.startswith("_")]
     out = []
-    for qualname, node in defs:
+    for qualname, node, refs in defs:
         inside = set(map(id, ast.walk(node)))
-        if all(id(r) in inside for r in refs.get(node.name, [])):
+        if all(id(r) in inside for r in refs):
             out.append(qualname)
     return out
 
@@ -194,9 +221,14 @@ class TestRunSuite:
                                        "cosymplectic-volume"])
     def test_nan_residual_is_a_failed_record(self, monkeypatch, check):
         # every field is 0 at the first point and NaN at the second, where
-        # max(0.0, nan) == 0.0 (and min(1.0, nan) == 1.0) used to pass
-        late_nan = FuncField(lambda c: 0.0 if c[1] < 0 else math.nan)
-        late_one = FuncField(lambda c: 1.0 if c[1] < 0 else math.nan)
+        # max(0.0, nan) == 0.0 (and min(1.0, nan) == 1.0) used to pass:
+        # 1 / (inf * (|x1| - x1)) is 1 / inf at x1 < 0 and 1 / (inf * 0)
+        # at x1 > 0
+        x1 = Var(1)
+        late_nan = Num(1.0) / (Num(math.inf) * (Call("abs", x1) - x1))
+        late_one = late_nan + 1.0
+        assert late_nan.values([[0.0, -0.5, 0, 0], [0.0, 0.5, 0, 0]]) \
+            .tolist()[0] == 0.0
         stub = SimpleNamespace(
             K=lambda lam, nu, mu: late_nan,
             dynamical_vector=lambda: VectorField([late_one] * 7),
@@ -214,6 +246,20 @@ class TestRunSuite:
         assert math.isnan(rec.residual)
         assert not rec.passed and not rep.all_passed()
         assert '"all_pass":false' in emit_report(rep, "json").decode()
+
+    @pytest.mark.parametrize("name", ["flat-free", "curved-galilei",
+                                      "uniform-e", "curved-einstein"])
+    def test_no_suite_builds_a_closure(self, monkeypatch, name):
+        # every field a check evaluates is an expression node, the lift
+        # witness's sums over absent bivector components included
+        def refuse(self, fn):
+            raise AssertionError("closure field built")
+
+        monkeypatch.setattr(smooth.FuncField, "__init__", refuse)
+        model = load_builtin(name)
+        for suite in su.suite_names():
+            if su.SUITES[suite].framework in ("any", model.kind):
+                assert su.run_suite(model, suite, points=1, seed=3).records
 
     def test_reports_depend_on_seed(self):
         a = su.run_suite("uniform-b", "galilei-brackets", points=8, seed=5)
@@ -543,7 +589,8 @@ g33 = 1
                          "--duration", "0.01"])
         out, err = capsys.readouterr()
         assert code == 2
-        assert err == "error: division by zero in expression\n"
+        assert err == ("error: division by zero in expression at point "
+                       "[0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]\n")
         assert out == ""
 
     # the initial point may lie outside the box by smooth.BOX_SLACK (1e-9),
@@ -613,6 +660,20 @@ g33 = 1
         out, err = capsys.readouterr()
         assert code == 2
         assert err == "error: [Errno 21] Is a directory: %r\n" % model_dir
+        assert out == ""
+
+    # a name that is neither a file nor a builtin once read "[Errno 2] No
+    # such file or directory", hiding the list of shipped models
+    @pytest.mark.parametrize("args", [
+        ("verify", "--suite", "galilei-core"),
+        ORBIT_ARGS + ("--duration", "0.01"),
+    ], ids=["verify", "orbit"])
+    def test_misspelled_builtin_model_exit_two(self, capsys, args):
+        code = cli.main([args[0], "--model", "nope", *args[1:]])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: no builtin model 'nope'; available: %s\n" \
+            % ", ".join(available_models())
         assert out == ""
 
     # each once escaped as a configparser traceback with exit code 1

@@ -20,7 +20,7 @@ from covphase.modelspec import (
     to_text, tokenize, validate_model,
 )
 from covphase.smooth import (
-    ConstField, Field, FuncField, OutsideBoxError, VectorField, directional,
+    BoxedField, Field, FuncField, VectorField, directional,
     exterior_derivative, field_values,
 )
 
@@ -360,10 +360,18 @@ class TestModelLoading:
         assert g[1, 1] == 1.0
         assert model.potential[1].value(p) == pytest.approx(-0.1)
 
-    def test_box_guard(self):
+    def test_loaded_fields_are_expression_nodes(self):
+        # a model holds its nodes: orbits and the CLI check the box where a
+        # point enters, so an entry evaluates outside the box too
         model = parse_model_text(GOOD_GALILEI)
-        with pytest.raises(OutsideBoxError):
-            model.metric[0][0].value(np.array([0.0, 2.0, 0.0, 0.0]))
+        assert model.metric[0][0].value([0.0, 2.0, 0.0, 0.0]) == 1 + 0.2 * 4
+        for name in available_models():
+            model = load_builtin(name)
+            fields = [f for row in model.metric for f in row] \
+                + model.potential
+            if model.gravity2 is not None:
+                fields += list(model.gravity2.comps.values())
+            assert all(isinstance(f, ExprField) for f in fields), name
 
     def test_metric_must_be_positive_definite(self):
         bad = GOOD_GALILEI.replace("g11 = 1 + k*x1^2", "g11 = x1")
@@ -962,7 +970,7 @@ def test_arithmetic_builds_the_nodes_of_the_folding_constructors():
     assert x1 * 2.0 is BinOp("*", x1, Num(2.0))
     assert x1 * x2 is BinOp("*", x1, x2)
     assert x1 / 2 is BinOp("/", x1, Num(2.0))
-    assert x1 - ConstField(3.0) is BinOp("-", x1, Num(3.0))
+    assert x1 - 3 is BinOp("-", x1, Num(3.0))
     # reflected: the node stays on the left of + and *, not of -
     assert 2.0 * x1 is BinOp("*", x1, Num(2.0))
     assert 2.0 + x1 is BinOp("+", x1, Num(2.0))
@@ -972,8 +980,13 @@ def test_arithmetic_builds_the_nodes_of_the_folding_constructors():
     assert x1 + 0.0 is x1 and 0.0 + x1 is x1 and x1 * 1.0 is x1
     assert x1 * 0.0 is Num(0.0) and Num(0.0) / x1 is Num(0.0)
     assert Num(0.0) - x1 is Neg(x1) and -Num(-0.0) is Num(0.0)
-    # a closure operand gives a closure
-    assert isinstance(x1 * FuncField(lambda c: 2.0), FuncField)
+    # any other operand is a TypeError, never a closure
+    closure = FuncField(lambda c: 2.0)
+    boxed = BoxedField(x1, [-1.0] * 4, [1.0] * 4)
+    for make in (lambda: x1 * closure, lambda: closure * x1,
+                 lambda: x1 - boxed, lambda: boxed + x1, lambda: x1 / "2"):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_partial_lives_as_long_as_its_caller_holds_it():
@@ -1102,9 +1115,10 @@ def closure_directional(X, f):
 
 def test_directional_of_expressions_is_an_expression():
     f = ExprField("sin(x0 * x1) + x2^2 * x3 / (2 + x1^2)")
-    X = VectorField([ExprField("x1 * x3"), 0.5, ConstField(0.0),
+    X = VectorField([ExprField("x1 * x3"), 0.5, 0,
                      ExprField("exp(x2) - x0")])
-    assert isinstance(X.comps[1], ConstField)
+    # numbers become constant nodes
+    assert X.comps[1] is Num(0.5) and X.comps[2] is Num(0.0)
     got = directional(X, f)
     assert isinstance(got, ExprField)
     want = closure_directional(X, f)

@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from covphase.modelspec import BinOp, ExprField, Num, Var, load_builtin
+from covphase.modelspec import (
+    BinOp, ExprField, Num, Var, constant, load_builtin,
+)
 from covphase.galilei import GalileiPhase, Observer, SpecialFunction
 from covphase.einstein import EinsteinPhase, ESpecialFunction
-from covphase.smooth import (
-    ZERO, PForm, VectorField, exterior_derivative, total,
-)
+from covphase.smooth import PForm, VectorField, exterior_derivative, total
 from covphase import quantum as qt
 
 
@@ -51,7 +51,7 @@ def three_form_on(w, X, Y, Z):
                                          - Y.comps[c] * Z.comps[a])
                          + X.comps[c] * (Y.comps[a] * Z.comps[b]
                                          - Y.comps[b] * Z.comps[a]))
-                  for (a, b, c), fld in w.comps.items()), ZERO)
+                  for (a, b, c), fld in w.comps.items()), constant(0.0))
 
 
 class TestClassification:

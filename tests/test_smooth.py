@@ -3,11 +3,10 @@ from inspect import isfunction
 import numpy as np
 import pytest
 
-from covphase.modelspec import BinOp, ExprField, Var
+from covphase.modelspec import BinOp, ExprField, Var, constant
 from covphase.smooth import (
-    ZERO, BoxedField, ConstField, FuncField, OutsideBoxError, PForm,
-    VectorField, cached, contract, directional, exterior_derivative,
-    lie_bracket, total, wedge,
+    BoxedField, FuncField, OutsideBoxError, PForm, VectorField, cached,
+    contract, directional, exterior_derivative, lie_bracket, total, wedge,
 )
 
 from numutil import central_grad, form_matrix
@@ -26,7 +25,7 @@ class TestFields:
         c = ExprField(Var(2))
         assert c.partial(2).value(np.zeros(4)) == 1.0
         assert c.partial(0).value(np.zeros(4)) == 0.0
-        assert ConstField(5.0).partial(1).value(np.zeros(4)) == 0.0
+        assert constant(5.0).partial(1).value(np.zeros(4)) == 0.0
 
     def test_boxed_field_guard(self):
         base = FuncField(lambda c: c[0] + c[1])
@@ -114,8 +113,10 @@ def random_one_form(seed, dim=4):
 class TestForms:
     def test_wedge_determinant_convention(self):
         dim = 4
-        d1 = PForm(dim, 1, {(1,): ConstField(1.0)})
-        d2 = PForm(dim, 1, {(2,): ConstField(1.0)})
+        d1 = PForm(dim, 1, {(1,): constant(1.0)})
+        d2 = PForm(dim, 1, {(2,): constant(1.0)})
+        # an absent component is the zero node
+        assert d1.component((2,)) is constant(0.0)
         w = wedge(d1, d2)
         p = np.zeros(dim)
         e1, e2 = np.eye(dim)[1], np.eye(dim)[2]
@@ -220,7 +221,8 @@ class TestHelpers:
 
     def test_total_of_no_terms(self):
         assert total([]) is None
-        assert total(iter([]), ZERO) is ZERO
+        zero = constant(0.0)
+        assert total(iter([]), zero) is zero
 
     def test_cached_call_returns_the_identical_object(self):
         b = _Builder()
