@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import (
-    Call, Model, Var, _Emitter, compile_fields, constant, inverse_nodes,
-    velocity,
+    Call, Model, Var, _Emitter, constant, inverse_nodes, velocity,
 )
 from .smooth import (
     Batch, Field, PForm, VectorField, cached, directional, total, wedge,
@@ -135,11 +134,6 @@ class EinsteinPhase:
     def radicand(self) -> Field:
         """g_00 + 2 g_0j x^j_0 + g_ij x^i_0 x^j_0; negative on admissible points."""
         return self._chart_frame()[0]
-
-    @cached
-    def _radicand_fn(self):
-        """The radicand compiled, for the sampler's test of each draw."""
-        return compile_fields([self.radicand()])
 
     def require_timelike(self, p) -> None:
         """Raise LightconeViolation unless the phase point p is timelike,
@@ -471,23 +465,19 @@ class EinsteinPhase:
         first, then compares the chart acceleration of the observed
         velocity with the dynamical vector's; all four vanish on
         solutions.  The fields are evaluated over all rows in one batch;
-        the first sample that fails raises what `dynamical_fn` raises
-        there.
+        the first sample that fails raises the class `dynamical_fn`
+        raises there, a field's error with the sample's phase point.
         """
         X, Xdot, Xddot = (np.asarray(a, dtype=float)
                           for a in (X, Xdot, Xddot))
         P = np.concatenate([X, Xdot[:, 1:] / Xdot[:, :1]], axis=1)
         batch = Batch(P)
-        try:
-            # written so that a NaN radicand counts as not timelike
-            if not np.all(batch.values(self.radicand()) < 0.0):
-                raise LightconeViolation(_NOT_TIMELIKE)
-            comps = self.dynamical_vector().comps
-            pace, *force = [batch.values(f) for f in comps[:1] + comps[4:]]
-        except (ValueError, ArithmeticError):
-            for p in P.tolist():
-                self.dynamical_fn()(p)
-            raise
+        # logged before the fields' errors, as `dynamical_fn` tests first
+        rad = self.radicand()._values(batch)
+        batch.fail(~(rad < 0.0), LightconeViolation, _NOT_TIMELIKE)
+        comps = self.dynamical_vector().comps
+        pace, *force = [f._values(batch) for f in comps[:1] + comps[4:]]
+        _raise_first(batch)
         xd0 = Xdot[:, 0]
         # each sample's float64 ** 2 is C pow, which is not always the
         # square numpy takes for an array ** 2
@@ -514,15 +504,11 @@ class EinsteinPhase:
         P = np.asarray(p, dtype=float)
         rows = P[None] if P.ndim == 1 else P
         batch = Batch(rows)
-        # the first row that fails or is not timelike raises what
-        # `require_timelike` raises there, before any other field is
-        # evaluated; a NaN radicand counts as not timelike
+        # the first row that fails or is not timelike raises as
+        # `require_timelike` would, before any other field is evaluated
         rad = self.radicand()._values(batch)
-        bad = np.flatnonzero(batch.failed | ~(rad < 0.0))
-        if len(bad):
-            if batch.failed[bad[0]]:
-                batch.raise_first()
-            raise LightconeViolation(_NOT_TIMELIKE)
+        batch.fail(~(rad < 0.0), LightconeViolation, _NOT_TIMELIKE)
+        _raise_first(batch)
         val = batch.values
 
         def arr(fields: list) -> np.ndarray:
@@ -622,6 +608,15 @@ class EinsteinPhase:
         if P.ndim == 1:
             return {key: float(res[0]) for key, res in out.items()}
         return out
+
+
+def _raise_first(batch: Batch) -> None:
+    """`batch.raise_first()`, but a LightconeViolation keeps the bare text
+    that `require_timelike` and `dynamical_fn` raise."""
+    first = batch.errors.get(min(batch.errors, default=None))
+    if first is not None and first[0] is LightconeViolation:
+        raise LightconeViolation(_NOT_TIMELIKE)
+    batch.raise_first()
 
 
 # Products over stacks of rows (leading axes) that keep the core shapes

@@ -966,10 +966,9 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     values equal a batch row's bit for bit, and an error raises the class
     and text that the batch logs on that row (ValueError,
     ZeroDivisionError, OverflowError), without the point.  It serves the
-    functions that run many times on one point each: the phases'
-    `dynamical_fn`, once per RK4 stage, and `EinsteinPhase._radicand_fn`,
-    once per candidate that the Einstein sampler draws.  A homotopy node
-    raises TypeError.
+    one function that runs many times on one point each, the phases'
+    `dynamical_fn`, once per RK4 stage; every evaluation over many points
+    goes through a `Batch`.  A homotopy node raises TypeError.
     """
     em = _Emitter()
     return em.function([em.field(fld) for fld in fields])

@@ -20,8 +20,8 @@ each point, a one-row batch whose float operations the compiled code
 repeats.  A Galilei residual does not fail: each interior sample began
 an RK4 step, whose first right-hand side evaluated the same fields
 there.  An Einstein residual reads its velocities from finite
-differences, so a sample may fail; the first failing sample raises what
-the compiled right-hand side raises there.
+differences, so a sample may fail; the first failing sample raises the
+class the compiled right-hand side raises there.
 
 Galilei trajectories are parametrized by the absolute time x^0, so the
 first state component advances linearly.  Einstein trajectories are
@@ -30,6 +30,7 @@ parametrized by proper time and the pace of x^0 is c alpha0.
 
 import array
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -73,8 +74,8 @@ def step_count(duration: float, step: float) -> int:
     """The number of RK4 steps of an orbit, round(duration / step).
 
     Raises ValueError for a duration or step that is not positive and
-    finite, for fewer than 2 steps (the law-of-motion residual needs an
-    interior sample) and for more than MAX_ORBIT_STEPS.
+    finite, a step whose square underflows, or fewer than 2 (the law
+    residual needs an interior sample) or more than MAX_ORBIT_STEPS steps.
     """
     if not (0.0 < duration < math.inf and 0.0 < step < math.inf):
         raise ValueError("duration and step must be positive and finite")
@@ -86,6 +87,8 @@ def step_count(duration: float, step: float) -> int:
     if nsteps < 2:
         raise ValueError("duration / step asks for %d steps; an orbit "
                          "takes at least 2" % nsteps)
+    if step * step < sys.float_info.min:
+        raise ValueError("step %r is too small: its square underflows" % step)
     return nsteps
 
 

@@ -129,37 +129,40 @@ class _Ctx:
                 self._phase = EinsteinPhase(self.model)
         return self._phase
 
-    def _base_points(self, rng, n) -> np.ndarray:
-        lo, hi = self.model.box_lo, self.model.box_hi
-        span = hi - lo
-        return rng.uniform(lo + 0.05 * span, hi - 0.05 * span, size=(n, 4))
-
     @property
     def points(self) -> np.ndarray:
         """N phase points (x^lam, x^i_0) admissible for the framework."""
         if self._points is None:
             rng = self.rng("phase-points")
             n = self.npoints
+            lo, hi = self.model.box_lo, self.model.box_hi
+            span = hi - lo
+            low, high = lo + 0.05 * span, hi - 0.05 * span
             if self.model.kind == "galilei":
-                base = self._base_points(rng, n)
-                vel = rng.uniform(-2.0, 2.0, size=(n, 3))
-                self._points = np.hstack([base, vel])
+                self._points = np.hstack([rng.uniform(low, high, size=(n, 4)),
+                                          rng.uniform(-2.0, 2.0, size=(n, 3))])
             else:
-                rad = self.phase._radicand_fn()
-                out = []
-                for _ in range(MAX_DRAWS_PER_POINT * n):
+                # blocks of n candidates: the doubles of n one-candidate draws
+                low, high = np.r_[low, [-0.25] * 3], np.r_[high, [0.25] * 3]
+                rad = self.phase.radicand()
+                out = np.empty((0, 7))
+                for _ in range(MAX_DRAWS_PER_POINT):
+                    batch = Batch(rng.uniform(low, high, size=(n, 7)))
+                    ok = (rad._values(batch) < -0.1) & ~batch.failed
+                    keep = np.flatnonzero(ok)[:n - len(out)]
+                    out = np.concatenate([out, batch.P[keep]])
+                    # a failing candidate raises unless n were kept before it
+                    if batch.errors and (len(out) < n
+                                         or min(batch.errors) < keep[-1]):
+                        batch.raise_first()
                     if len(out) == n:
                         break
-                    p = np.concatenate([self._base_points(rng, 1)[0],
-                                        rng.uniform(-0.25, 0.25, 3)])
-                    if rad(p)[0] < -0.1:
-                        out.append(p)
-                if len(out) < n:
+                else:
                     raise ValidationError(
                         "no timelike sample point found: %d of %d draws had "
                         "radicand < -0.1" % (len(out),
                                              MAX_DRAWS_PER_POINT * n))
-                self._points = np.array(out)
+                self._points = out
         return self._points
 
     def cube_points(self, tag: str, n: Optional[int] = None) -> np.ndarray:

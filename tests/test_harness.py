@@ -377,6 +377,9 @@ class TestOrbit:
         (1.0, 0.0, "positive and finite"),
         (1.0, math.inf, "positive and finite"),
         (1.0, math.nan, "positive and finite"),
+        # h ** 2 underflowed to 0.0, so the Einstein residual divided by
+        # zero: three RuntimeWarnings and a NaN maximum, with exit 0
+        (1e-300, 1e-303, "square underflows"),
     ])
     def test_step_count_refused(self, duration, step, message):
         model = load_builtin("uniform-b")
@@ -726,6 +729,17 @@ g33 = 1
         assert code == 2 and out == ""
         assert err.startswith("error: duration / step asks for ")
         assert err.endswith("an orbit takes at least 2\n")
+
+    def test_orbit_underflowing_step_exit_two(self, capsys):
+        # the step's square underflows; this once exited 0 with a NaN
+        # law-of-motion residual and numpy warnings
+        code = cli.main(["orbit", "--model", "minkowski", "--framework", "e",
+                         "--x0", "0", "0", "0", "0", "--v", "0", "0", "0",
+                         "--duration", "1e-300", "--step", "1e-303"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: step 1e-303 is too small: its square "
+                       "underflows\n")
 
     def test_gravity_evaluation_error_exit_two(self, tmp_path, capsys):
         # dPhi cannot be evaluated at the first sample point; this once

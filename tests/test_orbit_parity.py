@@ -4,9 +4,10 @@
 the whole trajectory in one batch.  The reference functions below are the
 numpy step and the per-sample residual loops it replaced; the trajectory,
 its times and its residuals must equal theirs bit for bit, and the first
-failure must raise the same exception with the same message.  The one
-departure is a NaN state component, which `integrate_orbit` never stores
-(see the last test).
+failure must raise the same exception with the same message; an Einstein
+field's error adds the failing sample's phase point, as the Galilei
+residual's does.  The one departure is a NaN state component, which
+`integrate_orbit` never stores (see the last test).
 """
 
 import functools
@@ -320,11 +321,29 @@ A0 = sqrt(x1)
 """
 
 
-@pytest.mark.parametrize("violation", [None, 2, 7])
+def _sample_point(states, h, k):
+    """The phase point of the Einstein residual at sample k."""
+    xs = states[:, :4]
+    xdot = (xs[k + 1] - xs[k - 1]) / (2.0 * h)
+    return np.concatenate([xs[k], xdot[1:] / xdot[0]]).tolist()
+
+
+def _field_error_text(exc, states, h, k):
+    """The text the batched Einstein residual raises where the point loop
+    raised exc at sample k: a LightconeViolation keeps its bare text, and
+    a field's error names the sample's phase point, as the Galilei
+    residual's does."""
+    if type(exc) is LightconeViolation:
+        return str(exc)
+    return "%s at point %s" % (exc, _sample_point(states, h, k))
+
+
+@pytest.mark.parametrize("violation", [None, 2, 5, 7])
 def test_einstein_first_failure_of_either_kind(violation):
     # x1 falls through 0 between samples 4 and 5 at speed 1/4, so the
     # point loop fails on gamma-bar at sample 5 unless a planted
-    # non-timelike sample comes first
+    # non-timelike sample comes first, or at the same sample, where the
+    # timelike check runs first
     phase = EinsteinPhase(parse_model_text(ROOTS_EINSTEIN))
     states = np.zeros((10, 7))
     states[:, 0] = np.arange(10.0)
@@ -336,8 +355,36 @@ def test_einstein_first_failure_of_either_kind(violation):
     with pytest.raises((ValueError, ArithmeticError)) as got:
         orbit._einstein_residuals(phase, states, 1.0)
     assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
-    assert (type(want.value) is LightconeViolation) == (violation == 2)
+    assert str(got.value) == _field_error_text(want.value, states, 1.0, 5)
+    assert (type(want.value) is LightconeViolation) == (violation in (2, 5))
+
+
+@pytest.mark.parametrize("row", [3, 5, 7])
+def test_einstein_radicand_error_comes_first(row):
+    # the radicand reads (x2 + 1)^(1/2), which fails from sample `row` on,
+    # and gamma-bar fails from sample 5 on, as above: the lower sample
+    # raises, and at the same sample the radicand's error wins
+    text = ROOTS_EINSTEIN.replace("g00 = -1",
+                                  "g00 = -1 + 1e-9 * (x2 + 1)^(1/2)")
+    phase = EinsteinPhase(parse_model_text(text))
+    states = np.zeros((10, 7))
+    states[:, 0] = np.arange(10.0)
+    states[:, 1] = 0.25 * (4.5 - np.arange(10.0))
+    states[:, 2] = -1.0 + 0.1 * (row - np.arange(10.0)) - 0.05
+    with pytest.raises(ValueError) as want:
+        ref_einstein_residuals(phase, states, 1.0)
+    with pytest.raises(ValueError) as got:
+        orbit._einstein_residuals(phase, states, 1.0)
+    assert type(got.value) is type(want.value)
+    if row <= 5:
+        # require_timelike's error, which names the point already
+        assert str(got.value) == str(want.value) == (
+            "fractional power of non-positive base at point %s"
+            % _sample_point(states, 1.0, row))
+    else:
+        assert str(got.value) == _field_error_text(want.value, states, 1.0,
+                                                   5)
+        assert str(got.value).startswith("sqrt of non-positive value")
 
 
 # gamma^1 reads d/dx1 sqrt(x1), which fails where x1 <= 0, and gamma^2 reads
@@ -436,7 +483,7 @@ def test_residual_blocks_join_without_seams(monkeypatch, rows):
         ref_einstein_residuals(phase, states, 1.0)
     with pytest.raises((ValueError, ArithmeticError)) as got:
         orbit._einstein_residuals(phase, states, 1.0)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == _field_error_text(want.value, states, 1.0, 5)
 
 
 def _count_rk4(monkeypatch):
@@ -547,6 +594,6 @@ def test_dynamical_fn_matches_reference_rhs(name):
         assert _outcome(ref, np.array(p)) == (LightconeViolation,
                                                str(got.value))
     if name == "minkowski":
-        assert phase._radicand_fn()([0.0] * 4 + [1.0, 0.0, 0.0]) == [0.0]
+        assert phase.radicand().value([0.0] * 4 + [1.0, 0.0, 0.0]) == 0.0
         with pytest.raises(LightconeViolation):
             rhs([0.0] * 4 + [1.0, 0.0, 0.0])

@@ -1,0 +1,126 @@
+"""Parity fence for the Einstein sampler.
+
+`_Ctx.points` draws Einstein candidates n at a time, one `rng.uniform`
+call to a block, and tests each block's radicand in one batch.  The
+reference below is the per-draw sampler it replaced: each candidate drawn
+with two `rng.uniform` calls and tested alone by the compiled radicand.
+The two must keep the same points bit for bit, refuse after the same
+number of accepted draws, and fail with the same class at the same draw.
+The one difference is the text of an evaluation error, which now names
+the draw.
+"""
+
+import numpy as np
+import pytest
+
+from covphase.modelspec import (
+    ValidationError, builtin_model_dir, compile_fields, load_builtin,
+    parse_model_text,
+)
+from covphase.suites import MAX_DRAWS_PER_POINT, _Ctx
+
+EINSTEIN_MODELS = ("minkowski", "uniform-e", "curved-einstein",
+                   "schwarzschild-like")
+COUNTS = (1, 7, 30)
+SEEDS = (3, 7, 42, 1001)
+
+
+def ref_outcome(ctx):
+    """The per-draw sampler: the points' bytes, or the class and text of
+    what it raises (an evaluation error with the draw's point)."""
+    rng = ctx.rng("phase-points")
+    n = ctx.npoints
+    lo, hi = ctx.model.box_lo, ctx.model.box_hi
+    span = hi - lo
+    rad = compile_fields([ctx.phase.radicand()])
+    out = []
+    for _ in range(MAX_DRAWS_PER_POINT * n):
+        if len(out) == n:
+            break
+        p = np.concatenate([rng.uniform(lo + 0.05 * span, hi - 0.05 * span,
+                                        size=(1, 4))[0],
+                            rng.uniform(-0.25, 0.25, 3)])
+        try:
+            if rad(p.tolist())[0] < -0.1:
+                out.append(p)
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), "%s at point %s" % (exc, p.tolist())
+    if len(out) < n:
+        return ValidationError, (
+            "no timelike sample point found: %d of %d draws had "
+            "radicand < -0.1" % (len(out), MAX_DRAWS_PER_POINT * n))
+    return np.array(out).tobytes()
+
+
+def outcome(ctx):
+    try:
+        return ctx.points.tobytes()
+    except (ValueError, ArithmeticError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def minkowski(g00: str):
+    text = (builtin_model_dir() / "minkowski.ini").read_text()
+    assert "g00 = -1\n" in text
+    return parse_model_text(text.replace("g00 = -1\n", "g00 = %s\n" % g00))
+
+
+@pytest.mark.parametrize("n", COUNTS)
+@pytest.mark.parametrize("name", EINSTEIN_MODELS)
+def test_points_byte_equal(name, n):
+    model = load_builtin(name)
+    for seed in SEEDS:
+        want = ref_outcome(_Ctx(model, n, seed))
+        assert isinstance(want, bytes)
+        assert outcome(_Ctx(model, n, seed)) == want
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_points_byte_equal_with_rejections(n):
+    # |v|^2 < 0.05 keeps about 38% of the velocity cube [-0.25, 0.25]^3
+    model = minkowski("-0.15")
+    for seed in SEEDS:
+        want = ref_outcome(_Ctx(model, n, seed))
+        assert isinstance(want, bytes)
+        assert outcome(_Ctx(model, n, seed)) == want
+
+
+@pytest.mark.parametrize("g00, accepted", [("-0.05", False),
+                                           ("-0.101", True)])
+def test_refusal_same_draw_count(g00, accepted):
+    # -0.05: no draw passes; -0.101: about one draw in a thousand does,
+    # so the refusal counts the draws kept before the budget ran out
+    model = minkowski(g00)
+    kept = 0
+    for n in COUNTS:
+        for seed in SEEDS:
+            want = ref_outcome(_Ctx(model, n, seed))
+            assert want[0] is ValidationError
+            assert outcome(_Ctx(model, n, seed)) == want
+            kept += not want[1].startswith(
+                "no timelike sample point found: 0 of")
+    assert bool(kept) == accepted
+
+
+@pytest.mark.parametrize("g00", ["-1 + 1e-9 * sqrt(x1 + 2.4)",
+                                 "-0.2 + 1e-9 * sqrt(x1 + 2.65)"],
+                         ids=["steep", "shallow"])
+def test_failing_radicand_same_class_at_same_draw(g00):
+    # the radicand fails where x1 <= -2.4 (6% of the sampled box) or
+    # x1 <= -2.65 (1%): a failing draw raises unless n draws were kept
+    # before it.  With g00 near -0.2 most draws are rejected, so a block
+    # may keep draws after a failure (which raises), or end on failures
+    # after the n-th kept draw (which do not)
+    model = minkowski(g00)
+    raised = kept = 0
+    for n in COUNTS:
+        for seed in range(20):
+            want = ref_outcome(_Ctx(model, n, seed))
+            got = outcome(_Ctx(model, n, seed))
+            assert got == want
+            if isinstance(want, bytes):
+                kept += 1
+            else:
+                assert want[0] is ValueError
+                raised += 1
+    assert raised and kept
