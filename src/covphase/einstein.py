@@ -291,7 +291,7 @@ class EinsteinPhase:
         square root, so a point that is not timelike raises it first."""
         em = _Emitter()
         em.env["LightconeViolation"] = LightconeViolation
-        em.check("not %s < 0.0" % em.field(self.radicand()),
+        em.check(("not ", em.field(self.radicand()), " < 0.0"),
                  "LightconeViolation", _NOT_TIMELIKE)
         comps = self.dynamical_vector().comps
         return em.function([em.field(f) for f in comps])

@@ -868,19 +868,27 @@ class _Emitter:
     the first operation to raise is the one `_Rows` fails on first.  A
     node's reference is the source of its float value.  Each case does the
     `_Rows` arithmetic and checks on one float, raising the error text
-    `_Rows` logs.  A division checks its divisor only where that can fail:
-    not for a nonzero number, nor for a reference an earlier division has
-    checked.  A homotopy node has no float code: its quadrature runs in a
-    `Batch` only.
+    `_Rows` logs.  A compound node that reads no coordinate is folded: it
+    is evaluated once, by `_Rows` on a one-row batch, and its reference is
+    the number.  One that fails there keeps its line and its check, so the
+    function raises it in the same place.  A division checks its divisor
+    only where that can fail: not for a nonzero number, nor for a
+    reference an earlier division has checked.  A homotopy node has no
+    float code: its quadrature runs in a `Batch` only.
+
+    A line is its target temporary (or None) and its tokens: text and
+    the references it reads.  `source` renames the temporaries, so that a
+    name is reused once the last line or output reading it has run.
     """
 
     def __init__(self):
-        self.lines: List[str] = []
+        self.lines: List[Tuple[Optional[str], tuple]] = []
         self.env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
                     "_sqrt": math.sqrt}
         self.memo: Dict[object, str] = {}
         self.loaded = set()
         self.nonzero = set()  # references that cannot be zero here
+        self.consts = Batch([[]])  # the values of the folded nodes
 
     def field(self, fld: Field) -> str:
         """Emit fld after the nodes emitted so far; the source of its value."""
@@ -889,24 +897,57 @@ class _Emitter:
                             % type(fld).__name__)
         return _walk(fld, self.memo, self.visit)
 
+    def source(self, outs: Sequence[str]) -> str:
+        """The emitted lines as the source of a function p -> [outs].  Each
+        temporary is renamed to a name that is free when its line runs:
+        a name is freed once the last line or output reading it has run."""
+        last = {}  # temporary -> the index of the last line reading it
+        for i, (target, tokens) in enumerate(self.lines):
+            for ref in tokens:
+                if ref in last:
+                    last[ref] = i
+            if target:
+                last[target] = i  # until a line reads it
+        for ref in outs:
+            if ref in last:
+                last[ref] = len(self.lines)
+        names, free, body, count = {}, [], [], 0
+        for i, (target, tokens) in enumerate(self.lines):
+            line = "".join(names.get(ref, ref) for ref in tokens)
+            for ref in tokens:
+                if last.get(ref) == i:  # its last reader: the name is free
+                    del last[ref]
+                    free.append(names[ref])
+            if target:
+                if not free:
+                    free.append("t%d" % count)
+                    count += 1
+                name = names[target] = free.pop()
+                if last[target] == i:  # read by nothing
+                    free.append(name)
+                line = "%s = %s" % (name, line)
+            body.append("    %s\n" % line)
+        binds = "".join(", %s=%s" % (k, k) for k in self.env)
+        return "def _compiled(p%s):\n%s    return [%s]\n" % (
+            binds, "".join(body), ", ".join(names.get(r, r) for r in outs))
+
     def function(self, outs: Sequence[str]) -> Callable:
         """The emitted lines as a function p -> [outs]."""
-        binds = "".join(", %s=%s" % (k, k) for k in self.env)
-        body = "".join("    %s\n" % line for line in self.lines)
-        src = "def _compiled(p%s):\n%s    return [%s]\n" % (
-            binds, body, ", ".join(outs))
         namespace = dict(self.env)
-        exec(compile(src, "<compile_fields>", "exec"), namespace)
+        exec(compile(self.source(outs), "<compile_fields>", "exec"),
+             namespace)
         # popped, so the function and its globals form no reference cycle
         return namespace.pop("_compiled")
 
-    def temp(self, expr: str) -> str:
+    def temp(self, *tokens) -> str:
         name = "t%d" % len(self.lines)
-        self.lines.append("%s = %s" % (name, expr))
+        self.lines.append((name, tokens))
         return name
 
-    def check(self, cond: str, exc: str, message: str) -> None:
-        self.lines.append("if %s: raise %s(%r)" % (cond, exc, message))
+    def check(self, cond: tuple, exc: str, message: str) -> None:
+        """A line raising exc(message) when the tokens of cond are true."""
+        self.lines.append((None, ("if ", *cond,
+                                  ": raise %s(%r)" % (exc, message))))
 
     def const(self, v) -> str:
         if type(v) is float and math.isfinite(v):
@@ -919,6 +960,12 @@ class _Emitter:
         return name
 
     def visit(self, node, kids):
+        if kids and not node._m:  # a compound node that reads no coordinate
+            value = _batch_walk(self.consts, node)
+            if not self.consts.errors:
+                return self.const(value)
+            # the failure stays in the code; later nodes fold afresh
+            self.consts = Batch([[]])
         match node:
             case Num(number=v):
                 return self.const(float(v))
@@ -926,32 +973,33 @@ class _Emitter:
                 name = "x%d" % k
                 if k not in self.loaded:
                     self.loaded.add(k)
-                    self.lines.append("%s = float(p[%d])" % (name, k))
+                    self.lines.append((None, ("%s = float(p[%d])"
+                                              % (name, k),)))
                 return name
             case Neg():
-                return self.temp("-" + kids[0])
+                return self.temp("-", kids[0])
             case BinOp(op=o):
                 a, b = kids
                 if o == "/" and b not in self.nonzero:
                     self.nonzero.add(b)
-                    self.check("%s == 0.0" % b, "ZeroDivisionError",
+                    self.check((b, " == 0.0"), "ZeroDivisionError",
                                "division by zero in expression")
-                return self.temp("%s %s %s" % (a, o, b))
+                return self.temp(a, " %s " % o, b)
             case Pow(exponent=e):
                 a, = kids
                 if e == 0:
                     return "(1.0)"
                 if e.denominator != 1:
-                    self.check("%s <= 0.0" % a, "ValueError",
+                    self.check((a, " <= 0.0"), "ValueError",
                                "fractional power of non-positive base")
-                return self.temp("%s ** %r" % (a, float(e)))
+                return self.temp(a, " ** %r" % float(e))
             case Call(func=f):
                 a, = kids
                 if f == "sqrt":
-                    self.check("%s <= 0.0" % a, "ValueError",
+                    self.check((a, " <= 0.0"), "ValueError",
                                "sqrt of non-positive value")
                 fn = "abs" if f == "abs" else "_" + f
-                return self.temp("%s(%s)" % (fn, a))
+                return self.temp(fn + "(", a, ")")
         raise TypeError("no float code for a %s node" % type(node).__name__)
 
 
@@ -960,12 +1008,15 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     """Compile expression fields into one function p -> [values at p].
 
     The fields' shared DAG is walked once, by node identity, and emitted
-    as straight-line float code with one temporary per compound node;
-    common subexpressions are shared across all the fields.  Every
-    operation is the same IEEE float operation as in `_Rows`, so the
-    values equal a batch row's bit for bit, and an error raises the class
-    and text that the batch logs on that row (ValueError,
-    ZeroDivisionError, OverflowError), without the point.  It serves the
+    as straight-line float code with one operation per compound node;
+    common subexpressions are shared across all the fields.  A subtree
+    that reads no coordinate is folded into its number at compile time,
+    unless it fails, and then it stays in place to raise.  A temporary's
+    name is reused once its last reader has run.  Every operation is the
+    same IEEE float operation as in `_Rows`, so the values equal a batch
+    row's bit for bit, and an error raises the class and text that the
+    batch logs on that row (ValueError, ZeroDivisionError,
+    OverflowError), without the point.  It serves the
     one function that runs many times on one point each, the phases'
     `dynamical_fn`, once per RK4 stage; every evaluation over many points
     goes through a `Batch`.  A homotopy node raises TypeError.

@@ -106,7 +106,7 @@ def _rk4(rhs: Callable[[List[float]], List[float]], state: List[float],
     # each component in the order of the numpy form s + 0.5 * h * k1 and
     # s + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), so the trajectory has its bits;
     # one rhs call per stage, which the benchmark's tracer counts here (a
-    # step fused into one compiled function would bypass that hook)
+    # step fused into one compiled function was measured no faster)
     s0, s1, s2, s3, s4, s5, s6 = state
     half = 0.5 * h
     a0, a1, a2, a3, a4, a5, a6 = rhs(state)

@@ -114,6 +114,7 @@ class _Ctx:
         self.cache: Dict[str, object] = {}
         self._phase = None
         self._points = None
+        self._error = None  # the class and text of a draw that raised
 
     def rng(self, tag: str) -> np.random.Generator:
         key = zlib.crc32(tag.encode("ascii"))
@@ -131,39 +132,47 @@ class _Ctx:
 
     @property
     def points(self) -> np.ndarray:
-        """N phase points (x^lam, x^i_0) admissible for the framework."""
+        """N phase points (x^lam, x^i_0) admissible for the framework.
+        A draw that raised is not drawn again: each later check raises
+        a new error of its class and text."""
+        if self._error is not None:
+            exc, text = self._error
+            raise exc(text)
         if self._points is None:
-            rng = self.rng("phase-points")
-            n = self.npoints
-            lo, hi = self.model.box_lo, self.model.box_hi
-            span = hi - lo
-            low, high = lo + 0.05 * span, hi - 0.05 * span
-            if self.model.kind == "galilei":
-                self._points = np.hstack([rng.uniform(low, high, size=(n, 4)),
-                                          rng.uniform(-2.0, 2.0, size=(n, 3))])
-            else:
-                # blocks of n candidates: the doubles of n one-candidate draws
-                low, high = np.r_[low, [-0.25] * 3], np.r_[high, [0.25] * 3]
-                rad = self.phase.radicand()
-                out = np.empty((0, 7))
-                for _ in range(MAX_DRAWS_PER_POINT):
-                    batch = Batch(rng.uniform(low, high, size=(n, 7)))
-                    ok = (rad._values(batch) < -0.1) & ~batch.failed
-                    keep = np.flatnonzero(ok)[:n - len(out)]
-                    out = np.concatenate([out, batch.P[keep]])
-                    # a failing candidate raises unless n were kept before it
-                    if batch.errors and (len(out) < n
-                                         or min(batch.errors) < keep[-1]):
-                        batch.raise_first()
-                    if len(out) == n:
-                        break
-                else:
-                    raise ValidationError(
-                        "no timelike sample point found: %d of %d draws had "
-                        "radicand < -0.1" % (len(out),
-                                             MAX_DRAWS_PER_POINT * n))
-                self._points = out
+            try:
+                self._points = self._draw()
+            except _EVAL_ERRORS as exc:
+                self._error = type(exc), str(exc)
+                raise
         return self._points
+
+    def _draw(self) -> np.ndarray:
+        rng = self.rng("phase-points")
+        n = self.npoints
+        lo, hi = self.model.box_lo, self.model.box_hi
+        span = hi - lo
+        low, high = lo + 0.05 * span, hi - 0.05 * span
+        if self.model.kind == "galilei":
+            return np.hstack([rng.uniform(low, high, size=(n, 4)),
+                              rng.uniform(-2.0, 2.0, size=(n, 3))])
+        # blocks of n candidates: the doubles of n one-candidate draws
+        low, high = np.r_[low, [-0.25] * 3], np.r_[high, [0.25] * 3]
+        rad = self.phase.radicand()
+        out = np.empty((0, 7))
+        for _ in range(MAX_DRAWS_PER_POINT):
+            batch = Batch(rng.uniform(low, high, size=(n, 7)))
+            ok = (rad._values(batch) < -0.1) & ~batch.failed
+            keep = np.flatnonzero(ok)[:n - len(out)]
+            out = np.concatenate([out, batch.P[keep]])
+            # a failing candidate raises unless n were kept before it
+            if batch.errors and (len(out) < n
+                                 or min(batch.errors) < keep[-1]):
+                batch.raise_first()
+            if len(out) == n:
+                return out
+        raise ValidationError(
+            "no timelike sample point found: %d of %d draws had "
+            "radicand < -0.1" % (len(out), MAX_DRAWS_PER_POINT * n))
 
     def cube_points(self, tag: str, n: Optional[int] = None) -> np.ndarray:
         """Model-independent sample points in [-1, 1]^4."""

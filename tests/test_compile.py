@@ -9,6 +9,7 @@ value at a point is a one-row batch.  Values are compared bit for bit
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,10 @@ ERROR_CASES = [
          ZeroDivisionError),
     case("node15-1.0-OverflowError", "exp(1000 * x1)", 1.0, OverflowError),
     case("node16-inf-ValueError", "sin(x1)", math.inf, ValueError),
+    # a constant subtree that fails is not folded: it raises in its place
+    case("const-sqrt-ValueError", "x1 + sqrt(1 - 2)", 1.0, ValueError),
+    case("const-exp-OverflowError", "x1 * exp(1000)", 1.0, OverflowError),
+    case("const-power-ValueError", "(1 - 2)^(1/2) + x1", 1.0, ValueError),
 ]
 
 
@@ -157,7 +162,7 @@ def division_checks(text: str) -> int:
     """The zero-divisor checks in the code compiled for text."""
     em = _Emitter()
     _walk(parse_expr(text), {}, em.visit)
-    return sum("ZeroDivisionError" in line for line in em.lines)
+    return em.source([]).count("ZeroDivisionError")
 
 
 def test_divisor_checked_only_where_it_can_be_zero():
@@ -168,6 +173,42 @@ def test_divisor_checked_only_where_it_can_be_zero():
     with pytest.raises(ZeroDivisionError) as info:
         compile_fields([ExprField("1 / (x1 - x1)")])([0.0] * 4)
     assert str(info.value) == "division by zero in expression"
+
+
+def compiled_source(monkeypatch, phase) -> str:
+    """The source of phase.dynamical_fn(), as `_Emitter.source` gave it."""
+    sources = []
+    source = _Emitter.source
+
+    def recorded(em, outs):
+        sources.append(source(em, outs))
+        return sources[-1]
+    monkeypatch.setattr(_Emitter, "source", recorded)
+    phase.dynamical_fn()
+    src, = sources
+    return src
+
+
+def test_constant_subtrees_are_folded(monkeypatch):
+    # uniform-b's right-hand side is mostly numbers (B, q, m): no operation
+    # is left whose operands are all numbers
+    src = compiled_source(monkeypatch,
+                          GalileiPhase(load_builtin("uniform-b")))
+    ops = [line.split(" = ", 1)[1] for line in src.splitlines()
+           if re.fullmatch(r" +t\d+ = .*", line)]
+    assert ops
+    assert all(re.search(r"\b[tx]\d+\b", op) for op in ops), src
+
+
+def test_temporaries_are_reused(monkeypatch):
+    # curved-einstein's right-hand side has 284 operations; a name is
+    # free again once its last reader has run
+    phase = EinsteinPhase(load_builtin("curved-einstein"))
+    src = compiled_source(monkeypatch, phase)
+    temps = set(re.findall(r"\bt\d+\b", src))
+    assert len(src.splitlines()) > 284 and len(temps) <= 48
+    assert temps == {v for v in phase.dynamical_fn().__code__.co_varnames
+                     if re.fullmatch(r"t\d+", v)}
 
 
 GRID = [0.0, 1e-320, 1e-310, 1e-300, 1e-200, 1e-150, 1e-100, 0.3, 1.0,

@@ -10,6 +10,8 @@ The one difference is the text of an evaluation error, which now names
 the draw.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from covphase.modelspec import (
     ValidationError, builtin_model_dir, compile_fields, load_builtin,
     parse_model_text,
 )
-from covphase.suites import MAX_DRAWS_PER_POINT, _Ctx
+from covphase.suites import MAX_DRAWS_PER_POINT, _Ctx, run_suite
 
 EINSTEIN_MODELS = ("minkowski", "uniform-e", "curved-einstein",
                    "schwarzschild-like")
@@ -124,3 +126,23 @@ def test_failing_radicand_same_class_at_same_draw(g00):
                 assert want[0] is ValueError
                 raised += 1
     assert raised and kept
+
+
+def test_failed_draw_is_not_drawn_again(monkeypatch, capsys):
+    # every check of the suite asks for the points; the first draw raises,
+    # and each later check raises a new error of its class and text
+    # instead of drawing the same failing block again
+    tags = []
+    rng = _Ctx.rng
+    monkeypatch.setattr(_Ctx, "rng",
+                        lambda ctx, tag: tags.append(tag) or rng(ctx, tag))
+    model = minkowski("-1 + 1e-9 * sqrt(x1 + 2.4)")
+    report = run_suite(model, "einstein-identities", points=30, seed=3)
+    assert tags.count("phase-points") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(report.records) == 9
+    assert all(math.isnan(r.residual) for r in report.records)
+    for line, record in zip(lines, report.records):
+        assert line.startswith("check %s: ValueError: sqrt of non-positive "
+                               "value at point [" % record.name)
+    assert len({line.split(": ", 1)[1] for line in lines}) == 1
