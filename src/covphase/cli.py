@@ -12,7 +12,7 @@ verify  runs one named check suite against a model file and prints the
 orbit   integrates the dynamical flow of a model from given initial
         data and prints a trajectory summary with the worst law-of-
         motion residual.  Non-finite initial data, an initial point out of
-        the box (beyond smooth.BOX_SLACK) or not timelike, a duration or
+        the box (beyond orbit.BOX_SLACK) or not timelike, a duration or
         step that is not positive and finite, and fewer than 2 or more
         than orbit.MAX_ORBIT_STEPS steps are usage errors (exit code 2);
         a trajectory that escapes the declared box or the lightcone,
@@ -31,9 +31,9 @@ import numpy as np
 
 from .einstein import EinsteinPhase
 from .modelspec import ValidationError
-from .orbit import BoxExit, integrate_orbit, resolve_framework, step_count
+from .orbit import BOX_SLACK, BoxExit, integrate_orbit, resolve_framework, \
+    step_count
 from .report import emit_report
-from .smooth import BOX_SLACK
 from .suites import resolve_model, run_suite, suite_names
 
 

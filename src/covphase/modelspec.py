@@ -871,7 +871,9 @@ class _Emitter:
     `_Rows` logs.  A compound node that reads no coordinate is folded: it
     is evaluated once, by `_Rows` on a one-row batch, and its reference is
     the number.  One that fails there keeps its line and its check, so the
-    function raises it in the same place.  A division checks its divisor
+    function raises it in the same place.  A product by the number 1.0 is
+    its other operand, and one by -1.0 that operand's negation: the same
+    floats, a NaN's sign aside.  A division checks its divisor
     only where that can fail: not for a nonzero number, nor for a
     reference an earlier division has checked.  A homotopy node has no
     float code: its quadrature runs in a `Batch` only.
@@ -980,6 +982,10 @@ class _Emitter:
                 return self.temp("-", kids[0])
             case BinOp(op=o):
                 a, b = kids
+                if o == "*" and "(1.0)" in kids:  # x * 1.0 is x, bit for bit
+                    return b if a == "(1.0)" else a
+                if o == "*" and "(-1.0)" in kids:  # and x * -1.0 is -x
+                    return self.temp("-", b if a == "(-1.0)" else a)
                 if o == "/" and b not in self.nonzero:
                     self.nonzero.add(b)
                     self.check((b, " == 0.0"), "ZeroDivisionError",
@@ -1028,7 +1034,8 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
 # ---------------------------------------------------------------------------
 # Evaluation over all rows of a point batch
 
-# what Python float arithmetic and math functions raise
+# what a field raises where it cannot be evaluated: what Python float
+# arithmetic and math functions raise
 _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 

@@ -38,13 +38,16 @@ import numpy as np
 
 from .modelspec import Model
 from .galilei import GalileiPhase
-from .smooth import BOX_SLACK, field_values
+from .smooth import field_values
 from .einstein import EinsteinPhase
 
 
 # the most RK4 steps one orbit may take; more is refused before the
 # trajectory is allocated
 MAX_ORBIT_STEPS = 1_000_000
+
+# how far outside the chart box a point still counts in
+BOX_SLACK = 1e-9
 
 # samples per law-residual batch: a batch holds an array over its rows for
 # every node of the fields' DAG, so a whole trajectory at once would raise

@@ -8,7 +8,8 @@ arithmetic of a node with anything but a node or a number raises
 TypeError.  One evaluator runs a node over all rows of a point `Batch`
 at once, on numpy arrays, or on Python floats when the batch has one
 row; its value at a single point (`Field.value`) is that one row.
-There are no numeric partials.
+There are no numeric partials, no closure fields and no box rule: orbits
+and the CLI test the chart box themselves (`orbit.BOX_SLACK`).
 
 Convention for forms: components are stored on strictly increasing index
 tuples and extended by antisymmetry, the wedge is the determinant convention
@@ -20,21 +21,11 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 Point = np.ndarray  # a chart point; length 4 (spacetime) or 7 (phase space)
-
-
-class OutsideBoxError(Exception):
-    """A model field was evaluated outside the declared chart box."""
-
-
-def point_error(exc: type, message: str, p) -> Exception:
-    """exc for an evaluation failure at point p; a point and a batch row
-    give the same text."""
-    return exc("%s at point %s" % (message, list(p)))
 
 
 def worst(*values, pick=max):
@@ -91,7 +82,8 @@ class Batch:
     Within a field, an evaluation error does not stop the other rows: the
     row is marked, and once the field is done the error of the lowest
     marked row is raised, which is the error a loop over the points would
-    have raised first.
+    have raised first.  Its message ends with the row, as in "division by
+    zero in expression at point [0.0, 0.3, 0.0, 0.0]".
     """
 
     def __init__(self, P):
@@ -125,7 +117,7 @@ class Batch:
         if self.errors:
             r = min(self.errors)
             exc, message = self.errors[r]
-            raise point_error(exc, message, self.P[r].tolist())
+            raise exc("%s at point %s" % (message, self.P[r].tolist()))
 
 
 def field_values(fields: Sequence["Field"], P) -> List[np.ndarray]:
@@ -159,51 +151,15 @@ class Field:
 
 
 class FuncField(Field):
-    """A field backed by a closure on float coordinates: it has no
-    partial derivatives and no batch form.  Nothing in the package builds
-    one; it stays while `perfbench/tracing.py` patches its `jet` by name.
-    """
+    """A name only: nothing builds one.  `perfbench/tracing.py` patches
+    its `jet` by name until telemetry is in the package."""
 
-    def __init__(self, fn: Callable[[List[float]], float]):
-        self.fn = fn
-
-    def jet(self, coords):
-        return self.fn(coords)
-
-
-def _box_message(k: int, lo: float, hi: float) -> str:
-    return "coordinate x%d outside declared box [%g, %g]" % (k, lo, hi)
-
-
-BOX_SLACK = 1e-9  # how far outside the chart box a point still counts in
+    jet = Field.jet
 
 
 class BoxedField(Field):
-    """Wraps a spacetime field with a chart-box guard.  Nothing in the
-    package builds one: a model holds its expression nodes, and orbits
-    and the CLI check the box themselves, within `BOX_SLACK`.  It stays
-    while `perfbench/tracing._form_nodes` unwraps it by name."""
-
-    def __init__(self, base: Field, lo: Sequence[float], hi: Sequence[float]):
-        self.base = base
-        self.lo = list(lo)
-        self.hi = list(hi)
-
-    def jet(self, coords):
-        for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            v = coords[k]
-            if v < lo - BOX_SLACK or v > hi + BOX_SLACK:
-                raise point_error(OutsideBoxError, _box_message(k, lo, hi),
-                                  coords)
-        return self.base.jet(coords)
-
-    def _values(self, batch):
-        for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            v = batch.P[:, k]
-            outside = (v < lo - BOX_SLACK) | (v > hi + BOX_SLACK)
-            if outside.any():
-                batch.fail(outside, OutsideBoxError, _box_message(k, lo, hi))
-        return self.base._values(batch)
+    """A name only: nothing builds one.  `perfbench/tracing._form_nodes`
+    tests form components against it by name."""
 
 
 # ---------------------------------------------------------------------------

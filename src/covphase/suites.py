@@ -33,9 +33,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import BinOp, ExprField, Model, Num, Var, ValidationError, \
-    constant, load_builtin, load_model
-from .smooth import Batch, OutsideBoxError, PForm, VectorField, contract, \
-    directional, exterior_derivative, field_values, lie_bracket, total, wedge
+    _FLOAT_ERRORS, constant, load_builtin, load_model
+from .smooth import Batch, PForm, VectorField, contract, directional, \
+    exterior_derivative, field_values, lie_bracket, total, wedge
 from .smooth import worst as _worst
 from .galilei import GalileiPhase, Observer, SpecialFunction
 from .einstein import EinsteinPhase, ESpecialFunction
@@ -43,9 +43,6 @@ from . import quantum as qt
 from . import orbit as orb
 from .report import CheckRecord, SuiteReport
 
-
-# what a field raises where it cannot be evaluated
-_EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, OutsideBoxError)
 
 # Einstein sample points are drawn by rejection; a model whose radicand
 # stays above the threshold on the sampled box fails after this many draws
@@ -141,7 +138,7 @@ class _Ctx:
         if self._points is None:
             try:
                 self._points = self._draw()
-            except _EVAL_ERRORS as exc:
+            except _FLOAT_ERRORS as exc:
                 self._error = type(exc), str(exc)
                 raise
         return self._points
@@ -840,9 +837,9 @@ def run_suite(model, suite_name: str, points: int = 100, seed: int = 0,
     name, FrameworkMismatchError when the model kind does not fit, and
     ValueError for fewer than one or more than MAX_POINTS points, a
     negative seed, and tolerance overrides that name no check in the
-    suite or are not finite and non-negative.  A check whose fields cannot be evaluated (one of
-    _EVAL_ERRORS) is reported with a NaN residual, a failure, and its
-    error goes to stderr.
+    suite or are not finite and non-negative.  A check whose fields
+    cannot be evaluated (one of modelspec._FLOAT_ERRORS) is reported with
+    a NaN residual, a failure, and its error goes to stderr.
     """
     if suite_name not in SUITES:
         raise UnknownSuiteError(
@@ -879,7 +876,7 @@ def run_suite(model, suite_name: str, points: int = 100, seed: int = 0,
         tol = overrides.get(check.name, check.tolerance)
         try:
             residual = float(check.runner(ctx))
-        except _EVAL_ERRORS as exc:
+        except _FLOAT_ERRORS as exc:
             # a field that cannot be evaluated at a sample point fails
             # this check; the others still run
             print("check %s: %s: %s" % (check.name, type(exc).__name__, exc),

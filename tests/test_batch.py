@@ -25,14 +25,13 @@ from covphase.modelspec import (
     available_models, derivative, load_builtin, parse_expr,
 )
 from covphase.smooth import (
-    Batch, BoxedField, OutsideBoxError, PForm, VectorField,
-    exterior_derivative, field_values,
+    Batch, PForm, VectorField, exterior_derivative, field_values,
 )
 from covphase.suites import _Ctx
 from test_compile import assert_same_outcome, exprs, floats, row_zero, \
     same_float
 
-ERRORS = (ValueError, ZeroDivisionError, OverflowError, OutsideBoxError)
+ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 def outcome(fn):
@@ -222,42 +221,20 @@ def test_shipped_models_match_point_loop(name):
 # ---------------------------------------------------------------------------
 # field kinds
 
-def test_boxed_field_guards_every_row():
-    fld = BoxedField(ExprField("x1 * x2"), [0, -1, -1, -1], [1, 1, 1, 1])
-    P = np.full((6, 4), 0.5)
-    assert fld.values(P).tolist() == [0.25] * 6
-    P[4, 2] = 1.5
-    with pytest.raises(OutsideBoxError) as info:
-        fld.values(P)
-    assert "x2" in str(info.value) and str(P[4].tolist()) in str(info.value)
-    assert_batch_matches([fld], P)
-    # an evaluation error in an earlier row comes first, as in a loop
-    fld = BoxedField(ExprField("1 / x1"), [0, -1, -1, -1], [1, 1, 1, 1])
-    P[1, 1] = 0.0
-    with pytest.raises(ZeroDivisionError):
-        fld.values(P)
-    assert_batch_matches([fld], P)
-
-
 @pytest.mark.parametrize("text", ["1/(x1 - c)", "sqrt(x1 - c)",
                                   "(x1 - c)^(1/2)"])
 def test_one_message_per_bad_point(text):
-    # x1 = c breaks the field at row 2 alone; in `outside`, row 2 lies
-    # outside the box instead
-    fld = BoxedField(ExprField(parse_expr(text, {"c": 0.25})), [-1] * 4,
-                     [1] * 4)
+    # x1 = c breaks the field at row 2 alone
+    fld = ExprField(parse_expr(text, {"c": 0.25}))
     P = np.full((4, 4), 0.5)
     P[:, 1] = [0.5, 0.4, 0.25, 0.3]
-    outside = P.copy()
-    outside[2] = [0.5, 0.3, 1.5, 0.5]
-    for Q in (P, outside):
-        with pytest.raises(ERRORS) as point:
-            fld.value(Q[2])
-        with pytest.raises(ERRORS) as batch:
-            Batch(Q).values(fld)
-        assert type(batch.value) is type(point.value)
-        assert str(batch.value) == str(point.value)
-        assert str(point.value).endswith(" at point %s" % Q[2].tolist())
+    with pytest.raises(ERRORS) as point:
+        fld.value(P[2])
+    with pytest.raises(ERRORS) as batch:
+        Batch(P).values(fld)
+    assert type(batch.value) is type(point.value)
+    assert str(batch.value) == str(point.value)
+    assert str(point.value).endswith(" at point %s" % P[2].tolist())
 
 
 def test_galilei_potential_equals_point_loop():

@@ -22,7 +22,7 @@ from covphase.modelspec import (
     BinOp, Call, ExprField, Homotopy, Neg, Num, Pow, Var, _Emitter, _walk,
     available_models, compile_fields, load_builtin, parse_expr,
 )
-from covphase.smooth import FuncField, field_values
+from covphase.smooth import Field, field_values
 from covphase.suites import _Ctx
 
 
@@ -200,6 +200,14 @@ def test_constant_subtrees_are_folded(monkeypatch):
     assert all(re.search(r"\b[tx]\d+\b", op) for op in ops), src
 
 
+def test_no_product_by_a_unit(monkeypatch):
+    # x * 1.0 is x and x * -1.0 is -x, bit for bit: neither is emitted
+    for phase in (GalileiPhase(load_builtin("uniform-b")),
+                  EinsteinPhase(load_builtin("uniform-e"))):
+        src = compiled_source(monkeypatch, phase)
+        assert not re.search(r"\* \(-?1\.0\)|\(-?1\.0\) \*", src), src
+
+
 def test_temporaries_are_reused(monkeypatch):
     # curved-einstein's right-hand side has 284 operations; a name is
     # free again once its last reader has run
@@ -262,7 +270,7 @@ def test_constant_fields_return_floats():
 
 def test_rejects_other_fields():
     with pytest.raises(TypeError):
-        compile_fields([FuncField(lambda c: 1.0)])
+        compile_fields([Field()])
 
 
 def test_homotopy_node_does_not_compile():

@@ -22,7 +22,7 @@ from covphase.modelspec import (
 )
 from covphase.orbit import BoxExit, OrbitResult, integrate_orbit
 from covphase.report import CheckRecord, SuiteReport, emit_report
-from covphase.smooth import OutsideBoxError, PForm, VectorField
+from covphase.smooth import PForm, VectorField
 from covphase import cli, orbit, smooth, suites as su
 
 
@@ -91,11 +91,9 @@ UNREFERENCED_ALLOWED = {
     "smooth.bivector_bracket":
         "the Galilei Poisson-bivector route, still to be certified",
     "smooth.FuncField":
-        "perfbench/tracing.py patches its jet by name until telemetry is in "
-        "src/",
+        "a name only: perfbench/tracing.py patches its jet by name",
     "smooth.BoxedField":
-        "perfbench/tracing.py unwraps form components by it until telemetry "
-        "is in src/",
+        "a name only: perfbench/tracing.py tests form components against it",
     "modelspec.to_text":
         "the tests compare and round-trip expressions by their text",
 }
@@ -334,7 +332,7 @@ class TestOrbit:
 
     def test_box_edge_within_slack(self):
         # the time adds up to 1.0000000000000007 on a box of hi = 1; the
-        # box allows smooth.BOX_SLACK beyond each bound, as its fields do
+        # box allows orbit.BOX_SLACK beyond each bound
         model = load_builtin("curved-galilei")
         res = integrate_orbit(model, "g", [0, 0.1, 0, 0], [0.2, 0.1, -0.1],
                               1.0, 1e-3)
@@ -596,7 +594,7 @@ g33 = 1
                        "[0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]\n")
         assert out == ""
 
-    # the initial point may lie outside the box by smooth.BOX_SLACK (1e-9),
+    # the initial point may lie outside the box by orbit.BOX_SLACK (1e-9),
     # as integrate_orbit allows
     @pytest.mark.parametrize("x1,code", [("2.0000000005", 0),
                                          ("-2.0000000005", 0),
@@ -893,7 +891,7 @@ class TestCheckErrors:
     """A check whose fields cannot be evaluated is a failed record."""
 
     @pytest.mark.parametrize("exc", [ValueError, ZeroDivisionError,
-                                     OverflowError, OutsideBoxError])
+                                     OverflowError])
     def test_runner_error_fails_the_check(self, monkeypatch, capsys, exc):
         def broken(ctx):
             raise exc("stub failure")

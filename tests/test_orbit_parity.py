@@ -22,8 +22,7 @@ from covphase.galilei import GalileiPhase
 from covphase.modelspec import (
     available_models, compile_fields, load_builtin, parse_model_text,
 )
-from covphase.orbit import BoxExit, integrate_orbit
-from covphase.smooth import BOX_SLACK
+from covphase.orbit import BOX_SLACK, BoxExit, integrate_orbit
 
 
 # --- reference: the numpy step and the per-sample residual loops -----------
@@ -33,7 +32,7 @@ def ref_check_box(model, state):
         raise BoxExit("trajectory reached a non-finite state %s"
                       % ([float(v) for v in state],))
     x = state[:4]
-    # with the slack the model's fields allow beyond each bound
+    # with the slack integrate_orbit allows beyond each bound
     if np.any(x < model.box_lo - BOX_SLACK) \
             or np.any(x > model.box_hi + BOX_SLACK):
         raise BoxExit("trajectory left the declared box at x = %s"

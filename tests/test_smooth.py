@@ -5,8 +5,8 @@ import pytest
 
 from covphase.modelspec import BinOp, ExprField, Var, constant
 from covphase.smooth import (
-    BoxedField, FuncField, OutsideBoxError, PForm, VectorField, cached,
-    contract, directional, exterior_derivative, lie_bracket, total, wedge,
+    PForm, VectorField, cached, contract, directional, exterior_derivative,
+    lie_bracket, total, wedge,
 )
 
 from numutil import central_grad, form_matrix
@@ -26,13 +26,6 @@ class TestFields:
         assert c.partial(2).value(np.zeros(4)) == 1.0
         assert c.partial(0).value(np.zeros(4)) == 0.0
         assert constant(5.0).partial(1).value(np.zeros(4)) == 0.0
-
-    def test_boxed_field_guard(self):
-        base = FuncField(lambda c: c[0] + c[1])
-        boxed = BoxedField(base, [-1, -1, -1, -1], [1, 1, 1, 1])
-        assert boxed.value(np.array([0.5, 0.5, 0.0, 0.0])) == 1.0
-        with pytest.raises(OutsideBoxError):
-            boxed.value(np.array([1.5, 0.0, 0.0, 0.0]))
 
     def test_field_arithmetic(self):
         x0, x1 = ExprField(Var(0)), ExprField(Var(1))
