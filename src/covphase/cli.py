@@ -31,8 +31,8 @@ import numpy as np
 
 from .einstein import EinsteinPhase
 from .modelspec import ValidationError
-from .orbit import BOX_SLACK, BoxExit, integrate_orbit, resolve_framework, \
-    step_count
+from .orbit import BoxExit, initial_state, integrate_orbit, \
+    resolve_framework, step_count
 from .report import emit_report
 from .suites import resolve_model, run_suite, suite_names
 
@@ -68,16 +68,10 @@ def _cmd_orbit(args) -> int:
     try:
         model = resolve_model(args.model)
         fw = resolve_framework(model, args.framework)
-        x0 = np.array(args.x0, float)
-        if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(args.v))):
-            raise ValueError("initial position and velocity must be finite")
+        state = initial_state(model, args.x0, args.v)
         step_count(args.duration, args.step)
-        if np.any(x0 < model.box_lo - BOX_SLACK) \
-                or np.any(x0 > model.box_hi + BOX_SLACK):
-            raise ValueError("initial position lies outside the model box")
         if fw == "einstein":
-            EinsteinPhase(model).require_timelike(
-                np.concatenate([x0, args.v]))
+            EinsteinPhase(model).require_timelike(state)
     except (ValueError, ArithmeticError, OSError, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ Conventions in force throughout:
     convention of the smooth-calculus layer (no 1/p! weights).
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -346,15 +347,16 @@ class EinsteinPhase:
 
     def poisson(self, f: Field, g: Field) -> Field:
         """Coordinate Poisson bracket of two phase functions."""
+        fp = [f.partial(a) for a in range(7)]
+        gp = [g.partial(a) for a in range(7)]
         acc = total(self.Gbar_up(i, lam)
-                    * (f.partial(lam) * g.partial(3 + i)
-                       - g.partial(lam) * f.partial(3 + i))
+                    * (fp[lam] * gp[3 + i] - gp[lam] * fp[3 + i])
                     for i in range(1, 4) for lam in range(4))
         for i in range(1, 4):
             for j in range(1, 4):
                 if i == j:
                     continue
-                acc = acc - self.xi(i, j) * f.partial(3 + i) * g.partial(3 + j)
+                acc = acc - self.xi(i, j) * fp[3 + i] * gp[3 + j]
         return self.inv_alpha0() * (1.0 / self.c) * acc
 
     # -- special phase functions ---------------------------------------------
@@ -403,18 +405,18 @@ class EinsteinPhase:
         """sigma-Hamiltonian lift of an arbitrary phase function."""
         head = sigma * self.alpha0() * self.c
         s = self.inv_alpha0() * (1.0 / self.c)
+        fp = [f.partial(a) for a in range(7)]
         comps: List[Field] = []
         for lam in range(4):
             acc = head if lam == 0 else head * velocity(lam)
             for j in range(1, 4):
-                acc = acc - s * self.Gbar_up(j, lam) * f.partial(3 + j)
+                acc = acc - s * self.Gbar_up(j, lam) * fp[3 + j]
             comps.append(acc)
         for i in range(1, 4):
             comps.append(total(
                 [head * self.gamma_bar(i)]
-                + [s * self.Gbar_up(i, lam) * f.partial(lam)
-                   for lam in range(4)]
-                + [s * self.xi(i, j) * f.partial(3 + j)
+                + [s * self.Gbar_up(i, lam) * fp[lam] for lam in range(4)]
+                + [s * self.xi(i, j) * fp[3 + j]
                    for j in range(1, 4) if j != i]))
         return VectorField(comps)
 
@@ -510,11 +512,7 @@ class EinsteinPhase:
         batch.fail(~(rad < 0.0), LightconeViolation, _NOT_TIMELIKE)
         _raise_first(batch)
         val = batch.values
-
-        def arr(fields: list) -> np.ndarray:
-            """The values of a list (of lists) of fields, rows first."""
-            return np.stack([arr(f) if isinstance(f, list) else val(f)
-                             for f in fields], axis=1)
+        arr = functools.partial(_stacked, val)
 
         out: Dict[str, np.ndarray] = {}
         c = self.c
@@ -608,6 +606,15 @@ class EinsteinPhase:
         if P.ndim == 1:
             return {key: float(res[0]) for key, res in out.items()}
         return out
+
+
+def _stacked(val, fields: list) -> np.ndarray:
+    """The values val(f) of a list (of lists) of fields f, rows first.
+    Module-level, not a closure of `identity_residuals`: a closure that
+    calls itself is a reference cycle, which would hold the batch, and
+    every node its memo holds, until the cycle collector ran."""
+    return np.stack([_stacked(val, f) if isinstance(f, list) else val(f)
+                     for f in fields], axis=1)
 
 
 def _raise_first(batch: Batch) -> None:

@@ -345,6 +345,7 @@ class GalileiPhase:
         P = [total(chart.f0 * self.metric(j, k) * velocity(k)
                    + self.metric(k, j) * chart.fi[k - 1] for k in range(1, 4))
              for j in range(1, 4)]
+        dval = [val.partial(j) for j in range(1, 4)]
         comps: List[Field] = [chart.f0]
         for i in range(1, 4):
             acc = chart.f0 * velocity(i)
@@ -354,7 +355,7 @@ class GalileiPhase:
         for i in range(1, 4):
             acc = chart.f0 * self.gamma(i)
             for j in range(1, 4):
-                acc = acc + self.inv_metric(i, j) * val.partial(j)
+                acc = acc + self.inv_metric(i, j) * dval[j - 1]
                 skew = self._gamma_upper(i, j) - self._gamma_upper(j, i)
                 acc = acc + skew * P[j - 1]
             comps.append(acc)

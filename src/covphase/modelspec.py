@@ -645,15 +645,17 @@ def _derive(node, i: int, ds: dict):
 def derivative(node, i: int):
     """Exact partial derivative of an expression with respect to x_i.
 
-    The DAG is walked in `_order`, so any depth differentiates.  A subtree
-    whose mask `_m` lacks x_i is not walked: its derivative is `_ZERO`.
-    Each node walked keeps its derivative along x_i in `_d`, weakly: a
-    derivative lives as long as a caller or a node built from it holds
-    it (a strong reference would make cycles, as d exp(u) = exp(u) du
-    refers to exp(u)).  So a node shared within one expression or between
-    expressions built apart is differentiated once while its derivative
-    is held, its derivative is shared in the output, and
-    `derivative(n, i) is derivative(n, i)`.
+    The DAG is walked without recursion, in the visit order of `_order`,
+    and each node is derived as soon as its children are, so any depth
+    differentiates.  A subtree whose mask `_m` lacks x_i is not walked:
+    its derivative is `_ZERO`.  Each node walked keeps its derivative
+    along x_i in `_d`, weakly: a derivative lives as long as a caller or
+    a node built from it holds it (a strong reference would make cycles,
+    as d exp(u) = exp(u) du refers to exp(u)).  A node whose derivative
+    is still held is not walked either.  So a node shared within one
+    expression or between expressions built apart is differentiated once
+    while its derivative is held, its derivative is shared in the output,
+    and `derivative(n, i) is derivative(n, i)`.
     """
     bit = 1 << i
     if not node._m & bit:
@@ -662,16 +664,48 @@ def derivative(node, i: int):
     held = ref and ref()
     if held is not None:  # asked for again, and still held
         return held
-
-    def known(n):
-        if not n._m & bit:
-            return _ZERO
-        ref = n._d and n._d.get(i)
-        return ref and ref()
-
-    # node -> its derivative; dropped whole if a node fails to derive
+    # node -> its derivative; dropped whole if a node fails to derive.
+    # The stack is `_order`'s; a node is looked up in `_d` when popped.
     ds = {}
-    for n in _order(node, ds, known):
+    stack = [node]
+    push, pop = stack.append, stack.pop
+    while stack:
+        n = pop()
+        if n is None:  # the node under it: its children are done
+            n = pop()
+        elif n in ds:  # pushed twice, and done
+            continue
+        else:
+            if not n._m & bit:
+                ds[n] = _ZERO
+                continue
+            ref = n._d and n._d.get(i)
+            d = ref and ref()
+            if d is not None:
+                ds[n] = d
+                continue
+            t = type(n)
+            if t is BinOp:
+                a, b = n.left, n.right
+                if b not in ds:
+                    push(n)
+                    push(None)
+                    push(b)
+                    if a not in ds:
+                        push(a)
+                    continue
+                if a not in ds:
+                    push(n)
+                    push(None)
+                    push(a)
+                    continue
+            elif t is Neg or t is Call or t is Pow:
+                a = n.base if t is Pow else n.arg
+                if a not in ds:
+                    push(n)
+                    push(None)
+                    push(a)
+                    continue
         d = ds[n] = _derive(n, i, ds)
         if n._d is None:
             n._d = {}
@@ -756,27 +790,22 @@ def velocity(i: int) -> ExprField:
 # Compilation to straight-line float code
 
 
-def _order(root, memo: dict, known=None) -> list:
+def _order(root, memo: dict) -> list:
     """root's DAG nodes that are not in memo, in the one visit order of
     every walk: post-order, left child first, each node once.  Each node
     returned is entered in memo as None (pending), to be replaced by its
-    result before the next walk over the memo; a node whose result
-    known(node) gives (not None) is entered with it instead, and neither
-    returned nor walked below.  Every evaluator visits nodes in this
-    order, so the first operation to fail is the same in each.
+    result before the next walk over the memo.  Every evaluator visits
+    nodes in this order, so the first operation to fail is the same in
+    each.  It serves `_walk`; `derivative` and `_Rows.run` run the same
+    stack in their own loops, and finish each node where this returns it.
 
     The stack holds bare nodes and None.  A popped node whose children
     are all in the memo is returned at once; else it goes back under a
-    None, and its missing children, each asked known() first, go on top,
-    right then left.  Popping that None returns the node under it.  A
-    node pushed twice is in the memo when it comes up again, and is
-    skipped.
+    None, and its missing children go on top, right then left.  Popping
+    that None returns the node under it.  A node pushed twice is in the
+    memo when it comes up again, and is skipped.
     """
     if root in memo:
-        return []
-    r = known and known(root)
-    if r is not None:
-        memo[root] = r
         return []
     out = []
     stack = [root]
@@ -794,11 +823,7 @@ def _order(root, memo: dict, known=None) -> list:
                 if b not in memo:
                     push(node)
                     push(None)
-                    r = known and known(b)
-                    if r is None:
-                        push(b)
-                    else:
-                        memo[b] = r
+                    push(b)
                 elif a in memo:
                     memo[node] = None
                     emit(node)
@@ -820,11 +845,7 @@ def _order(root, memo: dict, known=None) -> list:
                 continue
             # the left (or only) child goes on top, so it is walked first
             if a not in memo:
-                r = known and known(a)
-                if r is None:
-                    push(a)
-                else:
-                    memo[a] = r
+                push(a)
             continue
         memo[node] = None
         emit(node)
@@ -1047,18 +1068,16 @@ def _batch_walk(batch: Batch, node):
     they were built apart; the memo keeps its nodes alive as long as the
     batch.  The memo holds no reference back to the batch, so a batch is
     freed as soon as it is dropped.  The nodes not yet in the memo are
-    evaluated in `_order` by `_Rows.run`."""
+    evaluated by `_Rows.run`, in `_order`'s visit order."""
     memo = batch.memo
     if node in memo:
         return memo[node]
-    order = _order(node, memo)
-    if order:
-        rows = _Rows(batch)
-        if rows.one:
-            rows.run(order)
-        else:
-            with np.errstate(all="ignore"):
-                rows.run(order)
+    rows = _Rows(batch)
+    if rows.one:
+        rows.run(node)
+    else:
+        with np.errstate(all="ignore"):
+            rows.run(node)
     return memo[node]
 
 
@@ -1078,7 +1097,8 @@ class _Rows:
     give the same bits; `**`, `exp`, `sin` and `cos` go through
     `float.__pow__` and `math` element by element, since their numpy
     versions round differently.  A failing row is logged in the batch
-    instead of raising, so the other rows carry on.
+    instead of raising, so the other rows carry on.  `run` walks the DAG
+    itself, in `_order`'s visit order, and builds no list of nodes.
     """
 
     def __init__(self, batch: Batch):
@@ -1087,40 +1107,69 @@ class _Rows:
         # the coordinate values by column: Python floats for one row
         self.x = batch.P[0].tolist() if self.one else batch.P.T
 
-    def run(self, order: list) -> None:
-        """Evaluate the nodes of order into the batch memo, in turn.  The
+    def run(self, root) -> None:
+        """Evaluate root and its nodes not yet in the batch memo into the
+        memo.  The walk is `_order`'s stack, and a node is evaluated as
+        soon as its children are, so nodes are evaluated in `_order`'s
+        visit order and the memo only ever holds finished values.  The
         loop does `+ - *`, negation, coordinates and numbers itself and
         hands the nodes that can fail, and homotopies, to `visit`."""
         memo, x, visit = self.batch.memo, self.x, self.visit
-        try:
-            for n in order:
+        stack = [root]
+        push, pop = stack.append, stack.pop
+        while stack:
+            n = pop()
+            if n is None:  # the node under it: its children are done
+                n = pop()
+                t = type(n)
+            elif n in memo:  # pushed twice, and done
+                continue
+            else:
                 t = type(n)
                 if t is BinOp:
-                    o = n.op
-                    if o == "*":
-                        v = memo[n.left] * memo[n.right]
-                    elif o == "+":
-                        v = memo[n.left] + memo[n.right]
-                    elif o == "-":
-                        v = memo[n.left] - memo[n.right]
-                    else:
-                        v = visit(n, (memo[n.left], memo[n.right]))
-                elif t is Neg:
-                    v = -memo[n.arg]
-                elif t is Num:
-                    v = float(n.number)
-                elif t is Var:
-                    v = x[n.index]
-                elif t is Call:
-                    v = visit(n, (memo[n.arg],))
-                elif t is Pow:
-                    v = visit(n, (memo[n.base],))
+                    a, b = n.left, n.right
+                    if b not in memo:
+                        push(n)
+                        push(None)
+                        push(b)
+                        if a not in memo:
+                            push(a)
+                        continue
+                    if a not in memo:
+                        push(n)
+                        push(None)
+                        push(a)
+                        continue
+                elif t is Neg or t is Call or t is Pow:
+                    a = n.base if t is Pow else n.arg
+                    if a not in memo:
+                        push(n)
+                        push(None)
+                        push(a)
+                        continue
+            if t is BinOp:
+                o = n.op
+                if o == "*":
+                    v = memo[n.left] * memo[n.right]
+                elif o == "+":
+                    v = memo[n.left] + memo[n.right]
+                elif o == "-":
+                    v = memo[n.left] - memo[n.right]
                 else:
-                    v = visit(n, ())
-                memo[n] = v
-        except BaseException:
-            _forget(memo, order)
-            raise
+                    v = visit(n, (memo[n.left], memo[n.right]))
+            elif t is Neg:
+                v = -memo[n.arg]
+            elif t is Num:
+                v = float(n.number)
+            elif t is Var:
+                v = x[n.index]
+            elif t is Call:
+                v = visit(n, (memo[n.arg],))
+            elif t is Pow:
+                v = visit(n, (memo[n.base],))
+            else:
+                v = visit(n, ())
+            memo[n] = v
 
     def each(self, fn, a):
         """fn applied to each element of a as a Python float, errors

@@ -95,6 +95,25 @@ def step_count(duration: float, step: float) -> int:
     return nsteps
 
 
+def initial_state(model: Model, x0, v0) -> List[float]:
+    """The initial phase state, x0 then v0, as 7 floats.
+
+    Raises ValueError for a state that is not 4 position and 3 velocity
+    components, a component that is not finite, or a position outside
+    the model box widened by BOX_SLACK, the box every later step is
+    tested against.
+    """
+    state = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
+    if state.shape != (7,):
+        raise ValueError("need 4 position and 3 velocity components")
+    if not np.all(np.isfinite(state)):
+        raise ValueError("initial position and velocity must be finite")
+    if np.any(state[:4] < model.box_lo - BOX_SLACK) \
+            or np.any(state[:4] > model.box_hi + BOX_SLACK):
+        raise ValueError("initial position lies outside the model box")
+    return state.tolist()
+
+
 def _check_box(state: List[float], lo: List[float], hi: List[float]) -> None:
     if not all(map(math.isfinite, state)):
         raise BoxExit("trajectory reached a non-finite state %s" % (state,))
@@ -189,22 +208,18 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
     """Integrate the dynamical flow from initial position x0, velocity v0.
 
     framework is "galilei" or "einstein" (or their initials) and must
-    match the model kind.  Raises BoxExit when the trajectory leaves the
-    declared box or reaches a non-finite state and, for Einstein models,
-    LightconeViolation when the velocity stops being timelike; raises
-    ValueError for a step count `step_count` refuses.
+    match the model kind.  Raises ValueError for initial data that
+    `initial_state` refuses and for a step count `step_count` refuses;
+    BoxExit when the trajectory leaves the declared box or reaches a
+    non-finite state and, for Einstein models, LightconeViolation when
+    the velocity stops being timelike.
     """
     fw = resolve_framework(model, framework)
+    state = initial_state(model, x0, v0)
     nsteps = step_count(duration, step)
 
-    state = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
-    if state.shape != (7,):
-        raise ValueError("need 4 position and 3 velocity components")
-    state = state.tolist()
-    # widened by BOX_SLACK, as the CLI's test of the initial position is
     lo = [v - BOX_SLACK for v in model.box_lo.tolist()]
     hi = [v + BOX_SLACK for v in model.box_hi.tolist()]
-    _check_box(state, lo, hi)
 
     phase = (GalileiPhase if fw == "galilei" else EinsteinPhase)(model)
     rhs = phase.dynamical_fn()

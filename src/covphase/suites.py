@@ -22,6 +22,7 @@ keyed on the user seed plus a per-check tag, so reports are reproducible
 bit-for-bit regardless of check execution order.
 """
 
+import gc
 import math
 import os
 import sys
@@ -52,6 +53,15 @@ MAX_DRAWS_PER_POINT = 200
 # the most sample points one run may ask for; a larger request is a usage
 # error, refused before anything is allocated
 MAX_POINTS = 10_000
+
+
+# the cycle collector's young-generation threshold (threshold0) while a
+# suite runs.  Expression nodes, their partials and batches form no
+# reference cycles and are freed by reference counting, so a collection
+# during a run scans thousands of them and frees none.  CPython's default,
+# 700, collected about 125 times a verify-curved benchmark pass; from
+# 50,000 up, none ran inside a run on either verify workload.
+_GC_THRESHOLD0 = 50_000
 
 
 class UnknownSuiteError(ValueError):
@@ -840,48 +850,59 @@ def run_suite(model, suite_name: str, points: int = 100, seed: int = 0,
     suite or are not finite and non-negative.  A check whose fields
     cannot be evaluated (one of modelspec._FLOAT_ERRORS) is reported with
     a NaN residual, a failure, and its error goes to stderr.
-    """
-    if suite_name not in SUITES:
-        raise UnknownSuiteError(
-            "unknown suite %r; available: %s"
-            % (suite_name, ", ".join(suite_names())))
-    if points < 1:
-        raise ValueError("the number of points must be positive, got %d"
-                         % points)
-    if points > MAX_POINTS:
-        raise ValueError("the number of points must be at most %d, got %d"
-                         % (MAX_POINTS, points))
-    if seed < 0:
-        raise ValueError("the seed must be non-negative, got %d" % seed)
-    suite = SUITES[suite_name]
-    model = resolve_model(model)
-    if suite.framework != "any" and suite.framework != model.kind:
-        raise FrameworkMismatchError(
-            "suite %r needs a %s model but %r is %s"
-            % (suite_name, suite.framework, model.name, model.kind))
-    overrides = dict(tol_overrides or {})
-    known = {c.name for c in suite.checks}
-    for name, tol in overrides.items():
-        if name not in known:
-            raise ValueError("tolerance override %r matches no check in %r"
-                             % (name, suite_name))
-        if not 0.0 <= tol < math.inf:  # NaN fails this too
-            raise ValueError("tolerance override %s=%r is not a finite "
-                             "non-negative number" % (name, tol))
 
-    ctx = _Ctx(model, points, seed)
-    start = time.perf_counter()
-    records = []
-    for check in suite.checks:
-        tol = overrides.get(check.name, check.tolerance)
-        try:
-            residual = float(check.runner(ctx))
-        except _FLOAT_ERRORS as exc:
-            # a field that cannot be evaluated at a sample point fails
-            # this check; the others still run
-            print("check %s: %s: %s" % (check.name, type(exc).__name__, exc),
-                  file=sys.stderr)
-            residual = math.nan
-        records.append(CheckRecord(check.name, check.law, residual, tol))
-    return SuiteReport(suite_name, model.name, seed, points, records,
-                       wall_time=time.perf_counter() - start)
+    For its own duration it raises the cycle collector's threshold0 to
+    _GC_THRESHOLD0, and it restores the caller's `gc.get_threshold()`
+    exactly however it ends.  A collector the caller turned off (disabled,
+    or a threshold0 of 0) stays off.
+    """
+    saved = gc.get_threshold()
+    if gc.isenabled() and saved[0]:
+        gc.set_threshold(_GC_THRESHOLD0, *saved[1:])
+    try:
+        if suite_name not in SUITES:
+            raise UnknownSuiteError(
+                "unknown suite %r; available: %s"
+                % (suite_name, ", ".join(suite_names())))
+        if points < 1:
+            raise ValueError("the number of points must be positive, "
+                             "got %d" % points)
+        if points > MAX_POINTS:
+            raise ValueError("the number of points must be at most %d, "
+                             "got %d" % (MAX_POINTS, points))
+        if seed < 0:
+            raise ValueError("the seed must be non-negative, got %d" % seed)
+        suite = SUITES[suite_name]
+        model = resolve_model(model)
+        if suite.framework != "any" and suite.framework != model.kind:
+            raise FrameworkMismatchError(
+                "suite %r needs a %s model but %r is %s"
+                % (suite_name, suite.framework, model.name, model.kind))
+        overrides = dict(tol_overrides or {})
+        known = {c.name for c in suite.checks}
+        for name, tol in overrides.items():
+            if name not in known:
+                raise ValueError("tolerance override %r matches no check "
+                                 "in %r" % (name, suite_name))
+            if not 0.0 <= tol < math.inf:  # NaN fails this too
+                raise ValueError("tolerance override %s=%r is not a finite "
+                                 "non-negative number" % (name, tol))
+
+        ctx = _Ctx(model, points, seed)
+        start = time.perf_counter()
+        records = []
+        for check in suite.checks:
+            tol = overrides.get(check.name, check.tolerance)
+            try:
+                residual = float(check.runner(ctx))
+            except _FLOAT_ERRORS as exc:
+                # a field that cannot be evaluated at a sample point fails
+                # this check; the others still run
+                print("check %s: %s: %s"
+                      % (check.name, type(exc).__name__, exc), file=sys.stderr)
+                residual = math.nan
+            records.append(CheckRecord(check.name, check.law, residual, tol))
+        return SuiteReport(suite_name, model.name, seed, points, records,
+                           wall_time=time.perf_counter() - start)
+    finally:
+        gc.set_threshold(*saved)

@@ -1,9 +1,9 @@
 """Parity fence for the batch evaluation loop.
 
-`_batch_walk` evaluates the nodes `_order` lists in one loop that does
-`+ - *`, negation, coordinates and numbers itself, and runs a one-row
-batch, homotopies included, on Python floats outside `np.errstate`.  The
-reference below is the route it replaced: a generic post-order walk that
+`_batch_walk` evaluates nodes in `_order`'s visit order, in one loop that
+walks the DAG and does `+ - *`, negation, coordinates and numbers itself,
+and runs a one-row batch, homotopies included, on Python floats outside
+`np.errstate`.  The reference below is the route it replaced: a generic post-order walk that
 calls back into a `_Rows` evaluator for every node, under
 `np.errstate(all="ignore")`, with the homotopy quadrature on numpy arrays
 at any row count.  The two must give the same values at every row that

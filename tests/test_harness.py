@@ -6,6 +6,7 @@ the orbit oracles, and the CLI exit-code protocol.
 """
 
 import ast
+import gc
 import json
 import math
 import subprocess
@@ -19,11 +20,12 @@ import pytest
 from covphase.einstein import EinsteinPhase, LightconeViolation
 from covphase.modelspec import (
     Call, Num, Var, available_models, builtin_model_dir, load_builtin,
+    parse_model_text,
 )
 from covphase.orbit import BoxExit, OrbitResult, integrate_orbit
 from covphase.report import CheckRecord, SuiteReport, emit_report
 from covphase.smooth import PForm, VectorField
-from covphase import cli, orbit, smooth, suites as su
+from covphase import cli, modelspec, orbit, smooth, suites as su
 
 
 class TestRegistry:
@@ -338,11 +340,12 @@ class TestOrbit:
                               1.0, 1e-3)
         assert res.states[-1, 0] > 1.0
         assert res.max_law_residual < 1e-7
-        with pytest.raises(BoxExit) as info:
+        # beyond the slack, an initial point is refused before any step
+        with pytest.raises(ValueError) as info:
             integrate_orbit(model, "g", [0, 1.0 + 1e-8, 0, 0], [0, 0, 0],
                             1.0, 1e-3)
         assert str(info.value) == \
-            "trajectory left the declared box at x = [0.0, 1.0, 0.0, 0.0]"
+            "initial position lies outside the model box"
 
     def test_lightcone_exit(self):
         model = load_builtin("uniform-e")
@@ -357,9 +360,12 @@ class TestOrbit:
             integrate_orbit(model, "g", [0, 0, 0, 0], [0, 0, 0], 1.0)
 
     def test_non_finite_state_is_box_exit(self):
-        model = load_builtin("uniform-b")
+        # a field so strong that one RK4 step overflows the velocity; a
+        # non-finite initial state is a ValueError (test_orbit_parity)
+        model = parse_model_text(model_text("uniform-b",
+                                            ("B = 2.0", "B = 1e300")))
         with pytest.raises(BoxExit, match="non-finite"):
-            integrate_orbit(model, "g", [0, 0, 0, 0], [np.nan, 0, 0], 0.01)
+            integrate_orbit(model, "g", [0, 0, 0, 0], [0.5, 0, 0], 0.01)
 
     # each once integrated no step or one and passed on a residual of
     # 0.0 over no interior sample, or went on to np.empty (a MemoryError)
@@ -921,6 +927,81 @@ class TestCheckErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "expression nested too deeply" in proc.stderr
+
+
+class TestCollectorScope:
+    """`run_suite` raises the cycle collector's young-generation threshold
+    for its own duration, and leaves a collector the caller turned off
+    off; nodes, partials and batches are freed without the collector."""
+
+    CALLER = (1234, 5, 6)  # a caller's thresholds, none of them a default
+
+    @pytest.fixture(autouse=True)
+    def caller_collector(self):
+        saved, enabled = gc.get_threshold(), gc.isenabled()
+        gc.set_threshold(*self.CALLER)
+        try:
+            yield
+        finally:
+            gc.set_threshold(*saved)
+            (gc.enable if enabled else gc.disable)()
+
+    def probe(self, monkeypatch, runner):
+        """The collector's state, as the one check of a probe suite that
+        then runs runner, sees it."""
+        seen = []
+
+        def check(ctx):
+            seen.append((gc.isenabled(), gc.get_threshold()))
+            return runner(ctx)
+
+        probe = su.Check("probe", "0 = 0", "harness", None, 1e-9, check)
+        monkeypatch.setitem(su.SUITES, "gc-probe",
+                            su.Suite("gc-probe", "any", (probe,)))
+        return seen
+
+    @pytest.mark.parametrize("exc", [None, ZeroDivisionError, KeyError],
+                             ids=["pass", "nan-record", "escapes"])
+    def test_thresholds_restored(self, monkeypatch, exc):
+        def runner(ctx):
+            if exc is not None:
+                raise exc("stub failure")
+            return 0.0
+
+        seen = self.probe(monkeypatch, runner)
+        if exc is KeyError:  # not an evaluation error: it escapes
+            with pytest.raises(KeyError):
+                su.run_suite("flat-free", "gc-probe", points=2)
+        else:
+            rec, = su.run_suite("flat-free", "gc-probe", points=2).records
+            assert repr(rec.residual) == ("0.0" if exc is None else "nan")
+        assert seen == [(True, (su._GC_THRESHOLD0, 5, 6))]
+        assert gc.isenabled() and gc.get_threshold() == self.CALLER
+
+    @pytest.mark.parametrize("off", ["disabled", "threshold0-zero"])
+    def test_collector_turned_off_stays_off(self, monkeypatch, off):
+        seen = self.probe(monkeypatch, lambda ctx: 0.0)
+        if off == "disabled":
+            gc.disable()
+            want = (False, self.CALLER)
+        else:
+            gc.set_threshold(0, 5, 6)
+            want = (True, (0, 5, 6))
+        su.run_suite("flat-free", "gc-probe", points=2)
+        assert seen == [want]
+        assert (gc.isenabled(), gc.get_threshold()) == want
+
+    def test_suites_leave_no_node_to_the_cycle_collector(self):
+        gc.disable()
+        for name in ("flat-free", "curved-galilei", "minkowski",
+                     "curved-einstein"):
+            kind = load_builtin(name).kind
+            for suite in su.SUITES.values():
+                if suite.framework in ("any", kind):
+                    before = len(modelspec._NODES)
+                    su.run_suite(name, suite.name, points=2, seed=1)
+                    assert len(modelspec._NODES) == before, \
+                        (name, suite.name)
 
 
 def model_text(name: str, edit) -> str:

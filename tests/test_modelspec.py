@@ -4,6 +4,7 @@ import operator
 import sys
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -762,14 +763,14 @@ def stack_walk(root, memo, visit, known=None):
     return memo[root]
 
 
-def order_walk(root, memo, visit, known=None):
-    """A walk over `_order`, as `derivative` makes one (with known)."""
-    for n in ms._order(root, memo, known):
+def order_walk(root, memo, visit):
+    """A walk over `_order`, as `_walk` makes one."""
+    for n in ms._order(root, memo):
         memo[n] = visit(n, tuple(memo[k] for k in children(n)))
     return memo[root]
 
 
-def recorded_walk(walk, roots, known):
+def recorded_walk(walk, roots):
     """The visit sequence, the memo and the results of walking roots in
     turn through one memo."""
     seen, memo = [], {}
@@ -778,30 +779,71 @@ def recorded_walk(walk, roots, known):
         seen.append(n)
         return n, kids
 
-    return seen, memo, [walk(r, memo, visit, known) for r in roots]
+    return seen, memo, [walk(r, memo, visit) for r in roots]
+
+
+def stack_derivative(root, i):
+    """The reference derivative: `stack_walk` with `derivative`'s pruning
+    as its hook (zero where the mask lacks x_i, else the derivative still
+    held on the node), deriving each node it visits with `_derive` and
+    keeping the result on the node as `derivative` does."""
+    def known(n):
+        if not n._m & 1 << i:
+            return ms._ZERO
+        ref = n._d and n._d.get(i)
+        return ref and ref()
+
+    ds = {}
+
+    def visit(n, kids):
+        d = ms._derive(n, i, ds)
+        n._d = n._d or {}
+        n._d[i] = weakref.ref(d)
+        return d
+
+    return stack_walk(root, ds, visit, known)
+
+
+def recorded_derivatives(derive, roots, i):
+    """The nodes `_derive` derived, the distinct memos it read, and the
+    results of deriving roots in turn along x_i, starting with no
+    derivative held on any node of the roots."""
+    forget = {}
+    for r in roots:
+        ms._walk(r, forget, lambda n, kids: setattr(n, "_d", None))
+    seen, memos = [], []
+    real = ms._derive
+
+    def record(n, i, ds):
+        seen.append(n)
+        if not any(m is ds for m in memos):
+            memos.append(ds)
+        return real(n, i, ds)
+
+    with mock.patch.object(ms, "_derive", record):
+        return seen, memos, [derive(r, i) for r in roots]
 
 
 @settings(max_examples=300, deadline=None)
 @given(shared_exprs(), _any_expr, st.integers(0, 6), st.booleans())
 def test_walk_matches_the_reference_stack_walk(node, other, i, prune):
-    # the hook prunes what a derivative along x_i prunes, and every power
-    def known(n):
-        if not n._m & 1 << i or type(n) is Pow:
-            return "known", n
-        return None
-
-    hook = known if prune else None
-    want = recorded_walk(stack_walk, [node, other, node], hook)
-    got = recorded_walk(order_walk, [node, other, node], hook)
+    # pruned: the fused walk of `derivative`, whose `_derive` calls must
+    # come in the order of the reference walk with its hook; else the
+    # visits of `_order` and `_walk`
+    roots = [node, other, node]
+    if prune:
+        want = recorded_derivatives(stack_derivative, roots, i)
+        got = recorded_derivatives(derivative, roots, i)
+    else:
+        want = recorded_walk(stack_walk, roots)
+        got = recorded_walk(order_walk, roots)
     seen, memo, results = got
     assert seen == want[0]
     assert len(seen) == len(set(seen))
     assert memo == want[1]
     assert results == want[2]
     if not prune:
-        def walk(root, memo, visit, known):
-            return ms._walk(root, memo, visit)
-        assert recorded_walk(walk, [node, other, node], None) == want
+        assert recorded_walk(ms._walk, roots) == want
 
 
 def test_chain_of_100000_nodes_walks_without_recursion():

@@ -249,6 +249,31 @@ def test_step_to_a_non_finite_velocity_exits(monkeypatch, k, v):
     assert "non-finite state" in str(got)
 
 
+@pytest.mark.parametrize("side", ["lo", "hi"])
+@pytest.mark.parametrize("k", range(4))
+def test_initial_point_beyond_each_widened_box_side_is_a_value_error(k, side):
+    # the initial point is tested against the box of every later step,
+    # once, by orbit.initial_state: on the widened edge it is inside
+    model = load_builtin("flat-free")
+    state = _moved(k, EDGES[side])
+    assert orbit.initial_state(model, state[:4], state[4:]) == state
+    state[k] = math.nextafter(EDGES[side], OUTWARD[side])
+    with pytest.raises(ValueError) as info:
+        integrate_orbit(model, "g", state[:4], state[4:], 0.03, 0.01)
+    assert str(info.value) == "initial position lies outside the model box"
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", range(7))
+def test_non_finite_initial_data_is_a_value_error(k, v):
+    # an infinite position is outside the box too: the finite test is first
+    state = _moved(k, v)
+    with pytest.raises(ValueError) as info:
+        integrate_orbit(load_builtin("flat-free"), "g", state[:4], state[4:],
+                        0.03, 0.01)
+    assert str(info.value) == "initial position and velocity must be finite"
+
+
 @pytest.mark.parametrize("x", [math.nan, 5.0])
 def test_non_finite_state_message_comes_first(monkeypatch, x):
     # a position outside the box (or NaN) and an infinite velocity: the
