@@ -211,13 +211,18 @@ class GalileiPhase:
     def observed_curvature(self, observer: Optional[Observer] = None) -> PForm:
         """Pullback of Omega along an observer: a spacetime 2-form.
 
-        The chart observer's pullback (the default) is built once and
-        cached, since every special bracket contracts with it.
+        The chart observer's pullback (the default) is built once, by
+        `_chart_curvature`, since every special bracket contracts with it.
         """
-        chart = observer is None or observer.is_chart()
-        if chart and "observed_Phi" in self._memo:
-            return self._memo["observed_Phi"]
-        obs = Observer.chart() if chart else observer
+        if observer is None or observer.is_chart():
+            return self._chart_curvature()
+        return self._pullback(observer)
+
+    @cached
+    def _chart_curvature(self) -> PForm:
+        return self._pullback(Observer.chart())
+
+    def _pullback(self, obs: Observer) -> PForm:
         sec = obs.section()
         if not all(isinstance(s, ExprField) for s in sec):
             raise ValueError("observer components must be expression "
@@ -233,10 +238,7 @@ class GalileiPhase:
                      * (sec[a].partial(lam) * sec[b].partial(mu)
                         - sec[a].partial(mu) * sec[b].partial(lam))
                      for (a, b), fld in omega.comps.items()), constant(0.0))
-        form = PForm(4, 2, comps)
-        if chart:
-            self._memo["observed_Phi"] = form
-        return form
+        return PForm(4, 2, comps)
 
     def observed_potential(self, observer: Optional[Observer] = None
                            ) -> List[ExprField]:

@@ -188,6 +188,10 @@ class ExprField(Field):
         b = _as_node(other)
         return NotImplemented if b is None else _div(self, b)
 
+    def __rtruediv__(self, other):
+        b = _as_node(other)
+        return NotImplemented if b is None else _div(b, self)
+
     def __neg__(self):
         return _ZERO if _is_num(self, 0.0) else _neg(self)
 
@@ -645,7 +649,7 @@ def _derive(node, i: int, ds: dict):
 def derivative(node, i: int):
     """Exact partial derivative of an expression with respect to x_i.
 
-    The DAG is walked without recursion, in the visit order of `_order`,
+    The DAG is walked without recursion, in the visit order of `_walk`,
     and each node is derived as soon as its children are, so any depth
     differentiates.  A subtree whose mask `_m` lacks x_i is not walked:
     its derivative is `_ZERO`.  Each node walked keeps its derivative
@@ -665,7 +669,7 @@ def derivative(node, i: int):
     if held is not None:  # asked for again, and still held
         return held
     # node -> its derivative; dropped whole if a node fails to derive.
-    # The stack is `_order`'s; a node is looked up in `_d` when popped.
+    # The stack is `_walk`'s; a node is looked up in `_d` when popped.
     ds = {}
     stack = [node]
     push, pop = stack.append, stack.pop
@@ -733,7 +737,7 @@ def _rebuild(node, kids, repl: Dict[int, object]):
 def substitute(node, repl: Dict[int, object], memo: Optional[dict] = None):
     """Replace coordinate references by expression nodes (for compositions).
 
-    Walks the DAG like `_walk`, without recursion.  A subexpression shared
+    Walks the DAG with `_walk`, so without recursion.  A subexpression shared
     in the input stays shared in the output, since the rebuilt nodes are
     interned.  Calls that pass the same memo (node identity to result)
     walk the nodes they share once, and must pass the same repl.
@@ -790,95 +794,60 @@ def velocity(i: int) -> ExprField:
 # Compilation to straight-line float code
 
 
-def _order(root, memo: dict) -> list:
-    """root's DAG nodes that are not in memo, in the one visit order of
-    every walk: post-order, left child first, each node once.  Each node
-    returned is entered in memo as None (pending), to be replaced by its
-    result before the next walk over the memo.  Every evaluator visits
-    nodes in this order, so the first operation to fail is the same in
-    each.  It serves `_walk`; `derivative` and `_Rows.run` run the same
-    stack in their own loops, and finish each node where this returns it.
-
-    The stack holds bare nodes and None.  A popped node whose children
-    are all in the memo is returned at once; else it goes back under a
-    None, and its missing children go on top, right then left.  Popping
-    that None returns the node under it.  A node pushed twice is in the
-    memo when it comes up again, and is skipped.
+def _walk(root, memo: dict, visit):
+    """Visit root's DAG nodes not in memo, post-order, left child first,
+    each once; memo maps each to visit(node, (its children's results)).
+    Returns root's result.  Every evaluator visits in this order, so the
+    first operation to fail is the same in each; `derivative` and
+    `_Rows.run` run this stack in their own loops.  It holds bare nodes
+    and None: a popped node whose children are all in memo is visited at
+    once, else it goes back under a None with its missing children on
+    top, right then left, and popping that None visits the node under it.
+    A node pushed twice is in memo when it comes up again, and is skipped.
+    memo only ever holds finished results, so a visit that raises leaves
+    it usable.
     """
-    if root in memo:
-        return []
-    out = []
     stack = [root]
-    push, pop, emit = stack.append, stack.pop, out.append
+    push, pop = stack.append, stack.pop
     while stack:
-        node = pop()
-        if node is None:  # the node under it: its children are done
-            node = pop()
-        elif node in memo:  # pushed twice, and done
+        n = pop()
+        if n is None:  # the node under it: its children are done
+            n = pop()
+            t = type(n)
+        elif n in memo:  # pushed twice, and done
             continue
         else:
-            t = type(node)
+            t = type(n)
             if t is BinOp:
-                a, b = node.left, node.right
+                a, b = n.left, n.right
                 if b not in memo:
-                    push(node)
+                    push(n)
                     push(None)
                     push(b)
-                elif a in memo:
-                    memo[node] = None
-                    emit(node)
+                    if a not in memo:
+                        push(a)
                     continue
-                else:
-                    push(node)
+                if a not in memo:
+                    push(n)
                     push(None)
-            elif t is Neg or t is Call or t is Pow:
-                a = node.base if t is Pow else node.arg
-                if a in memo:
-                    memo[node] = None
-                    emit(node)
+                    push(a)
                     continue
-                push(node)
-                push(None)
-            else:
-                memo[node] = None
-                emit(node)
-                continue
-            # the left (or only) child goes on top, so it is walked first
-            if a not in memo:
-                push(a)
-            continue
-        memo[node] = None
-        emit(node)
-    return out
-
-
-def _forget(memo: dict, order: list) -> None:
-    """Drop the pending entries of order from memo, after a walk over it
-    stopped on an exception, so the memo holds only finished results."""
-    for node in order:
-        if node in memo and memo[node] is None:
-            del memo[node]
-
-
-def _walk(root, memo: dict, visit):
-    """Visit root's unvisited DAG nodes in `_order`; memo maps each node
-    to visit(node, (the children's results)).  Returns root's result."""
-    order = _order(root, memo)
-    try:
-        for node in order:
-            t = type(node)
-            if t is BinOp:
-                kids = (memo[node.left], memo[node.right])
-            elif t is Neg or t is Call:
-                kids = (memo[node.arg],)
-            elif t is Pow:
-                kids = (memo[node.base],)
-            else:
-                kids = ()
-            memo[node] = visit(node, kids)
-    except BaseException:
-        _forget(memo, order)
-        raise
+            elif t is Neg or t is Call or t is Pow:
+                a = n.base if t is Pow else n.arg
+                if a not in memo:
+                    push(n)
+                    push(None)
+                    push(a)
+                    continue
+        if t is BinOp:
+            kids = (memo[n.left], memo[n.right])
+        elif t is Neg or t is Call:
+            kids = (memo[n.arg],)
+        elif t is Pow:
+            kids = (memo[n.base],)
+        else:
+            kids = ()
+        memo[n] = visit(n, kids)
     return memo[root]
 
 
@@ -1068,7 +1037,7 @@ def _batch_walk(batch: Batch, node):
     they were built apart; the memo keeps its nodes alive as long as the
     batch.  The memo holds no reference back to the batch, so a batch is
     freed as soon as it is dropped.  The nodes not yet in the memo are
-    evaluated by `_Rows.run`, in `_order`'s visit order."""
+    evaluated by `_Rows.run`, in `_walk`'s visit order."""
     memo = batch.memo
     if node in memo:
         return memo[node]
@@ -1098,7 +1067,7 @@ class _Rows:
     `float.__pow__` and `math` element by element, since their numpy
     versions round differently.  A failing row is logged in the batch
     instead of raising, so the other rows carry on.  `run` walks the DAG
-    itself, in `_order`'s visit order, and builds no list of nodes.
+    itself, in `_walk`'s visit order, and builds no list of nodes.
     """
 
     def __init__(self, batch: Batch):
@@ -1109,8 +1078,8 @@ class _Rows:
 
     def run(self, root) -> None:
         """Evaluate root and its nodes not yet in the batch memo into the
-        memo.  The walk is `_order`'s stack, and a node is evaluated as
-        soon as its children are, so nodes are evaluated in `_order`'s
+        memo.  The walk is `_walk`'s stack, and a node is evaluated as
+        soon as its children are, so nodes are evaluated in `_walk`'s
         visit order and the memo only ever holds finished values.  The
         loop does `+ - *`, negation, coordinates and numbers itself and
         hands the nodes that can fail, and homotopies, to `visit`."""

@@ -1,6 +1,6 @@
 """Parity fence for the batch evaluation loop.
 
-`_batch_walk` evaluates nodes in `_order`'s visit order, in one loop that
+`_batch_walk` evaluates nodes in `_walk`'s visit order, in one loop that
 walks the DAG and does `+ - *`, negation, coordinates and numbers itself,
 and runs a one-row batch, homotopies included, on Python floats outside
 `np.errstate`.  The reference below is the route it replaced: a generic post-order walk that
@@ -20,7 +20,7 @@ from covphase.einstein import EinsteinPhase
 from covphase.galilei import HOMOTOPY_TS, HOMOTOPY_WEIGHTS, GalileiPhase
 from covphase.modelspec import (
     BinOp, Call, ExprField, Homotopy, Neg, Num, Pow, Var, _FLOAT_ERRORS,
-    _batch_walk, _order, _walk, load_builtin,
+    _Emitter, _batch_walk, _walk, load_builtin, substitute,
 )
 from covphase.smooth import Batch, exterior_derivative, total
 from covphase.suites import _Ctx
@@ -189,22 +189,17 @@ CURVED = ["curved-galilei", "curved-gravity", "curved-einstein",
 
 
 @pytest.mark.parametrize("name", CURVED)
-def test_order_is_the_reference_visit_sequence(name):
+def test_walk_is_the_reference_visit_sequence(name):
     omega = phase_of(name).cosymplectic()
     roots = form_nodes(omega) + form_nodes(exterior_derivative(omega))
     want, memo = [], {}
     for root in roots:
         stack_walk(root, memo, lambda n, kids: want.append(n) or n)
-    got, pending = [], {}
-    for root in roots:
-        got += _order(root, pending)
-    assert got == want and len(set(got)) == len(got)
-    assert pending == dict.fromkeys(want)
-    seen = []
-    walked = {}
+    seen, walked = [], {}
     for root in roots:
         _walk(root, walked, lambda n, kids: seen.append(n) or n)
-    assert seen == want and walked == memo
+    assert seen == want and len(set(seen)) == len(seen)
+    assert walked == memo
 
 
 @pytest.mark.parametrize("name", CURVED)
@@ -256,11 +251,23 @@ def test_one_row_homotopy_logs_its_row_under_raise():
 
 
 def test_an_escaping_exception_leaves_no_pending_entry():
-    # a node built around the table, whose right child is not a node: the
-    # loop evaluates the left child, then raises TypeError
+    # each walk finishes the left child, then raises TypeError on the
+    # right one, and its memo holds the finished left child alone: the
+    # batch loop and `_walk` (under `substitute`) on a node built around
+    # the table, whose right child is not a node, and the compiler on a
+    # homotopy, which has no float code
     bad = object.__new__(BinOp)
     bad.op, bad.left, bad.right = "+", Var(1), "not a node"
     batch = Batch(np.ones((1, 4)))
     with pytest.raises(TypeError):
         _batch_walk(batch, bad)
     assert batch.memo == {Var(1): 1.0}
+    memo = {}
+    with pytest.raises(TypeError, match="not an expression node"):
+        substitute(bad, {}, memo)
+    assert memo == {Var(1): Var(1)}
+    em = _Emitter()
+    hom = Homotopy((Var(1),) * 4, (0.0,) * 4, HOMOTOPY_TS, HOMOTOPY_WEIGHTS)
+    with pytest.raises(TypeError, match="no float code"):
+        em.field(BinOp("+", Var(1), hom))
+    assert em.memo == {Var(1): "x1"}

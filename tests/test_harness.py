@@ -62,7 +62,7 @@ class TestRegistry:
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "covphase"
 
-# Public names that no code in src/ references, each kept for a reason.
+# Names that no code in src/ references, each kept for a reason.
 UNREFERENCED_ALLOWED = {
     "smooth.PForm.evaluate":
         "perfbench/tracing.py patches it by name until telemetry is in src/",
@@ -101,10 +101,10 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def unreferenced_public_names():
-    """Qualified names of the public functions, classes and methods of
-    src/covphase that no code there references outside their own
-    definition.
+def unreferenced_names():
+    """Qualified names of the module-level functions and classes, public
+    or private, and the public methods of src/covphase that no code there
+    references outside their own definition.
 
     A module-level function or class is referenced by its bare name, by
     an import of it, or as `<module alias>.<name>` of a package module
@@ -135,7 +135,7 @@ def unreferenced_public_names():
     defs = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, kinds) and not node.name.startswith("_"):
+            if isinstance(node, kinds):
                 defs.append(("%s.%s" % (module, node.name), node,
                              plain.get(node.name, [])))
                 if isinstance(node, ast.ClassDef):
@@ -156,14 +156,14 @@ class TestApiSurface:
     def test_every_public_name_is_used_or_allowed(self):
         # code that only tests call, or nothing calls, goes; a name kept
         # on purpose is listed above with its reason
-        extra = [n for n in unreferenced_public_names()
+        extra = [n for n in unreferenced_names()
                  if n not in UNREFERENCED_ALLOWED]
         assert extra == []
 
     def test_allowed_names_are_still_unreferenced(self):
         # once src/ uses an allowed name (or it is gone), its entry goes
         assert sorted(UNREFERENCED_ALLOWED) \
-            == sorted(unreferenced_public_names())
+            == sorted(unreferenced_names())
 
 
 class TestRunSuite:
