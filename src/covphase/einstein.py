@@ -143,6 +143,16 @@ class EinsteinPhase:
         if not self.radicand().value(p) < 0.0:
             raise LightconeViolation(_NOT_TIMELIKE)
 
+    def _timelike_batch(self, P) -> Batch:
+        """A batch over the phase points P[N, 7] in which every row that
+        is not timelike, a NaN radicand included, is logged as a
+        LightconeViolation before any other field is evaluated, as
+        `require_timelike` and `dynamical_fn` test it first."""
+        batch = Batch(P)
+        rad = self.radicand()._values(batch)
+        batch.fail(~(rad < 0.0), LightconeViolation, _NOT_TIMELIKE)
+        return batch
+
     @cached
     def alpha0(self) -> Field:
         return self._chart_frame()[2]
@@ -473,10 +483,7 @@ class EinsteinPhase:
         X, Xdot, Xddot = (np.asarray(a, dtype=float)
                           for a in (X, Xdot, Xddot))
         P = np.concatenate([X, Xdot[:, 1:] / Xdot[:, :1]], axis=1)
-        batch = Batch(P)
-        # logged before the fields' errors, as `dynamical_fn` tests first
-        rad = self.radicand()._values(batch)
-        batch.fail(~(rad < 0.0), LightconeViolation, _NOT_TIMELIKE)
+        batch = self._timelike_batch(P)
         comps = self.dynamical_vector().comps
         pace, *force = [f._values(batch) for f in comps[:1] + comps[4:]]
         _raise_first(batch)
@@ -493,23 +500,18 @@ class EinsteinPhase:
 
     # -- technical identity suite --------------------------------------------
 
-    def identity_residuals(self, p):
-        """Evaluate the displayed contraction and derivative identities at a
-        timelike phase point and return the absolute residual of each.
-
-        p may also be a stack of points P[N, 7]; each residual is then an
-        array over its rows.  The fields are evaluated over all rows at
-        once, and so is the linear algebra, on arrays stacked over the
-        rows ([N, 4, 4] for a matrix); each row gets the bits of its
-        one-point computation.
+    def identity_residuals(self, P):
+        """Evaluate the displayed contraction and derivative identities at
+        a stack of timelike phase points P[N, 7] and return the absolute
+        residuals of each, an array over the rows.  The fields are
+        evaluated over all rows at once, and so is the linear algebra, on
+        arrays stacked over the rows ([N, 4, 4] for a matrix); each row
+        gets the bits of its one-point computation.
         """
-        P = np.asarray(p, dtype=float)
-        rows = P[None] if P.ndim == 1 else P
-        batch = Batch(rows)
+        rows = np.asarray(P, dtype=float)
         # the first row that fails or is not timelike raises as
         # `require_timelike` would, before any other field is evaluated
-        rad = self.radicand()._values(batch)
-        batch.fail(~(rad < 0.0), LightconeViolation, _NOT_TIMELIKE)
+        batch = self._timelike_batch(rows)
         _raise_first(batch)
         val = batch.values
         arr = functools.partial(_stacked, val)
@@ -603,8 +605,6 @@ class EinsteinPhase:
                         * dbar[:, a] * dbar[:, bb]
             r = val(alpha_f.partial(lam)) - 0.5 * al3 * spatial
             out["alpha-horizontal-%d" % lam] = np.abs(r)
-        if P.ndim == 1:
-            return {key: float(res[0]) for key, res in out.items()}
         return out
 
 

@@ -649,8 +649,8 @@ def _derive(node, i: int, ds: dict):
 def derivative(node, i: int):
     """Exact partial derivative of an expression with respect to x_i.
 
-    The DAG is walked without recursion, in the visit order of `_walk`,
-    and each node is derived as soon as its children are, so any depth
+    The DAG is walked without recursion, in `_pending`'s order, and each
+    node is derived as soon as its children are, so any depth
     differentiates.  A subtree whose mask `_m` lacks x_i is not walked:
     its derivative is `_ZERO`.  Each node walked keeps its derivative
     along x_i in `_d`, weakly: a derivative lives as long as a caller or
@@ -660,6 +660,12 @@ def derivative(node, i: int):
     expression or between expressions built apart is differentiated once
     while its derivative is held, its derivative is shared in the output,
     and `derivative(n, i) is derivative(n, i)`.
+
+    The loop is `_pending`'s stack, copied, because it prunes a node
+    when the node is popped, before its children are pushed: a mask that
+    lacks x_i, or a derivative still held.  `_pending` could do that only
+    by asking its caller about each node, a call per node, which was
+    measured slower on derivative-heavy runs.
     """
     bit = 1 << i
     if not node._m & bit:
@@ -669,7 +675,7 @@ def derivative(node, i: int):
     if held is not None:  # asked for again, and still held
         return held
     # node -> its derivative; dropped whole if a node fails to derive.
-    # The stack is `_walk`'s; a node is looked up in `_d` when popped.
+    # The stack is `_pending`'s; a node is looked up in `_d` when popped.
     ds = {}
     stack = [node]
     push, pop = stack.append, stack.pop
@@ -794,51 +800,61 @@ def velocity(i: int) -> ExprField:
 # Compilation to straight-line float code
 
 
-def _walk(root, memo: dict, visit):
-    """Visit root's DAG nodes not in memo, post-order, left child first,
-    each once; memo maps each to visit(node, (its children's results)).
-    Returns root's result.  Every evaluator visits in this order, so the
-    first operation to fail is the same in each; `derivative` and
-    `_Rows.run` run this stack in their own loops.  It holds bare nodes
-    and None: a popped node whose children are all in memo is visited at
-    once, else it goes back under a None with its missing children on
-    top, right then left, and popping that None visits the node under it.
-    A node pushed twice is in memo when it comes up again, and is skipped.
-    memo only ever holds finished results, so a visit that raises leaves
-    it usable.
+def _pending(root, memo: dict):
+    """Yield root's DAG nodes not in memo, post-order, left child first,
+    each once and only after its children; the caller enters each node
+    in memo before it resumes the generator.  This is the one traversal
+    of the DAG: `_walk` and `_Rows.run` iterate it, so every evaluator
+    visits in this order and the first operation to fail is the same in
+    each (`derivative` runs the same stack in its own loop).  The stack
+    holds bare nodes and None: a popped node whose children are all in
+    memo is yielded at once, else it goes back under a None with its
+    missing children on top, right then left, and popping that None
+    yields the node under it.  A node pushed twice is in memo when it
+    comes up again, and is skipped.  Nothing is held but the stack, so a
+    caller that stops part way leaves memo holding finished results only.
     """
     stack = [root]
     push, pop = stack.append, stack.pop
     while stack:
         n = pop()
         if n is None:  # the node under it: its children are done
-            n = pop()
-            t = type(n)
-        elif n in memo:  # pushed twice, and done
+            yield pop()
             continue
-        else:
-            t = type(n)
-            if t is BinOp:
-                a, b = n.left, n.right
-                if b not in memo:
-                    push(n)
-                    push(None)
-                    push(b)
-                    if a not in memo:
-                        push(a)
-                    continue
+        if n in memo:  # pushed twice, and done
+            continue
+        t = type(n)
+        if t is BinOp:
+            a, b = n.left, n.right
+            if b not in memo:
+                push(n)
+                push(None)
+                push(b)
                 if a not in memo:
-                    push(n)
-                    push(None)
                     push(a)
-                    continue
-            elif t is Neg or t is Call or t is Pow:
-                a = n.base if t is Pow else n.arg
-                if a not in memo:
-                    push(n)
-                    push(None)
-                    push(a)
-                    continue
+                continue
+            if a not in memo:
+                push(n)
+                push(None)
+                push(a)
+                continue
+        elif t is Neg or t is Call or t is Pow:
+            a = n.base if t is Pow else n.arg
+            if a not in memo:
+                push(n)
+                push(None)
+                push(a)
+                continue
+        yield n
+
+
+def _walk(root, memo: dict, visit):
+    """Visit root's DAG nodes not in memo in `_pending`'s order; memo maps
+    each to visit(node, (its children's results)).  Returns root's
+    result.  A visit that raises leaves memo usable: it holds finished
+    results only."""
+    for n in _pending(root, memo):
+        t = type(n)
         if t is BinOp:
             kids = (memo[n.left], memo[n.right])
         elif t is Neg or t is Call:
@@ -854,7 +870,7 @@ def _walk(root, memo: dict, visit):
 class _Emitter:
     """Straight-line Python source for a set of expression DAGs.
 
-    Each compound node becomes one temporary, emitted in `_walk` order, so
+    Each compound node becomes one temporary, emitted in `_pending` order, so
     the first operation to raise is the one `_Rows` fails on first.  A
     node's reference is the source of its float value.  Each case does the
     `_Rows` arithmetic and checks on one float, raising the error text
@@ -1037,7 +1053,7 @@ def _batch_walk(batch: Batch, node):
     they were built apart; the memo keeps its nodes alive as long as the
     batch.  The memo holds no reference back to the batch, so a batch is
     freed as soon as it is dropped.  The nodes not yet in the memo are
-    evaluated by `_Rows.run`, in `_walk`'s visit order."""
+    evaluated by `_Rows.run`, in `_pending`'s order."""
     memo = batch.memo
     if node in memo:
         return memo[node]
@@ -1066,8 +1082,8 @@ class _Rows:
     give the same bits; `**`, `exp`, `sin` and `cos` go through
     `float.__pow__` and `math` element by element, since their numpy
     versions round differently.  A failing row is logged in the batch
-    instead of raising, so the other rows carry on.  `run` walks the DAG
-    itself, in `_walk`'s visit order, and builds no list of nodes.
+    instead of raising, so the other rows carry on.  `run` iterates
+    `_pending` and does the common arithmetic inline.
     """
 
     def __init__(self, batch: Batch):
@@ -1078,44 +1094,13 @@ class _Rows:
 
     def run(self, root) -> None:
         """Evaluate root and its nodes not yet in the batch memo into the
-        memo.  The walk is `_walk`'s stack, and a node is evaluated as
-        soon as its children are, so nodes are evaluated in `_walk`'s
-        visit order and the memo only ever holds finished values.  The
-        loop does `+ - *`, negation, coordinates and numbers itself and
-        hands the nodes that can fail, and homotopies, to `visit`."""
+        memo, in `_pending`'s order, so the memo only ever holds finished
+        values.  The loop does `+ - *`, negation, coordinates and numbers
+        itself and hands the nodes that can fail, and homotopies, to
+        `visit`."""
         memo, x, visit = self.batch.memo, self.x, self.visit
-        stack = [root]
-        push, pop = stack.append, stack.pop
-        while stack:
-            n = pop()
-            if n is None:  # the node under it: its children are done
-                n = pop()
-                t = type(n)
-            elif n in memo:  # pushed twice, and done
-                continue
-            else:
-                t = type(n)
-                if t is BinOp:
-                    a, b = n.left, n.right
-                    if b not in memo:
-                        push(n)
-                        push(None)
-                        push(b)
-                        if a not in memo:
-                            push(a)
-                        continue
-                    if a not in memo:
-                        push(n)
-                        push(None)
-                        push(a)
-                        continue
-                elif t is Neg or t is Call or t is Pow:
-                    a = n.base if t is Pow else n.arg
-                    if a not in memo:
-                        push(n)
-                        push(None)
-                        push(a)
-                        continue
+        for n in _pending(root, memo):
+            t = type(n)
             if t is BinOp:
                 o = n.op
                 if o == "*":

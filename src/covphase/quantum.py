@@ -77,19 +77,22 @@ def to_hermitian_field(y: LinearQuantumField) -> HermitianVF:
     return HermitianVF(y.X, y.Ymat[1][0])
 
 
-def is_hermitian(y: LinearQuantumField, points,
-                 tol: float = 1e-9) -> Tuple[bool, float]:
+# the largest diagonal or symmetric entry `is_hermitian` lets through
+HERMITIAN_TOL = 1e-9
+
+
+def is_hermitian(y: LinearQuantumField, points) -> Tuple[bool, float]:
     """Check the matrix shape [[0, -b], [b, 0]] at the sample points.
 
-    Returns the verdict together with the largest offending value of
-    the diagonal entries and the symmetric part (NaN, and so a failed
-    verdict, when any entry is NaN).
+    Returns the verdict (below HERMITIAN_TOL) together with the largest
+    offending value of the diagonal entries and the symmetric part (NaN,
+    and so a failed verdict, when any entry is NaN).
     """
     m = y.Ymat
     y00, y11, y10, y01 = field_values([m[0][0], m[1][1], m[1][0], m[0][1]],
                                       points)
     resid = worst(0.0, np.abs(y00), np.abs(y11), np.abs(y10 + y01))
-    return resid < tol, resid
+    return resid < HERMITIAN_TOL, resid
 
 
 def lie_derivative_hermitian_metric(y: LinearQuantumField):

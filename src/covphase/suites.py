@@ -181,9 +181,8 @@ class _Ctx:
             "no timelike sample point found: %d of %d draws had "
             "radicand < -0.1" % (len(out), MAX_DRAWS_PER_POINT * n))
 
-    def cube_points(self, tag: str, n: Optional[int] = None) -> np.ndarray:
-        """Model-independent sample points in [-1, 1]^4."""
-        n = self.npoints if n is None else n
+    def cube_points(self, tag: str, n: int) -> np.ndarray:
+        """n model-independent sample points in [-1, 1]^4."""
         return self.rng(tag).uniform(-1.0, 1.0, size=(n, 4))
 
 

@@ -256,7 +256,8 @@ def test_criterion_05():
         worst = 0.0
         worst_norm = 0.0
         for p in timelike_points(ph, 200, 105):
-            res = ph.identity_residuals(p)
+            res = {key: val[0]
+                   for key, val in ph.identity_residuals(p[None]).items()}
             worst = worst_of(worst, *res.values())
             worst_norm = worst_of(worst_norm, res["contact-norm"],
                              res["time-normalization"])

@@ -1,9 +1,10 @@
 """Parity fence for the batch evaluation loop.
 
-`_batch_walk` evaluates nodes in `_walk`'s visit order, in one loop that
-walks the DAG and does `+ - *`, negation, coordinates and numbers itself,
-and runs a one-row batch, homotopies included, on Python floats outside
-`np.errstate`.  The reference below is the route it replaced: a generic post-order walk that
+`_batch_walk` evaluates nodes in `_pending`'s order, the one traversal
+`_walk` iterates too, in one loop that does `+ - *`, negation,
+coordinates and numbers itself, and runs a one-row batch, homotopies
+included, on Python floats outside `np.errstate`.  The reference below
+is the route it replaced: a generic post-order walk that
 calls back into a `_Rows` evaluator for every node, under
 `np.errstate(all="ignore")`, with the homotopy quadrature on numpy arrays
 at any row count.  The two must give the same values at every row that
@@ -200,6 +201,34 @@ def test_walk_is_the_reference_visit_sequence(name):
         _walk(root, walked, lambda n, kids: seen.append(n) or n)
     assert seen == want and len(set(seen)) == len(seen)
     assert walked == memo
+
+
+@pytest.mark.parametrize("name", CURVED)
+def test_batch_memo_fills_in_the_walk_order(name):
+    # the batch evaluator enters nodes in its memo in the order `_walk`
+    # visits them, which is the reference walk's, at one row and at many;
+    # a Galilei observed potential and its partials add homotopy nodes,
+    # whose quadrature fills a stacked batch's memo, not this one
+    ph = phase_of(name)
+    omega = ph.cosymplectic()
+    roots = form_nodes(omega) + form_nodes(exterior_derivative(omega))
+    if isinstance(ph, GalileiPhase):
+        pot = ph.observed_potential()
+        roots += [f.node for f in pot]
+        roots += [f.partial(i).node for f in pot for i in range(4)]
+    want, memo = [], {}
+    for root in roots:
+        stack_walk(root, memo, lambda n, kids: want.append(n) or n)
+    seen, walked = [], {}
+    for root in roots:
+        _walk(root, walked, lambda n, kids: seen.append(n) or n)
+    assert seen == want
+    P = _Ctx(ph.model, 30, 5).points
+    for part in (P[:1], P):
+        batch = Batch(part)
+        for root in roots:
+            _batch_walk(batch, root)
+        assert list(batch.memo) == seen
 
 
 @pytest.mark.parametrize("name", CURVED)

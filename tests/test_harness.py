@@ -656,6 +656,19 @@ g33 = 1
         assert err == "error: %s\n" % message
         assert out == ""
 
+    # a known defect, pinned so that its fix has to flip this: on
+    # uniform-b's box (x0 in [-1, 12]) the values the observer change
+    # compares reach 1.4e4, and their rounding reads 1.028366e-08 against
+    # the 1e-08 tolerance of bracket-observer-independence
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="bracket-observer-independence depends on "
+                              "the size of the model's box")
+    def test_verify_verdict_does_not_depend_on_the_box(self, capsys):
+        code = cli.main(["verify", "--model", "uniform-b", "--suite",
+                         "galilei-brackets", "--points", "30", "--seed",
+                         "7308022"])
+        assert code == 0, capsys.readouterr().out
+
     # a directory once escaped as an IsADirectoryError traceback
     @pytest.mark.parametrize("args", [
         ("verify", "--suite", "galilei-core"),

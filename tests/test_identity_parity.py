@@ -9,8 +9,6 @@ two must give the same bits at every row and raise the same error at
 the same point.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -41,9 +39,8 @@ class RowReader:
         return hit[r]
 
 
-def ref_identity_residuals(self, p):
-    P = np.asarray(p, dtype=float)
-    rows = P[None] if P.ndim == 1 else P
+def ref_identity_residuals(self, P):
+    rows = np.asarray(P, dtype=float)
     for q in rows:
         self.require_timelike(q)
     reader = RowReader(Batch(rows))
@@ -52,8 +49,6 @@ def ref_identity_residuals(self, p):
                                      for i in range(1, 4)]
     out = [ref_identity_row(self, reader, r, q, basis, cobasis)
            for r, q in enumerate(rows)]
-    if P.ndim == 1:
-        return out[0]
     return {key: np.array([d[key] for d in out]) for key in out[0]}
 
 
@@ -188,17 +183,6 @@ def test_identity_arrays_equal_per_row(ctxs):
             assert same_bits(got[key], want[key]), key
 
 
-def test_one_point_gives_floats(ctxs):
-    ctx = ctxs[0]
-    for p in ctx.points[:3]:
-        got = ctx.phase.identity_residuals(p)
-        want = ref_identity_residuals(ctx.phase, p)
-        assert list(got) == list(want)
-        for key, w in want.items():
-            assert type(got[key]) is float, key
-            assert got[key] == w or (math.isnan(got[key]) and w != w), key
-
-
 def _volume_forms(ph):
     """dt, Omega and their wedges, degrees 1 to 4, as the volume
     witnesses build them."""
@@ -270,5 +254,5 @@ def test_first_failing_field_raises_the_same_error():
                     "division by zero in expression at point %s"
                     % P[3].tolist())
     assert _raised(ph.identity_residuals, P) == want
-    assert _raised(ph.identity_residuals, P[1]) \
-        == _raised(ref_identity_residuals, ph, P[1])
+    assert _raised(ph.identity_residuals, P[1:2]) \
+        == _raised(ref_identity_residuals, ph, P[1:2])
