@@ -11,14 +11,17 @@ verify  runs one named check suite against a model file and prints the
 
 orbit   integrates the dynamical flow of a model from given initial
         data and prints a trajectory summary with the worst law-of-
-        motion residual.  Non-finite initial data, an initial point out of
-        the box (beyond orbit.BOX_SLACK) or not timelike, a duration or
-        step that is not positive and finite, and fewer than 2 or more
-        than orbit.MAX_ORBIT_STEPS steps are usage errors (exit code 2);
-        a trajectory that escapes the declared box or the lightcone,
-        reaches a non-finite state, or meets a point where a field cannot
-        be evaluated (division by zero, overflow, square root of a
-        negative value) ends the run with exit code 1.
+        motion residual.  The model's kind decides what is integrated;
+        the required --framework (g, e, galilei or einstein) is checked
+        against it here, in `resolve_framework`.  A framework that does
+        not match the model, non-finite initial data, an initial point
+        out of the box (beyond orbit.BOX_SLACK) or not timelike, a
+        duration or step that is not positive and finite, and fewer than
+        2 or more than orbit.MAX_ORBIT_STEPS steps are usage errors (exit
+        code 2); a trajectory that escapes the declared box or the
+        lightcone, reaches a non-finite state, or meets a point where a
+        field cannot be evaluated (division by zero, overflow, square
+        root of a negative value) ends the run with exit code 1.
 
 Models are addressed by file path; the names of the shipped builtin
 models are accepted as a convenience.
@@ -30,9 +33,8 @@ import sys
 import numpy as np
 
 from .einstein import EinsteinPhase
-from .modelspec import ValidationError
-from .orbit import BoxExit, initial_state, integrate_orbit, \
-    resolve_framework, step_count
+from .modelspec import Model, ValidationError
+from .orbit import BoxExit, initial_state, integrate_orbit, step_count
 from .report import emit_report
 from .suites import resolve_model, run_suite, suite_names
 
@@ -48,6 +50,16 @@ def _parse_tols(items) -> dict:
         except ValueError:
             raise ValueError("bad --tol value in %r" % item) from None
     return out
+
+
+def resolve_framework(model: Model, framework: str) -> str:
+    """framework ("galilei" or "einstein", or their initials) in full;
+    ValueError when it does not match the model kind."""
+    fw = {"g": "galilei", "e": "einstein"}.get(framework, framework)
+    if fw != model.kind:
+        raise ValueError("framework %r does not match model kind %r"
+                         % (framework, model.kind))
+    return fw
 
 
 def _cmd_verify(args) -> int:
@@ -76,8 +88,8 @@ def _cmd_orbit(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:
-        res = integrate_orbit(model, fw, args.x0, args.v,
-                              args.duration, args.step)
+        res = integrate_orbit(model, args.x0, args.v, args.duration,
+                              args.step)
     except (BoxExit, ValueError, ArithmeticError) as exc:
         # ValueError here is a LightconeViolation or a failed sqrt or
         # fractional power: the usage was checked above

@@ -15,8 +15,8 @@ Conventions in force throughout:
   * the declared metric block is the action-rescaled metric G; the
     geometric (Lorentzian) metric is g = (hbar/m) G, so they coincide
     numerically for the shipped unit-mass models;
-  * the electromagnetic 2-form is stored with strict-component values
-    F_ab = d_a A_b - d_b A_a for a < b;
+  * the electromagnetic 2-form is F = dA (`smooth.curvature_phi`), with
+    strict-component values F_ab = d_a A_b - d_b A_a for a < b;
   * K carries the sign-reversed Christoffel symbols of g, and the phase
     connection coefficients fold K with the velocity substitutions
     delta-bar;
@@ -26,7 +26,7 @@ Conventions in force throughout:
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .modelspec import (
     Call, Model, Var, _Emitter, constant, inverse_nodes, velocity,
 )
 from .smooth import (
-    Batch, Field, PForm, VectorField, cached, directional, total, wedge,
+    Batch, Field, PForm, VectorField, cached, curvature_phi, directional,
+    total, wedge,
 )
 
 
@@ -234,27 +235,24 @@ class EinsteinPhase:
     # -- electromagnetic field ----------------------------------------------
 
     @cached
-    def _f_strict(self) -> Dict[Tuple[int, int], Field]:
-        return {(a, b): self.A[b].partial(a) - self.A[a].partial(b)
-                for a in range(4) for b in range(a + 1, 4)}
+    def faraday(self) -> PForm:
+        """F = dA of the declared potential (`smooth.curvature_phi`);
+        `component((a, b))` reads F_ab, zero on the diagonal and negated
+        below it."""
+        return curvature_phi(self.A)
 
     @cached
-    def faraday(self) -> PForm:
-        """F = dA of the declared potential, strict lower components."""
-        return PForm(4, 2, dict(self._f_strict()))
-
-    def F_comp(self, a: int, b: int) -> Field:
-        """Antisymmetric access to F_{ab} as an expression field."""
-        if a == b:
-            return constant(0.0)
-        strict = self._f_strict()
-        return strict[(a, b)] if a < b else -strict[(b, a)]
+    def coupled_potential(self) -> List[Field]:
+        """The coupled electromagnetic potential (q/hbar) A."""
+        return [a * self.coupling for a in self.A]
 
     @cached
     def Fbar0(self, mu: int) -> Field:
         """F_{0 mu} + F_{i mu} x^i_0."""
-        return total([self.F_comp(0, mu)] + [self.F_comp(i, mu) * velocity(i)
-                                             for i in range(1, 4)])
+        F = self.faraday()
+        return total([F.component((0, mu))]
+                     + [F.component((i, mu)) * velocity(i)
+                        for i in range(1, 4)])
 
     # -- phase connection ----------------------------------------------------
 
@@ -271,7 +269,8 @@ class EinsteinPhase:
     def Gamma_em(self, lam: int, i: int) -> Field:
         """Electromagnetic phase connection term (Lorentz coupling)."""
         alpha2 = self.alpha0() * self.alpha0()
-        acc = total(self.gbar_up(i, mu) * (self.F_comp(lam, mu) - alpha2
+        F = self.faraday()
+        acc = total(self.gbar_up(i, mu) * (F.component((lam, mu)) - alpha2
                                            * self.gbar0(lam) * self.Fbar0(mu))
                     for mu in range(4))
         q_over_m = self.model.charge / self.model.mass
@@ -316,8 +315,8 @@ class EinsteinPhase:
 
     def horizontal_potential(self) -> List[Field]:
         """A-up: theta plus the coupled electromagnetic potential."""
-        return [self.theta(lam) + self.A[lam] * self.coupling
-                for lam in range(4)]
+        return [self.theta(lam) + a
+                for lam, a in enumerate(self.coupled_potential())]
 
     @cached
     def cosymplectic(self) -> PForm:
@@ -392,11 +391,13 @@ class EinsteinPhase:
                        - g.comps[nu] * f.comps[mu].partial(nu)
                        for nu in range(4))
                  for mu in range(4)]
+        F = self.faraday()
         bar = total(
             [f.comps[lam] * g.fbar.partial(lam)
              - g.comps[lam] * f.fbar.partial(lam) for lam in range(4)]
-            + [self.F_comp(a, b) * (f.comps[a] * g.comps[b]
-                                    - f.comps[b] * g.comps[a]) * self.coupling
+            + [F.component((a, b)) * (f.comps[a] * g.comps[b]
+                                      - f.comps[b] * g.comps[a])
+               * self.coupling
                for a in range(4) for b in range(a + 1, 4)])
         return ESpecialFunction(comps, bar)
 
@@ -438,13 +439,13 @@ class EinsteinPhase:
     def hamiltonian_function(self) -> ESpecialFunction:
         """Observed energy: lift d_0, scalar part -coupled A_0."""
         comps = [constant(1.0)] + [constant(0.0)] * 3
-        return ESpecialFunction(comps, -(self.A[0] * self.coupling))
+        return ESpecialFunction(comps, -self.coupled_potential()[0])
 
     def momentum_function(self, i: int) -> ESpecialFunction:
         """Observed momentum along d^i: lift -d_i, scalar part +coupled A_i."""
         comps = [constant(0.0)] * 4
         comps[i] = constant(-1.0)
-        return ESpecialFunction(comps, self.A[i] * self.coupling)
+        return ESpecialFunction(comps, self.coupled_potential()[i])
 
     def observed_theta(self, obs: Optional[List[Field]] = None) -> List[Field]:
         """Pullback of the kinetic potential along an observer section.

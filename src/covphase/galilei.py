@@ -34,8 +34,8 @@ from .modelspec import (
     inverse_nodes, substitute, velocity,
 )
 from .smooth import (
-    Field, PForm, VectorField, cached, directional, exterior_derivative,
-    total, wedge,
+    Field, PForm, VectorField, cached, curvature_phi, directional, total,
+    wedge,
 )
 
 from numpy.polynomial.legendre import leggauss
@@ -101,8 +101,7 @@ class GalileiPhase:
     @cached
     def faraday(self) -> PForm:
         """F = dA of the declared electromagnetic potential."""
-        pot = PForm(4, 1, {(lam,): self.A[lam] for lam in range(4)})
-        return exterior_derivative(pot)
+        return curvature_phi(self.A)
 
     @cached
     def curvature(self) -> PForm:

@@ -108,27 +108,23 @@ class ExprField(Field):
     A node is built by the constructor of its class in `_BUILD`; `_m` has
     bit k set when the node reads x_k, and `_d` maps a coordinate index
     to a weak reference to the node's derivative along it.
-    `ExprField(x)` itself builds nothing: it returns a node x as it is
-    and parses a string.  Sums, products and quotients with nodes and
-    numbers are nodes (with the folding of `_add`, `_mul` and so on), so
-    every structure built from model components inherits exact
-    differentiation.  `_Rows` evaluates a node over every row of a
-    `Batch`, and its value at a point is the one row of a one-row batch.
-    A model's parameters are numbers in the node from the moment it is
-    parsed.
+    `ExprField(...)` itself raises TypeError: text becomes a node through
+    `parse_expr`, and a node is its own field.  Sums, products and
+    quotients with nodes and numbers are nodes (with the folding of
+    `_add`, `_mul` and so on), so every structure built from model
+    components inherits exact differentiation.  `_Rows` evaluates a node
+    over every row of a `Batch`, and its value at a point is the one row
+    of a one-row batch.  A model's parameters are numbers in the node
+    from the moment it is parsed.
     """
 
     __slots__ = ("_d", "_m", "__weakref__")
 
     def __new__(cls, *fields, **named):
-        if cls is not ExprField:
-            return _BUILD[cls](*fields, **named)
-        x, = fields
-        if isinstance(x, str):
-            return parse_expr(x)
-        if isinstance(x, ExprField):
-            return x
-        raise TypeError("not an expression: %r" % (x,))
+        if cls is ExprField:
+            raise TypeError("ExprField is the base class of the nodes; "
+                            "parse text with parse_expr")
+        return _BUILD[cls](*fields, **named)
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(

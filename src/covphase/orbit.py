@@ -1,4 +1,4 @@
-"""Orbit integration for both frameworks.
+"""Orbit integration for both model kinds.
 
 The dynamical vector field of a phase structure is an ordinary ODE on
 the 7-dimensional phase chart (four spacetime coordinates plus three
@@ -193,35 +193,25 @@ def _einstein_residuals(phase: EinsteinPhase, states: np.ndarray,
     return _blockwise(block, states)
 
 
-def resolve_framework(model: Model, framework: str) -> str:
-    """framework ("galilei" or "einstein", or their initials) in full;
-    ValueError when it does not match the model kind."""
-    fw = {"g": "galilei", "e": "einstein"}.get(framework, framework)
-    if fw != model.kind:
-        raise ValueError("framework %r does not match model kind %r"
-                         % (framework, model.kind))
-    return fw
-
-
-def integrate_orbit(model: Model, framework: str, x0, v0,
-                    duration: float, step: float = 1e-3) -> OrbitResult:
+def integrate_orbit(model: Model, x0, v0, duration: float,
+                    step: float = 1e-3) -> OrbitResult:
     """Integrate the dynamical flow from initial position x0, velocity v0.
 
-    framework is "galilei" or "einstein" (or their initials) and must
-    match the model kind.  Raises ValueError for initial data that
-    `initial_state` refuses and for a step count `step_count` refuses;
-    BoxExit when the trajectory leaves the declared box or reaches a
-    non-finite state and, for Einstein models, LightconeViolation when
-    the velocity stops being timelike.
+    The phase structure and the law residual are those of `model.kind`.
+    Raises ValueError for initial data that `initial_state` refuses and
+    for a step count `step_count` refuses; BoxExit when the trajectory
+    leaves the declared box or reaches a non-finite state and, for
+    Einstein models, LightconeViolation when the velocity stops being
+    timelike.
     """
-    fw = resolve_framework(model, framework)
     state = initial_state(model, x0, v0)
     nsteps = step_count(duration, step)
 
     lo = [v - BOX_SLACK for v in model.box_lo.tolist()]
     hi = [v + BOX_SLACK for v in model.box_hi.tolist()]
 
-    phase = (GalileiPhase if fw == "galilei" else EinsteinPhase)(model)
+    galilei = model.kind == "galilei"
+    phase = (GalileiPhase if galilei else EinsteinPhase)(model)
     rhs = phase.dynamical_fn()
     # the states one after another, as raw doubles: 8 bytes a float
     flat = array.array("d", state)
@@ -241,7 +231,7 @@ def integrate_orbit(model: Model, framework: str, x0, v0,
     states = np.frombuffer(flat).reshape(nsteps + 1, 7)
     times = step * np.arange(nsteps + 1)
 
-    if fw == "galilei":
+    if galilei:
         resid = _galilei_residuals(phase, states, step)
     else:
         resid = _einstein_residuals(phase, states, step)

@@ -5,12 +5,16 @@ Hermitian vector field is written Y = X + i b II with X a real vector
 field and b a real function; it acts on a (complex) section psi as
 Y.psi = X.psi + i b psi.  Given a gauge potential A, these fields are
 classified by pairs (X, bbar) with bbar = b - A(X); the pair bracket is
-twisted by the curvature 2-form and its Jacobi defect is exactly the
-exterior derivative of that form.
+twisted by the curvature 2-form dA (`smooth.curvature_phi`, read here as
+`curvature_phi` too) and its Jacobi defect is exactly the exterior
+derivative of that form.
 
 The second half of the module specializes the classification to the
-phase structures: the map F sending a special phase function to a
-Hermitian spacetime field, in both the Galilei and the Lorentzian case.
+phase structures.  A special phase function has a pair (X, fbar): its
+spacetime vector and its scalar component.  The map F sending it to a
+Hermitian spacetime field is `classify_j` of that pair, through the
+phase's potential: the Galilei observed potential, or the Lorentzian
+coupled potential (q/hbar) A.  Its inverse takes fbar from `classify_h`.
 """
 
 from dataclasses import dataclass
@@ -20,9 +24,11 @@ import numpy as np
 
 from .modelspec import constant
 from .smooth import (
-    Field, PForm, VectorField, directional, exterior_derivative,
-    field_values, lie_bracket, total, worst,
+    Field, PForm, VectorField, directional, field_values, lie_bracket, total,
+    worst,
 )
+# section 1's curvature dA, read as `quantum.curvature_phi` too
+from .smooth import curvature_phi as curvature_phi
 from .galilei import GalileiPhase, Observer, SpecialFunction
 from .einstein import EinsteinPhase, ESpecialFunction
 
@@ -143,16 +149,9 @@ def jacobi_cycle(phi: PForm, p1: GaugePair, p2: GaugePair,
     (d phi)(X1, X2, X3), so the bracket is a Lie bracket exactly when
     phi is closed.
     """
-    total_X = None
-    total_b = None
-    for a, b, c in ((p1, p2, p3), (p2, p3, p1), (p3, p1, p2)):
-        term = pair_bracket(phi, a, pair_bracket(phi, b, c))
-        if total_X is None:
-            total_X, total_b = term.X, term.bbar
-        else:
-            total_X = total_X + term.X
-            total_b = total_b + term.bbar
-    return GaugePair(total_X, total_b)
+    terms = [pair_bracket(phi, a, pair_bracket(phi, b, c))
+             for a, b, c in ((p1, p2, p3), (p2, p3, p1), (p3, p1, p2))]
+    return GaugePair(total(t.X for t in terms), total(t.bbar for t in terms))
 
 
 def act_on_section(y: HermitianVF, re: Field, im: Field):
@@ -170,17 +169,6 @@ def metric_derivative_defect(y: HermitianVF, re: Field, im: Field) -> Field:
     h = re * re + im * im
     are, aim = act_on_section(y, re, im)
     return directional(y.X, h) - 2.0 * (re * are + im * aim)
-
-
-def curvature_phi(A: List[Field]) -> PForm:
-    """Curvature 2-form of the gauge potential A, stored strictly.
-
-    The normalization is pinned by the bracket-defect identity: the
-    Hermitian bracket of two connection lifts classify_j(A, (X, 0))
-    exceeds the lift of [X1, X2] by exactly i phi(X1, X2) II.
-    """
-    return exterior_derivative(PForm(len(A), 1,
-                                     {(k,): A[k] for k in range(len(A))}))
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +197,21 @@ def galilei_map(phase: GalileiPhase, sf: SpecialFunction,
                 potential: Optional[List[Field]] = None) -> HermitianVF:
     """The map F: special function -> Hermitian spacetime field.
 
-    Uses the observed potential of the given observer (the homotopy
-    potential by default) and the scalar component of sf in that
-    observer's representation.  The result does not depend on the
+    `classify_j` of the pair (X, fbar), through the observed potential
+    of the given observer (the homotopy potential by default), with
+    fbar the scalar component of sf in that observer's
+    representation.  The result does not depend on the
     observer when the potential is transported consistently.
     """
     obs = observer or Observer.chart()
     if potential is None:
         potential = phase.observed_potential(obs)
-    X = phase.tangent_projection(sf)
     if sf.observer is obs or (sf.observer.is_chart() and obs.is_chart()):
         rep = sf
     else:
         rep = phase.change_observer(sf, obs)
-    return HermitianVF(X, _contract_1form(potential, X) + rep.fbar)
+    return classify_j(potential,
+                      GaugePair(phase.tangent_projection(sf), rep.fbar))
 
 
 def galilei_inverse_map(phase: GalileiPhase, y: HermitianVF,
@@ -232,31 +221,29 @@ def galilei_inverse_map(phase: GalileiPhase, y: HermitianVF,
     """Recover the special function a Hermitian field represents.
 
     Undoes galilei_map for the same observer and potential: the slots
-    relative to the observer come from the base vector, the scalar from
-    b with the potential contraction stripped off.
+    relative to the observer come from the base vector, the scalar is
+    the fbar of `classify_h`.
     """
     obs = observer or Observer.chart()
     if potential is None:
         potential = phase.observed_potential(obs)
     f0 = y.X.comps[0]
     fi = [f0 * obs.vel[k] - y.X.comps[k + 1] for k in range(3)]
-    fbar = y.b - _contract_1form(potential, y.X)
-    return SpecialFunction(f0, fi, fbar, obs)
+    return SpecialFunction(f0, fi, classify_h(potential, y).bbar, obs)
 
 
 def einstein_map(phase: EinsteinPhase, sf: ESpecialFunction) -> HermitianVF:
-    """F in the Lorentzian case, in the gauge of the declared potential."""
-    X = phase.tangent_projection(sf)
-    coupled = [phase.A[lam] * phase.coupling for lam in range(4)]
-    return HermitianVF(X, _contract_1form(coupled, X) + sf.fbar)
+    """F in the Lorentzian case: `classify_j` of (X, fbar) through the
+    coupled declared potential (q/hbar) A."""
+    return classify_j(phase.coupled_potential(),
+                      GaugePair(phase.tangent_projection(sf), sf.fbar))
 
 
 def einstein_inverse_map(phase: EinsteinPhase,
                          y: HermitianVF) -> ESpecialFunction:
     """Recover the special function from its Hermitian representative."""
-    coupled = [phase.A[lam] * phase.coupling for lam in range(4)]
     return ESpecialFunction(list(y.X.comps),
-                            y.b - _contract_1form(coupled, y.X))
+                            classify_h(phase.coupled_potential(), y).bbar)
 
 
 def einstein_observed_map(phase: EinsteinPhase, sf: ESpecialFunction,
@@ -267,8 +254,7 @@ def einstein_observed_map(phase: EinsteinPhase, sf: ESpecialFunction,
     subtracted from the scalar component, so this agrees with the
     direct map for every observer.
     """
-    X = phase.tangent_projection(sf)
-    theta = phase.observed_theta(obs)
-    pot = [theta[lam] + phase.A[lam] * phase.coupling for lam in range(4)]
-    return HermitianVF(X, _contract_1form(pot, X)
-                       + phase.observed_component(sf, obs))
+    pot = [t + a for t, a in zip(phase.observed_theta(obs),
+                                 phase.coupled_potential())]
+    return classify_j(pot, GaugePair(phase.tangent_projection(sf),
+                                     phase.observed_component(sf, obs)))

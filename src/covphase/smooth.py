@@ -300,6 +300,17 @@ def exterior_derivative(w: PForm) -> PForm:
     return PForm(w.dim, w.degree + 1, comps)
 
 
+def curvature_phi(A: List[Field]) -> PForm:
+    """dA, the curvature 2-form of the gauge potential A, stored strictly.
+
+    The normalization is pinned by the bracket-defect identity: the
+    Hermitian bracket of two connection lifts `quantum.classify_j(A,
+    (X, 0))` exceeds the lift of [X1, X2] by exactly i phi(X1, X2) II.
+    """
+    return exterior_derivative(PForm(len(A), 1,
+                                     {(k,): A[k] for k in range(len(A))}))
+
+
 def wedge(a: PForm, b: PForm) -> PForm:
     if a.dim != b.dim:
         raise ValueError("wedge on different charts")

@@ -14,13 +14,16 @@ import time
 
 import numpy as np
 
-from covphase.modelspec import BinOp, ExprField, Num, Var, load_builtin
+from covphase.modelspec import BinOp, Num, Var, constant, load_builtin
 from covphase.smooth import PForm, VectorField, contract, \
     exterior_derivative, wedge
 from covphase.smooth import worst as worst_of
-from covphase.galilei import GalileiPhase, Observer, SpecialFunction
-from covphase.einstein import EinsteinPhase, ESpecialFunction
+from covphase.galilei import GalileiPhase, Observer
+from covphase.einstein import EinsteinPhase
 from covphase.orbit import integrate_orbit
+from covphase.suites import _poly as poly_field
+from covphase.suites import _random_especial as random_especial
+from covphase.suites import _random_gspecial as random_gspecial
 from covphase import quantum as qt
 
 GALILEI_MODELS = ("flat-free", "uniform-b", "curved-gravity",
@@ -29,34 +32,9 @@ EINSTEIN_MODELS = ("minkowski", "uniform-e", "schwarzschild-like",
                    "curved-einstein")
 
 
-def cf(v):
-    return ExprField(Num(float(v)))
-
-
-def poly_field(rng, nvars=4):
-    node = Num(float(rng.uniform(-1.0, 1.0)))
-    for _ in range(int(rng.integers(1, 4))):
-        term = Num(float(rng.uniform(-1.0, 1.0)))
-        for _ in range(int(rng.integers(1, 3))):
-            term = BinOp("*", term, Var(int(rng.integers(0, nvars))))
-        node = BinOp("+", node, term)
-    return ExprField(node)
-
-
 def poly_pair(rng):
     return qt.GaugePair(VectorField([poly_field(rng) for _ in range(4)]),
                         poly_field(rng))
-
-
-def random_gspecial(rng):
-    return SpecialFunction(poly_field(rng),
-                           [poly_field(rng) for _ in range(3)],
-                           poly_field(rng), Observer.chart())
-
-
-def random_especial(rng):
-    return ESpecialFunction([poly_field(rng) for _ in range(4)],
-                            poly_field(rng))
 
 
 def gphase_points(model, n, seed, vmax=2.0):
@@ -118,9 +96,9 @@ def test_criterion_01():
                                      float(np.max(np.abs(cyc.X.at(x)))))
     # the twist x^0 d1^d2 is not closed; coordinate translations expose
     # the exact d(twist) defect in the cycle
-    phi_bad = PForm(4, 2, {(1, 2): ExprField(Var(0))})
-    trips = [qt.GaugePair(VectorField([cf(1.0 if k == m else 0.0)
-                                       for k in range(4)]), cf(0.0))
+    phi_bad = PForm(4, 2, {(1, 2): Var(0)})
+    trips = [qt.GaugePair(VectorField([constant(1.0 if k == m else 0.0)
+                                       for k in range(4)]), constant(0.0))
              for m in range(3)]
     bad = qt.jacobi_cycle(phi_bad, *trips)
     witness = worst_of(*(abs(bad.bbar.value(x)) for x in pts))
@@ -298,7 +276,7 @@ def test_criterion_06():
                                      abs(lhs.b.value(x) - rhs.b.value(x)))
                 worst_iso = worst_of(worst_iso, float(
                     np.max(np.abs(lhs.X.at(x) - rhs.X.at(x)))))
-        obs = [cf(0.1), ExprField(BinOp("*", Num(0.05), Var(1))), cf(-0.08)]
+        obs = [constant(0.1), BinOp("*", Num(0.05), Var(1)), constant(-0.08)]
         for _ in range(2):
             sf = random_especial(rng)
             fa = qt.einstein_map(ph, sf)
@@ -372,7 +350,7 @@ def test_criterion_08():
     basis = list(np.eye(7))
     cases = [
         (gph, gphase_points(gph.model, 12, 108),
-         PForm(7, 1, {(0,): cf(1.0)}), "galilei"),
+         PForm(7, 1, {(0,): constant(1.0)}), "galilei"),
         (eph, timelike_points(eph, 12, 108),
          PForm(7, 1, {(lam,): eph.theta(lam) for lam in range(4)}),
          "einstein"),
@@ -420,7 +398,7 @@ def test_criterion_09():
     speed = 0.5
     radius = model.mass * speed / (model.charge * b_strength)
     period = 2.0 * np.pi * model.mass / (model.charge * b_strength)
-    res = integrate_orbit(model, "galilei", [0.0, 0.0, 0.0, 0.0],
+    res = integrate_orbit(model, [0.0, 0.0, 0.0, 0.0],
                           [speed, 0.0, 0.0], period, 1e-3)
     for i in (1, 2):
         spread = res.states[:, i].max() - res.states[:, i].min()
@@ -430,7 +408,7 @@ def test_criterion_09():
     start = time.perf_counter()
     model = load_builtin("uniform-e")
     e_strength = model.params["E"]
-    res = integrate_orbit(model, "einstein", [0.0, 0.0, 0.0, 0.0],
+    res = integrate_orbit(model, [0.0, 0.0, 0.0, 0.0],
                           [0.0, 0.0, 0.0], 2.0, 1e-3)
     s = res.times
     want0 = np.sinh(e_strength * s) / e_strength

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from covphase.einstein import EinsteinPhase
 from covphase.galilei import HOMOTOPY_TS, HOMOTOPY_WEIGHTS, GalileiPhase
 from covphase.modelspec import (
-    BinOp, Call, ExprField, Homotopy, Neg, Num, Var,
+    BinOp, Call, Homotopy, Neg, Num, Var,
     available_models, derivative, load_builtin, parse_expr,
 )
 from covphase.smooth import (
@@ -68,7 +68,7 @@ batches = st.sampled_from([1, 30]).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(exprs, exprs, batches)
 def test_random_expressions_match_point_loop(e1, e2, P):
-    f, g = ExprField(e1), ExprField(e2)
+    f, g = e1, e2
     # f * g and g - f share f's and g's nodes with the first two fields
     fields = [f, g, f * g, g - f]
     P = np.array(P)
@@ -92,7 +92,7 @@ ROW_ERRORS = [
 @pytest.mark.parametrize("text,bad,exc", ROW_ERRORS)
 @pytest.mark.parametrize("row", [0, 17, 29])
 def test_one_bad_row_raises_the_point_class(text, bad, exc, row):
-    fld = ExprField(text)
+    fld = parse_expr(text)
     P = np.full((30, 4), 0.25)
     P[:, 1] = np.linspace(0.1, 0.4, 30)
     assert_batch_matches([fld], P)      # every row fine
@@ -114,7 +114,7 @@ TINY_ROWS = [("sqrt(x1)", 1e-300), ("x1^(1/2)", 1e-300)]
 @pytest.mark.parametrize("text,tiny", TINY_ROWS)
 @pytest.mark.parametrize("row", [0, 17, 29])
 def test_tiny_row_evaluates(text, tiny, row):
-    fld = ExprField(text)
+    fld = parse_expr(text)
     P = np.full((30, 4), 0.25)
     P[:, 1] = np.linspace(0.1, 0.4, 30)
     P[row, 1] = tiny
@@ -139,7 +139,7 @@ def assert_one_row_is_row_zero(fields, p):
 
 @pytest.mark.parametrize("text,bad,exc", ROW_ERRORS)
 def test_one_row_floats_equal_array_rows_on_errors(text, bad, exc):
-    fld = ExprField(text)
+    fld = parse_expr(text)
     for x1 in (bad, 0.25):
         assert_one_row_is_row_zero([fld], [0.25, x1, 0.25, 0.25])
     with pytest.raises(exc):
@@ -148,7 +148,7 @@ def test_one_row_floats_equal_array_rows_on_errors(text, bad, exc):
 
 @pytest.mark.parametrize("text,tiny", TINY_ROWS)
 def test_one_row_floats_equal_array_rows_on_tiny_rows(text, tiny):
-    fld = ExprField(text)
+    fld = parse_expr(text)
     p = [0.25, tiny, 0.25, 0.25]
     assert_one_row_is_row_zero([fld], p)
     assert fld.values(np.array([p])).tolist() == [math.sqrt(tiny)]
@@ -157,7 +157,7 @@ def test_one_row_floats_equal_array_rows_on_tiny_rows(text, tiny):
 @settings(max_examples=300, deadline=None)
 @given(exprs, exprs, rows)
 def test_one_row_floats_equal_array_rows(e1, e2, p):
-    f, g = ExprField(e1), ExprField(e2)
+    f, g = e1, e2
     fields = [f, g, f * g, g - f]
     for fld in fields:
         assert_one_row_is_row_zero([fld], p)
@@ -167,7 +167,7 @@ def test_one_row_floats_equal_array_rows(e1, e2, p):
 def test_lowest_failing_row_wins():
     # row 3 fails late (the division), row 10 early (the sqrt): a loop
     # over the points meets row 3 first
-    fld = ExprField("sqrt(x1) + 1 / x2")
+    fld = parse_expr("sqrt(x1) + 1 / x2")
     P = np.ones((12, 4))
     P[3, 2] = 0.0
     P[10, 1] = -1.0
@@ -225,7 +225,7 @@ def test_shipped_models_match_point_loop(name):
                                   "(x1 - c)^(1/2)"])
 def test_one_message_per_bad_point(text):
     # x1 = c breaks the field at row 2 alone
-    fld = ExprField(parse_expr(text, {"c": 0.25}))
+    fld = parse_expr(text, {"c": 0.25})
     P = np.full((4, 4), 0.5)
     P[:, 1] = [0.5, 0.4, 0.25, 0.3]
     with pytest.raises(ERRORS) as point:
@@ -253,7 +253,7 @@ def test_batch_is_freed_without_the_cycle_collector():
     ref = weakref.ref(batch)
     gc.disable()
     try:
-        for fld in pot + [ExprField("x1 * sin(x2)")]:
+        for fld in pot + [parse_expr("x1 * sin(x2)")]:
             batch.values(fld.partial(1))
         del batch
         assert ref() is None
@@ -267,7 +267,7 @@ def test_batch_outlives_the_fields_it_evaluated():
     # pass its ids, and its values, to the next field
     batch = Batch(np.array([[0.0, 1.0, 2.0, 3.0]]))
     for k in range(50):
-        fld = ExprField("x1 * x2 + %d" % k)
+        fld = parse_expr("x1 * x2 + %d" % k)
         assert batch.values(fld).tolist() == [2.0 + k]
         del fld
 
@@ -275,8 +275,8 @@ def test_batch_outlives_the_fields_it_evaluated():
 def test_homotopy_error_logged_on_its_parent_row():
     # sqrt(y1 + 0.95) fails on the stacked rows y = t x with t x1 < -0.95
     phi = Call("sqrt", BinOp("+", Var(1), Num(0.95)))
-    fld = ExprField(Homotopy((Num(0.0), phi, Num(0.0), Num(0.0)),
-                             (0.0,) * 4, HOMOTOPY_TS, HOMOTOPY_WEIGHTS))
+    fld = Homotopy((Num(0.0), phi, Num(0.0), Num(0.0)),
+                   (0.0,) * 4, HOMOTOPY_TS, HOMOTOPY_WEIGHTS)
     P = np.random.default_rng(6).uniform(-0.5, 0.5, size=(6, 4))
     assert_batch_matches([fld, fld.partial(1)], P)
     P[[2, 4], 1] = -0.99
@@ -289,8 +289,8 @@ def test_homotopy_error_logged_on_its_parent_row():
 
 def test_vector_and_form_values_match_points():
     rng = np.random.default_rng(5)
-    comps = [ExprField("x0 * x1"), Num(2.0), ExprField("exp(x2)"),
-             ExprField("x3 / (2 + x0)")]
+    comps = [parse_expr("x0 * x1"), Num(2.0), parse_expr("exp(x2)"),
+             parse_expr("x3 / (2 + x0)")]
     X = VectorField(comps)
     P = rng.uniform(-1.0, 1.0, size=(4, 4))
     vals = X.values(P)
@@ -312,8 +312,7 @@ def test_vector_and_form_values_match_points():
 def test_values_are_fresh_arrays():
     # two fields with one root share a memo entry; neither result may
     # alias it (or the points)
-    f = ExprField(Var(1))
-    g = ExprField(f.node)
+    f = g = Var(1)
     P = np.ones((3, 4))
     a, b = field_values([f, g], P)
     a += 1.0
@@ -324,7 +323,7 @@ def test_values_are_fresh_arrays():
 # cached partials and deep expressions
 
 def test_partial_is_cached():
-    f = ExprField(parse_expr("sin(x0 * x1) / (1 + x2^2)"))
+    f = parse_expr("sin(x0 * x1) / (1 + x2^2)")
     d1 = f.partial(1)
     assert f.partial(1) is d1
     assert d1.node == derivative(f.node, 1)
@@ -351,7 +350,7 @@ def test_deep_chain_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        got = ExprField(node).values(P)
+        got = node.values(P)
     finally:
         sys.setrecursionlimit(limit)
     assert got.tolist() == want

@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from covphase.einstein import EinsteinPhase
 from covphase.galilei import HOMOTOPY_TS, HOMOTOPY_WEIGHTS, GalileiPhase
 from covphase.modelspec import (
-    BinOp, Call, ExprField, Homotopy, Neg, Num, Pow, Var, _FLOAT_ERRORS,
-    _Emitter, _batch_walk, _walk, load_builtin, substitute,
+    BinOp, Call, Homotopy, Neg, Num, Pow, Var, _FLOAT_ERRORS, _Emitter,
+    _batch_walk, _walk, load_builtin, parse_expr, substitute,
 )
 from covphase.smooth import Batch, exterior_derivative, total
 from covphase.suites import _Ctx
@@ -252,7 +252,7 @@ def test_one_row_needs_no_errstate(monkeypatch):
     def errstate(**kwargs):
         raise AssertionError("np.errstate entered for one row")
 
-    fld = ExprField("x2 + 1 / x1 + exp(1000 * x2) + sqrt(x1 - 1)")
+    fld = parse_expr("x2 + 1 / x1 + exp(1000 * x2) + sqrt(x1 - 1)")
     batch = Batch(np.array([[0.25, 0.0, 1.0, 0.25]]))
     with np.errstate(all="raise"):
         monkeypatch.setattr(np, "errstate", errstate)
@@ -266,8 +266,8 @@ def test_one_row_homotopy_logs_its_row_under_raise():
     # the stacked rows of the quadrature are many, and enter np.errstate
     # themselves
     phi = BinOp("/", Num(1.0), Var(1))
-    fld = ExprField(Homotopy((Num(0.0), phi, Num(0.0), Num(0.0)),
-                             (0.0,) * 4, HOMOTOPY_TS, HOMOTOPY_WEIGHTS))
+    fld = Homotopy((Num(0.0), phi, Num(0.0), Num(0.0)),
+                   (0.0,) * 4, HOMOTOPY_TS, HOMOTOPY_WEIGHTS)
     for x1 in (0.0, 0.5):
         P = np.array([[0.0, x1, 0.0, 0.0]])
         batch = Batch(P)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from covphase.einstein import EinsteinPhase
 from covphase.galilei import GalileiPhase
 from covphase.modelspec import (
-    BinOp, Call, ExprField, Homotopy, Neg, Num, Pow, Var, _Emitter, _walk,
+    BinOp, Call, Homotopy, Neg, Num, Pow, Var, _Emitter, _walk,
     available_models, compile_fields, load_builtin, parse_expr,
 )
 from covphase.smooth import Field, field_values
@@ -128,7 +128,7 @@ ERROR_CASES = [
 def test_error_parity(node, x1, want):
     # a point, a batch row and the compiled code: one class and one text,
     # or one value
-    fld = ExprField(node)
+    fld = node
     p = [0.0, x1, 0.0, 0.0]
     batch = outcome(lambda: fld.values(np.array([p])).tolist()[0])
     point = outcome(lambda: fld.value(p))
@@ -141,7 +141,7 @@ def test_error_parity(node, x1, want):
 
 def test_quotient_is_correctly_rounded():
     # a * (1.0 / b) differs from a / b in the last bit on these operands
-    fld = ExprField("x1 / x2")
+    fld = parse_expr("x1 / x2")
     for a, b in [(0.3, 0.1), (5.0, 3.0), (7.0, 10.0)]:
         assert a * (1.0 / b) != a / b
         p = [0.0, a, b, 0.0]
@@ -154,7 +154,7 @@ def test_quotient_is_correctly_rounded():
 def test_zero_divisor_raises_the_batch_text():
     # Python's own text is "float division by zero"
     with pytest.raises(ZeroDivisionError) as info:
-        compile_fields([ExprField("1 / x1")])([0.0] * 4)
+        compile_fields([parse_expr("1 / x1")])([0.0] * 4)
     assert str(info.value) == "division by zero in expression"
 
 
@@ -171,7 +171,7 @@ def test_divisor_checked_only_where_it_can_be_zero():
     assert division_checks("x1 / x2 + x3 / x2") == 1
     assert division_checks("x1 / 0 + x2 / (x3 - x3)") == 2
     with pytest.raises(ZeroDivisionError) as info:
-        compile_fields([ExprField("1 / (x1 - x1)")])([0.0] * 4)
+        compile_fields([parse_expr("1 / (x1 - x1)")])([0.0] * 4)
     assert str(info.value) == "division by zero in expression"
 
 
@@ -228,7 +228,7 @@ def test_power_grid_matches_jets(den):
     # every sign and size of exponent, at bases near 0 and infinity, where
     # x^p overflows, underflows or divides by zero
     for num in range(-7, 8):
-        fld = ExprField(Pow(Var(0), Fraction(num, den)))
+        fld = Pow(Var(0), Fraction(num, den))
         for x in GRID + [-x for x in GRID]:
             assert_same_outcome([fld], [x])
 
@@ -236,13 +236,13 @@ def test_power_grid_matches_jets(den):
 def test_first_error_in_evaluation_order():
     # evaluation stops at the left operand's error before the right one
     left, right = parse_expr("1 / x1"), parse_expr("sqrt(1 - 2)")
-    for fld in (ExprField(BinOp("+", left, right)),
-                ExprField(BinOp("+", right, left))):
+    for fld in (BinOp("+", left, right),
+                BinOp("+", right, left)):
         assert_same_outcome([fld], [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ZeroDivisionError):
-        compile_fields([ExprField(BinOp("+", left, right))])([0.0] * 4)
+        compile_fields([BinOp("+", left, right)])([0.0] * 4)
     with pytest.raises(ValueError):
-        compile_fields([ExprField(BinOp("+", right, left))])([0.0] * 4)
+        compile_fields([BinOp("+", right, left)])([0.0] * 4)
 
 
 def test_params_and_shared_subexpressions():
@@ -251,18 +251,18 @@ def test_params_and_shared_subexpressions():
     shared = parse_expr("k * x1 + sin(x2)", {"k": 3.0})
     other = parse_expr("k * x1 + sin(x2)", {"k": -2.0})
     assert shared is parse_expr("3.0 * x1 + sin(x2)") and other is not shared
-    f = ExprField(BinOp("*", shared, shared))
-    g = ExprField(BinOp("-", other, Num(1.0)))
-    h = ExprField(Neg(shared))
+    f = BinOp("*", shared, shared)
+    g = BinOp("-", other, Num(1.0))
+    h = Neg(shared)
     assert_same_outcome([f, g, h], [0.0, 0.7, -1.3, 0.0])
     fn = compile_fields([f, g])
     assert fn([0.0, 2.0, 0.0, 0.0]) == [36.0, -5.0]
 
 
 def test_constant_fields_return_floats():
-    out = compile_fields([ExprField(Num(2.0)),
-                          ExprField(parse_expr("k", {"k": 3})),
-                          ExprField(parse_expr("sin(0.5) / 4"))])(
+    out = compile_fields([Num(2.0),
+                          parse_expr("k", {"k": 3}),
+                          parse_expr("sin(0.5) / 4")])(
         [0.0] * 4)
     assert out == [2.0, 3.0, math.sin(0.5) / 4.0]
     assert all(type(v) is float for v in out)
@@ -277,7 +277,7 @@ def test_homotopy_node_does_not_compile():
     # its quadrature runs in a batch only
     h = Homotopy((Var(1),) * 4, (0.0,) * 4, (0.5,), (1.0,))
     with pytest.raises(TypeError, match="Homotopy node"):
-        compile_fields([ExprField(BinOp("+", Var(2), h))])
+        compile_fields([BinOp("+", Var(2), h)])
 
 
 def test_deep_chain_compiles():
@@ -285,7 +285,7 @@ def test_deep_chain_compiles():
     for k in range(5000):
         node = BinOp("+" if k % 2 else "-", node, Num(1.0))
         node = Neg(node) if k % 1000 == 0 else node
-    fn = compile_fields([ExprField(node)])
+    fn = compile_fields([node])
     want = 0.25
     for k in range(5000):
         want = want + 1.0 if k % 2 else want - 1.0
@@ -325,6 +325,6 @@ exprs = st.recursive(leaves, _compound, max_leaves=12)
 @settings(max_examples=400, deadline=None)
 @given(exprs, exprs, st.lists(floats, min_size=4, max_size=4))
 def test_random_expressions_match_jets(e1, e2, p):
-    f, g = ExprField(e1), ExprField(e2)
+    f, g = e1, e2
     # f * g and g - f share f's and g's nodes with the first two fields
     assert_same_outcome([f, g, f * g, g - f], p)

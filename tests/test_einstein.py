@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from covphase.modelspec import (
-    BinOp, Call, ExprField, Model, Num, Var, load_builtin, parse_model_text,
-    sample_points, velocity,
+    BinOp, Var, constant, load_builtin, parse_model_text, sample_points,
+    velocity,
 )
 from covphase.einstein import (
     EinsteinPhase, ESpecialFunction, LightconeViolation,
@@ -23,6 +23,8 @@ from covphase.orbit import integrate_orbit
 from covphase.smooth import (
     PForm, VectorField, contract, exterior_derivative, total, wedge,
 )
+from covphase.suites import _poly as poly_field
+from covphase.suites import _random_especial as random_especial
 
 from numutil import form_matrix
 
@@ -48,25 +50,6 @@ def timelike_points(phase, n=12, seed=7, vmax=0.25):
             break
     assert len(out) == n
     return np.array(out)
-
-
-def cf(v):
-    return ExprField(Num(float(v)))
-
-
-def poly_field(rng, nvars=4):
-    node = Num(float(rng.uniform(-1.0, 1.0)))
-    for _ in range(int(rng.integers(1, 4))):
-        term = Num(float(rng.uniform(-1.0, 1.0)))
-        for _ in range(int(rng.integers(1, 3))):
-            term = BinOp("*", term, Var(int(rng.integers(0, nvars))))
-        node = BinOp("+", node, term)
-    return ExprField(node)
-
-
-def random_especial(rng):
-    return ESpecialFunction([poly_field(rng) for _ in range(4)],
-                            poly_field(rng))
 
 
 def lorentz_force(ph):
@@ -497,7 +480,7 @@ class TestSpecialValues:
         ph = phases["curved-einstein"]
         rng = np.random.default_rng(23)
         sf = random_especial(rng)
-        obs = [cf(0.12), cf(-0.2), cf(0.05)]
+        obs = [constant(0.12), constant(-0.2), constant(0.05)]
         seen = ph.observed_component(sf, obs)
         val = ph.special_value(sf)
         for _ in range(6):
@@ -628,8 +611,8 @@ class TestHamiltonianLift:
         # a cubic velocity function has velocity-dependent spacetime
         # components, so no spacetime vector field can match them
         ph = phases["curved-einstein"]
-        w = ExprField(BinOp("*", BinOp("*", Var(4), Var(4)), Var(4)))
-        lift = ph.hamiltonian_lift(cf(0.0), w)
+        w = BinOp("*", BinOp("*", Var(4), Var(4)), Var(4))
+        lift = ph.hamiltonian_lift(constant(0.0), w)
         x = np.array([0.1, -0.2, 0.3, 0.0])
         rng = np.random.default_rng(42)
         samples = []
@@ -645,7 +628,7 @@ class TestHamiltonianLift:
     def test_unit_lift_is_dynamics(self, phases):
         # sigma = 1 with a constant function gives the dynamical vector
         ph = phases["schwarzschild-like"]
-        lift = ph.hamiltonian_lift(cf(1.0), cf(0.0))
+        lift = ph.hamiltonian_lift(constant(1.0), constant(0.0))
         gam = ph.dynamical_vector()
         for p in timelike_points(ph, n=4, seed=19):
             assert np.max(np.abs(lift.at(p) - gam.at(p))) < 1e-12
@@ -655,7 +638,7 @@ class TestOrbit:
     def test_hyperbolic_motion(self, phases):
         # integrate the uniform-field dynamics and compare with the
         # analytic hyperbola over proper time 2
-        res = integrate_orbit(phases["uniform-e"].model, "e", [0.0] * 4,
+        res = integrate_orbit(phases["uniform-e"].model, [0.0] * 4,
                               [0.0] * 3, 2.0, 1e-3)
         assert len(res.states) == 2001
         state = res.states[-1]

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from covphase.modelspec import (
-    BinOp, ExprField, Num, Var, load_builtin, sample_points,
+    BinOp, ExprField, Num, Var, load_builtin, parse_expr, sample_points,
 )
 from covphase import smooth
-from covphase.galilei import GalileiPhase, Observer, SpecialFunction
+from covphase.galilei import GalileiPhase, Observer
+from covphase.suites import _poly as poly_field
+from covphase.suites import _random_gspecial as random_special
 from covphase.suites import run_suite
 from covphase.smooth import (
-    PForm, VectorField, contract, directional, exterior_derivative,
-    lie_bracket, wedge,
+    PForm, contract, directional, exterior_derivative, lie_bracket, wedge,
 )
 
 from numutil import central_grad, form_matrix
@@ -33,22 +34,6 @@ def phase_points(model, n=12, seed=7):
     rng = np.random.default_rng(seed)
     vel = rng.uniform(-0.8, 0.8, size=(len(base), 3))
     return np.hstack([base, vel])
-
-
-def poly_field(rng, nvars=4):
-    """Random polynomial of low degree in the first nvars coordinates."""
-    node = Num(float(rng.uniform(-1.0, 1.0)))
-    for _ in range(int(rng.integers(1, 4))):
-        term = Num(float(rng.uniform(-1.0, 1.0)))
-        for _ in range(int(rng.integers(1, 3))):
-            term = BinOp("*", term, Var(int(rng.integers(0, nvars))))
-        node = BinOp("+", node, term)
-    return ExprField(node)
-
-
-def random_special(rng):
-    return SpecialFunction(poly_field(rng), [poly_field(rng) for _ in range(3)],
-                           poly_field(rng), Observer.chart())
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +161,7 @@ class TestCosymplectic:
 
     def test_volume_scalar_flat(self, phases):
         ph = phases["flat-free"]
-        dt = PForm(7, 1, {(0,): ExprField(Num(1.0))})
+        dt = PForm(7, 1, {(0,): Num(1.0)})
         O = ph.cosymplectic()
         vol = wedge(wedge(wedge(dt, O), O), O)
         p = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
@@ -369,16 +354,16 @@ class TestBracketRoutes:
 class TestObservers:
     def make_observer(self):
         # position-dependent boost, quadratic in the coordinates
-        v1 = ExprField(BinOp("*", Num(0.3), Var(1)))
-        v2 = ExprField(BinOp("+", Num(0.2), BinOp("*", Num(0.1),
-                                                  BinOp("*", Var(0), Var(2)))))
-        v3 = ExprField(Num(-0.4))
+        v1 = BinOp("*", Num(0.3), Var(1))
+        v2 = BinOp("+", Num(0.2), BinOp("*", Num(0.1),
+                                        BinOp("*", Var(0), Var(2))))
+        v3 = Num(-0.4)
         return Observer([v1, v2, v3])
 
     def test_zero_velocity_is_the_chart_observer(self):
         # every zero constant is the chart observer, whatever its sign or
         # type, though each is its own interned node
-        zeros = [ExprField(Num(-0.0)), ExprField(Num(0)), ExprField("0")]
+        zeros = [Num(-0.0), Num(0), parse_expr("0")]
         assert Observer(zeros).is_chart()
         assert not self.make_observer().is_chart()
 

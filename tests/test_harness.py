@@ -152,7 +152,60 @@ def unreferenced_names():
     return out
 
 
+def unused_imports():
+    """`<module>.<name>` for each name that a module of src/covphase
+    imports and never reads.  A name is read by a load of it,
+    bare or as the root of an attribute chain, by a mention in a string
+    annotation, or by an entry of the module's `__all__`.  An import
+    `name as name` re-exports name on purpose, and counts as read."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [(a.asname or a.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for a in node.names if a.asname != a.name]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            notes = []
+            if isinstance(node, ast.FunctionDef):
+                args = node.args.args + node.args.kwonlyargs
+                notes = [a.annotation for a in args] + [node.returns]
+            elif isinstance(node, ast.AnnAssign):
+                notes = [node.annotation]
+            for note in filter(None, notes):
+                for text in ast.walk(note):
+                    if isinstance(text, ast.Constant) \
+                            and isinstance(text.value, str):
+                        used.update(n.id for n in ast.walk(ast.parse(
+                            text.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        out += ["%s.%s" % (path.stem, name) for name in imported
+                if name not in used]
+    return out
+
+
+README = SRC.parent.parent / "README.md"
+
+
+def test_readme_library_snippet_runs(capsys):
+    # the ```python block under "## Library use", run as written
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("suite: galilei-brackets   model: uniform-b")
+    assert "result: PASS (4/4 checks)" in out
+
+
 class TestApiSurface:
+    def test_no_module_imports_a_name_it_never_reads(self):
+        assert unused_imports() == []
+
     def test_every_public_name_is_used_or_allowed(self):
         # code that only tests call, or nothing calls, goes; a name kept
         # on purpose is listed above with its reason
@@ -186,6 +239,19 @@ class TestRunSuite:
             su.run_suite("minkowski", "galilei-core", points=4)
         with pytest.raises(su.FrameworkMismatchError):
             su.run_suite("flat-free", "einstein-brackets", points=4)
+
+    def test_orbits_suite_runs_its_own_models(self):
+        # the runners integrate flat-free, uniform-b and uniform-e whatever
+        # model they are given; the report names the model it was given
+        rep = su.run_suite("minkowski", "orbits", points=1)
+        assert rep.model == "minkowski"
+        assert [r.name for r in rep.records] == [
+            "orbit-free-straight-line", "orbit-cyclotron-radius",
+            "orbit-hyperbolic-worldline"]
+        assert rep.all_passed()
+        other = su.run_suite("curved-galilei", "orbits", points=1)
+        assert [r.residual for r in other.records] \
+            == [r.residual for r in rep.records]
 
     def test_any_framework_accepts_both(self):
         a = su.run_suite("flat-free", "section1-general", points=8, seed=1)
@@ -300,7 +366,7 @@ class TestReport:
 class TestOrbit:
     def test_free_motion_is_straight(self):
         model = load_builtin("flat-free")
-        res = integrate_orbit(model, "g", [0, -0.5, 0, 0], [0.6, 0, 0],
+        res = integrate_orbit(model, [0, -0.5, 0, 0], [0.6, 0, 0],
                               1.0, 1e-3)
         line = np.array([0, -0.5, 0, 0]) + np.outer(res.times,
                                                     [1, 0.6, 0, 0])
@@ -310,7 +376,7 @@ class TestOrbit:
     def test_cyclotron_radius(self):
         model = load_builtin("uniform-b")
         period = np.pi  # 2 pi m / (q B) with B = 2
-        res = integrate_orbit(model, "galilei", [0, 0, 0, 0], [0.5, 0, 0],
+        res = integrate_orbit(model, [0, 0, 0, 0], [0.5, 0, 0],
                               period, 1e-3)
         for i in (1, 2):
             spread = res.states[:, i].max() - res.states[:, i].min()
@@ -318,7 +384,7 @@ class TestOrbit:
 
     def test_hyperbolic_motion(self):
         model = load_builtin("uniform-e")
-        res = integrate_orbit(model, "einstein", [0, 0, 0, 0], [0, 0, 0],
+        res = integrate_orbit(model, [0, 0, 0, 0], [0, 0, 0],
                               1.5, 1e-3)
         s = res.times
         assert np.max(np.abs(res.states[:, 0] - np.sinh(0.5 * s) / 0.5)) \
@@ -329,20 +395,20 @@ class TestOrbit:
     def test_box_exit(self):
         model = load_builtin("flat-free")
         with pytest.raises(BoxExit):
-            integrate_orbit(model, "g", [0, 1.5, 0, 0], [1.0, 0, 0],
+            integrate_orbit(model, [0, 1.5, 0, 0], [1.0, 0, 0],
                             2.0, 1e-3)
 
     def test_box_edge_within_slack(self):
         # the time adds up to 1.0000000000000007 on a box of hi = 1; the
         # box allows orbit.BOX_SLACK beyond each bound
         model = load_builtin("curved-galilei")
-        res = integrate_orbit(model, "g", [0, 0.1, 0, 0], [0.2, 0.1, -0.1],
+        res = integrate_orbit(model, [0, 0.1, 0, 0], [0.2, 0.1, -0.1],
                               1.0, 1e-3)
         assert res.states[-1, 0] > 1.0
         assert res.max_law_residual < 1e-7
         # beyond the slack, an initial point is refused before any step
         with pytest.raises(ValueError) as info:
-            integrate_orbit(model, "g", [0, 1.0 + 1e-8, 0, 0], [0, 0, 0],
+            integrate_orbit(model, [0, 1.0 + 1e-8, 0, 0], [0, 0, 0],
                             1.0, 1e-3)
         assert str(info.value) == \
             "initial position lies outside the model box"
@@ -350,14 +416,8 @@ class TestOrbit:
     def test_lightcone_exit(self):
         model = load_builtin("uniform-e")
         with pytest.raises(LightconeViolation):
-            integrate_orbit(model, "e", [0, 0, 0, 0], [1.2, 0, 0],
+            integrate_orbit(model, [0, 0, 0, 0], [1.2, 0, 0],
                             1.0, 1e-3)
-
-    def test_framework_mismatch(self):
-        model = load_builtin("uniform-e")
-        with pytest.raises(ValueError, match="^framework 'g' does not match "
-                           "model kind 'einstein'$"):
-            integrate_orbit(model, "g", [0, 0, 0, 0], [0, 0, 0], 1.0)
 
     def test_non_finite_state_is_box_exit(self):
         # a field so strong that one RK4 step overflows the velocity; a
@@ -365,7 +425,7 @@ class TestOrbit:
         model = parse_model_text(model_text("uniform-b",
                                             ("B = 2.0", "B = 1e300")))
         with pytest.raises(BoxExit, match="non-finite"):
-            integrate_orbit(model, "g", [0, 0, 0, 0], [0.5, 0, 0], 0.01)
+            integrate_orbit(model, [0, 0, 0, 0], [0.5, 0, 0], 0.01)
 
     # each once integrated no step or one and passed on a residual of
     # 0.0 over no interior sample, or went on to np.empty (a MemoryError)
@@ -388,7 +448,7 @@ class TestOrbit:
     def test_step_count_refused(self, duration, step, message):
         model = load_builtin("uniform-b")
         with pytest.raises(ValueError, match=message):
-            integrate_orbit(model, "g", [0, 0, 0, 0], [0.5, 0, 0],
+            integrate_orbit(model, [0, 0, 0, 0], [0.5, 0, 0],
                             duration, step)
 
     def test_step_count_bounds(self):

@@ -75,7 +75,7 @@ class TestParser:
             parse_expr("x1 + bogus + 1", {"k": 1.0})
         assert err.value.offset == 5
         with pytest.raises(ParseError, match="unknown name 'k'"):
-            ExprField("k * x1")
+            parse_expr("k * x1")
 
     # the next three once raised ZeroDivisionError, int()'s bare ValueError
     # and (at evaluation) OverflowError instead of a ParseError
@@ -180,7 +180,7 @@ def test_print_parse_round_trip_with_powers(node):
 @given(_exprs, st.integers(0, 3))
 def test_derivative_never_raises_on_safe_ops(node, i):
     d = derivative(node, i)
-    assert np.isfinite(ExprField(d).value([0.3, -0.7, 0.2, 0.5]))
+    assert np.isfinite(d.value([0.3, -0.7, 0.2, 0.5]))
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -216,7 +216,7 @@ def assert_derivatives_match_sympy(node):
     xs = sp.symbols("x0:4", real=True)
     expr = to_sympy(node, sp, xs)
     for i in range(4):
-        ours = ExprField(derivative(node, i))
+        ours = derivative(node, i)
         ref = sp.lambdify(xs, sp.diff(expr, xs[i]), "math")
         for p in _IN_BOX:
             try:
@@ -254,7 +254,7 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("text", exprs)
     def test_against_finite_differences(self, text):
-        fld = ExprField(text)
+        fld = parse_expr(text)
         p = np.array([0.4, -0.3, 0.8, 0.2])
         num = central_grad(lambda x: fld.value(x), p)
         for i in range(4):
@@ -262,7 +262,7 @@ class TestDerivatives:
                                                             abs=1e-8)
 
     def test_nested_partials_are_exact(self):
-        fld = ExprField("x1^2 * x2")
+        fld = parse_expr("x1^2 * x2")
         p = np.array([0.0, 3.0, 5.0, 0.0])
         assert fld.partial(1).partial(1).value(p) == 2.0 * 5.0
         assert fld.partial(1).partial(2).value(p) == 2.0 * 3.0
@@ -271,7 +271,7 @@ class TestDerivatives:
 
     def test_phase_chart_embedding(self):
         # an expression field ignores the fibre coordinates of a larger chart
-        fld = ExprField("x1 * x3")
+        fld = parse_expr("x1 * x3")
         p7 = np.array([0.0, 2.0, 0.0, 7.0, 1.0, 2.0, 3.0])
         assert fld.value(p7) == 14.0
         assert fld.partial(1).value(p7) == 7.0
@@ -284,36 +284,36 @@ class TestDerivatives:
         assert sym[3] == 2.0 and not any(sym[4:])
 
     def test_half_integer_powers(self):
-        fld = ExprField("x1^(3/2)")
+        fld = parse_expr("x1^(3/2)")
         p = np.array([0.0, 4.0, 0.0, 0.0])
         assert fld.value(p) == 8.0
         assert fld.partial(1).value(p) == pytest.approx(1.5 * 2.0)
 
     def test_params_resolve(self):
-        fld = ExprField(parse_expr("B/2 * x1", {"B": 3.0}))
+        fld = parse_expr("B/2 * x1", {"B": 3.0})
         assert fld.value(np.array([0.0, 2.0, 0.0, 0.0])) == 3.0
 
     def test_fields_under_different_params_combine(self):
         # parameters are numbers in the nodes, so two fields parsed under
         # different values of one name still sum to an expression field
-        f = ExprField(parse_expr("k*x1", {"k": 1.0})) \
-            + ExprField(parse_expr("k*x2", {"k": 2.0}))
+        f = parse_expr("k*x1", {"k": 1.0}) \
+            + parse_expr("k*x2", {"k": 2.0})
         assert isinstance(f, ExprField)
         p = np.array([0.0, 3.0, 5.0, 0.0])
         assert f.value(p) == 13.0
         assert [f.partial(i).value(p) for i in (1, 2)] == [1.0, 2.0]
 
     def test_arithmetic_stays_expression_backed(self):
-        a = ExprField("x1^2")
-        b = ExprField("sin(x0)")
-        c = (a * b + 2.0) / ExprField("1 + x2^2")
+        a = parse_expr("x1^2")
+        b = parse_expr("sin(x0)")
+        c = (a * b + 2.0) / parse_expr("1 + x2^2")
         assert isinstance(c, ExprField)
         d3 = c.partial(1).partial(1).partial(0)
         p = np.array([0.0, 1.0, 0.0, 0.0])
         assert d3.value(p) == pytest.approx(2.0)
 
     def test_phase_coordinates_in_expressions(self):
-        fld = ExprField("x1 * x4")  # spacetime times fibre coordinate
+        fld = parse_expr("x1 * x4")  # spacetime times fibre coordinate
         p = np.array([0.0, 3.0, 0.0, 0.0, 5.0, 0.0, 0.0])
         assert fld.value(p) == 15.0
         assert fld.partial(4).value(p) == 3.0
@@ -844,11 +844,11 @@ def test_chain_of_100000_nodes_walks_without_recursion():
         if k % 4 == 1:
             want += 1.0
     d = derivative(node, 1)
-    assert ExprField(d).values(np.zeros((1, 4))).tolist() == [want]
+    assert d.values(np.zeros((1, 4))).tolist() == [want]
     s = substitute(node, {1: Var(3)})
     p = [0.1, 0.2, 0.3, 0.4]
-    assert ExprField(s).values(np.array([p])).tolist() \
-        == ExprField(node).values(np.array([[0.1, 0.4, 0.3, 0.4]])).tolist()
+    assert s.values(np.array([p])).tolist() \
+        == node.values(np.array([[0.1, 0.4, 0.3, 0.4]])).tolist()
 
 
 def read_coordinates(node) -> set:
@@ -957,11 +957,11 @@ def test_deepest_differentiable_chain_still_differentiates():
         if k % 4 == 1:
             want += 1.0
     d = derivative(node, 1)
-    assert compile_fields([ExprField(d)])([0.0] * 4) == [want]
+    assert compile_fields([d])([0.0] * 4) == [want]
     s = substitute(node, {1: Var(3)})
     p = [0.1, 0.2, 0.3, 0.4]
-    assert compile_fields([ExprField(s)])(p) \
-        == compile_fields([ExprField(node)])([0.1, 0.4, 0.3, 0.4])
+    assert compile_fields([s])(p) \
+        == compile_fields([node])([0.1, 0.4, 0.3, 0.4])
 
 
 # ---------------------------------------------------------------------------
@@ -977,8 +977,7 @@ def test_equal_expressions_are_one_object():
                   Num(2.5))
     assert built is a
     # fields combined apart share their nodes
-    assert (ExprField("x1") * ExprField("x2")).node \
-        is ExprField("x1 * x2").node
+    assert parse_expr("x1") * parse_expr("x2") is parse_expr("x1 * x2")
     assert parse_expr("x1 + x2") is not parse_expr("x2 + x1")
     assert Pow(Var(1), Fraction(2)) is not Pow(Var(1), 2)
 
@@ -986,11 +985,13 @@ def test_equal_expressions_are_one_object():
 def test_a_node_is_its_field():
     assert issubclass(BinOp, ExprField) and issubclass(ExprField, Field)
     node = parse_expr("x1 * x2")
-    assert ExprField("x1 * x2") is node and ExprField(node) is node
     assert node.node is node
     assert not hasattr(node, "__dict__")
-    with pytest.raises(TypeError, match="not an expression"):
-        ExprField(2.0)
+    # the base class builds nothing: text goes through parse_expr, and a
+    # node is its own field
+    for arg in ("x1 * x2", node, 2.0):
+        with pytest.raises(TypeError, match="parse_expr"):
+            ExprField(arg)
     # a node's value at a point is `Field.value`; the number of a Num is
     # the slot `number`, which does not shadow it
     assert type(node).value is Field.value
@@ -1050,7 +1051,7 @@ def test_signed_zeros_and_number_types_stay_apart():
     p = [0.0, 2.0, 0.0, 0.0]
     P = np.array([p, p])
     for node, sign in ((pos, 1.0), (neg, -1.0)):
-        fld = ExprField(BinOp("*", node, Var(1)))
+        fld = BinOp("*", node, Var(1))
         for got in [fld.value(p), *fld.values(P).tolist(),
                     *compile_fields([fld])(p)]:
             assert got == 0.0 and math.copysign(1.0, got) == sign
@@ -1062,7 +1063,7 @@ def test_nan_number_builds_and_evaluates():
     assert to_text(a) == "(nan)"
     with pytest.raises(ParseError, match="unknown name 'nan'"):
         parse_expr(to_text(a))
-    fld = ExprField(BinOp("+", a, Var(1)))
+    fld = BinOp("+", a, Var(1))
     assert math.isnan(fld.value([0.0, 1.0, 0.0, 0.0]))
     assert np.isnan(fld.values(np.zeros((2, 4)))).all()
 
@@ -1074,7 +1075,7 @@ def test_nan_number_builds_and_evaluates():
 def test_printed_signed_zero_evaluates_to_the_same_bits(node):
     again = parse_expr(to_text(node))
     p = [0.0, 0.0, 0.0, 0.0]
-    got, want = ExprField(again).value(p), ExprField(node).value(p)
+    got, want = again.value(p), node.value(p)
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
@@ -1119,11 +1120,11 @@ def test_chain_deeper_than_the_recursion_limit():
     # identity equality: no walk over the two chains
     assert again is node and again == node
     d = derivative(node, 1)
-    assert compile_fields([ExprField(d)])([0.0] * 4) == [want]
+    assert compile_fields([d])([0.0] * 4) == [want]
     s = substitute(node, {1: Var(3)})
     p = [0.1, 0.2, 0.3, 0.4]
-    assert compile_fields([ExprField(s)])(p) \
-        == compile_fields([ExprField(node)])([0.1, 0.4, 0.3, 0.4])
+    assert compile_fields([s])(p) \
+        == compile_fields([node])([0.1, 0.4, 0.3, 0.4])
 
 
 def test_observed_curvature_is_built_once():
@@ -1131,7 +1132,8 @@ def test_observed_curvature_is_built_once():
     phi = ph.observed_curvature()
     assert ph.observed_curvature() is phi
     assert ph.observed_curvature(Observer.chart()) is phi
-    boost = Observer([ExprField("0.1 * x1"), ExprField("0"), ExprField("0")])
+    boost = Observer([parse_expr("0.1 * x1"), parse_expr("0"),
+                      parse_expr("0")])
     assert ph.observed_curvature(boost) is not phi
 
 
@@ -1160,9 +1162,9 @@ def closure_directional(X, f):
 
 
 def test_directional_of_expressions_is_an_expression():
-    f = ExprField("sin(x0 * x1) + x2^2 * x3 / (2 + x1^2)")
-    X = VectorField([ExprField("x1 * x3"), 0.5, 0,
-                     ExprField("exp(x2) - x0")])
+    f = parse_expr("sin(x0 * x1) + x2^2 * x3 / (2 + x1^2)")
+    X = VectorField([parse_expr("x1 * x3"), 0.5, 0,
+                     parse_expr("exp(x2) - x0")])
     # numbers become constant nodes
     assert X.comps[1] is Num(0.5) and X.comps[2] is Num(0.0)
     got = directional(X, f)
@@ -1179,7 +1181,7 @@ def test_directional_of_expressions_is_an_expression():
 def test_nesting_limit():
     # as deep as allowed: a sum of MAX_DEPTH leaves
     node = parse_expr(" + ".join(["x1"] * MAX_DEPTH))
-    assert ExprField(derivative(node, 1)).value([0.0] * 4) == MAX_DEPTH
+    assert derivative(node, 1).value([0.0] * 4) == MAX_DEPTH
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_expr(" + ".join(["x1"] * (MAX_DEPTH + 1)))
     # deep enough to overflow the parser's own recursion

@@ -168,7 +168,7 @@ def test_orbit_bit_identical_to_reference(name):
     model = load_builtin(name)
     assert model.kind in ("galilei", "einstein")
     times, states, resid = ref_integrate(model, X0, V0, DURATION, STEP)
-    res = integrate_orbit(model, model.kind, X0, V0, DURATION, STEP)
+    res = integrate_orbit(model, X0, V0, DURATION, STEP)
     assert _same_bits(res.times, times)
     assert _same_bits(res.states, states)
     assert _same_bits(res.law_residuals, resid)
@@ -184,7 +184,7 @@ def test_box_exit_same_message(x0, v0):
     with pytest.raises(BoxExit) as want, np.errstate(over="ignore"):
         ref_integrate(model, x0, v0, 1.0, 1e-2)
     with pytest.raises(BoxExit) as got:
-        integrate_orbit(model, "g", x0, v0, 1.0, 1e-2)
+        integrate_orbit(model, x0, v0, 1.0, 1e-2)
     assert str(got.value) == str(want.value)
 
 
@@ -195,7 +195,7 @@ def _land_on(monkeypatch, state):
     steps = iter([[0.0] * 7, list(state), [0.0] * 7])
     monkeypatch.setattr(orbit, "_rk4", lambda rhs, s, h: next(steps))
     try:
-        return integrate_orbit(load_builtin("flat-free"), "g", [0.0] * 4,
+        return integrate_orbit(load_builtin("flat-free"), [0.0] * 4,
                                [0.0] * 3, 0.03, 0.01).states
     except BoxExit as exc:
         return exc
@@ -259,7 +259,7 @@ def test_initial_point_beyond_each_widened_box_side_is_a_value_error(k, side):
     assert orbit.initial_state(model, state[:4], state[4:]) == state
     state[k] = math.nextafter(EDGES[side], OUTWARD[side])
     with pytest.raises(ValueError) as info:
-        integrate_orbit(model, "g", state[:4], state[4:], 0.03, 0.01)
+        integrate_orbit(model, state[:4], state[4:], 0.03, 0.01)
     assert str(info.value) == "initial position lies outside the model box"
 
 
@@ -269,7 +269,7 @@ def test_non_finite_initial_data_is_a_value_error(k, v):
     # an infinite position is outside the box too: the finite test is first
     state = _moved(k, v)
     with pytest.raises(ValueError) as info:
-        integrate_orbit(load_builtin("flat-free"), "g", state[:4], state[4:],
+        integrate_orbit(load_builtin("flat-free"), state[:4], state[4:],
                         0.03, 0.01)
     assert str(info.value) == "initial position and velocity must be finite"
 
@@ -289,7 +289,7 @@ def _planted(name, bad):
     """A uniform-e trajectory whose sample rows `bad` are moved so the
     central difference around them is not timelike."""
     model = load_builtin(name)
-    res = integrate_orbit(model, "e", [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+    res = integrate_orbit(model, [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                           0.1, 1e-2)
     states = res.states.copy()
     for k in bad:
@@ -493,7 +493,7 @@ def test_residual_blocks_join_without_seams(monkeypatch, rows):
     for name in ("curved-galilei", "curved-einstein"):
         model = load_builtin(name)
         times, states, resid = ref_integrate(model, X0, V0, DURATION, STEP)
-        res = integrate_orbit(model, model.kind, X0, V0, DURATION, STEP)
+        res = integrate_orbit(model, X0, V0, DURATION, STEP)
         assert _same_bits(res.law_residuals, resid)
     phase, states = _planted("uniform-e", (8, 5))
     with pytest.raises(LightconeViolation):
@@ -552,7 +552,7 @@ def test_step_loop_failure_same_error(monkeypatch, case):
         ref_integrate(model, x0, v0, duration, step)
     counts = _count_rk4(monkeypatch)
     with pytest.raises((ValueError, ArithmeticError)) as got:
-        integrate_orbit(model, model.kind, x0, v0, duration, step)
+        integrate_orbit(model, x0, v0, duration, step)
     assert type(want.value) is cls
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
@@ -565,9 +565,9 @@ def test_rk4_hook_sees_every_step_and_rhs_call(monkeypatch, name):
     # the benchmark counts steps and RHS calls through this hook, so each
     # step is one _rk4 call that calls its rhs 4 times
     model = load_builtin(name)
-    plain = integrate_orbit(model, model.kind, X0, V0, DURATION, STEP)
+    plain = integrate_orbit(model, X0, V0, DURATION, STEP)
     counts = _count_rk4(monkeypatch)
-    res = integrate_orbit(model, model.kind, X0, V0, DURATION, STEP)
+    res = integrate_orbit(model, X0, V0, DURATION, STEP)
     nsteps = len(res.states) - 1
     assert nsteps == 200
     assert counts == {"steps": nsteps, "rhs": 4 * nsteps}

@@ -11,27 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from covphase.modelspec import (
-    BinOp, ExprField, Num, Var, constant, load_builtin,
-)
+from covphase.modelspec import BinOp, Num, Var, constant, load_builtin
 from covphase.galilei import GalileiPhase, Observer, SpecialFunction
-from covphase.einstein import EinsteinPhase, ESpecialFunction
+from covphase.einstein import EinsteinPhase
 from covphase.smooth import PForm, VectorField, exterior_derivative, total
+from covphase.suites import _poly as poly_field
+from covphase.suites import _random_especial as random_especial
+from covphase.suites import _random_gspecial as random_gspecial
 from covphase import quantum as qt
-
-
-def cf(v):
-    return ExprField(Num(float(v)))
-
-
-def poly_field(rng, nvars=4):
-    node = Num(float(rng.uniform(-1.0, 1.0)))
-    for _ in range(int(rng.integers(1, 4))):
-        term = Num(float(rng.uniform(-1.0, 1.0)))
-        for _ in range(int(rng.integers(1, 3))):
-            term = BinOp("*", term, Var(int(rng.integers(0, nvars))))
-        node = BinOp("+", node, term)
-    return ExprField(node)
 
 
 def poly_vector(rng, dim=4):
@@ -131,10 +118,10 @@ class TestJacobi:
     def test_witness_breaks_jacobi(self):
         # phi = x0 d1^d2 is not closed; three coordinate translations
         # already see the defect
-        phi = PForm(4, 2, {(1, 2): ExprField(Var(0))})
+        phi = PForm(4, 2, {(1, 2): Var(0)})
         trip = [qt.GaugePair(VectorField(
-            [cf(1.0 if k == j else 0.0) for k in range(4)]), cf(0.0))
-            for j in range(3)]
+            [constant(1.0 if k == j else 0.0) for k in range(4)]),
+            constant(0.0)) for j in range(3)]
         cyc = qt.jacobi_cycle(phi, *trip)
         p = np.array([0.3, 0.1, -0.2, 0.5])
         assert abs(cyc.bbar.value(p)) > 1e-3
@@ -153,7 +140,8 @@ class TestLinearFields:
         # identity fibre matrix scales sections and stretches the metric
         rng = np.random.default_rng(62)
         y = qt.LinearQuantumField(poly_vector(rng),
-                                  [[cf(1.0), cf(0.0)], [cf(0.0), cf(1.0)]])
+                                  [[constant(1.0), constant(0.0)],
+                                   [constant(0.0), constant(1.0)]])
         pts = [rng.uniform(-1, 1, 4) for _ in range(5)]
         ok, worst = qt.is_hermitian(y, pts)
         assert not ok and worst > 0.9
@@ -162,7 +150,8 @@ class TestLinearFields:
         rng = np.random.default_rng(63)
         beta = poly_field(rng)
         y = qt.LinearQuantumField(poly_vector(rng),
-                                  [[cf(0.0), beta], [beta, cf(0.0)]])
+                                  [[constant(0.0), beta],
+                                   [beta, constant(0.0)]])
         pts = [np.array([0.5, 0.5, 0.5, 0.5])]
         ok, _ = qt.is_hermitian(y, pts)
         assert not ok
@@ -172,7 +161,8 @@ class TestLinearFields:
         rng = np.random.default_rng(65)
         beta = poly_field(rng)
         y = qt.LinearQuantumField(poly_vector(rng),
-                                  [[cf(0.0), -beta], [beta, cf(math.nan)]])
+                                  [[constant(0.0), -beta],
+                                   [beta, constant(math.nan)]])
         ok, worst = qt.is_hermitian(y, [np.zeros(4), np.ones(4)])
         assert not ok and math.isnan(worst)
 
@@ -197,7 +187,8 @@ class TestLinearFields:
                 assert abs(real[a][b].value(p)) < 1e-12
                 assert abs(imag[a][b].value(p)) < 1e-12
         liou = qt.LinearQuantumField(poly_vector(rng),
-                                     [[cf(1.0), cf(0.0)], [cf(0.0), cf(1.0)]])
+                                     [[constant(1.0), constant(0.0)],
+                                      [constant(0.0), constant(1.0)]])
         real, imag = qt.lie_derivative_hermitian_metric(liou)
         assert abs(real[0][0].value(p) - 2.0) < 1e-12
         assert abs(real[1][1].value(p) - 2.0) < 1e-12
@@ -251,14 +242,15 @@ class TestLinearFields:
 class TestSectionAction:
     def test_pure_phase_generator(self):
         # the i II field multiplies sections by -i
-        y = qt.HermitianVF(VectorField([cf(0.0)] * 4), cf(1.0))
-        are, aim = qt.act_on_section(y, cf(1.0), cf(0.0))
+        y = qt.HermitianVF(VectorField([constant(0.0)] * 4), constant(1.0))
+        are, aim = qt.act_on_section(y, constant(1.0), constant(0.0))
         p = np.zeros(4)
         assert are.value(p) == 0.0 and aim.value(p) == -1.0
 
     def test_plain_derivative(self):
-        y = qt.HermitianVF(VectorField([cf(1.0)] + [cf(0.0)] * 3), cf(0.0))
-        are, aim = qt.act_on_section(y, ExprField(Var(0)), cf(0.0))
+        y = qt.HermitianVF(VectorField([constant(1.0)] + [constant(0.0)] * 3),
+                           constant(0.0))
+        are, aim = qt.act_on_section(y, Var(0), constant(0.0))
         p = np.array([0.3, 0.1, 0.2, 0.4])
         assert abs(are.value(p) - 1.0) < 1e-12 and aim.value(p) == 0.0
 
@@ -309,7 +301,7 @@ class TestSectionAction:
 
 class TestBracketExamples:
     def test_phase_generators_commute(self):
-        y = qt.HermitianVF(VectorField([cf(0.0)] * 4), cf(1.0))
+        y = qt.HermitianVF(VectorField([constant(0.0)] * 4), constant(1.0))
         br = qt.hermitian_bracket(y, y)
         p = np.zeros(4)
         assert br.b.value(p) == 0.0
@@ -320,9 +312,9 @@ class TestBracketExamples:
         rng = np.random.default_rng(9)
         X = poly_vector(rng)
         bbar = poly_field(rng)
-        br = qt.hermitian_bracket(qt.HermitianVF(X, cf(0.0)),
-                                  qt.HermitianVF(VectorField([cf(0.0)] * 4),
-                                                 bbar))
+        br = qt.hermitian_bracket(
+            qt.HermitianVF(X, constant(0.0)),
+            qt.HermitianVF(VectorField([constant(0.0)] * 4), bbar))
         want = qt.directional(X, bbar)
         for _ in range(6):
             p = rng.uniform(-1, 1, 4)
@@ -332,7 +324,8 @@ class TestBracketExamples:
 
 class TestCurvature:
     def test_constant_potential_is_flat(self):
-        phi = qt.curvature_phi([cf(0.3), cf(-1.2), cf(0.0), cf(2.0)])
+        phi = qt.curvature_phi([constant(0.3), constant(-1.2), constant(0.0),
+                                constant(2.0)])
         p = np.array([0.4, -0.6, 0.1, 0.9])
         for a in range(4):
             for b in range(4):
@@ -345,11 +338,12 @@ class TestCurvature:
         A = [poly_field(rng) for _ in range(4)]
         phi = qt.curvature_phi(A)
         X1, X2 = poly_vector(rng), poly_vector(rng)
-        lhs = qt.hermitian_bracket(qt.classify_j(A, qt.GaugePair(X1, cf(0.0))),
-                                   qt.classify_j(A, qt.GaugePair(X2, cf(0.0))))
+        lhs = qt.hermitian_bracket(
+            qt.classify_j(A, qt.GaugePair(X1, constant(0.0))),
+            qt.classify_j(A, qt.GaugePair(X2, constant(0.0))))
         twist = qt.two_form_on(phi, X1, X2)
         rhs = qt.classify_j(A, qt.GaugePair(
-            qt.lie_bracket(X1, X2), cf(0.0)))
+            qt.lie_bracket(X1, X2), constant(0.0)))
         for _ in range(6):
             p = rng.uniform(-1, 1, 4)
             assert np.max(np.abs(lhs.X.at(p) - rhs.X.at(p))) < 1e-10
@@ -379,7 +373,7 @@ class TestCentralExtension:
     def test_kernel_is_abelian(self):
         # multipliers i bbar II bracket to zero among themselves
         rng = np.random.default_rng(13)
-        zero = VectorField([cf(0.0)] * 4)
+        zero = VectorField([constant(0.0)] * 4)
         y1 = qt.HermitianVF(zero, poly_field(rng))
         y2 = qt.HermitianVF(zero, poly_field(rng))
         br = qt.hermitian_bracket(y1, y2)
@@ -392,7 +386,8 @@ class TestCentralExtension:
         # bracketing a general field into a multiplier stays a multiplier
         rng = np.random.default_rng(14)
         y = qt.HermitianVF(poly_vector(rng), poly_field(rng))
-        mult = qt.HermitianVF(VectorField([cf(0.0)] * 4), poly_field(rng))
+        mult = qt.HermitianVF(VectorField([constant(0.0)] * 4),
+                              poly_field(rng))
         br = qt.hermitian_bracket(y, mult)
         want = qt.directional(y.X, mult.b)
         for _ in range(4):
@@ -414,11 +409,6 @@ def gphases():
 @pytest.fixture(scope="module")
 def gpotentials(gphases):
     return {name: ph.observed_potential() for name, ph in gphases.items()}
-
-
-def random_gspecial(rng):
-    return SpecialFunction(poly_field(rng), [poly_field(rng) for _ in range(3)],
-                           poly_field(rng), Observer.chart())
 
 
 class TestGalileiMap:
@@ -527,11 +517,6 @@ def ephases():
             for name in EINSTEIN_MODELS}
 
 
-def random_especial(rng):
-    return ESpecialFunction([poly_field(rng) for _ in range(4)],
-                            poly_field(rng))
-
-
 class TestEinsteinMap:
     @pytest.mark.parametrize("name", EINSTEIN_MODELS)
     def test_distinguished_operators(self, ephases, name):
@@ -557,7 +542,7 @@ class TestEinsteinMap:
         # reproduces the direct map
         ph = ephases[name]
         rng = np.random.default_rng(21)
-        obs = [cf(0.1), ExprField(BinOp("*", Num(0.05), Var(1))), cf(-0.08)]
+        obs = [constant(0.1), BinOp("*", Num(0.05), Var(1)), constant(-0.08)]
         worst = 0.0
         for _ in range(3):
             sf = random_especial(rng)
@@ -608,7 +593,7 @@ class TestInverseMaps:
         # against a boosted observer the slots change but the round trip
         # through the quantum side still recovers them
         ph = gphases["uniform-b"]
-        obs = Observer([cf(0.3), cf(-0.1), cf(0.2)])
+        obs = Observer([constant(0.3), constant(-0.1), constant(0.2)])
         pot = ph.observed_potential(obs)
         rng = np.random.default_rng(32)
         sf = SpecialFunction(poly_field(rng),
@@ -643,7 +628,7 @@ class TestInverseMaps:
     def test_multiplier_inverts_to_coordinate(self, ephases):
         # i x0 II comes back as the coordinate special function
         ph = ephases["uniform-e"]
-        y = qt.HermitianVF(VectorField([cf(0.0)] * 4), ExprField(Var(0)))
+        y = qt.HermitianVF(VectorField([constant(0.0)] * 4), Var(0))
         sf = qt.einstein_inverse_map(ph, y)
         x = np.array([0.6, 0.2, -0.4, 0.3])
         assert abs(sf.fbar.value(x) - x[0]) < 1e-12

@@ -3,7 +3,7 @@ from inspect import isfunction
 import numpy as np
 import pytest
 
-from covphase.modelspec import BinOp, ExprField, Var, constant
+from covphase.modelspec import BinOp, ExprField, Var, constant, parse_expr
 from covphase.smooth import (
     PForm, VectorField, cached, contract, directional, exterior_derivative,
     lie_bracket, total, wedge,
@@ -22,13 +22,13 @@ SCALAR = "sin(x0 * x1) + exp(0.3 * x2) / (2 + x0^2) + sqrt(4 + x1^2) * x2"
 
 class TestFields:
     def test_coord_and_const_partials_are_exact(self):
-        c = ExprField(Var(2))
+        c = Var(2)
         assert c.partial(2).value(np.zeros(4)) == 1.0
         assert c.partial(0).value(np.zeros(4)) == 0.0
         assert constant(5.0).partial(1).value(np.zeros(4)) == 0.0
 
     def test_field_arithmetic(self):
-        x0, x1 = ExprField(Var(0)), ExprField(Var(1))
+        x0, x1 = Var(0), Var(1)
         f = 2.0 * x0 + x1 * x1 - 1.0
         p = np.array([3.0, 4.0])
         assert f.value(p) == pytest.approx(2 * 3 + 16 - 1)
@@ -40,7 +40,7 @@ def polynomial_vector(coeff_seed, dim=3):
     rng = np.random.default_rng(coeff_seed)
     a = rng.uniform(-1, 1, size=(dim, dim))
     b = rng.uniform(-1, 1, size=(dim, dim, dim))
-    xs = [ExprField(Var(i)) for i in range(dim)]
+    xs = [Var(i) for i in range(dim)]
 
     def comp(m):
         acc = None
@@ -57,7 +57,7 @@ def polynomial_vector(coeff_seed, dim=3):
 class TestVectorFields:
     def test_directional_derivative(self):
         X = polynomial_vector(1)
-        f = ExprField(SCALAR)
+        f = parse_expr(SCALAR)
         p = np.array([0.3, -0.2, 0.4])
         expected = X.at(p) @ central_grad(scalar_fn, p)
         assert directional(X, f).value(p) == pytest.approx(expected, rel=1e-6)
@@ -79,7 +79,7 @@ class TestVectorFields:
     def test_bracket_against_flows(self):
         # [X, Y] f = X(Yf) - Y(Xf) on a test function
         X, Y = polynomial_vector(7), polynomial_vector(8)
-        f = ExprField(SCALAR)
+        f = parse_expr(SCALAR)
         p = np.array([0.1, 0.6, -0.3])
         lhs = directional(lie_bracket(X, Y), f).value(p)
         rhs = (directional(X, directional(Y, f)).value(p)
@@ -90,8 +90,8 @@ class TestVectorFields:
 def random_one_form(seed, dim=4):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, size=(dim, dim))
-    xs = [ExprField(Var(i)) for i in range(dim)]
-    wave = ExprField("cos(x0 * 0.3)")
+    xs = [Var(i) for i in range(dim)]
+    wave = parse_expr("cos(x0 * 0.3)")
 
     def comp(m):
         acc = None
@@ -141,7 +141,7 @@ class TestForms:
         assert np.allclose(M, -M.T)
 
     def test_d_of_exact_form_vanishes(self):
-        f = ExprField("sin(x0 * x1) + x2 * x3 * x3")
+        f = parse_expr("sin(x0 * x1) + x2 * x3 * x3")
         df = PForm(4, 1, {(i,): f.partial(i) for i in range(4)})
         ddf = exterior_derivative(df)
         rng = np.random.default_rng(16)
@@ -193,23 +193,23 @@ class _Builder:
     def square(self, k):
         """x_k squared."""
         self.calls.append(("square", k))
-        return ExprField(Var(k)) * ExprField(Var(k))
+        return Var(k) * Var(k)
 
     @cached
     def double(self, k):
         self.calls.append(("double", k))
-        return ExprField(Var(k)) + ExprField(Var(k))
+        return Var(k) + Var(k)
 
 
 class TestHelpers:
     def test_total_sums_left_to_right_from_the_first_term(self):
         a, b, c = Var(1), Var(2), Var(3)
-        s = total([ExprField(a), ExprField(b), ExprField(c)])
+        s = total([a, b, c])
         assert isinstance(s, ExprField)
         assert s.node == BinOp("+", BinOp("+", a, b), c)
 
     def test_total_of_one_term_is_that_term(self):
-        f = ExprField(Var(0))
+        f = Var(0)
         assert total(iter([f])) is f
 
     def test_total_of_no_terms(self):
