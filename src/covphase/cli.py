@@ -67,7 +67,7 @@ def _cmd_verify(args) -> int:
         tols = _parse_tols(args.tol)
         report = run_suite(args.model, args.suite, points=args.points,
                            seed=args.seed, tol_overrides=tols)
-    except (ValueError, OSError, KeyError, ValidationError) as exc:
+    except (ValueError, OSError, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     sys.stdout.write(emit_report(report, args.report).decode("utf-8"))

@@ -242,11 +242,6 @@ class EinsteinPhase:
         return curvature_phi(self.A)
 
     @cached
-    def coupled_potential(self) -> List[Field]:
-        """The coupled electromagnetic potential (q/hbar) A."""
-        return [a * self.coupling for a in self.A]
-
-    @cached
     def Fbar0(self, mu: int) -> Field:
         """F_{0 mu} + F_{i mu} x^i_0."""
         F = self.faraday()
@@ -316,7 +311,7 @@ class EinsteinPhase:
     def horizontal_potential(self) -> List[Field]:
         """A-up: theta plus the coupled electromagnetic potential."""
         return [self.theta(lam) + a
-                for lam, a in enumerate(self.coupled_potential())]
+                for lam, a in enumerate(self.model.coupled_potential)]
 
     @cached
     def cosymplectic(self) -> PForm:
@@ -439,13 +434,13 @@ class EinsteinPhase:
     def hamiltonian_function(self) -> ESpecialFunction:
         """Observed energy: lift d_0, scalar part -coupled A_0."""
         comps = [constant(1.0)] + [constant(0.0)] * 3
-        return ESpecialFunction(comps, -self.coupled_potential()[0])
+        return ESpecialFunction(comps, -self.model.coupled_potential[0])
 
     def momentum_function(self, i: int) -> ESpecialFunction:
         """Observed momentum along d^i: lift -d_i, scalar part +coupled A_i."""
         comps = [constant(0.0)] * 4
         comps[i] = constant(-1.0)
-        return ESpecialFunction(comps, self.coupled_potential()[i])
+        return ESpecialFunction(comps, self.model.coupled_potential[i])
 
     def observed_theta(self, obs: Optional[List[Field]] = None) -> List[Field]:
         """Pullback of the kinetic potential along an observer section.

@@ -370,14 +370,14 @@ class GalileiPhase:
 
     def hamiltonian_function(self) -> SpecialFunction:
         """Observed energy (kinetic plus electromagnetic scalar term)."""
-        fbar = -(constant(self.coupling) * self.A[0])
+        fbar = -self.model.coupled_potential[0]
         return SpecialFunction(constant(1.0), [constant(0.0)] * 3, fbar,
                                Observer.chart())
 
     def momentum_function(self, i: int) -> SpecialFunction:
         """Observed momentum component along d_i."""
         fi = [constant(1.0) if k == i else constant(0.0) for k in range(1, 4)]
-        fbar = constant(self.coupling) * self.A[i]
+        fbar = self.model.coupled_potential[i]
         return SpecialFunction(constant(0.0), fi, fbar, Observer.chart())
 
     def momentum_square_function(self) -> SpecialFunction:
@@ -387,7 +387,7 @@ class GalileiPhase:
         than 1; the upper-index potential A^i := G^ij A_j (with the
         coupling folded in) enters both the linear part and the scalar.
         """
-        a = [constant(self.coupling) * self.A[j] for j in range(1, 4)]
+        a = self.model.coupled_potential[1:]
         a_up = [total(self.inv_metric(i, j) * a[j - 1] for j in range(1, 4))
                 for i in range(1, 4)]
         fbar = total(a_up[i] * a[i] for i in range(3))

@@ -23,6 +23,7 @@ import struct
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -1261,6 +1262,11 @@ class Model:
     def coupling(self) -> float:
         """The charge-to-action ratio q/hbar scaling the electromagnetic terms."""
         return self.charge / self.hbar
+
+    @cached_property
+    def coupled_potential(self) -> List[ExprField]:
+        """The coupled electromagnetic potential (q/hbar) A, built once."""
+        return [a * self.coupling for a in self.potential]
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.box_lo + self.box_hi)

@@ -193,19 +193,17 @@ def boosted_potential(phase: GalileiPhase, A: List[Field], old: Observer,
 
 
 def galilei_map(phase: GalileiPhase, sf: SpecialFunction,
-                observer: Optional[Observer] = None,
-                potential: Optional[List[Field]] = None) -> HermitianVF:
+                potential: List[Field],
+                observer: Optional[Observer] = None) -> HermitianVF:
     """The map F: special function -> Hermitian spacetime field.
 
-    `classify_j` of the pair (X, fbar), through the observed potential
-    of the given observer (the homotopy potential by default), with
-    fbar the scalar component of sf in that observer's
-    representation.  The result does not depend on the
-    observer when the potential is transported consistently.
+    `classify_j` of the pair (X, fbar) through `potential`, the observed
+    potential of the given observer (the chart by default), with fbar
+    the scalar component of sf in that observer's representation.  The
+    result does not depend on the observer when the potential is
+    transported consistently.
     """
     obs = observer or Observer.chart()
-    if potential is None:
-        potential = phase.observed_potential(obs)
     if sf.observer is obs or (sf.observer.is_chart() and obs.is_chart()):
         rep = sf
     else:
@@ -215,8 +213,8 @@ def galilei_map(phase: GalileiPhase, sf: SpecialFunction,
 
 
 def galilei_inverse_map(phase: GalileiPhase, y: HermitianVF,
-                        observer: Optional[Observer] = None,
-                        potential: Optional[List[Field]] = None
+                        potential: List[Field],
+                        observer: Optional[Observer] = None
                         ) -> SpecialFunction:
     """Recover the special function a Hermitian field represents.
 
@@ -225,8 +223,6 @@ def galilei_inverse_map(phase: GalileiPhase, y: HermitianVF,
     the fbar of `classify_h`.
     """
     obs = observer or Observer.chart()
-    if potential is None:
-        potential = phase.observed_potential(obs)
     f0 = y.X.comps[0]
     fi = [f0 * obs.vel[k] - y.X.comps[k + 1] for k in range(3)]
     return SpecialFunction(f0, fi, classify_h(potential, y).bbar, obs)
@@ -235,7 +231,7 @@ def galilei_inverse_map(phase: GalileiPhase, y: HermitianVF,
 def einstein_map(phase: EinsteinPhase, sf: ESpecialFunction) -> HermitianVF:
     """F in the Lorentzian case: `classify_j` of (X, fbar) through the
     coupled declared potential (q/hbar) A."""
-    return classify_j(phase.coupled_potential(),
+    return classify_j(phase.model.coupled_potential,
                       GaugePair(phase.tangent_projection(sf), sf.fbar))
 
 
@@ -243,7 +239,7 @@ def einstein_inverse_map(phase: EinsteinPhase,
                          y: HermitianVF) -> ESpecialFunction:
     """Recover the special function from its Hermitian representative."""
     return ESpecialFunction(list(y.X.comps),
-                            classify_h(phase.coupled_potential(), y).bbar)
+                            classify_h(phase.model.coupled_potential, y).bbar)
 
 
 def einstein_observed_map(phase: EinsteinPhase, sf: ESpecialFunction,
@@ -255,6 +251,6 @@ def einstein_observed_map(phase: EinsteinPhase, sf: ESpecialFunction,
     direct map for every observer.
     """
     pot = [t + a for t, a in zip(phase.observed_theta(obs),
-                                 phase.coupled_potential())]
+                                 phase.model.coupled_potential)]
     return classify_j(pot, GaugePair(phase.tangent_projection(sf),
                                      phase.observed_component(sf, obs)))

@@ -215,21 +215,8 @@ def _perm_sign_and_sorted(idx: Tuple[int, ...]):
     """Sign of the sort permutation, or (0, None) on a repeated index."""
     if len(set(idx)) != len(idx):
         return 0, None
-    order = sorted(range(len(idx)), key=lambda k: idx[k])
-    sign = 1
-    seen = [False] * len(idx)
-    for start in range(len(idx)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = order[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign, tuple(sorted(idx))
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return (-1) ** inversions, tuple(sorted(idx))
 
 
 class PForm:

@@ -5,10 +5,7 @@ check: a law string, a default tolerance, and a runner that returns the
 worst residual observed at the sampled phase points.  Checks are grouped
 into fixed suites (galilei-core, galilei-brackets, galilei-quantum,
 einstein-identities, einstein-brackets, einstein-quantum,
-section1-general, orbits) and the registry doubles as the coverage
-ledger: MODULE_INVARIANTS lists the invariant ids each theory module
-promises, and a meta-test asserts each id is certified by at least one
-registered check.
+section1-general, orbits).
 
 Residual conventions.  For ordinary checks the runner returns a maximum
 absolute residual and the check passes when it is at or below the
@@ -190,8 +187,6 @@ class _Ctx:
 class Check:
     name: str
     law: str
-    module: str                    # theory module this check exercises
-    invariant: Optional[str]       # id in MODULE_INVARIANTS, if any
     tolerance: float
     runner: Callable[[_Ctx], float]
 
@@ -656,35 +651,6 @@ def _orbit_hyperbolic(ctx: _Ctx) -> float:
 # ---------------------------------------------------------------------------
 # registry
 
-MODULE_INVARIANTS: Dict[str, List[str]] = {
-    "galilei": [
-        "contact-normalization",
-        "connection-compatibility",
-        "bracket-route-agreement",
-        "bracket-tangent-morphism",
-        "bracket-jacobi",
-        "lift-projectability",
-        "bracket-observer-independence",
-    ],
-    "einstein": [
-        "phase-identity-suite",
-        "cosymplectic-pair",
-        "horizontal-potential-derivative",
-        "bracket-tangent-morphism",
-        "bracket-jacobi",
-        "poisson-bivector-agreement",
-    ],
-    "quantum": [
-        "classification-intertwining",
-        "central-extension-exactness",
-        "hermitian-complex-linearity",
-        "galilei-map-isomorphism",
-        "galilei-map-observer-independence",
-        "einstein-map-isomorphism",
-    ],
-}
-
-
 SUITES: Dict[str, Suite] = {}
 
 
@@ -694,142 +660,120 @@ def _suite(name, framework, checks):
 
 _suite("galilei-core", "galilei", [
     Check("contact-time-normalization", "i(gamma) dt = 1",
-          "galilei", "contact-normalization", 1e-9, _g_time_normalization),
-    Check("contact-kernel", "i(gamma) Omega = 0",
-          "galilei", "contact-normalization", 1e-9, _contact_kernel),
+          1e-9, _g_time_normalization),
+    Check("contact-kernel", "i(gamma) Omega = 0", 1e-9, _contact_kernel),
     Check("connection-time-parallel", "nabla dt = 0 for the joined connection",
-          "galilei", "connection-compatibility", 1e-8, _g_time_parallel),
+          1e-8, _g_time_parallel),
     Check("connection-metric-parallel", "nabla g = 0 (symmetrized in i, j)",
-          "galilei", "connection-compatibility", 1e-8,
-          lambda ctx: _metric_parallel(ctx, ctx.points, range(1, 4))),
-    Check("connection-torsion-free", "K_lam^i_mu = K_mu^i_lam",
-          "galilei", "connection-compatibility", 1e-8,
+          1e-8, lambda ctx: _metric_parallel(ctx, ctx.points, range(1, 4))),
+    Check("connection-torsion-free", "K_lam^i_mu = K_mu^i_lam", 1e-8,
           lambda ctx: _torsion_free(ctx, range(1, 4))),
-    Check("cosymplectic-closed", "d Omega = 0",
-          "galilei", None, 1e-7, _closed_two_form),
+    Check("cosymplectic-closed", "d Omega = 0", 1e-7, _closed_two_form),
     Check("cosymplectic-volume",
           "dt ^ Omega^3 nondegenerate (reported as required/observed)",
-          "galilei", None, 1.0, _g_volume),
+          1.0, _g_volume),
     Check("lift-projectable",
           "hamiltonian lift of a special function pushes down to spacetime",
-          "galilei", "lift-projectability", 1e-9, _g_lift_projectable),
+          1e-9, _g_lift_projectable),
     Check("lift-witness-not-projectable",
           "lift of (x^1_0)^3 stays fibre-dependent (required/observed)",
-          "galilei", "lift-projectability", 1.0, _g_lift_witness),
+          1.0, _g_lift_witness),
 ])
 
 _suite("galilei-brackets", "galilei", [
     Check("bracket-closed-vs-definitional",
           "closed-form [[f,g]] = {f,g} + sigma-corrected drift terms",
-          "galilei", "bracket-route-agreement", 1e-8,
-          lambda ctx: _bracket_routes(ctx, _random_gspecial)),
-    Check("bracket-tangent-morphism", "X[[f,g]] = [X f, X g]",
-          "galilei", "bracket-tangent-morphism", 1e-8,
+          1e-8, lambda ctx: _bracket_routes(ctx, _random_gspecial)),
+    Check("bracket-tangent-morphism", "X[[f,g]] = [X f, X g]", 1e-8,
           lambda ctx: _tangent_morphism(ctx, _random_gspecial)),
-    Check("bracket-jacobi", "cyclic sum [[f,[g,h]]] = 0",
-          "galilei", "bracket-jacobi", 1e-7,
+    Check("bracket-jacobi", "cyclic sum [[f,[g,h]]] = 0", 1e-7,
           lambda ctx: _bracket_jacobi(ctx, _random_gspecial)),
     Check("bracket-observer-independence",
           "bracket value is unchanged under observer re-representation",
-          "galilei", "bracket-observer-independence", 1e-8,
-          _g_bracket_observer),
+          1e-8, _g_bracket_observer),
 ])
 
 _suite("galilei-quantum", "galilei", [
     Check("quantum-map-isomorphism",
-          "[F f, F g] = F [[f,g]] for the represented Hermitian fields",
-          "quantum", "galilei-map-isomorphism", 1e-8,
+          "[F f, F g] = F [[f,g]] for the represented Hermitian fields", 1e-8,
           lambda ctx: _map_isomorphism(ctx, _random_gspecial, _g_represent)),
     Check("quantum-observer-independence",
           "F computed against a boosted observer and gauge is unchanged",
-          "quantum", "galilei-map-observer-independence", 1e-8, _gq_observer),
+          1e-8, _gq_observer),
 ])
 
 _suite("einstein-identities", "einstein", [
     Check("phase-identity-suite",
           "alpha0 / tau / d contraction and derivative identity suite",
-          "einstein", "phase-identity-suite", 1e-8, _e_identity_suite),
+          1e-8, _e_identity_suite),
     Check("velocity-normalization", "g(d, d) = -c^2 and tau(d) = 1",
-          "einstein", None, 1e-9, _e_velocity_normalization),
-    Check("contact-time-normalization", "tau(gamma) = 1",
-          "einstein", None, 1e-9, _e_time_scale),
-    Check("contact-kernel", "i(gamma) Omega = 0",
-          "einstein", None, 1e-8, _contact_kernel),
-    Check("connection-metric-parallel", "nabla g = 0",
-          "einstein", None, 1e-8,
+          1e-9, _e_velocity_normalization),
+    Check("contact-time-normalization", "tau(gamma) = 1", 1e-9, _e_time_scale),
+    Check("contact-kernel", "i(gamma) Omega = 0", 1e-8, _contact_kernel),
+    Check("connection-metric-parallel", "nabla g = 0", 1e-8,
           lambda ctx: _metric_parallel(ctx, ctx.points[:24], range(4))),
-    Check("connection-torsion-free", "K_lam^nu_mu = K_mu^nu_lam",
-          "einstein", None, 1e-8,
+    Check("connection-torsion-free", "K_lam^nu_mu = K_mu^nu_lam", 1e-8,
           lambda ctx: _torsion_free(ctx, range(4))),
-    Check("cosymplectic-closed", "d Omega = 0",
-          "einstein", "cosymplectic-pair", 1e-7, _closed_two_form),
+    Check("cosymplectic-closed", "d Omega = 0", 1e-7, _closed_two_form),
     Check("cosymplectic-volume",
           "theta ^ Omega^3 nondegenerate (reported as required/observed)",
-          "einstein", "cosymplectic-pair", 1.0, _e_volume),
+          1.0, _e_volume),
     Check("horizontal-potential-derivative", "d(theta + (q/hbar) A) = Omega",
-          "einstein", "horizontal-potential-derivative", 1e-7,
-          _e_potential_derivative),
+          1e-7, _e_potential_derivative),
 ])
 
 _suite("einstein-brackets", "einstein", [
     Check("bracket-closed-vs-definitional",
           "closed-form [[f,g]] = {f,g} + sigma-corrected drift terms",
-          "einstein", None, 1e-7,
-          lambda ctx: _bracket_routes(ctx, _random_especial)),
-    Check("bracket-tangent-morphism", "X[[f,g]] = [X f, X g]",
-          "einstein", "bracket-tangent-morphism", 1e-8,
+          1e-7, lambda ctx: _bracket_routes(ctx, _random_especial)),
+    Check("bracket-tangent-morphism", "X[[f,g]] = [X f, X g]", 1e-8,
           lambda ctx: _tangent_morphism(ctx, _random_especial)),
     Check("bracket-pair-form",
           "fbar[[f,g]] = X1.g2 - X2.g1 + (q/hbar) F(X1, X2)",
-          "einstein", "bracket-tangent-morphism", 1e-8, _e_pair_form),
-    Check("bracket-jacobi", "cyclic sum [[f,[g,h]]] = 0",
-          "einstein", "bracket-jacobi", 1e-7,
+          1e-8, _e_pair_form),
+    Check("bracket-jacobi", "cyclic sum [[f,[g,h]]] = 0", 1e-7,
           lambda ctx: _bracket_jacobi(ctx, _random_especial)),
-    Check("poisson-antisymmetry", "{f,g} = -{g,f}",
-          "einstein", "poisson-bivector-agreement", 1e-8,
+    Check("poisson-antisymmetry", "{f,g} = -{g,f}", 1e-8,
           _e_poisson_antisymmetry),
     Check("poisson-bivector-route", "{f,g} = Lambda(df, dg)",
-          "einstein", "poisson-bivector-agreement", 1e-8, _e_poisson_bivector),
+          1e-8, _e_poisson_bivector),
 ])
 
 _suite("einstein-quantum", "einstein", [
     Check("quantum-map-isomorphism",
-          "[F f, F g] = F [[f,g]] for the represented Hermitian fields",
-          "quantum", "einstein-map-isomorphism", 1e-8,
+          "[F f, F g] = F [[f,g]] for the represented Hermitian fields", 1e-8,
           lambda ctx: _map_isomorphism(ctx, _random_especial, _e_represent)),
     Check("quantum-observed-route",
           "F built through an observer's potential equals the direct F",
-          "quantum", None, 1e-8, _eq_observed_route),
+          1e-8, _eq_observed_route),
 ])
 
 _suite("section1-general", "any", [
     Check("classification-intertwining",
           "classify_j carries the twisted pair bracket to the Hermitian one",
-          "quantum", "classification-intertwining", 1e-8, _s1_intertwining),
+          1e-8, _s1_intertwining),
     Check("pair-bracket-jacobi", "Jacobi cycle vanishes for a closed twist",
-          "quantum", None, 1e-8, _s1_jacobi),
+          1e-8, _s1_jacobi),
     Check("jacobi-witness-nonclosed",
           "a non-closed twist breaks Jacobi (reported as required/observed)",
-          "quantum", None, 1.0, _s1_jacobi_witness),
+          1.0, _s1_jacobi_witness),
     Check("central-extension-exactness",
           "base projection is a morphism; multipliers form an abelian ideal",
-          "quantum", "central-extension-exactness", 1e-10,
-          _s1_central_extension),
+          1e-10, _s1_central_extension),
     Check("hermitian-complex-linearity",
           "b-encoding passes is_hermitian and decodes losslessly",
-          "quantum", "hermitian-complex-linearity", 1e-9,
-          _s1_complex_linearity),
+          1e-9, _s1_complex_linearity),
 ])
 
 _suite("orbits", "any", [
     Check("orbit-free-straight-line", "force-free motion is a straight line",
-          "harness", None, 1e-12, _orbit_straight_line),
+          1e-12, _orbit_straight_line),
     Check("orbit-cyclotron-radius",
           "uniform-B circular orbit has radius m v / (q B), relative error",
-          "harness", None, 1e-5, _orbit_cyclotron),
+          1e-5, _orbit_cyclotron),
     Check("orbit-hyperbolic-worldline",
           "uniform-E worldline matches the analytic hyperbola",
-          "harness", None, 1e-5, _orbit_hyperbolic),
+          1e-5, _orbit_hyperbolic),
 ])
 
 

@@ -11,7 +11,9 @@ Regenerate (only for an intended change of results) with
     PYTHONPATH=src python tests/test_golden.py
 
 which first prints, for every check whose residual moved, the command
-line, the check, the old and new `max_residual` and the tolerance.
+line, the check, the old and new `max_residual` and the tolerance, and a
+`check added` or `check removed` line for every check that is in only
+the new or only the old report of a command line.
 """
 
 import io
@@ -65,6 +67,16 @@ def residual_moves(old: str, new: str):
             and c["max_residual"] != before[c["name"]]["max_residual"]]
 
 
+def check_changes(old: str, new: str):
+    """(added, removed): the names of the checks that only the new, or
+    only the old, of two reports of one command line has, in report
+    order."""
+    before = [c["name"] for c in json.loads(old)["checks"]]
+    after = [c["name"] for c in json.loads(new)["checks"]]
+    return ([n for n in after if n not in before],
+            [n for n in before if n not in after])
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -94,6 +106,16 @@ def test_residual_moves_lists_only_the_checks_that_moved():
     assert residual_moves(report(1e-16), report(1e-16)) == []
 
 
+def test_check_changes_lists_added_and_removed_checks():
+    def report(*names):
+        return json.dumps({"checks": [
+            {"name": n, "max_residual": 0.0, "tolerance": 1e-8}
+            for n in names]})
+    assert check_changes(report("a", "b", "c"), report("a", "d", "c", "e")) \
+        == (["d", "e"], ["b"])
+    assert check_changes(report("a", "b"), report("b", "a")) == ([], [])
+
+
 if __name__ == "__main__":
     previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     record = {}
@@ -104,6 +126,11 @@ if __name__ == "__main__":
         key = " ".join(argv)
         record[key] = out
         if key in previous:
+            added, removed = check_changes(previous[key], out)
+            for check in added:
+                print("%s  check added  %s" % (key, check))
+            for check in removed:
+                print("%s  check removed  %s" % (key, check))
             for check, old, new, tol in residual_moves(previous[key], out):
                 print("%s  %s  %r -> %r  (tolerance %g)"
                       % (key, check, old, new, tol))

@@ -11,10 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from covphase.modelspec import BinOp, Num, Var, constant, load_builtin
+from covphase.modelspec import (
+    BinOp, Num, Var, builtin_model_dir, constant, load_builtin,
+    parse_model_text,
+)
 from covphase.galilei import GalileiPhase, Observer, SpecialFunction
 from covphase.einstein import EinsteinPhase
-from covphase.smooth import PForm, VectorField, exterior_derivative, total
+from covphase.smooth import (
+    PForm, VectorField, exterior_derivative, field_values, total,
+)
 from covphase.suites import _poly as poly_field
 from covphase.suites import _random_especial as random_especial
 from covphase.suites import _random_gspecial as random_gspecial
@@ -568,6 +573,56 @@ class TestEinsteinMap:
                 worst = max(worst, abs(lhs.b.value(x) - rhs.b.value(x)))
                 worst = max(worst, np.max(np.abs(lhs.X.at(x) - rhs.X.at(x))))
         assert worst < 1e-8
+
+
+def coupled_copy(name: str):
+    """The builtin model name with q = 0.7 and hbar = 1.3."""
+    text = (builtin_model_dir() / (name + ".ini")).read_text()
+    for old, new in (("q = 1.0 ", "q = 0.7 "), ("hbar = 1.0 ", "hbar = 1.3 ")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return parse_model_text(text, name)
+
+
+class TestCoupledPotential:
+    """At a coupling other than 1, (q/hbar)A read from the model gives
+    the same scalar parts as the product constant(coupling) * A."""
+
+    def points(self, model):
+        rng = np.random.default_rng(31)
+        return np.hstack([rng.uniform(model.box_lo, model.box_hi, (20, 4)),
+                          rng.uniform(-0.5, 0.5, (20, 3))])
+
+    def assert_bit_equal(self, model, pairs):
+        P = self.points(model)
+        vals = [np.broadcast_to(v, (20,)) for v in
+                field_values([f for pair in pairs for f in pair], P)]
+        for k, (got, want) in enumerate(zip(vals[::2], vals[1::2])):
+            assert got.tobytes() == want.tobytes(), k
+
+    def test_galilei_scalar_parts(self):
+        model = coupled_copy("uniform-b")
+        assert model.coupling == 0.7 / 1.3
+        assert model.coupled_potential is model.coupled_potential
+        ph = GalileiPhase(model)
+        a = [constant(model.coupling) * ph.A[i] for i in range(4)]
+        a_up = [total(ph.inv_metric(i, j) * a[j] for j in range(1, 4))
+                for i in range(1, 4)]
+        pairs = [(ph.hamiltonian_function().fbar, -a[0]),
+                 (ph.momentum_square_function().fbar,
+                  total(a_up[i] * a[i + 1] for i in range(3)))]
+        pairs += [(ph.momentum_function(i).fbar, a[i]) for i in range(1, 4)]
+        self.assert_bit_equal(model, pairs)
+
+    def test_einstein_scalar_parts(self):
+        model = coupled_copy("uniform-e")
+        assert model.coupling == 0.7 / 1.3
+        assert model.coupled_potential is model.coupled_potential
+        ph = EinsteinPhase(model)
+        a = [constant(model.coupling) * ph.A[i] for i in range(4)]
+        pairs = [(ph.hamiltonian_function().fbar, -a[0])]
+        pairs += [(ph.momentum_function(i).fbar, a[i]) for i in range(1, 4)]
+        self.assert_bit_equal(model, pairs)
 
 
 class TestInverseMaps:

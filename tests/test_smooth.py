@@ -1,3 +1,4 @@
+import itertools
 from inspect import isfunction
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from covphase.modelspec import BinOp, ExprField, Var, constant, parse_expr
 from covphase.smooth import (
-    PForm, VectorField, cached, contract, directional, exterior_derivative,
-    lie_bracket, total, wedge,
+    PForm, VectorField, _perm_sign_and_sorted, cached, contract, directional,
+    exterior_derivative, lie_bracket, total, wedge,
 )
 
 from numutil import central_grad, form_matrix
@@ -115,6 +116,22 @@ class TestForms:
         e1, e2 = np.eye(dim)[1], np.eye(dim)[2]
         assert w.evaluate(p, e1, e2) == 1.0
         assert w.evaluate(p, e2, e1) == -1.0
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_perm_sign_is_the_permutation_determinant(self, n):
+        perms = list(itertools.permutations(range(n)))
+        dets = np.linalg.det(np.eye(n)[np.array(perms)])
+        for perm, det in zip(perms, dets):
+            assert _perm_sign_and_sorted(perm) \
+                == (int(np.sign(round(det))), tuple(range(n)))
+
+    def test_perm_sign_of_a_repeated_index_is_zero(self):
+        repeated = [idx for k in range(2, 6)
+                    for idx in itertools.product(range(5), repeat=k)
+                    if len(set(idx)) < k]
+        assert len(repeated) == 25 + 125 + 625 + 3125 - (20 + 60 + 120 + 120)
+        for idx in repeated:
+            assert _perm_sign_and_sorted(idx) == (0, None)
 
     def test_wedge_of_one_forms_pointwise(self):
         a, b = random_one_form(10), random_one_form(11)
