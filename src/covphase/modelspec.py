@@ -63,14 +63,15 @@ class ValidationError(Exception):
 # `ExprField`, a `smooth.Field`, so the phase modules combine,
 # differentiate and evaluate nodes themselves, with no wrapper object.
 # Nodes are hash-consed: each one is built through one weak table, keyed
-# by its class, its plain fields and the ids of its children, so building
-# a node structurally equal to a live one returns that node.  Structural
-# equality is identity, and nodes compare and hash by identity, so every
+# by its class, its plain fields and its children themselves (which the
+# node holds anyway), so building a node structurally equal to a live one
+# returns that node.  Structural equality is identity, and nodes compare
+# and hash by identity, so a key compares children by identity, and every
 # DAG walk keys its memo by the node itself.  A float is keyed with the
 # sign of a zero and its type, so Num(0.0), Num(-0.0) and Num(0) are three
 # nodes; a NaN is never looked up.  A node is never mutated after it is
 # built.  The table holds its nodes weakly, so a node is freed as soon as
-# nothing else refers to it, and its entry goes with it.  Each node
+# nothing else refers to it, and its entry and key go with it.  Each node
 # carries `_m`, the bitmask of the coordinates it reads (bit k for x_k),
 # set once when it is built, and `_d`, weak references to the derivatives
 # taken of it, the one cache of partials (see `derivative`).  A leaf is a
@@ -162,31 +163,31 @@ class ExprField(Field):
     # so Python raises TypeError
 
     def __add__(self, other):
-        b = _as_node(other)
+        b = other if isinstance(other, ExprField) else _as_node(other)
         return NotImplemented if b is None else _add(self, b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = _as_node(other)
+        b = other if isinstance(other, ExprField) else _as_node(other)
         return NotImplemented if b is None else _sub(self, b)
 
     def __rsub__(self, other):
-        b = _as_node(other)
+        b = other if isinstance(other, ExprField) else _as_node(other)
         return NotImplemented if b is None else _sub(b, self)
 
     def __mul__(self, other):
-        b = _as_node(other)
+        b = other if isinstance(other, ExprField) else _as_node(other)
         return NotImplemented if b is None else _mul(self, b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b = _as_node(other)
+        b = other if isinstance(other, ExprField) else _as_node(other)
         return NotImplemented if b is None else _div(self, b)
 
     def __rtruediv__(self, other):
-        b = _as_node(other)
+        b = other if isinstance(other, ExprField) else _as_node(other)
         return NotImplemented if b is None else _div(b, self)
 
     def __neg__(self):
@@ -194,13 +195,9 @@ class ExprField(Field):
 
 
 def _as_node(x):
-    """The node of an operand: a node itself, a number as a `Num`; None
-    for anything else."""
-    if isinstance(x, ExprField):
-        return x
-    if isinstance(x, (int, float)):
-        return _num(float(x))
-    return None
+    """The node of an operand that is not a node: a number as a `Num`,
+    None for anything else."""
+    return _num(float(x)) if isinstance(x, (int, float)) else None
 
 
 class Num(ExprField):
@@ -268,7 +265,7 @@ def _var(index):
 
 
 def _neg(arg):
-    key = (Neg, id(arg))
+    key = (Neg, arg)
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
@@ -278,7 +275,7 @@ def _neg(arg):
 
 
 def _binop(op, left, right):
-    key = (BinOp, op, id(left), id(right))
+    key = (BinOp, op, left, right)
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
@@ -288,7 +285,7 @@ def _binop(op, left, right):
 
 
 def _power(base, exponent):
-    key = (Pow, id(base), type(exponent), exponent)
+    key = (Pow, base, type(exponent), exponent)
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
@@ -298,7 +295,7 @@ def _power(base, exponent):
 
 
 def _call(func, arg):
-    key = (Call, func, id(arg))
+    key = (Call, func, arg)
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
@@ -309,8 +306,7 @@ def _call(func, arg):
 
 def _homotopy(phis, base, ts, weights, radial=True):
     phis = tuple(phis)
-    key = (Homotopy, tuple(map(id, phis)), _bits(base), _bits(ts),
-           _bits(weights), radial)
+    key = (Homotopy, phis, _bits(base), _bits(ts), _bits(weights), radial)
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
@@ -556,29 +552,30 @@ def _add(a, b):
 
 
 def _sub(a, b):
-    if _is_num(b, 0.0):
+    if type(b) is Num and b.number == 0.0:
         return a
-    if _is_num(a, 0.0):
+    if type(a) is Num and a.number == 0.0:
         return _neg(b)
     return _binop("-", a, b)
 
 
 def _mul(a, b):
-    x = a.number if type(a) is Num else None
-    y = b.number if type(b) is Num else None
-    if x == 0.0 or y == 0.0:
-        return _ZERO
-    if x == 1.0:
-        return b
-    if y == 1.0:
-        return a
+    if type(a) is Num or type(b) is Num:
+        x = a.number if type(a) is Num else None
+        y = b.number if type(b) is Num else None
+        if x == 0.0 or y == 0.0:
+            return _ZERO
+        if x == 1.0:
+            return b
+        if y == 1.0:
+            return a
     return _binop("*", a, b)
 
 
 def _div(a, b):
-    if _is_num(a, 0.0):
+    if type(a) is Num and a.number == 0.0:
         return _ZERO
-    if _is_num(b, 1.0):
+    if type(b) is Num and b.number == 1.0:
         return a
     return _binop("/", a, b)
 

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import BinOp, ExprField, Model, Num, Var, ValidationError, \
-    _FLOAT_ERRORS, constant, load_builtin, load_model
+    _FLOAT_ERRORS, _binop, _num, _var, constant, load_builtin, load_model
 from .smooth import Batch, PForm, VectorField, contract, directional, \
     exterior_derivative, field_values, lie_bracket, total, wedge
 from .smooth import worst as _worst
@@ -90,12 +90,13 @@ def resolve_model(spec) -> Model:
 # sampling and shared context
 
 def _poly(rng, nvars=4) -> ExprField:
-    node = Num(float(rng.uniform(-1.0, 1.0)))
+    # numpy's uniform(-1, 1) is -1 + 2 * random(): the same bits and draws
+    node = _num(-1.0 + 2.0 * rng.random())
     for _ in range(int(rng.integers(1, 4))):
-        term = Num(float(rng.uniform(-1.0, 1.0)))
+        term = _num(-1.0 + 2.0 * rng.random())
         for _ in range(int(rng.integers(1, 3))):
-            term = BinOp("*", term, Var(int(rng.integers(0, nvars))))
-        node = BinOp("+", node, term)
+            term = _binop("*", term, _var(int(rng.integers(0, nvars))))
+        node = _binop("+", node, term)
     return node
 
 

@@ -1026,6 +1026,74 @@ def test_arithmetic_builds_the_nodes_of_the_folding_constructors():
             make()
 
 
+# reference folding constructors, spelled with `_is_num` and a None for a
+# non-number: `_add`, `_sub`, `_mul`, `_div` and the operators must return
+# the node they return for every pair of operands
+
+
+def ref_add(a, b):
+    if type(a) is Num and a.number == 0.0:
+        return b
+    if type(b) is Num and b.number == 0.0:
+        return a
+    return ms._binop("+", a, b)
+
+
+def ref_sub(a, b):
+    if ms._is_num(b, 0.0):
+        return a
+    if ms._is_num(a, 0.0):
+        return ms._neg(b)
+    return ms._binop("-", a, b)
+
+
+def ref_mul(a, b):
+    x = a.number if type(a) is Num else None
+    y = b.number if type(b) is Num else None
+    if x == 0.0 or y == 0.0:
+        return ms._ZERO
+    if x == 1.0:
+        return b
+    if y == 1.0:
+        return a
+    return ms._binop("*", a, b)
+
+
+def ref_div(a, b):
+    if ms._is_num(a, 0.0):
+        return ms._ZERO
+    if ms._is_num(b, 1.0):
+        return a
+    return ms._binop("/", a, b)
+
+
+FOLDS = [(operator.add, ms._add, ref_add), (operator.sub, ms._sub, ref_sub),
+         (operator.mul, ms._mul, ref_mul),
+         (operator.truediv, ms._div, ref_div)]
+
+
+def test_folding_matches_the_reference():
+    nan = Num(math.nan)  # never interned: every NaN builds a new node
+    nodes = [Num(0.0), Num(-0.0), Num(1.0), Num(-1.0), Num(2.0), Num(1),
+             nan, Var(1), BinOp("*", Var(1), Var(2))]
+    assert type(Num(1).number) is int and Num(math.nan) is not nan
+    numbers = [0, 0.0, -0.0, 1, 1.0, -1.0, 2, 2.0]
+    for dunder, fold, ref in FOLDS:
+        for a in nodes:
+            for b in nodes:
+                want = ref(a, b)
+                assert fold(a, b) is want, (fold.__name__, a, b)
+                assert dunder(a, b) is want, (dunder.__name__, a, b)
+            # a number on either side is the Num of its float, and a
+            # reflected + or * keeps the node on the left
+            for x in numbers:
+                num = Num(float(x))
+                assert dunder(a, x) is ref(a, num), (dunder.__name__, a, x)
+                want = ref(a, num) if dunder in (operator.add, operator.mul) \
+                    else ref(num, a)
+                assert dunder(x, a) is want, (dunder.__name__, x, a)
+
+
 def test_partial_lives_as_long_as_its_caller_holds_it():
     f = parse_expr("x1 * exp(x1 * x7)")
     d = f.partial(1)
@@ -1104,6 +1172,29 @@ def test_dropped_nodes_and_derivatives_are_freed_without_the_cycle_collector():
         assert len(ms._NODES) > before
         del node, d, dd
         assert [r() for r in refs] == [None] * len(refs)
+        assert len(ms._NODES) == before
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: BinOp("*", c, Var(2)), lambda c: Neg(c),
+    lambda c: Pow(c, Fraction(1, 2)), lambda c: Call("sin", c),
+    lambda c: ms.Homotopy((Var(2), c), (0.5,) * 4, HOMOTOPY_TS,
+                          HOMOTOPY_WEIGHTS),
+], ids=["BinOp", "Neg", "Pow", "Call", "Homotopy"])
+def test_a_key_keeps_no_child_alive_after_its_node_dies(build):
+    # the table key of a node holds its children: it must go with the node
+    gc.disable()
+    try:
+        before = len(ms._NODES)
+        child = BinOp("+", Var(1), Num(0.7182818284590452))
+        parent = build(child)
+        dead = weakref.ref(child)
+        del child
+        assert dead() is not None and len(ms._NODES) > before
+        del parent
+        assert dead() is None
         assert len(ms._NODES) == before
     finally:
         gc.enable()

@@ -8,6 +8,11 @@ The two must keep the same points bit for bit, refuse after the same
 number of accepted draws, and fail with the same class at the same draw.
 The one difference is the text of an evaluation error, which now names
 the draw.
+
+`suites._poly` draws each coefficient as `-1.0 + 2.0 * rng.random()`,
+numpy's own formula for `uniform(-1.0, 1.0)`.  The reference `ref_poly`
+is the `rng.uniform` spelling it replaced: both must build the same
+polynomials and leave the generator in the same state.
 """
 
 import math
@@ -16,10 +21,10 @@ import numpy as np
 import pytest
 
 from covphase.modelspec import (
-    ValidationError, builtin_model_dir, compile_fields, load_builtin,
-    parse_model_text,
+    BinOp, Num, ValidationError, Var, builtin_model_dir, compile_fields,
+    load_builtin, parse_model_text,
 )
-from covphase.suites import MAX_DRAWS_PER_POINT, _Ctx, run_suite
+from covphase.suites import MAX_DRAWS_PER_POINT, _Ctx, _poly, run_suite
 
 EINSTEIN_MODELS = ("minkowski", "uniform-e", "curved-einstein",
                    "schwarzschild-like")
@@ -146,3 +151,44 @@ def test_failed_draw_is_not_drawn_again(monkeypatch, capsys):
         assert line.startswith("check %s: ValueError: sqrt of non-positive "
                                "value at point [" % record.name)
     assert len({line.split(": ", 1)[1] for line in lines}) == 1
+
+
+def ref_poly(rng, nvars=4):
+    node = Num(float(rng.uniform(-1.0, 1.0)))
+    for _ in range(int(rng.integers(1, 4))):
+        term = Num(float(rng.uniform(-1.0, 1.0)))
+        for _ in range(int(rng.integers(1, 3))):
+            term = BinOp("*", term, Var(int(rng.integers(0, nvars))))
+        node = BinOp("+", node, term)
+    return node
+
+
+def state(rng):
+    """The generator's state, with its arrays (Philox's) as lists."""
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+    return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: _Ctx(load_builtin("flat-free"), 1, seed).rng("poly"),
+    np.random.default_rng,
+], ids=["philox", "default_rng"])
+def test_poly_draws_the_reference_polynomials(make):
+    for seed in range(300):
+        want_rng, got_rng = make(seed), make(seed)
+        for nvars in (4, 7):
+            want = ref_poly(want_rng, nvars)
+            assert _poly(got_rng, nvars) is want
+            assert state(got_rng) == state(want_rng)
+
+
+def test_scaled_random_is_uniform_bit_for_bit():
+    want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = [float(want_rng.uniform(-1.0, 1.0)) for _ in range(100_000)]
+    got = [-1.0 + 2.0 * got_rng.random() for _ in range(100_000)]
+    assert np.array(got).view(np.uint64).tolist() == \
+        np.array(want).view(np.uint64).tolist()
+    assert state(got_rng) == state(want_rng)
