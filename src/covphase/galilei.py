@@ -194,8 +194,9 @@ class GalileiPhase:
 
     def poisson(self, f: Field, g: Field) -> Field:
         """Poisson bracket of two phase functions."""
-        fp = [f.partial(a) for a in range(7)]
-        gp = [g.partial(a) for a in range(7)]
+        # along x1..x6 only: the bracket reads no time derivative
+        fp = {a: f.partial(a) for a in range(1, 7)}
+        gp = {a: g.partial(a) for a in range(1, 7)}
         acc = total(self.inv_metric(i, j) * (fp[i] * gp[3 + j]
                                              - gp[i] * fp[3 + j])
                     for i in range(1, 4) for j in range(1, 4))

@@ -861,6 +861,16 @@ def _walk(root, memo: dict, visit):
     return memo[root]
 
 
+def dag_size(fields: Sequence[Field]) -> int:
+    """The number of distinct nodes in the fields' shared DAG: the arrays
+    one `Batch` holds once it has evaluated them all."""
+    memo = {}
+    for fld in fields:
+        for n in _pending(fld, memo):
+            memo[n] = None
+    return len(memo)
+
+
 class _Emitter:
     """Straight-line Python source for a set of expression DAGs.
 
@@ -879,12 +889,23 @@ class _Emitter:
     float code: its quadrature runs in a `Batch` only.
 
     A line is its target temporary (or None) and its tokens: text and
-    the references it reads.  `source` renames the temporaries, so that a
-    name is reused once the last line or output reading it has run.
+    the references it reads.  `source` writes a temporary as a statement
+    only where it is read more than once, can raise (`**`, sin, cos, exp,
+    sqrt) or is an output, and every other one (`+ - * /`, negation,
+    `abs`) in parentheses into its one reader, at most NESTING deep.  So
+    only operations that cannot raise run later, on the same operands: a
+    division runs after its divisor check.  `source` renames the
+    statements' temporaries, so that a name is reused once the last
+    statement or output reading it has run.
     """
+
+    # CPython's tokenizer refuses 200 nested parentheses; an inlined value
+    # adds at most two
+    NESTING = 32
 
     def __init__(self):
         self.lines: List[Tuple[Optional[str], tuple]] = []
+        self.safe = set()  # temporaries whose operation cannot raise
         self.env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
                     "_sqrt": math.sqrt}
         self.memo: Dict[object, str] = {}
@@ -901,20 +922,41 @@ class _Emitter:
 
     def source(self, outs: Sequence[str]) -> str:
         """The emitted lines as the source of a function p -> [outs].  Each
-        temporary is renamed to a name that is free when its line runs:
-        a name is freed once the last line or output reading it has run."""
-        last = {}  # temporary -> the index of the last line reading it
-        for i, (target, tokens) in enumerate(self.lines):
+        statement's temporary is renamed to a name that is free when it
+        runs: a name is freed once the last statement or output reading
+        it has run."""
+        reads = dict.fromkeys(outs, 2)  # an output is never written inline
+        for _, tokens in self.lines:
+            for ref in tokens:
+                reads[ref] = reads.get(ref, 0) + 1
+        inline = {}  # temporary -> its tokens in parentheses, their depth
+        stmts = []
+        for target, tokens in self.lines:
+            text, depth = [], 0
+            for ref in tokens:
+                if ref in inline:
+                    sub, d = inline.pop(ref)
+                    text += sub
+                    depth = max(depth, d)
+                else:
+                    text.append(ref)
+            if target in self.safe and reads.get(target, 0) < 2 \
+                    and depth < self.NESTING:
+                inline[target] = (["(", *text, ")"], depth + 1)
+            else:
+                stmts.append((target, text))
+        last = {}  # temporary -> the index of the last statement reading it
+        for i, (target, tokens) in enumerate(stmts):
             for ref in tokens:
                 if ref in last:
                     last[ref] = i
             if target:
-                last[target] = i  # until a line reads it
+                last[target] = i  # until a statement reads it
         for ref in outs:
             if ref in last:
-                last[ref] = len(self.lines)
+                last[ref] = len(stmts)
         names, free, body, count = {}, [], [], 0
-        for i, (target, tokens) in enumerate(self.lines):
+        for i, (target, tokens) in enumerate(stmts):
             line = "".join(names.get(ref, ref) for ref in tokens)
             for ref in tokens:
                 if last.get(ref) == i:  # its last reader: the name is free
@@ -941,9 +983,11 @@ class _Emitter:
         # popped, so the function and its globals form no reference cycle
         return namespace.pop("_compiled")
 
-    def temp(self, *tokens) -> str:
+    def temp(self, *tokens, raises=False) -> str:
         name = "t%d" % len(self.lines)
         self.lines.append((name, tokens))
+        if not raises:
+            self.safe.add(name)
         return name
 
     def check(self, cond: tuple, exc: str, message: str) -> None:
@@ -998,14 +1042,14 @@ class _Emitter:
                 if e.denominator != 1:
                     self.check((a, " <= 0.0"), "ValueError",
                                "fractional power of non-positive base")
-                return self.temp(a, " ** %r" % float(e))
+                return self.temp(a, " ** %r" % float(e), raises=True)
             case Call(func=f):
                 a, = kids
                 if f == "sqrt":
                     self.check((a, " <= 0.0"), "ValueError",
                                "sqrt of non-positive value")
                 fn = "abs" if f == "abs" else "_" + f
-                return self.temp(fn + "(", a, ")")
+                return self.temp(fn + "(", a, ")", raises=f != "abs")
         raise TypeError("no float code for a %s node" % type(node).__name__)
 
 
@@ -1017,7 +1061,8 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     as straight-line float code with one operation per compound node;
     common subexpressions are shared across all the fields.  A subtree
     that reads no coordinate is folded into its number at compile time,
-    unless it fails, and then it stays in place to raise.  A temporary's
+    unless it fails, and then it stays in place to raise.  A value read
+    once that cannot raise is written into its reader.  A temporary's
     name is reused once its last reader has run.  Every operation is the
     same IEEE float operation as in `_Rows`, so the values equal a batch
     row's bit for bit, and an error raises the class and text that the

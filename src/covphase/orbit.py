@@ -14,14 +14,15 @@ orbit into one function of the 7 state floats (the phase's
 `dynamical_fn`).  The RK4 step is straight-line code over 7 named floats
 that calls it through its `rhs` argument, a hook the benchmark's tracer
 wraps to count steps and RHS calls.  The residual evaluates the fields
-over the interior samples, BATCH_ROWS samples to a `Batch`, and reduces
-with whole array operations.  Both give the floats of `Field.value` at
-each point, a one-row batch whose float operations the compiled code
-repeats.  A Galilei residual does not fail: each interior sample began
-an RK4 step, whose first right-hand side evaluated the same fields
-there.  An Einstein residual reads its velocities from finite
-differences, so a sample may fail; the first failing sample raises the
-class the compiled right-hand side raises there.
+over the interior samples, a block of them to a `Batch` (more samples to
+a block where the fields' DAG is small), and reduces with whole array
+operations.  Both give the floats of `Field.value` at each point, a
+one-row batch whose float operations the compiled code repeats.  A
+Galilei residual does not fail: each interior sample began an RK4 step,
+whose first right-hand side evaluated the same fields there.  An
+Einstein residual reads its velocities from finite differences, so a
+sample may fail; the first failing sample raises the class the compiled
+right-hand side raises there.
 
 Galilei trajectories are parametrized by the absolute time x^0, so the
 first state component advances linearly.  Einstein trajectories are
@@ -36,7 +37,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .modelspec import Model
+from .modelspec import Model, dag_size
 from .galilei import GalileiPhase
 from .smooth import field_values
 from .einstein import EinsteinPhase
@@ -51,8 +52,10 @@ BOX_SLACK = 1e-9
 
 # samples per law-residual batch: a batch holds an array over its rows for
 # every node of the fields' DAG, so a whole trajectory at once would raise
-# the peak memory by megabytes
+# the peak memory by megabytes.  A batch takes BATCH_ROWS samples, or more
+# where the DAG is small: as many as BATCH_CELLS array elements allow
 BATCH_ROWS = 256
+BATCH_CELLS = 256 * 256
 
 
 class BoxExit(RuntimeError):
@@ -152,16 +155,18 @@ def _rk4(rhs: Callable[[List[float]], List[float]], state: List[float],
 
 
 def _blockwise(block: Callable[[np.ndarray], np.ndarray],
-               states: np.ndarray) -> np.ndarray:
+               states: np.ndarray, fields) -> np.ndarray:
     """Per-sample residuals, NaN at both ends: block(window) gives the
     residuals of a window's interior samples, for windows of at most
-    BATCH_ROWS interior samples plus one neighbour on each side, in
+    max(BATCH_ROWS, BATCH_CELLS // the DAG size of the fields block
+    evaluates) interior samples plus one neighbour on each side, in
     order, so the first sample to fail is in the first block that fails.
     """
+    rows = max(BATCH_ROWS, BATCH_CELLS // dag_size(fields))
     n = len(states)
     out = np.full(n, np.nan)
-    for lo in range(1, n - 1, BATCH_ROWS):
-        hi = min(lo + BATCH_ROWS, n - 1)
+    for lo in range(1, n - 1, rows):
+        hi = min(lo + rows, n - 1)
         out[lo:hi] = block(states[lo - 1:hi + 1])
     return out
 
@@ -178,7 +183,7 @@ def _galilei_residuals(phase: GalileiPhase, states: np.ndarray,
         return np.maximum(np.max(np.abs(vdot - force), axis=1),
                           np.max(np.abs(xdot - inner[:, 4:7]), axis=1))
 
-    return _blockwise(block, states)
+    return _blockwise(block, states, fields)
 
 
 def _einstein_residuals(phase: EinsteinPhase, states: np.ndarray,
@@ -190,7 +195,11 @@ def _einstein_residuals(phase: EinsteinPhase, states: np.ndarray,
         return np.max(np.abs(phase.law_residual(xs[1:-1], xdot, xddot)),
                       axis=1)
 
-    return _blockwise(block, states)
+    # the fields law_residual evaluates: the radicand, and the pace and
+    # the force of the dynamical vector
+    comps = phase.dynamical_vector().comps
+    fields = [phase.radicand(), comps[0], *comps[4:]]
+    return _blockwise(block, states, fields)
 
 
 def integrate_orbit(model: Model, x0, v0, duration: float,

@@ -8,6 +8,7 @@ value at a point is a one-row batch.  Values are compared bit for bit
 (sign of zero and NaN included), not within a tolerance.
 """
 
+import ast
 import math
 import re
 from fractions import Fraction
@@ -208,15 +209,95 @@ def test_no_product_by_a_unit(monkeypatch):
         assert not re.search(r"\* \(-?1\.0\)|\(-?1\.0\) \*", src), src
 
 
+# the operations that can raise on floats; `+ - * /` (a division after its
+# divisor check), negation and abs cannot
+RAISING = {"_sin", "_cos", "_exp", "_sqrt"}
+
+
+def raises(op) -> bool:
+    return (isinstance(op, ast.BinOp) and isinstance(op.op, ast.Pow)
+            or isinstance(op, ast.Call) and op.func.id in RAISING)
+
+
+def operations(tree):
+    """The float operations under tree: the negative literals and the
+    coordinate loads, checks and raises aside."""
+    for op in ast.walk(tree):
+        if isinstance(op, ast.BinOp) or isinstance(op, ast.UnaryOp) \
+                and isinstance(op.op, ast.USub) \
+                and not isinstance(op.operand, ast.Constant) \
+                or isinstance(op, ast.Call) \
+                and op.func.id in RAISING | {"abs"}:
+            yield op
+
+
+def names(tree, name) -> int:
+    """How often tree reads name."""
+    return sum(isinstance(n, ast.Name) and n.id == name
+               for n in ast.walk(tree))
+
+
+def uses(body, k, name):
+    """How often the statements after statement k read the value it
+    stores in name, up to the one that stores name again, and whether the
+    return reads it."""
+    count = 0
+    for stmt in body[k + 1:-1]:
+        stores = isinstance(stmt, ast.Assign)
+        count += names(stmt.value if stores else stmt, name)
+        if stores and stmt.targets[0].id == name:
+            return count, False
+    return count, names(body[-1], name) > 0
+
+
 def test_temporaries_are_reused(monkeypatch):
-    # curved-einstein's right-hand side has 284 operations; a name is
-    # free again once its last reader has run
+    # curved-einstein's right-hand side has 284 operations.  A temporary
+    # is stored only where its value is read twice or more, its operation
+    # can raise, or it is an output; every other operation is written
+    # into its one reader.  A name is free again once its last reader has
+    # run, so the right-hand side needs few names
     phase = EinsteinPhase(load_builtin("curved-einstein"))
     src = compiled_source(monkeypatch, phase)
+    body = ast.parse(src).body[0].body
+    assert len(list(operations(ast.Module(body, [])))) == 284
+    stored = 0
+    for k, stmt in enumerate(body[:-1]):
+        if not (isinstance(stmt, ast.Assign)
+                and re.fullmatch(r"t\d+", stmt.targets[0].id)):
+            continue
+        stored += 1
+        value = stmt.value
+        # a raising operation is never written into a reader
+        assert not any(raises(op) for op in operations(value)
+                       if op is not value), ast.unparse(stmt)
+        count, returned = uses(body, k, stmt.targets[0].id)
+        assert raises(value) or returned or count >= 2, ast.unparse(stmt)
+    assert stored == 76
     temps = set(re.findall(r"\bt\d+\b", src))
-    assert len(src.splitlines()) > 284 and len(temps) <= 48
+    assert len(temps) <= 48
     assert temps == {v for v in phase.dynamical_fn().__code__.co_varnames
                      if re.fullmatch(r"t\d+", v)}
+
+
+@pytest.mark.parametrize("text,fails", [
+    ("x1 * x2 + sqrt(x3)", "_sqrt("),
+    ("x1 * x2 - x3^(1/2)", " ** "),
+    ("x1 * x2 * (x3 / x3)", "ZeroDivisionError"),
+    ("(x1 * x2) * exp(x3)", "_exp("),
+])
+def test_a_product_written_into_its_reader_keeps_the_first_error(text,
+                                                                 fails):
+    # the product is read once, so it is computed in the line that reads
+    # it, after the sqrt, power, division or exp that fails; the product
+    # itself cannot raise (it overflows to inf), so the first error, or
+    # the value, is the batch's
+    em = _Emitter()
+    lines = em.source([em.field(parse_expr(text))]).splitlines()
+    assert "(x1 * x2)" in lines[-2]
+    assert any(fails in line for line in lines[:-2]), lines
+    for x3 in (-1.0, 0.0, 4.0, 1000.0, math.inf, math.nan):
+        for x1 in (0.5, 1e200):
+            assert_same_outcome([parse_expr(text)], [0.0, x1, x1, x3])
 
 
 GRID = [0.0, 1e-320, 1e-310, 1e-300, 1e-200, 1e-150, 1e-100, 0.3, 1.0,
@@ -291,6 +372,24 @@ def test_deep_chain_compiles():
         want = want + 1.0 if k % 2 else want - 1.0
         want = -want if k % 1000 == 0 else want
     assert fn([0.0, 0.25, 0.0, 0.0]) == [want]
+
+
+def test_deep_single_use_sum_compiles():
+    # each partial sum is read once, by the next, so it would be written
+    # into it; past the nesting limit a partial sum is stored instead,
+    # which keeps the parentheses few enough for CPython's parser
+    node = Var(1)
+    for _ in range(5000):
+        node = BinOp("+", node, Var(2))
+    em = _Emitter()
+    src = em.source([em.field(node)])
+    stored = [line for line in src.splitlines()
+              if re.fullmatch(r" +t\d+ = .*", line)]
+    assert len(stored) == math.ceil(5000 / (_Emitter.NESTING + 1))
+    want = 0.25
+    for _ in range(5000):
+        want = want + 0.1
+    assert compile_fields([node])([0.0, 0.25, 0.1, 0.0]) == [want]
 
 
 # ---------------------------------------------------------------------------

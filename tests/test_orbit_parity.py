@@ -20,7 +20,8 @@ from covphase import orbit
 from covphase.einstein import EinsteinPhase, LightconeViolation
 from covphase.galilei import GalileiPhase
 from covphase.modelspec import (
-    available_models, compile_fields, load_builtin, parse_model_text,
+    available_models, compile_fields, dag_size, load_builtin,
+    parse_model_text,
 )
 from covphase.orbit import BOX_SLACK, BoxExit, integrate_orbit
 
@@ -485,16 +486,38 @@ def test_galilei_nan_velocity_is_a_nan_residual():
     assert got[rows].tobytes() == want[rows].tobytes()
 
 
+def _block_rows(monkeypatch):
+    """The list of the interior samples of each law-residual block, in
+    the order they run, from now on."""
+    rows = []
+    blockwise = orbit._blockwise
+
+    def recorded(block, states, fields):
+        def counted(window):
+            rows.append(len(window) - 2)
+            return block(window)
+        return blockwise(counted, states, fields)
+
+    monkeypatch.setattr(orbit, "_blockwise", recorded)
+    return rows
+
+
 @pytest.mark.parametrize("rows", [1, 7, 64])
 def test_residual_blocks_join_without_seams(monkeypatch, rows):
-    # the residuals are batched BATCH_ROWS samples at a time; every block
-    # size gives the reference's bits and its first failure
+    # the residuals are batched some samples at a time; every block size
+    # gives the reference's bits and its first failure.  With no cell
+    # budget, a block takes exactly BATCH_ROWS samples
     monkeypatch.setattr(orbit, "BATCH_ROWS", rows)
+    monkeypatch.setattr(orbit, "BATCH_CELLS", 0)
+    sizes = _block_rows(monkeypatch)
     for name in ("curved-galilei", "curved-einstein"):
         model = load_builtin(name)
         times, states, resid = ref_integrate(model, X0, V0, DURATION, STEP)
+        sizes.clear()
         res = integrate_orbit(model, X0, V0, DURATION, STEP)
         assert _same_bits(res.law_residuals, resid)
+        full, rest = divmod(199, rows)  # 199 interior samples
+        assert sizes == [rows] * full + [rest] * (rest > 0)
     phase, states = _planted("uniform-e", (8, 5))
     with pytest.raises(LightconeViolation):
         orbit._einstein_residuals(phase, states, 1e-2)
@@ -508,6 +531,25 @@ def test_residual_blocks_join_without_seams(monkeypatch, rows):
     with pytest.raises((ValueError, ArithmeticError)) as got:
         orbit._einstein_residuals(phase, states, 1.0)
     assert str(got.value) == _field_error_text(want.value, states, 1.0, 5)
+
+
+def test_residual_blocks_are_sized_by_the_dag(monkeypatch):
+    # a block takes BATCH_CELLS // (the DAG size of its fields) samples,
+    # and at least BATCH_ROWS: uniform-b's force has 19 nodes, so the
+    # README cyclotron's 3,141 interior samples are one block, while
+    # curved-einstein's residual fields have 296 nodes and keep 256
+    sizes = _block_rows(monkeypatch)
+    phase = GalileiPhase(load_builtin("uniform-b"))
+    assert dag_size([phase.gamma(i) for i in range(1, 4)]) == 19
+    integrate_orbit(load_builtin("uniform-b"), [0.0] * 4, [0.5, 0.0, 0.0],
+                    3.1416, 1e-3)
+    assert sizes == [3141]
+    phase = EinsteinPhase(load_builtin("curved-einstein"))
+    comps = phase.dynamical_vector().comps
+    assert dag_size([phase.radicand(), comps[0], *comps[4:]]) == 296
+    sizes.clear()
+    integrate_orbit(load_builtin("curved-einstein"), X0, V0, 0.6, 1e-3)
+    assert sizes == [256, 256, 87]
 
 
 def _count_rk4(monkeypatch):
