@@ -894,9 +894,7 @@ class _Emitter:
     sqrt) or is an output, and every other one (`+ - * /`, negation,
     `abs`) in parentheses into its one reader, at most NESTING deep.  So
     only operations that cannot raise run later, on the same operands: a
-    division runs after its divisor check.  `source` renames the
-    statements' temporaries, so that a name is reused once the last
-    statement or output reading it has run.
+    division runs after its divisor check.
     """
 
     # CPython's tokenizer refuses 200 nested parentheses; an inlined value
@@ -921,16 +919,13 @@ class _Emitter:
         return _walk(fld, self.memo, self.visit)
 
     def source(self, outs: Sequence[str]) -> str:
-        """The emitted lines as the source of a function p -> [outs].  Each
-        statement's temporary is renamed to a name that is free when it
-        runs: a name is freed once the last statement or output reading
-        it has run."""
+        """The emitted lines as the source of a function p -> [outs]."""
         reads = dict.fromkeys(outs, 2)  # an output is never written inline
         for _, tokens in self.lines:
             for ref in tokens:
                 reads[ref] = reads.get(ref, 0) + 1
         inline = {}  # temporary -> its tokens in parentheses, their depth
-        stmts = []
+        body = []
         for target, tokens in self.lines:
             text, depth = [], 0
             for ref in tokens:
@@ -944,36 +939,13 @@ class _Emitter:
                     and depth < self.NESTING:
                 inline[target] = (["(", *text, ")"], depth + 1)
             else:
-                stmts.append((target, text))
-        last = {}  # temporary -> the index of the last statement reading it
-        for i, (target, tokens) in enumerate(stmts):
-            for ref in tokens:
-                if ref in last:
-                    last[ref] = i
-            if target:
-                last[target] = i  # until a statement reads it
-        for ref in outs:
-            if ref in last:
-                last[ref] = len(stmts)
-        names, free, body, count = {}, [], [], 0
-        for i, (target, tokens) in enumerate(stmts):
-            line = "".join(names.get(ref, ref) for ref in tokens)
-            for ref in tokens:
-                if last.get(ref) == i:  # its last reader: the name is free
-                    del last[ref]
-                    free.append(names[ref])
-            if target:
-                if not free:
-                    free.append("t%d" % count)
-                    count += 1
-                name = names[target] = free.pop()
-                if last[target] == i:  # read by nothing
-                    free.append(name)
-                line = "%s = %s" % (name, line)
-            body.append("    %s\n" % line)
+                line = "".join(text)
+                if target:
+                    line = "%s = %s" % (target, line)
+                body.append("    %s\n" % line)
         binds = "".join(", %s=%s" % (k, k) for k in self.env)
         return "def _compiled(p%s):\n%s    return [%s]\n" % (
-            binds, "".join(body), ", ".join(names.get(r, r) for r in outs))
+            binds, "".join(body), ", ".join(outs))
 
     def function(self, outs: Sequence[str]) -> Callable:
         """The emitted lines as a function p -> [outs]."""
@@ -1062,11 +1034,10 @@ def compile_fields(fields: Sequence[Field]) -> Callable[[Sequence[float]],
     common subexpressions are shared across all the fields.  A subtree
     that reads no coordinate is folded into its number at compile time,
     unless it fails, and then it stays in place to raise.  A value read
-    once that cannot raise is written into its reader.  A temporary's
-    name is reused once its last reader has run.  Every operation is the
-    same IEEE float operation as in `_Rows`, so the values equal a batch
-    row's bit for bit, and an error raises the class and text that the
-    batch logs on that row (ValueError, ZeroDivisionError,
+    once that cannot raise is written into its reader.  Every operation
+    is the same IEEE float operation as in `_Rows`, so the values equal a
+    batch row's bit for bit, and an error raises the class and text that
+    the batch logs on that row (ValueError, ZeroDivisionError,
     OverflowError), without the point.  It serves the
     one function that runs many times on one point each, the phases'
     `dynamical_fn`, once per RK4 stage; every evaluation over many points

@@ -326,12 +326,3 @@ def contract(X: VectorField, w: PForm) -> PForm:
             comps[rest] = comps[rest] + term if rest in comps else term
     return PForm(w.dim, w.degree - 1, comps)
 
-
-def bivector_bracket(L: PForm, f: Field, g: Field) -> Field:
-    """Action of an antisymmetric 2-vector on two scalars, Λ(df, dg).
-
-    `L` reuses the `PForm` container with contravariant meaning.
-    """
-    return total((comp * (f.partial(a) * g.partial(b)
-                          - f.partial(b) * g.partial(a))
-                  for (a, b), comp in L.comps.items()), _constant(0.0))

@@ -237,46 +237,33 @@ def names(tree, name) -> int:
                for n in ast.walk(tree))
 
 
-def uses(body, k, name):
-    """How often the statements after statement k read the value it
-    stores in name, up to the one that stores name again, and whether the
-    return reads it."""
-    count = 0
-    for stmt in body[k + 1:-1]:
-        stores = isinstance(stmt, ast.Assign)
-        count += names(stmt.value if stores else stmt, name)
-        if stores and stmt.targets[0].id == name:
-            return count, False
-    return count, names(body[-1], name) > 0
-
-
-def test_temporaries_are_reused(monkeypatch):
-    # curved-einstein's right-hand side has 284 operations.  A temporary
-    # is stored only where its value is read twice or more, its operation
-    # can raise, or it is an output; every other operation is written
-    # into its one reader.  A name is free again once its last reader has
-    # run, so the right-hand side needs few names
+def test_values_are_stored_only_where_needed(monkeypatch):
+    # curved-einstein's right-hand side has 284 operations.  A value is
+    # stored only where it is read twice or more, its operation can raise,
+    # or it is an output; every other operation is written into its one
+    # reader.  Each stored temporary is assigned once, so its readers are
+    # all the statements after it
     phase = EinsteinPhase(load_builtin("curved-einstein"))
     src = compiled_source(monkeypatch, phase)
     body = ast.parse(src).body[0].body
     assert len(list(operations(ast.Module(body, [])))) == 284
-    stored = 0
+    temps = []
     for k, stmt in enumerate(body[:-1]):
         if not (isinstance(stmt, ast.Assign)
                 and re.fullmatch(r"t\d+", stmt.targets[0].id)):
             continue
-        stored += 1
+        name = stmt.targets[0].id
+        temps.append(name)
         value = stmt.value
         # a raising operation is never written into a reader
         assert not any(raises(op) for op in operations(value)
                        if op is not value), ast.unparse(stmt)
-        count, returned = uses(body, k, stmt.targets[0].id)
+        count = names(ast.Module(body[k + 1:-1], []), name)
+        returned = names(body[-1], name) > 0
         assert raises(value) or returned or count >= 2, ast.unparse(stmt)
-    assert stored == 76
-    temps = set(re.findall(r"\bt\d+\b", src))
-    assert len(temps) <= 48
-    assert temps == {v for v in phase.dynamical_fn().__code__.co_varnames
-                     if re.fullmatch(r"t\d+", v)}
+    assert len(temps) == len(set(temps)) == 76
+    assert set(temps) == {v for v in phase.dynamical_fn().__code__.co_varnames
+                          if re.fullmatch(r"t\d+", v)}
 
 
 @pytest.mark.parametrize("text,fails", [

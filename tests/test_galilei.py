@@ -14,11 +14,13 @@ from covphase.modelspec import (
 )
 from covphase import smooth
 from covphase.galilei import GalileiPhase, Observer
+from covphase.quantum import two_form_on
 from covphase.suites import _poly as poly_field
 from covphase.suites import _random_gspecial as random_special
 from covphase.suites import run_suite
 from covphase.smooth import (
-    PForm, contract, directional, exterior_derivative, lie_bracket, wedge,
+    PForm, VectorField, contract, directional, exterior_derivative,
+    lie_bracket, wedge,
 )
 
 from numutil import central_grad, form_matrix
@@ -170,14 +172,17 @@ class TestCosymplectic:
         assert abs(abs(val) - 6.0) < 1e-12
 
     def test_poisson_matches_bivector(self, phases):
-        from covphase.smooth import bivector_bracket
+        # the bivector on the gradients, Lambda(df, dg)
         for name in ("uniform-b", "curved-gravity"):
             ph = phases[name]
             rng = np.random.default_rng(3)
             f = poly_field(rng, nvars=7)
             g = poly_field(rng, nvars=7)
             direct = ph.poisson(f, g)
-            via_bv = bivector_bracket(ph.poisson_bivector(), f, g)
+            via_bv = two_form_on(
+                ph.poisson_bivector(),
+                VectorField([f.partial(k) for k in range(7)]),
+                VectorField([g.partial(k) for k in range(7)]))
             for p in phase_points(ph.model, 5):
                 assert abs(direct.value(p) - via_bv.value(p)) < 1e-10
 

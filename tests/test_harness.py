@@ -77,8 +77,6 @@ UNREFERENCED_ALLOWED = {
         "Hermitian-metric preservation, still to be certified",
     "quantum.metric_derivative_defect":
         "Hermitian-metric preservation, still to be certified",
-    "smooth.bivector_bracket":
-        "the Galilei Poisson-bivector route, still to be certified",
     "smooth.FuncField":
         "a name only: perfbench/tracing.py patches its jet by name",
     "smooth.BoxedField":
@@ -544,8 +542,28 @@ class TestCli:
          "max law-of-motion residual: 6.427e-08\n"),
     ]
 
-    @pytest.mark.parametrize("args,stdout", README_ORBITS,
-                             ids=["uniform-b", "uniform-e"])
+    # stdout of the orbits on the two largest compiled right-hand sides:
+    # the benchmark's curved-galilei orbit and CI's curved-einstein one
+    CURVED_ORBITS = [
+        (("--model", "curved-galilei", "--framework", "g",
+          "--x0", "-0.9", "0", "0", "0", "--v", "0.2", "0.1", "0",
+          "--duration", "0.3"),
+         "steps: 300   parameter span: 0.3\n"
+         "final position: [-0.6         0.06033938  0.02899252 -0.00090259]\n"
+         "final velocity: [ 0.20205181  0.09387421 -0.0060251 ]\n"
+         "max law-of-motion residual: 6.682e-09\n"),
+        (("--model", "curved-einstein", "--framework", "e",
+          "--x0", "0.1", "0.2", "-0.15", "0.05", "--v", "0.3", "-0.2", "0.25",
+          "--duration", "0.4", "--step", "0.002"),
+         "steps: 200   parameter span: 0.4\n"
+         "final position: [ 0.53991197  0.33082031 -0.22972924  0.16069057]\n"
+         "final velocity: [ 0.2931846  -0.16476572  0.25321537]\n"
+         "max law-of-motion residual: 1.108e-08\n"),
+    ]
+
+    @pytest.mark.parametrize("args,stdout", README_ORBITS + CURVED_ORBITS,
+                             ids=["uniform-b", "uniform-e", "curved-galilei",
+                                  "curved-einstein"])
     def test_readme_orbit_output_pinned(self, args, stdout):
         proc = run_cli("orbit", *args)
         assert proc.returncode == 0, proc.stderr
