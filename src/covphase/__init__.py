@@ -6,14 +6,11 @@ cosymplectic pair, special phase functions and their bracket) and the
 representation of special functions by Hermitian vector fields of a
 quantum line bundle.  Every structural law it claims is registered as a
 named check in `covphase.suites` and runnable through the `covphase`
-command line tool.
+command line tool.  The names of `__all__` are imported on first use
+(PEP 562), so that `covphase orbit` loads no suite code.
 """
 
-from .modelspec import Model, load_builtin, load_model
-from .galilei import GalileiPhase
-from .einstein import EinsteinPhase
-from .orbit import integrate_orbit
-from .suites import run_suite, suite_names
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -22,3 +19,19 @@ __all__ = [
     "GalileiPhase", "EinsteinPhase",
     "integrate_orbit", "run_suite", "suite_names",
 ]
+
+# the module of the package that defines each name of __all__
+_HOME = {"Model": "modelspec", "load_builtin": "modelspec",
+         "load_model": "modelspec", "GalileiPhase": "galilei",
+         "EinsteinPhase": "einstein", "integrate_orbit": "orbit",
+         "run_suite": "suites", "suite_names": "suites"}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module 'covphase' has no attribute %r" % name)
+    return getattr(import_module("covphase." + _HOME[name]), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

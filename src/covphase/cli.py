@@ -25,6 +25,9 @@ orbit   integrates the dynamical flow of a model from given initial
 
 Models are addressed by file path; the names of the shipped builtin
 models are accepted as a convenience.
+
+verify imports the suites and the report writer when it runs, so that
+orbit, in its own fresh process, loads only the modules it runs.
 """
 
 import argparse
@@ -33,10 +36,8 @@ import sys
 import numpy as np
 
 from .einstein import EinsteinPhase
-from .modelspec import Model, ValidationError
+from .modelspec import Model, ValidationError, resolve_model
 from .orbit import BoxExit, initial_state, integrate_orbit, step_count
-from .report import emit_report
-from .suites import resolve_model, run_suite, suite_names
 
 
 def _parse_tols(items) -> dict:
@@ -63,6 +64,8 @@ def resolve_framework(model: Model, framework: str) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from .report import emit_report
+    from .suites import run_suite
     try:
         tols = _parse_tols(args.tol)
         report = run_suite(args.model, args.suite, points=args.points,
@@ -115,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--model", required=True,
                    help="model file path (or builtin model name)")
     v.add_argument("--suite", required=True,
-                   help="one of: %s" % ", ".join(suite_names()))
+                   help="check suite name (an unknown name lists them)")
     v.add_argument("--points", type=int, default=100,
                    help="number of sample phase points (default 100)")
     v.add_argument("--seed", type=int, default=0,

@@ -38,14 +38,19 @@ from .smooth import (
     wedge,
 )
 
-from numpy.polynomial.legendre import leggauss
-
 # the 12-node Gauss-Legendre rule on [0, 1] of the homotopy integral in
-# `GalileiPhase.observed_potential`: nodes t_k and products w_k t_k
-_T, _W = leggauss(12)
-_T = 0.5 * (_T + 1.0)
-HOMOTOPY_TS = tuple(_T.tolist())
-HOMOTOPY_WEIGHTS = tuple((0.5 * _W * _T).tolist())
+# `GalileiPhase.observed_potential`, written out so as not to import
+# numpy.polynomial: nodes 0.5 (t + 1) and products 0.5 w t of leggauss(12)
+HOMOTOPY_TS = (
+    0.009219682876640378, 0.0479413718147626, 0.11504866290284765,
+    0.20634102285669126, 0.31608425050090994, 0.43738329574426554,
+    0.5626167042557344, 0.6839157494990901, 0.7936589771433087,
+    0.8849513370971523, 0.9520586281852375, 0.9907803171233596)
+HOMOTOPY_WEIGHTS = (
+    0.00021747082054123453, 0.0025634089945808496, 0.009208398829317378,
+    0.020960887320599628, 0.03690165670464107, 0.054486378011406794,
+    0.07008714489529455, 0.07984461156453623, 0.08062282604093324,
+    0.07083076544235582, 0.05090625400307869, 0.02337019737271447)
 
 
 @dataclass

@@ -18,6 +18,7 @@ carrying a witness point.
 
 import configparser
 import math
+import os
 import re
 import struct
 import weakref
@@ -1587,3 +1588,20 @@ def load_builtin(name: str) -> Model:
             "no builtin model %r; available: %s"
             % (name, ", ".join(available_models())))
     return load_model(path)
+
+
+def resolve_model(spec) -> Model:
+    """Load a model from a file path, falling back to the builtin name;
+    a name that is neither raises the builtin error, which lists the
+    shipped models."""
+    if isinstance(spec, Model):
+        return spec
+    path = str(spec)
+    if path.endswith(".ini"):
+        return load_model(path)
+    try:
+        return load_builtin(path)
+    except FileNotFoundError:
+        if not os.path.exists(path):
+            raise
+        return load_model(path)

@@ -21,7 +21,6 @@ bit-for-bit regardless of check execution order.
 
 import gc
 import math
-import os
 import sys
 import time
 import zlib
@@ -31,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .modelspec import BinOp, ExprField, Model, Num, Var, ValidationError, \
-    _FLOAT_ERRORS, _binop, _num, _var, constant, load_builtin, load_model
+    _FLOAT_ERRORS, _binop, _num, _var, constant, load_builtin, resolve_model
 from .smooth import Batch, PForm, VectorField, contract, directional, \
     exterior_derivative, field_values, lie_bracket, total, wedge
 from .smooth import worst as _worst
@@ -67,23 +66,6 @@ class UnknownSuiteError(ValueError):
 
 class FrameworkMismatchError(ValueError):
     pass
-
-
-def resolve_model(spec) -> Model:
-    """Load a model from a file path, falling back to the builtin name;
-    a name that is neither raises the builtin error, which lists the
-    shipped models."""
-    if isinstance(spec, Model):
-        return spec
-    path = str(spec)
-    if path.endswith(".ini"):
-        return load_model(path)
-    try:
-        return load_builtin(path)
-    except FileNotFoundError:
-        if not os.path.exists(path):
-            raise
-        return load_model(path)
 
 
 # ---------------------------------------------------------------------------

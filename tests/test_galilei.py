@@ -13,7 +13,9 @@ from covphase.modelspec import (
     BinOp, ExprField, Num, Var, load_builtin, parse_expr, sample_points,
 )
 from covphase import smooth
-from covphase.galilei import GalileiPhase, Observer
+from covphase.galilei import (
+    HOMOTOPY_TS, HOMOTOPY_WEIGHTS, GalileiPhase, Observer,
+)
 from covphase.quantum import two_form_on
 from covphase.suites import _poly as poly_field
 from covphase.suites import _random_gspecial as random_special
@@ -418,6 +420,18 @@ class TestObservers:
 
 
 class TestObservedPotential:
+    def test_quadrature_literals_are_gauss_legendre(self):
+        # the written-out rule is bit for bit the 12-node Gauss-Legendre
+        # rule of numpy.polynomial on [0, 1], weights times nodes
+        from numpy.polynomial.legendre import leggauss
+
+        t, w = leggauss(12)
+        t = 0.5 * (t + 1)
+        assert list(map(float.hex, HOMOTOPY_TS)) \
+            == list(map(float.hex, t.tolist()))
+        assert list(map(float.hex, HOMOTOPY_WEIGHTS)) \
+            == list(map(float.hex, (0.5 * w * t).tolist()))
+
     def test_symmetric_gauge_recovered(self, phases):
         # uniform-b is declared in the symmetric gauge about the box
         # center axis, so the homotopy potential reproduces it exactly

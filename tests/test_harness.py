@@ -8,6 +8,7 @@ import ast
 import gc
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -86,10 +87,15 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def unreferenced_names():
+# a module's attribute hooks, which only the interpreter calls (PEP 562)
+MODULE_HOOKS = ("__getattr__", "__dir__")
+
+
+def unreferenced_names(src=SRC):
     """Qualified names of the module-level functions and classes, public
-    or private, and the public methods of src/covphase that no code there
-    references outside their own definition.
+    or private, and the public methods of the modules in src (by default
+    src/covphase) that no code there references outside their own
+    definition.  A module's MODULE_HOOKS count as used.
 
     A module-level function or class is referenced by its bare name, by
     an import of it, or as `<module alias>.<name>` of a package module
@@ -99,7 +105,7 @@ def unreferenced_names():
     spelling: its receiver's type is not known here, so a dead method
     that shares its spelling with a live one passes."""
     trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
+             for path in sorted(src.glob("*.py"))}
     plain, attrs = {}, {}
     for tree in trees.values():
         # `from . import quantum as qt` binds qt to a package module
@@ -120,7 +126,7 @@ def unreferenced_names():
     defs = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, kinds):
+            if isinstance(node, kinds) and node.name not in MODULE_HOOKS:
                 defs.append(("%s.%s" % (module, node.name), node,
                              plain.get(node.name, [])))
                 if isinstance(node, ast.ClassDef):
@@ -202,6 +208,28 @@ class TestApiSurface:
         # once src/ uses an allowed name (or it is gone), its entry goes
         assert sorted(UNREFERENCED_ALLOWED) \
             == sorted(unreferenced_names())
+
+    def test_module_attribute_hooks_count_as_used(self, tmp_path):
+        (tmp_path / "lazy.py").write_text(
+            "def __getattr__(name):\n"
+            "    raise AttributeError(name)\n"
+            "def __dir__():\n"
+            "    return []\n"
+            "def helper():\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def __dir__(self):\n"
+            "        return []\n")
+        assert unreferenced_names(tmp_path) == ["lazy.helper", "lazy.Box"]
+
+    def test_package_names_resolve(self):
+        import covphase
+        for name in covphase.__all__:
+            value = getattr(covphase, name)
+            assert getattr(sys.modules[value.__module__], name) is value
+        assert set(covphase.__all__) <= set(dir(covphase))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            covphase.no_such_name
 
 
 class TestRunSuite:
@@ -486,6 +514,13 @@ class TestCli:
         proc = run_cli("verify", "--suite", "galilei-core")
         assert proc.returncode == 2
 
+    def test_unknown_suite_lists_every_suite(self):
+        proc = run_cli("verify", "--model", "uniform-b", "--suite", "nope")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: unknown suite 'nope'; available: %s\n"
+                               % ", ".join(su.suite_names()))
+
     def test_verify_json_deterministic(self):
         args = ("verify", "--model", "uniform-b", "--suite", "galilei-core",
                 "--points", "8", "--seed", "9", "--report", "json")
@@ -568,6 +603,27 @@ class TestCli:
         proc = run_cli("orbit", *args)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == stdout
+
+    # the commands of CI's "Reports do not depend on the hash seed" step
+    HASH_SEED_COMMANDS = [
+        ("verify", "--model", "curved-galilei", "--suite", "galilei-quantum",
+         "--points", "1", "--seed", "42", "--report", "json"),
+        ("verify", "--model", "uniform-e", "--suite", "einstein-identities",
+         "--points", "30", "--seed", "42", "--report", "json"),
+    ] + [("orbit", *args) for args, _ in README_ORBITS + CURVED_ORBITS]
+
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        # each command as a fresh process under two hash seeds, the two
+        # side by side
+        for args in self.HASH_SEED_COMMANDS:
+            procs = [subprocess.Popen(
+                [sys.executable, "-m", "covphase.cli", *args],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONHASHSEED=seed))
+                for seed in ("0", "1")]
+            outs = [proc.communicate(timeout=600) for proc in procs]
+            assert [proc.returncode for proc in procs] == [0, 0], outs
+            assert outs[0][0] == outs[1][0], args
 
     @pytest.mark.parametrize("model,fw,x0,v", [
         ("uniform-b", "g", ("0", "0", "0", "0"), ("nan", "0", "0")),
@@ -932,7 +988,8 @@ g33 = 1
 
 class TestStartup:
     """covphase runs on numpy alone: scipy and sympy stay off its import
-    path, which kept a command's start-up at over a second."""
+    path, which kept a command's start-up at over a second.  An orbit
+    imports none of the code that only verify runs."""
 
     BLOCK_SCIPY = (
         "import sys\n"
@@ -955,20 +1012,31 @@ class TestStartup:
         assert normal.returncode == 0, normal.stderr
         assert blocked.stdout == normal.stdout
 
+    # what `covphase orbit` never runs, and so never imports
+    NOT_FOR_ORBITS = ("covphase.suites", "covphase.quantum", "covphase.report",
+                      "numpy.random", "numpy.polynomial")
+
     def test_no_scipy_or_sympy_imported(self):
+        cyclotron = ["orbit", *TestCli.README_ORBITS[0][0]]
         code = ("import sys\n"
                 "import covphase.cli\n"
-                "from covphase.modelspec import available_models, "
-                "load_builtin\n"
+                "from covphase.modelspec import available_models\n"
                 "assert len(available_models()) == 8\n"
                 "for name in available_models():\n"
-                "    load_builtin(name)\n"
+                "    covphase.load_builtin(name)\n"
+                "assert covphase.cli.main(%r) == 0\n"
                 "print(sorted(m for m in sys.modules\n"
-                "             if m.split('.')[0] in ('scipy', 'sympy')))\n")
+                "             if m.split('.')[0] in ('scipy', 'sympy')\n"
+                "             or m in %r))\n"
+                "assert covphase.cli.main(%r) == 0\n"
+                "print(covphase.run_suite\n"
+                "      is sys.modules['covphase.suites'].run_suite)\n"
+                % (cyclotron, self.NOT_FOR_ORBITS, self.VERIFY))
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stdout.startswith(TestCli.README_ORBITS[0][1] + "[]\n")
+        assert proc.stdout.endswith("}\nTrue\n")
 
 
 class TestCheckErrors:
